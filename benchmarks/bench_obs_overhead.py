@@ -13,7 +13,7 @@ document with output discarded:
   on every stage plus the report assembly.
 
 Timing is min-of-N with the three contenders tightly interleaved and GC
-paused (same protocol as ``bench_fastpath``); extra rounds are added if a
+paused; extra rounds are added if a
 noisy window pushes a ratio over its gate.  The gates are the ISSUE 7
 acceptance criteria: disabled within **2%** of baseline, enabled within
 **10%**.  Byte identity between the disabled and enabled runs is asserted
@@ -36,6 +36,7 @@ import pytest
 
 from repro import FluxEngine
 from repro.core.options import ExecutionOptions
+from repro.engine.executor import StreamExecutor
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 
@@ -86,7 +87,11 @@ def test_tracing_overhead(benchmark, query):
     engine = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd())
 
     def baseline():
-        executor = engine._executor(collect_output=False)
+        executor = StreamExecutor(
+            engine.plan,
+            collect_output=False,
+            count_input=not engine.pipeline.projection_enabled,
+        )
         batches = engine.pipeline.event_batches(document, stats=executor.stats)
         executor.run_batches(batches)
 

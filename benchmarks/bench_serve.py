@@ -1,7 +1,7 @@
 """Subscription-server throughput and delivery latency.
 
-The serve tentpole's cost model: one shared tokenize -> coalesce ->
-project pass per document however many subscriptions ride it, plus one
+The serve tentpole's cost model: one shared projecting scan per
+document however many subscriptions ride it, plus one
 executor per active subscription per document and a bounded-queue
 delivery per result.  This bench measures
 
@@ -9,8 +9,8 @@ delivery per result.  This bench measures
   auction ticker on one hub, with drainer threads consuming as results
   seal; reports documents/sec, results/sec and the delivery latency
   (seal -> dequeue) distribution as p50 / p99 / p999,
-* **churn oracle**: a mid-feed subscribe/unsubscribe plan on classic AND
-  fastpath, asserting every delivered result is byte-identical to a solo
+* **churn oracle**: a mid-feed subscribe/unsubscribe plan, asserting
+  every delivered result is byte-identical to a solo
   single-document run and that churn never re-merged the union automaton
   (``fanout.recompiles == 0``) -- a benchmark over a diverging server
   would measure the wrong thing.
@@ -24,9 +24,6 @@ import os
 import threading
 import time
 
-import pytest
-
-from repro import ExecutionOptions
 from repro.engine.engine import FluxEngine
 from repro.serve import SubscriptionHub
 from repro.xmark.dtd import xmark_dtd
@@ -140,8 +137,7 @@ def test_serve_fanout_scaling(benchmark):
     )
 
 
-@pytest.mark.parametrize("fastpath", [False, True], ids=["classic", "fastpath"])
-def test_serve_churn_oracle(benchmark, fastpath):
+def test_serve_churn_oracle(benchmark):
     """Mid-feed add/remove with live traffic must stay byte-identical."""
     documents = 12
     seed = 42
@@ -160,9 +156,7 @@ def test_serve_churn_oracle(benchmark, fastpath):
     }
 
     def run():
-        hub = SubscriptionHub(
-            xmark_dtd(), options=ExecutionOptions(fastpath=True if fastpath else None)
-        )
+        hub = SubscriptionHub(xmark_dtd())
         started = time.perf_counter()
         with hub:
             base = hub.subscribe(BENCHMARK_QUERIES["Q1"], name="base")
@@ -197,7 +191,6 @@ def test_serve_churn_oracle(benchmark, fastpath):
         benchmark,
         table="service",
         leg="churn-oracle",
-        fastpath=fastpath,
         subscriptions=3,
         documents=documents,
         seconds=round(elapsed, 4),

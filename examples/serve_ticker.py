@@ -3,8 +3,8 @@
 A feed (``examples/feed_ticker.py``) is one query over an endless stream.
 A *subscription server* (:mod:`repro.serve`) is N of them at once: clients
 register prepared queries as subscriptions over a live document feed, every
-stream chunk flows through **one** shared tokenize -> coalesce -> project
-pass however many subscriptions are live, and per-subscription results
+stream chunk flows through **one** shared projecting scan however many
+subscriptions are live, and per-subscription results
 stream back over NDJSON-on-TCP through bounded queues.
 
 The query set is mutable mid-stream: this example starts a server

@@ -10,7 +10,7 @@ result is ever materialized as one Python string.
 The example streams an XMark-like document of a configurable size straight
 from the generator through the pipeline
 
-    tokenize -> coalesce -> project -> execute -> sink
+    scan -> materialize -> execute -> sink
 
 and reports how little memory the evaluation needed, plus how many output
 fragments the streaming sink produced along the way.

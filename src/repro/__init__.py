@@ -11,12 +11,13 @@ buffering.  This package reimplements the complete system:
 * :mod:`repro.xquery` -- the XQuery⁻ fragment, normalisation, reference
   semantics,
 * :mod:`repro.flux` -- the FluX language, the scheduling rewrite, safety,
-* :mod:`repro.pipeline` -- the push-based event pipeline (tokenize ->
-  coalesce -> project -> execute -> sink) with the pre-executor projection
-  filter and the unified Sink protocol,
+* :mod:`repro.fastpath` / :mod:`repro.pipeline` -- the push-based event
+  pipeline (scan -> materialize -> execute -> sink): the projecting byte
+  scanner, the pre-executor projection automaton and the unified Sink
+  protocol,
 * :mod:`repro.engine` -- the streaming engine with projected buffers,
 * :mod:`repro.multiquery` -- multi-query shared-stream execution (one
-  parse, N queries, merged projection with membership masks),
+  scan, N queries, merged projection with membership masks),
 * :mod:`repro.storage` -- bounded-memory execution: a memory governor with
   a hard byte budget, spillable paged buffers and a temp-file spill store,
 * :mod:`repro.obs` -- observability: per-run span tracing with stage

@@ -78,20 +78,12 @@ class ExecutionOptions:
         budget.
     chunk_size:
         Read size for pull-mode document sources.
-    fastpath:
-        Request the bytes-native accelerated engine core
-        (:mod:`repro.fastpath`) for this run.  ``None`` (the default) means
-        "not requested" -- the classic pipeline runs unless the
-        ``REPRO_FASTPATH`` environment variable forces the fast path on.
-        ``REPRO_FASTPATH=0`` overrides ``True`` (kill switch), and runs the
-        fast path cannot serve (``expand_attrs``) silently fall back to the
-        classic pipeline.  Results are byte-identical either way.
     trace:
         Request per-run stage tracing (:mod:`repro.obs`): the result gains a
         ``trace`` report with the per-stage time/bytes/events breakdown and
         the span tree.  ``None`` (the default) defers to the ``REPRO_TRACE``
-        environment variable (``1`` forces on, ``0`` forces off, mirroring
-        ``REPRO_FASTPATH``).  Tracing never changes output bytes or the
+        environment variable (``1`` forces on, ``0`` forces off).  Tracing
+        never changes output bytes or the
         logical buffering peaks -- the conformance oracle asserts this.
     serve_metrics:
         Serve live run inspection over HTTP (:mod:`repro.obs.serve`) on
@@ -112,7 +104,6 @@ class ExecutionOptions:
     memory_budget: Optional[int] = None
     memory_page_bytes: Optional[int] = None
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    fastpath: Optional[bool] = None
     trace: Optional[bool] = None
     serve_metrics: Optional[int] = None
     feed: Optional[FeedOptions] = None

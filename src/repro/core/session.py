@@ -424,7 +424,7 @@ class PreparedQuerySet:
         options: Optional[ExecutionOptions] = None,
         **overrides,
     ) -> MultiQueryRun:
-        """One shared tokenize/coalesce/project pass for all member queries.
+        """One shared projecting scan for all member queries.
 
         ``sinks`` maps query names to writables (every name must be
         covered); omitted, each query collects (or just counts) its own
@@ -440,7 +440,6 @@ class PreparedQuerySet:
             # (and closes) its own pass-scoped governor.
             memory_budget=None if shared is not None else options.memory_budget,
             memory_page_bytes=options.memory_page_bytes,
-            fastpath=options.fastpath,
         )
         if sinks is not None:
             run = engine.run_to_sinks(

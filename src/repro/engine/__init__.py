@@ -4,7 +4,7 @@ The engine compiles a safe FluX query (plus the DTD it was scheduled
 against) into a :class:`~repro.engine.plan.QueryPlan` and executes it as the
 *execute* stage of the push-based pipeline (:mod:`repro.pipeline`)::
 
-    tokenize -> coalesce/normalize -> project -> execute -> sink
+    scan -> materialize -> execute -> sink
 
 Plan side (built once per query):
 

@@ -8,7 +8,7 @@
 4. compile the FluX query into an executable plan (buffer trees, handlers,
    punctuation tables) plus the pre-executor projection filter,
 5. execute the plan over a streaming document through the push-based
-   pipeline (``tokenize -> coalesce -> project -> execute -> sink``),
+   pipeline (``scan -> materialize -> execute -> sink``),
    producing the result and the memory/time statistics.
 
 The engine can equally be constructed from an already-built FluX query
@@ -45,7 +45,7 @@ from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.dtd.schema import DTD, ROOT_ELEMENT
 from repro.engine.executor import ExecutionResult, StreamExecutor
 from repro.engine.plan import QueryPlan, compile_plan
-from repro.fastpath import FastEventPipeline, use_fastpath
+from repro.fastpath import FastEventPipeline
 from repro.flux.ast import FluxExpr
 from repro.flux.rewrite import RewriteResult, rewrite_to_flux
 from repro.obs import recorder as _flight
@@ -53,7 +53,6 @@ from repro.obs import serve as _serve
 from repro.obs.export import append_jsonl
 from repro.obs.observer import Observer, TraceReport, use_tracing
 from repro.obs.runtime import record_run
-from repro.pipeline.pipeline import EventPipeline
 from repro.pipeline.sinks import FragmentSink, resolve_sink
 from repro.storage.governor import MemoryGovernor
 from repro.xmlstream.parser import DocumentSource
@@ -92,9 +91,7 @@ from repro.engine.stats import RunStatistics  # noqa: E402  (documented forward 
 _obs_run_ids = itertools.count()
 
 
-def _finish_observation(
-    observer, stats, *, fastpath: bool = False, push: bool = False
-) -> Optional[TraceReport]:
+def _finish_observation(observer, stats, *, push: bool = False) -> Optional[TraceReport]:
     """Seal one *completed* run's observability state.
 
     Folds the run into the always-on global telemetry (every run, traced or
@@ -103,15 +100,9 @@ def _finish_observation(
     exactly once per finished run from each execution shape; aborted runs
     never reach it.
     """
-    record_run(
-        stats,
-        traced=observer is not None and observer.enabled,
-        fastpath=fastpath,
-        push=push,
-    )
+    record_run(stats, traced=observer is not None and observer.enabled, push=push)
     if observer is None or not observer.enabled:
         return None
-    observer.fastpath = fastpath
     report = observer.finish(stats)
     path = os.environ.get("REPRO_OBS_JSON")
     if path:
@@ -172,7 +163,6 @@ class StreamingRun:
         owns_governor: bool = True,
         on_finish=None,
         observer=None,
-        fastpath: bool = False,
         options: Optional[ExecutionOptions] = None,
     ):
         self._executor = executor
@@ -183,7 +173,6 @@ class StreamingRun:
         self._consumed = False
         self._on_finish = on_finish
         self._observer = observer
-        self._fastpath = fastpath
         self.stats: RunStatistics = executor.stats
         #: The finished run's :class:`TraceReport` (traced runs only).
         self.trace: Optional[TraceReport] = None
@@ -262,18 +251,12 @@ class StreamingRun:
             fragment = sink.drain()
             if fragment:
                 yield fragment
-            self.trace = _finish_observation(observer, self.stats, fastpath=self._fastpath)
+            self.trace = _finish_observation(observer, self.stats)
             if self._on_finish is not None:
                 self._on_finish(self.stats)
         except Exception as exc:
             # Abandonment (GeneratorExit) is not a crash; engine errors are.
-            _flight.dump_crash(
-                exc,
-                stats=self.stats,
-                options=self._options,
-                mode="stream",
-                fastpath=self._fastpath,
-            )
+            _flight.dump_crash(exc, stats=self.stats, options=self._options, mode="stream")
             raise
         finally:
             # An owned governor is per-run: its spill file dies with the
@@ -293,8 +276,8 @@ class RunHandle:
                 run.feed(chunk)
         print(run.result.output)
 
-    ``feed`` accepts text or UTF-8 bytes split at arbitrary points (every
-    pipeline stage is resumable across chunk boundaries) and returns the
+    ``feed`` accepts text or UTF-8 bytes split at arbitrary points (the
+    scanner is resumable across chunk boundaries) and returns the
     output drained from the sink so far when the sink supports draining
     (a :class:`~repro.pipeline.sinks.FragmentSink`), ``None`` otherwise.
     ``finish`` flushes the final events, validates well-formedness and
@@ -311,7 +294,6 @@ class RunHandle:
         owns_governor: bool = True,
         on_finish=None,
         observer=None,
-        fastpath: bool = False,
         options: Optional[ExecutionOptions] = None,
         annotations: Optional[dict] = None,
     ):
@@ -320,7 +302,6 @@ class RunHandle:
         self._governor = governor if owns_governor else None
         self._on_finish = on_finish
         self._observer = observer
-        self._fastpath = fastpath
         self._options = options
         # Caller-supplied watermarks (a feed's exact document offsets);
         # merged into /progress snapshots and crash dumps verbatim.
@@ -351,7 +332,7 @@ class RunHandle:
             observer.stage("execute").seconds += span.record.seconds
         else:
             executor.begin()
-        _flight.RECORDER.note("run-begin", "push", fastpath)
+        _flight.RECORDER.note("run-begin", "push")
         # Every open push run is visible on /progress (whether or not a
         # server is listening, registration is one dict insert).
         self._progress_key = _serve.register_run(self._progress)
@@ -364,7 +345,6 @@ class RunHandle:
         entry = {
             "mode": "push",
             "state": self._state,
-            "fastpath": self._fastpath,
             "bytes_fed": self._fed_bytes,
             "chunks_fed": self._chunks_fed,
             "document_offset": stats.input_bytes,
@@ -403,7 +383,6 @@ class RunHandle:
             stats=self.stats,
             options=self._options,
             mode="push",
-            fastpath=self._fastpath,
             chunk_offsets=self._chunk_offsets,
             context=self._annotations,
         )
@@ -482,7 +461,7 @@ class RunHandle:
         self._abort_finalizer()  # no live buffers remain: a no-op teardown
         if self._finalizer is not None:
             self._finalizer()
-        trace = _finish_observation(observer, self.stats, fastpath=self._fastpath, push=True)
+        trace = _finish_observation(observer, self.stats, push=True)
         self.result = FluxRunResult(output=execution.output, stats=execution.stats, trace=trace)
         if self._on_finish is not None:
             self._on_finish(self.stats)
@@ -573,11 +552,7 @@ class FluxEngine:
             flux = self.rewrite_result.flux
         self.flux = flux
         self.plan: QueryPlan = compile_plan(flux, dtd, root_var=root_var, require_safe=require_safe)
-        self.pipeline = EventPipeline(self.plan, projection=projection)
-        # The accelerated twin of ``pipeline`` (same plan, same projection
-        # automaton, bytes-native stages).  Built lazily on the first run
-        # that selects it, then engine-shared like the classic pipeline.
-        self._fast_pipeline: Optional[FastEventPipeline] = None
+        self.pipeline = FastEventPipeline(self.plan, projection=projection)
 
     # ----------------------------------------------------------- inspection
 
@@ -600,54 +575,25 @@ class FluxEngine:
             **overrides,
         )
 
-    def _make_governor(self, options: Optional[ExecutionOptions] = None) -> Optional[MemoryGovernor]:
+    @staticmethod
+    def _make_governor(options: ExecutionOptions) -> Optional[MemoryGovernor]:
         """A fresh per-run governor, or ``None`` when memory is unbounded."""
-        budget = self.memory_budget if options is None else options.memory_budget
-        page_bytes = self.memory_page_bytes if options is None else options.memory_page_bytes
-        if budget is None:
+        if options.memory_budget is None:
             return None
-        return MemoryGovernor(budget, page_bytes=page_bytes)
+        return MemoryGovernor(options.memory_budget, page_bytes=options.memory_page_bytes)
 
     def _executor(
-        self,
-        *,
-        collect_output: bool = True,
-        sink=None,
-        stats: Optional[RunStatistics] = None,
-        governor: Optional[MemoryGovernor] = None,
+        self, *, sink, stats: RunStatistics, governor: Optional[MemoryGovernor]
     ) -> StreamExecutor:
-        stats = stats or RunStatistics()
         return StreamExecutor(
             self.plan,
-            collect_output=collect_output,
             stats=stats,
             sink=sink,
             # With the projection filter active, input accounting happens in
-            # the filter (pre-drop); the executor must not double-count.
+            # the scanner (pre-drop); the executor must not double-count.
             count_input=not self.pipeline.projection_enabled,
             buffer_factory=governor.make_buffer if governor is not None else None,
         )
-
-    def _pipeline_for(self, options: ExecutionOptions):
-        """Select the document stages for one run (classic or fast path).
-
-        Selection is per run (:func:`repro.fastpath.use_fastpath`): the
-        ``REPRO_FASTPATH`` environment variable overrides, then
-        ``options.fastpath`` decides.  Both pipelines share the plan and the
-        projection automaton, so ``projection_enabled`` -- and with it the
-        executor's input-accounting mode -- agrees between them.
-        """
-        if not use_fastpath(options.fastpath, expand_attrs=options.expand_attrs):
-            return self.pipeline
-        fast = self._fast_pipeline
-        if fast is None:
-            fast = FastEventPipeline(
-                self.plan,
-                self.pipeline.projection_spec,
-                chunk_size=self.pipeline.chunk_size,
-            )
-            self._fast_pipeline = fast
-        return fast
 
     def _run_setup(self, options, sink, governor, owns_governor: bool):
         """The shared preamble of every execution shape.
@@ -700,9 +646,8 @@ class FluxEngine:
             options, sink, governor, owns_governor
         )
         executor = self._executor(sink=bound_sink, stats=stats, governor=governor)
-        pipeline = self._pipeline_for(options)
         try:
-            batches = pipeline.event_batches(
+            batches = self.pipeline.event_batches(
                 document,
                 expand_attrs=options.expand_attrs,
                 stats=stats,
@@ -712,13 +657,7 @@ class FluxEngine:
             result: ExecutionResult = executor.run_batches(batches, observer=observer)
         except BaseException as exc:
             if isinstance(exc, Exception):
-                _flight.dump_crash(
-                    exc,
-                    stats=stats,
-                    options=options,
-                    mode="pull",
-                    fastpath=pipeline is not self.pipeline,
-                )
+                _flight.dump_crash(exc, stats=stats, options=options, mode="pull")
             # A failed run must not leave its live buffers' pages charged
             # against a *shared* (session-owned) governor; an owned one is
             # closed below, which releases everything at once.
@@ -728,7 +667,7 @@ class FluxEngine:
         finally:
             if owned and governor is not None:
                 governor.close()
-        trace = _finish_observation(observer, stats, fastpath=pipeline is not self.pipeline)
+        trace = _finish_observation(observer, stats)
         if on_finish is not None:
             on_finish(stats)
         return FluxRunResult(output=result.output, stats=result.stats, trace=trace)
@@ -761,8 +700,7 @@ class FluxEngine:
             options, sink, governor, owns_governor
         )
         executor = self._executor(sink=bound_sink, stats=stats, governor=governor)
-        pipeline = self._pipeline_for(options)
-        feed = pipeline.open_feed(
+        feed = self.pipeline.open_feed(
             expand_attrs=options.expand_attrs,
             stats=stats,
             observer=observer,
@@ -775,7 +713,6 @@ class FluxEngine:
             owns_governor=owned,
             on_finish=on_finish,
             observer=observer,
-            fastpath=pipeline is not self.pipeline,
             options=options,
             annotations=annotations,
         )
@@ -833,8 +770,7 @@ class FluxEngine:
             options, FragmentSink(), governor, owns_governor
         )
         executor = self._executor(sink=sink, stats=stats, governor=governor)
-        pipeline = self._pipeline_for(options)
-        batches = pipeline.event_batches(
+        batches = self.pipeline.event_batches(
             document,
             expand_attrs=options.expand_attrs,
             stats=stats,
@@ -849,7 +785,6 @@ class FluxEngine:
             owns_governor=owned,
             on_finish=on_finish,
             observer=observer,
-            fastpath=pipeline is not self.pipeline,
             options=options,
         )
 
@@ -867,19 +802,6 @@ class FluxEngine:
             document,
             options=self._run_options(collect_output=collect_output, expand_attrs=expand_attrs),
         )
-
-    def run_events(self, events, *, collect_output: bool = True) -> FluxRunResult:
-        """Execute the query over an already-parsed event iterable."""
-        governor = self._make_governor()
-        try:
-            executor = self._executor(collect_output=collect_output, governor=governor)
-            batches = self.pipeline.adapt_events(events, executor.stats)
-            result: ExecutionResult = executor.run_batches(batches)
-        finally:
-            if governor is not None:
-                governor.close()
-        record_run(result.stats)
-        return FluxRunResult(output=result.output, stats=result.stats)
 
     def run_streaming(
         self,

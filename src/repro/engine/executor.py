@@ -64,7 +64,6 @@ from repro.engine.xquery_exec import (
     execute_expression,
 )
 from repro.pipeline.sinks import CollectingSink, OutputSink
-from repro.pipeline.stages import batched
 from repro.xmlstream.events import (
     Characters,
     EndDocument,
@@ -227,10 +226,6 @@ class StreamExecutor:
         self._active_scopes: Dict[str, List[ScopeActivation]] = {}
 
     # ------------------------------------------------------------------ API
-
-    def run(self, events: Iterable[Event]) -> ExecutionResult:
-        """Consume a per-event stream and produce the query result."""
-        return self.run_batches(batched(events))
 
     def run_batches(
         self, batches: Iterable[List[Event]], observer=None

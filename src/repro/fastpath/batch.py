@@ -1,7 +1,7 @@
 """Struct-of-arrays event batches and their lazy Event materialization.
 
-Between the byte scanner and the executor boundary, the fast path carries
-events as parallel columns instead of per-event dataclasses:
+Between the byte scanner and the executor boundary, events travel as
+parallel columns instead of per-event dataclasses:
 
 * ``words`` -- one packed ``int`` per surviving event:
   ``kind`` (3 bits) | ``tag id`` (30 bits) | ``projection state index``
@@ -11,13 +11,16 @@ events as parallel columns instead of per-event dataclasses:
 * ``spans`` -- ``(start, end)`` byte offsets into the batch's source
   ``buffer`` for rows that carry text: character data, CDATA content, and
   the raw body of attribute-bearing (or uninterned) tags.
+* ``events`` -- ready-made event objects for :data:`K_EVENT` rows (the
+  subelements ``expand_attrs`` synthesizes: their names and values exist
+  nowhere in the source bytes, so there is no span to point at).
 
-Nothing in a batch owns decoded text: the UTF-8 decode, entity decoding and
-attribute parsing all happen in :func:`materialize` -- once, for survivors
-only.  Adjacent character rows are merged during materialization, mirroring
-the classic pipeline's coalesce stage (within a batch; batch boundaries
-never split one text node, because the scanner holds text pending until the
-next ``<``).
+Apart from those, nothing in a batch owns decoded text: the UTF-8 decode,
+entity decoding and attribute parsing all happen in :func:`materialize` --
+once, for survivors only.  Adjacent character rows are merged during
+materialization, so downstream sees one event per logical text node (within
+a batch; batch boundaries never split one text node, because the scanner
+holds text pending until the next ``<``).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from array import array
 from typing import Callable, List, Optional, Sequence
 
 from repro.fastpath.tags import TagTable
+from repro.xmlstream.errors import XMLWellFormednessError
 from repro.xmlstream.events import Characters, Event
 from repro.xmlstream.events import EndElement, StartElement
 from repro.xmlstream.tokenizer import decode_entities, parse_tag_body
@@ -37,6 +41,7 @@ K_TEXT = 2  # character data span (entity references still encoded)
 K_CDATA = 3  # CDATA content span (no entity decoding)
 K_START_C = 4  # complex start tag: span is the raw tag body (attrs/uninterned)
 K_END_C = 5  # uninterned end tag: span is the name
+K_EVENT = 6  # ready-made event: one span slot, an index into ``events``
 
 KIND_BITS = 3
 TAG_SHIFT = KIND_BITS
@@ -45,21 +50,41 @@ KIND_MASK = (1 << KIND_BITS) - 1
 TAG_MASK = (1 << (STATE_SHIFT - TAG_SHIFT)) - 1
 
 
+def decode_utf8(raw, offset: int) -> str:
+    """Decode one span; invalid UTF-8 is a located well-formedness error.
+
+    ``offset`` is the absolute stream offset of ``raw[0]``.
+    """
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _invalid_utf8(exc, offset) from exc
+
+
+def _invalid_utf8(exc: UnicodeDecodeError, offset: int) -> XMLWellFormednessError:
+    return XMLWellFormednessError(
+        f"invalid UTF-8 in document: {exc.reason}", offset + exc.start
+    )
+
+
 class SoABatch:
     """One scanner output batch: packed words + text spans over ``buffer``.
 
     ``seen`` / ``cost`` carry the batch's *pre-projection* input accounting
-    (what the classic projector would have recorded), so statistics keep
-    describing the document that was read, not the survivors.
+    (every event of the document, dropped or not), so statistics keep
+    describing the document that was read, not the survivors.  ``base`` is
+    the absolute stream offset of ``buffer[0]`` (for located errors).
     """
 
-    __slots__ = ("words", "spans", "buffer", "tags", "seen", "cost")
+    __slots__ = ("words", "spans", "events", "buffer", "tags", "base", "seen", "cost")
 
-    def __init__(self, buffer, tags: TagTable):
+    def __init__(self, buffer, tags: TagTable, base: int = 0):
         self.words = array("q")
         self.spans = array("q")
+        self.events: List[Event] = []
         self.buffer = buffer
         self.tags = tags
+        self.base = base
         self.seen = 0
         self.cost = 0
 
@@ -67,7 +92,7 @@ class SoABatch:
         return len(self.words)
 
     def materialize(self) -> List[Event]:
-        """Decode the batch into classic events (the executor boundary)."""
+        """Decode the batch into event objects (the executor boundary)."""
         words = self.words
         out: List[Event] = []
         if not words:
@@ -80,46 +105,51 @@ class SoABatch:
         ends = tags.end_events
         chars = Characters
         si = 0
+        start = 0
         # Pending coalesced character data: one segment almost always (extra
         # segments only appear around markup the projection filter skipped).
         pending: Optional[str] = None
-        for word in words:
-            kind = word & KIND_MASK
-            if kind == K_START:
-                if pending is not None:
-                    append(chars(pending))
-                    pending = None
-                append(starts[(word >> TAG_SHIFT) & TAG_MASK])
-            elif kind == K_END:
-                if pending is not None:
-                    append(chars(pending))
-                    pending = None
-                append(ends[(word >> TAG_SHIFT) & TAG_MASK])
-            elif kind == K_TEXT or kind == K_CDATA:
-                start = spans[si]
-                end = spans[si + 1]
-                si += 2
-                text = buffer[start:end].decode("utf-8")
-                if kind == K_TEXT and "&" in text:
-                    text = decode_entities(text, start)
-                pending = text if pending is None else pending + text
-            elif kind == K_START_C:
-                start = spans[si]
-                end = spans[si + 1]
-                si += 2
-                if pending is not None:
-                    append(chars(pending))
-                    pending = None
-                name, attributes = parse_tag_body(buffer[start:end].decode("utf-8"), start)
-                append(StartElement(name, tuple(attributes)))
-            else:  # K_END_C
-                start = spans[si]
-                end = spans[si + 1]
-                si += 2
-                if pending is not None:
-                    append(chars(pending))
-                    pending = None
-                append(EndElement(buffer[start:end].decode("utf-8")))
+        try:
+            for word in words:
+                kind = word & KIND_MASK
+                if kind == K_START:
+                    if pending is not None:
+                        append(chars(pending))
+                        pending = None
+                    append(starts[(word >> TAG_SHIFT) & TAG_MASK])
+                elif kind == K_END:
+                    if pending is not None:
+                        append(chars(pending))
+                        pending = None
+                    append(ends[(word >> TAG_SHIFT) & TAG_MASK])
+                elif kind == K_TEXT or kind == K_CDATA:
+                    start = spans[si]
+                    end = spans[si + 1]
+                    si += 2
+                    text = buffer[start:end].decode("utf-8")
+                    if kind == K_TEXT and "&" in text:
+                        text = decode_entities(text, start)
+                    pending = text if pending is None else pending + text
+                else:
+                    if pending is not None:
+                        append(chars(pending))
+                        pending = None
+                    if kind == K_EVENT:
+                        append(self.events[spans[si]])
+                        si += 1
+                        continue
+                    start = spans[si]
+                    end = spans[si + 1]
+                    si += 2
+                    if kind == K_START_C:
+                        name, attributes = parse_tag_body(
+                            buffer[start:end].decode("utf-8"), start
+                        )
+                        append(StartElement(name, tuple(attributes)))
+                    else:  # K_END_C
+                        append(EndElement(buffer[start:end].decode("utf-8")))
+        except UnicodeDecodeError as exc:
+            raise _invalid_utf8(exc, self.base + start) from exc
         if pending is not None:
             append(chars(pending))
         return out
@@ -135,11 +165,11 @@ class SoABatch:
 
         ``keep_masks`` / ``chars_masks`` are the flat table's per-state
         bitsets; each row's packed state index selects the queries that
-        receive the materialized event, exactly as the classic
-        :meth:`~repro.pipeline.fanout.MergedStreamProjector.split_batch`
-        distributes events by interned-state membership.  Adjacent text rows
-        share one state (nothing kept may sit between them), so coalescing
-        before distribution is safe.
+        receive the materialized event (element events go to every query
+        whose component keeps the state, character data only to those in a
+        keep-everything region).  Adjacent text rows share one state
+        (nothing kept may sit between them), so coalescing before
+        distribution is safe.
         """
         subs: List[List[Event]] = [[] for _ in range(count)]
         words = self.words
@@ -152,6 +182,7 @@ class SoABatch:
         starts = tags.start_events
         ends = tags.end_events
         si = 0
+        start = 0
         parts: Optional[List[str]] = None
         parts_mask = 0
 
@@ -162,52 +193,53 @@ class SoABatch:
                 appends[index](event)
             parts = None
 
-        for word in words:
-            kind = word & KIND_MASK
-            state = word >> STATE_SHIFT
-            if kind == K_START:
-                if parts is not None:
-                    flush_text()
-                event = starts[(word >> TAG_SHIFT) & TAG_MASK]
-                for index in indices_for(keep_masks[state]):
-                    appends[index](event)
-            elif kind == K_END:
-                if parts is not None:
-                    flush_text()
-                event = ends[(word >> TAG_SHIFT) & TAG_MASK]
-                for index in indices_for(keep_masks[state]):
-                    appends[index](event)
-            elif kind == K_TEXT or kind == K_CDATA:
-                start = spans[si]
-                end = spans[si + 1]
-                si += 2
-                text = buffer[start:end].decode("utf-8")
-                if kind == K_TEXT and "&" in text:
-                    text = decode_entities(text, start)
-                if parts is None:
-                    parts = [text]
-                    parts_mask = chars_masks[state]
+        try:
+            for word in words:
+                kind = word & KIND_MASK
+                state = word >> STATE_SHIFT
+                if kind == K_START:
+                    event = starts[(word >> TAG_SHIFT) & TAG_MASK]
+                elif kind == K_END:
+                    event = ends[(word >> TAG_SHIFT) & TAG_MASK]
+                elif kind == K_TEXT or kind == K_CDATA:
+                    start = spans[si]
+                    end = spans[si + 1]
+                    si += 2
+                    text = buffer[start:end].decode("utf-8")
+                    if kind == K_TEXT and "&" in text:
+                        text = decode_entities(text, start)
+                    if parts is None:
+                        parts = [text]
+                        parts_mask = chars_masks[state]
+                    else:
+                        parts.append(text)
+                    continue
+                elif kind == K_EVENT:
+                    event = self.events[spans[si]]
+                    si += 1
+                    if event.__class__ is Characters:
+                        # An expanded attribute value: the only text between
+                        # its subelement's tags, so nothing is pending.
+                        for index in indices_for(chars_masks[state]):
+                            appends[index](event)
+                        continue
                 else:
-                    parts.append(text)
-            elif kind == K_START_C:
-                start = spans[si]
-                end = spans[si + 1]
-                si += 2
+                    start = spans[si]
+                    end = spans[si + 1]
+                    si += 2
+                    if kind == K_START_C:
+                        name, attributes = parse_tag_body(
+                            buffer[start:end].decode("utf-8"), start
+                        )
+                        event = StartElement(name, tuple(attributes))
+                    else:  # K_END_C
+                        event = EndElement(buffer[start:end].decode("utf-8"))
                 if parts is not None:
                     flush_text()
-                name, attributes = parse_tag_body(buffer[start:end].decode("utf-8"), start)
-                event = StartElement(name, tuple(attributes))
                 for index in indices_for(keep_masks[state]):
                     appends[index](event)
-            else:  # K_END_C
-                start = spans[si]
-                end = spans[si + 1]
-                si += 2
-                if parts is not None:
-                    flush_text()
-                event = EndElement(buffer[start:end].decode("utf-8"))
-                for index in indices_for(keep_masks[state]):
-                    appends[index](event)
+        except UnicodeDecodeError as exc:
+            raise _invalid_utf8(exc, self.base + start) from exc
         if parts is not None:
             flush_text()
         return subs
@@ -215,12 +247,14 @@ class SoABatch:
 
 __all__ = [
     "SoABatch",
+    "decode_utf8",
     "K_START",
     "K_END",
     "K_TEXT",
     "K_CDATA",
     "K_START_C",
     "K_END_C",
+    "K_EVENT",
     "KIND_MASK",
     "TAG_MASK",
     "TAG_SHIFT",

@@ -1,11 +1,9 @@
-"""Bytes-native shared scan + fan-out for the multi-query engine.
+"""Shared scan + fan-out for the multi-query engine.
 
-The classic multi-query path tokenizes and coalesces the document once and
-runs the merged union filter over event objects
-(:class:`~repro.pipeline.fanout.MergedStreamProjector`).  The fast variant
-scans bytes once, projects through the flat table compiled from the same
-:class:`~repro.pipeline.fanout.MergedProjectionSpec`, and distributes
-*materialized* survivors by the per-state membership bitsets -- so each
+One byte scan serves N queries: the document is projected through the flat
+table compiled from the queries'
+:class:`~repro.pipeline.fanout.MergedProjectionSpec` and the *materialized*
+survivors are distributed by the per-state membership bitsets -- so each
 query receives exactly the sub-stream its solo projection filter would have
 produced, byte for byte.
 """
@@ -16,7 +14,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.fastpath.dfa import table_for_merged
 from repro.fastpath.scanner import ByteScanner
-from repro.fastpath.source import resolve_bytes_source
 from repro.fastpath.tags import TagTable
 from repro.pipeline.fanout import MergedProjectionSpec
 from repro.xmlstream.events import Event
@@ -24,7 +21,7 @@ from repro.xmlstream.parser import DocumentSource
 
 
 class FastFanout:
-    """Engine-shared fast-path state for one merged query set."""
+    """Engine-shared scan state for one merged query set."""
 
     __slots__ = ("spec", "tags", "table", "_indices")
 
@@ -47,36 +44,24 @@ class FastFanout:
         document: DocumentSource,
         chunk_size: int,
         stats_list: Optional[Sequence] = None,
+        *,
+        expand_attrs: bool = False,
     ) -> Iterator[List[List[Event]]]:
         """One shared byte scan; yields per-query sub-batch lists.
 
         Every query's statistics record the pre-projection totals of the
-        shared pass, matching the classic merged projector.
+        shared pass, so per-query numbers match what a solo run reports.
         """
-        scanner = ByteScanner(self.tags, self.table)
-        kind, source, closer = resolve_bytes_source(document, chunk_size)
+        scanner = ByteScanner(self.tags, self.table, expand_attrs=expand_attrs)
         count = self.spec.count
-        keep_masks = self.table.keep_masks
-        chars_masks = self.table.chars_masks
-        indices_for = self.indices_for
         stats_list = list(stats_list) if stats_list else []
-
-        def split(batch) -> List[List[Event]]:
+        for batch in scanner.scan_source(document, chunk_size):
             if batch.seen:
                 for stats in stats_list:
                     stats.record_input(batch.seen, batch.cost)
-            return batch.materialize_split(count, keep_masks, chars_masks, indices_for)
-
-        try:
-            if kind == "buffer":
-                for batch in scanner.scan_document(source, chunk_size):
-                    yield split(batch)
-            else:
-                for chunk in source:
-                    yield split(scanner.feed_batch(chunk))
-                yield split(scanner.close_batch())
-        finally:
-            closer()
+            yield batch.materialize_split(
+                count, self.table.keep_masks, self.table.chars_masks, self.indices_for
+            )
 
 
 __all__ = ["FastFanout"]

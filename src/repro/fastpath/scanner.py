@@ -1,8 +1,8 @@
 """Bytes-native tokenizer fused with the flat-table projection filter.
 
-:class:`ByteScanner` is the fast path's replacement for the classic
-``tokenize -> coalesce -> project`` stages: one index-based scan over a
-``bytes`` / ``mmap`` buffer that emits struct-of-arrays rows
+:class:`ByteScanner` is the engine's only document scanner: one index-based
+pass over a ``bytes`` / ``mmap`` buffer that tokenizes, coalesces and
+projects in a single loop and emits struct-of-arrays rows
 (:class:`~repro.fastpath.batch.SoABatch`) for *surviving* events only.
 
 What makes it fast:
@@ -15,19 +15,26 @@ What makes it fast:
   the steady-state cost of a start tag is one dict hit plus one flat-array
   index (:class:`~repro.fastpath.dfa.FlatProjectionTable`),
 * subtrees the projection filter drops emit *nothing* -- no events, no
-  objects, just the same single-integer depth counter the classic filter
-  uses, while input statistics are still accounted (pre-drop, like the
-  classic projector records them).
+  objects, just a single-integer depth counter -- while input statistics
+  are still accounted pre-drop, so they describe the document that was
+  read, not the survivors.
 
-Semantics mirror the classic stack exactly for well-formed documents:
-same events, same output bytes, same buffered costs (survivors are
-materialized into the very same interned event objects), same
-well-formedness errors.  Two documented divergences exist, both limited to
-*invalid* content inside subtrees that projection drops: malformed
+The reference implementation is :class:`repro.xmlstream.tokenizer.Tokenizer`
+(+ :func:`~repro.xmlstream.attributes.expand_attributes`): for well-formed
+documents the scanner yields the same events, the same output bytes, the
+same buffered costs and the same well-formedness errors, and the test suite
+checks it differentially.  Two documented divergences exist, both limited
+to *invalid* content inside subtrees that projection drops: malformed
 attributes and bad entity-references in dropped regions are never parsed,
-so they cannot raise (the classic path parses, then drops).  Input *byte*
-statistics are byte-oriented (UTF-8 length of raw text) rather than
+so they cannot raise (except under ``expand_attrs``, where every attribute
+is parsed for the input accounting).  Input *byte* statistics are
+byte-oriented (UTF-8 length of raw text) rather than
 decoded-character-oriented; event counts match.
+
+``expand_attrs`` (the paper's attribute-to-subelement adaptation) is done
+here too: an attribute-bearing start tag emits its element row and then one
+start/text/end row triple per attribute, each subelement name resolved
+through the projection table like any other tag.
 
 Push mode (:meth:`feed_batch` / :meth:`close_batch`) accepts chunks cut at
 arbitrary byte positions -- **including mid-multibyte UTF-8**: an
@@ -46,16 +53,21 @@ from repro.fastpath.batch import (
     K_CDATA,
     K_END,
     K_END_C,
-    K_START,
+    K_EVENT,
     K_START_C,
     K_TEXT,
     STATE_SHIFT,
     TAG_SHIFT,
     SoABatch,
+    decode_utf8,
 )
 from repro.fastpath.dfa import DROP, UNKNOWN, FlatProjectionTable
+from repro.fastpath.source import resolve_bytes_source
 from repro.fastpath.tags import TagTable, UNINTERNED
+from repro.xmlstream.attributes import expanded_attribute_name
 from repro.xmlstream.errors import XMLSyntaxError, XMLWellFormednessError
+from repro.xmlstream.events import Characters, EndElement, StartElement
+from repro.xmlstream.parser import DocumentSource
 from repro.xmlstream.tokenizer import (
     _is_name_char,
     _is_name_start,
@@ -67,7 +79,7 @@ from repro.xmlstream.tokenizer import (
 _SIMPLE_TAG_RE = re.compile(rb"[ \t\r\n]*([A-Za-z_:][A-Za-z0-9_:.\-]*)[ \t\r\n]*\Z")
 #: The leading name of a start-tag body that carries more (attributes).
 _NAME_PREFIX_RE = re.compile(rb"[ \t\r\n]*([A-Za-z_:][A-Za-z0-9_:.\-]*)")
-#: End-tag name validation (classic rule: every char a name char/start).
+#: End-tag name validation (every char a name char/start).
 _END_NAME_RE = re.compile(rb"[A-Za-z0-9_:.\-]+\Z")
 
 
@@ -93,9 +105,17 @@ class ByteScanner:
         "_offset",
         "_stop_root",
         "_root_closed",
+        "_expand",
     )
 
-    def __init__(self, tags: TagTable, table: FlatProjectionTable, *, stop_at_root_close: bool = False):
+    def __init__(
+        self,
+        tags: TagTable,
+        table: FlatProjectionTable,
+        *,
+        stop_at_root_close: bool = False,
+        expand_attrs: bool = False,
+    ):
         self.tags = tags
         self.table = table
         self._stack: List[object] = []  # tag ids; raw name bytes past the cap
@@ -107,6 +127,7 @@ class ByteScanner:
         self._offset = 0  # absolute byte offset of the pending tail
         self._stop_root = stop_at_root_close
         self._root_closed = False
+        self._expand = expand_attrs
 
     # -------------------------------------------------------------- push mode
 
@@ -114,18 +135,16 @@ class ByteScanner:
     def pending_bytes(self) -> bool:
         """Whether the pending tail ends inside a multi-byte UTF-8 sequence.
 
-        Mirrors the classic feed's incremental-decoder check: while true,
-        only byte chunks may be fed (appending encoded text would interleave
-        it into the middle of a code point).
+        While true, only byte chunks may be fed (appending encoded text
+        would interleave it into the middle of a code point).
         """
         return self.incomplete_tail_at() is not None
 
     def incomplete_tail_at(self):
         """Absolute offset of a trailing incomplete UTF-8 sequence, or None.
 
-        Used at EOF to turn a partial multi-byte code point into the same
-        truncated-document error (message *and* offset) the classic path's
-        incremental decoder produces.
+        Used at EOF to turn a partial multi-byte code point into a located
+        truncated-document error.
         """
         pending = self._pending
         tail = pending[-4:]
@@ -157,16 +176,16 @@ class ByteScanner:
         if self._finished:
             raise XMLWellFormednessError("data after end of document", self._offset)
         buf = self._pending + data if self._pending else data
-        batch = SoABatch(buf, self.tags)
+        batch = SoABatch(buf, self.tags, self._offset)
         pos = self._drain(buf, 0, len(buf), False, batch, len(buf) + 1)
         self._offset += pos
         self._pending = bytes(buf[pos:])
         return batch
 
     def close_batch(self) -> SoABatch:
-        """End of input: final rows, then the classic well-formedness checks."""
+        """End of input: final rows, then the well-formedness checks."""
         buf = self._pending
-        batch = SoABatch(buf, self.tags)
+        batch = SoABatch(buf, self.tags, self._offset)
         if self._finished:
             return batch
         pos = self._drain(buf, 0, len(buf), True, batch, len(buf) + 1)
@@ -196,7 +215,7 @@ class ByteScanner:
         length = len(buf)
         pos = 0
         while True:
-            batch = SoABatch(buf, self.tags)
+            batch = SoABatch(buf, self.tags, self._offset)
             pos = self._drain(buf, pos, length, True, batch, pos + chunk_size)
             if pos >= length:
                 if self._stack:
@@ -210,6 +229,23 @@ class ByteScanner:
                 yield batch
                 return
             yield batch
+
+    def scan_source(self, document: DocumentSource, chunk_size: int) -> Iterator[SoABatch]:
+        """Scan one document source of any supported kind into batches.
+
+        In-memory and file-backed sources are scanned in place (files via
+        ``mmap``); streaming sources feed the scanner chunk-wise.
+        """
+        kind, source, closer = resolve_bytes_source(document, chunk_size)
+        try:
+            if kind == "buffer":
+                yield from self.scan_document(source, chunk_size)
+            else:
+                for chunk in source:
+                    yield self.feed_batch(chunk)
+                yield self.close_batch()
+        finally:
+            closer()
 
     # -------------------------------------------------------------- the scan
 
@@ -240,11 +276,12 @@ class ByteScanner:
         base = self._offset
         seen = 0
         cost = 0
-        # Coalesce parity: adjacent counted text segments (text/CDATA split
-        # by skipped markup) form one logical node, as after the classic
-        # coalesce stage; they count once and materialize merged.
+        # Coalescing: adjacent counted text segments (text/CDATA split by
+        # skipped markup) form one logical node; they count once and
+        # materialize merged.
         text_run = False
         stop_root = self._stop_root
+        expand = self._expand
         # Tokens only *start* before ``stop``; one starting earlier runs to
         # completion, exactly like the old per-iteration ``pos >= stop`` break.
         limit = stop if stop < length else length
@@ -270,13 +307,13 @@ class ByteScanner:
                 raw = buf[start:end]
                 if raw.isspace():  # '&' is not whitespace, so this is safe
                     continue
-                if 38 in raw:  # '&': decode now so entity errors match classic
-                    text = decode_entities(raw.decode("utf-8"), base + start)
+                if 38 in raw:  # '&': decode now so entity errors surface pre-drop
+                    text = decode_entities(decode_utf8(raw, base + start), base + start)
                     if text.isspace():
                         continue
                     add = len(text)
                 else:
-                    if not raw.isascii() and raw.decode("utf-8").isspace():
+                    if not raw.isascii() and decode_utf8(raw, base + start).isspace():
                         continue
                     add = end - start
                 if not stack:
@@ -471,7 +508,7 @@ class ByteScanner:
                     raw = buf[start:tend]
                     if not raw or raw.isspace():
                         continue
-                    if not raw.isascii() and raw.decode("utf-8").isspace():
+                    if not raw.isascii() and decode_utf8(raw, base + start).isspace():
                         continue
                     add = tend - start
                     cost += add
@@ -530,7 +567,7 @@ class ByteScanner:
                 tid = tags.intern(name_b, base + at)
                 if tid != UNINTERNED and not self_closing and raw != name_b:
                     # Remember the padded spelling so re-occurrences take
-                    # the fast path (the classic start cache does the same).
+                    # the fast path.
                     tags.alias(raw, tid)
                 has_attrs = False
                 name_span = (body_at + match.start(1), body_at + match.end(1))
@@ -542,10 +579,10 @@ class ByteScanner:
                     has_attrs = True
                     name_span = (body_at + match.start(1), body_at + match.end(1))
                 else:
-                    # Non-ASCII or malformed: the classic parser decides, so
-                    # names, attributes and errors stay identical.
+                    # Non-ASCII or malformed: the reference parser decides,
+                    # so names, attributes and errors stay identical.
                     name, attributes = parse_tag_body(
-                        body.decode("utf-8"), base + at
+                        decode_utf8(body, base + body_at), base + at
                     )
                     name_b = name.encode("utf-8")
                     tid = tags.intern(name_b, base + at)
@@ -553,6 +590,23 @@ class ByteScanner:
                     off = body.find(name_b)
                     name_span = (body_at + off, body_at + off + len(name_b))
             body_span = (body_at, body_at + len(body))
+            children = ()
+            if expand and has_attrs:
+                # The attributes become leading subelements (rows emitted
+                # below, after the element's own); the element itself is
+                # accounted and emitted attribute-free.  Accounting is
+                # pre-drop: what the reference event stream would count.
+                name, attributes = parse_tag_body(
+                    decode_utf8(body, base + body_at), base + at
+                )
+                has_attrs = False
+                children = [
+                    (expanded_attribute_name(name, attr), value)
+                    for attr, value in attributes
+                ]
+                for child, value in children:
+                    seen += 3 if value else 2
+                    cost += 2 * len(child) + 5 + len(value)
 
             seen += 1
             text_run = False
@@ -600,6 +654,12 @@ class ByteScanner:
                 sapp(span[1])
             else:
                 wapp((tid << TAG_SHIFT) | (cell << STATE_SHIFT))
+            if children:
+                self._emit_children(batch, children, cell, base + at)
+                cells = table.cells
+                width = table.width
+                chars_keep = table.chars_keep
+                row = top * width
             if self_closing:
                 if tid != UNINTERNED:
                     wapp(K_END | (tid << TAG_SHIFT) | (cell << STATE_SHIFT))
@@ -619,6 +679,31 @@ class ByteScanner:
         if stop_root and not stack and self._seen_root:
             self._root_closed = True
         return pos
+
+    def _emit_children(self, batch: SoABatch, children, parent: int, at: int) -> None:
+        """Rows for the subelements ``expand_attrs`` makes of one tag's attributes.
+
+        Each name takes a projection transition from the element's state
+        ``parent`` like a real child tag would; a dropped one emits nothing.
+        """
+        tags = self.tags
+        table = self.table
+        for child, value in children:
+            tid = tags.intern(child.encode("utf-8"), at)
+            if tid != UNINTERNED:
+                cell = table.resolve(parent, tid)
+                triple = [tags.start_events[tid], tags.end_events[tid]]
+            else:
+                cell = table.resolve_name(parent, child)
+                triple = [StartElement(child), EndElement(child)]
+            if cell == DROP:
+                continue
+            if value and table.chars_keep[cell]:
+                triple.insert(1, Characters(value))
+            for event in triple:
+                batch.words.append(K_EVENT | (cell << STATE_SHIFT))
+                batch.spans.append(len(batch.events))
+                batch.events.append(event)
 
 
 def _valid_end_name(name: str) -> bool:

@@ -1,9 +1,7 @@
-"""Byte-level document source resolution for the fast path.
+"""Byte-level document source resolution for the scanner.
 
-The classic :func:`~repro.xmlstream.parser._chunks_from_source` normalizes
-every :data:`~repro.xmlstream.parser.DocumentSource` to *text* chunks; the
-fast path wants raw bytes.  :func:`resolve_bytes_source` classifies a
-source into either
+:func:`resolve_bytes_source` classifies a
+:data:`~repro.xmlstream.parser.DocumentSource` into either
 
 * a **buffer** -- one in-memory ``bytes`` object or an ``mmap`` of the file
   (zero-copy: the scanner walks the mapping in place and only surviving
@@ -12,7 +10,7 @@ source into either
   to bytes (text chunks are UTF-8 encoded; they are complete code points by
   construction, so per-chunk encoding is safe).
 
-The same path heuristics as the classic parser apply: a ``str`` starting
+The same path heuristics as :mod:`repro.xmlstream.parser` apply: a ``str`` starting
 with ``<`` (after leading whitespace) is document text, anything else is a
 file path; ``os.PathLike`` always reads from disk.
 """

@@ -1,7 +1,6 @@
-"""Integer interning of tag names for the bytes-native fast path.
+"""Integer interning of tag names for the bytes-native scanner.
 
-The classic tokenizer interns tag *events*; the fast path goes one step
-further and interns tag *names* into dense integer ids.  Everything
+Tag *names* are interned into dense integer ids.  Everything
 downstream -- the struct-of-arrays batches, the flat projection table, the
 per-element well-formedness stack -- then works on small ints instead of
 strings, and the shared :class:`~repro.xmlstream.events.StartElement` /
@@ -15,8 +14,7 @@ within the first few kilobytes of the first document.  A hard cap
 unbounded tag sets: tags past the cap are *not* interned -- the scanner
 falls back to span-carrying rows for them (see
 :mod:`repro.fastpath.scanner`), so memory stays bounded at the cost of
-per-occurrence parsing, which is exactly the classic tokenizer's behaviour
-once its caches are full.
+per-occurrence parsing.
 """
 
 from __future__ import annotations
@@ -29,9 +27,9 @@ from repro.xmlstream.errors import XMLSyntaxError
 from repro.xmlstream.events import EndElement, StartElement
 from repro.xmlstream.tokenizer import _is_name_char, _is_name_start
 
-#: Upper bound on interned tags; mirrors the classic tokenizer's cache cap
-#: in spirit (bounded memory on adversarial vocabularies), but must not
-#: evict -- ids are baked into batches and the flat projection table.
+#: Upper bound on interned tags (bounded memory on adversarial
+#: vocabularies); must not evict -- ids are baked into batches and the flat
+#: projection table.
 TAG_TABLE_LIMIT = 1 << 16
 
 #: Sentinel id for tags past the cap (never a valid index).
@@ -42,7 +40,7 @@ _ASCII_NAME_RE = re.compile(rb"[A-Za-z_:][A-Za-z0-9_:.\-]*\Z")
 
 
 def valid_name(name: str) -> bool:
-    """Whether ``name`` is a well-formed tag name (classic tokenizer rules)."""
+    """Whether ``name`` is a well-formed tag name (reference tokenizer rules)."""
     if not name or not _is_name_start(name[0]):
         return False
     return all(_is_name_char(char) for char in name[1:])
@@ -75,8 +73,8 @@ class TagTable:
         self.names: List[str] = []
         self.start_events: List[StartElement] = []
         self.end_events: List[EndElement] = []
-        self.start_costs: List[int] = []  # classic StartElement.cost_in_bytes()
-        self.end_costs: List[int] = []  # classic EndElement.cost_in_bytes()
+        self.start_costs: List[int] = []  # StartElement.cost_in_bytes()
+        self.end_costs: List[int] = []  # EndElement.cost_in_bytes()
         self.end_pats: List[bytes] = []  # b"</name>" -- the scanner's expected
         # end tag for the open element, matched with a zero-copy startswith
         self.limit = limit
@@ -88,8 +86,8 @@ class TagTable:
     def intern(self, raw: bytes, offset: int = 0) -> int:
         """Return the id of the tag named by ``raw`` (exact bytes, no padding).
 
-        Validates the name on first sight (raising :class:`XMLSyntaxError`
-        like the classic tokenizer's slow path) and returns
+        Validates the name on first sight (raising :class:`XMLSyntaxError`)
+        and returns
         :data:`UNINTERNED` once the table is full.
         """
         tid = self.ids.get(raw)

@@ -12,7 +12,7 @@ UTF-8 sequence.
 Lifecycle
 ---------
 Each document runs in a fresh inner push run over the engine's shared
-compiled plan: tokenizer/projector cursors, the run's statistics and its
+compiled plan: the scanner's cursors, the run's statistics and its
 buffer-attribution ledger all start from zero at every boundary, and the
 inner run's ``finish()`` releases every buffer it charged against the
 (shared) memory governor.  Live bytes therefore return to the same floor
@@ -145,14 +145,13 @@ class FeedHandle:
         self._next_heartbeat = self._heartbeat_every
         #: The finished feed's summary; set by :meth:`finish`.
         self.result: Optional[FeedResult] = None
-        self._fastpath = engine._pipeline_for(self._options) is not engine.pipeline
         # An abandoned handle must still release an owned governor's spill
         # file; the finalizer references only the governor.
         if owns_governor and governor is not None:
             self._finalizer = weakref.finalize(self, governor.close)
         else:
             self._finalizer = None
-        _flight.RECORDER.note("feed-begin", self._fastpath, resume_from)
+        _flight.RECORDER.note("feed-begin", resume_from)
         self._progress_key = _serve.register_run(self._progress)
 
     # ------------------------------------------------------------ watermarks
@@ -180,7 +179,6 @@ class FeedHandle:
         return {
             "mode": "feed",
             "state": self._state,
-            "fastpath": self._fastpath,
             "bytes_fed": self._bytes_fed,
             "chunks_fed": self._chunks_fed,
             "documents_completed": self._documents_completed,

@@ -1,8 +1,8 @@
 """Multi-query shared-stream execution.
 
 The paper's engine compiles *one* query into *one* event-processor network.
-This subsystem amortizes the dominant shared cost -- tokenizing, coalescing
-and filtering the document -- across a whole registered query set:
+This subsystem amortizes the dominant shared cost -- scanning and filtering
+the document -- across a whole registered query set:
 
 * :class:`QueryRegistry` compiles and holds N plans for one DTD,
 * :class:`~repro.pipeline.fanout.MergedProjectionSpec` is the union of the

@@ -1,13 +1,12 @@
 """The multi-query engine: one document pass, N executing plans.
 
 :class:`MultiQueryEngine` is the runtime half of multi-query execution.  A
-run performs *tokenize -> coalesce -> merged-project* exactly once for the
-document and fans every batch out to one executor state per registered
-query::
+run scans (and merged-projects) the document exactly once and fans every
+batch out to one executor state per registered query::
 
-                                        +-> sub-stream 0 -> executor 0 -> sink 0
-    document -> tokenize -> coalesce -> | merged union filter  ...
-                                        +-> sub-stream N -> executor N -> sink N
+                       +-> sub-stream 0 -> executor 0 -> sink 0
+    document -> scan ->| merged union filter  ...
+                       +-> sub-stream N -> executor N -> sink N
 
 Each executor is an ordinary
 :class:`~repro.engine.executor.StreamExecutor` with its own
@@ -27,16 +26,15 @@ from typing import Dict, List, Mapping, Optional
 from repro.engine.engine import FluxRunResult
 from repro.engine.executor import StreamExecutor
 from repro.engine.stats import RunStatistics
-from repro.fastpath import FastFanout, use_fastpath
+from repro.fastpath import FastFanout
 from repro.obs import recorder as _flight
 from repro.obs.metrics import global_registry
 from repro.obs.observer import Observer, TraceReport, use_tracing
 from repro.multiquery.registry import QueryRegistry, RegisteredQuery
-from repro.pipeline.fanout import MergedProjectionSpec, MergedStreamProjector
+from repro.pipeline.fanout import MergedProjectionSpec
 from repro.pipeline.sinks import WritableSink
-from repro.pipeline.stages import coalesce_batches
 from repro.storage.governor import MemoryGovernor
-from repro.xmlstream.parser import DEFAULT_CHUNK_SIZE, DocumentSource, iter_event_batches
+from repro.xmlstream.parser import DEFAULT_CHUNK_SIZE, DocumentSource
 
 # Process-wide multi-query telemetry (:mod:`repro.obs`): bumped once per
 # shared pass, so cost is nil.
@@ -109,7 +107,6 @@ class MultiQueryEngine:
         memory_budget: Optional[int] = None,
         memory_page_bytes: Optional[int] = None,
         governor: Optional[MemoryGovernor] = None,
-        fastpath: Optional[bool] = None,
     ):
         self.registry = registry
         self.chunk_size = chunk_size
@@ -119,11 +116,6 @@ class MultiQueryEngine:
         #: is shared by every pass and never closed here; ``memory_budget``
         #: is ignored in its favour.
         self.governor = governor
-        #: Request the bytes-native fast path (:mod:`repro.fastpath`) for
-        #: the shared scan.  Same resolution as single-query runs: the
-        #: ``REPRO_FASTPATH`` environment variable overrides, ``None``
-        #: means off, ``expand_attrs`` passes fall back to the classic scan.
-        self.fastpath = fastpath
         self._merged: Optional[MergedProjectionSpec] = None
         self._merged_version = -1
         self._fast_fanout: Optional[FastFanout] = None
@@ -143,7 +135,7 @@ class MultiQueryEngine:
         return self._merged
 
     def _fanout(self) -> FastFanout:
-        """Fast-path fan-out state for the current merged spec (cached)."""
+        """Shared-scan fan-out state for the current merged spec (cached)."""
         spec = self.merged_spec()
         fanout = self._fast_fanout
         if fanout is None or fanout.spec is not spec:
@@ -211,7 +203,6 @@ class MultiQueryEngine:
         self, document: DocumentSource, executor_for, expand_attrs: bool, trace: Optional[bool] = None
     ) -> MultiQueryRun:
         entries = list(self.registry)
-        spec = self.merged_spec()
         observer = Observer() if use_tracing(trace) else None
         started_at = time.perf_counter()
 
@@ -231,24 +222,11 @@ class MultiQueryEngine:
         executors: List[StreamExecutor] = [
             executor_for(entry, stats, factory) for entry, stats in zip(entries, stats_list)
         ]
-        fast = use_fastpath(self.fastpath, expand_attrs=expand_attrs)
-        if fast:
-            # Shared bytes-native scan: project through the flat merged
-            # table and materialize each query's sub-stream directly.
-            split_batches = self._fanout().split_batches(
-                document, self.chunk_size, stats_list
-            )
-        else:
-            projector = MergedStreamProjector(spec, stats_list)
-            batches = coalesce_batches(
-                iter_event_batches(
-                    document,
-                    expand_attrs=expand_attrs,
-                    document_events=False,
-                    chunk_size=self.chunk_size,
-                )
-            )
-            split_batches = map(projector.split_batch, batches)
+        # Shared byte scan: project through the flat merged table and
+        # materialize each query's sub-stream directly.
+        split_batches = self._fanout().split_batches(
+            document, self.chunk_size, stats_list, expand_attrs=expand_attrs
+        )
 
         try:
             if observer is not None:
@@ -274,7 +252,6 @@ class MultiQueryEngine:
                     exc,
                     stats=stats_list[0] if stats_list else None,
                     mode="multiquery",
-                    fastpath=fast,
                     queries=[entry.name for entry in entries],
                 )
             # A failed pass must not leave N executors' live buffer pages
@@ -299,7 +276,6 @@ class MultiQueryEngine:
             # shared document (every query's statistics carry the same
             # pre-drop totals), output is the sum over all queries.
             observer.mode = "multiquery"
-            observer.fastpath = fast
             totals = RunStatistics()
             totals.input_bytes = stats_list[0].input_bytes if stats_list else 0
             totals.output_bytes = sum(stats.output_bytes for stats in stats_list)
@@ -309,7 +285,7 @@ class MultiQueryEngine:
 
     def _drive_traced(self, split_batches, executors, observer) -> List:
         """Traced twin of the drive loop: ``scan`` spans around pulling the
-        shared-pass batches (tokenize + merged projection run lazily inside
+        shared-pass batches (the scan + merged projection run lazily inside
         the iterator), ``execute`` spans around the N-executor fan-out."""
         tracer = observer.tracer
         s_scan = observer.stage("scan")

@@ -29,7 +29,6 @@ def trace_to_jsonl(report, run: int = 0) -> str:
         "run": run,
         "wall_seconds": report.wall_seconds,
         "mode": report.mode,
-        "fastpath": report.fastpath,
         "stages": [stage.to_dict() for stage in report.stages],
     }
     lines = [json.dumps(header, sort_keys=True)]

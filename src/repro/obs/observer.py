@@ -8,21 +8,21 @@ layer charges time and volume to the same place.  It owns:
 * a ``stages`` dict of :class:`StageStats` -- the per-stage aggregate
   (seconds, batches, events, bytes) that the CLI table and the JSON
   exporter print.  Stage timing is charged by the *instrumented loops*
-  (``pipeline._staged_traced``, the executor's traced batch loop), which
+  (the pipeline's traced generator, the executor's traced batch loop), which
   only exist when the observer is enabled: a disabled run executes the
   byte-for-byte pre-instrumentation code path, guarded by a single
   ``observer.enabled`` attribute lookup at setup time.
 
 Byte columns are backfilled at :meth:`Observer.finish` from the run's
-``RunStatistics``: the tokenize/coalesce/project stages all consume the
-document (``input_bytes``), execute produces ``output_bytes``.  Charging
+``RunStatistics``: the scan/materialize stages consume the document
+(``input_bytes``), execute produces ``output_bytes``.  Charging
 them per-batch instead would put additions on the hot path for numbers
 the statistics object already tracks.
 
 ``trace=None`` in :class:`~repro.core.options.ExecutionOptions` defers to
-the ``REPRO_TRACE`` environment variable (mirroring ``REPRO_FASTPATH``);
-setting ``REPRO_OBS_JSON`` to a path implies tracing and appends a
-JSON-lines dump of every finished run there.
+the ``REPRO_TRACE`` environment variable; setting ``REPRO_OBS_JSON`` to a
+path implies tracing and appends a JSON-lines dump of every finished run
+there.
 """
 
 from __future__ import annotations
@@ -32,17 +32,16 @@ from typing import Dict, List, Optional
 
 from .tracer import NULL_TRACER, Tracer
 
-#: Canonical stage ordering for reports (classic then fastpath names).
-STAGE_ORDER = ("tokenize", "coalesce", "project", "scan", "materialize", "execute")
+#: Canonical stage ordering for reports.
+STAGE_ORDER = ("scan", "materialize", "execute")
 
 
 def use_tracing(requested: Optional[bool]) -> bool:
     """Resolve an ``ExecutionOptions.trace`` request against the environment.
 
-    ``REPRO_TRACE=1``/``0`` overrides the option (mirroring the fastpath
-    toggle); an explicit ``True``/``False`` option decides next; a set
-    ``REPRO_OBS_JSON`` implies tracing for undecided (``None``) runs so
-    the dump has spans to carry.
+    ``REPRO_TRACE=1``/``0`` overrides the option; an explicit
+    ``True``/``False`` option decides next; a set ``REPRO_OBS_JSON`` implies
+    tracing for undecided (``None``) runs so the dump has spans to carry.
     """
     env = os.environ.get("REPRO_TRACE")
     if env is not None and env != "":
@@ -82,14 +81,13 @@ class StageStats:
 class Observer:
     """Enabled observability state for one run (tracer + stage aggregates)."""
 
-    __slots__ = ("tracer", "stages", "mode", "fastpath")
+    __slots__ = ("tracer", "stages", "mode")
     enabled = True
 
     def __init__(self, tracer: Optional[Tracer] = None):
         self.tracer = tracer if tracer is not None else Tracer()
         self.stages: Dict[str, StageStats] = {}
         self.mode = "pull"
-        self.fastpath = False
 
     def stage(self, name: str) -> StageStats:
         """Get-or-create the aggregate row for stage ``name``."""
@@ -107,9 +105,8 @@ class Observer:
         """Seal the run: backfill byte columns and build the report.
 
         ``stats`` is the run's ``RunStatistics``.  The scan-side stages
-        (tokenize/coalesce/project and the fastpath scan/materialize)
-        each process the document's input bytes; execute accounts for the
-        produced output bytes.
+        (scan/materialize) each process the document's input bytes; execute
+        accounts for the produced output bytes.
         """
         for name, stage in self.stages.items():
             stage.bytes = stats.output_bytes if name == "execute" else stats.input_bytes
@@ -118,7 +115,6 @@ class Observer:
             spans=list(self.tracer.records),
             wall_seconds=stats.elapsed_seconds,
             mode=self.mode,
-            fastpath=self.fastpath,
         )
 
 
@@ -130,7 +126,6 @@ class NullObserver:
     tracer = NULL_TRACER
     stages: dict = {}
     mode = "pull"
-    fastpath = False
 
     def stage(self, name: str) -> StageStats:
         return StageStats(name)
@@ -145,7 +140,7 @@ NULL_OBSERVER = NullObserver()
 class TraceReport:
     """The per-run trace deliverable: stage breakdown plus the span tree."""
 
-    __slots__ = ("stages", "spans", "wall_seconds", "mode", "fastpath")
+    __slots__ = ("stages", "spans", "wall_seconds", "mode")
 
     def __init__(
         self,
@@ -153,13 +148,11 @@ class TraceReport:
         spans: list,
         wall_seconds: float,
         mode: str = "pull",
-        fastpath: bool = False,
     ):
         self.stages = stages
         self.spans = spans
         self.wall_seconds = wall_seconds
         self.mode = mode
-        self.fastpath = fastpath
 
     @property
     def stage_seconds(self) -> float:
@@ -211,14 +204,13 @@ class TraceReport:
                     for col in range(len(headers))
                 )
             )
-        lines.append(f"wall: {wall:.6f}s  mode: {self.mode}  fastpath: {self.fastpath}")
+        lines.append(f"wall: {wall:.6f}s  mode: {self.mode}")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
         return {
             "wall_seconds": self.wall_seconds,
             "mode": self.mode,
-            "fastpath": self.fastpath,
             "stages": [stage.to_dict() for stage in self.stages],
             "spans": [span.to_dict() for span in self.spans],
         }

@@ -35,7 +35,10 @@ import os
 from collections import deque
 from typing import List, Optional
 
-CRASH_SCHEMA = "repro-crash/1"
+CRASH_SCHEMA = "repro-crash/2"
+#: Older dumps ``repro inspect`` still renders (every field is read with
+#: ``.get``, so what ``/2`` dropped simply is not shown).
+_READABLE_SCHEMAS = (CRASH_SCHEMA, "repro-crash/1")
 RING_CAPACITY = 512
 
 _SEQ = itertools.count(1)
@@ -43,7 +46,7 @@ _CRASH_SEQ = itertools.count(1)
 
 # Field names per entry kind, used to render ring tuples as JSON objects.
 _KIND_FIELDS = {
-    "run-begin": ("mode", "fastpath"),
+    "run-begin": ("mode",),
     "batch": ("events", "offset", "buffered_bytes", "depth", "scope"),
     "chunk": ("size", "total"),
     "seal": ("cost",),
@@ -51,7 +54,7 @@ _KIND_FIELDS = {
     "fault": ("encoded",),
     "span": ("name", "seconds"),
     "run-finish": ("mode", "output_bytes"),
-    "feed-begin": ("fastpath", "resume_offset"),
+    "feed-begin": ("resume_offset",),
     "doc-boundary": ("index", "offset"),
     "feed-finish": ("documents", "resume_offset"),
     "crash": ("error",),
@@ -151,7 +154,6 @@ def dump_crash(
     stats=None,
     options=None,
     mode: str = "pull",
-    fastpath: bool = False,
     chunk_offsets=None,
     queries=None,
     context=None,
@@ -174,7 +176,6 @@ def dump_crash(
             "schema": CRASH_SCHEMA,
             "error": {"type": type(error).__name__, "message": str(error)},
             "mode": mode,
-            "fastpath": bool(fastpath),
             "ring": RECORDER.snapshot(),
             "stats": _stats_payload(stats),
             "attribution": attribution,
@@ -216,14 +217,14 @@ def inspect_crash(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         dump = json.load(handle)
     schema = dump.get("schema", "?")
-    if schema != CRASH_SCHEMA:
+    if schema not in _READABLE_SCHEMAS:
         raise ValueError(f"unsupported crash dump schema {schema!r} in {path}")
     error = dump.get("error") or {}
     lines = [
         f"crash dump {path}",
         f"schema: {schema}",
         f"error: {error.get('type', '?')}: {error.get('message', '')}",
-        f"mode: {dump.get('mode', '?')}  fastpath: {dump.get('fastpath', False)}",
+        f"mode: {dump.get('mode', '?')}",
     ]
     queries = dump.get("queries") or []
     if queries:

@@ -1,33 +1,31 @@
-"""Compiled push-based event pipeline.
+"""Plan-side halves of the event pipeline: projection automata and sinks.
 
-The execution path of the engine is a pipeline of composable stages::
+The execution path of the engine is a pipeline of stages::
 
-    tokenize  ->  coalesce/normalize  ->  project  ->  execute  ->  sink
+    scan  ->  materialize  ->  execute  ->  sink
 
-* **tokenize** (:func:`repro.xmlstream.parser.iter_event_batches`) turns
-  document chunks into bounded batches of SAX events,
-* **coalesce** (:mod:`repro.pipeline.stages`) merges adjacent character
-  events so downstream stages see one event per logical text node,
-* **project** (:mod:`repro.pipeline.projection`) drops events of subtrees
-  the compiled plan provably never touches -- a tag-driven automaton derived
-  from the plan's buffer trees, value tries and handler tables,
+* **scan** (:mod:`repro.fastpath.scanner`) walks the document bytes once,
+  tokenizing, coalescing adjacent character data and dropping events of
+  subtrees the compiled plan provably never touches -- the keep/drop
+  decisions come from the tag-driven automaton this package derives from
+  the plan's buffer trees, value tries and handler tables
+  (:mod:`repro.pipeline.projection`; :mod:`repro.pipeline.fanout` is its
+  N-query union for multi-query execution),
+* **materialize** (:mod:`repro.fastpath.batch`) turns the surviving rows
+  into bounded batches of SAX events,
 * **execute** (:class:`repro.engine.executor.StreamExecutor`) drives the
-  compiled plan with the surviving events via precompiled dispatch tables,
+  compiled plan with those events via precompiled dispatch tables,
 * **sink** (:mod:`repro.pipeline.sinks`) collects, discards, streams or
   writes the serialized output.
 
-:class:`EventPipeline` composes the document-side stages for one plan;
-:class:`repro.engine.engine.FluxEngine` glues pipeline, executor and sink
-into the public ``run`` / ``run_streaming`` / ``run_to_sink`` API.
-
-For multi-query execution (:mod:`repro.multiquery`), the *project* stage is
-replaced by the union filter of :mod:`repro.pipeline.fanout`: one shared
-tokenize/coalesce pass feeds N per-query projected sub-streams.
+:class:`repro.fastpath.FastEventPipeline` composes the document-side stages
+for one plan; :class:`repro.engine.engine.FluxEngine` glues pipeline,
+executor and sink into the public ``execute`` / ``open_run`` / ``stream``
+API.
 """
 
-from repro.pipeline.fanout import MergedProjectionSpec, MergedStreamProjector
-from repro.pipeline.pipeline import EventPipeline, PipelineFeed
-from repro.pipeline.projection import ProjectionSpec, StreamProjector
+from repro.pipeline.fanout import MergedProjectionSpec
+from repro.pipeline.projection import ProjectionSpec
 from repro.pipeline.sinks import (
     CollectSink,
     CollectingSink,
@@ -37,23 +35,15 @@ from repro.pipeline.sinks import (
     WritableSink,
     resolve_sink,
 )
-from repro.pipeline.stages import batched, coalesce_batches, coalesce_characters
 
 __all__ = [
     "CollectSink",
     "CollectingSink",
-    "EventPipeline",
     "FragmentSink",
     "MergedProjectionSpec",
-    "MergedStreamProjector",
     "NullSink",
     "OutputSink",
-    "PipelineFeed",
     "ProjectionSpec",
-    "StreamProjector",
     "WritableSink",
-    "batched",
-    "coalesce_batches",
-    "coalesce_characters",
     "resolve_sink",
 ]

@@ -1,29 +1,26 @@
-"""Merged projection filter and fan-out stage for multi-query execution.
+"""Merged projection automaton for multi-query execution.
 
 One registered query owns one :class:`~repro.pipeline.projection.ProjectionSpec`
 (a tag-driven automaton over the element hierarchy).  When N queries read the
-same document, tokenizing and coalescing the stream N times is pure waste --
-the pre-executor stages dominate the per-query work once projection has
-shrunk the sub-streams.  This module lets one shared document pass serve all
-registered queries:
+same document, scanning the stream N times is pure waste -- the pre-executor
+stages dominate the per-query work once projection has shrunk the
+sub-streams.  :class:`MergedProjectionSpec` lets one shared document pass
+serve all registered queries by running the per-query automata *in
+lockstep*.  A merged state is a tuple with one component per query: the
+query's own interned projection state,
+:data:`~repro.pipeline.projection.KEEP_ALL` (the query captures the whole
+region), or ``None`` (the query dropped this subtree).  An event survives
+the shared pass iff *any* component keeps it -- the union filter -- and each
+merged state carries a per-query *membership mask* saying exactly which
+queries keep it.
 
-* :class:`MergedProjectionSpec` runs the per-query automata *in lockstep*.
-  A merged state is a tuple with one component per query: the query's own
-  interned projection state, :data:`~repro.pipeline.projection.KEEP_ALL`
-  (the query captures the whole region), or ``None`` (the query dropped
-  this subtree).  An event survives the shared pass iff *any* component
-  keeps it -- the union filter -- and each merged state carries a
-  per-query *membership mask* saying exactly which queries keep it.
-* :class:`MergedStreamProjector` is the per-run cursor.  Its
-  :meth:`~MergedStreamProjector.split_batch` performs filtering and fan-out
-  in one pass: each input batch becomes N per-query sub-batches, and the
-  sub-batch of query *i* is byte-for-byte the stream the query's own
-  :class:`~repro.pipeline.projection.StreamProjector` would have produced.
+The shared scan itself is :class:`repro.fastpath.fanout.FastFanout`: it
+compiles this automaton into a flat table and distributes materialized
+survivors by the masks, so the sub-batch of query *i* is byte-for-byte the
+stream the query's solo projection filter would have produced.
 
 Merged states are interned on the component tuple (components are already
-interned per query, so identity hashing is exact) and transitions are
-memoized per ``(state, tag)``; the steady-state cost of the shared filter
-is one dict lookup per start tag -- the same as a single query's filter.
+interned per query, so identity hashing is exact).
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.pipeline.projection import KEEP_ALL, ProjectionSpec
-from repro.xmlstream.events import Characters, EndElement, Event, StartElement
 
 #: One per-query component of a merged state: the query's own projection
 #: state, ``KEEP_ALL``, or ``None`` (subtree dropped for that query).
@@ -45,11 +41,10 @@ class _MergedState:
     element events at this state (their component is not ``None``);
     ``chars_mask`` marks the queries inside a keep-everything region
     (character data is forwarded only there, mirroring the single-query
-    filter).  ``keep_indices`` / ``chars_indices`` unpack the masks once at
-    intern time so the per-event fan-out loop iterates a tuple directly.
+    filter).
     """
 
-    __slots__ = ("components", "keep_mask", "chars_mask", "keep_indices", "chars_indices", "trans")
+    __slots__ = ("components", "keep_mask", "chars_mask")
 
     def __init__(self, components: Tuple[Component, ...]):
         self.components = components
@@ -63,9 +58,6 @@ class _MergedState:
                 chars_mask |= 1 << index
         self.keep_mask = keep_mask
         self.chars_mask = chars_mask
-        self.keep_indices = tuple(i for i in range(len(components)) if keep_mask >> i & 1)
-        self.chars_indices = tuple(i for i in range(len(components)) if chars_mask >> i & 1)
-        self.trans: dict = {}
 
 
 class MergedProjectionSpec:
@@ -112,102 +104,3 @@ class MergedProjectionSpec:
         if not any_kept:
             return None
         return self._intern(tuple(components))
-
-
-class MergedStreamProjector:
-    """Per-run cursor over a :class:`MergedProjectionSpec`: filter + fan-out.
-
-    Feed it event batches; :meth:`split_batch` returns one sub-batch per
-    registered query.  Subtrees no query needs are skipped with a single
-    integer depth counter, exactly like the single-query filter.
-
-    When ``stats_list`` is given (one ``RunStatistics`` per query), the
-    projector doubles as every query's input accounting stage: each query's
-    statistics record the *pre-projection* totals of the shared document
-    pass, so per-query numbers match what a solo run would have reported.
-    """
-
-    __slots__ = ("spec", "stats_list", "_stack", "_skip_depth", "dropped_events")
-
-    def __init__(self, spec: MergedProjectionSpec, stats_list: Optional[Sequence] = None):
-        self.spec = spec
-        self.stats_list = list(stats_list) if stats_list is not None else []
-        if self.stats_list and len(self.stats_list) != spec.count:
-            raise ValueError("stats_list must have one entry per registered query")
-        self._stack: List[_MergedState] = [spec.initial]
-        self._skip_depth = 0
-        self.dropped_events = 0
-
-    def split_batch(self, batch: List[Event]) -> List[List[Event]]:
-        """Fan one batch out into per-query sub-batches (some may be empty)."""
-        spec = self.spec
-        subs: List[List[Event]] = [[] for _ in range(spec.count)]
-        appends = [sub.append for sub in subs]
-        stack = self._stack
-        push = stack.append
-        pop = stack.pop
-        skip = self._skip_depth
-        dropped = 0
-        seen = 0
-        cost = 0
-        for event in batch:
-            cls = event.__class__
-            if cls is StartElement:
-                seen += 1
-                cost += (
-                    len(event.name) + 2 if not event.attributes else event.cost_in_bytes()
-                )
-                if skip:
-                    skip += 1
-                    dropped += 1
-                    continue
-                state = stack[-1]
-                trans = state.trans
-                name = event.name
-                if name in trans:
-                    target = trans[name]
-                else:
-                    target = spec.transition(state, name)
-                    trans[name] = target
-                if target is None:
-                    skip = 1
-                    dropped += 1
-                    continue
-                push(target)
-                for index in target.keep_indices:
-                    appends[index](event)
-                continue
-            if cls is Characters:
-                seen += 1
-                cost += len(event.text)
-                if skip:
-                    dropped += 1
-                    continue
-                indices = stack[-1].chars_indices
-                if indices:
-                    for index in indices:
-                        appends[index](event)
-                else:
-                    dropped += 1
-                continue
-            if cls is EndElement:
-                seen += 1
-                cost += len(event.name) + 3
-                if skip:
-                    skip -= 1
-                    dropped += 1
-                    continue
-                state = pop()
-                for index in state.keep_indices:
-                    appends[index](event)
-                continue
-            # Document boundary events pass through to every query.
-            if not skip:
-                for append in appends:
-                    append(event)
-        self._skip_depth = skip
-        self.dropped_events += dropped
-        if seen:
-            for stats in self.stats_list:
-                stats.record_input(seen, cost)
-        return subs

@@ -1,4 +1,4 @@
-"""Pre-executor streaming projection filter.
+"""The pre-executor streaming projection automaton.
 
 The DOM baselines have always benefited from projection (they drop unused
 subtrees before building the tree); the streaming executor did not -- it
@@ -26,21 +26,16 @@ subtree (a single integer depth counter skips it); character data is only
 forwarded inside keep-everything regions, which are exactly the regions
 where the executor can route text anywhere (buffers, accumulators, copies).
 
-States are interned and transitions memoized per ``(state, tag)``, so the
-steady-state cost of the filter is one dict lookup per start tag.
+This module only *decides*: the byte scanner (:mod:`repro.fastpath.scanner`)
+applies the decisions, through the flat transition table that
+:mod:`repro.fastpath.dfa` compiles lazily from :meth:`ProjectionSpec.transition`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.plan import QueryPlan, ScopeSpec
-from repro.xmlstream.events import (
-    Characters,
-    EndElement,
-    Event,
-    StartElement,
-)
 
 #: Position kinds inside a projection state.
 _SCOPE = 0
@@ -164,104 +159,3 @@ class ProjectionSpec:
         if not keep and not positions:
             return None
         return self._intern(tuple(positions))
-
-
-class StreamProjector:
-    """Per-run cursor over a :class:`ProjectionSpec`.
-
-    Feed it event batches; it returns the filtered batches.  Dropped
-    subtrees cost one class check and an integer per event; kept start tags
-    cost one memoized dict lookup.
-
-    When ``stats`` is given, the projector doubles as the run's input
-    accounting stage: it records *pre-projection* event and byte counts once
-    per batch, so the statistics describe the document that was read, not
-    the survivors -- and the executor can skip its own per-event counting.
-    """
-
-    __slots__ = ("spec", "stats", "_stack", "_skip_depth", "dropped_events")
-
-    def __init__(self, spec: ProjectionSpec, stats=None):
-        self.spec = spec
-        self.stats = stats
-        self._stack: List[object] = [spec.initial]
-        self._skip_depth = 0
-        self.dropped_events = 0
-
-    def filter_batch(self, batch: List[Event]) -> List[Event]:
-        """Return the events of ``batch`` that survive projection."""
-        out: List[Event] = []
-        append = out.append
-        stack = self._stack
-        push = stack.append
-        pop = stack.pop
-        skip = self._skip_depth
-        spec = self.spec
-        dropped = 0
-        seen = 0
-        cost = 0
-        for event in batch:
-            cls = event.__class__
-            if cls is StartElement:
-                seen += 1
-                cost += (
-                    len(event.name) + 2 if not event.attributes else event.cost_in_bytes()
-                )
-                if skip:
-                    skip += 1
-                    dropped += 1
-                    continue
-                state = stack[-1]
-                if state is KEEP_ALL:
-                    push(KEEP_ALL)
-                    append(event)
-                    continue
-                trans = state.trans
-                name = event.name
-                if name in trans:
-                    target = trans[name]
-                else:
-                    target = spec.transition(state, name)
-                    trans[name] = target
-                if target is None:
-                    skip = 1
-                    dropped += 1
-                    continue
-                push(target)
-                append(event)
-                continue
-            if cls is Characters:
-                seen += 1
-                cost += len(event.text)
-                if skip:
-                    dropped += 1
-                elif stack[-1] is KEEP_ALL:
-                    append(event)
-                else:
-                    dropped += 1
-                continue
-            if cls is EndElement:
-                seen += 1
-                cost += len(event.name) + 3
-                if skip:
-                    skip -= 1
-                    dropped += 1
-                    continue
-                pop()
-                append(event)
-                continue
-            # Document boundary events pass through untouched.
-            if not skip:
-                append(event)
-        self._skip_depth = skip
-        self.dropped_events += dropped
-        if self.stats is not None and seen:
-            self.stats.record_input(seen, cost)
-        return out
-
-    def filter_batches(self, batches: Iterable[List[Event]]) -> Iterator[List[Event]]:
-        """Filter a stream of batches, omitting batches that empty out."""
-        for batch in batches:
-            filtered = self.filter_batch(batch)
-            if filtered:
-                yield filtered

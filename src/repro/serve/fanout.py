@@ -27,13 +27,12 @@ the component tuples and rebuilds the intern table -- the operation the
 ``recompiles`` counter counts, and the one a server schedules at leisure
 (or never), not on the churn path.
 
-Both run-side cursors are provided: :class:`DynamicStreamProjector` for the
-classic event pipeline, and :meth:`DynamicFanout.table` /
-:meth:`DynamicFanout.make_scanner` for the bytes-native fast path (the flat
-table delegates to :meth:`DynamicFanout.transition`, so both paths share
-one automaton).  Sub-batch position *i* always belongs to slot
-``order()[i]``; tombstoned slots keep their position (and receive nothing)
-until a compaction renumbers.
+The run-side cursor is the byte scanner over :meth:`DynamicFanout.table`
+(the flat table delegates to :meth:`DynamicFanout.transition`).  Sub-batch
+position *i* always belongs to slot ``order()[i]``; tombstoned slots keep
+their position (and receive nothing) until a compaction renumbers.  With
+no slot at all the automaton drops everything -- the hub's idle scan, which
+only tracks document boundaries.
 
 Mutations are only legal between documents -- exactly the boundary the
 subscription hub applies churn at -- because interned dynamic states cached
@@ -43,12 +42,11 @@ in a run's cursor stack would otherwise go stale mid-document.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.fastpath.dfa import FlatProjectionTable
 from repro.fastpath.tags import TagTable
 from repro.pipeline.projection import KEEP_ALL, ProjectionSpec
-from repro.xmlstream.events import Characters, EndElement, Event, StartElement
 
 #: Sentinel distinguishing "memo miss" from a memoized ``None`` (drop).
 _MISS = object()
@@ -65,11 +63,10 @@ class _DynState:
     that is all a detach costs per state.
     """
 
-    __slots__ = ("components", "keep_mask", "chars_mask", "keep_indices", "chars_indices", "trans")
+    __slots__ = ("components", "keep_mask", "chars_mask")
 
     def __init__(self, components: Tuple[object, ...], active_mask: int):
         self.components = components
-        self.trans: dict = {}
         self.refresh(active_mask)
 
     def refresh(self, active_mask: int) -> None:
@@ -83,8 +80,6 @@ class _DynState:
                 chars_mask |= 1 << index
         self.keep_mask = keep_mask
         self.chars_mask = chars_mask
-        self.keep_indices = tuple(i for i in range(len(self.components)) if keep_mask >> i & 1)
-        self.chars_indices = tuple(i for i in range(len(self.components)) if chars_mask >> i & 1)
 
 
 class _Slot:
@@ -107,8 +102,8 @@ class DynamicFanout:
         self._active_mask = 0
         self._states: Dict[Tuple[object, ...], _DynState] = {}
         self._initial: Optional[_DynState] = None
-        #: Engine-shared tag interning for the fast path; survives table
-        #: rebuilds so interned tag ids stay valid across attaches.
+        #: Hub-shared tag interning; survives table rebuilds so interned
+        #: tag ids stay valid across attaches.
         self.tags = TagTable()
         self._table: Optional[FlatProjectionTable] = None
         self._indices: Dict[int, Tuple[int, ...]] = {}
@@ -153,7 +148,7 @@ class DynamicFanout:
 
         No transition is recomputed and no interned state is discarded --
         the mutation is a mask sweep over the states the stream has
-        actually visited (plus the flat table's rows on the fast path).
+        actually visited (plus the flat table's rows).
         """
         position = self._position(slot_id)
         slot = self._slots[position]
@@ -204,8 +199,6 @@ class DynamicFanout:
     @property
     def initial(self) -> _DynState:
         if self._initial is None:
-            if not self._slots:
-                raise ValueError("the fanout has no slots; attach a query first")
             components = tuple(
                 KEEP_ALL if slot.spec is None else slot.spec.initial for slot in self._slots
             )
@@ -245,7 +238,7 @@ class DynamicFanout:
             return None
         return self._intern(tuple(components))
 
-    # ------------------------------------------------------------- fast path
+    # ------------------------------------------------------------ flat table
 
     def table(self) -> FlatProjectionTable:
         """The flat transition table over the current slot tuple (lazy).
@@ -273,103 +266,4 @@ class DynamicFanout:
         return indices
 
 
-class DynamicStreamProjector:
-    """Per-document cursor over a :class:`DynamicFanout` (classic pipeline).
-
-    The event loop is the one from
-    :class:`~repro.pipeline.fanout.MergedStreamProjector`; the only
-    differences are that transitions come from the dynamic fanout and that
-    ``stats_list`` may hold ``None`` entries (tombstoned seats record no
-    input).  Create a fresh projector per document -- mutating the fanout
-    invalidates any live cursor, which is why the hub churns only at
-    document boundaries.
-    """
-
-    __slots__ = ("fanout", "stats_list", "_stack", "_skip_depth", "dropped_events")
-
-    def __init__(self, fanout: DynamicFanout, stats_list: Optional[Sequence] = None):
-        self.fanout = fanout
-        stats_list = list(stats_list) if stats_list is not None else []
-        if stats_list and len(stats_list) != fanout.width:
-            raise ValueError("stats_list must have one entry per slot position")
-        self.stats_list = [stats for stats in stats_list if stats is not None]
-        self._stack: List[_DynState] = [fanout.initial]
-        self._skip_depth = 0
-        self.dropped_events = 0
-
-    def split_batch(self, batch: List[Event]) -> List[List[Event]]:
-        """Fan one batch out into per-seat sub-batches (some may be empty)."""
-        fanout = self.fanout
-        subs: List[List[Event]] = [[] for _ in range(fanout.width)]
-        appends = [sub.append for sub in subs]
-        transition = fanout.transition
-        stack = self._stack
-        push = stack.append
-        pop = stack.pop
-        skip = self._skip_depth
-        dropped = 0
-        seen = 0
-        cost = 0
-        for event in batch:
-            cls = event.__class__
-            if cls is StartElement:
-                seen += 1
-                cost += (
-                    len(event.name) + 2 if not event.attributes else event.cost_in_bytes()
-                )
-                if skip:
-                    skip += 1
-                    dropped += 1
-                    continue
-                state = stack[-1]
-                trans = state.trans
-                name = event.name
-                if name in trans:
-                    target = trans[name]
-                else:
-                    target = transition(state, name)
-                    trans[name] = target
-                if target is None:
-                    skip = 1
-                    dropped += 1
-                    continue
-                push(target)
-                for index in target.keep_indices:
-                    appends[index](event)
-                continue
-            if cls is Characters:
-                seen += 1
-                cost += len(event.text)
-                if skip:
-                    dropped += 1
-                    continue
-                indices = stack[-1].chars_indices
-                if indices:
-                    for index in indices:
-                        appends[index](event)
-                else:
-                    dropped += 1
-                continue
-            if cls is EndElement:
-                seen += 1
-                cost += len(event.name) + 3
-                if skip:
-                    skip -= 1
-                    dropped += 1
-                    continue
-                state = pop()
-                for index in state.keep_indices:
-                    appends[index](event)
-                continue
-            if not skip:
-                for append in appends:
-                    append(event)
-        self._skip_depth = skip
-        self.dropped_events += dropped
-        if seen:
-            for stats in self.stats_list:
-                stats.record_input(seen, cost)
-        return subs
-
-
-__all__ = ["DynamicFanout", "DynamicStreamProjector"]
+__all__ = ["DynamicFanout"]

@@ -2,11 +2,11 @@
 
 The hub is the synchronous heart of :mod:`repro.serve`.  One *engine
 thread* feeds it stream chunks (network bytes, the XMark ticker, a file);
-every chunk flows through **one** tokenize -> coalesce -> project pass
-whatever the subscriber count, and the surviving per-subscription
-sub-streams drive one :class:`~repro.engine.executor.StreamExecutor` per
-active subscription per document -- exactly the multi-query fan-out, made
-long-lived and churn-tolerant:
+every chunk flows through **one** projecting byte scan whatever the
+subscriber count, and the surviving per-subscription sub-streams drive one
+:class:`~repro.engine.executor.StreamExecutor` per active subscription per
+document -- exactly the multi-query fan-out, made long-lived and
+churn-tolerant:
 
 * subscriptions attach and detach **at document boundaries only** (calls
   made mid-document are queued and applied when the current document
@@ -31,7 +31,6 @@ not).
 
 from __future__ import annotations
 
-import codecs
 import threading
 import time
 from collections import deque
@@ -43,17 +42,14 @@ from repro.dtd.schema import DTD
 from repro.engine.engine import FluxEngine, ensure_rooted
 from repro.engine.executor import StreamExecutor
 from repro.engine.stats import RunStatistics
-from repro.fastpath import use_fastpath
 from repro.fastpath.scanner import ByteScanner
 from repro.obs import recorder as _flight
 from repro.obs import serve as _serve
 from repro.obs.metrics import global_registry
-from repro.pipeline.stages import coalesce_characters
-from repro.serve.fanout import DynamicFanout, DynamicStreamProjector
+from repro.serve.fanout import DynamicFanout
 from repro.storage.governor import MemoryGovernor
 from repro.xmark.dtd import xmark_dtd
 from repro.xmlstream.errors import XMLWellFormednessError
-from repro.xmlstream.tokenizer import Tokenizer
 
 #: Padding accepted between documents (mirrors :mod:`repro.feeds`).
 _INTERDOC_WS = b" \t\r\n"
@@ -235,57 +231,28 @@ class Subscription:
             }
 
 
-class _ClassicScan:
-    """Per-document classic scan: tokenizer + decoder + dynamic fan-out."""
+class _DocumentScan:
+    """Per-document byte scan over the dynamic flat table.
 
-    __slots__ = ("_tokenizer", "_projector", "_decoder")
+    With no subscriber the fanout's table drops everything: the scan still
+    validates the document and finds where it ends, and delivers nothing.
+    """
 
-    def __init__(self, projector: DynamicStreamProjector):
-        self._tokenizer = Tokenizer(report_document_events=False, stop_at_root_close=True)
-        self._projector = projector
-        self._decoder = codecs.getincrementaldecoder("utf-8")()
+    __slots__ = ("_scanner", "_fanout", "_stats", "_start")
 
-    def feed(self, data: bytes) -> List[List["object"]]:
-        text = self._decoder.decode(data)
-        if not text:
-            return None
-        batch = self._tokenizer.feed_batch(text)
-        if not batch:
-            return None
-        return self._projector.split_batch(coalesce_characters(batch))
-
-    @property
-    def root_closed(self) -> bool:
-        return self._tokenizer.root_closed
-
-    def take_remainder(self) -> bytes:
-        rest = self._tokenizer.take_remainder().encode("utf-8")
-        pending = self._decoder.getstate()[0]
-        if pending:
-            rest += pending
-        return rest
-
-    def finish(self) -> List[List["object"]]:
-        pending = self._decoder.getstate()[0]
-        if pending:
-            raise XMLWellFormednessError(
-                "truncated document: incomplete UTF-8 sequence at end of input", 0
-            )
-        batch = self._tokenizer.close_batch()
-        if not batch:
-            return None
-        return self._projector.split_batch(coalesce_characters(batch))
-
-
-class _FastScan:
-    """Per-document bytes-native scan over the dynamic flat table."""
-
-    __slots__ = ("_scanner", "_fanout", "_stats")
-
-    def __init__(self, fanout: DynamicFanout, stats_list: List[Optional[RunStatistics]]):
-        self._scanner = ByteScanner(fanout.tags, fanout.table(), stop_at_root_close=True)
+    def __init__(
+        self,
+        fanout: DynamicFanout,
+        stats_list: List[Optional[RunStatistics]],
+        expand_attrs: bool,
+        start: int,
+    ):
+        self._scanner = ByteScanner(
+            fanout.tags, fanout.table(), stop_at_root_close=True, expand_attrs=expand_attrs
+        )
         self._fanout = fanout
         self._stats = [stats for stats in stats_list if stats is not None]
+        self._start = start  # stream offset of the document's first byte
 
     def _split(self, batch):
         if batch.seen:
@@ -308,38 +275,13 @@ class _FastScan:
         return self._scanner.take_remainder()
 
     def finish(self):
+        truncated_at = self._scanner.incomplete_tail_at()
+        if truncated_at is not None:
+            raise XMLWellFormednessError(
+                "truncated document: incomplete UTF-8 sequence at end of input",
+                self._start + truncated_at,
+            )
         return self._split(self._scanner.close_batch())
-
-
-class _IdleScan:
-    """Boundary tracking with zero subscribers: tokenize, deliver nothing."""
-
-    __slots__ = ("_tokenizer", "_decoder")
-
-    def __init__(self):
-        self._tokenizer = Tokenizer(report_document_events=False, stop_at_root_close=True)
-        self._decoder = codecs.getincrementaldecoder("utf-8")()
-
-    def feed(self, data: bytes):
-        text = self._decoder.decode(data)
-        if text:
-            self._tokenizer.feed_batch(text)
-        return None
-
-    @property
-    def root_closed(self) -> bool:
-        return self._tokenizer.root_closed
-
-    def take_remainder(self) -> bytes:
-        rest = self._tokenizer.take_remainder().encode("utf-8")
-        pending = self._decoder.getstate()[0]
-        if pending:
-            rest += pending
-        return rest
-
-    def finish(self):
-        self._tokenizer.close_batch()
-        return None
 
 
 def _heaviest_subscriber_page(pages):
@@ -365,7 +307,6 @@ class SubscriptionHub:
     ):
         self.dtd = ensure_rooted(dtd if dtd is not None else xmark_dtd(), root_element)
         self.options = options if options is not None else DEFAULT_OPTIONS
-        self._fastpath = use_fastpath(self.options.fastpath, expand_attrs=False)
         self._lock = threading.Lock()
         self._engines: Dict[str, FluxEngine] = {}
         self.fanout = DynamicFanout()
@@ -391,7 +332,7 @@ class SubscriptionHub:
         self.governor = governor
         if governor is not None:
             governor.victim_selector = _heaviest_subscriber_page
-        _flight.RECORDER.note("serve-hub-open", self._fastpath)
+        _flight.RECORDER.note("serve-hub-open")
         self._progress_key = _serve.register_run(self._progress)
 
     # ---------------------------------------------------------- subscriptions
@@ -532,17 +473,13 @@ class SubscriptionHub:
                     break
                 self._begin_document()
             try:
-                subs = self._scan.feed(data)
-                if subs is not None:
-                    self._dispatch(subs)
+                self._dispatch(self._scan.feed(data))
                 if not self._scan.root_closed:
                     self._cursor += len(data)
                     break
                 remainder = self._scan.take_remainder()
                 boundary = self._cursor + len(data) - len(remainder)
-                final = self._scan.finish()
-                if final is not None:
-                    self._dispatch(final)
+                self._dispatch(self._scan.finish())
                 self._seal_document()
             except Exception:
                 self._abort_document()
@@ -562,9 +499,7 @@ class SubscriptionHub:
             return
         if self._scan is not None:
             try:
-                final = self._scan.finish()
-                if final is not None:
-                    self._dispatch(final)
+                self._dispatch(self._scan.finish())
                 self._seal_document()
             except Exception:
                 self._abort_document()
@@ -626,7 +561,6 @@ class SubscriptionHub:
         return {
             "mode": "serve",
             "state": self._state,
-            "fastpath": self._fastpath,
             "bytes_fed": self._bytes_fed,
             "chunks_fed": self._chunks_fed,
             "documents_completed": self._documents_completed,
@@ -672,12 +606,9 @@ class SubscriptionHub:
                 execs.append((sub, executor, stats))
                 stats_list.append(stats)
             self._doc_execs = execs
-            if not order:
-                self._scan = _IdleScan()
-            elif self._fastpath:
-                self._scan = _FastScan(self.fanout, stats_list)
-            else:
-                self._scan = _ClassicScan(DynamicStreamProjector(self.fanout, stats_list))
+            self._scan = _DocumentScan(
+                self.fanout, stats_list, self.options.expand_attrs, self._doc_start
+            )
 
     def _dispatch(self, subs: List[List["object"]]) -> None:
         for entry, sub_batch in zip(self._doc_execs, subs):

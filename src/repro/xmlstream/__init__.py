@@ -8,14 +8,14 @@ consume, buffer and serialize such event streams:
   character data, start/end document).
 * :mod:`repro.xmlstream.tokenizer` -- a hand-written, incremental XML
   tokenizer that turns text chunks into events without ever materializing
-  the document.  It is batch-oriented (``feed_batch`` returns one bounded
-  list of events per fed chunk) and interns attribute-free tags, which is
-  what makes the pipeline's per-token cost a few dict lookups.
+  the document.  It is the *reference implementation* the engine's byte
+  scanner (:mod:`repro.fastpath.scanner`) is differentially tested
+  against, and what the DOM baselines and the conformance oracle's
+  expected output are built on; it is not an engine path.
 * :mod:`repro.xmlstream.parser` -- user-facing parsing helpers built on the
-  tokenizer.  :func:`~repro.xmlstream.parser.iter_event_batches` is the
-  entry stage of the push-based pipeline (:mod:`repro.pipeline`);
-  :func:`~repro.xmlstream.parser.iter_events` flattens it for per-event
-  consumers.  Sources can be document text (``str``/``bytes``), paths
+  tokenizer: :func:`~repro.xmlstream.parser.iter_event_batches` (one event
+  list per chunk), :func:`~repro.xmlstream.parser.iter_events` (flattened),
+  ``parse_events`` and ``parse_tree``.  Sources can be document text (``str``/``bytes``), paths
   (``str``/:class:`os.PathLike`), file objects or chunk iterables.
 * :mod:`repro.xmlstream.serializer` -- events back to XML text.
 * :mod:`repro.xmlstream.tree` -- a small in-memory node tree used by the

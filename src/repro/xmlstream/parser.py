@@ -3,8 +3,7 @@
 These wrap the incremental tokenizer with convenient entry points:
 
 * :func:`iter_event_batches` -- stream *batches* of events (one list per text
-  chunk); the native interface of the push-based pipeline in
-  :mod:`repro.pipeline`, and the cheapest way to consume a document.
+  chunk); the cheapest way to consume a document.
 * :func:`iter_events` -- stream events one at a time from a string, a path, a
   file-like object, bytes, or any iterable of text chunks.
 * :func:`parse_events` -- materialize the full event list (used in tests and
@@ -148,10 +147,8 @@ def iter_event_batches(
 ) -> Iterator[List[Event]]:
     """Stream batches of SAX-style events, one list per text chunk.
 
-    This is the entry stage of the push-based pipeline: each fed chunk
-    becomes one bounded batch of events, so per-event generator overhead is
-    paid once per batch instead of once per token and downstream stages
-    (projection, execution, statistics) can work chunk-at-a-time.
+    Each fed chunk becomes one bounded batch of events, so per-event
+    generator overhead is paid once per batch instead of once per token.
     """
     tokenizer = Tokenizer(
         strip_whitespace=strip_whitespace,

@@ -2,8 +2,10 @@
 
 The tokenizer accepts text chunks (of arbitrary size) via
 :meth:`Tokenizer.feed_batch` and returns SAX-style events in batches -- one
-list per fed chunk, which is what the pipeline stages of
-:mod:`repro.pipeline` consume.  The generator-style :meth:`Tokenizer.feed` /
+list per fed chunk.  It is the reference implementation behind
+``iter_events`` / ``parse_tree``; engine runs go through the byte scanner
+of :mod:`repro.fastpath.scanner`, which is tested against it (and borrows
+:func:`parse_tag_body` / :func:`decode_entities`).  The generator-style :meth:`Tokenizer.feed` /
 :meth:`Tokenizer.close` API is kept as a thin wrapper.  It supports the XML
 subset that the paper's data model needs:
 
@@ -29,13 +31,9 @@ The tokenizer never holds more than one pending token worth of text beyond
 the current chunk, so it can be used on documents far larger than main
 memory -- which is the point of the whole exercise.
 
-Because every ``feed_batch`` call resumes exactly where the previous chunk
-ended (mid-tag, mid-entity, mid-text), the tokenizer is also the substrate
-of the engine's **push mode** (:class:`repro.pipeline.pipeline.PipelineFeed`
-/ :meth:`repro.core.session.PreparedQuery.open_run`): callers may cut the
-document at arbitrary points and output is guaranteed byte-identical to a
-single-chunk parse.  The conformance oracle fuzzes precisely this
-invariant at adversarial split points.
+Every ``feed_batch`` call resumes exactly where the previous chunk ended
+(mid-tag, mid-entity, mid-text): callers may cut the document at arbitrary
+points and the events are identical to a single-chunk parse.
 """
 
 from __future__ import annotations
@@ -82,9 +80,9 @@ def _is_name_char(char: str) -> bool:
 def parse_tag_body(raw_tag: str, here: int = 0):
     """Parse the inside of a start tag: ``name, [(attr, value), ...]``.
 
-    Shared by the classic tokenizer's slow path and the fast path's lazy
-    event materialization, so attribute-bearing tags raise identical errors
-    and produce identical events on both paths.  ``here`` is the offset
+    Shared by this tokenizer's slow path and the byte scanner's lazy event
+    materialization, so attribute-bearing tags raise identical errors and
+    produce identical events in both.  ``here`` is the offset
     reported in errors.
     """
     raw_tag = raw_tag.strip()
@@ -172,7 +170,7 @@ def decode_entities(text: str, offset: int = 0) -> str:
 class Tokenizer:
     """Incremental XML tokenizer.
 
-    Typical batch usage (the pipeline's tokenize stage)::
+    Typical batch usage::
 
         tokenizer = Tokenizer()
         for chunk in chunks:
@@ -308,7 +306,7 @@ class Tokenizer:
                         append(Characters(raw))
                 elif not raw.isspace():
                     # Report at the start of the offending text run -- same
-                    # offset convention as the fast path's byte scanner.
+                    # offset convention as the byte scanner.
                     self._pos = start
                     raise XMLWellFormednessError(
                         "character data outside the root element", self._here()
@@ -431,8 +429,8 @@ class Tokenizer:
             if event is not None:
                 if not stack:
                     if self._seen_root:
-                        # Offset of the second root's '<', matching the fast
-                        # path's byte scanner.
+                        # Offset of the second root's '<', matching the byte
+                        # scanner.
                         self._pos = tag_at
                         raise XMLWellFormednessError("multiple root elements", self._here())
                     self._seen_root = True
@@ -477,7 +475,7 @@ class Tokenizer:
         """Slow-path end tag: full name validation and mismatch reporting.
 
         ``at`` is the absolute offset of the tag's ``<`` -- errors are
-        reported there, the same convention as the fast path's byte scanner.
+        reported there, the same convention as the byte scanner.
         """
         if at is None:
             at = self._here()

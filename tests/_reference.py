@@ -1,0 +1,51 @@
+"""Reference implementations the byte scanner is differentially tested against.
+
+Built on the pure-Python tokenizer of :mod:`repro.xmlstream` and on the
+projection automaton itself -- neither is an engine path.
+"""
+
+from repro.pipeline.projection import KEEP_ALL
+from repro.xmlstream.events import Characters, EndElement, StartElement
+from repro.xmlstream.parser import iter_events
+
+
+def reference_events(document, expand_attrs=False):
+    """What the scanner must reproduce: the reference tokenizer's event
+    stream (attribute expansion included), adjacent character events merged
+    into one logical text node."""
+    out = []
+    for event in iter_events(document, expand_attrs=expand_attrs, document_events=False):
+        if out and event.__class__ is Characters and out[-1].__class__ is Characters:
+            out[-1] = Characters(out[-1].text + event.text)
+        else:
+            out.append(event)
+    return out
+
+
+def project_events(spec, events):
+    """Reference projection: walk ``events`` through a ``ProjectionSpec``
+    one transition at a time (what the flat table must agree with)."""
+    out = []
+    stack = [spec.initial]
+    skip = 0
+    for event in events:
+        if event.__class__ is StartElement:
+            if skip:
+                skip += 1
+                continue
+            state = stack[-1]
+            target = KEEP_ALL if state is KEEP_ALL else spec.transition(state, event.name)
+            if target is None:
+                skip = 1
+                continue
+            stack.append(target)
+            out.append(event)
+        elif event.__class__ is EndElement:
+            if skip:
+                skip -= 1
+                continue
+            stack.pop()
+            out.append(event)
+        elif not skip and stack[-1] is KEEP_ALL:
+            out.append(event)
+    return out

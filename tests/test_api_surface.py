@@ -106,7 +106,7 @@ EXPECTED_SURFACE = r"""
         "members": {}
     },
     "ExecutionOptions": {
-        "init": "(self, collect_output: 'bool' = True, expand_attrs: 'bool' = False, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, chunk_size: 'int' = 65536, fastpath: 'Optional[bool]' = None, trace: 'Optional[bool]' = None, serve_metrics: 'Optional[int]' = None, feed: 'Optional[FeedOptions]' = None) -> None",
+        "init": "(self, collect_output: 'bool' = True, expand_attrs: 'bool' = False, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, chunk_size: 'int' = 65536, trace: 'Optional[bool]' = None, serve_metrics: 'Optional[int]' = None, feed: 'Optional[FeedOptions]' = None) -> None",
         "kind": "class",
         "members": {
             "replace": "(self, **changes) -> \"'ExecutionOptions'\""
@@ -144,7 +144,6 @@ EXPECTED_SURFACE = r"""
             "open_feed": "(self, *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, owns_governor: 'bool' = True, on_finish=None, on_document=None, on_heartbeat=None, resume_from: 'Optional[int]' = None)",
             "open_run": "(self, *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, owns_governor: 'bool' = True, on_finish=None, stop_at_root_close: 'bool' = False, annotations: 'Optional[dict]' = None) -> 'RunHandle'",
             "run": "(self, document: 'DocumentSource', *, collect_output: 'bool' = True, expand_attrs: 'bool' = False) -> 'FluxRunResult'",
-            "run_events": "(self, events, *, collect_output: 'bool' = True) -> 'FluxRunResult'",
             "run_streaming": "(self, document: 'DocumentSource', *, expand_attrs: 'bool' = False) -> 'StreamingRun'",
             "run_to_sink": "(self, document: 'DocumentSource', writable, *, expand_attrs: 'bool' = False) -> 'FluxRunResult'",
             "stream": "(self, document: 'DocumentSource', *, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, owns_governor: 'bool' = True, on_finish=None) -> 'StreamingRun'"
@@ -202,7 +201,7 @@ EXPECTED_SURFACE = r"""
         }
     },
     "MultiQueryEngine": {
-        "init": "(self, registry: 'QueryRegistry', *, chunk_size: 'int' = 65536, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, governor: 'Optional[MemoryGovernor]' = None, fastpath: 'Optional[bool]' = None)",
+        "init": "(self, registry: 'QueryRegistry', *, chunk_size: 'int' = 65536, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, governor: 'Optional[MemoryGovernor]' = None)",
         "kind": "class",
         "members": {
             "merged_spec": "(self) -> 'MergedProjectionSpec'",
@@ -299,7 +298,7 @@ EXPECTED_SURFACE = r"""
         }
     },
     "RunHandle": {
-        "init": "(self, executor: 'StreamExecutor', feed, governor=None, owns_governor: 'bool' = True, on_finish=None, observer=None, fastpath: 'bool' = False, options: 'Optional[ExecutionOptions]' = None, annotations: 'Optional[dict]' = None)",
+        "init": "(self, executor: 'StreamExecutor', feed, governor=None, owns_governor: 'bool' = True, on_finish=None, observer=None, options: 'Optional[ExecutionOptions]' = None, annotations: 'Optional[dict]' = None)",
         "kind": "class",
         "members": {
             "close": "(self) -> 'None'",
@@ -332,14 +331,14 @@ EXPECTED_SURFACE = r"""
         }
     },
     "StreamingRun": {
-        "init": "(self, executor: 'StreamExecutor', sink: 'FragmentSink', batches, governor=None, owns_governor: 'bool' = True, on_finish=None, observer=None, fastpath: 'bool' = False, options: 'Optional[ExecutionOptions]' = None)",
+        "init": "(self, executor: 'StreamExecutor', sink: 'FragmentSink', batches, governor=None, owns_governor: 'bool' = True, on_finish=None, observer=None, options: 'Optional[ExecutionOptions]' = None)",
         "kind": "class",
         "members": {
             "close": "(self) -> 'None'"
         }
     },
     "TraceReport": {
-        "init": "(self, stages: 'List[StageStats]', spans: 'list', wall_seconds: 'float', mode: 'str' = 'pull', fastpath: 'bool' = False)",
+        "init": "(self, stages: 'List[StageStats]', spans: 'list', wall_seconds: 'float', mode: 'str' = 'pull')",
         "kind": "class",
         "members": {
             "stage_seconds": "<property>",

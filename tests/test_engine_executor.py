@@ -173,12 +173,13 @@ def test_collect_output_false_still_counts_bytes():
     assert result.stats.output_bytes > 0
 
 
-def test_run_events_accepts_pre_parsed_streams():
+def test_executor_accepts_reference_tokenizer_events():
+    from repro.engine.executor import StreamExecutor
     from repro.xmlstream.parser import parse_events
 
     engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_USECASES))
-    events = parse_events(DOC)
-    result = engine.run_events(iter(events))
+    events = parse_events(DOC, document_events=False)
+    result = StreamExecutor(engine.plan).run_batches([events])
     assert result.output == NaiveDomEngine(XMP_INTRO).run(DOC).output
 
 
@@ -206,11 +207,12 @@ def test_compile_plan_rejects_foreign_outer_variable():
 
 
 def test_unbalanced_event_stream_is_rejected():
+    from repro.engine.executor import StreamExecutor
     from repro.xmlstream.events import StartElement
 
     engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_USECASES))
     with pytest.raises(ValueError):
-        engine.run_events(iter([StartElement("bib"), StartElement("book")]))
+        StreamExecutor(engine.plan).run_batches([[StartElement("bib"), StartElement("book")]])
 
 
 def test_flux_source_rendering_is_stable():

@@ -1,43 +1,34 @@
-"""The bytes-native fast path: scanner, SoA batches, flat DFA, selection.
+"""The document stages: byte scanner, SoA batches, flat DFA.
 
-Covers the accelerated-engine-core tentpole and its satellites:
+The scanner is tested *differentially* against the reference tokenizer of
+:mod:`repro.xmlstream` (``_reference.reference_events``), with and without
+``expand_attrs``:
 
-* scanner <-> classic-tokenizer round trips on handcrafted documents
-  (entities, CDATA, comments, PIs, DOCTYPE, self-closing tags, attributes,
+* scanner <-> reference round trips on handcrafted documents (entities,
+  CDATA, comments, PIs, DOCTYPE, self-closing tags, attributes,
   multi-byte UTF-8, NBSP-only text, padded tag names) and on randomized
-  documents,
-* the flat integer transition table versus the classic dict-memoized
-  projection automaton on randomized tag streams, single- and multi-query,
+  documents, including the pre-drop input accounting,
+* the flat integer transition table versus the projection automaton it
+  caches, on randomized tag streams,
 * push-mode byte feeds split at every small stride (including
-  mid-multibyte-UTF-8) versus pull mode,
-* the ``mmap`` file ingest of both pipelines,
-* selection semantics (``REPRO_FASTPATH`` / ``ExecutionOptions.fastpath``
-  / ``expand_attrs`` fallback),
+  mid-multibyte-UTF-8 and inside attribute values) versus pull mode,
+* the ``mmap`` file ingest,
+* invalid UTF-8 as a typed, located error in pull, push and hub runs,
 * bounded behaviour on adversarial unbounded tag vocabularies: the
-  TagTable overflow path and the classic tokenizer's FIFO cache eviction.
+  TagTable overflow path and the reference tokenizer's FIFO cache eviction.
 """
 
 import random
 
 import pytest
+from _reference import project_events, reference_events
 
 import repro.xmlstream.tokenizer as tokenizer_module
 from repro.core import FluxSession
-from repro.core.options import ExecutionOptions
-from repro.fastpath import (
-    ByteScanner,
-    FastEventPipeline,
-    TagTable,
-    fastpath_mode,
-    table_for_spec,
-    use_fastpath,
-)
+from repro.fastpath import ByteScanner, TagTable, table_for_spec
 from repro.fastpath.batch import KIND_MASK, STATE_SHIFT, TAG_MASK, TAG_SHIFT
-from repro.multiquery.engine import MultiQueryEngine
-from repro.multiquery.registry import QueryRegistry
-from repro.pipeline.stages import coalesce_batches
+from repro.serve import SubscriptionHub
 from repro.xmlstream.errors import XMLWellFormednessError
-from repro.xmlstream.parser import iter_event_batches
 from repro.xmlstream.tokenizer import Tokenizer
 
 BIB_DTD = """
@@ -49,8 +40,17 @@ BIB_DTD = """
 <!ELEMENT price (#PCDATA)>
 """
 
-TITLES = "<titles>{ for $b in $ROOT/bib/book return $b/title }</titles>"
-AUTHORS = "<authors>{ for $b in $ROOT/bib/book return $b/author }</authors>"
+TITLES = "<titles>{ for $b in $ROOT/bib/book return {$b/title} }</titles>"
+
+#: Attribute-heavy: entities and non-ASCII in values, empty values, a
+#: self-closing attribute carrier, an attribute already prefixed by its
+#: element's name.
+ATTR_DOC = (
+    '<bib lang="en">'
+    '<book id="b&amp;1" note="café &#233;" empty=""><title book_x="y">T</title>'
+    '<author ref="a1"/><publisher>V</publisher><price cur="EUR">5</price></book>'
+    "</bib>"
+)
 
 DOC = (
     "<bib>"
@@ -66,25 +66,41 @@ DOC = (
 # Helpers
 
 
-def classic_events(document):
-    """The classic pipeline's flat event stream (tokenize + coalesce)."""
-    flat = []
-    for batch in coalesce_batches(
-        iter_event_batches(document, document_events=False)
-    ):
-        flat.extend(batch)
-    return flat
+EXPAND = pytest.mark.parametrize("expand", [False, True], ids=["plain", "expand_attrs"])
 
 
-def fast_events(document, chunk_size=64 * 1024, tags=None):
-    """The scanner's flat event stream through the identity (keep-all) table."""
+def scan(document, chunk_size=64 * 1024, tags=None, expand=False, spec=None):
+    """The scanner's flat event stream plus its pre-drop ``(seen, cost)``
+    accounting, through the identity (keep-all) table unless ``spec``."""
     tags = tags if tags is not None else TagTable()
-    scanner = ByteScanner(tags, table_for_spec(None, tags))
+    scanner = ByteScanner(tags, table_for_spec(spec, tags), expand_attrs=expand)
     data = document.encode("utf-8") if isinstance(document, str) else document
     flat = []
+    seen = cost = 0
     for batch in scanner.scan_document(data, chunk_size):
         flat.extend(batch.materialize())
-    return flat
+        seen += batch.seen
+        cost += batch.cost
+    return flat, (seen, cost)
+
+
+def scanned_events(document, **kwargs):
+    return scan(document, **kwargs)[0]
+
+
+def assert_scan_matches_reference(document, **kwargs):
+    """Events equal the reference stream's; so does the input accounting.
+
+    Byte totals are only comparable where raw and decoded sizes coincide:
+    raw text is counted in UTF-8 bytes, and an unexpanded attribute-bearing
+    tag by its raw body."""
+    expand = kwargs.get("expand", False)
+    events, (seen, cost) = scan(document, **kwargs)
+    expected = reference_events(document, expand)
+    assert events == expected, document
+    assert seen == len(expected), document
+    if document.isascii() and (expand or "=" not in document):
+        assert cost == sum(event.cost_in_bytes() for event in expected), document
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +123,26 @@ HANDCRAFTED_DOCUMENTS = [
     "<a>  pad  <b> mid </b>  tail  </a>",
     "<root><a.b-c:d/><_x/><a1/></root>",
     '<a attr="with &amp; entity &#65;"/>',
+    '<a empty="" blank=" " a_own="kept"><b k="v"/>tail</a>',
+    "<a  k = 'single'  j=\"double\" ><a_k>real child</a_k></a>",
+    '<a k="café"><b j="&#233;&lt;"/></a>',
     "<a>x<b/>y<b/>z</a>",
     "<a><b><c><d><e>deep</e></d></c></b></a>",
     "<a>t1<!-- c -->t2</a>",
 ]
 
 
+@EXPAND
 @pytest.mark.parametrize("document", HANDCRAFTED_DOCUMENTS)
-def test_scanner_round_trip_handcrafted(document):
-    assert fast_events(document) == classic_events(document)
+def test_scanner_round_trip_handcrafted(document, expand):
+    assert_scan_matches_reference(document, expand=expand)
 
 
+@EXPAND
 @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7, 64])
-def test_scanner_round_trip_tiny_chunks(chunk_size):
-    assert fast_events(DOC, chunk_size=chunk_size) == classic_events(DOC)
+def test_scanner_round_trip_tiny_chunks(chunk_size, expand):
+    assert_scan_matches_reference(DOC, chunk_size=chunk_size, expand=expand)
+    assert_scan_matches_reference(ATTR_DOC, chunk_size=chunk_size, expand=expand)
 
 
 def _random_document(rng):
@@ -160,20 +182,20 @@ def _random_document(rng):
     return "".join(pieces)
 
 
-def test_scanner_round_trip_randomized():
+@EXPAND
+def test_scanner_round_trip_randomized(expand):
     rng = random.Random(20260807)
     for _ in range(50):
-        document = _random_document(rng)
-        assert fast_events(document) == classic_events(document), document
+        assert_scan_matches_reference(_random_document(rng), expand=expand)
 
 
-def test_scanner_round_trip_shared_table_across_documents():
+@EXPAND
+def test_scanner_round_trip_shared_table_across_documents(expand):
     # One engine-shared TagTable serves many documents (warm-table reuse).
     tags = TagTable()
     rng = random.Random(99)
     for _ in range(10):
-        document = _random_document(rng)
-        assert fast_events(document, tags=tags) == classic_events(document)
+        assert_scan_matches_reference(_random_document(rng), tags=tags, expand=expand)
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +204,29 @@ def test_scanner_round_trip_shared_table_across_documents():
 
 def test_scanner_rejects_mismatched_and_unclosed_tags():
     with pytest.raises(XMLWellFormednessError):
-        fast_events("<a><b></a></b>")
+        scanned_events("<a><b></a></b>")
     with pytest.raises(XMLWellFormednessError):
-        fast_events("<a><b></b>")
+        scanned_events("<a><b></b>")
     with pytest.raises(XMLWellFormednessError):
-        fast_events("   ")
+        scanned_events("   ")
     with pytest.raises(XMLWellFormednessError):
-        fast_events("<a></a><b></b>")
+        scanned_events("<a></a><b></b>")
 
 
+@EXPAND
+@pytest.mark.parametrize("document", [DOC, ATTR_DOC], ids=["text", "attributes"])
 @pytest.mark.parametrize("stride", [1, 2, 3, 5, 7])
-def test_push_mode_byte_feeds_match_pull(stride):
-    pulled = fast_events(DOC)
+def test_push_mode_byte_feeds_match_pull(stride, document, expand):
+    # Stride 1 cuts everywhere: inside attribute values, between a closing
+    # quote and ``>``, inside entity references, mid-multibyte-UTF-8.
     tags = TagTable()
-    scanner = ByteScanner(tags, table_for_spec(None, tags))
-    data = DOC.encode("utf-8")
+    scanner = ByteScanner(tags, table_for_spec(None, tags), expand_attrs=expand)
+    data = document.encode("utf-8")
     fed = []
     for start in range(0, len(data), stride):
         fed.extend(scanner.feed_batch(data[start : start + stride]).materialize())
     fed.extend(scanner.close_batch().materialize())
-    assert fed == pulled
+    assert fed == reference_events(document, expand)
 
 
 def test_pending_bytes_flags_partial_utf8_tail():
@@ -231,152 +256,103 @@ def test_soa_word_packing_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Flat DFA versus the classic dict automaton
+# Flat DFA versus the projection automaton it caches
 
 
-def test_flat_table_matches_classic_projection_on_random_streams():
+@EXPAND
+def test_flat_table_matches_projection_automaton_on_random_streams(expand):
     with FluxSession(BIB_DTD, root_element="bib") as session:
-        engine = session.prepare(TITLES).engine
-        classic_pipeline = engine.pipeline
-        assert classic_pipeline.projection_enabled
-        fast_pipeline = FastEventPipeline(
-            engine.plan, classic_pipeline.projection_spec
-        )
+        spec = session.prepare(TITLES).engine.pipeline.projection_spec
+        assert spec is not None
+        tags = TagTable()
         rng = random.Random(7)
         for _ in range(30):
             books = []
             for _ in range(rng.randrange(0, 6)):
                 authors = "".join(
-                    f"<author>a{rng.randrange(10)}</author>"
+                    f'<author n="{rng.randrange(3)}">a{rng.randrange(10)}</author>'
                     for _ in range(rng.randrange(1, 3))
                 )
                 books.append(
-                    f"<book><title>t{rng.randrange(100)} &amp; more</title>"
+                    f'<book id="b{rng.randrange(9)}"><title>t{rng.randrange(100)} &amp; more</title>'
                     f"{authors}<publisher>p</publisher>"
                     f"<price>{rng.randrange(50)}</price></book>"
                 )
             document = f"<bib>{''.join(books)}</bib>"
-            expected = [
-                event
-                for batch in classic_pipeline.event_batches(document)
-                for event in batch
-            ]
-            actual = [
-                event
-                for batch in fast_pipeline.event_batches(document)
-                for event in batch
-            ]
-            assert actual == expected, document
+            reference = reference_events(document, expand)
+            events, (seen, cost) = scan(document, tags=tags, expand=expand, spec=spec)
+            assert events == project_events(spec, reference), document
+            # Input accounting is pre-drop: the whole document, not the survivors.
+            assert seen == len(reference)
+            assert cost == sum(event.cost_in_bytes() for event in reference)
 
 
-def test_fastpath_execution_is_byte_identical_with_identical_stats():
+@EXPAND
+def test_execution_input_statistics_match_reference_stream(expand):
     with FluxSession(BIB_DTD, root_element="bib") as session:
-        prepared = session.prepare(TITLES)
-        classic = prepared.execute(DOC)
-        fast = prepared.execute(DOC, options=ExecutionOptions(fastpath=True))
-        assert fast.output == classic.output
-        assert fast.stats.input_events == classic.stats.input_events
-        assert fast.stats.input_bytes == classic.stats.input_bytes
-        assert fast.stats.peak_buffered_bytes == classic.stats.peak_buffered_bytes
-        assert fast.stats.output_bytes == classic.stats.output_bytes
-
-
-def test_multiquery_fastpath_matches_classic():
-    from repro.core.api import load_dtd
-
-    def build():
-        registry = QueryRegistry(load_dtd(BIB_DTD, root_element="bib"))
-        registry.register("titles", TITLES)
-        registry.register("authors", AUTHORS)
-        return registry
-
-    classic = MultiQueryEngine(build()).run(DOC)
-    fast = MultiQueryEngine(build(), fastpath=True).run(DOC)
-    for name in classic:
-        assert fast[name].output == classic[name].output
-        assert (
-            fast[name].stats.peak_buffered_bytes
-            == classic[name].stats.peak_buffered_bytes
-        )
+        for document in (DOC, ATTR_DOC):
+            reference = reference_events(document, expand)
+            for projection in (True, False):
+                stats = session.prepare(TITLES, projection=projection).execute(
+                    document, expand_attrs=expand
+                ).stats
+                assert stats.input_events == len(reference)
+                # The projecting scanner charges an *unexpanded* attribute
+                # tag its raw body, entities undecoded.
+                if expand or document is DOC or not projection:
+                    assert stats.input_bytes == sum(e.cost_in_bytes() for e in reference)
 
 
 # ---------------------------------------------------------------------------
 # mmap file ingest
 
 
-def test_mmap_file_ingest_both_pipelines(tmp_path):
+def test_mmap_file_ingest(tmp_path):
     path = tmp_path / "doc.xml"
     path.write_text(DOC, encoding="utf-8")
     with FluxSession(BIB_DTD, root_element="bib") as session:
         prepared = session.prepare(TITLES)
-        from_text = prepared.execute(DOC)
-        classic_file = prepared.execute(str(path))
-        fast_file = prepared.execute(str(path), options=ExecutionOptions(fastpath=True))
-    assert classic_file.output == from_text.output
-    assert fast_file.output == from_text.output
+        assert prepared.execute(str(path)).output == prepared.execute(DOC).output
 
 
-def test_empty_file_fails_cleanly_on_both_pipelines(tmp_path):
+def test_empty_file_fails_cleanly(tmp_path):
     path = tmp_path / "empty.xml"
     path.write_bytes(b"")
     with FluxSession(BIB_DTD, root_element="bib") as session:
-        prepared = session.prepare(TITLES)
         with pytest.raises(XMLWellFormednessError):
-            prepared.execute(str(path))
-        with pytest.raises(XMLWellFormednessError):
-            prepared.execute(str(path), options=ExecutionOptions(fastpath=True))
+            session.prepare(TITLES).execute(str(path))
 
 
 # ---------------------------------------------------------------------------
-# Selection semantics
+# Invalid UTF-8 is a typed, located error
 
 
-def test_fastpath_mode_parses_environment(monkeypatch):
-    for raw, expected in [
-        ("0", "0"),
-        ("off", "0"),
-        ("FALSE", "0"),
-        ("1", "1"),
-        ("on", "1"),
-        ("Yes", "1"),
-        ("auto", "auto"),
-        ("", "auto"),
-        ("bogus", "auto"),
-    ]:
-        monkeypatch.setenv("REPRO_FASTPATH", raw)
-        assert fastpath_mode() == expected, raw
-    monkeypatch.delenv("REPRO_FASTPATH")
-    assert fastpath_mode() == "auto"
+#: (document bytes, absolute offset of the first invalid byte)
+INVALID_UTF8 = [
+    (b"<bib><book><title>x\xff</title></book></bib>", 19),  # text
+    (b"<bib><book><title><![CDATA[ab\xfe]]></title></book></bib>", 29),  # CDATA
+    (b'<bib><book><title k="\xc0v">t</title></book></bib>', 21),  # complex tag body
+    (b"<bib><book><title>a&amp;\xff</title></book></bib>", 24),  # text with entities
+]
 
 
-def test_use_fastpath_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-    assert use_fastpath(None) is False
-    assert use_fastpath(False) is False
-    assert use_fastpath(True) is True
-    assert use_fastpath(True, expand_attrs=True) is False
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    assert use_fastpath(None) is True
-    assert use_fastpath(False) is True
-    assert use_fastpath(True, expand_attrs=True) is False
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    assert use_fastpath(True) is False
-
-
-def test_engine_selects_pipeline_per_run(monkeypatch):
-    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+@pytest.mark.parametrize("mode", ["pull", "push", "hub"])
+@pytest.mark.parametrize("document,offset", INVALID_UTF8)
+def test_invalid_utf8_is_a_located_wellformedness_error(mode, document, offset):
     with FluxSession(BIB_DTD, root_element="bib") as session:
-        engine = session.prepare(TITLES).engine
-        assert engine._pipeline_for(ExecutionOptions()) is engine.pipeline
-        fast = engine._pipeline_for(ExecutionOptions(fastpath=True))
-        assert isinstance(fast, FastEventPipeline)
-        # expand_attrs runs always fall back to the classic pipeline.
-        assert (
-            engine._pipeline_for(ExecutionOptions(fastpath=True, expand_attrs=True))
-            is engine.pipeline
-        )
-        # The fast pipeline is engine-shared (built once).
-        assert engine._pipeline_for(ExecutionOptions(fastpath=True)) is fast
+        prepared = session.prepare(TITLES)
+        with pytest.raises(XMLWellFormednessError, match="invalid UTF-8") as raised:
+            if mode == "pull":
+                prepared.execute(document)
+            elif mode == "push":
+                with prepared.open_run() as run:
+                    for start in range(0, len(document), 5):
+                        run.feed(document[start : start + 5])
+            else:
+                with SubscriptionHub(session.dtd) as hub:
+                    hub.subscribe(TITLES)
+                    hub.feed(document)
+    assert raised.value.offset == offset
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +364,24 @@ def test_tag_table_overflow_stays_bounded_and_correct():
     document = "<root>" + "".join(
         f"<t{i}>x{i}</t{i}>" for i in range(40)
     ) + "</root>"
-    assert fast_events(document, tags=tags) == classic_events(document)
+    assert_scan_matches_reference(document, tags=tags)
     assert len(tags) <= 3
     assert len(tags.ids) <= 2 * 3  # canonical entries + padded aliases
 
 
-def test_tag_table_overflow_with_attributes_and_chunked_feed():
+@EXPAND
+def test_tag_table_overflow_with_attributes_and_chunked_feed(expand):
+    # Past the cap, expanded attribute subelements travel as ready-made
+    # events (their names exist nowhere in the source bytes).
     tags = TagTable(limit=2)
     document = "<root>" + "".join(
         f'<t{i} key="v{i}">x</t{i}>' for i in range(20)
     ) + "</root>"
-    assert fast_events(document, chunk_size=5, tags=tags) == classic_events(document)
+    assert_scan_matches_reference(document, chunk_size=5, tags=tags, expand=expand)
     assert len(tags) <= 2
 
 
-def test_classic_tokenizer_caches_evict_fifo_not_cold_turkey(monkeypatch):
+def test_reference_tokenizer_caches_evict_fifo_not_cold_turkey(monkeypatch):
     monkeypatch.setattr(tokenizer_module, "_TAG_CACHE_LIMIT", 8)
     tokenizer = Tokenizer(report_document_events=False)
     document = "<root>" + "".join(
@@ -410,7 +389,7 @@ def test_classic_tokenizer_caches_evict_fifo_not_cold_turkey(monkeypatch):
     ) + "</root>"
     events = tokenizer.feed_batch(document)
     events += tokenizer.close_batch()
-    assert events == classic_events(document)
+    assert events == reference_events(document)
     # The caches never exceed the cap, yet keep serving the *newest* tags:
     # FIFO eviction, not a periodic full clear.
     assert 0 < len(tokenizer._start_cache) <= 8

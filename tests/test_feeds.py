@@ -3,21 +3,20 @@
 Covers the feed tentpole and its satellites:
 
 * framing: one ``open_feed`` handle over concatenated documents returns
-  per-document results with exact byte offsets, at arbitrary chunk splits
-  on both pipelines,
+  per-document results with exact byte offsets, at arbitrary chunk splits,
 * satellite 1 -- a stream ending inside a multi-byte UTF-8 sequence must
-  raise the *same* truncated-document error at the *same* offset from
-  ``PipelineFeed.finish()`` and ``FastPipelineFeed.finish()``,
+  raise a truncated-document error at the offset where the cut sequence
+  starts from ``FastPipelineFeed.finish()``,
 * satellite 2 -- bytes after the root close: single-document push mode
-  rejects them identically (same error, same offset) on both pipelines,
-  while feed mode hands them to the next document,
+  rejects them with an error pointing into the trailer, while feed mode
+  hands them to the next document,
 * satellite 3 -- ``/progress`` entries and crash dumps carry
   document-charged offsets (``document_start_offset``, ``resume_offset``),
   so a crash dump names the exact resume point,
 * satellite 4 -- a randomized sweep: 2..50 concatenated documents, chunk
   splits placed before/at/after every boundary byte, asserting per-document
   byte-identity with solo runs, the flat live-buffer floor and unchanged
-  logical peaks on both paths,
+  logical peaks,
 * crash-safe resume: ``resume_from=<reported offset>`` replays the
   remaining documents byte-identically,
 * heartbeats, ``FeedOptions`` validation, and runtime counters.
@@ -35,8 +34,6 @@ from repro import (
     FeedResult,
     FluxSession,
 )
-from repro.fastpath.pipeline import FastEventPipeline
-from repro.pipeline.pipeline import EventPipeline
 from repro.xmlstream.errors import XMLWellFormednessError
 
 BIB_DTD = """
@@ -50,8 +47,6 @@ TITLES = "<titles>{ for $b in $ROOT/bib/book return $b/title }</titles>"
 
 
 def _doc(index: int) -> str:
-    # ASCII-only: classic offsets count decoded characters, the fast path
-    # counts bytes; parity assertions need the two units to coincide.
     return (
         f"<bib><book><title>T{index}</title><author>A{index}</author></book>"
         f"<book><title>U{index}</title><author>B{index}</author></book></bib>"
@@ -64,13 +59,6 @@ def _stream(count: int, separator: str = "\n") -> bytes:
 
 def _chunks(data: bytes, stride: int):
     return [data[i : i + stride] for i in range(0, len(data), stride)]
-
-
-@pytest.fixture(autouse=True)
-def _fastpath_env_off(monkeypatch):
-    # Both-path parity tests select the pipeline via ExecutionOptions; the
-    # CI matrix env override would silently collapse them onto one path.
-    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
 
 
 @pytest.fixture()
@@ -88,17 +76,13 @@ def _solo_outputs(session, count: int):
 # Framing
 
 
-@pytest.mark.parametrize("fastpath", [False, True], ids=["classic", "fastpath"])
 @pytest.mark.parametrize("stride", [1, 7, 64, 10_000])
-def test_feed_frames_documents_at_any_split(session, fastpath, stride):
+def test_feed_frames_documents_at_any_split(session, stride):
     count = 4
     stream = _stream(count)
     expected = _solo_outputs(session, count)
     documents = []
-    feed = session.prepare(TITLES).open_feed(
-        options=ExecutionOptions(fastpath=True if fastpath else None),
-        on_document=documents.append,
-    )
+    feed = session.prepare(TITLES).open_feed(on_document=documents.append)
     returned = []
     for chunk in _chunks(stream, stride):
         returned.extend(feed.feed(chunk))
@@ -175,28 +159,19 @@ def test_feed_mid_document_eof_raises(session):
 
 
 # ---------------------------------------------------------------------------
-# Satellite 1: truncated UTF-8 at end of input, identical on both pipelines
+# Satellite 1: truncated UTF-8 at end of input
 
 
 @pytest.mark.parametrize("stride", [1, 3, 1000])
-def test_truncated_utf8_at_eof_identical_on_both_pipelines(session, stride):
+def test_truncated_utf8_at_eof_is_a_located_error(session, stride):
     # "é" is two bytes; dropping the final byte truncates mid-sequence.
     payload = "<bib><book><title>Café".encode("utf-8")[:-1]
-    engine = session.prepare(TITLES).engine
-    classic = engine.pipeline
-    fast = engine._pipeline_for(ExecutionOptions(fastpath=True))
-    assert isinstance(classic, EventPipeline)
-    assert isinstance(fast, FastEventPipeline)
-    errors = {}
-    for name, pipeline in (("classic", classic), ("fastpath", fast)):
-        feed = pipeline.open_feed()
-        for chunk in _chunks(payload, stride):
-            feed.feed(chunk)
-        with pytest.raises(XMLWellFormednessError) as excinfo:
-            feed.finish()
-        errors[name] = (str(excinfo.value), excinfo.value.offset)
-    assert errors["classic"] == errors["fastpath"]
-    message, offset = errors["classic"]
+    feed = session.prepare(TITLES).engine.pipeline.open_feed()
+    for chunk in _chunks(payload, stride):
+        feed.feed(chunk)
+    with pytest.raises(XMLWellFormednessError) as excinfo:
+        feed.finish()
+    message, offset = str(excinfo.value), excinfo.value.offset
     assert "truncated document" in message
     assert "incomplete UTF-8 sequence" in message
     assert offset == len(payload) - 1  # the first byte of the cut sequence
@@ -204,14 +179,11 @@ def test_truncated_utf8_at_eof_identical_on_both_pipelines(session, stride):
 
 def test_truncated_utf8_at_feed_eof_raises_in_finish(session):
     payload = _stream(1) + "<bib><book><title>Café".encode("utf-8")[:-1]
-    for fastpath in (False, True):
-        feed = session.prepare(TITLES).open_feed(
-            options=ExecutionOptions(fastpath=True if fastpath else None)
-        )
-        feed.feed(payload)
-        with pytest.raises(XMLWellFormednessError, match="truncated document"):
-            feed.finish()
-        assert feed.documents_completed == 1
+    feed = session.prepare(TITLES).open_feed()
+    feed.feed(payload)
+    with pytest.raises(XMLWellFormednessError, match="truncated document"):
+        feed.finish()
+    assert feed.documents_completed == 1
 
 
 # ---------------------------------------------------------------------------
@@ -223,38 +195,24 @@ def test_truncated_utf8_at_feed_eof_raises_in_finish(session):
     [b"<bib><book><title>x</title><author>y</author></book></bib>", b"junk", b"</bib>"],
     ids=["second-document", "bare-text", "stray-close"],
 )
-def test_after_root_close_errors_identical_single_document(session, trailer):
-    """Single-document push mode: the classic and fast pipelines must reject
-    trailing bytes with the same error type, message and offset."""
+def test_after_root_close_errors_single_document(session, trailer):
+    """Single-document push mode rejects trailing bytes, pointing at them."""
     document = _doc(0).encode("utf-8")
-    payload = document + trailer
-    outcomes = {}
-    for fastpath in (False, True):
-        run = session.prepare(TITLES).open_run(
-            options=ExecutionOptions(fastpath=True if fastpath else None)
-        )
-        with pytest.raises(XMLWellFormednessError) as excinfo:
-            run.feed(payload)
-            run.finish()
-        run.close()
-        outcomes[fastpath] = (str(excinfo.value), excinfo.value.offset)
-    assert outcomes[False] == outcomes[True]
-    _, offset = outcomes[False]
-    assert offset >= len(document), "the error must point into the trailer"
+    run = session.prepare(TITLES).open_run()
+    with pytest.raises(XMLWellFormednessError) as excinfo:
+        run.feed(document + trailer)
+        run.finish()
+    run.close()
+    assert excinfo.value.offset >= len(document), "the error must point into the trailer"
 
 
 def test_after_root_close_bytes_start_next_document_in_feed_mode(session):
     stream = (_doc(0) + _doc(1)).encode("utf-8")  # no separator at all
     documents = []
-    for fastpath in (False, True):
-        documents.clear()
-        with session.prepare(TITLES).open_feed(
-            options=ExecutionOptions(fastpath=True if fastpath else None),
-            on_document=documents.append,
-        ) as feed:
-            feed.feed(stream)
-        assert len(documents) == 2
-        assert documents[1].start_offset == len(_doc(0).encode("utf-8"))
+    with session.prepare(TITLES).open_feed(on_document=documents.append) as feed:
+        feed.feed(stream)
+    assert len(documents) == 2
+    assert documents[1].start_offset == len(_doc(0).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +274,8 @@ def test_crash_dump_charges_offsets_to_the_consuming_document(
 # Satellite 4: randomized multi-document boundary fuzz
 
 
-@pytest.mark.parametrize("fastpath", [False, True], ids=["classic", "fastpath"])
 @pytest.mark.parametrize("seed", [11, 23])
-def test_fuzz_concatenated_documents_with_adversarial_splits(session, fastpath, seed):
+def test_fuzz_concatenated_documents_with_adversarial_splits(session, seed):
     rng = random.Random(seed)
     count = rng.randint(2, 50)
     separator = rng.choice(["", "\n", "  \r\n\t"])
@@ -340,10 +297,7 @@ def test_fuzz_concatenated_documents_with_adversarial_splits(session, fastpath, 
     assert b"".join(chunks) == stream
 
     documents = []
-    with session.prepare(TITLES).open_feed(
-        options=ExecutionOptions(fastpath=True if fastpath else None),
-        on_document=documents.append,
-    ) as feed:
+    with session.prepare(TITLES).open_feed(on_document=documents.append) as feed:
         for chunk in chunks:
             feed.feed(chunk)
 
@@ -359,15 +313,13 @@ def test_fuzz_concatenated_documents_with_adversarial_splits(session, fastpath, 
 # Crash-safe resume
 
 
-@pytest.mark.parametrize("fastpath", [False, True], ids=["classic", "fastpath"])
-def test_resume_from_reported_offset_replays_byte_identically(session, fastpath):
+def test_resume_from_reported_offset_replays_byte_identically(session):
     count = 5
     stream = _stream(count)
-    options = ExecutionOptions(fastpath=True if fastpath else None)
     prepared = session.prepare(TITLES)
 
     # First run "crashes" (is closed) after two documents.
-    first = prepared.open_feed(options=options)
+    first = prepared.open_feed()
     sealed = []
     for chunk in _chunks(stream, 97):
         sealed.extend(first.feed(chunk))
@@ -380,7 +332,7 @@ def test_resume_from_reported_offset_replays_byte_identically(session, fastpath)
     # The restart feeds the *same* stream, skipping the processed prefix.
     documents = []
     with prepared.open_feed(
-        options=options, resume_from=offset, on_document=documents.append
+        resume_from=offset, on_document=documents.append
     ) as second:
         for chunk in _chunks(stream, 97):
             second.feed(chunk)

@@ -198,6 +198,14 @@ def test_inspect_rejects_unknown_schema(tmp_path):
     bogus.write_text(json.dumps({"schema": "repro-crash/999"}), encoding="utf-8")
     with pytest.raises(ValueError, match="unsupported crash dump schema"):
         inspect_crash(str(bogus))
+    # The previous schema (it carried a since-removed ``fastpath`` field)
+    # keeps rendering.
+    older = tmp_path / "older.crash.json"
+    older.write_text(
+        json.dumps({"schema": "repro-crash/1", "mode": "push", "fastpath": True}),
+        encoding="utf-8",
+    )
+    assert "mode: push" in inspect_crash(str(older))
 
 
 # -------------------------------------------------------- live inspection
@@ -283,7 +291,6 @@ def test_prometheus_escapes_help_and_le_labels():
 class _FakeReport:
     wall_seconds = 0.25
     mode = "pull"
-    fastpath = False
     stages = ()
     spans = ()
 

@@ -6,7 +6,7 @@ query the output has to be byte-identical across
 
 * the pipeline with the projection filter on and off,
 * collected output, streamed fragments, and the writable-sink path,
-* the pre-parsed-events path (``run_events``),
+* the executor driven directly with the reference tokenizer's events,
 * both DOM baselines (naive and projection).
 
 Plus the memory contract of the streaming API: the run must yield multiple
@@ -19,6 +19,7 @@ import io
 import pytest
 
 from repro import FluxEngine, NaiveDomEngine, ProjectionDomEngine
+from repro.engine.executor import StreamExecutor
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.generator import config_for_scale, iter_document_chunks
 from repro.xmark.queries import BENCHMARK_QUERIES
@@ -39,9 +40,9 @@ def pipeline_outputs(medium_xmark_document):
             "no-projection": unfiltered.run(medium_xmark_document).output,
             "streaming": "".join(projected.run_streaming(medium_xmark_document)),
             "writable": writable.getvalue(),
-            "events": projected.run_events(
-                iter(parse_events(medium_xmark_document))
-            ).output,
+            "events": StreamExecutor(projected.plan)
+            .run_batches([parse_events(medium_xmark_document, document_events=False)])
+            .output,
             "naive-dom": NaiveDomEngine(query).run(medium_xmark_document).output,
             "projection-dom": ProjectionDomEngine(query).run(medium_xmark_document).output,
         }
@@ -62,7 +63,7 @@ def test_streaming_matches_collected(pipeline_outputs, name):
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_QUERIES))
-def test_preparsed_events_match_document_run(pipeline_outputs, name):
+def test_reference_tokenizer_events_match_document_run(pipeline_outputs, name):
     modes = pipeline_outputs[name]
     assert modes["events"] == modes["projection"]
 

@@ -27,11 +27,11 @@ import pytest
 from repro.core.api import load_dtd
 from repro.core.options import ExecutionOptions
 from repro.engine.engine import FluxEngine
+from repro.fastpath import ByteScanner
 from repro.obs import serve as obs_serve
 from repro.pipeline.projection import ProjectionSpec
 from repro.serve import (
     DynamicFanout,
-    DynamicStreamProjector,
     SubscribeClient,
     ServeServer,
     Subscription,
@@ -78,17 +78,6 @@ def _solo(query: str, count: int):
     return [engine.run(_doc(i)).output for i in range(count)]
 
 
-def _options(fastpath: bool) -> ExecutionOptions:
-    return ExecutionOptions(fastpath=True if fastpath else None)
-
-
-@pytest.fixture(autouse=True)
-def _fastpath_env_off(monkeypatch):
-    # Both-path parity tests select the pipeline via ExecutionOptions; the
-    # CI matrix env override would silently collapse them onto one path.
-    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-
-
 # ---------------------------------------------------------------------------
 # DynamicFanout: the incremental union automaton
 
@@ -99,8 +88,8 @@ def _spec_for(query: str) -> ProjectionSpec:
 
 def test_fanout_slots_and_tombstones():
     fanout = DynamicFanout()
-    with pytest.raises(ValueError):
-        fanout.initial
+    # No slot: the drop-everything automaton (the hub's idle scan).
+    assert fanout.transition(fanout.initial, "bib") is None
     a = fanout.attach(_spec_for(TITLES))
     b = fanout.attach(_spec_for(AUTHORS))
     assert fanout.order() == (a, b)
@@ -156,13 +145,15 @@ def test_attach_is_delta_merge_never_reenters_existing_queries():
     fanout.attach(spec_a)
 
     def run_doc():
-        projector = DynamicStreamProjector(fanout)
-        from repro.pipeline.stages import coalesce_characters
-        from repro.xmlstream.tokenizer import Tokenizer
-
-        tokenizer = Tokenizer(report_document_events=False)
-        projector.split_batch(coalesce_characters(tokenizer.feed_batch(_doc(0))))
-        projector.split_batch(coalesce_characters(tokenizer.close_batch()))
+        # What the hub does per document: scan over the fanout's flat
+        # table, ``materialize_split`` by its membership masks.
+        table = fanout.table()
+        scanner = ByteScanner(fanout.tags, table)
+        for batch in scanner.scan_document(_doc(0).encode("utf-8"), 1 << 16):
+            subs = batch.materialize_split(
+                fanout.width, table.keep_masks, table.chars_masks, fanout.indices_for
+            )
+            assert len(subs) == fanout.width
 
     run_doc()
     warm_t, warm_a = calls_t[0], calls_a[0]
@@ -189,13 +180,12 @@ def test_attach_is_delta_merge_never_reenters_existing_queries():
 # Hub: byte-identity, churn metadata, policies
 
 
-@pytest.mark.parametrize("fastpath", [False, True], ids=["classic", "fastpath"])
 @pytest.mark.parametrize("stride", [7, 512, 100_000])
-def test_hub_results_match_solo_runs(fastpath, stride):
+def test_hub_results_match_solo_runs(stride):
     count = 5
     expected_titles = _solo(TITLES, count)
     expected_authors = _solo(AUTHORS, count)
-    with SubscriptionHub(_schema(), options=_options(fastpath)) as hub:
+    with SubscriptionHub(_schema()) as hub:
         titles = hub.subscribe(TITLES, name="titles")
         authors = hub.subscribe(AUTHORS, name="authors")
         for chunk in _chunks(_stream(count), stride):
@@ -212,11 +202,10 @@ def test_hub_results_match_solo_runs(fastpath, stride):
     assert titles.state == "finished"
 
 
-@pytest.mark.parametrize("fastpath", [False, True], ids=["classic", "fastpath"])
-def test_mid_feed_subscribe_and_unsubscribe_at_boundaries(fastpath):
+def test_mid_feed_subscribe_and_unsubscribe_at_boundaries():
     count = 6
     expected = _solo(AUTHORS, count)
-    with SubscriptionHub(_schema(), options=_options(fastpath)) as hub:
+    with SubscriptionHub(_schema()) as hub:
         titles = hub.subscribe(TITLES, name="titles")
         for i in range(count):
             if i == 2:
@@ -234,6 +223,52 @@ def test_mid_feed_subscribe_and_unsubscribe_at_boundaries(fastpath):
     assert list(titles.results()) and titles.delivered == count
     assert hub.fanout.recompiles == 0
     assert (hub.fanout.attaches, hub.fanout.detaches) == (2, 1)
+
+
+def test_hub_honours_expand_attrs():
+    """A subscription over an attribute-bearing document is byte-identical
+    to the solo ``expand_attrs`` run (the hub used to ignore the option)."""
+    dtd = load_dtd(
+        "<!ELEMENT bib (book)*><!ELEMENT book (book_id,title)>"
+        "<!ELEMENT book_id (#PCDATA)><!ELEMENT title (#PCDATA)>",
+        root_element="bib",
+    )
+    query = "<ids>{ for $b in $ROOT/bib/book return {$b/book_id} }</ids>"
+    document = '<bib><book id="b&amp;1"><title>T</title></book><book id="b2"><title>U</title></book></bib>'
+    solo = FluxEngine(query, dtd).run(document, expand_attrs=True).output
+    assert "<book_id>b&amp;1</book_id>" in solo
+    with SubscriptionHub(dtd, options=ExecutionOptions(expand_attrs=True)) as hub:
+        sub = hub.subscribe(query)
+        for chunk in _chunks(document.encode("utf-8") * 2, 5):
+            hub.feed(chunk)
+        hub.finish()
+        assert [r.output for r in sub.results()] == [solo, solo]
+
+
+def test_hub_finish_mid_code_point_is_a_located_truncation_error():
+    """A stream ending inside a multi-byte UTF-8 sequence raises the push
+    run's truncation error at the true stream offset, and the aborted
+    document's buffers leave the shared governor's ledger at zero."""
+    from repro.storage.governor import MemoryGovernor
+
+    buffering = "<r>{ for $b in $ROOT/bib/book return <b>{$b/author}{$b/title}</b> }</r>"
+    head = _doc(0).encode("utf-8") + b"\n"
+    with MemoryGovernor(1 << 20) as governor:
+        hub = SubscriptionHub(_schema(), governor=governor)
+        titles = hub.subscribe(TITLES)
+        reordered = hub.subscribe(buffering)
+        hub.feed(head + b"<bib><book><title>x</title><author>\xc3")
+        assert governor.resident_bytes > 0  # the open document's title is buffered
+        with pytest.raises(XMLWellFormednessError) as raised:
+            hub.finish()
+        assert str(raised.value).startswith(
+            "truncated document: incomplete UTF-8 sequence at end of input"
+        )
+        assert raised.value.offset == len(head) + len(b"<bib><book><title>x</title><author>")
+        assert governor.resident_bytes == 0
+        assert (titles.state, reordered.state) == ("closed", "closed")
+        # The document sealed before the truncation was delivered intact.
+        assert [r.output for r in titles.results()] == _solo(TITLES, 1)
 
 
 def test_duplicate_query_text_delivers_independently():
