@@ -3,14 +3,14 @@
 Three contenders per query, all running the same plan over the same XMark
 document with output discarded:
 
-* **baseline**: the stage functions composed by hand with no observer
-  arguments at all -- no ``use_tracing`` resolution, no run-telemetry
-  fold; the closest living proxy for the pre-instrumentation engine,
+* **baseline**: the stage functions composed by hand (``feed_batch`` ->
+  ``materialize`` -> ``process_batch``) with no observer at all -- no
+  ``use_tracing`` resolution, no spans, no run-telemetry fold; the closest
+  living proxy for the pre-instrumentation engine,
 * **disabled**: ``engine.execute`` with tracing off -- the code path every
-  ordinary run takes, which selects the untraced stage loops once up
-  front and pays one ``is not None`` check per run/chunk,
-* **enabled**: ``engine.execute`` with ``trace=True`` -- per-batch spans
-  on every stage plus the report assembly.
+  ordinary run takes: the one batch loop, charging the no-op observer,
+* **enabled**: ``engine.execute`` with ``trace=True`` -- the same loop
+  charging per-batch spans on every stage, plus the report assembly.
 
 Timing is min-of-N with the three contenders tightly interleaved and GC
 paused; extra rounds are added if a
@@ -37,6 +37,7 @@ import pytest
 from repro import FluxEngine
 from repro.core.options import ExecutionOptions
 from repro.engine.executor import StreamExecutor
+from repro.fastpath import ByteScanner
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 
@@ -86,14 +87,27 @@ def test_tracing_overhead(benchmark, query):
     document = xmark_document(_SCALE)
     engine = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd())
 
+    chunk = _OFF.chunk_size
+    filtered = engine.projection_spec is not None
+
     def baseline():
-        executor = StreamExecutor(
-            engine.plan,
-            collect_output=False,
-            count_input=not engine.pipeline.projection_enabled,
-        )
-        batches = engine.pipeline.event_batches(document, stats=executor.stats)
-        executor.run_batches(batches)
+        data = document.encode("utf-8")  # as ``execute`` does with a str
+        executor = StreamExecutor(engine.plan, collect_output=False, count_input=not filtered)
+        scanner = ByteScanner(engine.fanout.tags, engine.fanout.table())
+
+        def batches():
+            for at in range(0, len(data), chunk):
+                yield scanner.feed_batch(data[at : at + chunk])
+            yield scanner.close_batch()
+
+        executor.begin()
+        for batch in batches():
+            if filtered and batch.seen:
+                executor.stats.record_input(batch.seen, batch.cost)
+            events = batch.materialize()
+            if events:
+                executor.process_batch(events)
+        executor.finish()
 
     def disabled():
         engine.execute(document, options=_OFF)

@@ -5,7 +5,7 @@ constant factors of the compiled pipeline on the XMark workload:
 
 * ``projection`` vs ``no-projection``: the pre-executor projection filter
   (events of provably untouched subtrees never reach the executor),
-* ``streaming``: the fragment-yielding output path (`run_streaming`),
+* ``streaming``: the fragment-yielding output path (`stream`),
   which must cost the same as a collected run while never materializing
   the result.
 
@@ -62,7 +62,7 @@ def test_streaming_output_throughput(benchmark, query):
     collected = engine.run(document).output
 
     def run():
-        streaming_run = engine.run_streaming(document)
+        streaming_run = engine.stream(document)
         return "".join(streaming_run), streaming_run.stats
 
     streamed, stats = benchmark.pedantic(run, rounds=1, iterations=1)

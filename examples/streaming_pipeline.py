@@ -3,7 +3,7 @@
 The FluX engine consumes SAX-style events, so the input can be an arbitrarily
 large file -- or, as here, a generator that produces the document chunk by
 chunk while the query is being evaluated.  Since the push-based pipeline
-refactor the *output* side is symmetric: ``run_streaming`` yields serialized
+refactor the *output* side is symmetric: ``stream`` yields serialized
 result fragments as the input is consumed, so neither the document nor the
 result is ever materialized as one Python string.
 

@@ -6,8 +6,8 @@ execution path the repo has grown:
 * the **naive baseline** (full materialisation + reference semantics) --
   this is the reference output,
 * the **projection baseline** (path-projected materialisation),
-* the **FluX engine** in all three sink modes (``run``, ``run_streaming``,
-  ``run_to_sink``) plus a ``collect_output=False`` run for the stats-only
+* the **FluX engine** in all three sink modes (``run``, ``stream``,
+  ``execute(sink=)``) plus a ``collect_output=False`` run for the stats-only
   path and a ``projection=False`` run; the input statistics of the
   projected and the unprojected run must both equal the totals of the
   reference event stream (the pre-drop accounting contract),
@@ -346,7 +346,7 @@ class Oracle:
 
         # --- sink mode 2: streaming fragments ---------------------------
         try:
-            run = engine.run_streaming(case.document, expand_attrs=expand)
+            run = engine.stream(case.document, options=ExecutionOptions(expand_attrs=expand))
             streamed = "".join(run)
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "flux-streaming", f"run crashed: {exc!r}"))
@@ -358,7 +358,9 @@ class Oracle:
         # --- sink mode 3: writable sink ---------------------------------
         sink = io.StringIO()
         try:
-            sink_result = engine.run_to_sink(case.document, sink, expand_attrs=expand)
+            sink_result = engine.execute(
+                case.document, sink=sink, options=ExecutionOptions(expand_attrs=expand)
+            )
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "flux-sink", f"run crashed: {exc!r}"))
             return expected, peak

@@ -15,16 +15,13 @@ Migration map (old -> new)::
     FluxEngine(q, dtd).run(doc)       -> session.prepare(q).execute(doc)
     (no old equivalent)               -> session.prepare(q).open_run() -- push mode
 
-The scattered per-run keyword spellings (``collect_output=...``,
-``expand_attrs=...``, ``projection=...``, ``memory_budget=...``) keep
-working but emit :class:`DeprecationWarning`; pass an
-:class:`~repro.core.options.ExecutionOptions` (and the compile-time
-``projection`` flag to ``prepare``) instead.
+Per-run behaviour is one :class:`~repro.core.options.ExecutionOptions`
+(``options=``); the compile-time ``projection`` flag belongs to
+``prepare``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Union
 
@@ -42,11 +39,6 @@ from repro.multiquery import MultiQueryRun
 from repro.xmlstream.parser import DocumentSource
 from repro.xquery.ast import ROOT_VARIABLE, XQExpr
 from repro.xquery.parser import parse_query
-
-#: Sentinel distinguishing "keyword not passed" from an explicit value, so
-#: the deprecation warning only fires for spellings the caller actually used.
-_UNSET = object()
-
 
 def load_dtd(source: Union[str, DTD], *, root_element: Optional[str] = None) -> DTD:
     """Parse (if necessary) a DTD and attach the virtual document root.
@@ -97,22 +89,6 @@ def compile_to_flux(
     )
 
 
-def _legacy_options(options: Optional[ExecutionOptions], **legacy):
-    """Fold legacy keyword spellings into ``(options, projection)``, warning
-    when any deprecated spelling was actually used."""
-    given = {key: value for key, value in legacy.items() if value is not _UNSET}
-    if given:
-        warnings.warn(
-            f"the {sorted(given)} keyword spelling(s) are deprecated; pass "
-            "options=ExecutionOptions(...) (and give 'projection' to "
-            "FluxSession.prepare) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    projection = given.pop("projection", True)
-    return ExecutionOptions.from_kwargs(options, **given), projection
-
-
 def _session_for(dtd: Union[str, DTD], root_element: Optional[str]) -> FluxSession:
     """A throwaway session for one shim call.
 
@@ -132,25 +108,14 @@ def run_query(
     *,
     root_element: Optional[str] = None,
     options: Optional[ExecutionOptions] = None,
-    collect_output=_UNSET,
-    expand_attrs=_UNSET,
-    projection=_UNSET,
-    memory_budget=_UNSET,
 ) -> FluxRunResult:
     """One-shot: schedule, compile and execute a query over a document.
 
     A shim over :class:`~repro.core.session.FluxSession` -- hold a session
     yourself to reuse compiled plans across calls.
     """
-    opts, use_projection = _legacy_options(
-        options,
-        collect_output=collect_output,
-        expand_attrs=expand_attrs,
-        projection=projection,
-        memory_budget=memory_budget,
-    )
     session = _session_for(dtd, root_element)
-    return session.prepare(query, projection=use_projection).execute(document, options=opts)
+    return session.prepare(query).execute(document, options=options)
 
 
 def run_query_streaming(
@@ -160,9 +125,6 @@ def run_query_streaming(
     *,
     root_element: Optional[str] = None,
     options: Optional[ExecutionOptions] = None,
-    expand_attrs=_UNSET,
-    projection=_UNSET,
-    memory_budget=_UNSET,
 ) -> "StreamingRun":
     """One-shot streaming run: iterate serialized output fragments.
 
@@ -171,14 +133,8 @@ def run_query_streaming(
     ever materialized, so result size does not affect peak memory.  Its
     ``stats`` attribute carries the run statistics once exhausted.
     """
-    opts, use_projection = _legacy_options(
-        options,
-        expand_attrs=expand_attrs,
-        projection=projection,
-        memory_budget=memory_budget,
-    )
     session = _session_for(dtd, root_element)
-    return session.prepare(query, projection=use_projection).stream(document, options=opts)
+    return session.prepare(query).stream(document, options=options)
 
 
 def run_query_to_sink(
@@ -189,9 +145,6 @@ def run_query_to_sink(
     *,
     root_element: Optional[str] = None,
     options: Optional[ExecutionOptions] = None,
-    expand_attrs=_UNSET,
-    projection=_UNSET,
-    memory_budget=_UNSET,
 ) -> FluxRunResult:
     """One-shot file-output run: write fragments straight into ``writable``.
 
@@ -199,16 +152,8 @@ def run_query_to_sink(
     socket wrapper, ``sys.stdout``).  The result's ``output`` is ``None``;
     peak memory stays independent of output size.
     """
-    opts, use_projection = _legacy_options(
-        options,
-        expand_attrs=expand_attrs,
-        projection=projection,
-        memory_budget=memory_budget,
-    )
     session = _session_for(dtd, root_element)
-    return session.prepare(query, projection=use_projection).execute(
-        document, sink=writable, options=opts
-    )
+    return session.prepare(query).execute(document, sink=writable, options=options)
 
 
 def run_queries(
@@ -218,11 +163,7 @@ def run_queries(
     *,
     root_element: Optional[str] = None,
     options: Optional[ExecutionOptions] = None,
-    collect_output=_UNSET,
     sinks: Optional[Mapping[str, object]] = None,
-    expand_attrs=_UNSET,
-    projection=_UNSET,
-    memory_budget=_UNSET,
 ) -> MultiQueryRun:
     """Run N queries over one shared document pass (multi-query execution).
 
@@ -236,16 +177,8 @@ def run_queries(
             "queries must be a mapping or a sequence of queries; "
             "for a single query use run_query(...)"
         )
-    opts, use_projection = _legacy_options(
-        options,
-        collect_output=collect_output,
-        expand_attrs=expand_attrs,
-        projection=projection,
-        memory_budget=memory_budget,
-    )
     session = _session_for(dtd, root_element)
-    prepared = session.prepare_many(queries, projection=use_projection)
-    return prepared.execute(document, sinks=sinks, options=opts)
+    return session.prepare_many(queries).execute(document, sinks=sinks, options=options)
 
 
 def compare_engines(

@@ -9,9 +9,8 @@ A :class:`FluxSession` is the long-lived object a service keeps per schema:
   again skips parsing, scheduling and plan compilation entirely -- the
   expensive, perfectly cacheable step of FluX execution (the schedule
   depends only on query and DTD, never on the document).
-* **unified execution** -- ``prepared.execute(document, sink=..., options=...)``
-  replaces the old ``run`` / ``run_streaming`` / ``run_to_sink`` trio: where
-  the output goes is a :mod:`~repro.pipeline.sinks` value, how the run
+* **unified execution** -- ``prepared.execute(document, sink=..., options=...)``:
+  where the output goes is a :mod:`~repro.pipeline.sinks` value, how the run
   behaves is one :class:`~repro.core.options.ExecutionOptions`.
 * **push mode** -- ``prepared.open_run(sink)`` returns a
   :class:`~repro.engine.engine.RunHandle`: ``feed(chunk)`` / ``finish()``

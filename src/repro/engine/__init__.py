@@ -33,7 +33,7 @@ Run side (:class:`~repro.engine.executor.StreamExecutor`):
   discarded, streamed as fragments, or written straight to a file.
 
 Public entry point: :class:`repro.engine.engine.FluxEngine` (re-exported
-from :mod:`repro.core`) with ``run``, ``run_streaming`` and ``run_to_sink``.
+from :mod:`repro.core`) with ``execute``, ``stream`` and ``open_run``.
 """
 
 from repro.engine.buffers import BufferManager, EventBuffer

@@ -14,17 +14,19 @@
 The engine can equally be constructed from an already-built FluX query
 (hand-written or produced elsewhere); it then starts at step 4.
 
-One compiled plan serves every execution shape:
+One compiled plan serves every execution shape, and every shape is the
+same :class:`RunHandle` over the same
+:class:`~repro.fastpath.pipeline.DocumentPass`:
 
-* :meth:`FluxEngine.execute` -- the unified entry: one document, any
-  :mod:`~repro.pipeline.sinks` target, one :class:`ExecutionOptions`,
-* :meth:`FluxEngine.open_run` -- **push mode**: a :class:`RunHandle` whose
-  ``feed(chunk)`` / ``finish()`` execute the query incrementally as chunks
-  arrive (network sockets, message frames) without any pull-based source,
-* :meth:`FluxEngine.stream` / :meth:`FluxEngine.run_streaming` -- iterate
-  serialized output fragments while the input is being consumed,
-* :meth:`FluxEngine.run` / :meth:`FluxEngine.run_to_sink` -- the legacy
-  spellings, now thin shims over :meth:`FluxEngine.execute`.
+* :meth:`FluxEngine.open_run` -- **push mode**: the caller drives the
+  handle, ``feed(chunk)`` / ``finish()`` executing the query incrementally
+  as chunks arrive (network sockets, message frames),
+* :meth:`FluxEngine.execute` -- the unified pull entry: one document, any
+  :mod:`~repro.pipeline.sinks` target, one :class:`ExecutionOptions`; the
+  handle is driven from the document source to completion,
+* :meth:`FluxEngine.stream` -- the same drive, iterated for serialized
+  output fragments while the input is being consumed,
+* :meth:`FluxEngine.run` -- the keyword spelling of :meth:`FluxEngine.execute`.
 
 The session layer (:mod:`repro.core.session`) adds plan caching and
 session-scoped memory governance on top; its ``PreparedQuery`` calls
@@ -39,20 +41,23 @@ import os
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional, Union
 
 from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.dtd.schema import DTD, ROOT_ELEMENT
-from repro.engine.executor import ExecutionResult, StreamExecutor
+from repro.engine.executor import StreamExecutor
 from repro.engine.plan import QueryPlan, compile_plan
-from repro.fastpath import FastEventPipeline
+from repro.fastpath import DocumentPass
 from repro.flux.ast import FluxExpr
 from repro.flux.rewrite import RewriteResult, rewrite_to_flux
 from repro.obs import recorder as _flight
 from repro.obs import serve as _serve
 from repro.obs.export import append_jsonl
-from repro.obs.observer import Observer, TraceReport, use_tracing
+from repro.obs.observer import NULL_OBSERVER, Observer, TraceReport, use_tracing
 from repro.obs.runtime import record_run
+from repro.pipeline.fanout import DynamicFanout
+from repro.pipeline.projection import ProjectionSpec
 from repro.pipeline.sinks import FragmentSink, resolve_sink
 from repro.storage.governor import MemoryGovernor
 from repro.xmlstream.parser import DocumentSource
@@ -100,8 +105,8 @@ def _finish_observation(observer, stats, *, push: bool = False) -> Optional[Trac
     exactly once per finished run from each execution shape; aborted runs
     never reach it.
     """
-    record_run(stats, traced=observer is not None and observer.enabled, push=push)
-    if observer is None or not observer.enabled:
+    record_run(stats, traced=observer.enabled, push=push)
+    if not observer.enabled:
         return None
     report = observer.finish(stats)
     path = os.environ.get("REPRO_OBS_JSON")
@@ -140,141 +145,20 @@ def ensure_rooted(dtd: DTD, root_element: Optional[str] = None) -> DTD:
     return dtd.with_root(root_element)
 
 
-class StreamingRun:
-    """An in-flight streaming execution: iterate it to pull output fragments.
-
-    The run advances lazily -- each pulled fragment corresponds to the
-    output produced by some bounded span of input.  After exhaustion,
-    :attr:`stats` carries the completed run's statistics (also available
-    while streaming, with partially-accumulated counters).
-
-    A run that owns a memory governor releases its spill file when the
-    iteration ends -- exhausted *or* abandoned -- and additionally via
-    :meth:`close`, context-manager exit, and a garbage-collection finalizer,
-    so a run that is created but never iterated cannot leak the governor.
-    """
-
-    def __init__(
-        self,
-        executor: StreamExecutor,
-        sink: FragmentSink,
-        batches,
-        governor=None,
-        owns_governor: bool = True,
-        on_finish=None,
-        observer=None,
-        options: Optional[ExecutionOptions] = None,
-    ):
-        self._executor = executor
-        self._sink = sink
-        self._batches = batches
-        self._governor = governor if owns_governor else None
-        self._options = options
-        self._consumed = False
-        self._on_finish = on_finish
-        self._observer = observer
-        self.stats: RunStatistics = executor.stats
-        #: The finished run's :class:`TraceReport` (traced runs only).
-        self.trace: Optional[TraceReport] = None
-        # Both finalizers reference the executor/governor, never the run
-        # itself, so they cannot keep the run alive; both are idempotent.
-        self._abort_finalizer = weakref.finalize(self, _quiet_abort, executor)
-        if self._governor is not None:
-            self._finalizer = weakref.finalize(self, self._governor.close)
-        else:
-            self._finalizer = None
-
-    def close(self) -> None:
-        """Release the run's resources without (further) iterating it.
-
-        Closing an unconsumed or abandoned run marks it consumed, releases
-        any live scope buffers (so a session-shared governor gets its pages
-        back) and closes an owned governor (spill file included); closing
-        an exhausted or already-closed run is a no-op.
-        """
-        self._consumed = True
-        self._abort_finalizer()
-        if self._finalizer is not None:
-            self._finalizer()  # runs governor.close() exactly once
-
-    def __enter__(self) -> "StreamingRun":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __iter__(self) -> Iterator[str]:
-        if self._consumed:
-            raise RuntimeError(
-                "this StreamingRun was already consumed; call run_streaming again"
-            )
-        self._consumed = True
-        executor = self._executor
-        sink = self._sink
-        observer = self._observer
-        try:
-            if observer is not None and observer.enabled:
-                # Traced twin of the drain loop below: ``execute`` spans
-                # around begin/batch/finish (never around a yield, so an
-                # abandoned stream leaves no span open), stage charges from
-                # the span timings.
-                observer.mode = "stream"
-                tracer = observer.tracer
-                stage = observer.stage("execute")
-                with tracer.span("execute") as span:
-                    executor.begin()
-                stage.seconds += span.record.seconds
-                fragment = sink.drain()
-                if fragment:
-                    yield fragment
-                for batch in self._batches:
-                    with tracer.span("execute") as span:
-                        executor.process_batch(batch)
-                    stage.charge(span.record.seconds, len(batch))
-                    fragment = sink.drain()
-                    if fragment:
-                        yield fragment
-                with tracer.span("execute") as span:
-                    executor.finish()
-                stage.seconds += span.record.seconds
-            else:
-                executor.begin()
-                fragment = sink.drain()
-                if fragment:
-                    yield fragment
-                for batch in self._batches:
-                    executor.process_batch(batch)
-                    fragment = sink.drain()
-                    if fragment:
-                        yield fragment
-                executor.finish()
-            fragment = sink.drain()
-            if fragment:
-                yield fragment
-            self.trace = _finish_observation(observer, self.stats)
-            if self._on_finish is not None:
-                self._on_finish(self.stats)
-        except Exception as exc:
-            # Abandonment (GeneratorExit) is not a crash; engine errors are.
-            _flight.dump_crash(exc, stats=self.stats, options=self._options, mode="stream")
-            raise
-        finally:
-            # An owned governor is per-run: its spill file dies with the
-            # stream, whether the consumer exhausted it or abandoned it.
-            self.close()
-
-
 class RunHandle:
-    """One in-flight **push-mode** execution: feed chunks, then finish.
+    """One in-flight execution of a compiled plan over one document.
 
-    Where :class:`StreamingRun` *pulls* from a document source, a run
-    handle is driven by the caller -- typically a network loop handing over
-    payload chunks as they arrive::
+    Every execution shape is this object: :meth:`FluxEngine.open_run` hands
+    it to the caller (**push mode** -- typically a network loop handing over
+    payload chunks as they arrive)::
 
         with prepared.open_run() as run:
             for chunk in socket_chunks:
                 run.feed(chunk)
         print(run.result.output)
+
+    while :meth:`FluxEngine.execute` and :meth:`FluxEngine.stream` open the
+    same handle and drive it from a document source themselves.
 
     ``feed`` accepts text or UTF-8 bytes split at arbitrary points (the
     scanner is resumable across chunk boundaries) and returns the
@@ -284,21 +168,27 @@ class RunHandle:
     returns the :class:`FluxRunResult`; the context manager finishes on a
     clean exit and aborts (``close``) on an exception.  Statistics are
     live on :attr:`stats` throughout.
+
+    A run that owns a memory governor releases its spill file when it
+    finishes or is closed, and additionally via a garbage-collection
+    finalizer, so a handle that is dropped unfinished cannot leak it.
     """
 
     def __init__(
         self,
         executor: StreamExecutor,
-        feed,
-        governor=None,
-        owns_governor: bool = True,
-        on_finish=None,
-        observer=None,
-        options: Optional[ExecutionOptions] = None,
-        annotations: Optional[dict] = None,
+        doc_pass: DocumentPass,
+        *,
+        governor,
+        owns_governor: bool,
+        on_finish,
+        observer,
+        options: ExecutionOptions,
+        annotations: Optional[dict],
+        mode: str,
     ):
         self._executor = executor
-        self._feed = feed
+        self._pass = doc_pass
         self._governor = governor if owns_governor else None
         self._on_finish = on_finish
         self._observer = observer
@@ -306,6 +196,9 @@ class RunHandle:
         # Caller-supplied watermarks (a feed's exact document offsets);
         # merged into /progress snapshots and crash dumps verbatim.
         self._annotations = annotations
+        #: ``pull`` / ``stream`` / ``push``: who drives the run.  A label
+        #: for reports, crash dumps and telemetry -- the code is the same.
+        self._mode = mode
         self._state = "open"
         # Push-mode watermarks: raw units fed (bytes or characters, as
         # fed) and the most recent chunk boundaries, for /progress and for
@@ -317,24 +210,26 @@ class RunHandle:
         #: The completed run's result; set by :meth:`finish`.
         self.result: Optional[FluxRunResult] = None
         self._drain = getattr(executor.sink, "drain", None)
-        # As in StreamingRun: finalizers reference executor/governor only,
-        # so an unclosed, garbage-collected handle still releases its live
+        # Both finalizers reference the executor/governor, never the handle
+        # itself, so they cannot keep it alive; both are idempotent.  An
+        # unclosed, garbage-collected handle still releases its live
         # buffers (shared governor) and its owned governor's spill file.
         self._abort_finalizer = weakref.finalize(self, _quiet_abort, executor)
         if self._governor is not None:
             self._finalizer = weakref.finalize(self, self._governor.close)
         else:
             self._finalizer = None
-        if observer is not None and observer.enabled:
-            observer.mode = "push"
-            with observer.tracer.span("execute") as span:
-                executor.begin()
-            observer.stage("execute").seconds += span.record.seconds
-        else:
+        # ``begin``/``finish`` are charged to the execute stage too, so
+        # end-of-document handler work (e.g. Q8's final joins) is
+        # attributed -- that is what lets the stage sum track wall time.
+        self._tracer = observer.tracer
+        self._execute_stage = observer.stage("execute")
+        with self._tracer.span("execute") as span:
             executor.begin()
-        _flight.RECORDER.note("run-begin", "push")
-        # Every open push run is visible on /progress (whether or not a
-        # server is listening, registration is one dict insert).
+        self._execute_stage.seconds += span.record.seconds
+        _flight.RECORDER.note("run-begin", mode)
+        # Every open run is visible on /progress (whether or not a server
+        # is listening, registration is one dict insert).
         self._progress_key = _serve.register_run(self._progress)
 
     # ------------------------------------------------------------- progress
@@ -343,7 +238,7 @@ class RunHandle:
         """One JSON-ready watermark snapshot for the /progress endpoint."""
         stats = self.stats
         entry = {
-            "mode": "push",
+            "mode": self._mode,
             "state": self._state,
             "bytes_fed": self._fed_bytes,
             "chunks_fed": self._chunks_fed,
@@ -362,10 +257,9 @@ class RunHandle:
                 owner.variable: owner.live_bytes
                 for owner in attribution.owners.values()
             }
-        observer = self._observer
-        if observer is not None and observer.enabled:
+        if self._observer.enabled:
             stages = {}
-            for name, stage in observer.stages.items():
+            for name, stage in self._observer.stages.items():
                 seconds = stage.seconds
                 stages[name] = {
                     "seconds": seconds,
@@ -377,17 +271,27 @@ class RunHandle:
             entry["stages"] = stages
         return entry
 
-    def _dump_crash(self, error: BaseException) -> None:
-        _flight.dump_crash(
-            error,
-            stats=self.stats,
-            options=self._options,
-            mode="push",
-            chunk_offsets=self._chunk_offsets,
-            context=self._annotations,
-        )
+    def _abort(self, error: BaseException) -> None:
+        """A failed run: forensics for engine errors, then release everything."""
+        if isinstance(error, Exception):
+            _flight.dump_crash(
+                error,
+                stats=self.stats,
+                options=self._options,
+                mode=self._mode,
+                chunk_offsets=self._chunk_offsets,
+                context=self._annotations,
+            )
+        self.close()
 
     # ----------------------------------------------------------------- feed
+
+    def _process(self, events) -> None:
+        """The execute stage for the events one scan step completed."""
+        if events:
+            with self._tracer.span("execute") as span:
+                self._executor.process_batch(events)
+            self._execute_stage.charge(span.record.seconds, len(events))
 
     def feed(self, chunk) -> Optional[str]:
         """Execute one more chunk of the document (text or UTF-8 bytes).
@@ -401,27 +305,22 @@ class RunHandle:
         """
         if self._state != "open":
             raise RuntimeError(f"cannot feed a {self._state} run")
-        if isinstance(chunk, str) and self._feed.pending_bytes:
-            raise ValueError(
-                "cannot feed text while a partial UTF-8 sequence from a "
-                "previous byte chunk is pending; feed the remaining bytes first"
-            )
-        observer = self._observer
         size = len(chunk)
+        if isinstance(chunk, str):
+            if self._pass.pending_bytes:
+                raise ValueError(
+                    "cannot feed text while a partial UTF-8 sequence from a "
+                    "previous byte chunk is pending; feed the remaining bytes first"
+                )
+            data = chunk.encode("utf-8")
+        else:
+            data = bytes(chunk)
         self._chunk_offsets.append(self._fed_bytes + size)
         _flight.RECORDER.note("chunk", size, self._fed_bytes + size)
         try:
-            batch = self._feed.feed(chunk)
-            if batch:
-                if observer is not None and observer.enabled:
-                    with observer.tracer.span("execute") as span:
-                        self._executor.process_batch(batch)
-                    observer.stage("execute").charge(span.record.seconds, len(batch))
-                else:
-                    self._executor.process_batch(batch)
+            self._process(self._pass.feed(data)[0])
         except Exception as exc:
-            self._dump_crash(exc)
-            self.close()
+            self._abort(exc)
             raise
         self._fed_bytes += size
         self._chunks_fed += 1
@@ -432,36 +331,48 @@ class RunHandle:
         ``finish``); the empty string for non-drainable sinks."""
         return self._drain() if self._drain is not None else ""
 
+    def _drive(self, document: DocumentSource) -> Iterator[None]:
+        """Pull one whole document through the run, then finish it.
+
+        The loop behind :meth:`FluxEngine.execute` and
+        :meth:`FluxEngine.stream`: it pauses (yields) after every batch and
+        once more after ``finish``, which is when a stream drains its sink.
+        Spans never enclose a ``yield``, so an abandoned stream leaves none
+        open; abandoning the generator aborts the run like any failure.
+        """
+        try:
+            for subs in self._pass.scan(document, self._options.chunk_size):
+                self._process(subs[0])
+                yield
+        except BaseException as exc:
+            self._abort(exc)
+            raise
+        self.finish()
+        yield
+
     def finish(self) -> FluxRunResult:
         """End of input: flush, validate, release resources, return the result."""
         if self._state == "finished":
             return self.result
         if self._state != "open":
             raise RuntimeError("cannot finish a closed run")
-        observer = self._observer
         try:
-            tail = self._feed.finish()
-            if observer is not None and observer.enabled:
-                with observer.tracer.span("execute") as span:
-                    if tail:
-                        self._executor.process_batch(tail)
-                    execution = self._executor.finish()
-                observer.stage("execute").seconds += span.record.seconds
-            else:
+            tail = self._pass.finish()[0]
+            with self._tracer.span("execute") as span:
                 if tail:
                     self._executor.process_batch(tail)
                 execution = self._executor.finish()
+            self._execute_stage.seconds += span.record.seconds
         except Exception as exc:
-            self._dump_crash(exc)
-            self.close()
+            self._abort(exc)
             raise
         self._state = "finished"
         _serve.unregister_run(self._progress_key)
-        _flight.RECORDER.note("run-finish", "push", self.stats.output_bytes)
+        _flight.RECORDER.note("run-finish", self._mode, self.stats.output_bytes)
         self._abort_finalizer()  # no live buffers remain: a no-op teardown
         if self._finalizer is not None:
             self._finalizer()
-        trace = _finish_observation(observer, self.stats, push=True)
+        trace = _finish_observation(self._observer, self.stats, push=self._mode == "push")
         self.result = FluxRunResult(output=execution.output, stats=execution.stats, trace=trace)
         if self._on_finish is not None:
             self._on_finish(self.stats)
@@ -471,7 +382,8 @@ class RunHandle:
         """Abort an unfinished run, releasing its buffers and governor.
 
         Idempotent.  Live scope buffers are released so a session-shared
-        governor gets its pages (and spill-store space) back immediately.
+        governor gets its pages (and spill-store space) back immediately;
+        an owned governor is closed (spill file included).
         """
         if self._state == "open":
             self._state = "closed"
@@ -488,6 +400,45 @@ class RunHandle:
             self.finish()
         else:
             self.close()
+
+
+class StreamingRun(RunHandle):
+    """A pull-mode run whose output is iterated fragment by fragment.
+
+    The run advances lazily -- each pulled fragment corresponds to the
+    output produced by some bounded span of input.  After exhaustion,
+    :attr:`stats` carries the completed run's statistics (also available
+    while streaming, with partially-accumulated counters) and
+    :attr:`trace` the :class:`TraceReport` of a traced run.
+
+    It is a :class:`RunHandle` that brings its own document: the
+    close / finalizer contract is the handle's, so a run that is created
+    but never iterated, or abandoned half-way, cannot leak its governor;
+    leaving the ``with`` block closes it (there is nothing to ``finish``
+    that iteration has not finished).
+    """
+
+    def __init__(self, document: DocumentSource, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._document = document
+        self.trace: Optional[TraceReport] = None
+
+    def __iter__(self) -> Iterator[str]:
+        if self._document is None or self._state != "open":
+            raise RuntimeError("this StreamingRun was already consumed; call stream again")
+        document, self._document = self._document, None
+        try:
+            for _ in self._drive(document):
+                fragment = self._drain()
+                if fragment:
+                    yield fragment
+            self.trace = self.result.trace
+        finally:
+            # Exhausted or abandoned, the stream's resources die with it.
+            self.close()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class FluxEngine:
@@ -552,7 +503,20 @@ class FluxEngine:
             flux = self.rewrite_result.flux
         self.flux = flux
         self.plan: QueryPlan = compile_plan(flux, dtd, root_var=root_var, require_safe=require_safe)
-        self.pipeline = FastEventPipeline(self.plan, projection=projection)
+        spec = ProjectionSpec(self.plan) if projection else None
+        #: The projection automaton, or ``None`` when nothing is filtered:
+        #: projection off, or a trivial spec (the root scope captures
+        #: everything) that would only cost a lookup per tag.  What the
+        #: multi-query engine and the subscription hub attach to *their*
+        #: fanouts.
+        self.projection_spec: Optional[ProjectionSpec] = (
+            None if spec is None or spec.trivial else spec
+        )
+        #: The one-slot union automaton every run of this engine scans
+        #: through: its tag and transition tables stay warm across runs.
+        self.fanout = DynamicFanout()
+        self.fanout.attach(self.projection_spec)
+        self.fanout.table()  # built now, not raced for by concurrent first runs
 
     # ----------------------------------------------------------- inspection
 
@@ -567,7 +531,7 @@ class FluxEngine:
     # ------------------------------------------------------------ execution
 
     def _run_options(self, **overrides) -> ExecutionOptions:
-        """Options for a legacy-spelling run: engine fields + call kwargs."""
+        """Default options of a run: engine fields + call kwargs."""
         return ExecutionOptions.from_kwargs(
             DEFAULT_OPTIONS,
             memory_budget=self.memory_budget,
@@ -582,45 +546,73 @@ class FluxEngine:
             return None
         return MemoryGovernor(options.memory_budget, page_bytes=options.memory_page_bytes)
 
-    def _executor(
-        self, *, sink, stats: RunStatistics, governor: Optional[MemoryGovernor]
-    ) -> StreamExecutor:
-        return StreamExecutor(
-            self.plan,
-            stats=stats,
-            sink=sink,
-            # With the projection filter active, input accounting happens in
-            # the scanner (pre-drop); the executor must not double-count.
-            count_input=not self.pipeline.projection_enabled,
-            buffer_factory=governor.make_buffer if governor is not None else None,
-        )
-
-    def _run_setup(self, options, sink, governor, owns_governor: bool):
-        """The shared preamble of every execution shape.
+    def _start(
+        self,
+        handle,
+        mode: str,
+        sink,
+        options: Optional[ExecutionOptions],
+        governor: Optional[MemoryGovernor],
+        owns_governor: bool,
+        on_finish,
+        *,
+        stop_at_root_close: bool = False,
+        base_offset: int = 0,
+        annotations: Optional[dict] = None,
+    ) -> RunHandle:
+        """Open the one kind of run there is, for any execution shape.
 
         Resolves options, creates the run's statistics, binds the sink,
         settles governor ownership (an injected governor keeps the caller's
         ownership flag, an absent one is created from the options and owned
-        by this run) and resolves tracing: ``observer`` is a live
-        :class:`~repro.obs.observer.Observer` when this run traces, ``None``
-        otherwise -- downstream layers treat ``None`` as "run the
-        pre-instrumentation code path".  Returns ``(options, stats,
-        bound_sink, governor, owned, observer)``.
+        by this run), resolves tracing (:data:`NULL_OBSERVER` unless this
+        run traces) and wires executor and document pass into ``handle`` --
+        :class:`RunHandle` or its iterable subclass.
         """
         if options is None:
             options = self._run_options()
         stats = RunStatistics()
         bound_sink = resolve_sink(sink, stats, collect_output=options.collect_output)
-        owned = owns_governor
         if governor is None:
             governor = self._make_governor(options)
-            owned = True
-        observer = Observer() if use_tracing(options.trace) else None
+            owns_governor = True
+        observer = NULL_OBSERVER
+        if use_tracing(options.trace):
+            observer = Observer()
+            observer.mode = mode
         if options.serve_metrics is not None:
             # Start (or reuse) the background /metrics + /progress server;
             # the run itself executes identical code either way.
             _serve.ensure_server(options.serve_metrics)
-        return options, stats, bound_sink, governor, owned, observer
+        filtered = self.projection_spec is not None
+        executor = StreamExecutor(
+            self.plan,
+            stats=stats,
+            sink=bound_sink,
+            # With the projection filter active, input accounting happens in
+            # the pass (pre-drop); the executor must not double-count.
+            count_input=not filtered,
+            buffer_factory=governor.make_buffer if governor is not None else None,
+        )
+        doc_pass = DocumentPass(
+            self.fanout,
+            [stats] if filtered else (),
+            expand_attrs=options.expand_attrs,
+            stop_at_root_close=stop_at_root_close,
+            base_offset=base_offset,
+            observer=observer,
+        )
+        return handle(
+            executor,
+            doc_pass,
+            governor=governor,
+            owns_governor=owns_governor,
+            on_finish=on_finish,
+            observer=observer,
+            options=options,
+            annotations=annotations,
+            mode=mode,
+        )
 
     def execute(
         self,
@@ -642,35 +634,9 @@ class FluxEngine:
         it survives the run.  ``on_finish`` is called with the completed
         run's statistics (session bookkeeping).
         """
-        options, stats, bound_sink, governor, owned, observer = self._run_setup(
-            options, sink, governor, owns_governor
-        )
-        executor = self._executor(sink=bound_sink, stats=stats, governor=governor)
-        try:
-            batches = self.pipeline.event_batches(
-                document,
-                expand_attrs=options.expand_attrs,
-                stats=stats,
-                chunk_size=options.chunk_size,
-                observer=observer,
-            )
-            result: ExecutionResult = executor.run_batches(batches, observer=observer)
-        except BaseException as exc:
-            if isinstance(exc, Exception):
-                _flight.dump_crash(exc, stats=stats, options=options, mode="pull")
-            # A failed run must not leave its live buffers' pages charged
-            # against a *shared* (session-owned) governor; an owned one is
-            # closed below, which releases everything at once.
-            if governor is not None and not owned:
-                _quiet_abort(executor)
-            raise
-        finally:
-            if owned and governor is not None:
-                governor.close()
-        trace = _finish_observation(observer, stats)
-        if on_finish is not None:
-            on_finish(stats)
-        return FluxRunResult(output=result.output, stats=result.stats, trace=trace)
+        run = self._start(RunHandle, "pull", sink, options, governor, owns_governor, on_finish)
+        deque(run._drive(document), maxlen=0)  # run it to completion
+        return run.result
 
     def open_run(
         self,
@@ -681,6 +647,7 @@ class FluxEngine:
         owns_governor: bool = True,
         on_finish=None,
         stop_at_root_close: bool = False,
+        base_offset: int = 0,
         annotations: Optional[dict] = None,
     ) -> RunHandle:
         """Open a **push-mode** run: the caller feeds document chunks.
@@ -692,28 +659,21 @@ class FluxEngine:
 
         ``stop_at_root_close`` makes the run parse exactly one document and
         park any surplus bytes for the caller (:mod:`repro.feeds` uses this
-        to chain documents); ``annotations`` are caller watermarks (e.g. a
-        feed's absolute document offsets) echoed into /progress snapshots
-        and crash dumps.
+        to chain documents, passing each document's stream position as
+        ``base_offset`` so located errors are stream-absolute);
+        ``annotations`` are caller watermarks (e.g. a feed's absolute
+        document offsets) echoed into /progress snapshots and crash dumps.
         """
-        options, stats, bound_sink, governor, owned, observer = self._run_setup(
-            options, sink, governor, owns_governor
-        )
-        executor = self._executor(sink=bound_sink, stats=stats, governor=governor)
-        feed = self.pipeline.open_feed(
-            expand_attrs=options.expand_attrs,
-            stats=stats,
-            observer=observer,
+        return self._start(
+            RunHandle,
+            "push",
+            sink,
+            options,
+            governor,
+            owns_governor,
+            on_finish,
             stop_at_root_close=stop_at_root_close,
-        )
-        return RunHandle(
-            executor,
-            feed,
-            governor=governor,
-            owns_governor=owned,
-            on_finish=on_finish,
-            observer=observer,
-            options=options,
+            base_offset=base_offset,
             annotations=annotations,
         )
 
@@ -765,30 +725,21 @@ class FluxEngine:
         owns_governor: bool = True,
         on_finish=None,
     ) -> StreamingRun:
-        """Pull-mode execution yielding serialized output fragments lazily."""
-        options, stats, sink, governor, owned, observer = self._run_setup(
-            options, FragmentSink(), governor, owns_governor
-        )
-        executor = self._executor(sink=sink, stats=stats, governor=governor)
-        batches = self.pipeline.event_batches(
-            document,
-            expand_attrs=options.expand_attrs,
-            stats=stats,
-            chunk_size=options.chunk_size,
-            observer=observer,
-        )
-        return StreamingRun(
-            executor,
-            sink,
-            batches,
-            governor=governor,
-            owns_governor=owned,
-            on_finish=on_finish,
-            observer=observer,
-            options=options,
-        )
+        """Pull-mode execution yielding serialized output fragments lazily.
 
-    # ------------------------------------------------- legacy run spellings
+        The returned :class:`StreamingRun` is a lazy iterable: input is
+        scanned and executed as fragments are pulled, and no full-output
+        string is ever materialized.
+        """
+        return self._start(
+            partial(StreamingRun, document),
+            "stream",
+            FragmentSink(),
+            options,
+            governor,
+            owns_governor,
+            on_finish,
+        )
 
     def run(
         self,
@@ -801,37 +752,4 @@ class FluxEngine:
         return self.execute(
             document,
             options=self._run_options(collect_output=collect_output, expand_attrs=expand_attrs),
-        )
-
-    def run_streaming(
-        self,
-        document: DocumentSource,
-        *,
-        expand_attrs: bool = False,
-    ) -> StreamingRun:
-        """Execute the query, yielding serialized output fragments.
-
-        The returned :class:`StreamingRun` is a lazy iterable: input is
-        parsed, projected and executed as fragments are pulled, and no
-        full-output string is ever materialized.
-        """
-        return self.stream(document, options=self._run_options(expand_attrs=expand_attrs))
-
-    def run_to_sink(
-        self,
-        document: DocumentSource,
-        writable,
-        *,
-        expand_attrs: bool = False,
-    ) -> FluxRunResult:
-        """Execute the query, writing output fragments to ``writable``.
-
-        ``writable`` is anything with a ``write(str)`` method.  Fragments
-        are written as they are produced; the run's peak memory stays
-        independent of the output size.
-        """
-        return self.execute(
-            document,
-            sink=writable,
-            options=self._run_options(expand_attrs=expand_attrs),
         )

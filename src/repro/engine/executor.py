@@ -63,7 +63,7 @@ from repro.engine.xquery_exec import (
     evaluate_condition_runtime,
     execute_expression,
 )
-from repro.pipeline.sinks import CollectingSink, OutputSink
+from repro.pipeline.sinks import CollectSink, OutputSink
 from repro.xmlstream.events import (
     Characters,
     EndDocument,
@@ -214,7 +214,7 @@ class StreamExecutor:
         self.plan = plan
         self.stats = stats or RunStatistics()
         if sink is None:
-            sink = CollectingSink(self.stats) if collect_output else OutputSink(self.stats)
+            sink = CollectSink(self.stats) if collect_output else OutputSink(self.stats)
         self.sink = sink
         self.buffers = BufferManager(self.stats, factory=buffer_factory)
         self._count_input = count_input
@@ -226,48 +226,6 @@ class StreamExecutor:
         self._active_scopes: Dict[str, List[ScopeActivation]] = {}
 
     # ------------------------------------------------------------------ API
-
-    def run_batches(
-        self, batches: Iterable[List[Event]], observer=None
-    ) -> ExecutionResult:
-        """Consume a stream of event batches and produce the query result.
-
-        ``observer`` (an enabled :class:`repro.obs.observer.Observer`)
-        selects the traced twin of the loop; the default path below is the
-        untouched pre-instrumentation loop -- tracing off costs exactly this
-        one ``None`` check per *run*.
-        """
-        if observer is not None and observer.enabled:
-            return self._run_batches_traced(batches, observer)
-        self.begin()
-        process = self.process_batch
-        for batch in batches:
-            process(batch)
-        return self.finish()
-
-    def _run_batches_traced(self, batches, observer) -> ExecutionResult:
-        """The traced run loop: per-batch ``execute`` spans + stage charges.
-
-        ``begin``/``finish`` are charged to the execute stage too, so
-        end-of-document handler work (e.g. Q8's final joins) is attributed
-        -- that is what lets the stage sum track wall time.  Pulling the
-        next batch happens *outside* the spans: upstream stages charge
-        themselves inside the (traced) pipeline generator.
-        """
-        tracer = observer.tracer
-        stage = observer.stage("execute")
-        with tracer.span("execute") as span:
-            self.begin()
-        stage.seconds += span.record.seconds
-        process = self.process_batch
-        for batch in batches:
-            with tracer.span("execute") as span:
-                process(batch)
-            stage.charge(span.record.seconds, len(batch))
-        with tracer.span("execute") as span:
-            result = self.finish()
-        stage.seconds += span.record.seconds
-        return result
 
     def begin(self) -> None:
         """Start a run: emit the plan prelude and open the root scope."""

@@ -9,11 +9,13 @@ Everything between input bytes and the executor lives here:
 * :mod:`repro.fastpath.batch` -- struct-of-arrays event batches (packed
   integer words + byte spans) between the scanner and the executor
   boundary, materialized into event objects lazily,
-* :mod:`repro.fastpath.dfa` -- the projection automaton compiled to a flat
-  integer transition table indexed by ``state * width + tag_id``, including
-  the multi-query merged filter's membership bitsets,
-* :mod:`repro.fastpath.pipeline` / :mod:`repro.fastpath.fanout` -- the
-  per-plan pipeline (pull and push) and the multi-query shared scan.
+* :mod:`repro.fastpath.dfa` -- the union projection automaton
+  (:class:`repro.pipeline.fanout.DynamicFanout`) compiled to a flat integer
+  transition table indexed by ``state * width + tag_id``, including the
+  per-slot membership bitsets,
+* :mod:`repro.fastpath.pipeline` -- :class:`DocumentPass`, the one per-document
+  scan -> materialize site behind solo (pull and push), multi-query, feed
+  and serve runs.
 
 The reference implementation these are tested against is the pure-Python
 tokenizer of :mod:`repro.xmlstream` (``iter_events`` / ``parse_tree``),
@@ -24,20 +26,15 @@ output; it is not an engine path.
 from __future__ import annotations
 
 from repro.fastpath.batch import SoABatch
-from repro.fastpath.dfa import FlatProjectionTable, table_for_merged, table_for_spec
-from repro.fastpath.fanout import FastFanout
-from repro.fastpath.pipeline import FastEventPipeline, FastPipelineFeed
+from repro.fastpath.dfa import FlatProjectionTable
+from repro.fastpath.pipeline import DocumentPass
 from repro.fastpath.scanner import ByteScanner
 from repro.fastpath.tags import TagTable
 
 __all__ = [
     "ByteScanner",
-    "FastEventPipeline",
-    "FastFanout",
-    "FastPipelineFeed",
+    "DocumentPass",
     "FlatProjectionTable",
     "SoABatch",
     "TagTable",
-    "table_for_merged",
-    "table_for_spec",
 ]

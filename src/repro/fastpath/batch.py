@@ -6,7 +6,7 @@ parallel columns instead of per-event dataclasses:
 * ``words`` -- one packed ``int`` per surviving event:
   ``kind`` (3 bits) | ``tag id`` (30 bits) | ``projection state index``
   (upper bits).  The state index is what the multi-query fan-out uses to
-  recover the merged filter's membership masks without touching state
+  recover the union filter's membership masks without touching state
   objects.
 * ``spans`` -- ``(start, end)`` byte offsets into the batch's source
   ``buffer`` for rows that carry text: character data, CDATA content, and

@@ -1,29 +1,29 @@
 """Projection automaton compiled to a flat integer transition table.
 
-The projection automata (:class:`~repro.pipeline.projection.ProjectionSpec`
-and the multi-query :class:`~repro.pipeline.fanout.MergedProjectionSpec`)
-compute transitions over tag *strings*.  The scanner's steady-state lookup
+The union projection automaton
+(:class:`~repro.pipeline.fanout.DynamicFanout`, one slot per query)
+computes transitions over tag *strings*.  The scanner's steady-state lookup
 is one integer index into a single ``array('i')`` laid out as
 ``state_index * width + tag_id``.
 
 The table is a lazy *cache in front of* the automaton, never a
 reimplementation: an :data:`UNKNOWN` cell delegates to the automaton's
-``transition`` (via the adapter functions bound at construction), interns
+``transition`` (bound at construction), interns
 the successor, writes the cell and returns -- so keep/drop decisions agree
 with the automaton by construction, for any plan.  Only the
 ``(state, tag)`` pairs the documents actually contain are ever
 materialized.
 
 State indices also carry the per-state metadata the scanner and the
-fan-out stage need without touching state objects:
+fan-out stage need without touching state objects (copied from each
+interned state's ``keep_mask`` / ``chars_mask``):
 
-* ``chars_keep[i]`` -- character data is forwarded at state ``i`` (the
-  keep-everything region of the single-query filter, any component in
-  keep-everything for the merged filter),
-* ``keep_masks[i]`` / ``chars_masks[i]`` -- the merged union filter's
-  membership bitsets (pinned to ``1`` for single-query tables).
+* ``chars_keep[i]`` -- character data is forwarded at state ``i`` (some
+  slot is inside a keep-everything region),
+* ``keep_masks[i]`` / ``chars_masks[i]`` -- the union filter's per-slot
+  membership bitsets.
 
-The table is engine-shared: reads are lock-free, misses and growth happen
+The table is fanout-shared: reads are lock-free, misses and growth happen
 under a lock.  Growing reallocates ``cells``; readers that cached a stale
 reference still see valid (possibly :data:`UNKNOWN`) values and simply take
 the miss path again, so concurrent runs never observe a wrong transition.
@@ -33,28 +33,22 @@ from __future__ import annotations
 
 import threading
 from array import array
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List
 
 from repro.fastpath.tags import TagTable
-from repro.pipeline.fanout import MergedProjectionSpec
-from repro.pipeline.projection import KEEP_ALL, ProjectionSpec
 
 #: Cell value: drop the subtree rooted at this tag.
 DROP = -1
 #: Cell value: not computed yet -- delegate to the automaton.
 UNKNOWN = -2
 
-#: ``describe(state_obj) -> (chars_keep, keep_mask, chars_mask)``
-Describe = Callable[[object], Tuple[bool, int, int]]
-
 
 class FlatProjectionTable:
-    """Flat-array transition cache over one (single or merged) automaton."""
+    """Flat-array transition cache over one union projection automaton."""
 
     __slots__ = (
         "tags",
         "_transition",
-        "_describe",
         "_objs",
         "_index",
         "chars_keep",
@@ -70,12 +64,10 @@ class FlatProjectionTable:
         self,
         initial_obj: object,
         transition: Callable[[object, str], object],
-        describe: Describe,
         tags: TagTable,
     ):
         self.tags = tags
         self._transition = transition
-        self._describe = describe
         self._objs: List[object] = []
         self._index: dict = {}  # state object (identity-hashed) -> index
         self.chars_keep: List[bool] = []
@@ -94,10 +86,9 @@ class FlatProjectionTable:
         if idx is None:
             idx = len(self._objs)
             self._objs.append(obj)
-            chars_keep, keep_mask, chars_mask = self._describe(obj)
-            self.chars_keep.append(chars_keep)
-            self.keep_masks.append(keep_mask)
-            self.chars_masks.append(chars_mask)
+            self.chars_keep.append(bool(obj.chars_mask))
+            self.keep_masks.append(obj.keep_mask)
+            self.chars_masks.append(obj.chars_mask)
             self._index[obj] = idx
             self.cells.extend(array("i", [UNKNOWN]) * self.width)
         return idx
@@ -147,12 +138,10 @@ class FlatProjectionTable:
         single transition cell, so the table stays warm.
         """
         with self._lock:
-            describe = self._describe
             for idx, obj in enumerate(self._objs):
-                chars_keep, keep_mask, chars_mask = describe(obj)
-                self.chars_keep[idx] = chars_keep
-                self.keep_masks[idx] = keep_mask
-                self.chars_masks[idx] = chars_mask
+                self.chars_keep[idx] = bool(obj.chars_mask)
+                self.keep_masks[idx] = obj.keep_mask
+                self.chars_masks[idx] = obj.chars_mask
 
     def resolve_name(self, state_idx: int, name: str) -> int:
         """Transition by name for uninterned (past-the-cap) tags.
@@ -166,44 +155,4 @@ class FlatProjectionTable:
             return DROP if successor is None else self._intern(successor)
 
 
-# ----------------------------------------------------------------- builders
-
-
-def table_for_spec(spec: Optional[ProjectionSpec], tags: TagTable) -> FlatProjectionTable:
-    """Flat table over a single-query automaton (identity table for ``None``).
-
-    ``None`` (projection disabled or trivial) compiles to a one-state
-    keep-everything table, so the scanner runs a single code path.
-    """
-    if spec is None:
-        return FlatProjectionTable(
-            KEEP_ALL, lambda state, tag: KEEP_ALL, lambda state: (True, 1, 1), tags
-        )
-
-    def transition(state: object, tag: str) -> object:
-        if state is KEEP_ALL:
-            return KEEP_ALL
-        return spec.transition(state, tag)
-
-    def describe(state: object) -> Tuple[bool, int, int]:
-        if state is KEEP_ALL:
-            return True, 1, 1
-        return False, 1, 0
-
-    return FlatProjectionTable(spec.initial, transition, describe, tags)
-
-
-def table_for_merged(spec: MergedProjectionSpec, tags: TagTable) -> FlatProjectionTable:
-    """Flat table over the multi-query merged union filter.
-
-    The per-state membership masks come straight from the interned merged
-    states.
-    """
-
-    def describe(state) -> Tuple[bool, int, int]:
-        return bool(state.chars_mask), state.keep_mask, state.chars_mask
-
-    return FlatProjectionTable(spec.initial, spec.transition, describe, tags)
-
-
-__all__ = ["FlatProjectionTable", "DROP", "UNKNOWN", "table_for_spec", "table_for_merged"]
+__all__ = ["FlatProjectionTable", "DROP", "UNKNOWN"]

@@ -86,11 +86,13 @@ _END_NAME_RE = re.compile(rb"[A-Za-z0-9_:.\-]+\Z")
 class ByteScanner:
     """One in-flight scan: tokenize + project a byte stream into SoA rows.
 
-    ``tags`` and ``table`` are engine-shared (warm across runs); everything
+    ``tags`` and ``table`` are fanout-shared (warm across runs); everything
     else is per-run cursor state.  The scanner always runs against a flat
-    table -- projection-less runs use the one-state keep-everything table
-    from :func:`~repro.fastpath.dfa.table_for_spec`, keeping a single code
-    path.
+    table -- a projection-less slot is pinned to keep-everything by its
+    :class:`~repro.pipeline.fanout.DynamicFanout`, keeping a single code
+    path.  ``base_offset`` is the stream offset of the document's first
+    byte: every offset the scanner reports (errors, batch bases, the
+    truncated-tail position) is stream-absolute by construction.
     """
 
     __slots__ = (
@@ -115,6 +117,7 @@ class ByteScanner:
         *,
         stop_at_root_close: bool = False,
         expand_attrs: bool = False,
+        base_offset: int = 0,
     ):
         self.tags = tags
         self.table = table
@@ -124,7 +127,7 @@ class ByteScanner:
         self._finished = False
         self._seen_root = False
         self._pending = b""
-        self._offset = 0  # absolute byte offset of the pending tail
+        self._offset = base_offset  # absolute byte offset of the pending tail
         self._stop_root = stop_at_root_close
         self._root_closed = False
         self._expand = expand_attrs
@@ -208,33 +211,31 @@ class ByteScanner:
 
         Yields one batch per ~``chunk_size`` bytes of input so downstream
         work (materialization, execution, statistics) stays bounded, without
-        ever copying or re-compacting the buffer.
+        ever copying or re-compacting the buffer.  Like :meth:`feed_batch`
+        this does not end the document: the incomplete last token (if any)
+        becomes the pending tail and :meth:`close_batch` validates it, so
+        in-place and chunk-fed scans share one end-of-input path.
         """
         if self._finished:
             raise XMLWellFormednessError("data after end of document", self._offset)
         length = len(buf)
         pos = 0
-        while True:
+        while pos < length:
             batch = SoABatch(buf, self.tags, self._offset)
-            pos = self._drain(buf, pos, length, True, batch, pos + chunk_size)
-            if pos >= length:
-                if self._stack:
-                    name = self.tags.name_of(self._stack[-1])
-                    raise XMLWellFormednessError(
-                        f"document ended with unclosed element <{name}>", pos
-                    )
-                if not self._seen_root:
-                    raise XMLWellFormednessError("document contains no element", pos)
-                self._finished = True
-                yield batch
-                return
+            reached = self._drain(buf, pos, length, False, batch, pos + chunk_size)
+            if reached == pos:  # an incomplete token: the tail
+                break
+            pos = reached
             yield batch
+        self._offset += pos
+        self._pending = bytes(buf[pos:])
 
     def scan_source(self, document: DocumentSource, chunk_size: int) -> Iterator[SoABatch]:
         """Scan one document source of any supported kind into batches.
 
         In-memory and file-backed sources are scanned in place (files via
-        ``mmap``); streaming sources feed the scanner chunk-wise.
+        ``mmap``); streaming sources feed the scanner chunk-wise.  The
+        caller ends the document with :meth:`close_batch`.
         """
         kind, source, closer = resolve_bytes_source(document, chunk_size)
         try:
@@ -243,7 +244,6 @@ class ByteScanner:
             else:
                 for chunk in source:
                     yield self.feed_batch(chunk)
-                yield self.close_batch()
         finally:
             closer()
 

@@ -224,11 +224,11 @@ class FeedHandle:
                 self._run = None
                 self.close()
                 raise
-            pipeline_feed = run._feed
-            if not pipeline_feed.root_closed:
+            doc_pass = run._pass
+            if not doc_pass.root_closed:
                 self._cursor += len(data)
                 break
-            remainder = pipeline_feed.take_remainder()
+            remainder = doc_pass.take_remainder()
             boundary = self._cursor + len(data) - len(remainder)
             try:
                 result = run.finish()
@@ -312,6 +312,7 @@ class FeedHandle:
             owns_governor=False,
             on_finish=self._on_finish,
             stop_at_root_close=True,
+            base_offset=self._doc_start,
             annotations={
                 "document_index": self._documents_completed,
                 "document_start_offset": self._doc_start,

@@ -5,8 +5,8 @@ This subsystem amortizes the dominant shared cost -- scanning and filtering
 the document -- across a whole registered query set:
 
 * :class:`QueryRegistry` compiles and holds N plans for one DTD,
-* :class:`~repro.pipeline.fanout.MergedProjectionSpec` is the union of the
-  per-query projection filters, with per-query membership masks,
+* an N-slot :class:`~repro.pipeline.fanout.DynamicFanout` is the union of
+  the per-query projection filters, with per-query membership masks,
 * :class:`MultiQueryEngine` runs the document-side stages once and fans
   each batch out to N independent executor states (own buffers, own
   statistics, own sink).

@@ -26,12 +26,12 @@ from typing import Dict, List, Mapping, Optional
 from repro.engine.engine import FluxRunResult
 from repro.engine.executor import StreamExecutor
 from repro.engine.stats import RunStatistics
-from repro.fastpath import FastFanout
+from repro.fastpath import DocumentPass
 from repro.obs import recorder as _flight
 from repro.obs.metrics import global_registry
-from repro.obs.observer import Observer, TraceReport, use_tracing
+from repro.obs.observer import NULL_OBSERVER, Observer, TraceReport, use_tracing
 from repro.multiquery.registry import QueryRegistry, RegisteredQuery
-from repro.pipeline.fanout import MergedProjectionSpec
+from repro.pipeline.fanout import DynamicFanout
 from repro.pipeline.sinks import WritableSink
 from repro.storage.governor import MemoryGovernor
 from repro.xmlstream.parser import DEFAULT_CHUNK_SIZE, DocumentSource
@@ -62,8 +62,8 @@ class MultiQueryRun:
         #: when the pass ran under a memory budget; ``None`` otherwise.
         self.memory = memory
         #: Pass-level :class:`~repro.obs.observer.TraceReport` (the shared
-        #: scan vs. the N-executor fan-out) for traced passes; ``None``
-        #: otherwise.
+        #: scan and materialize vs. the N-executor fan-out) for traced
+        #: passes; ``None`` otherwise.
         self.trace = trace
 
     def __getitem__(self, name: str) -> FluxRunResult:
@@ -86,10 +86,10 @@ class MultiQueryRun:
 class MultiQueryEngine:
     """Runs every query of a :class:`QueryRegistry` over one shared scan.
 
-    The merged union filter is derived from the registry's projection
-    automata and cached; registering further queries invalidates the cache
-    (the registry's ``version`` tracks this), so the engine can be kept
-    around while the query set grows.
+    The union filter is an N-slot :class:`~repro.pipeline.fanout.DynamicFanout`
+    attached once from the registry's projection automata and kept while
+    the query set is stable; a changed registry ``version`` gets a fresh
+    one, so the engine can be kept around while the query set grows.
 
     ``memory_budget`` caps resident buffered bytes for the *whole* pass:
     every run creates one :class:`~repro.storage.governor.MemoryGovernor`
@@ -116,32 +116,10 @@ class MultiQueryEngine:
         #: is shared by every pass and never closed here; ``memory_budget``
         #: is ignored in its favour.
         self.governor = governor
-        self._merged: Optional[MergedProjectionSpec] = None
-        self._merged_version = -1
-        self._fast_fanout: Optional[FastFanout] = None
-
-    # ------------------------------------------------------------- merged spec
-
-    def merged_spec(self) -> MergedProjectionSpec:
-        """The union filter for the current query set (rebuilt on change)."""
-        if len(self.registry) == 0:
-            raise ValueError("the registry has no queries; register some first")
-        if self._merged is None or self._merged_version != self.registry.version:
-            self._merged = MergedProjectionSpec(
-                [entry.projection_spec for entry in self.registry]
-            )
-            self._merged_version = self.registry.version
-            self._fast_fanout = None
-        return self._merged
-
-    def _fanout(self) -> FastFanout:
-        """Shared-scan fan-out state for the current merged spec (cached)."""
-        spec = self.merged_spec()
-        fanout = self._fast_fanout
-        if fanout is None or fanout.spec is not spec:
-            fanout = FastFanout(spec)
-            self._fast_fanout = fanout
-        return fanout
+        #: The union automaton of the current query set (built by the
+        #: first pass, rebuilt when the registry's version moves).
+        self.fanout: Optional[DynamicFanout] = None
+        self._fanout_version = -1
 
     # --------------------------------------------------------------- execution
 
@@ -203,7 +181,14 @@ class MultiQueryEngine:
         self, document: DocumentSource, executor_for, expand_attrs: bool, trace: Optional[bool] = None
     ) -> MultiQueryRun:
         entries = list(self.registry)
-        observer = Observer() if use_tracing(trace) else None
+        if not entries:
+            raise ValueError("the registry has no queries; register some first")
+        if self._fanout_version != self.registry.version:
+            self.fanout = DynamicFanout()
+            for entry in entries:
+                self.fanout.attach(entry.projection_spec)
+            self._fanout_version = self.registry.version
+        observer = Observer() if use_tracing(trace) else NULL_OBSERVER
         started_at = time.perf_counter()
 
         # One governor for the whole pass: all N executors' buffers share
@@ -222,23 +207,30 @@ class MultiQueryEngine:
         executors: List[StreamExecutor] = [
             executor_for(entry, stats, factory) for entry, stats in zip(entries, stats_list)
         ]
-        # Shared byte scan: project through the flat merged table and
-        # materialize each query's sub-stream directly.
-        split_batches = self._fanout().split_batches(
-            document, self.chunk_size, stats_list, expand_attrs=expand_attrs
+        # The shared pass: every query's statistics record its pre-drop
+        # totals, so per-query numbers match what a solo run reports.
+        doc_pass = DocumentPass(
+            self.fanout, stats_list, expand_attrs=expand_attrs, observer=observer
         )
+        tracer = observer.tracer
+        execute_stage = observer.stage("execute")
 
         try:
-            if observer is not None:
-                executions = self._drive_traced(split_batches, executors, observer)
-            else:
+            with tracer.span("execute") as span:
                 for executor in executors:
                     executor.begin()
-                for subs in split_batches:
+            execute_stage.seconds += span.record.seconds
+            for subs in doc_pass.scan(document, self.chunk_size):
+                events = 0
+                with tracer.span("execute") as span:
                     for executor, sub in zip(executors, subs):
                         if sub:
+                            events += len(sub)
                             executor.process_batch(sub)
+                execute_stage.charge(span.record.seconds, events)
+            with tracer.span("execute") as span:
                 executions = [executor.finish() for executor in executors]
+            execute_stage.seconds += span.record.seconds
             results = {
                 entry.name: FluxRunResult(output=execution.output, stats=execution.stats)
                 for entry, execution in zip(entries, executions)
@@ -271,7 +263,7 @@ class MultiQueryEngine:
         _PASSES.inc()
         _PASS_QUERIES.inc(len(entries))
         trace_report = None
-        if observer is not None:
+        if observer.enabled:
             # Pass-level totals for the report's byte columns: input is the
             # shared document (every query's statistics carry the same
             # pre-drop totals), output is the sum over all queries.
@@ -282,33 +274,3 @@ class MultiQueryEngine:
             totals.elapsed_seconds = elapsed
             trace_report = observer.finish(totals)
         return MultiQueryRun(results, elapsed, memory=memory, trace=trace_report)
-
-    def _drive_traced(self, split_batches, executors, observer) -> List:
-        """Traced twin of the drive loop: ``scan`` spans around pulling the
-        shared-pass batches (the scan + merged projection run lazily inside
-        the iterator), ``execute`` spans around the N-executor fan-out."""
-        tracer = observer.tracer
-        s_scan = observer.stage("scan")
-        s_execute = observer.stage("execute")
-        with tracer.span("execute") as span:
-            for executor in executors:
-                executor.begin()
-        s_execute.seconds += span.record.seconds
-        iterator = iter(split_batches)
-        while True:
-            with tracer.span("scan") as span:
-                subs = next(iterator, None)
-            if subs is None:
-                break
-            s_scan.charge(span.record.seconds, sum(len(sub) for sub in subs))
-            events = 0
-            with tracer.span("execute") as span:
-                for executor, sub in zip(executors, subs):
-                    if sub:
-                        events += len(sub)
-                        executor.process_batch(sub)
-            s_execute.charge(span.record.seconds, events)
-        with tracer.span("execute") as span:
-            executions = [executor.finish() for executor in executors]
-        s_execute.seconds += span.record.seconds
-        return executions

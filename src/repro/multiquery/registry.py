@@ -56,7 +56,7 @@ class RegisteredQuery:
     @property
     def projection_spec(self) -> Optional[ProjectionSpec]:
         """The query's projection automaton; ``None`` when it filters nothing."""
-        return self.engine.pipeline.projection_spec
+        return self.engine.projection_spec
 
 
 class QueryRegistry:

@@ -1,17 +1,17 @@
 """Per-run observability state: the :class:`Observer` and its report.
 
-One :class:`Observer` flows through a whole run -- engine setup hands it
-to the pipeline, the executor and (in push mode) the feed -- so every
-layer charges time and volume to the same place.  It owns:
+One observer flows through a whole run -- engine setup hands it to the
+document pass and the run handle -- so every layer charges time and volume
+to the same place.  An enabled :class:`Observer` owns:
 
 * a :class:`~repro.obs.tracer.Tracer` for the span tree,
 * a ``stages`` dict of :class:`StageStats` -- the per-stage aggregate
   (seconds, batches, events, bytes) that the CLI table and the JSON
-  exporter print.  Stage timing is charged by the *instrumented loops*
-  (the pipeline's traced generator, the executor's traced batch loop), which
-  only exist when the observer is enabled: a disabled run executes the
-  byte-for-byte pre-instrumentation code path, guarded by a single
-  ``observer.enabled`` attribute lookup at setup time.
+  exporter print.
+
+There is one batch loop per run shape and it always charges the observer
+it was handed; a run without tracing is handed :data:`NULL_OBSERVER`,
+whose spans and stage rows are throwaway no-ops (a few calls per batch).
 
 Byte columns are backfilled at :meth:`Observer.finish` from the run's
 ``RunStatistics``: the scan/materialize stages consume the document
@@ -119,7 +119,7 @@ class Observer:
 
 
 class NullObserver:
-    """The disabled observer: one shared instance, one attribute lookup."""
+    """The disabled observer: one shared instance; charges go nowhere."""
 
     __slots__ = ()
     enabled = False

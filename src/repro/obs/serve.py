@@ -6,9 +6,10 @@ server bound to ``127.0.0.1`` that exposes:
 
 * ``/metrics`` -- the global :class:`~repro.obs.metrics.MetricsRegistry`
   rendered by :func:`~repro.obs.export.prometheus_text`,
-* ``/progress`` -- JSON watermarks for every open push-mode
-  :class:`~repro.engine.engine.RunHandle`: bytes fed, document offset,
-  events emitted, per-stage throughput, per-owner buffer bytes.
+* ``/progress`` -- JSON watermarks for every open
+  :class:`~repro.engine.engine.RunHandle`, feed and hub: bytes fed,
+  document offset, events emitted, per-stage throughput, per-owner buffer
+  bytes.
 
 Design notes:
 
@@ -32,10 +33,11 @@ from __future__ import annotations
 import itertools
 import json
 import threading
+import weakref
 from typing import Callable, Dict, Optional
 
 _PROGRESS_LOCK = threading.Lock()
-_PROGRESS: Dict[int, Callable[[], dict]] = {}
+_PROGRESS: Dict[int, "weakref.WeakMethod"] = {}
 _PROGRESS_KEYS = itertools.count(1)
 
 _SERVER_LOCK = threading.Lock()
@@ -43,10 +45,14 @@ _SERVERS: Dict[int, "MetricsServer"] = {}
 
 
 def register_run(snapshot: Callable[[], dict]) -> int:
-    """Expose an open run on ``/progress``; returns its registry key."""
+    """Expose an open run on ``/progress``; returns its registry key.
+
+    ``snapshot`` is a bound method and is held weakly: being listed must
+    not keep an abandoned run (and the governor it owns) alive.
+    """
     key = next(_PROGRESS_KEYS)
     with _PROGRESS_LOCK:
-        _PROGRESS[key] = snapshot
+        _PROGRESS[key] = weakref.WeakMethod(snapshot)
     return key
 
 
@@ -62,7 +68,10 @@ def progress_snapshot() -> dict:
     with _PROGRESS_LOCK:
         items = sorted(_PROGRESS.items())
     runs = []
-    for key, snapshot in items:
+    for key, ref in items:
+        snapshot = ref()
+        if snapshot is None:
+            continue
         try:
             entry = snapshot()
         except Exception:

@@ -15,12 +15,11 @@ Overhead discipline -- the whole point of this module:
   append per span; counters are plain dict adds.  Spans are meant to wrap
   *batches and runs*, never individual events.
 * the **disabled** path is the :data:`NULL_TRACER` singleton: its
-  ``enabled`` attribute is ``False`` and its ``span`` returns one shared
-  no-op context manager.  Instrumentation points guard their work with a
-  single attribute lookup (``if observer.enabled:``), so a run without
-  tracing executes the exact same per-batch instructions as before the
-  observability subsystem existed.  ``benchmarks/bench_obs_overhead.py``
-  holds this claim to <2%.
+  ``span`` returns one shared no-op context manager whose record reads
+  ``0.0`` seconds.  The engine's batch loops are written once and always
+  run their span/charge pairs; with tracing off those are a handful of
+  no-op calls per *batch* (64 KiB of input by default), never per event.
+  ``benchmarks/bench_obs_overhead.py`` holds that cost to <2%.
 
 The clock is injectable (``Tracer(clock=...)``) so the exporter golden
 tests can produce deterministic timings.
@@ -141,10 +140,18 @@ class Tracer:
             self._stack[-1].add(counter, value)
 
 
+class _NullRecord:
+    """What a disabled span measured: nothing."""
+
+    __slots__ = ()
+    seconds = 0.0
+
+
 class _NullSpan:
     """The shared do-nothing span of the disabled tracer."""
 
     __slots__ = ()
+    record = _NullRecord()
 
     def add(self, counter: str, value: int = 1) -> None:
         pass
@@ -160,7 +167,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class NullTracer:
-    """Disabled tracer: one attribute lookup decides, everything else no-ops."""
+    """Disabled tracer: every span is the shared no-op."""
 
     __slots__ = ()
     enabled = False

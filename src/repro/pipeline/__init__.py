@@ -9,26 +9,26 @@ The execution path of the engine is a pipeline of stages::
   subtrees the compiled plan provably never touches -- the keep/drop
   decisions come from the tag-driven automaton this package derives from
   the plan's buffer trees, value tries and handler tables
-  (:mod:`repro.pipeline.projection`; :mod:`repro.pipeline.fanout` is its
-  N-query union for multi-query execution),
+  (:mod:`repro.pipeline.projection`), run through the one union automaton
+  :class:`repro.pipeline.fanout.DynamicFanout` (solo = one slot,
+  ``multirun`` = N slots, ``serve`` = slots that come and go),
 * **materialize** (:mod:`repro.fastpath.batch`) turns the surviving rows
-  into bounded batches of SAX events,
+  into bounded batches of SAX events, one list per fanout slot,
 * **execute** (:class:`repro.engine.executor.StreamExecutor`) drives the
   compiled plan with those events via precompiled dispatch tables,
 * **sink** (:mod:`repro.pipeline.sinks`) collects, discards, streams or
   writes the serialized output.
 
-:class:`repro.fastpath.FastEventPipeline` composes the document-side stages
-for one plan; :class:`repro.engine.engine.FluxEngine` glues pipeline,
+:class:`repro.fastpath.DocumentPass` is the one scan -> materialize site,
+for every run shape; :class:`repro.engine.engine.FluxEngine` glues pass,
 executor and sink into the public ``execute`` / ``open_run`` / ``stream``
 API.
 """
 
-from repro.pipeline.fanout import MergedProjectionSpec
+from repro.pipeline.fanout import DynamicFanout
 from repro.pipeline.projection import ProjectionSpec
 from repro.pipeline.sinks import (
     CollectSink,
-    CollectingSink,
     FragmentSink,
     NullSink,
     OutputSink,
@@ -38,9 +38,8 @@ from repro.pipeline.sinks import (
 
 __all__ = [
     "CollectSink",
-    "CollectingSink",
+    "DynamicFanout",
     "FragmentSink",
-    "MergedProjectionSpec",
     "NullSink",
     "OutputSink",
     "ProjectionSpec",

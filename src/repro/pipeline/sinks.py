@@ -13,12 +13,11 @@ multi-query engine and the CLI):
   (what ``collect_output=False`` used to mean).
 * :class:`CollectSink` -- accumulates fragments and joins them once at the
   end of the run (the classic ``result.output`` behaviour).
-  ``CollectingSink`` remains as a deprecated alias.
 * :class:`WritableSink` -- pushes every fragment straight into a writable
   object (an open file, a socket wrapper, ``sys.stdout``); nothing is
   retained, so output far larger than main memory streams through flat.
 * :class:`FragmentSink` -- holds fragments only until the driver drains them;
-  streaming iteration (:meth:`~repro.engine.engine.FluxEngine.run_streaming`)
+  streaming iteration (:meth:`~repro.engine.engine.FluxEngine.stream`)
   and the push-mode :class:`~repro.core.session.RunHandle` use it to hand
   serialized fragments back incrementally.
 
@@ -131,10 +130,6 @@ class CollectSink(OutputSink):
 
     def text(self) -> Optional[str]:
         return "".join(self._parts)
-
-
-#: Deprecated alias kept for the pre-session API surface.
-CollectingSink = CollectSink
 
 
 class WritableSink(OutputSink):

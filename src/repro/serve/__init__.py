@@ -7,12 +7,12 @@ byte scan however many subscriptions are live;
 per-subscription results stream back through bounded queues with explicit
 slow-consumer policies.  The query set is *mutable mid-stream*: the union
 projection automaton grows by delta-merge and shrinks by tombstoning
-(:mod:`repro.serve.fanout`), so churn never recompiles the surviving
+(:class:`repro.pipeline.fanout.DynamicFanout`), so churn never recompiles the surviving
 queries and never perturbs in-flight documents.
 
 Layers, bottom up:
 
-* :mod:`repro.serve.fanout` -- the incremental union automaton,
+* :mod:`repro.serve.fanout` -- re-exports the incremental union automaton,
 * :mod:`repro.serve.hub` -- the synchronous engine core: subscriptions,
   boundary churn, bounded delivery, governor fairness,
 * :mod:`repro.serve.protocol` -- the NDJSON wire format,

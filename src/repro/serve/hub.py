@@ -2,7 +2,8 @@
 
 The hub is the synchronous heart of :mod:`repro.serve`.  One *engine
 thread* feeds it stream chunks (network bytes, the XMark ticker, a file);
-every chunk flows through **one** projecting byte scan whatever the
+every chunk flows through **one** document pass
+(:class:`~repro.fastpath.pipeline.DocumentPass`) whatever the
 subscriber count, and the surviving per-subscription sub-streams drive one
 :class:`~repro.engine.executor.StreamExecutor` per active subscription per
 document -- exactly the multi-query fan-out, made long-lived and
@@ -12,7 +13,7 @@ churn-tolerant:
   made mid-document are queued and applied when the current document
   seals), so in-flight results are never perturbed;
 * the union projection automaton is maintained incrementally by
-  :class:`~repro.serve.fanout.DynamicFanout` -- churn never re-merges the
+  :class:`~repro.pipeline.fanout.DynamicFanout` -- churn never re-merges the
   surviving queries (``fanout.recompiles`` stays put);
 * per-document results are delivered into each subscription's **bounded
   queue**; a slow consumer is handled by the subscription's policy --
@@ -42,14 +43,13 @@ from repro.dtd.schema import DTD
 from repro.engine.engine import FluxEngine, ensure_rooted
 from repro.engine.executor import StreamExecutor
 from repro.engine.stats import RunStatistics
-from repro.fastpath.scanner import ByteScanner
+from repro.fastpath import DocumentPass
 from repro.obs import recorder as _flight
 from repro.obs import serve as _serve
 from repro.obs.metrics import global_registry
-from repro.serve.fanout import DynamicFanout
+from repro.pipeline.fanout import DynamicFanout
 from repro.storage.governor import MemoryGovernor
 from repro.xmark.dtd import xmark_dtd
-from repro.xmlstream.errors import XMLWellFormednessError
 
 #: Padding accepted between documents (mirrors :mod:`repro.feeds`).
 _INTERDOC_WS = b" \t\r\n"
@@ -231,59 +231,6 @@ class Subscription:
             }
 
 
-class _DocumentScan:
-    """Per-document byte scan over the dynamic flat table.
-
-    With no subscriber the fanout's table drops everything: the scan still
-    validates the document and finds where it ends, and delivers nothing.
-    """
-
-    __slots__ = ("_scanner", "_fanout", "_stats", "_start")
-
-    def __init__(
-        self,
-        fanout: DynamicFanout,
-        stats_list: List[Optional[RunStatistics]],
-        expand_attrs: bool,
-        start: int,
-    ):
-        self._scanner = ByteScanner(
-            fanout.tags, fanout.table(), stop_at_root_close=True, expand_attrs=expand_attrs
-        )
-        self._fanout = fanout
-        self._stats = [stats for stats in stats_list if stats is not None]
-        self._start = start  # stream offset of the document's first byte
-
-    def _split(self, batch):
-        if batch.seen:
-            for stats in self._stats:
-                stats.record_input(batch.seen, batch.cost)
-        fanout = self._fanout
-        table = self._scanner.table
-        return batch.materialize_split(
-            fanout.width, table.keep_masks, table.chars_masks, fanout.indices_for
-        )
-
-    def feed(self, data: bytes):
-        return self._split(self._scanner.feed_batch(data))
-
-    @property
-    def root_closed(self) -> bool:
-        return self._scanner.root_closed
-
-    def take_remainder(self) -> bytes:
-        return self._scanner.take_remainder()
-
-    def finish(self):
-        truncated_at = self._scanner.incomplete_tail_at()
-        if truncated_at is not None:
-            raise XMLWellFormednessError(
-                "truncated document: incomplete UTF-8 sequence at end of input",
-                self._start + truncated_at,
-            )
-        return self._split(self._scanner.close_batch())
-
-
 def _heaviest_subscriber_page(pages):
     """Governor victim hook: evict from the subscriber holding the most."""
     return max(pages, key=lambda page: page.stats.resident_bytes_current)
@@ -440,8 +387,7 @@ class SubscriptionHub:
                 self._by_slot.pop(sub.slot_id, None)
             sub._end("closed" if sub.state != "disconnected" else "disconnected")
         for sub in attaches:
-            spec = sub._engine.pipeline.projection_spec
-            sub.slot_id = self.fanout.attach(spec)
+            sub.slot_id = self.fanout.attach(sub._engine.projection_spec)
             sub.first_document = self._documents_completed
             sub.state = "active"
             self._by_slot[sub.slot_id] = sub
@@ -606,8 +552,14 @@ class SubscriptionHub:
                 execs.append((sub, executor, stats))
                 stats_list.append(stats)
             self._doc_execs = execs
-            self._scan = _DocumentScan(
-                self.fanout, stats_list, self.options.expand_attrs, self._doc_start
+            # With no subscriber the fanout drops everything: the pass still
+            # validates the document and finds where it ends.
+            self._scan = DocumentPass(
+                self.fanout,
+                stats_list,
+                expand_attrs=self.options.expand_attrs,
+                stop_at_root_close=True,
+                base_offset=self._doc_start,
             )
 
     def _dispatch(self, subs: List[List["object"]]) -> None:

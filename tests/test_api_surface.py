@@ -142,10 +142,8 @@ EXPECTED_SURFACE = r"""
             "execute": "(self, document: 'DocumentSource', *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, owns_governor: 'bool' = True, on_finish=None) -> 'FluxRunResult'",
             "flux_source": "(self) -> 'str'",
             "open_feed": "(self, *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, owns_governor: 'bool' = True, on_finish=None, on_document=None, on_heartbeat=None, resume_from: 'Optional[int]' = None)",
-            "open_run": "(self, *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, owns_governor: 'bool' = True, on_finish=None, stop_at_root_close: 'bool' = False, annotations: 'Optional[dict]' = None) -> 'RunHandle'",
+            "open_run": "(self, *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, owns_governor: 'bool' = True, on_finish=None, stop_at_root_close: 'bool' = False, base_offset: 'int' = 0, annotations: 'Optional[dict]' = None) -> 'RunHandle'",
             "run": "(self, document: 'DocumentSource', *, collect_output: 'bool' = True, expand_attrs: 'bool' = False) -> 'FluxRunResult'",
-            "run_streaming": "(self, document: 'DocumentSource', *, expand_attrs: 'bool' = False) -> 'StreamingRun'",
-            "run_to_sink": "(self, document: 'DocumentSource', writable, *, expand_attrs: 'bool' = False) -> 'FluxRunResult'",
             "stream": "(self, document: 'DocumentSource', *, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, owns_governor: 'bool' = True, on_finish=None) -> 'StreamingRun'"
         }
     },
@@ -204,7 +202,6 @@ EXPECTED_SURFACE = r"""
         "init": "(self, registry: 'QueryRegistry', *, chunk_size: 'int' = 65536, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, governor: 'Optional[MemoryGovernor]' = None)",
         "kind": "class",
         "members": {
-            "merged_spec": "(self) -> 'MergedProjectionSpec'",
             "run": "(self, document: 'DocumentSource', *, collect_output: 'bool' = True, expand_attrs: 'bool' = False, trace: 'Optional[bool]' = None) -> 'MultiQueryRun'",
             "run_to_sinks": "(self, document: 'DocumentSource', writables: 'Mapping[str, object]', *, expand_attrs: 'bool' = False, trace: 'Optional[bool]' = None) -> 'MultiQueryRun'"
         }
@@ -298,7 +295,7 @@ EXPECTED_SURFACE = r"""
         }
     },
     "RunHandle": {
-        "init": "(self, executor: 'StreamExecutor', feed, governor=None, owns_governor: 'bool' = True, on_finish=None, observer=None, options: 'Optional[ExecutionOptions]' = None, annotations: 'Optional[dict]' = None)",
+        "init": "(self, executor: 'StreamExecutor', doc_pass: 'DocumentPass', *, governor, owns_governor: 'bool', on_finish, observer, options: 'ExecutionOptions', annotations: 'Optional[dict]', mode: 'str')",
         "kind": "class",
         "members": {
             "close": "(self) -> 'None'",
@@ -331,11 +328,9 @@ EXPECTED_SURFACE = r"""
         }
     },
     "StreamingRun": {
-        "init": "(self, executor: 'StreamExecutor', sink: 'FragmentSink', batches, governor=None, owns_governor: 'bool' = True, on_finish=None, observer=None, options: 'Optional[ExecutionOptions]' = None)",
+        "init": "(self, document: 'DocumentSource', *args, **kwargs)",
         "kind": "class",
-        "members": {
-            "close": "(self) -> 'None'"
-        }
+        "members": {}
     },
     "TraceReport": {
         "init": "(self, stages: 'List[StageStats]', spans: 'list', wall_seconds: 'float', mode: 'str' = 'pull')",
@@ -390,19 +385,19 @@ EXPECTED_SURFACE = r"""
     },
     "run_queries": {
         "kind": "function",
-        "signature": "(queries: 'Union[Mapping[str, Union[str, XQExpr]], Sequence[Union[str, XQExpr]]]', document: 'DocumentSource', dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None, collect_output=<UNSET>, sinks: 'Optional[Mapping[str, object]]' = None, expand_attrs=<UNSET>, projection=<UNSET>, memory_budget=<UNSET>) -> 'MultiQueryRun'"
+        "signature": "(queries: 'Union[Mapping[str, Union[str, XQExpr]], Sequence[Union[str, XQExpr]]]', document: 'DocumentSource', dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None, sinks: 'Optional[Mapping[str, object]]' = None) -> 'MultiQueryRun'"
     },
     "run_query": {
         "kind": "function",
-        "signature": "(query: 'Union[str, XQExpr]', document: 'DocumentSource', dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None, collect_output=<UNSET>, expand_attrs=<UNSET>, projection=<UNSET>, memory_budget=<UNSET>) -> 'FluxRunResult'"
+        "signature": "(query: 'Union[str, XQExpr]', document: 'DocumentSource', dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None) -> 'FluxRunResult'"
     },
     "run_query_streaming": {
         "kind": "function",
-        "signature": "(query: 'Union[str, XQExpr]', document: 'DocumentSource', dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None, expand_attrs=<UNSET>, projection=<UNSET>, memory_budget=<UNSET>) -> \"'StreamingRun'\""
+        "signature": "(query: 'Union[str, XQExpr]', document: 'DocumentSource', dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None) -> \"'StreamingRun'\""
     },
     "run_query_to_sink": {
         "kind": "function",
-        "signature": "(query: 'Union[str, XQExpr]', document: 'DocumentSource', dtd: 'Union[str, DTD]', writable, *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None, expand_attrs=<UNSET>, projection=<UNSET>, memory_budget=<UNSET>) -> 'FluxRunResult'"
+        "signature": "(query: 'Union[str, XQExpr]', document: 'DocumentSource', dtd: 'Union[str, DTD]', writable, *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None) -> 'FluxRunResult'"
     },
     "validate_span_tree": {
         "kind": "function",

@@ -179,7 +179,10 @@ def test_executor_accepts_reference_tokenizer_events():
 
     engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_USECASES))
     events = parse_events(DOC, document_events=False)
-    result = StreamExecutor(engine.plan).run_batches([events])
+    executor = StreamExecutor(engine.plan)
+    executor.begin()
+    executor.process_batch(events)
+    result = executor.finish()
     assert result.output == NaiveDomEngine(XMP_INTRO).run(DOC).output
 
 
@@ -211,8 +214,11 @@ def test_unbalanced_event_stream_is_rejected():
     from repro.xmlstream.events import StartElement
 
     engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_USECASES))
+    executor = StreamExecutor(engine.plan)
+    executor.begin()
+    executor.process_batch([StartElement("bib"), StartElement("book")])
     with pytest.raises(ValueError):
-        StreamExecutor(engine.plan).run_batches([[StartElement("bib"), StartElement("book")]])
+        executor.finish()
 
 
 def test_flux_source_rendering_is_stable():

@@ -25,8 +25,9 @@ from _reference import project_events, reference_events
 
 import repro.xmlstream.tokenizer as tokenizer_module
 from repro.core import FluxSession
-from repro.fastpath import ByteScanner, TagTable, table_for_spec
+from repro.fastpath import ByteScanner, TagTable
 from repro.fastpath.batch import KIND_MASK, STATE_SHIFT, TAG_MASK, TAG_SHIFT
+from repro.pipeline.fanout import DynamicFanout
 from repro.serve import SubscriptionHub
 from repro.xmlstream.errors import XMLWellFormednessError
 from repro.xmlstream.tokenizer import Tokenizer
@@ -69,15 +70,28 @@ DOC = (
 EXPAND = pytest.mark.parametrize("expand", [False, True], ids=["plain", "expand_attrs"])
 
 
-def scan(document, chunk_size=64 * 1024, tags=None, expand=False, spec=None):
+def solo_fanout(spec=None, tags=None):
+    """A one-slot fanout: keep-everything unless ``spec`` filters."""
+    fanout = DynamicFanout()
+    if tags is not None:
+        fanout.tags = tags  # a capped table, before the flat table binds it
+    fanout.attach(spec)
+    return fanout
+
+
+def solo_scanner(fanout=None, **kwargs):
+    fanout = fanout if fanout is not None else solo_fanout()
+    return ByteScanner(fanout.tags, fanout.table(), **kwargs)
+
+
+def scan(document, chunk_size=64 * 1024, fanout=None, expand=False):
     """The scanner's flat event stream plus its pre-drop ``(seen, cost)``
-    accounting, through the identity (keep-all) table unless ``spec``."""
-    tags = tags if tags is not None else TagTable()
-    scanner = ByteScanner(tags, table_for_spec(spec, tags), expand_attrs=expand)
+    accounting, through a keep-all one-slot fanout unless one is given."""
+    scanner = solo_scanner(fanout, expand_attrs=expand)
     data = document.encode("utf-8") if isinstance(document, str) else document
     flat = []
     seen = cost = 0
-    for batch in scanner.scan_document(data, chunk_size):
+    for batch in [*scanner.scan_document(data, chunk_size), scanner.close_batch()]:
         flat.extend(batch.materialize())
         seen += batch.seen
         cost += batch.cost
@@ -191,11 +205,11 @@ def test_scanner_round_trip_randomized(expand):
 
 @EXPAND
 def test_scanner_round_trip_shared_table_across_documents(expand):
-    # One engine-shared TagTable serves many documents (warm-table reuse).
-    tags = TagTable()
+    # One fanout's tag and flat tables serve many documents (warm reuse).
+    fanout = solo_fanout()
     rng = random.Random(99)
     for _ in range(10):
-        assert_scan_matches_reference(_random_document(rng), tags=tags, expand=expand)
+        assert_scan_matches_reference(_random_document(rng), fanout=fanout, expand=expand)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +233,7 @@ def test_scanner_rejects_mismatched_and_unclosed_tags():
 def test_push_mode_byte_feeds_match_pull(stride, document, expand):
     # Stride 1 cuts everywhere: inside attribute values, between a closing
     # quote and ``>``, inside entity references, mid-multibyte-UTF-8.
-    tags = TagTable()
-    scanner = ByteScanner(tags, table_for_spec(None, tags), expand_attrs=expand)
+    scanner = solo_scanner(expand_attrs=expand)
     data = document.encode("utf-8")
     fed = []
     for start in range(0, len(data), stride):
@@ -230,8 +243,7 @@ def test_push_mode_byte_feeds_match_pull(stride, document, expand):
 
 
 def test_pending_bytes_flags_partial_utf8_tail():
-    tags = TagTable()
-    scanner = ByteScanner(tags, table_for_spec(None, tags))
+    scanner = solo_scanner()
     data = "<a>café</a>".encode("utf-8")
     cut = data.index(b"\xc3") + 1  # mid-sequence
     scanner.feed_batch(data[:cut])
@@ -262,9 +274,9 @@ def test_soa_word_packing_round_trip():
 @EXPAND
 def test_flat_table_matches_projection_automaton_on_random_streams(expand):
     with FluxSession(BIB_DTD, root_element="bib") as session:
-        spec = session.prepare(TITLES).engine.pipeline.projection_spec
+        spec = session.prepare(TITLES).engine.projection_spec
         assert spec is not None
-        tags = TagTable()
+        fanout = solo_fanout(spec)  # warm across documents
         rng = random.Random(7)
         for _ in range(30):
             books = []
@@ -280,7 +292,7 @@ def test_flat_table_matches_projection_automaton_on_random_streams(expand):
                 )
             document = f"<bib>{''.join(books)}</bib>"
             reference = reference_events(document, expand)
-            events, (seen, cost) = scan(document, tags=tags, expand=expand, spec=spec)
+            events, (seen, cost) = scan(document, fanout=fanout, expand=expand)
             assert events == project_events(spec, reference), document
             # Input accounting is pre-drop: the whole document, not the survivors.
             assert seen == len(reference)
@@ -364,7 +376,7 @@ def test_tag_table_overflow_stays_bounded_and_correct():
     document = "<root>" + "".join(
         f"<t{i}>x{i}</t{i}>" for i in range(40)
     ) + "</root>"
-    assert_scan_matches_reference(document, tags=tags)
+    assert_scan_matches_reference(document, fanout=solo_fanout(tags=tags))
     assert len(tags) <= 3
     assert len(tags.ids) <= 2 * 3  # canonical entries + padded aliases
 
@@ -377,7 +389,9 @@ def test_tag_table_overflow_with_attributes_and_chunked_feed(expand):
     document = "<root>" + "".join(
         f'<t{i} key="v{i}">x</t{i}>' for i in range(20)
     ) + "</root>"
-    assert_scan_matches_reference(document, chunk_size=5, tags=tags, expand=expand)
+    assert_scan_matches_reference(
+        document, chunk_size=5, fanout=solo_fanout(tags=tags), expand=expand
+    )
     assert len(tags) <= 2
 
 

@@ -6,7 +6,7 @@ Covers the feed tentpole and its satellites:
   per-document results with exact byte offsets, at arbitrary chunk splits,
 * satellite 1 -- a stream ending inside a multi-byte UTF-8 sequence must
   raise a truncated-document error at the offset where the cut sequence
-  starts from ``FastPipelineFeed.finish()``,
+  starts from ``DocumentPass.finish()``,
 * satellite 2 -- bytes after the root close: single-document push mode
   rejects them with an error pointing into the trailer, while feed mode
   hands them to the next document,
@@ -34,6 +34,7 @@ from repro import (
     FeedResult,
     FluxSession,
 )
+from repro.fastpath import DocumentPass
 from repro.xmlstream.errors import XMLWellFormednessError
 
 BIB_DTD = """
@@ -166,11 +167,11 @@ def test_feed_mid_document_eof_raises(session):
 def test_truncated_utf8_at_eof_is_a_located_error(session, stride):
     # "é" is two bytes; dropping the final byte truncates mid-sequence.
     payload = "<bib><book><title>Café".encode("utf-8")[:-1]
-    feed = session.prepare(TITLES).engine.pipeline.open_feed()
+    doc_pass = DocumentPass(session.prepare(TITLES).engine.fanout)
     for chunk in _chunks(payload, stride):
-        feed.feed(chunk)
+        doc_pass.feed(chunk)
     with pytest.raises(XMLWellFormednessError) as excinfo:
-        feed.finish()
+        doc_pass.finish()
     message, offset = str(excinfo.value), excinfo.value.offset
     assert "truncated document" in message
     assert "incomplete UTF-8 sequence" in message

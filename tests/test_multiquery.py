@@ -6,8 +6,9 @@ statistics must be identical to a solo :func:`repro.run_query` run -- the
 only thing that changes is that the document-side pipeline stages run once
 for the whole set.  These tests pin down
 
-* the merged union filter: each per-query sub-stream of the shared scan
-  equals the query's solo projected stream exactly,
+* the union filter: each slot's sub-stream of a shared pass over an N-slot
+  :class:`~repro.pipeline.fanout.DynamicFanout` equals the stream of a
+  one-slot fanout over the same automaton exactly -- also after churn,
 * byte-identical per-query output in every sink mode (collected, counted,
   writable),
 * per-query peak-buffer parity with solo runs,
@@ -21,8 +22,8 @@ import pytest
 from _reference import reference_events
 
 from repro import FluxEngine, MultiQueryEngine, QueryRegistry, run_queries, run_query
-from repro.fastpath import FastFanout
-from repro.pipeline.fanout import MergedProjectionSpec
+from repro.fastpath import DocumentPass
+from repro.pipeline.fanout import DynamicFanout
 from repro.xmark.dtd import XMARK_DTD_SOURCE, xmark_dtd
 from repro.xmark.generator import config_for_scale, generate_document
 from repro.xmark.queries import BENCHMARK_QUERIES
@@ -48,68 +49,94 @@ def shared_run(registry, document):
 
 
 # ---------------------------------------------------------------------------
-# Merged projection filter
+# The union projection filter
 
 
-def _split_streams(specs, document, stats_list=None):
-    """Per-query sub-streams of one shared scan (``materialize_split``)."""
-    fanout = FastFanout(MergedProjectionSpec(specs))
-    streams = [[] for _ in specs]
-    for subs in fanout.split_batches(document, 4096, stats_list):
+def _fanout(specs):
+    fanout = DynamicFanout()
+    for spec in specs:
+        fanout.attach(spec)
+    return fanout
+
+
+def _slot_streams(fanout, document, stats_list=()):
+    """Per-slot sub-streams of one shared pass: ``materialize_split`` for an
+    N-slot fanout, ``materialize`` for a one-slot one."""
+    streams = [[] for _ in range(fanout.width)]
+    for subs in DocumentPass(fanout, stats_list).scan(document, 4096):
         for stream, sub in zip(streams, subs):
             stream.extend(sub)
-    return fanout, streams
+    return streams
+
+
+def _specs(*names):
+    specs = [FluxEngine(BENCHMARK_QUERIES[name], xmark_dtd()).projection_spec for name in names]
+    assert all(spec is not None for spec in specs)
+    return specs
 
 
 @pytest.mark.parametrize(
     "pair", list(itertools.combinations(sorted(BENCHMARK_QUERIES), 2)), ids="+".join
 )
 def test_merged_filter_accepts_union_of_pair(pair, document):
-    """For each query pair, each membership sub-stream of the shared scan
-    (``materialize_split`` over the merged automaton) equals the query's
-    solo stream (``materialize`` over its own automaton)."""
-    engines = [FluxEngine(BENCHMARK_QUERIES[name], xmark_dtd()) for name in pair]
-    specs = [engine.pipeline.projection_spec for engine in engines]
-    assert all(spec is not None for spec in specs)
-
-    solo_streams = [
-        [event for batch in engine.pipeline.event_batches(document, chunk_size=4096) for event in batch]
-        for engine in engines
-    ]
-    _, sub_streams = _split_streams(specs, document)
+    """For each query pair, each membership sub-stream of the shared pass
+    (``materialize_split`` over a two-slot fanout, no churn) equals the
+    query's solo stream (``materialize`` over its own one-slot fanout)."""
+    specs = _specs(*pair)
+    solo_streams = [_slot_streams(_fanout([spec]), document)[0] for spec in specs]
+    sub_streams = _slot_streams(_fanout(specs), document)
     # Events are value-comparable frozen dataclasses.
     assert sub_streams[0] == solo_streams[0]
     assert sub_streams[1] == solo_streams[1]
 
 
 def test_merged_filter_with_projection_disabled_component(document):
-    """A ``None`` spec component (projection off) must see the full stream."""
-    filtered = FluxEngine(BENCHMARK_QUERIES["Q13"], xmark_dtd())
-    _, (_, unfiltered) = _split_streams([filtered.pipeline.projection_spec, None], document)
+    """A ``None`` slot (projection off) must see the full stream."""
+    _, unfiltered = _slot_streams(_fanout([*_specs("Q13"), None]), document)
     assert unfiltered == reference_events(document)
 
 
 def test_merged_state_membership_masks(document):
     """``chars_mask`` ⊆ ``keep_mask`` on every state the document visits."""
-    engines = [FluxEngine(BENCHMARK_QUERIES[name], xmark_dtd()) for name in ("Q1", "Q13")]
-    fanout, _ = _split_streams([engine.pipeline.projection_spec for engine in engines], document)
-    spec = fanout.spec
-    assert len(spec._states) > 1
-    for state in spec._states.values():
+    fanout = _fanout(_specs("Q1", "Q13"))
+    _slot_streams(fanout, document)
+    assert len(fanout._states) > 1
+    for state in fanout._states.values():
         # A query inside a keep-everything region necessarily keeps elements.
         assert state.chars_mask & state.keep_mask == state.chars_mask
-    assert spec.initial.keep_mask == 0b11  # both queries watch the root
+    assert fanout.initial.keep_mask == 0b11  # both queries watch the root
 
 
 def test_shared_scan_records_stats_per_query(document):
     from repro.engine.stats import RunStatistics
 
-    engines = [FluxEngine(BENCHMARK_QUERIES[name], xmark_dtd()) for name in ("Q1", "Q13")]
     stats = [RunStatistics(), RunStatistics()]
-    _split_streams([engine.pipeline.projection_spec for engine in engines], document, stats)
+    _slot_streams(_fanout(_specs("Q1", "Q13")), document, stats)
     # Both queries are charged the *pre-projection* totals of the shared pass.
     assert stats[0].input_events == stats[1].input_events == len(reference_events(document))
     assert stats[0].input_bytes == stats[1].input_bytes > 0
+
+
+def test_one_spec_yields_one_sub_stream_in_every_fanout_shape(document):
+    """Solo (one slot), static multi-query (three slots, no churn) and a
+    churned hub fanout (attach, detach, compact) hand the same query the
+    same events."""
+    q1, q13, q20 = _specs("Q1", "Q13", "Q20")
+    solo = _slot_streams(_fanout([q13]), document)[0]
+    assert solo  # Q13 keeps something of an XMark document
+
+    assert _slot_streams(_fanout([q1, q13, q20]), document)[1] == solo
+
+    churned = DynamicFanout()
+    first = churned.attach(q1)
+    slot = churned.attach(q13)
+    assert _slot_streams(churned, document)[churned.order().index(slot)] == solo
+    churned.detach(first)  # tombstone: Q13 keeps its seat
+    assert _slot_streams(churned, document)[churned.order().index(slot)] == solo
+    churned.attach(q20)
+    assert churned.compact() == 1  # seats renumber
+    assert churned.order().index(slot) == 0
+    assert _slot_streams(churned, document)[0] == solo
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +225,14 @@ def test_engine_rebuilds_merged_filter_on_register(document):
     reg = QueryRegistry(xmark_dtd())
     reg.register("Q13", BENCHMARK_QUERIES["Q13"])
     engine = MultiQueryEngine(reg)
-    first = engine.merged_spec()
-    assert engine.merged_spec() is first  # cached while the set is stable
+    engine.run(document)
+    first = engine.fanout
+    engine.run(document)
+    assert engine.fanout is first  # attached once while the set is stable
     reg.register("Q20", BENCHMARK_QUERIES["Q20"])
-    second = engine.merged_spec()
-    assert second is not first
-    assert second.count == 2
     run = engine.run(document)
+    assert engine.fanout is not first
+    assert engine.fanout.width == 2 and engine.fanout.recompiles == 0
     assert set(run) == {"Q13", "Q20"}
 
 

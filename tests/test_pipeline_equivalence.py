@@ -20,10 +20,19 @@ import pytest
 
 from repro import FluxEngine, NaiveDomEngine, ProjectionDomEngine
 from repro.engine.executor import StreamExecutor
+from repro.fastpath import DocumentPass
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.generator import config_for_scale, iter_document_chunks
 from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmlstream.parser import parse_events
+
+
+def _execute_events(plan, events):
+    """Reference-tokenizer events straight into the executor."""
+    executor = StreamExecutor(plan)
+    executor.begin()
+    executor.process_batch(events)
+    return executor.finish().output
 
 
 @pytest.fixture(scope="module")
@@ -34,15 +43,15 @@ def pipeline_outputs(medium_xmark_document):
         projected = FluxEngine(query, xmark_dtd())
         unfiltered = FluxEngine(query, xmark_dtd(), projection=False)
         writable = io.StringIO()
-        projected.run_to_sink(medium_xmark_document, writable)
+        projected.execute(medium_xmark_document, sink=writable)
         outputs[name] = {
             "projection": projected.run(medium_xmark_document).output,
             "no-projection": unfiltered.run(medium_xmark_document).output,
-            "streaming": "".join(projected.run_streaming(medium_xmark_document)),
+            "streaming": "".join(projected.stream(medium_xmark_document)),
             "writable": writable.getvalue(),
-            "events": StreamExecutor(projected.plan)
-            .run_batches([parse_events(medium_xmark_document, document_events=False)])
-            .output,
+            "events": _execute_events(
+                projected.plan, parse_events(medium_xmark_document, document_events=False)
+            ),
             "naive-dom": NaiveDomEngine(query).run(medium_xmark_document).output,
             "projection-dom": ProjectionDomEngine(query).run(medium_xmark_document).output,
         }
@@ -89,7 +98,7 @@ def test_streaming_output_is_incremental_and_memory_flat():
     # Feed small chunks so the output-producing region spans many batches.
     chunks = [document[i : i + 4096] for i in range(0, len(document), 4096)]
 
-    run = engine.run_streaming(iter(chunks))
+    run = engine.stream(iter(chunks))
     fragments = list(run)
     assert len(fragments) > 3
     assert run.stats.peak_buffered_bytes == 0
@@ -105,13 +114,13 @@ def test_streaming_output_is_incremental_and_memory_flat():
 def test_projection_filter_drops_events_before_executor():
     """The filter must actually shield the executor on selective queries."""
     engine = FluxEngine(BENCHMARK_QUERIES["Q13"], xmark_dtd())
-    assert engine.pipeline.projection_enabled
+    assert engine.projection_spec is not None
     document = "".join(iter_document_chunks(config_for_scale(0.1, seed=11)))
 
     stats_events = engine.run(document).stats.input_events
-    survivors = 0
-    for batch in engine.pipeline.event_batches(document):
-        survivors += len(batch)
+    survivors = sum(
+        len(batch) for (batch,) in DocumentPass(engine.fanout).scan(document, 64 * 1024)
+    )
     # Most of an XMark document is irrelevant to Q13 (auction regions etc.).
     assert survivors < stats_events / 2
 

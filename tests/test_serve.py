@@ -83,7 +83,7 @@ def _solo(query: str, count: int):
 
 
 def _spec_for(query: str) -> ProjectionSpec:
-    return FluxEngine(query, _schema(), projection=True).pipeline.projection_spec
+    return FluxEngine(query, _schema(), projection=True).projection_spec
 
 
 def test_fanout_slots_and_tombstones():

@@ -445,10 +445,13 @@ def test_one_shot_streaming_with_budget_owns_its_governor():
     throwaway session."""
     from repro import run_query_streaming
 
-    with pytest.warns(DeprecationWarning):
-        run = run_query_streaming(
-            QUERY, WEAK_DOC, WEAK_DTD, root_element="bib", memory_budget=4096
-        )
+    run = run_query_streaming(
+        QUERY,
+        WEAK_DOC,
+        WEAK_DTD,
+        root_element="bib",
+        options=ExecutionOptions(memory_budget=4096),
+    )
     assert run._governor is not None  # run-owned, not session-owned
     assert "".join(run) == run_query(QUERY, WEAK_DOC, WEAK_DTD, root_element="bib").output
     assert not run._finalizer.alive  # closed with the iteration
@@ -501,18 +504,15 @@ def test_feed_rejects_text_after_partial_utf8_bytes_and_recovers(session):
     assert "Café" in run.finish().output
 
 
-def test_pipeline_feed_mixes_text_and_bytes_at_safe_points(session):
-    """Mixing is fine whenever the decoder holds no partial sequence, and
+def test_push_run_mixes_text_and_bytes_at_safe_points(session):
+    """Mixing is fine whenever the scanner holds no partial sequence, and
     completing a split code point resumes normally."""
-    feed = session.prepare(QUERY).engine.pipeline.open_feed()
-    events = []
-    events += feed.feed("<bib><book><title>Caf".encode("utf-8") + "é".encode("utf-8")[:1])
-    events += feed.feed("é".encode("utf-8")[1:])  # completes the code point
-    events += feed.feed("</title><author>K</author>")  # text after clean state
-    events += feed.feed(b"<publisher>P</publisher><price>1</price></book></bib>")
-    events += feed.finish()
-    texts = [getattr(event, "text", "") for event in events]
-    assert any("Café" in text for text in texts)
+    run = session.prepare(QUERY).open_run()
+    run.feed("<bib><book><title>Caf".encode("utf-8") + "é".encode("utf-8")[:1])
+    run.feed("é".encode("utf-8")[1:])  # completes the code point
+    run.feed("</title><author>K</author>")  # text after clean state
+    run.feed(b"<publisher>P</publisher><price>1</price></book></bib>")
+    assert "Café" in run.finish().output
 
 
 def test_failed_execute_releases_buffers_back_to_shared_governor():
@@ -631,7 +631,7 @@ def _streaming_engine():
 
 
 def test_unconsumed_streaming_run_close_releases_governor():
-    run = _streaming_engine().run_streaming(WEAK_DOC)
+    run = _streaming_engine().stream(WEAK_DOC)
     assert run._finalizer is not None and run._finalizer.alive
     run.close()
     assert not run._finalizer.alive
@@ -640,13 +640,13 @@ def test_unconsumed_streaming_run_close_releases_governor():
 
 
 def test_streaming_run_context_manager_releases_governor():
-    with _streaming_engine().run_streaming(WEAK_DOC) as run:
+    with _streaming_engine().stream(WEAK_DOC) as run:
         pass  # never iterated
     assert not run._finalizer.alive
 
 
 def test_abandoned_streaming_run_finalizer_fires_on_gc():
-    run = _streaming_engine().run_streaming(WEAK_DOC)
+    run = _streaming_engine().stream(WEAK_DOC)
     governor = run._governor
     finalizer = run._finalizer
     assert finalizer.alive
@@ -657,7 +657,7 @@ def test_abandoned_streaming_run_finalizer_fires_on_gc():
 
 
 def test_consumed_streaming_run_still_works_and_closes():
-    run = _streaming_engine().run_streaming(WEAK_DOC)
+    run = _streaming_engine().stream(WEAK_DOC)
     output = "".join(run)
     assert output == run_query(QUERY, WEAK_DOC, WEAK_DTD, root_element="bib").output
     assert not run._finalizer.alive
@@ -666,36 +666,26 @@ def test_consumed_streaming_run_still_works_and_closes():
 
 def test_streaming_run_without_governor_has_no_finalizer():
     engine = FluxEngine(QUERY, load_dtd(WEAK_DTD, root_element="bib"))
-    run = engine.run_streaming(WEAK_DOC)
+    run = engine.stream(WEAK_DOC)
     assert run._finalizer is None
     run.close()  # still safe
 
 
 # ---------------------------------------------------------------------------
-# Legacy shims and deprecation
+# One-shot functions
 
 
-def test_legacy_kwargs_warn_but_work():
-    with pytest.warns(DeprecationWarning):
-        result = run_query(
-            QUERY, DOC, BIB_DTD, root_element="bib", collect_output=False
-        )
+def test_one_shots_take_options_and_reject_the_removed_keywords():
+    result = run_query(
+        QUERY,
+        DOC,
+        BIB_DTD,
+        root_element="bib",
+        options=ExecutionOptions(collect_output=False),
+    )
     assert result.output is None
-
-
-def test_options_spelling_does_not_warn():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        result = run_query(
-            QUERY,
-            DOC,
-            BIB_DTD,
-            root_element="bib",
-            options=ExecutionOptions(collect_output=False),
-        )
-    assert result.output is None
+    with pytest.raises(TypeError):
+        run_query(QUERY, DOC, BIB_DTD, root_element="bib", collect_output=False)
 
 
 def test_compare_engines_respects_projection_keyword():

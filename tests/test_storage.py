@@ -333,11 +333,11 @@ def test_bounded_output_identical_across_all_sink_modes(xmark_setup, query):
     assert collected.stats.peak_resident_bytes <= budget
 
     sink = io.StringIO()
-    to_sink = engine.run_to_sink(document, sink)
+    to_sink = engine.execute(document, sink=sink)
     assert sink.getvalue() == unbounded.output
     assert to_sink.stats.peak_resident_bytes <= budget
 
-    streaming = engine.run_streaming(document)
+    streaming = engine.stream(document)
     assert "".join(streaming) == unbounded.output
     assert streaming.stats.peak_resident_bytes <= budget
 
@@ -400,7 +400,7 @@ def test_streaming_run_closes_governor_when_abandoned(xmark_setup):
     engine = FluxEngine(
         BENCHMARK_QUERIES["Q8"], dtd, memory_budget=2048, memory_page_bytes=128
     )
-    streaming = engine.run_streaming(document)
+    streaming = engine.stream(document)
     iterator = iter(streaming)
     next(iterator)  # start the run, then abandon it
     iterator.close()  # generator finalization must close the spill store
