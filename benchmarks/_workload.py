@@ -15,7 +15,11 @@ import os
 import platform
 from typing import Dict, List
 
+from repro.core.options import ExecutionOptions
 from repro.xmark.generator import config_for_scale, generate_document
+
+#: What the timed FluX runs pass as ``options``: statistics, no output text.
+COUNT_ONLY = ExecutionOptions(collect_output=False)
 
 
 def _scales_from_env() -> tuple:

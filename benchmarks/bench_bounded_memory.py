@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import FluxEngine
+from repro import ExecutionOptions, FluxEngine
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 
-from _workload import FIGURE4_SCALES, record_row, record_summary, xmark_document
+from _workload import COUNT_ONLY, FIGURE4_SCALES, record_row, record_summary, xmark_document
 
 _SCALE = FIGURE4_SCALES[-1]
 _QUERIES = ("Q1", "Q8", "Q13")
@@ -43,18 +43,19 @@ def test_budget_below_peak_caps_residency(benchmark, query):
     """Half-the-peak budget: resident <= budget, spills engaged, same bytes."""
     document = xmark_document(_SCALE)
     unbounded_engine = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd())
-    unbounded = unbounded_engine.run(document)
+    unbounded = unbounded_engine.execute(document)
     peak = unbounded.stats.peak_buffered_bytes
     budget = max(peak // 2, _MIN_BUDGET)
 
-    bounded_engine = FluxEngine(
-        BENCHMARK_QUERIES[query], xmark_dtd(), memory_budget=budget
-    )
+    bounded_engine = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd())
+    bounded = ExecutionOptions(memory_budget=budget)
     # Correctness outside the timed region: byte-identical output.
-    assert bounded_engine.run(document).output == unbounded.output
+    assert bounded_engine.execute(document, options=bounded).output == unbounded.output
 
     result = benchmark.pedantic(
-        lambda: bounded_engine.run(document, collect_output=False), rounds=1, iterations=1
+        lambda: bounded_engine.execute(document, options=bounded.replace(collect_output=False)),
+        rounds=1,
+        iterations=1,
     )
     stats = result.stats
     assert stats.peak_resident_bytes <= budget
@@ -95,13 +96,14 @@ def test_generous_budget_throughput_tax(benchmark):
     document = xmark_document(_SCALE)
     query = BENCHMARK_QUERIES["Q8"]
     unbounded_engine = FluxEngine(query, xmark_dtd())
-    unbounded = unbounded_engine.run(document, collect_output=False)
+    unbounded = unbounded_engine.execute(document, options=COUNT_ONLY)
     peak = unbounded.stats.peak_buffered_bytes
     budget = peak * 4 + 64 * 1024
 
-    bounded_engine = FluxEngine(query, xmark_dtd(), memory_budget=budget)
+    bounded_engine = FluxEngine(query, xmark_dtd())
+    bounded = COUNT_ONLY.replace(memory_budget=budget)
     result = benchmark.pedantic(
-        lambda: bounded_engine.run(document, collect_output=False), rounds=1, iterations=1
+        lambda: bounded_engine.execute(document, options=bounded), rounds=1, iterations=1
     )
     stats = result.stats
     assert stats.spill_count == 0

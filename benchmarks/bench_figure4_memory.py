@@ -21,7 +21,7 @@ from repro import FluxEngine, NaiveDomEngine, ProjectionDomEngine
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 
-from _workload import FIGURE4_SCALES, record_row, xmark_document
+from _workload import COUNT_ONLY, FIGURE4_SCALES, record_row, xmark_document
 
 _MEMORY_SCALES = FIGURE4_SCALES[:3]
 
@@ -32,7 +32,7 @@ def test_flux_memory_across_sizes(benchmark, query):
     documents = [xmark_document(scale) for scale in _MEMORY_SCALES]
 
     def run():
-        return [engine.run(document, collect_output=False).stats for document in documents]
+        return [engine.execute(document, options=COUNT_ONLY).stats for document in documents]
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
     peaks = [entry.peak_buffered_bytes for entry in stats]

@@ -21,7 +21,7 @@ from repro import FluxEngine, NaiveDomEngine, ProjectionDomEngine
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 
-from _workload import FIGURE4_SCALES, record_row, record_summary, xmark_document
+from _workload import COUNT_ONLY, FIGURE4_SCALES, record_row, record_summary, xmark_document
 
 _QUERIES = sorted(BENCHMARK_QUERIES)
 
@@ -51,7 +51,7 @@ def test_flux_engine_time(benchmark, query, scale):
     engine = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd())
 
     def run():
-        return engine.run(document, collect_output=False)
+        return engine.execute(document, options=COUNT_ONLY)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     record_row(

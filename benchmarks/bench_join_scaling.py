@@ -12,7 +12,7 @@ from repro import FluxEngine
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 
-from _workload import record_row, xmark_document
+from _workload import COUNT_ONLY, record_row, xmark_document
 
 _SMALL_SCALE = 0.05
 _LARGE_SCALE = 0.2
@@ -20,7 +20,7 @@ _LARGE_SCALE = 0.2
 
 def _timed_run(query: str, document: str) -> float:
     engine = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd())
-    return engine.run(document, collect_output=False).stats.elapsed_seconds
+    return engine.execute(document, options=COUNT_ONLY).stats.elapsed_seconds
 
 
 def test_join_query_time_grows_superlinearly(benchmark):

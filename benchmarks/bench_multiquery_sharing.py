@@ -29,7 +29,7 @@ from repro.multiquery import MultiQueryEngine, QueryRegistry
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES, QUERY_1, QUERY_13, QUERY_20
 
-from _workload import FIGURE4_SCALES, record_row, xmark_document
+from _workload import COUNT_ONLY, FIGURE4_SCALES, record_row, xmark_document
 
 _SCALE = FIGURE4_SCALES[-1]
 
@@ -58,7 +58,7 @@ def _registry_for(queries: dict) -> QueryRegistry:
 
 def _sequential_seconds(registry: QueryRegistry, document: str) -> float:
     return sum(
-        entry.engine.run(document, collect_output=False).stats.elapsed_seconds
+        entry.engine.execute(document, options=COUNT_ONLY).stats.elapsed_seconds
         for entry in registry
     )
 
@@ -76,7 +76,7 @@ def test_shared_scan_vs_sequential(benchmark, workload):
     # the same compiled plans run solo.
     shared = engine.run(document)
     for entry in registry:
-        solo = entry.engine.run(document)
+        solo = entry.engine.execute(document)
         assert shared[entry.name].output == solo.output, entry.name
         assert (
             shared[entry.name].stats.peak_buffered_bytes == solo.stats.peak_buffered_bytes
@@ -85,9 +85,8 @@ def test_shared_scan_vs_sequential(benchmark, workload):
             shared[entry.name].stats.peak_buffered_events == solo.stats.peak_buffered_events
         ), entry.name
 
-    shared_run = benchmark.pedantic(
-        lambda: engine.run(document, collect_output=False), rounds=1, iterations=1
-    )
+    counting = MultiQueryEngine(registry, options=COUNT_ONLY)
+    shared_run = benchmark.pedantic(lambda: counting.run(document), rounds=1, iterations=1)
     shared_seconds = shared_run.elapsed_seconds
     sequential_seconds = _sequential_seconds(registry, document)
     speedup = sequential_seconds / shared_seconds if shared_seconds else float("inf")
@@ -118,13 +117,13 @@ def test_shared_scan_scaling_with_query_count(benchmark):
     for count in (2, 4, 6, 8):
         subset = dict(list(mix.items())[:count])
         registry = _registry_for(subset)
-        engine = MultiQueryEngine(registry)
-        shared = engine.run(document, collect_output=False).elapsed_seconds
+        engine = MultiQueryEngine(registry, options=COUNT_ONLY)
+        shared = engine.run(document).elapsed_seconds
         sequential = _sequential_seconds(registry, document)
         rows.append((count, sequential, shared, sequential / shared if shared else 0.0))
 
     benchmark.pedantic(
-        lambda: MultiQueryEngine(_registry_for(mix)).run(document, collect_output=False),
+        lambda: MultiQueryEngine(_registry_for(mix), options=COUNT_ONLY).run(document),
         rounds=1,
         iterations=1,
     )

@@ -38,6 +38,7 @@ from repro import FluxEngine
 from repro.core.options import ExecutionOptions
 from repro.engine.executor import StreamExecutor
 from repro.fastpath import ByteScanner
+from repro.pipeline.sinks import NullSink
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 
@@ -92,7 +93,7 @@ def test_tracing_overhead(benchmark, query):
 
     def baseline():
         data = document.encode("utf-8")  # as ``execute`` does with a str
-        executor = StreamExecutor(engine.plan, collect_output=False, count_input=not filtered)
+        executor = StreamExecutor(engine.plan, sink=NullSink(), count_input=not filtered)
         scanner = ByteScanner(engine.fanout.tags, engine.fanout.table())
 
         def batches():

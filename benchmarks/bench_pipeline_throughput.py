@@ -20,7 +20,7 @@ from repro import FluxEngine
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 
-from _workload import FIGURE4_SCALES, record_row, record_summary, xmark_document
+from _workload import COUNT_ONLY, FIGURE4_SCALES, record_row, record_summary, xmark_document
 
 _SCALE = FIGURE4_SCALES[min(1, len(FIGURE4_SCALES) - 1)]
 _QUERIES = sorted(BENCHMARK_QUERIES)
@@ -31,12 +31,12 @@ def test_projection_filter_throughput(benchmark, query):
     document = xmark_document(_SCALE)
     projected = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd())
     unfiltered = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd(), projection=False)
-    assert projected.run(document).output == unfiltered.run(document).output
+    assert projected.execute(document).output == unfiltered.execute(document).output
 
     result = benchmark.pedantic(
-        lambda: projected.run(document, collect_output=False), rounds=1, iterations=1
+        lambda: projected.execute(document, options=COUNT_ONLY), rounds=1, iterations=1
     )
-    baseline = unfiltered.run(document, collect_output=False)
+    baseline = unfiltered.execute(document, options=COUNT_ONLY)
     record_row(
         benchmark,
         table="pipeline",
@@ -59,7 +59,7 @@ def test_projection_filter_throughput(benchmark, query):
 def test_streaming_output_throughput(benchmark, query):
     document = xmark_document(_SCALE)
     engine = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd())
-    collected = engine.run(document).output
+    collected = engine.execute(document).output
 
     def run():
         streaming_run = engine.stream(document)

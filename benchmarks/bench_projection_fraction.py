@@ -14,7 +14,7 @@ from repro import FluxEngine, NaiveDomEngine
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 
-from _workload import record_row, xmark_document
+from _workload import COUNT_ONLY, record_row, xmark_document
 
 
 @pytest.mark.parametrize("query", ["Q8", "Q11"])
@@ -23,7 +23,7 @@ def test_join_queries_buffer_a_small_fraction(benchmark, query):
     engine = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd())
 
     def run():
-        return engine.run(document, collect_output=False)
+        return engine.execute(document, options=COUNT_ONLY)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     fraction = result.stats.peak_buffered_bytes / len(document)
@@ -45,7 +45,7 @@ def test_flux_buffers_far_less_than_the_naive_engine(benchmark, query):
     naive_engine = NaiveDomEngine(BENCHMARK_QUERIES[query])
 
     def run():
-        flux = flux_engine.run(document, collect_output=False)
+        flux = flux_engine.execute(document, options=COUNT_ONLY)
         naive = naive_engine.run(document, collect_output=False)
         return flux, naive
 

@@ -41,8 +41,8 @@ def test_scheduling_vs_trivial_past_star(benchmark, query):
     trivial_engine = FluxEngine(_trivial_flux(BENCHMARK_QUERIES[query]), dtd)
 
     def run():
-        scheduled = scheduled_engine.run(document, collect_output=True)
-        trivial = trivial_engine.run(document, collect_output=True)
+        scheduled = scheduled_engine.execute(document)
+        trivial = trivial_engine.execute(document)
         return scheduled, trivial
 
     scheduled, trivial = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -95,8 +95,8 @@ def test_loop_fusion_removes_publisher_buffering(benchmark):
     unfused_engine = FluxEngine(PUBLISHER_QUERY, dtd, apply_simplifications=False)
 
     def run():
-        fused = fused_engine.run(document, collect_output=True)
-        unfused = unfused_engine.run(document, collect_output=True)
+        fused = fused_engine.execute(document)
+        unfused = unfused_engine.execute(document)
         return fused, unfused
 
     fused, unfused = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -148,7 +148,7 @@ def test_serve_churn_oracle(benchmark):
     solo = {
         name: [
             FluxEngine(BENCHMARK_QUERIES[name], xmark_dtd(), projection=True)
-            .run(doc)
+            .execute(doc)
             .output
             for doc in docs
         ]

@@ -21,7 +21,7 @@ from repro.xmark.usecases import (
     generate_bibliography,
 )
 
-from _workload import record_row
+from _workload import COUNT_ONLY, record_row
 
 
 def _dtd(source):
@@ -38,8 +38,8 @@ def test_intro_query_buffering_weak_vs_ordered_dtd(benchmark):
     ordered_engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_USECASES))
 
     def run():
-        weak = weak_engine.run(weak_doc, collect_output=False)
-        ordered = ordered_engine.run(ordered_doc, collect_output=False)
+        weak = weak_engine.execute(weak_doc, options=COUNT_ONLY)
+        ordered = ordered_engine.execute(ordered_doc, options=COUNT_ONLY)
         return weak, ordered
 
     weak, ordered = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -64,8 +64,8 @@ def test_join_query_buffering_weak_vs_ordered_dtd(benchmark):
     ordered_engine = FluxEngine(XMP_Q3, _dtd(BIB_ARTICLES_DTD_ORDERED))
 
     def run():
-        weak = weak_engine.run(document, collect_output=False)
-        ordered = ordered_engine.run(document, collect_output=False)
+        weak = weak_engine.execute(document, options=COUNT_ONLY)
+        ordered = ordered_engine.execute(document, options=COUNT_ONLY)
         return weak, ordered
 
     weak, ordered = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -85,7 +85,7 @@ def test_weak_dtd_buffer_stays_bounded_by_one_book(benchmark, books):
     engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_UNORDERED))
 
     def run():
-        return engine.run(document, collect_output=False)
+        return engine.execute(document, options=COUNT_ONLY)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     record_row(

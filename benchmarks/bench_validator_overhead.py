@@ -15,7 +15,7 @@ from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmlstream.parser import iter_events
 
-from _workload import record_row, xmark_document
+from _workload import COUNT_ONLY, record_row, xmark_document
 
 
 def test_plain_parsing_throughput(benchmark):
@@ -55,7 +55,7 @@ def test_streaming_query_throughput(benchmark):
     engine = FluxEngine(BENCHMARK_QUERIES["Q13"], xmark_dtd())
 
     def run():
-        return engine.run(document, collect_output=False)
+        return engine.execute(document, options=COUNT_ONLY)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)
     record_row(

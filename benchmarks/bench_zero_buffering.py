@@ -17,7 +17,7 @@ from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmlstream.parser import parse_tree
 
-from _workload import record_row, xmark_document
+from _workload import COUNT_ONLY, record_row, xmark_document
 
 
 @pytest.mark.parametrize("query", ["Q1", "Q13"])
@@ -26,7 +26,7 @@ def test_streamable_queries_buffer_nothing(benchmark, query):
     engine = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd())
 
     def run():
-        return engine.run(document, collect_output=False)
+        return engine.execute(document, options=COUNT_ONLY)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     record_row(
@@ -45,7 +45,7 @@ def test_q20_buffers_one_person_at_a_time(benchmark):
     engine = FluxEngine(BENCHMARK_QUERIES["Q20"], xmark_dtd())
 
     def run():
-        return engine.run(document, collect_output=False)
+        return engine.execute(document, options=COUNT_ONLY)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     root = parse_tree(document)
@@ -66,7 +66,7 @@ def test_q1_memory_is_independent_of_document_size(benchmark):
     documents = [xmark_document(scale) for scale in (0.05, 0.2, 0.4)]
 
     def run():
-        return [engine.run(document, collect_output=False).stats for document in documents]
+        return [engine.execute(document, options=COUNT_ONLY).stats for document in documents]
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
     peaks = [entry.peak_buffered_bytes for entry in stats]

@@ -17,7 +17,7 @@ Run with::
 
 import sys
 
-from repro import FluxEngine
+from repro import ExecutionOptions, FluxEngine
 from repro.obs.attrib import format_attribution
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.generator import config_for_scale, generate_document
@@ -29,24 +29,25 @@ def main(scale: float) -> None:
     print(f"generated XMark document at scale {scale}: {len(document)} bytes")
 
     engine = FluxEngine(BENCHMARK_QUERIES["Q8"], xmark_dtd())
-    stats = engine.run(document, collect_output=False).stats
+    count_only = ExecutionOptions(collect_output=False)
+    stats = engine.execute(document, options=count_only).stats
     print("\n--- Q8 unbounded: who owns the peak? ---")
     print(format_attribution(stats))
     attributed = stats.attribution.total_at_peak_bytes()
     assert attributed == stats.peak_buffered_bytes, "attribution is exact"
 
     # Q1 streams everything: the table degenerates to a one-line proof.
-    q1_stats = FluxEngine(BENCHMARK_QUERIES["Q1"], xmark_dtd()).run(
-        document, collect_output=False
+    q1_stats = FluxEngine(BENCHMARK_QUERIES["Q1"], xmark_dtd()).execute(
+        document, options=count_only
     ).stats
     print("\n--- Q1: a fully streaming query ---")
     print(format_attribution(q1_stats))
 
     # Halve the budget: the same owners spill, and every spilled byte is
     # attributed too.
-    engine.memory_budget = max(32, stats.peak_buffered_bytes // 2)
-    bounded = engine.run(document, collect_output=False).stats
-    print(f"\n--- Q8 with a {engine.memory_budget}B budget: spills attributed ---")
+    budget = max(32, stats.peak_buffered_bytes // 2)
+    bounded = engine.execute(document, options=count_only.replace(memory_budget=budget)).stats
+    print(f"\n--- Q8 with a {budget}B budget: spills attributed ---")
     print(format_attribution(bounded))
     print(
         f"spilled_bytes_written = {bounded.spilled_bytes_written}B; "

@@ -93,14 +93,14 @@ def main() -> None:
     # Oracle: solo runs over independently regenerated tick documents.
     solo_q1 = [
         FluxEngine(BENCHMARK_QUERIES["Q1"], xmark_dtd(), projection=True)
-        .run(ticker_document(i, scale=SCALE))
+        .execute(ticker_document(i, scale=SCALE))
         .output
         for i in range(documents)
     ]
     engine_q13 = FluxEngine(BENCHMARK_QUERIES["Q13"], xmark_dtd(), projection=True)
     late_first = late_frames[0]["document"] if late_frames else None
     solo_q13 = [
-        engine_q13.run(ticker_document(i, scale=SCALE)).output
+        engine_q13.execute(ticker_document(i, scale=SCALE)).output
         for i in range(late_first or 0, documents)
     ]
 

@@ -1,8 +1,8 @@
 """Legacy setup shim.
 
-The environment has setuptools but no ``wheel`` package, so editable installs
-go through ``setup.py develop`` (``pip install -e . --no-use-pep517``).
-All metadata lives in ``pyproject.toml``.
+All metadata lives in ``pyproject.toml``; this file only lets environments
+without the ``wheel`` package do editable installs through
+``setup.py develop`` (``pip install -e . --no-use-pep517``).
 """
 
 from setuptools import setup

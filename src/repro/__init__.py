@@ -54,8 +54,12 @@ Quickstart::
             run.feed(chunk)
     print(run.result.output)
 
-The pre-session surface (:class:`FluxEngine`, :func:`run_query` and
-friends) keeps working as thin shims over the session layer.
+Whatever opens it -- a solo ``execute``, a ``prepare_many`` pass, a feed
+or the subscription hub -- a document runs through one
+:class:`RunHandle`, one seat per query, configured by one
+:class:`ExecutionOptions`.  The pre-session surface (:class:`FluxEngine`,
+:func:`run_query` and friends) keeps working as thin shims over the
+session layer.
 """
 
 from repro.core import (

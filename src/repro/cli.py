@@ -342,7 +342,7 @@ def _cmd_compare(args) -> int:
     # of one whole-file read here).
     document = args.document
 
-    flux = FluxEngine(query, schema).run(document, collect_output=True)
+    flux = FluxEngine(query, schema).execute(document)
     naive = NaiveDomEngine(query).run(document)
     projection = ProjectionDomEngine(query).run(document)
 

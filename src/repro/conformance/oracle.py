@@ -289,6 +289,7 @@ class Oracle:
         report: CaseReport,
     ) -> Tuple[str, int]:
         record = report.divergences.append
+        options = ExecutionOptions(expand_attrs=case.expand_attrs)
         expand = case.expand_attrs
         try:
             reference = NaiveDomEngine(source).run_tree(reference_tree)
@@ -305,7 +306,7 @@ class Oracle:
 
         # --- sink mode 1: collect ---------------------------------------
         try:
-            collected = engine.run(case.document, expand_attrs=expand)
+            collected = engine.execute(case.document, options=options)
         except Exception as exc:  # noqa: BLE001 - engine crashes are findings
             record(Divergence(name, "flux-collect", f"run crashed: {exc!r}"))
             return expected, 0
@@ -321,8 +322,8 @@ class Oracle:
         comparable = 2 if case.document.isascii() else 1
         wanted = _reference_input(case.document, expand)[:comparable]
         try:
-            unprojected = FluxEngine(source, schema, projection=False).run(
-                case.document, expand_attrs=expand
+            unprojected = FluxEngine(source, schema, projection=False).execute(
+                case.document, options=options
             )
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "flux-unprojected", f"run crashed: {exc!r}"))
@@ -346,7 +347,7 @@ class Oracle:
 
         # --- sink mode 2: streaming fragments ---------------------------
         try:
-            run = engine.stream(case.document, options=ExecutionOptions(expand_attrs=expand))
+            run = engine.stream(case.document, options=options)
             streamed = "".join(run)
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "flux-streaming", f"run crashed: {exc!r}"))
@@ -358,9 +359,7 @@ class Oracle:
         # --- sink mode 3: writable sink ---------------------------------
         sink = io.StringIO()
         try:
-            sink_result = engine.execute(
-                case.document, sink=sink, options=ExecutionOptions(expand_attrs=expand)
-            )
+            sink_result = engine.execute(case.document, sink=sink, options=options)
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "flux-sink", f"run crashed: {exc!r}"))
             return expected, peak
@@ -370,7 +369,9 @@ class Oracle:
 
         # --- stats-only run (collect_output=False) ----------------------
         try:
-            discarded = engine.run(case.document, collect_output=False, expand_attrs=expand)
+            discarded = engine.execute(
+                case.document, options=options.replace(collect_output=False)
+            )
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "flux-discard", f"run crashed: {exc!r}"))
             return expected, peak
@@ -424,17 +425,16 @@ class Oracle:
                 record(Divergence(name, "projection-dom", _diff(expected, projected.output)))
 
         # --- bounded-memory run (budget forces spills when buffering) ---
-        # The compiled engine is reused: memory_budget is read per run (a
-        # fresh governor each time), so only the budget field changes.
+        # The compiled engine is reused: the budget is a per-run option (a
+        # fresh, run-owned governor each time).
         budget = max(self.min_budget_bytes, peak // 2)
         try:
-            engine.memory_budget = budget
-            bounded = engine.run(case.document, expand_attrs=expand)
+            bounded = engine.execute(
+                case.document, options=options.replace(memory_budget=budget)
+            )
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "flux-bounded", f"run crashed: {exc!r}"))
             return expected, peak
-        finally:
-            engine.memory_budget = None
         stats = bounded.stats
         if bounded.output != expected:
             record(Divergence(name, "flux-bounded", _diff(expected, bounded.output)))
@@ -513,9 +513,7 @@ class Oracle:
         # tree a run leaves behind must be structurally well-formed.
         label = "traced"
         try:
-            traced = engine.execute(
-                case.document, options=ExecutionOptions(trace=True, expand_attrs=expand)
-            )
+            traced = engine.execute(case.document, options=options.replace(trace=True))
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, label, f"traced run crashed: {exc!r}"))
             return expected, peak

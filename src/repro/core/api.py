@@ -12,12 +12,18 @@ Migration map (old -> new)::
     run_query_streaming(q, doc, dtd)  -> session.prepare(q).stream(doc)
     run_query_to_sink(q, doc, dtd, w) -> session.prepare(q).execute(doc, sink=w)
     run_queries({...}, doc, dtd)      -> session.prepare_many({...}).execute(doc)
-    FluxEngine(q, dtd).run(doc)       -> session.prepare(q).execute(doc)
+    FluxEngine(q, dtd).run(doc, ...)  -> session.prepare(q).execute(doc), or
+                                         FluxEngine(q, dtd).execute(doc, options=...)
+    FluxEngine(..., memory_budget=b), MultiQueryEngine(..., memory_budget=b,
+    chunk_size=n).run(doc, collect_output=..., expand_attrs=..., trace=...)
+                                      -> options=ExecutionOptions(...) on the run /
+                                         the MultiQueryEngine; a passed governor= is
+                                         borrowed, an absent one created and owned
     (no old equivalent)               -> session.prepare(q).open_run() -- push mode
 
 Per-run behaviour is one :class:`~repro.core.options.ExecutionOptions`
-(``options=``); the compile-time ``projection`` flag belongs to
-``prepare``.
+(``options=``) and nothing else; the compile-time ``projection`` flag
+belongs to ``prepare``.
 """
 
 from __future__ import annotations

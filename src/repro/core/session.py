@@ -41,15 +41,22 @@ Typical service shape::
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.dtd.parser import parse_dtd
 from repro.dtd.schema import DTD
-from repro.engine.engine import FluxEngine, FluxRunResult, RunHandle, StreamingRun, ensure_rooted
+from repro.engine.engine import (
+    FluxEngine,
+    FluxRunResult,
+    RunHandle,
+    StreamingRun,
+    ensure_rooted,
+    governor_for,
+)
 from repro.engine.stats import RunStatistics
 from repro.feeds import FeedHandle
 from repro.flux.ast import FluxExpr
@@ -306,16 +313,7 @@ class PreparedQuery:
         ``options`` (or keyword overrides of the session defaults) carry the
         per-run knobs.
         """
-        options = self.session._resolve_options(options, overrides)
-        governor, owned = self.session._governor_for(options)
-        return self.engine.execute(
-            document,
-            sink=sink,
-            options=options,
-            governor=governor,
-            owns_governor=owned,
-            on_finish=self.session.statistics.absorb,
-        )
+        return self.engine.execute(document, sink=sink, **self.session._lend(options, overrides))
 
     def stream(
         self,
@@ -325,15 +323,7 @@ class PreparedQuery:
         **overrides,
     ) -> StreamingRun:
         """Pull-mode run yielding serialized output fragments lazily."""
-        options = self.session._resolve_options(options, overrides)
-        governor, owned = self.session._governor_for(options)
-        return self.engine.stream(
-            document,
-            options=options,
-            governor=governor,
-            owns_governor=owned,
-            on_finish=self.session.statistics.absorb,
-        )
+        return self.engine.stream(document, **self.session._lend(options, overrides))
 
     def open_run(
         self,
@@ -349,15 +339,7 @@ class PreparedQuery:
         writable to forward output as it is produced, or nothing to collect
         the result.
         """
-        options = self.session._resolve_options(options, overrides)
-        governor, owned = self.session._governor_for(options)
-        return self.engine.open_run(
-            sink=sink,
-            options=options,
-            governor=governor,
-            owns_governor=owned,
-            on_finish=lambda stats: self.session.statistics.absorb(stats, feed=True),
-        )
+        return self.engine.open_run(sink=sink, **self.session._lend(options, overrides, feed=True))
 
     def open_feed(
         self,
@@ -380,17 +362,12 @@ class PreparedQuery:
         (or ``options.feed.resume_offset``) skips an already-processed
         stream prefix byte-exactly.  See :mod:`repro.feeds`.
         """
-        options = self.session._resolve_options(options, overrides)
-        governor, owned = self.session._governor_for(options)
         return self.engine.open_feed(
             sink=sink,
-            options=options,
-            governor=governor,
-            owns_governor=owned,
-            on_finish=lambda stats: self.session.statistics.absorb(stats, feed=True),
             on_document=on_document,
             on_heartbeat=on_heartbeat,
             resume_from=resume_from,
+            **self.session._lend(options, overrides, feed=True),
         )
 
 
@@ -430,27 +407,10 @@ class PreparedQuerySet:
         output per ``options.collect_output``.
         """
         options = self.session._resolve_options(options, overrides)
-        shared = self.session._shared_governor(options)
         engine = MultiQueryEngine(
-            self.registry,
-            chunk_size=options.chunk_size,
-            governor=shared,
-            # With a per-run budget override the multi-query engine creates
-            # (and closes) its own pass-scoped governor.
-            memory_budget=None if shared is not None else options.memory_budget,
-            memory_page_bytes=options.memory_page_bytes,
+            self.registry, options=options, governor=self.session._shared_governor(options)
         )
-        if sinks is not None:
-            run = engine.run_to_sinks(
-                document, sinks, expand_attrs=options.expand_attrs, trace=options.trace
-            )
-        else:
-            run = engine.run(
-                document,
-                collect_output=options.collect_output,
-                expand_attrs=options.expand_attrs,
-                trace=options.trace,
-            )
+        run = engine.run(document) if sinks is None else engine.run_to_sinks(document, sinks)
         for result in run.results.values():
             self.session.statistics.absorb(result.stats)
         return run
@@ -514,7 +474,6 @@ class FluxSession:
         self.statistics = SessionStatistics()
         self._fingerprint = self.dtd.fingerprint()
         self._governor: Optional[MemoryGovernor] = None
-        self._governor_finalizer = None
         self._closed = False
 
     # -------------------------------------------------------------- prepare
@@ -638,42 +597,34 @@ class FluxSession:
                 )
         return ExecutionOptions.from_kwargs(base, **overrides)
 
+    def _lend(self, options: Optional[ExecutionOptions], overrides: dict, *, feed: bool = False):
+        """What every run of this session is opened with: its resolved
+        options, the session governor when it shares it, and the hook that
+        folds the finished run into the session statistics."""
+        options = self._resolve_options(options, overrides)
+        absorb = self.statistics.absorb
+        return {
+            "options": options,
+            "governor": self._shared_governor(options),
+            "on_finish": partial(absorb, feed=True) if feed else absorb,
+        }
+
     def _shared_governor(self, options: ExecutionOptions) -> Optional[MemoryGovernor]:
-        """The lazily-created session governor, when the run's budget matches
-        the session's; ``None`` otherwise (no budget, or per-run override)."""
-        if options.memory_budget is None:
-            return None
-        if (
-            options.memory_budget == self.options.memory_budget
-            and options.memory_page_bytes == self.options.memory_page_bytes
+        """The governor the session lends a run: its own (lazily created)
+        when the run's budget matches the session's, ``None`` otherwise --
+        no budget, or a per-run override, for which the run creates and
+        closes a private one."""
+        budget = (options.memory_budget, options.memory_page_bytes)
+        if budget[0] is None or budget != (
+            self.options.memory_budget,
+            self.options.memory_page_bytes,
         ):
-            if self._governor is None:
-                self._governor = MemoryGovernor(
-                    self.options.memory_budget, page_bytes=self.options.memory_page_bytes
-                )
-                # A session that is dropped without close() must not leak
-                # the governor's spill file; the finalizer references only
-                # the governor (close is idempotent), never the session.
-                self._governor_finalizer = weakref.finalize(self, self._governor.close)
-            return self._governor
-        return None
-
-    def _governor_for(self, options: ExecutionOptions) -> Tuple[Optional[MemoryGovernor], bool]:
-        """The governor a run should use: ``(governor, run_owns_it)``.
-
-        Runs whose budget matches the session's share the session governor
-        (never closed by the run); a per-run override gets a private,
-        run-owned governor.  No budget anywhere -> no governor.
-        """
-        shared = self._shared_governor(options)
-        if shared is not None:
-            return shared, False
-        if options.memory_budget is None:
-            return None, False
-        return (
-            MemoryGovernor(options.memory_budget, page_bytes=options.memory_page_bytes),
-            True,
-        )
+            return None
+        if self._governor is None:
+            # Owned under the runs' own rule: a session that is dropped
+            # without close() does not leak the governor's spill file.
+            self._governor, self._release_governor = governor_for(self, self.options)
+        return self._governor
 
     # ------------------------------------------------------------- telemetry
 
@@ -686,9 +637,8 @@ class FluxSession:
     def close(self) -> None:
         """Release the session governor (spill file included).  Idempotent."""
         self._closed = True
-        if self._governor_finalizer is not None:
-            self._governor_finalizer()  # runs governor.close() exactly once
-            self._governor_finalizer = None
+        if self._governor is not None:
+            self._release_governor()  # runs governor.close() exactly once
         self._governor = None
 
     def __enter__(self) -> "FluxSession":

@@ -14,24 +14,28 @@
 The engine can equally be constructed from an already-built FluX query
 (hand-written or produced elsewhere); it then starts at step 4.
 
-One compiled plan serves every execution shape, and every shape is the
-same :class:`RunHandle` over the same
-:class:`~repro.fastpath.pipeline.DocumentPass`:
+There is one way to run: a :class:`RunHandle`, *N seats wide*, over one
+:class:`~repro.fastpath.pipeline.DocumentPass`.  It is the only site that
+builds executors, settles who owns the memory governor, aborts, writes the
+crash dump and folds statistics into the global telemetry, so every
+execution shape behaves the same by construction:
 
-* :meth:`FluxEngine.open_run` -- **push mode**: the caller drives the
-  handle, ``feed(chunk)`` / ``finish()`` executing the query incrementally
-  as chunks arrive (network sockets, message frames),
-* :meth:`FluxEngine.execute` -- the unified pull entry: one document, any
-  :mod:`~repro.pipeline.sinks` target, one :class:`ExecutionOptions`; the
-  handle is driven from the document source to completion,
+* :meth:`FluxEngine.open_run` -- **push mode**, one seat: the caller drives
+  the handle, ``feed(chunk)`` / ``finish()`` executing the query
+  incrementally as chunks arrive (network sockets, message frames),
+* :meth:`FluxEngine.execute` -- the pull entry: one document, any
+  :mod:`~repro.pipeline.sinks` target; the handle is driven from the
+  document source to completion,
 * :meth:`FluxEngine.stream` -- the same drive, iterated for serialized
   output fragments while the input is being consumed,
-* :meth:`FluxEngine.run` -- the keyword spelling of :meth:`FluxEngine.execute`.
+* :class:`~repro.multiquery.engine.MultiQueryEngine` -- the same drive with
+  one seat per registered query,
+* :mod:`repro.feeds` / :mod:`repro.serve` -- one handle per document of an
+  endless stream (one seat, or one per subscription).
 
-The session layer (:mod:`repro.core.session`) adds plan caching and
-session-scoped memory governance on top; its ``PreparedQuery`` calls
-straight into :meth:`execute` / :meth:`open_run` with an externally-owned
-governor.
+Per-run behaviour is one :class:`~repro.core.options.ExecutionOptions`.
+The session layer (:mod:`repro.core.session`) adds plan caching and a
+session-scoped governor, which it lends to the runs it opens.
 """
 
 from __future__ import annotations
@@ -42,12 +46,13 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Optional, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.dtd.schema import DTD, ROOT_ELEMENT
 from repro.engine.executor import StreamExecutor
 from repro.engine.plan import QueryPlan, compile_plan
+from repro.engine.stats import RunStatistics
 from repro.fastpath import DocumentPass
 from repro.flux.ast import FluxExpr
 from repro.flux.rewrite import RewriteResult, rewrite_to_flux
@@ -70,8 +75,9 @@ class FluxRunResult:
     """Result of running a query: output text (optional) plus statistics.
 
     ``trace`` carries the per-stage :class:`~repro.obs.observer.TraceReport`
-    when the run executed with tracing on (``ExecutionOptions(trace=True)``
-    or ``REPRO_TRACE=1``); ``None`` otherwise.
+    of the run that produced it when that run executed with tracing on
+    (``ExecutionOptions(trace=True)`` or ``REPRO_TRACE=1``); ``None``
+    otherwise.
     """
 
     output: Optional[str]
@@ -89,43 +95,55 @@ class FluxRunResult:
         return self.stats.peak_buffered_bytes
 
 
-from repro.engine.stats import RunStatistics  # noqa: E402  (documented forward ref)
-
-
 #: Monotone run ids for the ``REPRO_OBS_JSON`` dump (process-wide).
 _obs_run_ids = itertools.count()
 
+#: One seat of a run: ``(plan, sink, name)``.  ``sink`` follows
+#: :func:`~repro.pipeline.sinks.resolve_sink`; ``name`` labels the seat in
+#: crash dumps (``None`` for a solo run).
+Seat = Tuple[QueryPlan, object, Optional[str]]
 
-def _finish_observation(observer, stats, *, push: bool = False) -> Optional[TraceReport]:
-    """Seal one *completed* run's observability state.
 
-    Folds the run into the always-on global telemetry (every run, traced or
-    not), and for traced runs builds the :class:`TraceReport` -- appending
-    it to the ``REPRO_OBS_JSON`` JSON-lines dump when that is set.  Called
-    exactly once per finished run from each execution shape; aborted runs
-    never reach it.
+class _LiveSeat(NamedTuple):
+    """An occupied seat of an open run."""
+
+    index: int
+    name: Optional[str]
+    executor: StreamExecutor
+
+
+def _release_nothing() -> None:
+    """The release hook of an owner that borrowed its governor (or has none)."""
+
+
+def governor_for(owner, options: ExecutionOptions, governor: Optional[MemoryGovernor] = None):
+    """The one ownership rule: ``(governor, release)`` for ``owner``.
+
+    An injected ``governor`` is *borrowed*: ``release`` does nothing and the
+    governor survives its borrower.  Without one, ``owner`` gets the governor
+    its ``options`` budget asks for (``None`` when unbounded) and *owns* it:
+    ``release`` closes it (spill file included) exactly once, and runs by
+    itself if ``owner`` is garbage-collected first -- the finalizer references
+    only the governor, never the owner.
     """
-    record_run(stats, traced=observer.enabled, push=push)
-    if not observer.enabled:
-        return None
-    report = observer.finish(stats)
-    path = os.environ.get("REPRO_OBS_JSON")
-    if path:
-        append_jsonl(path, report, run=next(_obs_run_ids))
-    return report
+    if governor is not None or options.memory_budget is None:
+        return governor, _release_nothing
+    owned = MemoryGovernor(options.memory_budget, page_bytes=options.memory_page_bytes)
+    return owned, weakref.finalize(owner, owned.close)
 
 
-def _quiet_abort(executor: StreamExecutor) -> None:
+def _quiet_abort(seats: Sequence[_LiveSeat]) -> None:
     """Best-effort executor teardown for abandoned runs.
 
-    Releases live scope buffers so a *shared* (session-owned) governor gets
-    its pages and spill-store space back.  Exceptions are swallowed: this
-    runs from close()/GC paths that must never mask the original error.
+    Releases live scope buffers so a *borrowed* (session-owned) governor
+    gets its pages and spill-store space back.  Exceptions are swallowed:
+    this runs from close()/GC paths that must never mask the original error.
     """
-    try:
-        executor.abort()
-    except Exception:  # noqa: BLE001 - cleanup of an already-failing run
-        pass
+    for seat in seats:
+        try:
+            seat.executor.abort()
+        except Exception:  # noqa: BLE001 - cleanup of an already-failing run
+            pass
 
 
 def ensure_rooted(dtd: DTD, root_element: Optional[str] = None) -> DTD:
@@ -146,59 +164,67 @@ def ensure_rooted(dtd: DTD, root_element: Optional[str] = None) -> DTD:
 
 
 class RunHandle:
-    """One in-flight execution of a compiled plan over one document.
+    """One in-flight execution over one document, one seat per query.
 
-    Every execution shape is this object: :meth:`FluxEngine.open_run` hands
-    it to the caller (**push mode** -- typically a network loop handing over
-    payload chunks as they arrive)::
+    ``fanout`` is the union automaton the document is scanned through and
+    ``seats`` holds one :data:`Seat` per fanout position (``None`` for a
+    tombstoned one): a solo run has one seat, a multi-query pass one per
+    registered query, a hub document one per subscription.  An injected
+    ``governor`` is *borrowed* and survives the run; without one the run
+    creates its own from ``options`` and closes it when it ends.
+
+    :meth:`FluxEngine.open_run` hands the handle to the caller (**push
+    mode** -- typically a network loop handing over payload chunks as they
+    arrive)::
 
         with prepared.open_run() as run:
             for chunk in socket_chunks:
                 run.feed(chunk)
         print(run.result.output)
 
-    while :meth:`FluxEngine.execute` and :meth:`FluxEngine.stream` open the
-    same handle and drive it from a document source themselves.
+    while :meth:`FluxEngine.execute`, :meth:`FluxEngine.stream` and the
+    multi-query engine open the same handle and :meth:`drive` it from a
+    document source themselves.
 
     ``feed`` accepts text or UTF-8 bytes split at arbitrary points (the
     scanner is resumable across chunk boundaries) and returns the
-    output drained from the sink so far when the sink supports draining
-    (a :class:`~repro.pipeline.sinks.FragmentSink`), ``None`` otherwise.
-    ``finish`` flushes the final events, validates well-formedness and
-    returns the :class:`FluxRunResult`; the context manager finishes on a
-    clean exit and aborts (``close``) on an exception.  Statistics are
-    live on :attr:`stats` throughout.
+    output drained from the first seat's sink so far when that sink
+    supports draining (a :class:`~repro.pipeline.sinks.FragmentSink`),
+    ``None`` otherwise.  ``finish`` flushes the final events, validates
+    well-formedness and seals one :class:`FluxRunResult` per seat into
+    :attr:`results` (:attr:`result` is the first); the context manager
+    finishes on a clean exit and aborts (``close``) on an exception.  Any
+    failure aborts every seat, writes the crash dump (naming the seat
+    whose executor raised) and re-raises.  :attr:`stats` -- the first
+    seat's statistics -- is live throughout.
 
-    A run that owns a memory governor releases its spill file when it
-    finishes or is closed, and additionally via a garbage-collection
-    finalizer, so a handle that is dropped unfinished cannot leak it.
+    A run that owns its governor releases the spill file when it finishes
+    or is closed, and additionally via a garbage-collection finalizer, so
+    a handle that is dropped unfinished cannot leak it.
     """
 
     def __init__(
         self,
-        executor: StreamExecutor,
-        doc_pass: DocumentPass,
+        fanout: DynamicFanout,
+        seats: Sequence[Optional[Seat]],
+        options: Optional[ExecutionOptions] = None,
         *,
-        governor,
-        owns_governor: bool,
-        on_finish,
-        observer,
-        options: ExecutionOptions,
-        annotations: Optional[dict],
-        mode: str,
+        governor: Optional[MemoryGovernor] = None,
+        mode: str = "push",
+        on_finish=None,
+        stop_at_root_close: bool = False,
+        base_offset: int = 0,
+        annotations: Optional[dict] = None,
     ):
-        self._executor = executor
-        self._pass = doc_pass
-        self._governor = governor if owns_governor else None
-        self._on_finish = on_finish
-        self._observer = observer
+        options = options if options is not None else DEFAULT_OPTIONS
         self._options = options
+        #: ``pull`` / ``stream`` / ``push`` / ``multiquery`` / ``serve``: a
+        #: label for reports, crash dumps and telemetry -- the code is the same.
+        self._mode = mode
+        self._on_finish = on_finish
         # Caller-supplied watermarks (a feed's exact document offsets);
         # merged into /progress snapshots and crash dumps verbatim.
         self._annotations = annotations
-        #: ``pull`` / ``stream`` / ``push``: who drives the run.  A label
-        #: for reports, crash dumps and telemetry -- the code is the same.
-        self._mode = mode
         self._state = "open"
         # Push-mode watermarks: raw units fed (bytes or characters, as
         # fed) and the most recent chunk boundaries, for /progress and for
@@ -206,57 +232,121 @@ class RunHandle:
         self._fed_bytes = 0
         self._chunks_fed = 0
         self._chunk_offsets = deque(maxlen=256)
-        self.stats: RunStatistics = executor.stats
-        #: The completed run's result; set by :meth:`finish`.
+        self._governor, self._release_governor = governor_for(self, options, governor)
+        factory = self._governor.make_buffer if self._governor is not None else None
+        observer = NULL_OBSERVER
+        if use_tracing(options.trace):
+            observer = Observer()
+            observer.mode = mode
+        self._observer = observer
+        if options.serve_metrics is not None:
+            # Start (or reuse) the background /metrics + /progress server;
+            # the run itself executes identical code either way.
+            _serve.ensure_server(options.serve_metrics)
+        self._width = len(seats)
+        if self._width != fanout.width:
+            raise ValueError(f"{self._width} seats for a fanout {fanout.width} slots wide")
+        #: The occupied seats, in seat order.
+        self._live: List[_LiveSeat] = []
+        # A filtered seat's input is accounted by the pass (pre-drop); a
+        # seat that keeps everything sees every event and counts its own.
+        counted_by_pass: List[RunStatistics] = []
+        for index, (seat, spec) in enumerate(zip(seats, fanout.specs())):
+            if seat is None:
+                continue
+            plan, sink, name = seat
+            stats = RunStatistics()
+            if spec is not None:
+                counted_by_pass.append(stats)
+            executor = StreamExecutor(
+                plan,
+                stats=stats,
+                sink=resolve_sink(sink, stats, collect_output=options.collect_output),
+                count_input=spec is None,
+                buffer_factory=factory,
+            )
+            self._live.append(_LiveSeat(index, name, executor))
+        #: The first seat's live statistics.  A run without any seat (an
+        #: idle hub document) still records the document's input here.
+        self.stats: RunStatistics = (
+            self._live[0].executor.stats if self._live else RunStatistics()
+        )
+        self._pass = DocumentPass(
+            fanout,
+            counted_by_pass if self._live else [self.stats],
+            expand_attrs=options.expand_attrs,
+            stop_at_root_close=stop_at_root_close,
+            base_offset=base_offset,
+            observer=observer,
+        )
+        #: Per-seat results (``None`` for an empty seat), the first seat's
+        #: result, the pass-level trace and the governor's telemetry; all
+        #: set by :meth:`finish`.
+        self.results: List[Optional[FluxRunResult]] = []
         self.result: Optional[FluxRunResult] = None
-        self._drain = getattr(executor.sink, "drain", None)
-        # Both finalizers reference the executor/governor, never the handle
-        # itself, so they cannot keep it alive; both are idempotent.  An
-        # unclosed, garbage-collected handle still releases its live
-        # buffers (shared governor) and its owned governor's spill file.
-        self._abort_finalizer = weakref.finalize(self, _quiet_abort, executor)
-        if self._governor is not None:
-            self._finalizer = weakref.finalize(self, self._governor.close)
-        else:
-            self._finalizer = None
+        self.trace: Optional[TraceReport] = None
+        self.memory: Optional[dict] = None
+        self._drain = getattr(self._live[0].executor.sink, "drain", None) if self._live else None
+        # The seat whose executor is running; what is left here when an
+        # exception escapes is the failing seat.
+        self._failing: Optional[_LiveSeat] = None
+        # Like the governor's release hook, the finalizer references the
+        # executors, never the handle itself, so it cannot keep it alive, and
+        # it is idempotent.  An unclosed, garbage-collected handle still
+        # releases its live buffers (borrowed governor) and its owned
+        # governor's spill file.
+        self._abort_finalizer = weakref.finalize(self, _quiet_abort, self._live)
+        # Every open run is visible on /progress (whether or not a server
+        # is listening, registration is one dict insert).
+        self._progress_key = _serve.register_run(self.progress)
         # ``begin``/``finish`` are charged to the execute stage too, so
         # end-of-document handler work (e.g. Q8's final joins) is
         # attributed -- that is what lets the stage sum track wall time.
         self._tracer = observer.tracer
         self._execute_stage = observer.stage("execute")
-        with self._tracer.span("execute") as span:
-            executor.begin()
+        try:
+            with self._tracer.span("execute") as span:
+                for self._failing in self._live:
+                    self._failing.executor.begin()
+            self._failing = None
+        except Exception as exc:
+            self._abort(exc)
+            raise
         self._execute_stage.seconds += span.record.seconds
         _flight.RECORDER.note("run-begin", mode)
-        # Every open run is visible on /progress (whether or not a server
-        # is listening, registration is one dict insert).
-        self._progress_key = _serve.register_run(self._progress)
+
+    def _seat_stats(self) -> List[RunStatistics]:
+        return [seat.executor.stats for seat in self._live]
 
     # ------------------------------------------------------------- progress
 
-    def _progress(self) -> dict:
-        """One JSON-ready watermark snapshot for the /progress endpoint."""
-        stats = self.stats
+    def progress(self) -> dict:
+        """One JSON-ready watermark snapshot (what ``/progress`` shows).
+
+        Input columns are the shared document's; output and buffer columns
+        sum over seats.
+        """
+        seats = self._seat_stats() or [self.stats]
         entry = {
             "mode": self._mode,
             "state": self._state,
             "bytes_fed": self._fed_bytes,
             "chunks_fed": self._chunks_fed,
-            "document_offset": stats.input_bytes,
-            "input_events": stats.input_events,
-            "output_events": stats.output_events,
-            "output_bytes": stats.output_bytes,
-            "buffered_bytes": stats.buffered_bytes_current,
-            "peak_buffered_bytes": stats.peak_buffered_bytes,
+            "document_offset": self.stats.input_bytes,
+            "input_events": self.stats.input_events,
+            "output_events": sum(stats.output_events for stats in seats),
+            "output_bytes": sum(stats.output_bytes for stats in seats),
+            "buffered_bytes": sum(stats.buffered_bytes_current for stats in seats),
+            "peak_buffered_bytes": sum(stats.peak_buffered_bytes for stats in seats),
         }
         if self._annotations:
             entry.update(self._annotations)
-        attribution = stats.attribution
-        if attribution is not None:
-            entry["owners"] = {
-                owner.variable: owner.live_bytes
-                for owner in attribution.owners.values()
-            }
+        attributions = [stats.attribution for stats in seats if stats.attribution is not None]
+        if attributions:
+            owners = entry["owners"] = {}
+            for attribution in attributions:
+                for owner in attribution.owners.values():
+                    owners[owner.variable] = owners.get(owner.variable, 0) + owner.live_bytes
         if self._observer.enabled:
             stages = {}
             for name, stage in self._observer.stages.items():
@@ -271,27 +361,52 @@ class RunHandle:
             entry["stages"] = stages
         return entry
 
-    def _abort(self, error: BaseException) -> None:
-        """A failed run: forensics for engine errors, then release everything."""
-        if isinstance(error, Exception):
-            _flight.dump_crash(
-                error,
-                stats=self.stats,
-                options=self._options,
-                mode=self._mode,
-                chunk_offsets=self._chunk_offsets,
-                context=self._annotations,
-            )
-        self.close()
+    # --------------------------------------------------------------- framing
+
+    @property
+    def root_closed(self) -> bool:
+        """True once the root element closed (``stop_at_root_close`` runs)."""
+        return self._pass.root_closed
+
+    def take_remainder(self) -> bytes:
+        """Bytes fed past the closed root element (the next document's)."""
+        return self._pass.take_remainder()
 
     # ----------------------------------------------------------------- feed
 
-    def _process(self, events) -> None:
+    def _abort(self, error: BaseException) -> None:
+        """A failed run: forensics for engine errors, then release everything."""
+        if isinstance(error, Exception):
+            stats, context = self.stats, self._annotations
+            if self._failing is not None:
+                stats = self._failing.executor.stats
+                if self._failing.name is not None:
+                    context = dict(context or {}, failed_seat=self._failing.name)
+            _flight.dump_crash(
+                error,
+                stats=stats,
+                options=self._options,
+                mode=self._mode,
+                chunk_offsets=self._chunk_offsets,
+                queries=[seat.name for seat in self._live if seat.name is not None],
+                context=context,
+            )
+        self.close()
+
+    def _process(self, subs) -> None:
         """The execute stage for the events one scan step completed."""
-        if events:
-            with self._tracer.span("execute") as span:
-                self._executor.process_batch(events)
-            self._execute_stage.charge(span.record.seconds, len(events))
+        if not any(subs):
+            return
+        events = 0
+        with self._tracer.span("execute") as span:
+            for seat in self._live:
+                sub = subs[seat.index]
+                if sub:
+                    self._failing = seat
+                    events += len(sub)
+                    seat.executor.process_batch(sub)
+        self._failing = None
+        self._execute_stage.charge(span.record.seconds, events)
 
     def feed(self, chunk) -> Optional[str]:
         """Execute one more chunk of the document (text or UTF-8 bytes).
@@ -318,7 +433,7 @@ class RunHandle:
         self._chunk_offsets.append(self._fed_bytes + size)
         _flight.RECORDER.note("chunk", size, self._fed_bytes + size)
         try:
-            self._process(self._pass.feed(data)[0])
+            self._process(self._pass.feed(data))
         except Exception as exc:
             self._abort(exc)
             raise
@@ -334,15 +449,14 @@ class RunHandle:
     def _drive(self, document: DocumentSource) -> Iterator[None]:
         """Pull one whole document through the run, then finish it.
 
-        The loop behind :meth:`FluxEngine.execute` and
-        :meth:`FluxEngine.stream`: it pauses (yields) after every batch and
-        once more after ``finish``, which is when a stream drains its sink.
+        The one pull loop: it pauses (yields) after every batch and once
+        more after ``finish``, which is when a stream drains its sink.
         Spans never enclose a ``yield``, so an abandoned stream leaves none
         open; abandoning the generator aborts the run like any failure.
         """
         try:
             for subs in self._pass.scan(document, self._options.chunk_size):
-                self._process(subs[0])
+                self._process(subs)
                 yield
         except BaseException as exc:
             self._abort(exc)
@@ -350,47 +464,89 @@ class RunHandle:
         self.finish()
         yield
 
-    def finish(self) -> FluxRunResult:
-        """End of input: flush, validate, release resources, return the result."""
+    def drive(self, document: DocumentSource) -> "RunHandle":
+        """Run the handle to completion over one document source."""
+        deque(self._drive(document), maxlen=0)
+        return self
+
+    def finish(self) -> Optional[FluxRunResult]:
+        """End of input: flush, validate, release resources, seal the results.
+
+        Returns the first seat's result (``None`` for a run without seats).
+        """
         if self._state == "finished":
             return self.result
         if self._state != "open":
             raise RuntimeError("cannot finish a closed run")
+        results: List[Optional[FluxRunResult]] = [None] * self._width
         try:
-            tail = self._pass.finish()[0]
+            self._process(self._pass.finish())
             with self._tracer.span("execute") as span:
-                if tail:
-                    self._executor.process_batch(tail)
-                execution = self._executor.finish()
+                for self._failing in self._live:
+                    execution = self._failing.executor.finish()
+                    results[self._failing.index] = FluxRunResult(execution.output, execution.stats)
+            self._failing = None
             self._execute_stage.seconds += span.record.seconds
         except Exception as exc:
             self._abort(exc)
             raise
         self._state = "finished"
-        _serve.unregister_run(self._progress_key)
         _flight.RECORDER.note("run-finish", self._mode, self.stats.output_bytes)
-        self._abort_finalizer()  # no live buffers remain: a no-op teardown
-        if self._finalizer is not None:
-            self._finalizer()
-        trace = _finish_observation(self._observer, self.stats, push=self._mode == "push")
-        self.result = FluxRunResult(output=execution.output, stats=execution.stats, trace=trace)
+        if self._governor is not None:
+            self.memory = self._governor.telemetry()
+        self.close()  # no live buffers remain: leaves /progress, closes an owned governor
+        self.trace = self._seal_observation()
+        self.results = results
+        for seat in self._live:
+            results[seat.index].trace = self.trace
+        if self._live:
+            self.result = results[self._live[0].index]
         if self._on_finish is not None:
-            self._on_finish(self.stats)
+            for stats in self._seat_stats():
+                self._on_finish(stats)
         return self.result
+
+    def _seal_observation(self) -> Optional[TraceReport]:
+        """Fold the *completed* run into the always-on global telemetry --
+        every seat, traced or not, exactly once -- and, for a traced run,
+        build the pass-level :class:`TraceReport` (appended to the
+        ``REPRO_OBS_JSON`` JSON-lines dump when that is set).  Aborted runs
+        never reach it.
+        """
+        observer = self._observer
+        seats = self._seat_stats()
+        for stats in seats:
+            record_run(stats, traced=observer.enabled, push=self._chunks_fed > 0)
+        if not observer.enabled:
+            return None
+        totals = self.stats
+        if len(seats) > 1:
+            # Pass-level byte columns: input is the shared document, output
+            # the sum over all seats.
+            totals = RunStatistics(
+                input_bytes=self.stats.input_bytes,
+                output_bytes=sum(stats.output_bytes for stats in seats),
+                elapsed_seconds=max(stats.elapsed_seconds for stats in seats),
+            )
+        report = observer.finish(totals)
+        path = os.environ.get("REPRO_OBS_JSON")
+        if path:
+            append_jsonl(path, report, run=next(_obs_run_ids))
+        return report
 
     def close(self) -> None:
         """Abort an unfinished run, releasing its buffers and governor.
 
-        Idempotent.  Live scope buffers are released so a session-shared
-        governor gets its pages (and spill-store space) back immediately;
-        an owned governor is closed (spill file included).
+        Idempotent (a finished run stays finished).  Live scope buffers are
+        released so a borrowed governor gets its pages (and spill-store
+        space) back immediately; an owned governor is closed (spill file
+        included).
         """
         if self._state == "open":
             self._state = "closed"
         _serve.unregister_run(self._progress_key)
         self._abort_finalizer()
-        if self._finalizer is not None:
-            self._finalizer()
+        self._release_governor()
 
     def __enter__(self) -> "RunHandle":
         return self
@@ -421,7 +577,6 @@ class StreamingRun(RunHandle):
     def __init__(self, document: DocumentSource, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._document = document
-        self.trace: Optional[TraceReport] = None
 
     def __iter__(self) -> Iterator[str]:
         if self._document is None or self._state != "open":
@@ -432,7 +587,6 @@ class StreamingRun(RunHandle):
                 fragment = self._drain()
                 if fragment:
                     yield fragment
-            self.trace = self.result.trace
         finally:
             # Exhausted or abandoned, the stream's resources die with it.
             self.close()
@@ -458,16 +612,9 @@ class FluxEngine:
         Derive a streaming projection filter from the compiled plan and drop
         events of provably untouched subtrees before they reach the
         executor (on by default; pass ``False`` to measure its effect).
-    memory_budget:
-        Hard cap, in bytes, on resident buffered memory.  When set, every
-        run gets its own :class:`~repro.storage.governor.MemoryGovernor`:
-        scope buffers become spillable pages and the coldest are evicted to
-        a temp file whenever the cap would be exceeded.  Output is
-        byte-identical in every mode; only residency and throughput change.
-        ``None`` (the default) keeps all buffers on the heap.
-    memory_page_bytes:
-        Page granularity for spillable buffers (defaults to a size scaled
-        to the budget); only meaningful with ``memory_budget``.
+
+    How a run behaves -- output collection, attribute expansion, the memory
+    budget, tracing -- is the ``options`` argument of each run method.
     """
 
     def __init__(
@@ -480,14 +627,10 @@ class FluxEngine:
         apply_simplifications: bool = True,
         require_safe: bool = True,
         projection: bool = True,
-        memory_budget: Optional[int] = None,
-        memory_page_bytes: Optional[int] = None,
     ):
         dtd = ensure_rooted(dtd, root_element)
         self.dtd = dtd
         self.root_var = root_var
-        self.memory_budget = memory_budget
-        self.memory_page_bytes = memory_page_bytes
         self.rewrite_result: Optional[RewriteResult] = None
 
         if isinstance(query, FluxExpr):
@@ -530,88 +673,17 @@ class FluxEngine:
 
     # ------------------------------------------------------------ execution
 
-    def _run_options(self, **overrides) -> ExecutionOptions:
-        """Default options of a run: engine fields + call kwargs."""
-        return ExecutionOptions.from_kwargs(
-            DEFAULT_OPTIONS,
-            memory_budget=self.memory_budget,
-            memory_page_bytes=self.memory_page_bytes,
-            **overrides,
-        )
-
-    @staticmethod
-    def _make_governor(options: ExecutionOptions) -> Optional[MemoryGovernor]:
-        """A fresh per-run governor, or ``None`` when memory is unbounded."""
-        if options.memory_budget is None:
-            return None
-        return MemoryGovernor(options.memory_budget, page_bytes=options.memory_page_bytes)
-
-    def _start(
-        self,
-        handle,
-        mode: str,
-        sink,
-        options: Optional[ExecutionOptions],
-        governor: Optional[MemoryGovernor],
-        owns_governor: bool,
-        on_finish,
-        *,
-        stop_at_root_close: bool = False,
-        base_offset: int = 0,
-        annotations: Optional[dict] = None,
-    ) -> RunHandle:
-        """Open the one kind of run there is, for any execution shape.
-
-        Resolves options, creates the run's statistics, binds the sink,
-        settles governor ownership (an injected governor keeps the caller's
-        ownership flag, an absent one is created from the options and owned
-        by this run), resolves tracing (:data:`NULL_OBSERVER` unless this
-        run traces) and wires executor and document pass into ``handle`` --
-        :class:`RunHandle` or its iterable subclass.
-        """
-        if options is None:
-            options = self._run_options()
-        stats = RunStatistics()
-        bound_sink = resolve_sink(sink, stats, collect_output=options.collect_output)
-        if governor is None:
-            governor = self._make_governor(options)
-            owns_governor = True
-        observer = NULL_OBSERVER
-        if use_tracing(options.trace):
-            observer = Observer()
-            observer.mode = mode
-        if options.serve_metrics is not None:
-            # Start (or reuse) the background /metrics + /progress server;
-            # the run itself executes identical code either way.
-            _serve.ensure_server(options.serve_metrics)
-        filtered = self.projection_spec is not None
-        executor = StreamExecutor(
-            self.plan,
-            stats=stats,
-            sink=bound_sink,
-            # With the projection filter active, input accounting happens in
-            # the pass (pre-drop); the executor must not double-count.
-            count_input=not filtered,
-            buffer_factory=governor.make_buffer if governor is not None else None,
-        )
-        doc_pass = DocumentPass(
-            self.fanout,
-            [stats] if filtered else (),
-            expand_attrs=options.expand_attrs,
-            stop_at_root_close=stop_at_root_close,
-            base_offset=base_offset,
-            observer=observer,
-        )
+    def _open(self, handle, mode: str, sink, options, governor, on_finish, **framing) -> RunHandle:
+        """The one-seat run behind every solo shape (``handle`` is
+        :class:`RunHandle` or its iterable subclass)."""
         return handle(
-            executor,
-            doc_pass,
+            self.fanout,
+            [(self.plan, sink, None)],
+            options,
             governor=governor,
-            owns_governor=owns_governor,
-            on_finish=on_finish,
-            observer=observer,
-            options=options,
-            annotations=annotations,
             mode=mode,
+            on_finish=on_finish,
+            **framing,
         )
 
     def execute(
@@ -621,7 +693,6 @@ class FluxEngine:
         sink=None,
         options: Optional[ExecutionOptions] = None,
         governor: Optional[MemoryGovernor] = None,
-        owns_governor: bool = True,
         on_finish=None,
     ) -> FluxRunResult:
         """The unified pull-mode execution path.
@@ -629,14 +700,13 @@ class FluxEngine:
         ``sink`` follows the Sink protocol (:func:`~repro.pipeline.sinks.resolve_sink`):
         ``None`` collects (or just counts, per ``options.collect_output``),
         a writable streams, an :class:`~repro.pipeline.sinks.OutputSink`
-        instance is used directly.  ``governor`` lets a caller (the session
-        layer) inject a shared memory governor; with ``owns_governor=False``
-        it survives the run.  ``on_finish`` is called with the completed
-        run's statistics (session bookkeeping).
+        instance is used directly.  ``governor`` lends the run a shared
+        memory governor (the session layer's), which survives it.
+        ``on_finish`` is called with the completed run's statistics
+        (session bookkeeping).
         """
-        run = self._start(RunHandle, "pull", sink, options, governor, owns_governor, on_finish)
-        deque(run._drive(document), maxlen=0)  # run it to completion
-        return run.result
+        run = self._open(RunHandle, "pull", sink, options, governor, on_finish)
+        return run.drive(document).result
 
     def open_run(
         self,
@@ -644,7 +714,6 @@ class FluxEngine:
         sink=None,
         options: Optional[ExecutionOptions] = None,
         governor: Optional[MemoryGovernor] = None,
-        owns_governor: bool = True,
         on_finish=None,
         stop_at_root_close: bool = False,
         base_offset: int = 0,
@@ -664,13 +733,12 @@ class FluxEngine:
         ``annotations`` are caller watermarks (e.g. a feed's absolute
         document offsets) echoed into /progress snapshots and crash dumps.
         """
-        return self._start(
+        return self._open(
             RunHandle,
             "push",
             sink,
             options,
             governor,
-            owns_governor,
             on_finish,
             stop_at_root_close=stop_at_root_close,
             base_offset=base_offset,
@@ -683,7 +751,6 @@ class FluxEngine:
         sink=None,
         options: Optional[ExecutionOptions] = None,
         governor: Optional[MemoryGovernor] = None,
-        owns_governor: bool = True,
         on_finish=None,
         on_document=None,
         on_heartbeat=None,
@@ -692,25 +759,23 @@ class FluxEngine:
         """Open a **continuous feed**: one handle, unboundedly many documents.
 
         Returns a :class:`repro.feeds.FeedHandle` consuming a stream of
-        concatenated documents; per-document results are framed through
-        ``on_document`` (and the return value of ``feed``).  See
-        :mod:`repro.feeds` for the full protocol.
+        concatenated documents, each through its own :meth:`open_run`;
+        per-document results are framed through ``on_document`` (and the
+        return value of ``feed``).  See :mod:`repro.feeds` for the full
+        protocol.
         """
         from repro.feeds import FeedHandle  # engine <- feeds would cycle at import time
 
-        if options is None:
-            options = self._run_options()
-        owned = owns_governor
-        if governor is None:
-            governor = self._make_governor(options)
-            owned = True
         return FeedHandle(
-            self,
-            sink=sink,
+            partial(
+                self.open_run,
+                sink=sink,
+                options=options,
+                on_finish=on_finish,
+                stop_at_root_close=True,
+            ),
             options=options,
             governor=governor,
-            owns_governor=owned,
-            on_finish=on_finish,
             on_document=on_document,
             on_heartbeat=on_heartbeat,
             resume_from=resume_from,
@@ -722,7 +787,6 @@ class FluxEngine:
         *,
         options: Optional[ExecutionOptions] = None,
         governor: Optional[MemoryGovernor] = None,
-        owns_governor: bool = True,
         on_finish=None,
     ) -> StreamingRun:
         """Pull-mode execution yielding serialized output fragments lazily.
@@ -731,25 +795,5 @@ class FluxEngine:
         scanned and executed as fragments are pulled, and no full-output
         string is ever materialized.
         """
-        return self._start(
-            partial(StreamingRun, document),
-            "stream",
-            FragmentSink(),
-            options,
-            governor,
-            owns_governor,
-            on_finish,
-        )
-
-    def run(
-        self,
-        document: DocumentSource,
-        *,
-        collect_output: bool = True,
-        expand_attrs: bool = False,
-    ) -> FluxRunResult:
-        """Execute the query over a document (text, path, file object, chunks)."""
-        return self.execute(
-            document,
-            options=self._run_options(collect_output=collect_output, expand_attrs=expand_attrs),
-        )
+        stream = partial(StreamingRun, document)
+        return self._open(stream, "stream", FragmentSink(), options, governor, on_finish)

@@ -192,10 +192,9 @@ class _Frame:
 class StreamExecutor:
     """Executes a compiled plan over an event stream.
 
-    ``sink`` may be any :class:`~repro.pipeline.sinks.OutputSink`; when
-    omitted, a collecting or counting-only sink is chosen according to
-    ``collect_output``.  ``count_input`` disables the executor's own input
-    accounting when an upstream stage (the projection filter) already
+    ``sink`` may be any :class:`~repro.pipeline.sinks.OutputSink`; omitted,
+    the output is collected.  ``count_input`` disables the executor's own
+    input accounting when an upstream stage (the document pass) already
     records it.  ``buffer_factory`` swaps the scope buffers' implementation
     (a memory governor's ``make_buffer`` makes them spillable under a byte
     budget); omitted, buffers are plain in-heap event lists.
@@ -205,7 +204,6 @@ class StreamExecutor:
         self,
         plan: QueryPlan,
         *,
-        collect_output: bool = True,
         stats: Optional[RunStatistics] = None,
         sink: Optional[OutputSink] = None,
         count_input: bool = True,
@@ -213,9 +211,7 @@ class StreamExecutor:
     ):
         self.plan = plan
         self.stats = stats or RunStatistics()
-        if sink is None:
-            sink = CollectSink(self.stats) if collect_output else OutputSink(self.stats)
-        self.sink = sink
+        self.sink = sink if sink is not None else CollectSink(self.stats)
         self.buffers = BufferManager(self.stats, factory=buffer_factory)
         self._count_input = count_input
         # Bound at construction so a run started after the flight recorder

@@ -18,8 +18,8 @@ end-of-input errors are identical in every run shape by construction.
 
 Statistics protocol: every ``RunStatistics`` in ``stats_list`` records the
 shared pass's *pre-drop* input totals (their executors must not count
-input themselves); a solo run without a projection filter passes none and
-lets its executor count the unfiltered events.
+input themselves); a seat whose slot keeps everything is left out and
+lets its executor count the unfiltered events it receives.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class DocumentPass:
             expand_attrs=expand_attrs,
             base_offset=base_offset,
         )
-        self._stats = [stats for stats in stats_list if stats is not None]
+        self._stats = list(stats_list)
         self._finished = False
         self._tracer = observer.tracer
         self._scan_stage = observer.stage("scan")

@@ -11,14 +11,17 @@ UTF-8 sequence.
 
 Lifecycle
 ---------
-Each document runs in a fresh inner push run over the engine's shared
-compiled plan: the scanner's cursors, the run's statistics and its
-buffer-attribution ledger all start from zero at every boundary, and the
-inner run's ``finish()`` releases every buffer it charged against the
-(shared) memory governor.  Live bytes therefore return to the same floor
-after every document -- the invariant that makes bounded-memory claims
-meaningful over millions of documents, and the one the conformance
-oracle and the feed soak assert.
+Each document runs in a fresh inner push run, opened by the callable the
+handle was built with: one seat over an engine's compiled plan
+(:meth:`~repro.engine.engine.FluxEngine.open_feed`) or one seat per
+subscription (:class:`~repro.serve.hub.SubscriptionHub`) -- this is the
+only framing loop either way.  The scanner's cursors, the run's statistics
+and its buffer-attribution ledger all start from zero at every boundary,
+and the inner run's ``finish()`` releases every buffer it charged against
+the feed's memory governor (borrowed, or created from the options and
+owned).  Live bytes therefore return to the same floor after every
+document -- the invariant that makes bounded-memory claims meaningful over
+millions of documents, and the one the oracle and the feed soak assert.
 
 Framing and punctuation
 -----------------------
@@ -42,12 +45,11 @@ byte-identical to the uninterrupted run.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions, FeedOptions
-from repro.engine.engine import FluxRunResult
+from repro.engine.engine import FluxRunResult, governor_for
 from repro.obs import recorder as _flight
 from repro.obs import serve as _serve
 from repro.obs.runtime import (
@@ -105,29 +107,30 @@ class FeedHandle:
 
     def __init__(
         self,
-        engine,
+        open_document,
         *,
-        sink=None,
         options: Optional[ExecutionOptions] = None,
         governor=None,
-        owns_governor: bool = False,
-        on_finish=None,
         on_document=None,
         on_heartbeat=None,
         resume_from: Optional[int] = None,
+        progress=None,
     ):
-        self._engine = engine
-        self._sink = sink
-        self._options = options if options is not None else DEFAULT_OPTIONS
-        feed_options = self._options.feed if self._options.feed is not None else FeedOptions()
+        #: ``open_document(governor=, base_offset=, annotations=)`` opens the
+        #: next document's run (``stop_at_root_close`` set).
+        self._open_document = open_document
+        options = options if options is not None else DEFAULT_OPTIONS
+        feed_options = options.feed if options.feed is not None else FeedOptions()
         if resume_from is None:
             resume_from = feed_options.resume_offset
         if resume_from < 0:
             raise ValueError(f"resume_from must be >= 0, got {resume_from}")
-        self._on_finish = on_finish
         self._on_document = on_document
         self._on_heartbeat = on_heartbeat
-        self._governor = governor
+        #: The memory governor every document's run borrows (``None`` when
+        #: unbounded): one spans the stream's documents, borrowed or owned
+        #: by the feed under the runs' own rule.
+        self.governor, self._release_governor = governor_for(self, options, governor)
         self._state = "open"
         self._run = None
         # Absolute stream cursors, all in bytes: ``_cursor`` is the offset
@@ -145,14 +148,10 @@ class FeedHandle:
         self._next_heartbeat = self._heartbeat_every
         #: The finished feed's summary; set by :meth:`finish`.
         self.result: Optional[FeedResult] = None
-        # An abandoned handle must still release an owned governor's spill
-        # file; the finalizer references only the governor.
-        if owns_governor and governor is not None:
-            self._finalizer = weakref.finalize(self, governor.close)
-        else:
-            self._finalizer = None
         _flight.RECORDER.note("feed-begin", resume_from)
-        self._progress_key = _serve.register_run(self._progress)
+        # The stream is one ``/progress`` entry: this handle's snapshot, or
+        # the ``progress`` view of an owner (the hub) that extends it.
+        self._progress_key = _serve.register_run(progress or self.progress)
 
     # ------------------------------------------------------------ watermarks
 
@@ -174,8 +173,8 @@ class FeedHandle:
     def bytes_fed(self) -> int:
         return self._bytes_fed
 
-    def _progress(self) -> dict:
-        """One JSON-ready watermark snapshot for the /progress endpoint."""
+    def progress(self) -> dict:
+        """One JSON-ready watermark snapshot (what ``/progress`` shows)."""
         return {
             "mode": "feed",
             "state": self._state,
@@ -218,28 +217,20 @@ class FeedHandle:
             run = self._run
             try:
                 run.feed(data)
-            except Exception:
-                # The inner run already dumped a crash snapshot (with this
-                # document's exact offsets) and released its buffers.
-                self._run = None
-                self.close()
-                raise
-            doc_pass = run._pass
-            if not doc_pass.root_closed:
-                self._cursor += len(data)
-                break
-            remainder = doc_pass.take_remainder()
-            boundary = self._cursor + len(data) - len(remainder)
-            try:
+                if not run.root_closed:
+                    self._cursor += len(data)
+                    break
+                remainder = run.take_remainder()
                 result = run.finish()
             except Exception:
-                self._run = None
+                # The run already dumped a crash snapshot (with this
+                # document's exact offsets) and released its buffers.
                 self.close()
                 raise
             self._run = None
-            self._cursor = boundary
+            self._cursor += len(data) - len(remainder)
             data = remainder
-            completed.append(self._seal_document(boundary, result))
+            completed.append(self._seal_document(self._cursor, result))
         self._maybe_heartbeat()
         return completed
 
@@ -255,11 +246,9 @@ class FeedHandle:
         if self._state != "open":
             raise RuntimeError("cannot finish a closed feed")
         if self._run is not None:
-            run = self._run
             try:
-                result = run.finish()
+                result = self._run.finish()
             except Exception:
-                self._run = None
                 self.close()
                 raise
             # Only reachable if the document completed exactly at stream
@@ -288,9 +277,7 @@ class FeedHandle:
             run.close()
         if self._state == "open":
             self._state = "closed"
-        _serve.unregister_run(self._progress_key)
-        if self._finalizer is not None:
-            self._finalizer()
+        self._teardown()
 
     def __enter__(self) -> "FeedHandle":
         return self
@@ -305,13 +292,8 @@ class FeedHandle:
 
     def _open_run(self) -> None:
         self._doc_start = self._cursor
-        self._run = self._engine.open_run(
-            sink=self._sink,
-            options=self._options,
-            governor=self._governor,
-            owns_governor=False,
-            on_finish=self._on_finish,
-            stop_at_root_close=True,
+        self._run = self._open_document(
+            governor=self.governor,
             base_offset=self._doc_start,
             annotations={
                 "document_index": self._documents_completed,
@@ -343,12 +325,11 @@ class FeedHandle:
         while self._bytes_fed >= self._next_heartbeat:
             self._next_heartbeat += self._heartbeat_every
         record_feed_heartbeat()
-        self._on_heartbeat(self._progress())
+        self._on_heartbeat(self.progress())
 
     def _teardown(self) -> None:
         _serve.unregister_run(self._progress_key)
-        if self._finalizer is not None:
-            self._finalizer()
+        self._release_governor()
 
 
 __all__ = ["DocumentResult", "FeedHandle", "FeedResult"]

@@ -9,7 +9,9 @@ the document -- across a whole registered query set:
   the per-query projection filters, with per-query membership masks,
 * :class:`MultiQueryEngine` runs the document-side stages once and fans
   each batch out to N independent executor states (own buffers, own
-  statistics, own sink).
+  statistics, own sink) -- one :class:`~repro.engine.engine.RunHandle`
+  with a seat per query, configured by one
+  :class:`~repro.core.options.ExecutionOptions`.
 
 Quickstart::
 

@@ -21,20 +21,16 @@ N independent runs -- only the shared scan cost is amortized.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
-from repro.engine.engine import FluxRunResult
-from repro.engine.executor import StreamExecutor
-from repro.engine.stats import RunStatistics
-from repro.fastpath import DocumentPass
-from repro.obs import recorder as _flight
+from repro.core.options import ExecutionOptions
+from repro.engine.engine import FluxRunResult, RunHandle
 from repro.obs.metrics import global_registry
-from repro.obs.observer import NULL_OBSERVER, Observer, TraceReport, use_tracing
-from repro.multiquery.registry import QueryRegistry, RegisteredQuery
+from repro.obs.observer import TraceReport
+from repro.multiquery.registry import QueryRegistry
 from repro.pipeline.fanout import DynamicFanout
-from repro.pipeline.sinks import WritableSink
 from repro.storage.governor import MemoryGovernor
-from repro.xmlstream.parser import DEFAULT_CHUNK_SIZE, DocumentSource
+from repro.xmlstream.parser import DocumentSource
 
 # Process-wide multi-query telemetry (:mod:`repro.obs`): bumped once per
 # shared pass, so cost is nil.
@@ -91,10 +87,14 @@ class MultiQueryEngine:
     the query set is stable; a changed registry ``version`` gets a fresh
     one, so the engine can be kept around while the query set grows.
 
-    ``memory_budget`` caps resident buffered bytes for the *whole* pass:
-    every run creates one :class:`~repro.storage.governor.MemoryGovernor`
-    shared by all N executor states, so a join-heavy query's buffers are
-    spilled before the mix as a whole can outgrow the machine.  Per-query
+    A pass is one :class:`~repro.engine.engine.RunHandle` with a seat per
+    registered query, driven exactly like a solo ``execute``.  ``options``
+    carries every per-run knob; its ``memory_budget`` caps resident
+    buffered bytes for the *whole* pass -- one
+    :class:`~repro.storage.governor.MemoryGovernor` shared by all N seats,
+    so a join-heavy query's buffers are spilled before the mix as a whole
+    can outgrow the machine.  A ``governor`` passed here (the session
+    layer's) is borrowed by every pass instead and never closed.  Per-query
     output stays byte-identical; per-query statistics carry each query's
     own spill counts and resident high-water marks.
     """
@@ -103,18 +103,11 @@ class MultiQueryEngine:
         self,
         registry: QueryRegistry,
         *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        memory_budget: Optional[int] = None,
-        memory_page_bytes: Optional[int] = None,
+        options: Optional[ExecutionOptions] = None,
         governor: Optional[MemoryGovernor] = None,
     ):
         self.registry = registry
-        self.chunk_size = chunk_size
-        self.memory_budget = memory_budget
-        self.memory_page_bytes = memory_page_bytes
-        #: An externally-owned governor (the session layer's): when set it
-        #: is shared by every pass and never closed here; ``memory_budget``
-        #: is ignored in its favour.
+        self.options = options
         self.governor = governor
         #: The union automaton of the current query set (built by the
         #: first pass, rebuilt when the registry's version moves).
@@ -123,39 +116,16 @@ class MultiQueryEngine:
 
     # --------------------------------------------------------------- execution
 
-    def run(
-        self,
-        document: DocumentSource,
-        *,
-        collect_output: bool = True,
-        expand_attrs: bool = False,
-        trace: Optional[bool] = None,
-    ) -> MultiQueryRun:
-        """One shared pass; per-query collected output and statistics.
-
-        ``trace`` requests a pass-level stage breakdown (shared scan vs.
-        executor fan-out) on the returned run's ``trace``; ``None`` defers
-        to ``REPRO_TRACE`` exactly like single-query runs.
+    def run(self, document: DocumentSource) -> MultiQueryRun:
+        """One shared pass; per-query collected output (or only counts, per
+        ``options.collect_output``) and statistics.  A traced pass
+        (``options.trace`` / ``REPRO_TRACE``) carries the pass-level stage
+        breakdown -- shared scan vs. executor fan-out -- on ``trace``.
         """
-
-        def executor_for(entry: RegisteredQuery, stats: RunStatistics, factory) -> StreamExecutor:
-            return StreamExecutor(
-                entry.plan,
-                collect_output=collect_output,
-                stats=stats,
-                count_input=False,
-                buffer_factory=factory,
-            )
-
-        return self._execute(document, executor_for, expand_attrs, trace)
+        return self._shared_pass(document, {})
 
     def run_to_sinks(
-        self,
-        document: DocumentSource,
-        writables: Mapping[str, object],
-        *,
-        expand_attrs: bool = False,
-        trace: Optional[bool] = None,
+        self, document: DocumentSource, writables: Mapping[str, object]
     ) -> MultiQueryRun:
         """One shared pass, each query streaming into its own writable.
 
@@ -166,20 +136,11 @@ class MultiQueryEngine:
         missing = [name for name in self.registry.names if name not in writables]
         if missing:
             raise ValueError(f"no writable provided for queries: {missing}")
-
-        def executor_for(entry: RegisteredQuery, stats: RunStatistics, factory) -> StreamExecutor:
-            sink = WritableSink(stats, writables[entry.name])
-            return StreamExecutor(
-                entry.plan, stats=stats, sink=sink, count_input=False, buffer_factory=factory
-            )
-
-        return self._execute(document, executor_for, expand_attrs, trace)
+        return self._shared_pass(document, writables)
 
     # ---------------------------------------------------------------- internals
 
-    def _execute(
-        self, document: DocumentSource, executor_for, expand_attrs: bool, trace: Optional[bool] = None
-    ) -> MultiQueryRun:
+    def _shared_pass(self, document: DocumentSource, sinks: Mapping[str, object]) -> MultiQueryRun:
         entries = list(self.registry)
         if not entries:
             raise ValueError("the registry has no queries; register some first")
@@ -188,89 +149,16 @@ class MultiQueryEngine:
             for entry in entries:
                 self.fanout.attach(entry.projection_spec)
             self._fanout_version = self.registry.version
-        observer = Observer() if use_tracing(trace) else NULL_OBSERVER
         started_at = time.perf_counter()
-
-        # One governor for the whole pass: all N executors' buffers share
-        # the same byte budget, LRU and spill file.  An external
-        # (session-owned) governor is shared across passes instead.
-        governor: Optional[MemoryGovernor] = self.governor
-        owns_governor = False
-        factory = None
-        if governor is None and self.memory_budget is not None:
-            governor = MemoryGovernor(self.memory_budget, page_bytes=self.memory_page_bytes)
-            owns_governor = True
-        if governor is not None:
-            factory = governor.make_buffer
-
-        stats_list = [RunStatistics() for _ in entries]
-        executors: List[StreamExecutor] = [
-            executor_for(entry, stats, factory) for entry, stats in zip(entries, stats_list)
-        ]
-        # The shared pass: every query's statistics record its pre-drop
-        # totals, so per-query numbers match what a solo run reports.
-        doc_pass = DocumentPass(
-            self.fanout, stats_list, expand_attrs=expand_attrs, observer=observer
-        )
-        tracer = observer.tracer
-        execute_stage = observer.stage("execute")
-
-        try:
-            with tracer.span("execute") as span:
-                for executor in executors:
-                    executor.begin()
-            execute_stage.seconds += span.record.seconds
-            for subs in doc_pass.scan(document, self.chunk_size):
-                events = 0
-                with tracer.span("execute") as span:
-                    for executor, sub in zip(executors, subs):
-                        if sub:
-                            events += len(sub)
-                            executor.process_batch(sub)
-                execute_stage.charge(span.record.seconds, events)
-            with tracer.span("execute") as span:
-                executions = [executor.finish() for executor in executors]
-            execute_stage.seconds += span.record.seconds
-            results = {
-                entry.name: FluxRunResult(output=execution.output, stats=execution.stats)
-                for entry, execution in zip(entries, executions)
-            }
-            memory = governor.telemetry() if governor is not None else None
-        except BaseException as exc:
-            if isinstance(exc, Exception):
-                # Forensics for the whole pass: the shared ring plus the
-                # first query's statistics stand in for the pass state.
-                _flight.dump_crash(
-                    exc,
-                    stats=stats_list[0] if stats_list else None,
-                    mode="multiquery",
-                    queries=[entry.name for entry in entries],
-                )
-            # A failed pass must not leave N executors' live buffer pages
-            # charged against an external (session-owned) governor; an
-            # owned governor is closed below, releasing everything at once.
-            if governor is not None and not owns_governor:
-                for executor in executors:
-                    try:
-                        executor.abort()
-                    except Exception:  # noqa: BLE001 - best-effort cleanup
-                        pass
-            raise
-        finally:
-            if owns_governor and governor is not None:
-                governor.close()
+        run = RunHandle(
+            self.fanout,
+            [(entry.plan, sinks.get(entry.name), entry.name) for entry in entries],
+            self.options,
+            governor=self.governor,
+            mode="multiquery",
+        ).drive(document)
         elapsed = time.perf_counter() - started_at
         _PASSES.inc()
         _PASS_QUERIES.inc(len(entries))
-        trace_report = None
-        if observer.enabled:
-            # Pass-level totals for the report's byte columns: input is the
-            # shared document (every query's statistics carry the same
-            # pre-drop totals), output is the sum over all queries.
-            observer.mode = "multiquery"
-            totals = RunStatistics()
-            totals.input_bytes = stats_list[0].input_bytes if stats_list else 0
-            totals.output_bytes = sum(stats.output_bytes for stats in stats_list)
-            totals.elapsed_seconds = elapsed
-            trace_report = observer.finish(totals)
-        return MultiQueryRun(results, elapsed, memory=memory, trace=trace_report)
+        results = {entry.name: result for entry, result in zip(entries, run.results)}
+        return MultiQueryRun(results, elapsed, memory=run.memory, trace=run.trace)

@@ -140,6 +140,10 @@ class DynamicFanout:
         """Slot ids by sub-batch position (tombstones keep their seat)."""
         return tuple(slot.slot_id for slot in self._slots)
 
+    def specs(self) -> Tuple[Optional[ProjectionSpec], ...]:
+        """Slot automata by sub-batch position (``None``: keeps everything)."""
+        return tuple(slot.spec for slot in self._slots)
+
     def attach(self, spec: Optional[ProjectionSpec]) -> int:
         """Delta-merge one query into the union; returns its slot id.
 

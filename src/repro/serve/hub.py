@@ -2,11 +2,11 @@
 
 The hub is the synchronous heart of :mod:`repro.serve`.  One *engine
 thread* feeds it stream chunks (network bytes, the XMark ticker, a file);
-every chunk flows through **one** document pass
-(:class:`~repro.fastpath.pipeline.DocumentPass`) whatever the
-subscriber count, and the surviving per-subscription sub-streams drive one
-:class:`~repro.engine.executor.StreamExecutor` per active subscription per
-document -- exactly the multi-query fan-out, made long-lived and
+the hub frames them into documents with the one continuous-feed loop
+(:class:`~repro.feeds.FeedHandle`) and opens, per document, one
+:class:`~repro.engine.engine.RunHandle` with a seat per active
+subscription: **one** document pass whatever the subscriber count, one
+executor per seat -- exactly the multi-query fan-out, made long-lived and
 churn-tolerant:
 
 * subscriptions attach and detach **at document boundaries only** (calls
@@ -19,8 +19,8 @@ churn-tolerant:
   queue**; a slow consumer is handled by the subscription's policy --
   ``block`` (backpressure the engine thread), ``drop`` (count and skip) or
   ``disconnect`` (evict the subscriber at the next boundary);
-* all executors share one optional :class:`~repro.storage.governor.
-  MemoryGovernor` whose victim selection is biased to the *heaviest
+* all documents' runs borrow the feed's optional :class:`~repro.storage.governor.
+  MemoryGovernor`, whose victim selection is biased to the *heaviest
   subscriber's* pages, so one join-heavy subscription spills before it can
   crowd out the others.
 
@@ -40,19 +40,15 @@ from typing import Callable, Dict, List, Optional, Union
 
 from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.dtd.schema import DTD
-from repro.engine.engine import FluxEngine, ensure_rooted
-from repro.engine.executor import StreamExecutor
+from repro.engine.engine import FluxEngine, RunHandle, ensure_rooted
 from repro.engine.stats import RunStatistics
-from repro.fastpath import DocumentPass
+from repro.feeds import DocumentResult, FeedHandle
 from repro.obs import recorder as _flight
-from repro.obs import serve as _serve
 from repro.obs.metrics import global_registry
 from repro.pipeline.fanout import DynamicFanout
+from repro.pipeline.sinks import CollectSink
 from repro.storage.governor import MemoryGovernor
 from repro.xmark.dtd import xmark_dtd
-
-#: Padding accepted between documents (mirrors :mod:`repro.feeds`).
-_INTERDOC_WS = b" \t\r\n"
 
 #: Slow-consumer policies.
 POLICIES = ("block", "drop", "disconnect")
@@ -262,25 +258,21 @@ class SubscriptionHub:
         self._pending_detach: List[Subscription] = []
         self._names = 0
         self._state = "open"
-        # Per-document scan state (engine thread only).
-        self._scan = None
-        self._doc_execs: List[Optional[tuple]] = []
-        self._doc_start = 0
-        self._cursor = 0
-        self._bytes_fed = 0
-        self._chunks_fed = 0
-        self._documents_completed = 0
-        self._owns_governor = False
-        if governor is None and self.options.memory_budget is not None:
-            governor = MemoryGovernor(
-                self.options.memory_budget, page_bytes=self.options.memory_page_bytes
-            )
-            self._owns_governor = True
-        self.governor = governor
-        if governor is not None:
-            governor.victim_selector = _heaviest_subscriber_page
+        # The open document's run and who sits where in it; both change
+        # only under the hub lock.
+        self._run: Optional[RunHandle] = None
+        self._seated: List[Optional[Subscription]] = []
+        self._feed = FeedHandle(
+            self._open_document,
+            options=self.options,
+            governor=governor,
+            on_document=self._deliver_document,
+            progress=self.progress,
+        )
+        self.governor = self._feed.governor
+        if self.governor is not None:
+            self.governor.victim_selector = _heaviest_subscriber_page
         _flight.RECORDER.note("serve-hub-open")
-        self._progress_key = _serve.register_run(self._progress)
 
     # ---------------------------------------------------------- subscriptions
 
@@ -362,13 +354,13 @@ class SubscriptionHub:
     def _apply_pending(self) -> None:
         """Apply queued churn if no document is open; defer otherwise.
 
-        ``self._scan`` transitions from ``None`` to a live scan only under
-        the hub lock (:meth:`_begin_document`), so checking it here makes
+        ``self._run`` transitions from ``None`` to a live run only under
+        the hub lock (:meth:`_open_document`), so checking it here makes
         the boundary-only guarantee race-free for subscriber threads; the
         engine thread applies deferred churn itself at every boundary.
         """
         with self._lock:
-            if self._scan is None:
+            if self._run is None:
                 self._apply_pending_locked()
 
     def _apply_pending_locked(self) -> None:
@@ -388,53 +380,32 @@ class SubscriptionHub:
             sub._end("closed" if sub.state != "disconnected" else "disconnected")
         for sub in attaches:
             sub.slot_id = self.fanout.attach(sub._engine.projection_spec)
-            sub.first_document = self._documents_completed
+            sub.first_document = self._feed.documents_completed
             sub.state = "active"
             self._by_slot[sub.slot_id] = sub
 
     def compact(self) -> int:
         """Reclaim tombstoned seats (the one full re-merge; see fanout)."""
         with self._lock:
-            if self._scan is not None:
+            if self._run is not None:
                 raise RuntimeError("compact only between documents")
             return self.fanout.compact()
 
     # ---------------------------------------------------------------- feed
 
     def feed(self, chunk: Union[bytes, bytearray, str]) -> int:
-        """Consume one stream chunk; returns documents completed by it."""
+        """Consume one stream chunk; returns documents completed by it.
+
+        A failing document (its run has written the crash dump) ends the hub.
+        """
         if self._state != "open":
             raise RuntimeError(f"cannot feed a {self._state} hub")
-        data = chunk.encode("utf-8") if isinstance(chunk, str) else bytes(chunk)
-        self._bytes_fed += len(data)
-        self._chunks_fed += 1
         _CHUNKS.inc()
-        completed = 0
-        while data:
-            if self._scan is None:
-                stripped = data.lstrip(_INTERDOC_WS)
-                self._cursor += len(data) - len(stripped)
-                data = stripped
-                if not data:
-                    break
-                self._begin_document()
-            try:
-                self._dispatch(self._scan.feed(data))
-                if not self._scan.root_closed:
-                    self._cursor += len(data)
-                    break
-                remainder = self._scan.take_remainder()
-                boundary = self._cursor + len(data) - len(remainder)
-                self._dispatch(self._scan.finish())
-                self._seal_document()
-            except Exception:
-                self._abort_document()
-                self.close()
-                raise
-            self._cursor = boundary
-            data = remainder
-            completed += 1
-        return completed
+        try:
+            return len(self._feed.feed(chunk))
+        except Exception:
+            self.close()
+            raise
 
     def finish(self) -> None:
         """End of stream: every live subscription observes end-of-feed.
@@ -443,35 +414,30 @@ class SubscriptionHub:
         """
         if self._state != "open":
             return
-        if self._scan is not None:
-            try:
-                self._dispatch(self._scan.finish())
-                self._seal_document()
-            except Exception:
-                self._abort_document()
-                self.close()
-                raise
+        try:
+            self._feed.finish()
+        except Exception:
+            self.close()
+            raise
         self._state = "finished"
         self._apply_pending()
-        with self._lock:
-            live = list(self._by_slot.values()) + list(self._pending_attach)
-        for sub in live:
-            sub._end("finished")
-        self._teardown()
+        self._end_subscriptions("finished")
 
     def close(self) -> None:
         """Abort: release buffers, end every subscription.  Idempotent."""
         if self._state == "closed":
             return
-        self._abort_document()
-        previous, self._state = self._state, "closed"
+        self._feed.close()  # aborts the open document's run, if any
+        self._state = "closed"
+        self._end_subscriptions("closed")
+
+    def _end_subscriptions(self, state: str) -> None:
         with self._lock:
-            live = list(self._by_slot.values()) + list(self._pending_attach)
+            self._run = None
+            live = list(self._by_slot.values()) + self._pending_attach
             self._pending_attach = []
         for sub in live:
-            sub._end("closed")
-        if previous != "finished":
-            self._teardown()
+            sub._end(state)
 
     def __enter__(self) -> "SubscriptionHub":
         return self
@@ -486,11 +452,11 @@ class SubscriptionHub:
 
     @property
     def documents_completed(self) -> int:
-        return self._documents_completed
+        return self._feed.documents_completed
 
     @property
     def bytes_fed(self) -> int:
-        return self._bytes_fed
+        return self._feed.bytes_fed
 
     @property
     def active_subscriptions(self) -> int:
@@ -499,17 +465,13 @@ class SubscriptionHub:
 
     def progress(self) -> dict:
         """The hub's live watermark snapshot (what ``/progress`` shows)."""
-        return self._progress()
-
-    def _progress(self) -> dict:
         with self._lock:
             subs = list(self._by_slot.values()) + list(self._pending_attach)
         return {
+            # The feed's stream watermarks (bytes, chunks, documents, offsets).
+            **self._feed.progress(),
             "mode": "serve",
             "state": self._state,
-            "bytes_fed": self._bytes_fed,
-            "chunks_fed": self._chunks_fed,
-            "documents_completed": self._documents_completed,
             "fanout": {
                 "width": self.fanout.width,
                 "active": self.fanout.active_count,
@@ -522,96 +484,57 @@ class SubscriptionHub:
 
     # ------------------------------------------------------------ internals
 
-    def _begin_document(self) -> None:
-        # One lock acquisition covers churn application, executor creation
-        # and the scan hand-off: a subscription attached concurrently either
+    def _open_document(self, **framing) -> RunHandle:
+        """Open the next document's run (the feed's ``open_document``)."""
+        # One lock acquisition covers churn application, seat capture and
+        # the run hand-off: a subscription attached concurrently either
         # lands before the capture (it gets this document) or stays pending
-        # (the ``_scan`` check in ``_apply_pending`` defers it) -- never half.
-        factory = self.governor.make_buffer if self.governor is not None else None
+        # (the ``_run`` check in ``_apply_pending`` defers it) -- never half.
         with self._lock:
             self._apply_pending_locked()
-            self._doc_start = self._cursor
-            order = self.fanout.order()
-            execs: List[Optional[tuple]] = []
-            stats_list: List[Optional[RunStatistics]] = []
-            for slot_id in order:
-                sub = self._by_slot.get(slot_id)
-                if sub is None:
-                    execs.append(None)
-                    stats_list.append(None)
-                    continue
-                stats = RunStatistics()
-                executor = StreamExecutor(
-                    sub._engine.plan,
-                    collect_output=True,
-                    stats=stats,
-                    count_input=False,
-                    buffer_factory=factory,
-                )
-                executor.begin()
-                execs.append((sub, executor, stats))
-                stats_list.append(stats)
-            self._doc_execs = execs
-            # With no subscriber the fanout drops everything: the pass still
+            self._seated = [self._by_slot.get(slot_id) for slot_id in self.fanout.order()]
+            # With no subscriber the fanout drops everything: the run still
             # validates the document and finds where it ends.
-            self._scan = DocumentPass(
+            self._run = RunHandle(
                 self.fanout,
-                stats_list,
-                expand_attrs=self.options.expand_attrs,
+                [
+                    None if sub is None else (sub._engine.plan, CollectSink(), sub.name)
+                    for sub in self._seated
+                ],
+                self.options,
+                mode="serve",
                 stop_at_root_close=True,
-                base_offset=self._doc_start,
+                **framing,
             )
+            return self._run
 
-    def _dispatch(self, subs: List[List["object"]]) -> None:
-        for entry, sub_batch in zip(self._doc_execs, subs):
-            if entry is not None and sub_batch:
-                entry[1].process_batch(sub_batch)
-
-    def _seal_document(self) -> None:
-        # Clear the scan state *first*: a concurrent subscribe during the
-        # delivery loop below may then apply immediately, and the document
-        # counter has already advanced so its ``first_document`` is exact.
-        index = self._documents_completed
-        self._documents_completed = index + 1
-        self._scan = None
-        execs, self._doc_execs = self._doc_execs, []
+    def _deliver_document(self, document: DocumentResult) -> None:
+        """A document sealed (the feed's ``on_document``): fan its results out."""
+        # Clear the open run *first*: a concurrent subscribe during the
+        # delivery loop below may then apply immediately, and the feed's
+        # document counter has already advanced so its ``first_document``
+        # is exact.
+        with self._lock:
+            run, self._run = self._run, None
         sealed_at = time.perf_counter()
-        for entry in execs:
-            if entry is None:
+        for sub, result in zip(self._seated, run.results):
+            if sub is None:
                 continue
-            sub, executor, stats = entry
-            execution = executor.finish()
+            stats = result.stats
             if stats.peak_resident_bytes > sub.resident_hwm:
                 sub.resident_hwm = stats.peak_resident_bytes
             sub.seq += 1
             sub._deliver(
                 SubscriptionResult(
                     name=sub.name,
-                    document=index,
-                    output=execution.output,
+                    document=document.index,
+                    output=result.output,
                     seq=sub.seq,
                     sealed_at=sealed_at,
                     stats=stats,
                 )
             )
         _DOCUMENTS.inc()
-        _flight.RECORDER.note("serve-doc", index)
-
-    def _abort_document(self) -> None:
-        execs, self._doc_execs = self._doc_execs, []
-        self._scan = None
-        for entry in execs:
-            if entry is None:
-                continue
-            try:
-                entry[1].abort()
-            except Exception:  # noqa: BLE001 - best-effort cleanup
-                pass
-
-    def _teardown(self) -> None:
-        _serve.unregister_run(self._progress_key)
-        if self._owns_governor and self.governor is not None:
-            self.governor.close()
 
 
 __all__ = [

@@ -113,7 +113,7 @@ EXPECTED_SURFACE = r"""
         }
     },
     "FeedHandle": {
-        "init": "(self, engine, *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor=None, owns_governor: 'bool' = False, on_finish=None, on_document=None, on_heartbeat=None, resume_from: 'Optional[int]' = None)",
+        "init": "(self, open_document, *, options: 'Optional[ExecutionOptions]' = None, governor=None, on_document=None, on_heartbeat=None, resume_from: 'Optional[int]' = None, progress=None)",
         "kind": "class",
         "members": {
             "bytes_fed": "<property>",
@@ -121,6 +121,7 @@ EXPECTED_SURFACE = r"""
             "documents_completed": "<property>",
             "feed": "(self, chunk) -> 'List[DocumentResult]'",
             "finish": "(self) -> 'FeedResult'",
+            "progress": "(self) -> 'dict'",
             "resume_offset": "<property>"
         }
     },
@@ -135,16 +136,15 @@ EXPECTED_SURFACE = r"""
         "members": {}
     },
     "FluxEngine": {
-        "init": "(self, query: 'Union[str, XQExpr, FluxExpr]', dtd: 'DTD', *, root_element: 'Optional[str]' = None, root_var: 'str' = '$ROOT', apply_simplifications: 'bool' = True, require_safe: 'bool' = True, projection: 'bool' = True, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None)",
+        "init": "(self, query: 'Union[str, XQExpr, FluxExpr]', dtd: 'DTD', *, root_element: 'Optional[str]' = None, root_var: 'str' = '$ROOT', apply_simplifications: 'bool' = True, require_safe: 'bool' = True, projection: 'bool' = True)",
         "kind": "class",
         "members": {
             "describe_buffers": "(self) -> 'str'",
-            "execute": "(self, document: 'DocumentSource', *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, owns_governor: 'bool' = True, on_finish=None) -> 'FluxRunResult'",
+            "execute": "(self, document: 'DocumentSource', *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, on_finish=None) -> 'FluxRunResult'",
             "flux_source": "(self) -> 'str'",
-            "open_feed": "(self, *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, owns_governor: 'bool' = True, on_finish=None, on_document=None, on_heartbeat=None, resume_from: 'Optional[int]' = None)",
-            "open_run": "(self, *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, owns_governor: 'bool' = True, on_finish=None, stop_at_root_close: 'bool' = False, base_offset: 'int' = 0, annotations: 'Optional[dict]' = None) -> 'RunHandle'",
-            "run": "(self, document: 'DocumentSource', *, collect_output: 'bool' = True, expand_attrs: 'bool' = False) -> 'FluxRunResult'",
-            "stream": "(self, document: 'DocumentSource', *, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, owns_governor: 'bool' = True, on_finish=None) -> 'StreamingRun'"
+            "open_feed": "(self, *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, on_finish=None, on_document=None, on_heartbeat=None, resume_from: 'Optional[int]' = None)",
+            "open_run": "(self, *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, on_finish=None, stop_at_root_close: 'bool' = False, base_offset: 'int' = 0, annotations: 'Optional[dict]' = None) -> 'RunHandle'",
+            "stream": "(self, document: 'DocumentSource', *, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, on_finish=None) -> 'StreamingRun'"
         }
     },
     "FluxRunResult": {
@@ -199,11 +199,11 @@ EXPECTED_SURFACE = r"""
         }
     },
     "MultiQueryEngine": {
-        "init": "(self, registry: 'QueryRegistry', *, chunk_size: 'int' = 65536, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, governor: 'Optional[MemoryGovernor]' = None)",
+        "init": "(self, registry: 'QueryRegistry', *, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None)",
         "kind": "class",
         "members": {
-            "run": "(self, document: 'DocumentSource', *, collect_output: 'bool' = True, expand_attrs: 'bool' = False, trace: 'Optional[bool]' = None) -> 'MultiQueryRun'",
-            "run_to_sinks": "(self, document: 'DocumentSource', writables: 'Mapping[str, object]', *, expand_attrs: 'bool' = False, trace: 'Optional[bool]' = None) -> 'MultiQueryRun'"
+            "run": "(self, document: 'DocumentSource') -> 'MultiQueryRun'",
+            "run_to_sinks": "(self, document: 'DocumentSource', writables: 'Mapping[str, object]') -> 'MultiQueryRun'"
         }
     },
     "MultiQueryRun": {
@@ -295,13 +295,17 @@ EXPECTED_SURFACE = r"""
         }
     },
     "RunHandle": {
-        "init": "(self, executor: 'StreamExecutor', doc_pass: 'DocumentPass', *, governor, owns_governor: 'bool', on_finish, observer, options: 'ExecutionOptions', annotations: 'Optional[dict]', mode: 'str')",
+        "init": "(self, fanout: 'DynamicFanout', seats: 'Sequence[Optional[Seat]]', options: 'Optional[ExecutionOptions]' = None, *, governor: 'Optional[MemoryGovernor]' = None, mode: 'str' = 'push', on_finish=None, stop_at_root_close: 'bool' = False, base_offset: 'int' = 0, annotations: 'Optional[dict]' = None)",
         "kind": "class",
         "members": {
             "close": "(self) -> 'None'",
             "drain": "(self) -> 'str'",
+            "drive": "(self, document: 'DocumentSource') -> \"'RunHandle'\"",
             "feed": "(self, chunk) -> 'Optional[str]'",
-            "finish": "(self) -> 'FluxRunResult'"
+            "finish": "(self) -> 'Optional[FluxRunResult]'",
+            "progress": "(self) -> 'dict'",
+            "root_closed": "<property>",
+            "take_remainder": "(self) -> 'bytes'"
         }
     },
     "RunStatistics": {

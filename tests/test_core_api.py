@@ -93,7 +93,7 @@ def test_engine_requires_root_information():
     with pytest.raises(ValueError):
         FluxEngine(XMP_INTRO, dtd)
     engine = FluxEngine(XMP_INTRO, dtd, root_element="bib")
-    assert engine.run(DOC).output
+    assert engine.execute(DOC).output
 
 
 def test_engine_exposes_rewrite_result():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.options import ExecutionOptions
 from repro.dtd.parser import parse_dtd
 from repro.engine.engine import FluxEngine
 from repro.engine.plan import compile_plan
@@ -42,7 +43,7 @@ DOC = (
 
 def test_intro_query_output_matches_reference():
     engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_USECASES))
-    result = engine.run(DOC)
+    result = engine.execute(DOC)
     expected = NaiveDomEngine(XMP_INTRO).run(DOC).output
     assert result.output == expected
     assert result.stats.peak_buffered_events == 0
@@ -56,7 +57,7 @@ def test_intro_query_weak_dtd_buffers_one_book_of_authors():
         "</bib>"
     )
     engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_UNORDERED))
-    result = engine.run(weak_doc)
+    result = engine.execute(weak_doc)
     expected = NaiveDomEngine(XMP_INTRO).run(weak_doc).output
     assert result.output == expected
     # Only the authors of a single book are ever buffered (2 authors, 3
@@ -75,7 +76,7 @@ def test_document_order_is_preserved_for_interleaved_children():
         "</book></bib>"
     )
     engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_UNORDERED))
-    output = engine.run(weak_doc).output
+    output = engine.execute(weak_doc).output
     assert output == (
         "<results><result><title>The Title</title>"
         "<author>First Author</author><author>Second Author</author>"
@@ -86,7 +87,7 @@ def test_document_order_is_preserved_for_interleaved_children():
 def test_conditional_output_with_on_the_fly_flags():
     doc = generate_q1_bibliography(30, seed=5, ordered=True)
     engine = FluxEngine(XMP_Q1, _dtd(BIB_Q1_DTD_ORDERED))
-    result = engine.run(doc)
+    result = engine.execute(doc)
     assert result.output == NaiveDomEngine(XMP_Q1).run(doc).output
     # Titles are streamed; the publisher condition lives in flags.  Only the
     # year element (whose own value the condition needs) is held, one book at
@@ -98,7 +99,7 @@ def test_conditional_output_with_on_the_fly_flags():
 def test_conditional_output_with_buffering_for_weak_dtd():
     doc = generate_q1_bibliography(30, seed=6, ordered=False)
     engine = FluxEngine(XMP_Q1, _dtd(BIB_Q1_DTD_UNORDERED))
-    result = engine.run(doc)
+    result = engine.execute(doc)
     assert result.output == NaiveDomEngine(XMP_Q1).run(doc).output
     assert result.stats.peak_buffered_events > 0
 
@@ -107,7 +108,7 @@ def test_join_query_streams_articles_under_ordered_dtd():
     doc = generate_bibliography(20, articles=10, seed=9)
     dtd = _dtd(BIB_ARTICLES_DTD_ORDERED)
     engine = FluxEngine(XMP_Q3, dtd)
-    result = engine.run(doc)
+    result = engine.execute(doc)
     assert result.output == NaiveDomEngine(XMP_Q3).run(doc).output
 
 
@@ -118,9 +119,9 @@ def test_title_author_pairs_under_both_dtds():
         "</bib>"
     )
     expected = NaiveDomEngine(XMP_Q2).run(ordered_doc).output
-    result = FluxEngine(XMP_Q2, _dtd(BIB_DTD_ORDERED)).run(ordered_doc)
+    result = FluxEngine(XMP_Q2, _dtd(BIB_DTD_ORDERED)).execute(ordered_doc)
     assert result.output == expected
-    weak = FluxEngine(XMP_Q2, _dtd(BIB_DTD_UNORDERED)).run(ordered_doc)
+    weak = FluxEngine(XMP_Q2, _dtd(BIB_DTD_UNORDERED)).execute(ordered_doc)
     assert weak.output == expected
 
 
@@ -136,7 +137,7 @@ def test_handwritten_flux_query_executes():
         """
     )
     engine = FluxEngine(flux, _dtd(BIB_DTD_USECASES))
-    result = engine.run(DOC)
+    result = engine.execute(DOC)
     assert result.output.startswith("<results><title>Streams</title>")
     assert result.output.endswith("</results>")
     assert result.stats.peak_buffered_events == 0
@@ -163,12 +164,12 @@ def test_unsafe_check_can_be_disabled():
         """
     )
     engine = FluxEngine(flux, _dtd(BIB_DTD_UNORDERED), require_safe=False)
-    assert engine.run(DOC).output is not None
+    assert engine.execute(DOC).output is not None
 
 
 def test_collect_output_false_still_counts_bytes():
     engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_USECASES))
-    result = engine.run(DOC, collect_output=False)
+    result = engine.execute(DOC, options=ExecutionOptions(collect_output=False))
     assert result.output is None
     assert result.stats.output_bytes > 0
 
@@ -188,7 +189,7 @@ def test_executor_accepts_reference_tokenizer_events():
 
 def test_input_statistics_are_recorded():
     engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_USECASES))
-    result = engine.run(DOC)
+    result = engine.execute(DOC)
     assert result.stats.input_events > 10
     assert result.stats.input_bytes > 50
     assert result.stats.elapsed_seconds >= 0

@@ -12,7 +12,7 @@ evaluate" plan.  These tests check that
 
 import pytest
 
-from repro import FluxEngine, NaiveDomEngine
+from repro import ExecutionOptions, FluxEngine, NaiveDomEngine
 from repro.dtd.parser import parse_dtd
 from repro.flux.ast import OnFirstHandler, ProcessStream
 from repro.xquery.normalize import normalize
@@ -20,6 +20,8 @@ from repro.xquery.parser import parse_query
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmark.usecases import BIB_DTD_UNORDERED, XMP_INTRO, XMP_Q2, generate_bibliography
+
+COUNT_ONLY = ExecutionOptions(collect_output=False)
 
 
 def trivial_flux(query_source: str) -> ProcessStream:
@@ -30,8 +32,8 @@ def trivial_flux(query_source: str) -> ProcessStream:
 @pytest.mark.parametrize("name", ["Q1", "Q13", "Q20", "Q8"])
 def test_trivial_and_scheduled_plans_agree_on_xmark(name, small_xmark_document):
     query = BENCHMARK_QUERIES[name]
-    scheduled = FluxEngine(query, xmark_dtd()).run(small_xmark_document)
-    trivial = FluxEngine(trivial_flux(query), xmark_dtd()).run(small_xmark_document)
+    scheduled = FluxEngine(query, xmark_dtd()).execute(small_xmark_document)
+    trivial = FluxEngine(trivial_flux(query), xmark_dtd()).execute(small_xmark_document)
     reference = NaiveDomEngine(query).run(small_xmark_document)
     assert scheduled.output == trivial.output == reference.output
 
@@ -39,9 +41,9 @@ def test_trivial_and_scheduled_plans_agree_on_xmark(name, small_xmark_document):
 @pytest.mark.parametrize("name", ["Q1", "Q13", "Q20"])
 def test_scheduling_reduces_buffering_substantially(name, small_xmark_document):
     query = BENCHMARK_QUERIES[name]
-    scheduled = FluxEngine(query, xmark_dtd()).run(small_xmark_document, collect_output=False)
-    trivial = FluxEngine(trivial_flux(query), xmark_dtd()).run(
-        small_xmark_document, collect_output=False
+    scheduled = FluxEngine(query, xmark_dtd()).execute(small_xmark_document, options=COUNT_ONLY)
+    trivial = FluxEngine(trivial_flux(query), xmark_dtd()).execute(
+        small_xmark_document, options=COUNT_ONLY
     )
     assert trivial.stats.peak_buffered_bytes > 0
     assert scheduled.stats.peak_buffered_bytes <= trivial.stats.peak_buffered_bytes / 5
@@ -51,8 +53,8 @@ def test_trivial_plan_buffers_only_the_projection(small_xmark_document):
     # Even the trivial plan benefits from the Π projection: it holds much less
     # than the naive engine's full document tree.
     query = BENCHMARK_QUERIES["Q1"]
-    trivial = FluxEngine(trivial_flux(query), xmark_dtd()).run(
-        small_xmark_document, collect_output=False
+    trivial = FluxEngine(trivial_flux(query), xmark_dtd()).execute(
+        small_xmark_document, options=COUNT_ONLY
     )
     naive = NaiveDomEngine(query).run(small_xmark_document, collect_output=False)
     assert trivial.stats.peak_buffered_bytes < naive.peak_buffered_bytes / 3
@@ -62,6 +64,6 @@ def test_trivial_plan_on_bibliography_matches_reference():
     document = generate_bibliography(25, seed=8, ordered=False)
     dtd = parse_dtd(BIB_DTD_UNORDERED).with_root("bib")
     for query in (XMP_INTRO, XMP_Q2):
-        trivial = FluxEngine(trivial_flux(query), dtd).run(document)
+        trivial = FluxEngine(trivial_flux(query), dtd).execute(document)
         reference = NaiveDomEngine(query).run(document)
         assert trivial.output == reference.output

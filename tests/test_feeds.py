@@ -3,7 +3,10 @@
 Covers the feed tentpole and its satellites:
 
 * framing: one ``open_feed`` handle over concatenated documents returns
-  per-document results with exact byte offsets, at arbitrary chunk splits,
+  per-document results with exact byte offsets, at arbitrary chunk splits;
+  the framing cases run against a ``driver`` parameter -- the solo feed and
+  a one-subscriber :class:`~repro.serve.SubscriptionHub` -- because both
+  are the same :class:`~repro.feeds.FeedHandle` loop,
 * satellite 1 -- a stream ending inside a multi-byte UTF-8 sequence must
   raise a truncated-document error at the offset where the cut sequence
   starts from ``DocumentPass.finish()``,
@@ -35,6 +38,7 @@ from repro import (
     FluxSession,
 )
 from repro.fastpath import DocumentPass
+from repro.serve import SubscriptionHub
 from repro.xmlstream.errors import XMLWellFormednessError
 
 BIB_DTD = """
@@ -44,7 +48,7 @@ BIB_DTD = """
 <!ELEMENT author (#PCDATA)>
 """
 
-TITLES = "<titles>{ for $b in $ROOT/bib/book return $b/title }</titles>"
+TITLES = "<titles>{ for $b in $ROOT/bib/book return {$b/title} }</titles>"
 
 
 def _doc(index: int) -> str:
@@ -62,6 +66,11 @@ def _chunks(data: bytes, stride: int):
     return [data[i : i + stride] for i in range(0, len(data), stride)]
 
 
+def _split(data: bytes, cuts):
+    edges = [0, *cuts, len(data)]
+    return [data[a:b] for a, b in zip(edges, edges[1:])]
+
+
 @pytest.fixture()
 def session():
     with FluxSession(BIB_DTD, root_element="bib") as sess:
@@ -73,15 +82,154 @@ def _solo_outputs(session, count: int):
     return [prepared.execute(_doc(i)).output for i in range(count)]
 
 
+class _FeedDriver:
+    """The TITLES query over a stream, through ``open_feed``."""
+
+    def __init__(self, session):
+        self.documents = []
+        self.handle = session.prepare(TITLES).open_feed(on_document=self.documents.append)
+        self.progress = self.handle.progress
+        self.finish = self.handle.finish
+        self.close = self.handle.close
+
+    def feed(self, chunk) -> int:
+        return len(self.handle.feed(chunk))
+
+    def outputs(self):
+        return [document.result.output for document in self.documents]
+
+    def indices(self):
+        return [document.index for document in self.documents]
+
+
+class _HubDriver:
+    """The same query as the one subscriber of a hub over the same stream."""
+
+    def __init__(self, session):
+        self.handle = SubscriptionHub(session.dtd)
+        self.subscription = self.handle.subscribe(TITLES, max_queue=1000)
+        self.results = []
+        self.feed = self.handle.feed
+        self.progress = self.handle.progress
+        self.finish = self.handle.finish
+        self.close = self.handle.close
+
+    def _delivered(self):
+        self.results.extend(iter(self.subscription.get_nowait, None))
+        return self.results
+
+    def outputs(self):
+        return [result.output for result in self._delivered()]
+
+    def indices(self):
+        return [result.document for result in self._delivered()]
+
+
+@pytest.fixture(params=[_FeedDriver, _HubDriver], ids=["feed", "hub"])
+def driver(request, session):
+    """Whoever drives the one framing loop: ``feed(chunk)`` returns the
+    documents the chunk completed; ``finish`` / ``progress`` / ``outputs``."""
+    driving = request.param(session)
+    yield driving
+    driving.close()
+
+
 # ---------------------------------------------------------------------------
 # Framing
 
 
+def _drive(driver, chunks):
+    """Feed ``chunks`` and finish; documents completed per chunk."""
+    completed = [driver.feed(chunk) for chunk in chunks]
+    driver.finish()
+    return completed
+
+
+def _assert_framed(driver, session, stream: bytes, count: int, end_offset: int):
+    assert driver.outputs() == _solo_outputs(session, count)
+    assert driver.indices() == list(range(count))
+    progress = driver.progress()
+    assert progress["documents_completed"] == count
+    assert progress["bytes_fed"] == len(stream)
+    assert progress["resume_offset"] == end_offset
+
+
 @pytest.mark.parametrize("stride", [1, 7, 64, 10_000])
-def test_feed_frames_documents_at_any_split(session, stride):
+def test_stream_frames_documents_at_any_split(driver, session, stride):
+    """Stride 10 000 is one chunk closing all four documents."""
     count = 4
     stream = _stream(count)
-    expected = _solo_outputs(session, count)
+    completed = _drive(driver, _chunks(stream, stride))
+    assert sum(completed) == count
+    if stride > len(stream):
+        assert completed == [count]
+    _assert_framed(driver, session, stream, count, len(stream) - 1)
+
+
+def test_cut_inside_inter_document_whitespace(driver, session):
+    separator = "  \r\n\t"
+    stream = _stream(3, separator)
+    unit = len(_doc(0).encode("utf-8")) + len(separator)
+    # Every boundary's padding is cut in the middle: the head of it trails
+    # the closing document, the rest leads the next chunk.
+    chunks = _split(stream, [unit - 3, 2 * unit - 2, 3 * unit - 4])
+    assert _drive(driver, chunks) == [1, 1, 1, 0]
+    _assert_framed(driver, session, stream, 3, len(stream) - len(separator))
+
+
+def test_cut_inside_multi_byte_sequence_straddling_a_boundary(driver, session):
+    """One chunk closes a document and ends half-way through a two-byte
+    character of the next: the partial sequence rides the remainder."""
+    accented = "<bib><book><title>Caf\u00e9</title><author>Zo\u00eb</author></book></bib>"
+    head = _doc(0).encode("utf-8")
+    tail = accented.encode("utf-8")
+    stream = head + tail
+    cut = len(head) + tail.index("\u00e9".encode("utf-8")) + 1
+    assert _drive(driver, _split(stream, [cut])) == [1, 1]
+    solo = session.prepare(TITLES).execute(accented).output
+    assert "Caf\u00e9" in solo
+    assert driver.outputs() == [_solo_outputs(session, 1)[0], solo]
+    assert driver.progress()["resume_offset"] == len(stream)
+
+
+def test_bytes_after_a_root_close_start_the_next_document(driver, session):
+    stream = (_doc(0) + _doc(1)).encode("utf-8")  # no separator at all
+    assert _drive(driver, [stream]) == [2]
+    _assert_framed(driver, session, stream, 2, len(stream))
+
+
+def test_stream_ending_mid_document_raises(driver):
+    assert driver.feed(_stream(1) + b"<bib><book><title>half") == 1
+    with pytest.raises(XMLWellFormednessError):
+        driver.finish()
+    # The failed document never sealed: the resume point is the first's end.
+    progress = driver.progress()
+    assert progress["documents_completed"] == 1
+    assert progress["resume_offset"] == len(_stream(1)) - 1
+
+
+def test_stream_ending_inside_the_first_document_raises(driver):
+    assert driver.feed(b"<bib><book><title>half") == 0
+    with pytest.raises(XMLWellFormednessError):
+        driver.finish()
+    # The failed document never sealed: nothing to resume past.
+    progress = driver.progress()
+    assert progress["documents_completed"] == 0
+    assert progress["resume_offset"] == 0
+
+
+def test_stream_ending_mid_code_point_raises_in_finish(driver):
+    driver.feed(_stream(1) + "<bib><book><title>Caf\u00e9".encode("utf-8")[:-1])
+    with pytest.raises(XMLWellFormednessError, match="truncated document"):
+        driver.finish()
+    assert driver.progress()["documents_completed"] == 1
+
+
+@pytest.mark.parametrize("stride", [1, 7, 64, 10_000])
+def test_feed_reports_exact_document_offsets(session, stride):
+    """Stride 10 000 closes all four documents in one chunk."""
+    count = 4
+    stream = _stream(count)
     documents = []
     feed = session.prepare(TITLES).open_feed(on_document=documents.append)
     returned = []
@@ -91,7 +239,6 @@ def test_feed_frames_documents_at_any_split(session, stride):
 
     assert isinstance(summary, FeedResult)
     assert returned == documents
-    assert [d.result.output for d in documents] == expected
     # Exact framing: each document spans [start, end) with the separator
     # byte charged to the gap, and resume_offset rides the last boundary.
     unit = len(_doc(0).encode("utf-8")) + 1
@@ -104,6 +251,16 @@ def test_feed_frames_documents_at_any_split(session, stride):
     assert summary.resume_offset == documents[-1].end_offset
     assert summary.bytes_fed == len(stream)
     assert feed.result is summary
+
+
+def test_feed_charges_no_gap_between_unseparated_documents(session):
+    stream = (_doc(0) + _doc(1)).encode("utf-8")  # no separator at all
+    documents = []
+    with session.prepare(TITLES).open_feed(on_document=documents.append) as feed:
+        assert len(feed.feed(stream)) == 2
+    assert documents[0].end_offset == len(_doc(0).encode("utf-8"))
+    assert documents[1].start_offset == documents[0].end_offset
+    assert documents[1].end_offset == len(stream)
 
 
 def test_feed_accepts_str_chunks_with_byte_offsets(session):
@@ -149,16 +306,6 @@ def test_feed_rejects_use_after_finish_and_close(session):
     closed.close()  # idempotent
 
 
-def test_feed_mid_document_eof_raises(session):
-    feed = session.prepare(TITLES).open_feed()
-    feed.feed(b"<bib><book><title>half")
-    with pytest.raises(XMLWellFormednessError):
-        feed.finish()
-    # The failed document never sealed: nothing to resume past.
-    assert feed.documents_completed == 0
-    assert feed.resume_offset == 0
-
-
 # ---------------------------------------------------------------------------
 # Satellite 1: truncated UTF-8 at end of input
 
@@ -176,15 +323,6 @@ def test_truncated_utf8_at_eof_is_a_located_error(session, stride):
     assert "truncated document" in message
     assert "incomplete UTF-8 sequence" in message
     assert offset == len(payload) - 1  # the first byte of the cut sequence
-
-
-def test_truncated_utf8_at_feed_eof_raises_in_finish(session):
-    payload = _stream(1) + "<bib><book><title>Café".encode("utf-8")[:-1]
-    feed = session.prepare(TITLES).open_feed()
-    feed.feed(payload)
-    with pytest.raises(XMLWellFormednessError, match="truncated document"):
-        feed.finish()
-    assert feed.documents_completed == 1
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +343,6 @@ def test_after_root_close_errors_single_document(session, trailer):
         run.finish()
     run.close()
     assert excinfo.value.offset >= len(document), "the error must point into the trailer"
-
-
-def test_after_root_close_bytes_start_next_document_in_feed_mode(session):
-    stream = (_doc(0) + _doc(1)).encode("utf-8")  # no separator at all
-    documents = []
-    with session.prepare(TITLES).open_feed(on_document=documents.append) as feed:
-        feed.feed(stream)
-    assert len(documents) == 2
-    assert documents[1].start_offset == len(_doc(0).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ def engines_results(medium_xmark_document):
     """Run every benchmark query on every engine once (shared across tests)."""
     results = {}
     for name, query in BENCHMARK_QUERIES.items():
-        flux = FluxEngine(query, xmark_dtd()).run(medium_xmark_document)
+        flux = FluxEngine(query, xmark_dtd()).execute(medium_xmark_document)
         naive = NaiveDomEngine(query).run(medium_xmark_document)
         projection = ProjectionDomEngine(query).run(medium_xmark_document)
         results[name] = (flux, naive, projection)
@@ -79,8 +79,8 @@ def test_naive_memory_reflects_whole_document(engines_results, medium_xmark_docu
 
 def test_flux_results_are_reusable_across_documents(small_xmark_document, medium_xmark_document):
     engine = FluxEngine(BENCHMARK_QUERIES["Q13"], xmark_dtd())
-    small = engine.run(small_xmark_document)
-    medium = engine.run(medium_xmark_document)
+    small = engine.execute(small_xmark_document)
+    medium = engine.execute(medium_xmark_document)
     assert small.output != medium.output
     assert small.stats.peak_buffered_events == medium.stats.peak_buffered_events == 0
 

@@ -21,7 +21,14 @@ import itertools
 import pytest
 from _reference import reference_events
 
-from repro import FluxEngine, MultiQueryEngine, QueryRegistry, run_queries, run_query
+from repro import (
+    ExecutionOptions,
+    FluxEngine,
+    MultiQueryEngine,
+    QueryRegistry,
+    run_queries,
+    run_query,
+)
 from repro.fastpath import DocumentPass
 from repro.pipeline.fanout import DynamicFanout
 from repro.xmark.dtd import XMARK_DTD_SOURCE, xmark_dtd
@@ -151,7 +158,7 @@ def test_multiquery_output_identical_to_solo_runs(shared_run, document, name):
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_QUERIES))
 def test_multiquery_peak_buffer_parity(shared_run, registry, document, name):
-    solo = registry.get(name).engine.run(document)
+    solo = registry.get(name).engine.execute(document)
     shared = shared_run[name].stats
     assert shared.peak_buffered_events == solo.stats.peak_buffered_events
     assert shared.peak_buffered_bytes == solo.stats.peak_buffered_bytes
@@ -162,7 +169,7 @@ def test_multiquery_peak_buffer_parity(shared_run, registry, document, name):
 
 def test_multiquery_counting_sink_mode(registry, shared_run, document):
     """``collect_output=False`` keeps the statistics, drops the text."""
-    run = MultiQueryEngine(registry).run(document, collect_output=False)
+    run = MultiQueryEngine(registry, options=ExecutionOptions(collect_output=False)).run(document)
     for name in registry.names:
         assert run[name].output is None
         assert run[name].stats.output_bytes == shared_run[name].stats.output_bytes

@@ -45,8 +45,8 @@ def pipeline_outputs(medium_xmark_document):
         writable = io.StringIO()
         projected.execute(medium_xmark_document, sink=writable)
         outputs[name] = {
-            "projection": projected.run(medium_xmark_document).output,
-            "no-projection": unfiltered.run(medium_xmark_document).output,
+            "projection": projected.execute(medium_xmark_document).output,
+            "no-projection": unfiltered.execute(medium_xmark_document).output,
             "streaming": "".join(projected.stream(medium_xmark_document)),
             "writable": writable.getvalue(),
             "events": _execute_events(
@@ -104,7 +104,7 @@ def test_streaming_output_is_incremental_and_memory_flat():
     assert run.stats.peak_buffered_bytes == 0
     assert run.stats.peak_buffered_events == 0
     # The fragments join to exactly what a collected run produces.
-    collected = engine.run(document).output
+    collected = engine.execute(document).output
     assert "".join(fragments) == collected
     # Pending output is bounded by one input chunk's production, far below
     # the total output size.
@@ -117,7 +117,7 @@ def test_projection_filter_drops_events_before_executor():
     assert engine.projection_spec is not None
     document = "".join(iter_document_chunks(config_for_scale(0.1, seed=11)))
 
-    stats_events = engine.run(document).stats.input_events
+    stats_events = engine.execute(document).stats.input_events
     survivors = sum(
         len(batch) for (batch,) in DocumentPass(engine.fanout).scan(document, 64 * 1024)
     )
@@ -153,5 +153,5 @@ def test_value_condition_queries_survive_projection():
     projected = FluxEngine(query, schema)
     unfiltered = FluxEngine(query, schema, projection=False)
     naive = NaiveDomEngine(query).run(doc)
-    assert projected.run(doc).output == unfiltered.run(doc).output == naive.output
-    assert "B" in projected.run(doc).output
+    assert projected.execute(doc).output == unfiltered.execute(doc).output == naive.output
+    assert "B" in projected.execute(doc).output

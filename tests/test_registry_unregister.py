@@ -59,7 +59,7 @@ def test_runs_stay_correct_and_release_buffers_after_unregister(registry, docume
     engine = MultiQueryEngine(registry)
     full = engine.run(document)
     solo = {
-        name: registry.get(name).engine.run(document).output
+        name: registry.get(name).engine.execute(document).output
         for name in registry.names
     }
     assert full.outputs() == solo

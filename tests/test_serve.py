@@ -75,7 +75,7 @@ def _schema():
 
 def _solo(query: str, count: int):
     engine = FluxEngine(query, _schema(), projection=True)
-    return [engine.run(_doc(i)).output for i in range(count)]
+    return [engine.execute(_doc(i)).output for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,9 @@ def test_hub_honours_expand_attrs():
     )
     query = "<ids>{ for $b in $ROOT/bib/book return {$b/book_id} }</ids>"
     document = '<bib><book id="b&amp;1"><title>T</title></book><book id="b2"><title>U</title></book></bib>'
-    solo = FluxEngine(query, dtd).run(document, expand_attrs=True).output
+    solo = FluxEngine(query, dtd).execute(
+        document, options=ExecutionOptions(expand_attrs=True)
+    ).output
     assert "<book_id>b&amp;1</book_id>" in solo
     with SubscriptionHub(dtd, options=ExecutionOptions(expand_attrs=True)) as hub:
         sub = hub.subscribe(query)
@@ -412,11 +414,28 @@ def test_progress_has_serve_mode_and_per_subscription_watermarks():
         assert entry["resident_bytes_hwm"] >= 0
         assert entry["first_document"] == 0
 
-        # The hub is visible through the shared /progress surface too.
-        runs = obs_serve.progress_snapshot()["runs"]
-        assert any(run.get("mode") == "serve" for run in runs)
+        # The hub is visible through the shared /progress surface too: the
+        # stream is ONE entry (the feed's watermarks decorated by the hub,
+        # not a ``feed`` row beside a ``serve`` row) ...
+        def serve_rows():
+            runs = obs_serve.progress_snapshot()["runs"]
+            assert not any(run.get("mode") == "feed" for run in runs)
+            return [run for run in runs if run.get("mode") == "serve"]
+
+        (row,) = serve_rows()
+        assert row["subscriptions"] == snapshot["subscriptions"]
+        assert row["resume_offset"] == snapshot["resume_offset"]
+        # ... joined, while a document is open, by that document's run --
+        # the same shape a solo feed shows.
+        hub.feed(_stream(1)[:20])
+        stream_row, document_row = sorted(serve_rows(), key=lambda run: "document_index" in run)
+        assert "subscriptions" in stream_row and "subscriptions" not in document_row
+        assert document_row["document_index"] == 3
+        assert document_row["document_start_offset"] == stream_row["document_start_offset"]
+        hub.feed(_stream(1)[20:])
+        assert len(serve_rows()) == 1
         hub.finish()
-        assert len(list(sub.results())) == 3
+        assert len(list(sub.results())) == 4
     runs = obs_serve.progress_snapshot()["runs"]
     assert not any(run.get("mode") == "serve" for run in runs)
 

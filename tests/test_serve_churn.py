@@ -126,7 +126,7 @@ def test_adversarial_churn_is_byte_identical(seed):
             solos[query_index] = FluxEngine(
                 QUERY_POOL[query_index], _schema(), projection=True
             )
-        return solos[query_index].run(_doc(document)).output
+        return solos[query_index].execute(_doc(document)).output
 
     query_of = {
         name: query

@@ -395,7 +395,7 @@ def test_feed_error_aborts_and_releases_governor():
     assert governor is not None
     with pytest.raises(Exception):
         run.feed("<bib><book></bib>")  # mismatched closing tag
-    assert not run._finalizer.alive  # governor closed by the abort
+    assert not run._release_governor.alive  # governor closed by the abort
 
 
 def test_feed_writable_sink_streams_output(session):
@@ -432,8 +432,8 @@ def test_dropped_session_finalizer_closes_governor():
     shared governor (the throwaway-session shape of the one-shot shims)."""
     session = FluxSession(WEAK_DTD, root_element="bib", memory_budget=4096)
     session.prepare(QUERY).execute(WEAK_DOC)
-    finalizer = session._governor_finalizer
-    assert finalizer is not None and finalizer.alive
+    finalizer = session._release_governor
+    assert finalizer.alive
     del session
     gc.collect()
     assert not finalizer.alive
@@ -454,7 +454,7 @@ def test_one_shot_streaming_with_budget_owns_its_governor():
     )
     assert run._governor is not None  # run-owned, not session-owned
     assert "".join(run) == run_query(QUERY, WEAK_DOC, WEAK_DTD, root_element="bib").output
-    assert not run._finalizer.alive  # closed with the iteration
+    assert not run._release_governor.alive  # closed with the iteration
 
 
 def test_aborted_feed_releases_buffers_back_to_shared_governor():
@@ -626,29 +626,32 @@ def test_session_accepts_dtd_source_text():
 # StreamingRun governor-leak regression
 
 
+BOUNDED = ExecutionOptions(memory_budget=4096)
+
+
 def _streaming_engine():
-    return FluxEngine(QUERY, load_dtd(WEAK_DTD, root_element="bib"), memory_budget=4096)
+    return FluxEngine(QUERY, load_dtd(WEAK_DTD, root_element="bib"))
 
 
 def test_unconsumed_streaming_run_close_releases_governor():
-    run = _streaming_engine().stream(WEAK_DOC)
-    assert run._finalizer is not None and run._finalizer.alive
+    run = _streaming_engine().stream(WEAK_DOC, options=BOUNDED)
+    assert run._release_governor.alive
     run.close()
-    assert not run._finalizer.alive
+    assert not run._release_governor.alive
     with pytest.raises(RuntimeError):
         list(run)  # closed == consumed
 
 
 def test_streaming_run_context_manager_releases_governor():
-    with _streaming_engine().stream(WEAK_DOC) as run:
+    with _streaming_engine().stream(WEAK_DOC, options=BOUNDED) as run:
         pass  # never iterated
-    assert not run._finalizer.alive
+    assert not run._release_governor.alive
 
 
 def test_abandoned_streaming_run_finalizer_fires_on_gc():
-    run = _streaming_engine().stream(WEAK_DOC)
+    run = _streaming_engine().stream(WEAK_DOC, options=BOUNDED)
     governor = run._governor
-    finalizer = run._finalizer
+    finalizer = run._release_governor
     assert finalizer.alive
     del run
     gc.collect()
@@ -657,17 +660,18 @@ def test_abandoned_streaming_run_finalizer_fires_on_gc():
 
 
 def test_consumed_streaming_run_still_works_and_closes():
-    run = _streaming_engine().stream(WEAK_DOC)
+    run = _streaming_engine().stream(WEAK_DOC, options=BOUNDED)
     output = "".join(run)
     assert output == run_query(QUERY, WEAK_DOC, WEAK_DTD, root_element="bib").output
-    assert not run._finalizer.alive
+    assert not run._release_governor.alive
     run.close()  # idempotent after consumption
 
 
 def test_streaming_run_without_governor_has_no_finalizer():
     engine = FluxEngine(QUERY, load_dtd(WEAK_DTD, root_element="bib"))
     run = engine.stream(WEAK_DOC)
-    assert run._finalizer is None
+    assert run._governor is None
+    assert not hasattr(run._release_governor, "alive")  # nothing to finalize
     run.close()  # still safe
 
 

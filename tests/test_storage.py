@@ -11,7 +11,7 @@ import io
 
 import pytest
 
-from repro import FluxEngine, MultiQueryEngine, QueryRegistry, load_dtd
+from repro import ExecutionOptions, FluxEngine, MultiQueryEngine, QueryRegistry, load_dtd
 from repro.engine.buffers import BufferManager, EventBuffer
 from repro.engine.stats import RunStatistics
 from repro.storage import (
@@ -320,24 +320,23 @@ def xmark_setup():
 @pytest.mark.parametrize("query", ["Q1", "Q8", "Q13"])
 def test_bounded_output_identical_across_all_sink_modes(xmark_setup, query):
     dtd, document = xmark_setup
-    unbounded = FluxEngine(BENCHMARK_QUERIES[query], dtd).run(document)
+    unbounded = FluxEngine(BENCHMARK_QUERIES[query], dtd).execute(document)
     peak = unbounded.stats.peak_buffered_bytes
     budget = max(peak // 2, 1024)
 
-    engine = FluxEngine(
-        BENCHMARK_QUERIES[query], dtd, memory_budget=budget, memory_page_bytes=128
-    )
+    engine = FluxEngine(BENCHMARK_QUERIES[query], dtd)
+    options = ExecutionOptions(memory_budget=budget, memory_page_bytes=128)
 
-    collected = engine.run(document)
+    collected = engine.execute(document, options=options)
     assert collected.output == unbounded.output
     assert collected.stats.peak_resident_bytes <= budget
 
     sink = io.StringIO()
-    to_sink = engine.execute(document, sink=sink)
+    to_sink = engine.execute(document, sink=sink, options=options)
     assert sink.getvalue() == unbounded.output
     assert to_sink.stats.peak_resident_bytes <= budget
 
-    streaming = engine.stream(document)
+    streaming = engine.stream(document, options=options)
     assert "".join(streaming) == unbounded.output
     assert streaming.stats.peak_resident_bytes <= budget
 
@@ -353,7 +352,7 @@ def test_bounded_output_identical_across_all_sink_modes(xmark_setup, query):
 def test_bounded_q8_actually_spills(xmark_setup):
     """Guard the guard: Q8's budget really is below its unbounded peak."""
     dtd, document = xmark_setup
-    unbounded = FluxEngine(BENCHMARK_QUERIES["Q8"], dtd).run(document)
+    unbounded = FluxEngine(BENCHMARK_QUERIES["Q8"], dtd).execute(document)
     assert unbounded.stats.peak_buffered_bytes // 2 > 1024
 
 
@@ -362,11 +361,13 @@ def test_multiquery_shared_budget_outputs_identical(xmark_setup):
     registry = QueryRegistry(dtd)
     for name in ("Q1", "Q8", "Q13"):
         registry.register(name, BENCHMARK_QUERIES[name])
-    solo = {entry.name: entry.engine.run(document).output for entry in registry}
+    solo = {entry.name: entry.engine.execute(document).output for entry in registry}
 
-    peak = FluxEngine(BENCHMARK_QUERIES["Q8"], dtd).run(document).stats.peak_buffered_bytes
+    peak = FluxEngine(BENCHMARK_QUERIES["Q8"], dtd).execute(document).stats.peak_buffered_bytes
     budget = max(peak // 2, 1024)
-    engine = MultiQueryEngine(registry, memory_budget=budget, memory_page_bytes=128)
+    engine = MultiQueryEngine(
+        registry, options=ExecutionOptions(memory_budget=budget, memory_page_bytes=128)
+    )
     run = engine.run(document)
 
     for name, output in solo.items():
@@ -385,9 +386,11 @@ def test_multiquery_shared_budget_to_sinks_identical(xmark_setup):
     registry = QueryRegistry(dtd)
     for name in ("Q1", "Q8"):
         registry.register(name, BENCHMARK_QUERIES[name])
-    solo = {entry.name: entry.engine.run(document).output for entry in registry}
+    solo = {entry.name: entry.engine.execute(document).output for entry in registry}
 
-    engine = MultiQueryEngine(registry, memory_budget=2048, memory_page_bytes=128)
+    engine = MultiQueryEngine(
+        registry, options=ExecutionOptions(memory_budget=2048, memory_page_bytes=128)
+    )
     sinks = {name: io.StringIO() for name in ("Q1", "Q8")}
     run = engine.run_to_sinks(document, sinks)
     for name, output in solo.items():
@@ -397,10 +400,10 @@ def test_multiquery_shared_budget_to_sinks_identical(xmark_setup):
 
 def test_streaming_run_closes_governor_when_abandoned(xmark_setup):
     dtd, document = xmark_setup
-    engine = FluxEngine(
-        BENCHMARK_QUERIES["Q8"], dtd, memory_budget=2048, memory_page_bytes=128
+    engine = FluxEngine(BENCHMARK_QUERIES["Q8"], dtd)
+    streaming = engine.stream(
+        document, options=ExecutionOptions(memory_budget=2048, memory_page_bytes=128)
     )
-    streaming = engine.stream(document)
     iterator = iter(streaming)
     next(iterator)  # start the run, then abandon it
     iterator.close()  # generator finalization must close the spill store
