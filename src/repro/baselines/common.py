@@ -25,11 +25,6 @@ class BaselineResult:
     elapsed_seconds: float
     output_bytes: int = 0
 
-    @property
-    def peak_memory_bytes(self) -> int:
-        """Alias used by the benchmark tables."""
-        return self.peak_buffered_bytes
-
 
 def tree_cost(node: XMLNode) -> tuple:
     """(events, bytes) cost of holding a subtree in memory.

@@ -17,8 +17,8 @@ per schema:
 Sections 4.1/4.2); the one-shot helpers (:func:`run_query` and friends) and
 :class:`FluxEngine` remain as shims for quick scripts and the pre-session
 API.  The baseline engines (:class:`NaiveDomEngine`,
-:class:`ProjectionDomEngine`) are re-exported for side-by-side comparisons,
-as used by the benchmark harness that reproduces Figure 4.
+:class:`ProjectionDomEngine`) are re-exported for side-by-side comparisons
+(``benchmarks/perf`` verifies every result against the naive one).
 """
 
 from repro.core.api import (

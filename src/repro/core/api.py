@@ -201,8 +201,7 @@ def compare_engines(
     time -- the three quantities the paper's evaluation reports.  The
     document must be re-readable (text or path), since it is consumed three
     times.  ``projection`` toggles the FluX engine's pre-executor filter so
-    that API-driven ablations match the CLI's ``--no-projection`` and the
-    benchmark harness.
+    that API-driven ablations match the CLI's ``--no-projection``.
     """
     schema = load_dtd(dtd, root_element=root_element)
     expr = parse_query(query) if isinstance(query, str) else query

@@ -215,7 +215,7 @@ class StreamExecutor:
         self.buffers = BufferManager(self.stats, factory=buffer_factory)
         self._count_input = count_input
         # Bound at construction so a run started after the flight recorder
-        # is swapped (overhead benchmark, tests) picks up the new one.
+        # is swapped (tests) picks up the new one.
         self._recorder = _recorder.RECORDER
         self._started_at = 0.0
         self._stack: List[_Frame] = []

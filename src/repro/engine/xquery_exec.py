@@ -177,16 +177,6 @@ class RuntimeEnvironment:
         return self._materialized_scope(var, binding)
 
 
-class OutputTarget:
-    """Minimal protocol the evaluator writes to (implemented by the sink)."""
-
-    def write_text(self, text: str) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def write_node(self, node: XMLNode) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 # ---------------------------------------------------------------------------
 # Expression evaluation
 

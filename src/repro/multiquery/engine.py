@@ -82,10 +82,11 @@ class MultiQueryRun:
 class MultiQueryEngine:
     """Runs every query of a :class:`QueryRegistry` over one shared scan.
 
-    The union filter is an N-slot :class:`~repro.pipeline.fanout.DynamicFanout`
-    attached once from the registry's projection automata and kept while
-    the query set is stable; a changed registry ``version`` gets a fresh
-    one, so the engine can be kept around while the query set grows.
+    The union filter is the registry's N-slot
+    :class:`~repro.pipeline.fanout.DynamicFanout`
+    (:meth:`QueryRegistry.fanout`): attached once per registry ``version``
+    whichever engine runs the pass, so neither a kept engine nor the
+    session layer's engine-per-``execute`` re-attaches a stable query set.
 
     A pass is one :class:`~repro.engine.engine.RunHandle` with a seat per
     registered query, driven exactly like a solo ``execute``.  ``options``
@@ -109,10 +110,11 @@ class MultiQueryEngine:
         self.registry = registry
         self.options = options
         self.governor = governor
-        #: The union automaton of the current query set (built by the
-        #: first pass, rebuilt when the registry's version moves).
-        self.fanout: Optional[DynamicFanout] = None
-        self._fanout_version = -1
+
+    @property
+    def fanout(self) -> DynamicFanout:
+        """The registry's union automaton, which every pass runs over."""
+        return self.registry.fanout()
 
     # --------------------------------------------------------------- execution
 
@@ -144,11 +146,6 @@ class MultiQueryEngine:
         entries = list(self.registry)
         if not entries:
             raise ValueError("the registry has no queries; register some first")
-        if self._fanout_version != self.registry.version:
-            self.fanout = DynamicFanout()
-            for entry in entries:
-                self.fanout.attach(entry.projection_spec)
-            self._fanout_version = self.registry.version
         started_at = time.perf_counter()
         run = RunHandle(
             self.fanout,

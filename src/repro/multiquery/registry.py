@@ -3,26 +3,27 @@
 A :class:`QueryRegistry` is the compile-time half of multi-query execution:
 queries are registered once (parse -> normalize -> schedule -> compile,
 exactly the :class:`~repro.engine.engine.FluxEngine` path) and the resulting
-plans and projection automata are held together so that
-:class:`~repro.multiquery.engine.MultiQueryEngine` can build the merged
-union filter and drive every plan from one shared document pass.
+plans and projection automata are held together with the merged union
+filter (:meth:`QueryRegistry.fanout`), so that
+:class:`~repro.multiquery.engine.MultiQueryEngine` can drive every plan
+from one shared document pass.
 
 Every entry keeps its full single-query engine, so the same compiled plan
-can also be run solo -- that is what the sequential baseline of the
-sharing benchmark uses, guaranteeing the comparison measures the shared
-scan and nothing else.
+can also be run solo -- the multi-query tests compare a shared pass against
+exactly these engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.dtd.schema import DTD
 from repro.engine.engine import FluxEngine, ensure_rooted
 from repro.engine.plan import QueryPlan
 from repro.flux.ast import FluxExpr
 from repro.obs.metrics import global_registry
+from repro.pipeline.fanout import DynamicFanout
 from repro.pipeline.projection import ProjectionSpec
 from repro.xquery.ast import XQExpr
 
@@ -64,9 +65,9 @@ class QueryRegistry:
 
     Registration order is preserved; the entry ``index`` is the query's
     position in every per-run structure (membership masks, sub-batch lists,
-    result mappings).  ``version`` increments on every registration so
-    engines can cache derived structures (the merged filter) and rebuild
-    them only when the query set actually changed.
+    result mappings).  ``version`` increments on every registration
+    change; :meth:`fanout`, the union filter derived from the entries, is
+    rebuilt only when it moved.
     """
 
     def __init__(
@@ -80,6 +81,7 @@ class QueryRegistry:
         self.projection = projection
         self.version = 0
         self._entries: Dict[str, RegisteredQuery] = {}
+        self._fanout: Tuple[int, Optional[DynamicFanout]] = (-1, None)
 
     # ------------------------------------------------------------ registration
 
@@ -160,6 +162,22 @@ class QueryRegistry:
         return entry
 
     # ----------------------------------------------------------------- access
+
+    def fanout(self) -> DynamicFanout:
+        """The union automaton of the current query set, one slot per entry.
+
+        Attached once per ``version`` and shared by every pass -- and every
+        engine -- over this registry.  Built aside and published whole, so
+        a concurrent pass sees the previous fanout or the new one, never a
+        half-attached one.
+        """
+        version, fanout = self._fanout
+        if version != self.version:
+            version, fanout = self.version, DynamicFanout()
+            for entry in self._entries.values():
+                fanout.attach(entry.projection_spec)
+            self._fanout = (version, fanout)
+        return fanout
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -41,7 +41,6 @@ from .recorder import (
     CRASH_SCHEMA,
     RECORDER,
     FlightRecorder,
-    NullFlightRecorder,
     dump_crash,
     inspect_crash,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "MetricsServer",
     "NULL_OBSERVER",
     "NULL_TRACER",
-    "NullFlightRecorder",
     "NullTracer",
     "Observer",
     "OwnerLedger",

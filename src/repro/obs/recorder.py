@@ -98,29 +98,8 @@ class FlightRecorder:
         return len(self._ring)
 
 
-class NullFlightRecorder:
-    """No-op stand-in; the overhead benchmark patches it over RECORDER."""
-
-    __slots__ = ()
-
-    def note(self, kind, *fields) -> None:
-        return None
-
-    def note_batch(self, events, offset, buffered_bytes, depth, scope) -> None:
-        return None
-
-    def snapshot(self) -> List[dict]:
-        return []
-
-    def clear(self) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-
 #: Process-wide recorder. Executors bind it at construction, so patching
-#: this name (e.g. with NullFlightRecorder) affects runs started after.
+#: this name affects runs started after.
 RECORDER = FlightRecorder()
 
 

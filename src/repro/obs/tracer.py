@@ -18,8 +18,8 @@ Overhead discipline -- the whole point of this module:
   ``span`` returns one shared no-op context manager whose record reads
   ``0.0`` seconds.  The engine's batch loops are written once and always
   run their span/charge pairs; with tracing off those are a handful of
-  no-op calls per *batch* (64 KiB of input by default), never per event.
-  ``benchmarks/bench_obs_overhead.py`` holds that cost to <2%.
+  no-op calls per *batch* (64 KiB of input by default), never per event;
+  the perf harness's ``trace_overhead`` row reports the traced cost.
 
 The clock is injectable (``Tracer(clock=...)``) so the exporter golden
 tests can produce deterministic timings.

@@ -15,7 +15,7 @@ It is the only automaton the scanner ever runs against, in three shapes:
 * **solo** -- a :class:`~repro.engine.engine.FluxEngine` holds a one-slot
   fanout (``attach(None)`` when projection is off or trivial: the slot is
   pinned to keep-everything);
-* **static multi-query** -- :class:`~repro.multiquery.engine.MultiQueryEngine`
+* **static multi-query** -- a :class:`~repro.multiquery.registry.QueryRegistry`
   attaches N slots once per registry version and never churns;
 * **serve** -- the subscription hub attaches and detaches mid-stream:
 

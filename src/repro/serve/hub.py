@@ -39,8 +39,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
+from repro.core.session import FluxSession
 from repro.dtd.schema import DTD
-from repro.engine.engine import FluxEngine, RunHandle, ensure_rooted
+from repro.engine.engine import RunHandle, ensure_rooted
 from repro.engine.stats import RunStatistics
 from repro.feeds import DocumentResult, FeedHandle
 from repro.obs import recorder as _flight
@@ -251,7 +252,9 @@ class SubscriptionHub:
         self.dtd = ensure_rooted(dtd if dtd is not None else xmark_dtd(), root_element)
         self.options = options if options is not None else DEFAULT_OPTIONS
         self._lock = threading.Lock()
-        self._engines: Dict[str, FluxEngine] = {}
+        #: Compiles subscriptions through its bounded plan cache; a live
+        #: subscription holds its own engine reference, so eviction is safe.
+        self.session = FluxSession(self.dtd)
         self.fanout = DynamicFanout()
         self._by_slot: Dict[int, Subscription] = {}
         self._pending_attach: List[Subscription] = []
@@ -286,14 +289,14 @@ class SubscriptionHub:
     ) -> Subscription:
         """Register a query subscription; active from the next document on.
 
-        The query is compiled at most once per source text (compiled
-        engines are shared between subscriptions); the subscription itself
-        -- seat, queue, counters -- is always private, so the same query
-        text subscribed twice delivers results independently to both.
+        The query compiles through the hub session's bounded plan cache
+        (subscriptions with equal text share one engine); the subscription
+        itself -- seat, queue, counters -- is always private, so the same
+        query text subscribed twice delivers results independently to both.
         """
         if self._state == "closed":
             raise RuntimeError("cannot subscribe on a closed hub")
-        engine = self._engine_for(query)
+        engine = self.session.prepare(query).engine
         with self._lock:
             self._names += 1
             sub = Subscription(
@@ -339,15 +342,6 @@ class SubscriptionHub:
         with self._lock:
             live = list(self._by_slot.values())
             return live + [sub for sub in self._pending_attach if sub not in live]
-
-    def _engine_for(self, query: str) -> FluxEngine:
-        with self._lock:
-            engine = self._engines.get(query)
-        if engine is None:
-            compiled = FluxEngine(query, self.dtd, projection=True)
-            with self._lock:
-                engine = self._engines.setdefault(query, compiled)
-        return engine
 
     # -------------------------------------------------------------- churn
 

@@ -109,7 +109,7 @@ class PagedEventBuffer:
         This is the paged hot path, and the single place admission lives:
         admit the bytes, let the governor evict if over budget, then
         sample the post-eviction resident peaks -- inlined (no governor
-        call) to keep the no-spill tax within the benchmark's 15% gate.
+        call) to keep the tax of a budget that never spills small.
         """
         if self._released:
             raise RuntimeError(f"buffer {self.name!r} was already released")

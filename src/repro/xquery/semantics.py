@@ -2,14 +2,16 @@
 
 This evaluator implements the standard (non-streaming) semantics of the
 fragment over a fully materialised :class:`~repro.xmlstream.tree.XMLNode`
-document.  It serves three purposes:
+document.  It serves two purposes:
 
 * it is the *reference* against which the streaming FluX engine is tested for
   equivalence (Proposition 3.2 / Theorem 4.3),
 * it is the evaluation core of the two baseline engines
-  (:mod:`repro.baselines`),
-* the streaming engine reuses it to evaluate XQuery⁻ subexpressions over
-  buffered data (buffers are turned into small trees on demand).
+  (:mod:`repro.baselines`).
+
+The streaming engine evaluates XQuery⁻ subexpressions over buffered data
+with its own evaluator (:mod:`repro.engine.xquery_exec`), which shares only
+the comparison helpers below.
 
 Output is produced as a flat string: fixed strings are emitted verbatim
 (they are literal markup in the paper's reading of queries) and subtrees are

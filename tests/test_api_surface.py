@@ -202,6 +202,7 @@ EXPECTED_SURFACE = r"""
         "init": "(self, registry: 'QueryRegistry', *, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None)",
         "kind": "class",
         "members": {
+            "fanout": "<property>",
             "run": "(self, document: 'DocumentSource') -> 'MultiQueryRun'",
             "run_to_sinks": "(self, document: 'DocumentSource', writables: 'Mapping[str, object]') -> 'MultiQueryRun'"
         }
@@ -287,6 +288,7 @@ EXPECTED_SURFACE = r"""
         "init": "(self, dtd: 'DTD', *, root_element: 'Optional[str]' = None, projection: 'bool' = True)",
         "kind": "class",
         "members": {
+            "fanout": "(self) -> 'DynamicFanout'",
             "get": "(self, name: 'str') -> 'RegisteredQuery'",
             "names": "<property>",
             "register": "(self, name: 'str', query: 'QuerySource', *, projection: 'Optional[bool]' = None, apply_simplifications: 'bool' = True, require_safe: 'bool' = True) -> 'RegisteredQuery'",

@@ -116,6 +116,10 @@ def test_fuzz_runner_reports_coverage():
     assert report.cases_run == 10
     assert report.queries_checked >= 10
     assert report.elapsed_seconds > 0
+    # The sweep must reach the interesting legs, not only streamable no-op
+    # cases: a fifth of the cases buffering is a loose floor.
+    assert report.cases_buffered >= report.cases_run // 5
+    assert report.cases_spilled > 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.xquery.parser import parse_query
 from repro.baselines import NaiveDomEngine
 from repro.xmark.usecases import (
     BIB_ARTICLES_DTD_ORDERED,
+    BIB_ARTICLES_DTD_UNORDERED,
     BIB_DTD_ORDERED,
     BIB_DTD_UNORDERED,
     BIB_DTD_USECASES,
@@ -63,6 +64,11 @@ def test_intro_query_weak_dtd_buffers_one_book_of_authors():
     # Only the authors of a single book are ever buffered (2 authors, 3
     # events each).
     assert 0 < result.stats.peak_buffered_events <= 6
+    # ... however many books there are: the peak follows the largest book,
+    # not the file.
+    for books in (50, 200):
+        many = generate_bibliography(books, seed=29, ordered=False)
+        assert 0 < engine.execute(many).stats.peak_buffered_bytes < 1000
 
 
 def test_document_order_is_preserved_for_interleaved_children():
@@ -110,6 +116,11 @@ def test_join_query_streams_articles_under_ordered_dtd():
     engine = FluxEngine(XMP_Q3, dtd)
     result = engine.execute(doc)
     assert result.output == NaiveDomEngine(XMP_Q3).run(doc).output
+    # Example 4.6: under (book*, article*) only books are buffered and
+    # articles stream; under (book|article)* both kinds are buffered.
+    weak = FluxEngine(XMP_Q3, _dtd(BIB_ARTICLES_DTD_UNORDERED)).execute(doc)
+    assert weak.output == result.output
+    assert 0 < result.stats.peak_buffered_bytes < weak.stats.peak_buffered_bytes
 
 
 def test_title_author_pairs_under_both_dtds():

@@ -7,7 +7,8 @@ evaluate" plan.  These tests check that
 * the trivial plan produces the same results as the scheduled plan and the
   in-memory reference (so the buffered execution path is exercised for whole
   queries, not just for fragments), and
-* the scheduled plan buffers dramatically less, which is the paper's point.
+* the scheduled plan buffers dramatically less, which is the paper's point,
+* the Section-7 for-loop fusion removes the last buffer of its example.
 """
 
 import pytest
@@ -67,3 +68,28 @@ def test_trivial_plan_on_bibliography_matches_reference():
         trivial = FluxEngine(trivial_flux(query), dtd).execute(document)
         reference = NaiveDomEngine(query).run(document)
         assert trivial.output == reference.output
+
+
+def test_loop_fusion_removes_publisher_buffering():
+    # Section 7: ``{$b/publisher/name} {$b/publisher/address}`` needs no
+    # buffer once the two singleton loops over ``publisher`` are fused;
+    # unfused, one book's publisher subtree at a time is buffered.
+    dtd = parse_dtd(
+        "<!ELEMENT bib (book)*> <!ELEMENT book (publisher?,title*)>"
+        "<!ELEMENT publisher (name,address)> <!ELEMENT name (#PCDATA)>"
+        "<!ELEMENT address (#PCDATA)> <!ELEMENT title (#PCDATA)>"
+    ).with_root("bib")
+    query = (
+        "<out>{ for $b in $ROOT/bib/book return"
+        " <r> {$b/publisher/name} {$b/publisher/address} </r> }</out>"
+    )
+    document = "<bib>" + "".join(
+        f"<book><publisher><name>Publisher {i}</name><address>Street {i}</address>"
+        "</publisher><title>Book</title></book>"
+        for i in range(40)
+    ) + "</bib>"
+    fused = FluxEngine(query, dtd, apply_simplifications=True).execute(document)
+    unfused = FluxEngine(query, dtd, apply_simplifications=False).execute(document)
+    assert fused.output == unfused.output == NaiveDomEngine(query).run(document).output
+    assert fused.stats.peak_buffered_bytes == 0
+    assert unfused.stats.peak_buffered_bytes > 0

@@ -7,7 +7,8 @@ These tests assert the qualitative claims of the paper's evaluation:
 * Q20 buffers at most one person element at a time,
 * Q8 and Q11 buffer only a small projected fraction of the document,
 * FluX peak memory is far below the naive engine's and below the projection
-  baseline's.
+  baseline's,
+* Figure 4's memory columns keep their shape as the document grows.
 """
 
 import pytest
@@ -18,16 +19,26 @@ from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmlstream.parser import parse_tree
 
 
+def _run_all_engines(document):
+    results = {}
+    for name, query in BENCHMARK_QUERIES.items():
+        flux = FluxEngine(query, xmark_dtd()).execute(document)
+        naive = NaiveDomEngine(query).run(document)
+        projection = ProjectionDomEngine(query).run(document)
+        results[name] = (flux, naive, projection)
+    return results
+
+
 @pytest.fixture(scope="module")
 def engines_results(medium_xmark_document):
     """Run every benchmark query on every engine once (shared across tests)."""
-    results = {}
-    for name, query in BENCHMARK_QUERIES.items():
-        flux = FluxEngine(query, xmark_dtd()).execute(medium_xmark_document)
-        naive = NaiveDomEngine(query).run(medium_xmark_document)
-        projection = ProjectionDomEngine(query).run(medium_xmark_document)
-        results[name] = (flux, naive, projection)
-    return results
+    return _run_all_engines(medium_xmark_document)
+
+
+@pytest.fixture(scope="module")
+def small_engines_results(small_xmark_document):
+    """The same runs on the small document, for the across-sizes shape."""
+    return _run_all_engines(small_xmark_document)
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_QUERIES))
@@ -63,7 +74,7 @@ def test_join_queries_buffer_only_a_projected_fraction(engines_results, name, me
     assert flux.stats.peak_buffered_events > 0
     # "only a small fraction of the original data is buffered"
     assert flux.stats.peak_buffered_bytes < 0.35 * len(medium_xmark_document)
-    assert flux.stats.peak_buffered_bytes < naive.peak_buffered_bytes
+    assert naive.peak_buffered_bytes > 2 * flux.stats.peak_buffered_bytes
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_QUERIES))
@@ -75,6 +86,30 @@ def test_flux_never_buffers_more_than_projection(engines_results, name):
 def test_naive_memory_reflects_whole_document(engines_results, medium_xmark_document):
     _flux, naive, _projection = engines_results["Q1"]
     assert naive.peak_buffered_bytes > 0.5 * len(medium_xmark_document)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_QUERIES))
+def test_figure4_memory_shape_across_document_sizes(
+    small_engines_results, engines_results, small_xmark_document, medium_xmark_document, name
+):
+    documents = (small_xmark_document, medium_xmark_document)
+    assert len(documents[1]) > 2 * len(documents[0])
+    runs = (small_engines_results[name], engines_results[name])
+    peaks = [flux.stats.peak_buffered_bytes for flux, _naive, _projection in runs]
+    if name in ("Q1", "Q13"):
+        assert peaks == [0, 0]  # nothing buffered, whatever the size
+    elif name == "Q20":
+        # One person at a time: bounded by an element, not by the document.
+        assert 0 < max(peaks) < 0.05 * len(documents[1])
+    else:
+        # The joins buffer a projected fraction that grows with the document.
+        assert peaks[1] > peaks[0]
+        assert all(0 < peak < 0.4 * len(doc) for peak, doc in zip(peaks, documents))
+    # The DOM baselines hold (a projection of) the document, so they grow
+    # for every query.
+    for baseline in (1, 2):
+        small, medium = (run[baseline].peak_buffered_bytes for run in runs)
+        assert medium > small
 
 
 def test_flux_results_are_reusable_across_documents(small_xmark_document, medium_xmark_document):

@@ -281,7 +281,7 @@ def test_duplicate_query_text_delivers_independently():
         first = hub.subscribe(TITLES, name="first")
         second = hub.subscribe(TITLES, name="second")
         assert first._engine is second._engine  # compiled once
-        assert len(hub._engines) == 1
+        assert len(hub.session.cache) == 1
         hub.feed(_stream(count))
         hub.unsubscribe(second)
         hub.feed(_doc(count).encode("utf-8"))
@@ -291,6 +291,23 @@ def test_duplicate_query_text_delivers_independently():
     assert [r.output for r in got_first] == expected + _solo(TITLES, count + 1)[count:]
     assert [r.output for r in got_second] == expected
     assert first.delivered == count + 1 and second.delivered == count
+
+
+def test_subscription_churn_retains_a_bounded_number_of_plans():
+    """Distinct query texts come and go; the hub's plan cache stays an LRU."""
+    with SubscriptionHub(_schema()) as hub:
+        cache = hub.session.cache
+        for index in range(cache.capacity + 40):
+            hub.unsubscribe(hub.subscribe(TITLES.replace("titles", f"t{index}")))
+        assert hub.subscriptions() == []
+        assert len(cache) == cache.capacity
+        assert cache.snapshot()["evictions"] == 40
+        # An evicted query still serves: it recompiles on the next subscribe.
+        evicted = TITLES.replace("titles", "t0")
+        again = hub.subscribe(evicted)
+        hub.feed(_stream(1))
+        hub.finish()
+        assert [r.output for r in again.results()] == _solo(evicted, 1)
 
 
 def test_block_policy_backpressures_engine_with_zero_drops():

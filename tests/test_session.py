@@ -593,6 +593,23 @@ def test_prepare_many_shares_the_plan_cache(session):
     assert set(prepared_set.names) == {"t", "a"}
 
 
+def test_prepared_set_attaches_its_union_fanout_once(session, monkeypatch):
+    from repro.pipeline.fanout import DynamicFanout
+
+    prepared_set = session.prepare_many({"t": TITLES, "a": AUTHORS})
+    first = prepared_set.execute(DOC)
+    fanout = prepared_set.registry.fanout()
+    attach = DynamicFanout.attach
+    late = []
+    monkeypatch.setattr(
+        DynamicFanout, "attach", lambda self, spec: late.append(spec) or attach(self, spec)
+    )
+    assert prepared_set.execute(DOC).outputs() == first.outputs()
+    assert late == []  # the second execute built no fanout of its own
+    assert prepared_set.registry.fanout() is fanout
+    assert fanout.attaches == len(prepared_set) == 2
+
+
 def test_prepare_many_sequence_autonames(session):
     run = session.prepare_many([TITLES, AUTHORS]).execute(DOC)
     assert set(run.outputs()) == {"q0", "q1"}

@@ -340,13 +340,26 @@ def test_bounded_output_identical_across_all_sink_modes(xmark_setup, query):
     assert "".join(streaming) == unbounded.output
     assert streaming.stats.peak_resident_bytes <= budget
 
-    if budget < peak:
-        # The cap binds (Q8's join buffers): every mode must have spilled.
-        for stats in (collected.stats, to_sink.stats, streaming.stats):
-            assert stats.spill_count > 0
+    for stats in (collected.stats, to_sink.stats, streaming.stats):
+        if budget < peak:
+            # The cap binds (Q8's join buffers): every mode must have spilled.
+            assert stats.spill_count > 0 and stats.spilled_bytes_written > 0
+        else:
+            # Zero-buffering queries (Q1/Q13) never touch disk, however tiny
+            # the budget.
+            assert stats.spill_count == 0
 
     # The logical (paper) peak is identical to the unbounded run.
     assert collected.stats.peak_buffered_bytes == peak
+
+    # A budget the run never reaches: nothing spills, and the resident
+    # high-water mark is exactly the unbounded peak.
+    generous = engine.execute(
+        document, options=ExecutionOptions(memory_budget=peak * 4 + 64 * 1024)
+    )
+    assert generous.output == unbounded.output
+    assert generous.stats.spill_count == 0
+    assert generous.stats.peak_resident_bytes == peak
 
 
 def test_bounded_q8_actually_spills(xmark_setup):
