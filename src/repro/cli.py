@@ -184,6 +184,9 @@ def _cmd_compile(args) -> int:
     engine = FluxEngine(compiled.flux, schema)
     print("\n--- buffer trees ---")
     print(engine.describe_buffers())
+    joins = engine.plan.describe_joins()
+    if joins:
+        print(joins)
     print(f"\nsafe for the DTD: {compiled.is_safe}")
     return 0
 

@@ -303,20 +303,20 @@ class StreamExecutor:
 
     # ------------------------------------------------------------ internals
 
-    def _runtime_environment(self) -> RuntimeEnvironment:
+    def _runtime_environment(self, joins=None) -> RuntimeEnvironment:
         bindings = {
             var: activations[-1].binding
             for var, activations in self._active_scopes.items()
             if activations
         }
-        return RuntimeEnvironment(bindings)
+        return RuntimeEnvironment(bindings, joins)
 
     def _evaluate_condition(self, condition: Condition) -> bool:
         return evaluate_condition_runtime(condition, self._runtime_environment())
 
-    def _execute_handler_body(self, body) -> None:
+    def _execute_handler(self, handler: CompiledOnFirst) -> None:
         self.stats.handler_executions += 1
-        execute_expression(body, self._runtime_environment(), self.sink)
+        execute_expression(handler.body, self._runtime_environment(handler.joins), self.sink)
 
     # ------------------------------------------------------- scope lifecycle
 
@@ -359,7 +359,7 @@ class StreamExecutor:
         for handler in spec.on_first:
             if handler.fires_initially():
                 activation.fired.add(handler.index)
-                self._execute_handler_body(handler.body)
+                self._execute_handler(handler)
         return activation
 
     def _finish_scope(self, activation: ScopeActivation) -> None:
@@ -367,7 +367,7 @@ class StreamExecutor:
         for handler in activation.spec.on_first:
             if handler.index not in activation.fired:
                 activation.fired.add(handler.index)
-                self._execute_handler_body(handler.body)
+                self._execute_handler(handler)
         stack = self._active_scopes.get(activation.spec.var)
         if stack and stack[-1] is activation:
             stack.pop()
@@ -476,7 +476,7 @@ class StreamExecutor:
                             # Definition 3.6 already holds, and listing
                             # order puts the body before any stream-copy
                             # of this same child.
-                            self._execute_handler_body(handler.body)
+                            self._execute_handler(handler)
 
         handlers = spec.on_by_tag.get(name)
         if handlers is not None:
@@ -576,4 +576,4 @@ class StreamExecutor:
         # 5. Parent-scope ``on-first`` handlers that fired on this child run
         #    now that the child is complete.
         for activation, handler in frame.pending_on_first:
-            self._execute_handler_body(handler.body)
+            self._execute_handler(handler)

@@ -12,7 +12,9 @@ needs:
 * per scope, the pruned buffer tree (Section 5) and the set of condition
   paths to track on the fly,
 * the Glushkov automaton of the scope's element type, which provides the one
-  DFA transition per child that drives the punctuation events.
+  DFA transition per child that drives the punctuation events,
+* per ``on-first`` handler, the :class:`JoinGuard` of every ``for`` loop in
+  its body that the executor can run as an indexed join.
 """
 
 from __future__ import annotations
@@ -40,9 +42,149 @@ from repro.flux.errors import UnsafeQueryError, UnschedulableQueryError
 from repro.flux.safety import check_safety
 from repro.flux.simple import SimplePart, decompose_simple
 from repro.xquery.analysis import free_variables
-from repro.xquery.ast import Condition, ROOT_VARIABLE, XQExpr, condition_path_refs
+from repro.xquery.ast import (
+    AndCondition,
+    ComparisonCondition,
+    Condition,
+    EmptyExpr,
+    ForExpr,
+    IfExpr,
+    Operand,
+    PathRef,
+    ROOT_VARIABLE,
+    ScaledPath,
+    SequenceExpr,
+    XQExpr,
+    condition_path_refs,
+    format_path,
+)
 
 Path = Tuple[str, ...]
+
+
+# ---------------------------------------------------------------------------
+# Join guards
+
+
+@dataclass(frozen=True)
+class JoinGuard:
+    """A comparison every emitting iteration of ``loop`` satisfies.
+
+    Whenever the loop's ``where`` and body emit anything for a binding of
+    ``loop.var``, ``outer op inner`` holds for some pair of atomised values.
+    ``inner`` reads only the loop variable and ``outer`` only variables bound
+    outside the loop, so the executor probes a sorted index over ``inner``
+    once per outer binding and runs the unchanged loop over the candidates
+    (:meth:`repro.engine.xquery_exec.RuntimeEnvironment.loop_nodes`).
+    """
+
+    loop: ForExpr
+    outer: Operand
+    op: str
+    inner: Operand
+
+    def describe(self) -> str:
+        return (
+            f"join index: for {self.loop.var} in {format_path(self.loop.source, self.loop.path)}"
+            f" on {self.outer.to_source()} {self.op} {self.inner.to_source()}"
+        )
+
+
+#: ``a op b`` is ``b flipped(op) a``; ``!=`` is not indexed.
+_FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+_Guard = Tuple[Operand, str, Operand]
+
+
+def join_guards(body: XQExpr) -> Dict[int, JoinGuard]:
+    """The guard of every indexable ``for`` in ``body``, keyed by ``id(loop)``.
+
+    An equality guard is preferred over a range guard; otherwise the first
+    one in source order wins.
+    """
+    guards: Dict[int, JoinGuard] = {}
+    for loop in _loops(body):
+        found = _then_guards(loop.where, _emit_guards(loop.body, loop.var), loop.var)
+        if found:
+            outer, op, inner = min(found, key=lambda guard: guard[1] != "=")
+            guards[id(loop)] = JoinGuard(loop, outer, op, inner)
+    return guards
+
+
+def _loops(expr: XQExpr):
+    if isinstance(expr, SequenceExpr):
+        for item in expr.items:
+            yield from _loops(item)
+    elif isinstance(expr, ForExpr):
+        yield expr
+        yield from _loops(expr.body)
+    elif isinstance(expr, IfExpr):
+        yield from _loops(expr.body)
+
+
+def _emit_guards(expr: XQExpr, var: str) -> Optional[Tuple[_Guard, ...]]:
+    """Oriented guards on ``var`` that hold whenever ``expr`` emits anything.
+
+    ``None`` means ``expr`` never emits, so any guard holds.
+    """
+    if isinstance(expr, EmptyExpr):
+        return None
+    if isinstance(expr, SequenceExpr):
+        common = None
+        for item in expr.items:
+            guards = _emit_guards(item, var)
+            if guards is not None:
+                common = guards if common is None else tuple(g for g in common if g in guards)
+        return common
+    if isinstance(expr, IfExpr):
+        return _then_guards(expr.condition, _emit_guards(expr.body, var), var)
+    if isinstance(expr, ForExpr):
+        guards = _then_guards(expr.where, _emit_guards(expr.body, var), var)
+        if guards is None:
+            return None
+        if expr.var == var:  # the nested loop shadows the guarded variable
+            return ()
+        # A guard on the nested loop's own variable does not lift out of it.
+        return tuple(guard for guard in guards if _operand_var(guard[0]) != expr.var)
+    return ()
+
+
+def _then_guards(
+    condition: Optional[Condition], body: Optional[Tuple[_Guard, ...]], var: str
+) -> Optional[Tuple[_Guard, ...]]:
+    """Guards of ``if condition then body``: the condition's conjuncts plus the body's."""
+    if body is None:
+        return None
+    own = (_orient(conjunct, var) for conjunct in _conjuncts(condition))
+    return tuple(guard for guard in own if guard is not None) + body
+
+
+def _conjuncts(condition: Optional[Condition]):
+    if isinstance(condition, AndCondition):
+        for item in condition.items:
+            yield from _conjuncts(item)
+    elif isinstance(condition, ComparisonCondition):
+        yield condition
+
+
+def _orient(comparison: ComparisonCondition, var: str) -> Optional[_Guard]:
+    """``(outer, op, inner)`` with ``inner`` on ``var`` and ``outer`` on another variable."""
+    if comparison.op not in _FLIPPED:
+        return None
+    left, right = _operand_var(comparison.left), _operand_var(comparison.right)
+    if right == var and left not in (None, var):
+        return comparison.left, comparison.op, comparison.right
+    if left == var and right not in (None, var):
+        return comparison.right, _FLIPPED[comparison.op], comparison.left
+    return None
+
+
+def _operand_var(operand: Operand) -> Optional[str]:
+    if isinstance(operand, PathRef):
+        return operand.var
+    if isinstance(operand, ScaledPath):
+        return operand.ref.var
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +258,11 @@ class CompiledOnFirst:
     symbols: Optional[FrozenSet[str]]
     body: XQExpr
     past_table: Optional[Dict[int, bool]]
+    #: :func:`join_guards` of ``body``, derived once at plan-compile time.
+    joins: Dict[int, JoinGuard] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "joins", join_guards(self.body))
 
     def fires_initially(self) -> bool:
         """Whether the handler is already satisfied before any child (i = 0)."""
@@ -204,6 +351,18 @@ class QueryPlan:
         for var in sorted(self.buffer_trees):
             parts.append(self.buffer_trees[var].describe(var))
         return "\n".join(parts)
+
+    def describe_joins(self) -> str:
+        """One line per indexed ``for`` loop of an ``on-first`` body, in plan order."""
+        return "\n".join(guard.describe() for guard in _scope_joins(self.root_scope))
+
+
+def _scope_joins(scope: ScopeSpec):
+    for handler in scope.handlers:
+        if isinstance(handler, CompiledOnFirst):
+            yield from handler.joins.values()
+        elif handler.nested is not None:
+            yield from _scope_joins(handler.nested)
 
 
 # ---------------------------------------------------------------------------

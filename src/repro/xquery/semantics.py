@@ -20,12 +20,14 @@ streaming engine uses, so outputs are directly comparable.
 
 Comparison semantics follow XQuery's existential general comparisons: a
 comparison between two sequences holds if *some* pair of atomised items
-satisfies it.  Items that look like numbers on both sides are compared
-numerically, otherwise as strings.
+satisfies it.  Items in the xs:double lexical form on both sides are
+compared numerically, otherwise as whitespace-stripped strings.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from typing import Dict, List, Optional
 
 from repro.xmlstream.serializer import escape_text, serialize_events
@@ -225,14 +227,23 @@ def _apply_op(left, op: str, right) -> bool:
     raise ValueError(f"invalid comparison operator {op!r}")
 
 
+#: The xs:double lexical space: ASCII digits only, so what else ``float()``
+#: accepts (``1_000``, non-ASCII digits, ``nan``, ``Infinity``) stays a string.
+_DOUBLE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|-?INF|NaN")
+
+
 def _as_number(value: str) -> Optional[float]:
-    try:
-        return float(value.strip())
-    except (ValueError, AttributeError):
+    value = value.strip()
+    if _DOUBLE.fullmatch(value) is None:
         return None
+    return float(value)
 
 
 def _format_number(value: float) -> str:
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "INF" if value > 0 else "-INF"
     if float(value).is_integer():
         return str(int(value))
     return repr(value)

@@ -29,6 +29,19 @@ def test_compile_command_prints_flux_and_buffers(workspace, capsys):
     assert "on title as" in out
     assert "safe for the DTD: True" in out
     assert "normalised XQuery-" in out
+    assert "join index:" not in out
+
+
+def test_compile_command_prints_one_line_per_indexed_join(capsys):
+    assert main(["compile", "--query", "Q8"]) == 0
+    out = capsys.readouterr().out
+    buffers = out.index("--- buffer trees ---")
+    line = (
+        "join index: for $t in $__v_closed_auctions_5/closed_auction"
+        " on $p/person_id = $t/buyer/buyer_person\n"
+    )
+    assert out.count("join index:") == 1
+    assert buffers < out.index(line) < out.index("safe for the DTD")
 
 
 def test_run_command_writes_output_file(workspace, capsys):

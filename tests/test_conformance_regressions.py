@@ -17,6 +17,13 @@ formerly-broken behaviours pinned:
   condition over ``$v1/e2/t0`` into a nested handler that fired before the
   ``t0`` values had arrived, silently dropping output.
 
+Two handcrafted fixtures cover indexed joins, which generated loop bodies
+(always opening with ``<row>``) almost never reach: ``join-equality`` and
+``join-range`` put every indexed operator, both operand orientations and a
+``ScaledPath`` over hostile values -- whitespace, ``1``/``1.0``/``1e0``,
+``INF``, ``NaN``/``nan``, empty, non-ASCII digits, several keys per node, a
+missing key.
+
 The replay path itself (``.case`` parsing -> oracle) is therefore tier-1
 tested, which is what makes saved fuzz artifacts trustworthy repros.
 """
@@ -34,7 +41,13 @@ from repro.xmlstream.parser import parse_tree
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
-CASES = ("seed1-case23.case", "seed1-case64.case", "seed1-case92.case")
+CASES = (
+    "seed1-case23.case",
+    "seed1-case64.case",
+    "seed1-case92.case",
+    "join-equality.case",
+    "join-range.case",
+)
 
 
 def _fixture(name: str) -> str:

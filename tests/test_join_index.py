@@ -1,0 +1,225 @@
+"""Indexed joins in on-first bodies (``JoinGuard`` + the executor's sorted key index).
+
+* (a) the index never drops a match: for every indexed operator, both
+  operand orientations and ``ScaledPath`` operands, over hostile values, the
+  candidates it admits contain every node brute-force
+  ``compare_existential`` accepts, in document order;
+* (b) guard analysis indexes the Q8 and Q11 shapes and nothing it must not;
+* (c) deterministic comparison counts on XMark: one ``compare_existential``
+  per emitted ``if``, not one per (outer, inner) pair.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import repro.engine.xquery_exec as xquery_exec
+from repro.engine.engine import FluxEngine
+from repro.engine.plan import join_guards
+from repro.engine.xquery_exec import RuntimeEnvironment, execute_expression
+from repro.xmark.dtd import xmark_dtd
+from repro.xmark.generator import config_for_scale, generate_document
+from repro.xmark.queries import BENCHMARK_QUERIES
+from repro.xmlstream.parser import parse_tree
+from repro.xmlstream.serializer import serialize_events
+from repro.xquery.parser import parse_query
+from repro.xquery.semantics import evaluate_condition, evaluate_query
+
+HOSTILE = (
+    "1", " 1 ", "1.0", "1e0", "+1.", "01", "-0", "0", "2", "10", "12", ".5", "-1e-3",
+    "1000", "1_000", "١٢", "INF", "-INF", "+INF", "NaN", "nan", "Infinity", "",
+    " ", "abc", "abc ", "ABC", "ü", "\t7\n",
+)  # fmt: skip
+
+OPS = ("=", "<", "<=", ">", ">=")
+
+CONDITIONS = (
+    "$t/k {op} $o/v",  # loop variable on the left
+    "$o/v {op} $t/k",  # ... and on the right
+    "$t/k {op} (2 * $o/v)",  # ScaledPath on the outer side
+    "(0.5 * $t/k) {op} $o/v",  # ScaledPath on the loop side
+)
+
+
+def _element(name, values):
+    return "".join(f"<{name}>{value}</{name}>" for value in values)
+
+
+@pytest.fixture(scope="module")
+def hostile_trees():
+    rng = random.Random(7)
+    # Zero to three keys per item: a missing key and several keys both occur.
+    items = "".join(
+        f"<item>{_element('k', rng.sample(HOSTILE, rng.randint(0, 3)))}</item>" for _ in range(60)
+    )
+    container = parse_tree(f"<c>{items}</c>")
+    outers = [parse_tree(f"<o>{_element('v', values)}</o>") for values in (
+        *([value] for value in HOSTILE),
+        (),
+        ("1", "abc"),
+        ("NaN", "INF"),
+        (" 12 ", "ü", "-INF"),
+    )]  # fmt: skip
+    return container, outers
+
+
+class _ListSink:
+    def __init__(self):
+        self.parts = []
+
+    def write_text(self, text):
+        self.parts.append(text)
+
+    def write_node(self, node):
+        self.parts.append(serialize_events(node.to_events()))
+
+    def text(self):
+        return "".join(self.parts)
+
+
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("template", CONDITIONS)
+def test_index_candidates_are_a_superset_of_brute_force_matches(hostile_trees, template, op):
+    container, outers = hostile_trees
+    condition = template.format(op=op)
+    loop = parse_query(f"{{ for $t in $c/item where {condition} return {{$t}} }}")
+    joins = join_guards(loop)
+    assert list(joins) == [id(loop)], condition
+    items = container.select_path(("item",))
+    for outer in outers:
+        env = RuntimeEnvironment({"$c": container, "$o": outer}, joins)
+        candidates = env.loop_nodes(loop)
+        positions = [next(i for i, item in enumerate(items) if item is node) for node in candidates]
+        assert positions == sorted(set(positions)), "candidates out of document order"
+        matches = {
+            i for i, item in enumerate(items) if evaluate_condition(loop.where, {"$t": item, "$o": outer})
+        }
+        assert matches <= set(positions), (condition, outer.text_content())
+        # And the loop's output is byte-identical to the reference evaluator.
+        sink = _ListSink()
+        execute_expression(loop, env, sink)
+        expected = evaluate_query(loop, container, root_var="$c", environment={"$o": outer})
+        assert sink.text() == expected
+
+
+def test_index_is_built_once_per_source_binding(hostile_trees, monkeypatch):
+    container, outers = hostile_trees
+    loop = parse_query("{ for $t in $c/item where $t/k = $o/v return {$t} }")
+    joins = join_guards(loop)
+    builds = []
+    real = xquery_exec._JoinIndex
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(xquery_exec, "_JoinIndex", counting)
+    env = RuntimeEnvironment({"$c": container}, joins)
+    for outer in outers:
+        env.with_node("$o", outer).loop_nodes(loop)
+    assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# (b) guard analysis
+
+
+def _guard_lines(source):
+    return [guard.describe() for guard in join_guards(parse_query(source)).values()]
+
+
+def test_q8_and_q11_are_indexed():
+    q8 = FluxEngine(BENCHMARK_QUERIES["Q8"], xmark_dtd()).plan.describe_joins()
+    assert q8 == (
+        "join index: for $t in $__v_closed_auctions_5/closed_auction"
+        " on $p/person_id = $t/buyer/buyer_person"
+    )
+    q11 = FluxEngine(BENCHMARK_QUERIES["Q11"], xmark_dtd()).plan.describe_joins()
+    assert q11 == (
+        "join index: for $o in $__v_open_auctions_5/open_auction"
+        " on $p/profile/profile_income > 5000 * $o/initial"
+    )
+
+
+def test_guard_from_where_conjunct_and_nested_for():
+    assert _guard_lines(
+        "{ for $t in $c/item where (exists $t/z and $o/v <= $t/k) return {$t} }"
+    ) == ["join index: for $t in $c/item on $o/v <= $t/k"]
+    # The guard lifts through a nested for that does not bind it.
+    assert _guard_lines(
+        "{ for $t in $c/item return { for $u in $t/z return { if $t/k = $o/v then {$u} } } }"
+    ) == ["join index: for $t in $c/item on $o/v = $t/k"]
+
+
+def test_equality_is_preferred_over_a_range_guard():
+    assert _guard_lines(
+        "{ for $t in $c/item where ($t/k < $o/w and $t/k = $o/v) return {$t} }"
+    ) == ["join index: for $t in $c/item on $o/v = $t/k"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # a body item outside the guard emits for every binding
+        "{ for $t in $c/item return { if $t/k = $o/v then {$t} } <sep/> }",
+        # != is not indexed
+        "{ for $t in $c/item where $t/k != $o/v return {$t} }",
+        # a comparison with a literal
+        '{ for $t in $c/item where $t/k = "x" return {$t} }',
+        # the other operand is bound inside the loop
+        "{ for $t in $c/item return { for $u in $t/z where $t/k = $u/v return {$u} } }",
+        # both operands on the loop variable
+        "{ for $t in $c/item where $t/k = $t/z return {$t} }",
+        # a disjunction is no guard
+        "{ for $t in $c/item where ($t/k = $o/v or exists $t/z) return {$t} }",
+    ],
+)
+def test_loops_that_are_not_indexed(source):
+    assert not any(line.startswith("join index: for $t ") for line in _guard_lines(source))
+
+
+def test_guards_must_agree_across_sequence_items():
+    assert _guard_lines(
+        "{ for $t in $c/item return { if $t/k = $o/v then <a/> } { if $t/k = $o/w then <b/> } }"
+    ) == []
+    assert _guard_lines(
+        "{ for $t in $c/item return { if $t/k = $o/v then <a/> } { if $o/v = $t/k then <b/> } }"
+    ) == ["join index: for $t in $c/item on $o/v = $t/k"]
+
+
+# ---------------------------------------------------------------------------
+# (c) deterministic counts on XMark
+
+
+@pytest.fixture(scope="module")
+def xmark_documents():
+    return {scale: generate_document(config_for_scale(scale)) for scale in (0.1, 0.2)}
+
+
+def _count_comparisons(monkeypatch, query, document):
+    calls = itertools.count()
+    real = xquery_exec.compare_existential
+
+    def counting(*args):
+        next(calls)
+        return real(*args)
+
+    monkeypatch.setattr(xquery_exec, "compare_existential", counting)
+    output = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd()).execute(document).output
+    monkeypatch.undo()
+    return next(calls), output
+
+
+@pytest.mark.parametrize("scale, expected", [(0.1, 66), (0.2, 132)])
+def test_q8_compares_three_times_per_result(monkeypatch, xmark_documents, scale, expected):
+    # The parent's nested loop made 1,980 / 7,920 comparisons here.
+    calls, output = _count_comparisons(monkeypatch, "Q8", xmark_documents[scale])
+    assert calls == 3 * output.count("<result>") == expected
+
+
+@pytest.mark.parametrize("scale, expected", [(0.1, 5), (0.2, 66)])
+def test_q11_compares_once_per_emitted_id(monkeypatch, xmark_documents, scale, expected):
+    # The parent's nested loop made 660 / 2,640 comparisons here.
+    calls, output = _count_comparisons(monkeypatch, "Q11", xmark_documents[scale])
+    assert calls == output.count("<open_auction_id>") == expected

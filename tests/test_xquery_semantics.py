@@ -90,6 +90,54 @@ def test_existential_comparison_semantics():
     assert compare_existential([], "=", []) is False
 
 
+# Numbers are the xs:double lexical form only: what ``float()`` accepts
+# beyond it compares as a string (one test per spelling).
+
+
+def test_underscore_digits_are_not_a_number():
+    assert not compare_existential(["1_000"], "=", ["1000"])
+
+
+def test_non_ascii_digits_are_not_a_number():
+    assert not compare_existential(["١٢"], "=", ["12"])
+
+
+def test_lowercase_nan_is_a_string_equal_to_itself():
+    assert compare_existential(["nan"], "=", ["nan"])
+
+
+def test_nan_is_a_number_equal_to_nothing():
+    assert not compare_existential(["NaN"], "=", ["NaN"])
+    assert not compare_existential(["NaN"], "<", ["1"])
+
+
+def test_inf_spellings_are_numbers():
+    assert compare_existential(["INF"], ">", ["1e308"])
+    assert compare_existential(["-INF"], "<", ["-1e308"])
+
+
+def test_float_only_infinity_spellings_are_strings():
+    assert not compare_existential(["Infinity"], "=", ["INF"])
+    assert not compare_existential(["+INF"], "=", ["INF"])
+
+
+def test_double_lexical_forms_compare_numerically():
+    assert compare_existential([" 1 "], "=", ["1.0"])
+    assert compare_existential(["1e0"], "=", ["+1."])
+    assert compare_existential([".5"], "=", ["5E-1"])
+    assert compare_existential(["-0"], "=", ["0"])
+
+
+def test_non_finite_numbers_format_in_the_double_lexical_form():
+    from repro.xquery.semantics import _format_number
+
+    assert [_format_number(v) for v in (float("inf"), float("-inf"), float("nan"))] == [
+        "INF",
+        "-INF",
+        "NaN",
+    ]
+
+
 def test_scaled_path_condition(bib_root):
     env = document_environment(bib_root)
     # 65 > 1.5 * 39 = 58.5 holds for the (TCP, Data on the Web) pair.
