@@ -139,7 +139,9 @@ class DocumentPass:
         # ``materialize``'s is the survivors: the per-stage table reads as
         # a selectivity funnel.
         self._scan_stage.charge(span.record.seconds, batch.seen)
-        if batch.seen:
+        # Every event costs bytes, but bytes may come without an event: text
+        # continuing the previous batch's text node.
+        if batch.cost:
             for stats in self._stats:
                 stats.record_input(batch.seen, batch.cost)
         width = self._fanout.width

@@ -14,10 +14,19 @@ What makes it fast:
 * tag names are interned to ints once (:class:`~repro.fastpath.tags.TagTable`);
   the steady-state cost of a start tag is one dict hit plus one flat-array
   index (:class:`~repro.fastpath.dfa.FlatProjectionTable`),
-* subtrees the projection filter drops emit *nothing* -- no events, no
-  objects, just a single-integer depth counter -- while input statistics
-  are still accounted pre-drop, so they describe the document that was
-  read, not the survivors.
+* subtrees the projection filter drops emit *nothing*, and large ones are
+  not tokenized at all.  When a dropped element's end tag lies inside the
+  current window and the subtree is :data:`_BULK_MIN` to :data:`_BULK_MAX`
+  bytes long, it is taken in bulk if its content plus end tag is *plain* -- ASCII, text
+  without ``&``, ``<`` or ``>``, tags exactly ``<name>`` / ``</name>`` --
+  and expat accepts it; its events and bytes are then counted from
+  ``<``/``><`` counts and whitespace-only gaps (:func:`_plain_subtree`).
+  This is exact by construction: on plain content expat is stricter than
+  the token loop and never laxer, so whatever it accepts the loop would
+  have scanned without error and counted the same way, and anything else
+  -- including every error -- goes through the token loop unchanged.
+  Input statistics are accounted pre-drop either way, so they describe the
+  document that was read, not the survivors.
 
 The reference implementation is :class:`repro.xmlstream.tokenizer.Tokenizer`
 (+ :func:`~repro.xmlstream.attributes.expand_attributes`): for well-formed
@@ -48,6 +57,7 @@ from __future__ import annotations
 
 import re
 from typing import Iterator, List
+from xml.parsers.expat import ExpatError, ParserCreate
 
 from repro.fastpath.batch import (
     K_CDATA,
@@ -82,6 +92,21 @@ _NAME_PREFIX_RE = re.compile(rb"[ \t\r\n]*([A-Za-z_:][A-Za-z0-9_:.\-]*)")
 #: End-tag name validation (every char a name char/start).
 _END_NAME_RE = re.compile(rb"[A-Za-z0-9_:.\-]+\Z")
 
+#: Smallest dropped subtree (start tag to end tag, in bytes) worth taking in
+#: bulk; shorter ones are cheaper token by token.
+_BULK_MIN = 256
+#: Largest subtree taken in one piece: bounds the copy and expat's buffers
+#: whatever the window size; a larger one is taken child by child.
+_BULK_MAX = 16 << 10
+#: Bulk searches per window that may end without finding the end tag (the
+#: element is larger than ``_BULK_MAX`` or still open at the window's end).
+_BULK_MISSES = 8
+#: Plain content: text without ``<``, ``>`` or ``&``, and tags that are
+#: exactly ``<name>`` or ``</name>`` in the TagTable's ASCII name class.
+_PLAIN_RE = re.compile(rb"(?:[^<>&]*</?[A-Za-z_:][A-Za-z0-9_:.\-]*>)*")
+#: A whitespace-only text segment between two tags (``bytes.isspace`` class).
+_BLANK_GAP_RE = re.compile(rb">[ \t\n\r\x0b\x0c]+<")
+
 
 class ByteScanner:
     """One in-flight scan: tokenize + project a byte stream into SoA rows.
@@ -101,6 +126,7 @@ class ByteScanner:
         "_stack",
         "_states",
         "_skip",
+        "_text_run",
         "_finished",
         "_seen_root",
         "_pending",
@@ -124,6 +150,7 @@ class ByteScanner:
         self._stack: List[object] = []  # tag ids; raw name bytes past the cap
         self._states: List[int] = [table.initial]
         self._skip = 0
+        self._text_run = False
         self._finished = False
         self._seen_root = False
         self._pending = b""
@@ -278,13 +305,15 @@ class ByteScanner:
         cost = 0
         # Coalescing: adjacent counted text segments (text/CDATA split by
         # skipped markup) form one logical node; they count once and
-        # materialize merged.
-        text_run = False
+        # materialize merged -- also across chunk and window boundaries.
+        text_run = self._text_run
         stop_root = self._stop_root
         expand = self._expand
         # Tokens only *start* before ``stop``; one starting earlier runs to
         # completion, exactly like the old per-iteration ``pos >= stop`` break.
         limit = stop if stop < length else length
+        fence = 0
+        misses = 0
 
         while pos < limit:
             if stop_root and not stack and self._seen_root:
@@ -362,23 +391,45 @@ class ByteScanner:
                             )
                         self._seen_root = True
                     push(tid)
-                    if skip:
-                        skip += 1
+                    if not skip:
+                        cell = cells[row + tid] if tid < width else UNKNOWN
+                        if cell == UNKNOWN:
+                            cell = table.resolve(top, tid)
+                            cells = table.cells
+                            width = table.width
+                            chars_keep = table.chars_keep
+                            row = top * width
+                        if cell != DROP:
+                            spush(cell)
+                            wapp((tid << TAG_SHIFT) | (cell << STATE_SHIFT))
+                            top = cell
+                            row = top * width
+                            continue
+                    skip += 1
+                    # A dropped element: take its subtree in bulk when it
+                    # closes inside this window, is large but not too large,
+                    # and is plain.  Bytes already examined (``fence``) are
+                    # not searched again, and misses are capped, so the
+                    # extra C-level work per byte stays a small constant.
+                    if pos < fence or misses >= _BULK_MISSES:
                         continue
-                    cell = cells[row + tid] if tid < width else UNKNOWN
-                    if cell == UNKNOWN:
-                        cell = table.resolve(top, tid)
-                        cells = table.cells
-                        width = table.width
-                        chars_keep = table.chars_keep
-                        row = top * width
-                    if cell == DROP:
-                        skip = 1
+                    pat = end_pats[tid]
+                    reach = at + _BULK_MAX
+                    close = find(pat, pos, reach if reach < limit else limit)
+                    if close == -1:
+                        misses += 1
                         continue
-                    spush(cell)
-                    wapp((tid << TAG_SHIFT) | (cell << STATE_SHIFT))
-                    top = cell
-                    row = top * width
+                    fence = close = close + len(pat)
+                    if close - at < _BULK_MIN:
+                        continue
+                    counted = _plain_subtree(buf[at:close], pos - at)
+                    if counted is None:
+                        continue
+                    seen += counted[0]
+                    cost += counted[1]
+                    pop()
+                    skip -= 1
+                    pos = close
                     continue
                 # Uninterned: fall through (past the dispatch chain) into the
                 # generic start-tag path below.
@@ -498,13 +549,13 @@ class ByteScanner:
                         if final:
                             raise XMLSyntaxError("unterminated CDATA section", base + pos)
                         break
-                    start = pos + 9
-                    tend = end
-                    pos = end + 3
                     if not stack:
                         raise XMLWellFormednessError(
                             "CDATA outside the root element", base + pos
                         )
+                    start = pos + 9
+                    tend = end
+                    pos = end + 3
                     raw = buf[start:tend]
                     if not raw or raw.isspace():
                         continue
@@ -674,6 +725,7 @@ class ByteScanner:
             continue
 
         self._skip = skip
+        self._text_run = text_run
         batch.seen += seen
         batch.cost += cost
         if stop_root and not stack and self._seen_root:
@@ -704,6 +756,32 @@ class ByteScanner:
                 batch.words.append(K_EVENT | (cell << STATE_SHIFT))
                 batch.spans.append(len(batch.events))
                 batch.events.append(event)
+
+
+def _plain_subtree(subtree: bytes, content: int):
+    """``(events, bytes)`` the token loop would count for a plain subtree.
+
+    ``subtree`` runs from an element's start tag to the first occurrence of
+    its end tag; ``content`` is the start tag's length, already counted.
+    Returns ``None`` -- leave it to the token loop -- unless the content plus
+    end tag is plain (ASCII, see :data:`_PLAIN_RE`) and expat accepts the
+    whole subtree, which proves that every tag inside nests and matches and
+    that the end tag found closes this element.  On plain content expat is
+    stricter than the token loop (it also rejects NUL, control characters
+    and ``]]>``), never laxer, so an accepted subtree is one the loop would
+    have scanned without error.  Each of its ``tags`` is then one event and
+    every text segment before a tag one more unless it is empty or blank:
+    the loop skips whitespace-only segments, events and bytes alike.
+    """
+    if not subtree.isascii() or _PLAIN_RE.fullmatch(subtree, content) is None:
+        return None
+    try:
+        ParserCreate().Parse(subtree, True)
+    except ExpatError:
+        return None
+    packed = _BLANK_GAP_RE.sub(b"><", subtree)
+    tags = subtree.count(b"<", content)
+    return 2 * tags - packed.count(b"><"), len(packed) - content
 
 
 def _valid_end_name(name: str) -> bool:

@@ -300,7 +300,7 @@ class Tokenizer:
                     raw = buffer[pos:lt]
                     pos = lt
                 if "&" in raw:
-                    raw = decode_entities(raw, self._offset + pos)
+                    raw = decode_entities(raw, self._offset + start)
                 if stack:
                     if not strip or not raw.isspace():
                         append(Characters(raw))
@@ -381,11 +381,11 @@ class Tokenizer:
                             self._pos = pos
                             raise XMLSyntaxError("unterminated CDATA section", self._here())
                         break
-                    text = buffer[pos + 9 : end]
-                    pos = end + 3
                     if not stack:
                         self._pos = pos
                         raise XMLWellFormednessError("CDATA outside the root element", self._here())
+                    text = buffer[pos + 9 : end]
+                    pos = end + 3
                     if not strip or text.strip():
                         append(Characters(text))
                     continue

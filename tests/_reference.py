@@ -13,8 +13,15 @@ def reference_events(document, expand_attrs=False):
     """What the scanner must reproduce: the reference tokenizer's event
     stream (attribute expansion included), adjacent character events merged
     into one logical text node."""
+    return coalesce_text(
+        iter_events(document, expand_attrs=expand_attrs, document_events=False)
+    )
+
+
+def coalesce_text(events):
+    """``events`` with adjacent character events merged into one."""
     out = []
-    for event in iter_events(document, expand_attrs=expand_attrs, document_events=False):
+    for event in events:
         if out and event.__class__ is Characters and out[-1].__class__ is Characters:
             out[-1] = Characters(out[-1].text + event.text)
         else:

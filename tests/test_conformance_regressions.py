@@ -24,6 +24,13 @@ Two handcrafted fixtures cover indexed joins, which generated loop bodies
 ``INF``, ``NaN``/``nan``, empty, non-ASCII digits, several keys per node, a
 missing key.
 
+``dropped-subtrees`` is handcrafted too: generated documents are far too
+small to reach the scanner's bulk path for dropped subtrees.  Its ASCII
+document (so the oracle compares input bytes as well as events) puts large
+plain dropped subtrees, some pretty-printed, next to near misses of the
+plain rule -- an entity, a comment, CDATA, a PI, an attribute, a padded
+tag, a self-closing tag and a nested same-name element.
+
 The replay path itself (``.case`` parsing -> oracle) is therefore tier-1
 tested, which is what makes saved fuzz artifacts trustworthy repros.
 """
@@ -47,6 +54,7 @@ CASES = (
     "seed1-case92.case",
     "join-equality.case",
     "join-range.case",
+    "dropped-subtrees.case",
 )
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from repro import FluxSession
 from repro.serve import SubscriptionHub
-from repro.xmlstream.errors import XMLSyntaxError
+from repro.xmlstream.errors import XMLSyntaxError, XMLWellFormednessError
+from repro.xmlstream.parser import iter_events
 
 DTD = """
 <!ELEMENT a (b)*>
@@ -88,6 +89,27 @@ def _failure(drive, data):
 def test_every_run_shape_reports_the_same_error(document):
     failures = {name: _failure(drive, document) for name, drive in SHAPES.items()}
     assert len(set(failures.values())) == 1, failures
+
+
+@pytest.mark.parametrize(
+    "document,culprit,error",
+    [
+        (b"<a><b>x</b></a><![CDATA[y]]>", b"<![CDATA[", XMLWellFormednessError),
+        (b"<a><b>xy&bogus;z</b></a>", b"&bogus;", XMLSyntaxError),
+    ],
+    ids=["cdata-after-root", "unknown-entity"],
+)
+def test_errors_are_located_where_the_culprit_starts(document, culprit, error):
+    """Every run shape and the reference tokenizer point at the offending
+    token's first byte: a CDATA section after the root (like character data
+    there), an unknown entity (not the end of its text run)."""
+    at = document.index(culprit)
+    with pytest.raises(XMLSyntaxError) as raised:
+        list(iter_events(document.decode("ascii")))
+    assert (type(raised.value), raised.value.offset) == (error, at)
+    for name, drive in SHAPES.items():
+        failed, message, offset = _failure(drive, document)
+        assert (failed, offset) == (error, at), (name, message)
 
 
 OK_DOC = b"<a><b>x</b></a>\n"

@@ -21,7 +21,7 @@ The scanner is tested *differentially* against the reference tokenizer of
 import random
 
 import pytest
-from _reference import project_events, reference_events
+from _reference import coalesce_text, project_events, reference_events
 
 import repro.xmlstream.tokenizer as tokenizer_module
 from repro.core import FluxSession
@@ -227,19 +227,31 @@ def test_scanner_rejects_mismatched_and_unclosed_tags():
         scanned_events("<a></a><b></b>")
 
 
+#: One text node in three segments, split by a CDATA section and a comment.
+SPLIT_TEXT_DOC = "<a>x<![CDATA[ c ]]>y<!-- z -->w<b>v</b></a>"
+
+
 @EXPAND
-@pytest.mark.parametrize("document", [DOC, ATTR_DOC], ids=["text", "attributes"])
+@pytest.mark.parametrize(
+    "document", [DOC, ATTR_DOC, SPLIT_TEXT_DOC], ids=["text", "attributes", "split-text"]
+)
 @pytest.mark.parametrize("stride", [1, 2, 3, 5, 7])
 def test_push_mode_byte_feeds_match_pull(stride, document, expand):
     # Stride 1 cuts everywhere: inside attribute values, between a closing
-    # quote and ``>``, inside entity references, mid-multibyte-UTF-8.
+    # quote and ``>``, inside entity references, mid-multibyte-UTF-8, and
+    # between the segments of one text node -- which then materializes in
+    # pieces, one per batch, but is still counted as one node.
     scanner = solo_scanner(expand_attrs=expand)
     data = document.encode("utf-8")
     fed = []
-    for start in range(0, len(data), stride):
-        fed.extend(scanner.feed_batch(data[start : start + stride]).materialize())
-    fed.extend(scanner.close_batch().materialize())
-    assert fed == reference_events(document, expand)
+    seen = cost = 0
+    batches = [scanner.feed_batch(data[at : at + stride]) for at in range(0, len(data), stride)]
+    for batch in [*batches, scanner.close_batch()]:
+        fed.extend(batch.materialize())
+        seen += batch.seen
+        cost += batch.cost
+    assert coalesce_text(fed) == reference_events(document, expand)
+    assert (seen, cost) == scan(document, expand=expand)[1]
 
 
 def test_pending_bytes_flags_partial_utf8_tail():
