@@ -100,6 +100,9 @@ _BULK_MIN = 256
 _BULK_MAX = 16 << 10
 #: Bulk searches per window that may end without finding the end tag (the
 #: element is larger than ``_BULK_MAX`` or still open at the window's end).
+#: It only bounds adversarial deep nesting, where every level would search
+#: up to ``_BULK_MAX`` bytes again; XMark queries never reach it (at most 5
+#: misses per window, pull or push, 8 KiB to 1 MiB windows).
 _BULK_MISSES = 8
 #: Plain content: text without ``<``, ``>`` or ``&``, and tags that are
 #: exactly ``<name>`` or ``</name>`` in the TagTable's ASCII name class.

@@ -239,8 +239,7 @@ SPLIT_TEXT_DOC = "<a>x<![CDATA[ c ]]>y<!-- z -->w<b>v</b></a>"
 def test_push_mode_byte_feeds_match_pull(stride, document, expand):
     # Stride 1 cuts everywhere: inside attribute values, between a closing
     # quote and ``>``, inside entity references, mid-multibyte-UTF-8, and
-    # between the segments of one text node -- which then materializes in
-    # pieces, one per batch, but is still counted as one node.
+    # between the segments of one text node.
     scanner = solo_scanner(expand_attrs=expand)
     data = document.encode("utf-8")
     fed = []
@@ -250,7 +249,11 @@ def test_push_mode_byte_feeds_match_pull(stride, document, expand):
         fed.extend(batch.materialize())
         seen += batch.seen
         cost += batch.cost
-    assert coalesce_text(fed) == reference_events(document, expand)
+    if document is SPLIT_TEXT_DOC:
+        # A text node whose segments land in different batches materializes
+        # in pieces, one per batch, but is still counted as one node.
+        fed = coalesce_text(fed)
+    assert fed == reference_events(document, expand)
     assert (seen, cost) == scan(document, expand=expand)[1]
 
 
