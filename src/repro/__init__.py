@@ -16,8 +16,6 @@ buffering.  This package reimplements the complete system:
   scanner, the pre-executor projection automaton and the unified Sink
   protocol,
 * :mod:`repro.engine` -- the streaming engine with projected buffers,
-* :mod:`repro.multiquery` -- multi-query shared-stream execution (one
-  scan, N queries, merged projection with membership masks),
 * :mod:`repro.storage` -- bounded-memory execution: a memory governor with
   a hard byte budget, spillable paged buffers and a temp-file spill store,
 * :mod:`repro.obs` -- observability: per-run span tracing with stage
@@ -29,7 +27,9 @@ buffering.  This package reimplements the complete system:
   failing-case shrinker and the replayable ``.case`` format behind the
   ``repro fuzz`` CLI,
 * :mod:`repro.xmark` -- XMark-like workload generator and benchmark queries,
-* :mod:`repro.core` -- the public API (start here).
+* :mod:`repro.core` -- the public API (start here), including multi-query
+  shared-stream execution (``prepare_many``: one scan, N queries, merged
+  projection with membership masks).
 
 The public surface is session-oriented: a :class:`FluxSession` holds the
 schema, an LRU plan cache (scheduling against the DTD is the expensive,
@@ -54,12 +54,13 @@ Quickstart::
             run.feed(chunk)
     print(run.result.output)
 
+    both = session.prepare_many({"a": SOURCE_A, "b": SOURCE_B})
+    print(both.execute("bib.xml").outputs())           # one shared pass
+
 Whatever opens it -- a solo ``execute``, a ``prepare_many`` pass, a feed
 or the subscription hub -- a document runs through one
 :class:`RunHandle`, one seat per query, configured by one
-:class:`ExecutionOptions`.  The pre-session surface (:class:`FluxEngine`,
-:func:`run_query` and friends) keeps working as thin shims over the
-session layer.
+:class:`ExecutionOptions`.
 """
 
 from repro.core import (
@@ -77,7 +78,6 @@ from repro.core import (
     FragmentSink,
     MemoryGovernor,
     MetricsRegistry,
-    MultiQueryEngine,
     MultiQueryRun,
     NaiveDomEngine,
     NullSink,
@@ -87,7 +87,6 @@ from repro.core import (
     PreparedQuery,
     PreparedQuerySet,
     ProjectionDomEngine,
-    QueryRegistry,
     RunHandle,
     RunStatistics,
     SessionStatistics,
@@ -101,10 +100,6 @@ from repro.core import (
     load_dtd,
     parse_memory_budget,
     prometheus_text,
-    run_queries,
-    run_query,
-    run_query_streaming,
-    run_query_to_sink,
     validate_span_tree,
 )
 
@@ -125,7 +120,6 @@ __all__ = [
     "FragmentSink",
     "MemoryGovernor",
     "MetricsRegistry",
-    "MultiQueryEngine",
     "MultiQueryRun",
     "NaiveDomEngine",
     "NullSink",
@@ -135,7 +129,6 @@ __all__ = [
     "PreparedQuery",
     "PreparedQuerySet",
     "ProjectionDomEngine",
-    "QueryRegistry",
     "RunHandle",
     "RunStatistics",
     "SessionStatistics",
@@ -150,9 +143,5 @@ __all__ = [
     "load_dtd",
     "parse_memory_budget",
     "prometheus_text",
-    "run_queries",
-    "run_query",
-    "run_query_streaming",
-    "run_query_to_sink",
     "validate_span_tree",
 ]

@@ -73,8 +73,7 @@ import contextlib
 import sys
 from typing import Optional, Sequence
 
-from repro.baselines import NaiveDomEngine, ProjectionDomEngine
-from repro.core.api import compile_to_flux, load_dtd
+from repro.core.api import compare_engines, compile_to_flux, load_dtd
 from repro.core.options import ExecutionOptions
 from repro.core.session import FluxSession
 from repro.engine.engine import FluxEngine
@@ -156,16 +155,24 @@ def _add_serve_metrics_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _serve_metrics_banner(port) -> None:
-    """Start the inspection server for a CLI run and say where it listens."""
-    if port is None:
-        return
-    from repro.obs.serve import ensure_server
+def _options(args) -> ExecutionOptions:
+    """The run options a subcommand's ``--memory-budget`` / ``--trace`` /
+    ``--serve-metrics`` flags ask for (a flag the subcommand lacks stays
+    unset).  With ``--serve-metrics`` the inspection server starts now and
+    its address goes to stderr."""
+    port = getattr(args, "serve_metrics", None)
+    if port is not None:
+        from repro.obs.serve import ensure_server
 
-    server = ensure_server(port)
-    print(
-        f"serving /metrics and /progress on http://127.0.0.1:{server.port}",
-        file=sys.stderr,
+        server = ensure_server(port)
+        print(
+            f"serving /metrics and /progress on http://127.0.0.1:{server.port}",
+            file=sys.stderr,
+        )
+    return ExecutionOptions(
+        memory_budget=args.memory_budget,
+        trace=True if getattr(args, "trace", False) else None,
+        serve_metrics=port,
     )
 
 
@@ -195,15 +202,7 @@ def _cmd_run(args) -> int:
     if args.output and args.discard_output:
         print("error: --output and --discard-output are mutually exclusive", file=sys.stderr)
         return 2
-    _serve_metrics_banner(args.serve_metrics)
-    session = FluxSession(
-        _load_schema(args),
-        options=ExecutionOptions(
-            memory_budget=args.memory_budget,
-            trace=True if args.trace else None,
-            serve_metrics=args.serve_metrics,
-        ),
-    )
+    session = FluxSession(_load_schema(args), options=_options(args))
     prepared = session.prepare(
         _resolve_query(args.query), projection=not args.no_projection
     )
@@ -239,15 +238,7 @@ def _cmd_multirun(args) -> int:
         )
         return 2
 
-    _serve_metrics_banner(args.serve_metrics)
-    session = FluxSession(
-        schema,
-        options=ExecutionOptions(
-            memory_budget=args.memory_budget,
-            trace=True if args.trace else None,
-            serve_metrics=args.serve_metrics,
-        ),
-    )
+    session = FluxSession(schema, options=_options(args))
     queries = {}
     names = []
     for argument in args.query:
@@ -338,22 +329,13 @@ def _print_multirun_stats(run, names) -> None:
 
 
 def _cmd_compare(args) -> int:
-    schema = _load_schema(args)
-    query = _resolve_query(args.query)
-    # A path is handed to each engine as-is: every engine resolves document
-    # sources itself (the FluX pipeline scans it in place via mmap instead
-    # of one whole-file read here).
-    document = args.document
-
-    flux = FluxEngine(query, schema).execute(document)
-    naive = NaiveDomEngine(query).run(document)
-    projection = ProjectionDomEngine(query).run(document)
-
-    agree = flux.output == naive.output == projection.output
+    # The path goes to every engine as-is: each resolves document sources
+    # itself (the FluX pipeline scans the file in place via mmap).
+    rows = compare_engines(_resolve_query(args.query), args.document, _load_schema(args))
+    agree = len({row["output"] for row in rows.values()}) == 1
     print(f"{'engine':>16} {'time [s]':>10} {'peak memory [B]':>16}")
-    print(f"{'flux':>16} {flux.stats.elapsed_seconds:>10.3f} {flux.stats.peak_buffered_bytes:>16}")
-    print(f"{'naive-dom':>16} {naive.elapsed_seconds:>10.3f} {naive.peak_buffered_bytes:>16}")
-    print(f"{'projection-dom':>16} {projection.elapsed_seconds:>10.3f} {projection.peak_buffered_bytes:>16}")
+    for engine, row in rows.items():
+        print(f"{engine:>16} {row['elapsed_seconds']:>10.3f} {row['peak_buffered_bytes']:>16}")
     print(f"outputs identical: {agree}")
     return 0 if agree else 1
 
@@ -384,13 +366,7 @@ def _cmd_xmark(args) -> int:
     schema = load_dtd(XMARK_DTD_SOURCE, root_element="site")
     document = generate_document(config_for_scale(args.scale, seed=args.seed))
     query = BENCHMARK_QUERIES[args.query]
-    session = FluxSession(
-        schema,
-        options=ExecutionOptions(
-            memory_budget=args.memory_budget,
-            trace=True if args.trace else None,
-        ),
-    )
+    session = FluxSession(schema, options=_options(args))
     result = session.prepare(query, projection=not args.no_projection).execute(
         document, collect_output=not args.discard_output
     )
@@ -406,8 +382,7 @@ def _cmd_xmark(args) -> int:
         line += (
             f" peak-resident={result.stats.peak_resident_bytes}B "
             f"spills={result.stats.spill_count} "
-            f"spill-bytes={result.stats.spilled_bytes_written}B "
-            f"evictions={result.stats.spill_count}"
+            f"spill-bytes={result.stats.spilled_bytes_written}B"
         )
     print(line)
     if result.trace is not None:
@@ -444,14 +419,7 @@ def _cmd_feed(args) -> int:
         chunks = _iter_file_chunks(args.input, args.chunk_size)
         source = args.input
 
-    _serve_metrics_banner(args.serve_metrics)
-    session = FluxSession(
-        schema,
-        options=ExecutionOptions(
-            memory_budget=args.memory_budget,
-            serve_metrics=args.serve_metrics,
-        ),
-    )
+    session = FluxSession(schema, options=_options(args))
     prepared = session.prepare(_resolve_query(args.query))
 
     def on_document(document) -> None:
@@ -501,14 +469,7 @@ def _cmd_serve(args) -> int:
     if args.chunk_size <= 0:
         print("error: --chunk-size must be positive", file=sys.stderr)
         return 2
-    _serve_metrics_banner(args.serve_metrics)
-    hub = SubscriptionHub(
-        _load_schema(args),
-        options=ExecutionOptions(
-            memory_budget=args.memory_budget,
-            serve_metrics=args.serve_metrics,
-        ),
-    )
+    hub = SubscriptionHub(_load_schema(args), options=_options(args))
     if args.client_fed:
         chunks = None
         source = "client-fed stream"

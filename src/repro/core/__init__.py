@@ -11,29 +11,22 @@ per schema:
   :class:`ExecutionOptions`,
 * :meth:`PreparedQuery.open_run` -- push mode: ``feed(chunk)`` /
   ``finish()`` for network-arriving documents,
-* :meth:`FluxSession.prepare_many` -- N queries, one shared document pass.
+* :meth:`FluxSession.prepare_many` -- N queries, one shared document pass
+  (:meth:`PreparedQuerySet.execute` returns a :class:`MultiQueryRun`).
 
 :func:`compile_to_flux` exposes the scheduling rewrite itself (the paper's
-Sections 4.1/4.2); the one-shot helpers (:func:`run_query` and friends) and
-:class:`FluxEngine` remain as shims for quick scripts and the pre-session
-API.  The baseline engines (:class:`NaiveDomEngine`,
-:class:`ProjectionDomEngine`) are re-exported for side-by-side comparisons
-(``benchmarks/perf`` verifies every result against the naive one).
+Sections 4.1/4.2); :class:`FluxEngine` is the compiled plan a prepared query
+wraps, runnable on its own with explicit ``options``.  The baseline engines
+(:class:`NaiveDomEngine`, :class:`ProjectionDomEngine`) are re-exported for
+side-by-side comparisons (:func:`compare_engines`; ``benchmarks/perf``
+verifies every result against the naive one).
 """
 
-from repro.core.api import (
-    CompiledQuery,
-    compare_engines,
-    compile_to_flux,
-    load_dtd,
-    run_queries,
-    run_query,
-    run_query_streaming,
-    run_query_to_sink,
-)
+from repro.core.api import CompiledQuery, compare_engines, compile_to_flux, load_dtd
 from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions, FeedOptions
 from repro.core.session import (
     FluxSession,
+    MultiQueryRun,
     PlanCache,
     PlanKey,
     PreparedQuery,
@@ -44,7 +37,6 @@ from repro.baselines import NaiveDomEngine, ProjectionDomEngine
 from repro.engine.engine import FluxEngine, FluxRunResult, RunHandle, StreamingRun
 from repro.engine.stats import RunStatistics
 from repro.feeds import DocumentResult, FeedHandle, FeedResult
-from repro.multiquery import MultiQueryEngine, MultiQueryRun, QueryRegistry
 from repro.pipeline.sinks import (
     CollectSink,
     FragmentSink,
@@ -77,7 +69,6 @@ __all__ = [
     "FragmentSink",
     "MemoryGovernor",
     "MetricsRegistry",
-    "MultiQueryEngine",
     "MultiQueryRun",
     "NaiveDomEngine",
     "NullSink",
@@ -87,7 +78,6 @@ __all__ = [
     "PreparedQuery",
     "PreparedQuerySet",
     "ProjectionDomEngine",
-    "QueryRegistry",
     "RunHandle",
     "RunStatistics",
     "SessionStatistics",
@@ -101,9 +91,5 @@ __all__ = [
     "load_dtd",
     "parse_memory_budget",
     "prometheus_text",
-    "run_queries",
-    "run_query",
-    "run_query_streaming",
-    "run_query_to_sink",
     "validate_span_tree",
 ]

@@ -21,8 +21,9 @@ A :class:`FluxSession` is the long-lived object a service keeps per schema:
   for all of its runs, so the budget caps the *session's* resident buffered
   bytes, not each run separately.
 * **multi-query** -- ``session.prepare_many({...})`` compiles through the
-  same plan cache and executes all queries over one shared document pass
-  (:mod:`repro.multiquery`), under the same governor.
+  same plan cache; its :class:`PreparedQuerySet` executes all queries over
+  one shared document pass -- one :class:`~repro.engine.engine.RunHandle`
+  with a seat per query -- under the same governor.
 * **cumulative telemetry** -- :class:`SessionStatistics` aggregates every
   completed run.
 
@@ -36,11 +37,14 @@ Typical service shape::
             for chunk in socket_chunks:
                 run.feed(chunk)
         print(run.result.output, session.statistics.summary())
+        both = session.prepare_many({"a": QUERY, "b": OTHER})
+        print(both.execute(document).outputs())  # one scan, a seat per query
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
@@ -60,8 +64,9 @@ from repro.engine.engine import (
 from repro.engine.stats import RunStatistics
 from repro.feeds import FeedHandle
 from repro.flux.ast import FluxExpr
-from repro.multiquery import MultiQueryEngine, MultiQueryRun, QueryRegistry
 from repro.obs.metrics import global_registry
+from repro.obs.observer import TraceReport
+from repro.pipeline.fanout import DynamicFanout
 from repro.storage.governor import MemoryGovernor
 from repro.xmlstream.parser import DocumentSource
 from repro.xquery.ast import ROOT_VARIABLE, XQExpr
@@ -80,6 +85,11 @@ _metrics = global_registry()
 _CACHE_HITS = _metrics.counter("repro.plan_cache.hits.total", "Plan-cache lookups served from cache")
 _CACHE_MISSES = _metrics.counter("repro.plan_cache.misses.total", "Plan-cache lookups that compiled")
 _CACHE_EVICTIONS = _metrics.counter("repro.plan_cache.evictions.total", "Plans evicted by the LRU")
+# Shared multi-query passes: bumped once per pass.
+_PASSES = _metrics.counter("repro.multiquery.passes.total", "Shared multi-query passes")
+_PASS_QUERIES = _metrics.counter(
+    "repro.multiquery.queries.total", "Queries served across all shared passes"
+)
 
 
 def _normalize_query(query: QuerySource) -> Tuple[str, str]:
@@ -371,26 +381,71 @@ class PreparedQuery:
         )
 
 
+class MultiQueryRun:
+    """Per-query results of one shared pass, keyed by query name."""
+
+    def __init__(
+        self,
+        results: Dict[str, FluxRunResult],
+        elapsed_seconds: float,
+        memory: Optional[dict] = None,
+        trace: Optional[TraceReport] = None,
+    ):
+        self.results = results
+        #: Wall-clock time of the whole shared pass (all queries together).
+        self.elapsed_seconds = elapsed_seconds
+        #: Shared memory-governor telemetry (budget, peak resident, spills)
+        #: when the pass ran under a memory budget; ``None`` otherwise.
+        self.memory = memory
+        #: Pass-level :class:`~repro.obs.observer.TraceReport` (the shared
+        #: scan and materialize vs. the N-executor fan-out) for traced
+        #: passes; ``None`` otherwise.
+        self.trace = trace
+
+    def __getitem__(self, name: str) -> FluxRunResult:
+        return self.results[name]
+
+    def __iter__(self):
+        return iter(self.results)
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def items(self):
+        return self.results.items()
+
+    def outputs(self) -> Dict[str, Optional[str]]:
+        """Mapping name -> collected output text."""
+        return {name: result.output for name, result in self.results.items()}
+
+
 class PreparedQuerySet:
     """N prepared queries that execute over one shared document pass.
 
-    Built by :meth:`FluxSession.prepare_many`; each member plan came
-    through the session's plan cache, and every pass shares the session's
-    memory governor.  ``execute`` returns a
-    :class:`~repro.multiquery.engine.MultiQueryRun` keyed by query name.
+    Built by :meth:`FluxSession.prepare_many` from engines that came through
+    the session's plan cache.  The union filter -- an N-slot
+    :class:`~repro.pipeline.fanout.DynamicFanout`, one slot per member's
+    projection automaton -- is attached and tabled once, here, and every
+    pass scans through it.  A pass hands query *i* exactly the events its
+    solo filter would keep, so per-query output and peak-buffer numbers
+    equal N solo runs; only the scan is shared.
     """
 
-    def __init__(self, session: "FluxSession", registry: QueryRegistry):
+    def __init__(self, session: "FluxSession", engines: Mapping[str, FluxEngine]):
         self.session = session
-        self.registry = registry
+        self.engines = dict(engines)
+        self.fanout = DynamicFanout()
+        for engine in self.engines.values():
+            self.fanout.attach(engine.projection_spec)
+        self.fanout.table()  # built now, not raced for by concurrent first passes
 
     @property
     def names(self) -> tuple:
         """The member query names, in preparation order."""
-        return self.registry.names
+        return tuple(self.engines)
 
     def __len__(self) -> int:
-        return len(self.registry)
+        return len(self.engines)
 
     def execute(
         self,
@@ -402,18 +457,32 @@ class PreparedQuerySet:
     ) -> MultiQueryRun:
         """One shared projecting scan for all member queries.
 
+        The pass is one :class:`~repro.engine.engine.RunHandle` with a seat
+        per member, opened like any run of the session: its options, its
+        governor when the budget is the session's, its statistics.
         ``sinks`` maps query names to writables (every name must be
         covered); omitted, each query collects (or just counts) its own
         output per ``options.collect_output``.
         """
-        options = self.session._resolve_options(options, overrides)
-        engine = MultiQueryEngine(
-            self.registry, options=options, governor=self.session._shared_governor(options)
+        if sinks is None:
+            sinks = {}
+        else:
+            missing = [name for name in self.engines if name not in sinks]
+            if missing:
+                raise ValueError(f"no writable provided for queries: {missing}")
+        started_at = time.perf_counter()
+        run = RunHandle(
+            self.fanout,
+            [(engine.plan, sinks.get(name), name) for name, engine in self.engines.items()],
+            mode="multiquery",
+            **self.session._lend(options, overrides),
+        ).drive(document)
+        elapsed = time.perf_counter() - started_at
+        _PASSES.inc()
+        _PASS_QUERIES.inc(len(self.engines))
+        return MultiQueryRun(
+            dict(zip(self.engines, run.results)), elapsed, memory=run.memory, trace=run.trace
         )
-        run = engine.run(document) if sinks is None else engine.run_to_sinks(document, sinks)
-        for result in run.results.values():
-            self.session.statistics.absorb(result.stats)
-        return run
 
 
 class FluxSession:
@@ -541,32 +610,16 @@ class FluxSession:
             queries = {f"q{index}": query for index, query in enumerate(queries)}
         if not queries:
             raise ValueError("prepare_many needs at least one query")
-        registry = QueryRegistry(self.dtd, projection=projection)
-        for name, query in queries.items():
-            prepared = self.prepare(
+        engines = {
+            name: self.prepare(
                 query,
                 projection=projection,
                 apply_simplifications=apply_simplifications,
                 require_safe=require_safe,
-            )
-            registry.register_engine(name, prepared.engine)
-        return PreparedQuerySet(self, registry)
-
-    # ------------------------------------------------------------- one-shots
-
-    def execute(
-        self,
-        query: QuerySource,
-        document: DocumentSource,
-        *,
-        sink=None,
-        options: Optional[ExecutionOptions] = None,
-        projection: bool = True,
-        **overrides,
-    ) -> FluxRunResult:
-        """Prepare (cached) and execute in one call."""
-        prepared = self.prepare(query, projection=projection)
-        return prepared.execute(document, sink=sink, options=options, **overrides)
+            ).engine
+            for name, query in queries.items()
+        }
+        return PreparedQuerySet(self, engines)
 
     # ------------------------------------------------------------- internals
 

@@ -28,8 +28,8 @@ execution shape behaves the same by construction:
   document source to completion,
 * :meth:`FluxEngine.stream` -- the same drive, iterated for serialized
   output fragments while the input is being consumed,
-* :class:`~repro.multiquery.engine.MultiQueryEngine` -- the same drive with
-  one seat per registered query,
+* :meth:`~repro.core.session.PreparedQuerySet.execute` -- the same drive
+  with one seat per query of a ``prepare_many`` set,
 * :mod:`repro.feeds` / :mod:`repro.serve` -- one handle per document of an
   endless stream (one seat, or one per subscription).
 
@@ -149,8 +149,8 @@ def _quiet_abort(seats: Sequence[_LiveSeat]) -> None:
 def ensure_rooted(dtd: DTD, root_element: Optional[str] = None) -> DTD:
     """Attach the virtual document root to a DTD that lacks one.
 
-    Compilation (the engine, the multi-query registry) always works against
-    a rooted DTD; this is the single place the rooting rules live.
+    Compilation (the engine, the session) always works against a rooted
+    DTD; this is the single place the rooting rules live.
     """
     if ROOT_ELEMENT in dtd:
         return dtd
@@ -169,7 +169,7 @@ class RunHandle:
     ``fanout`` is the union automaton the document is scanned through and
     ``seats`` holds one :data:`Seat` per fanout position (``None`` for a
     tombstoned one): a solo run has one seat, a multi-query pass one per
-    registered query, a hub document one per subscription.  An injected
+    query of the set, a hub document one per subscription.  An injected
     ``governor`` is *borrowed* and survives the run; without one the run
     creates its own from ``options`` and closes it when it ends.
 
@@ -182,8 +182,8 @@ class RunHandle:
                 run.feed(chunk)
         print(run.result.output)
 
-    while :meth:`FluxEngine.execute`, :meth:`FluxEngine.stream` and the
-    multi-query engine open the same handle and :meth:`drive` it from a
+    while :meth:`FluxEngine.execute`, :meth:`FluxEngine.stream` and a
+    ``prepare_many`` set open the same handle and :meth:`drive` it from a
     document source themselves.
 
     ``feed`` accepts text or UTF-8 bytes split at arbitrary points (the
@@ -649,8 +649,8 @@ class FluxEngine:
         spec = ProjectionSpec(self.plan) if projection else None
         #: The projection automaton, or ``None`` when nothing is filtered:
         #: projection off, or a trivial spec (the root scope captures
-        #: everything) that would only cost a lookup per tag.  What the
-        #: multi-query engine and the subscription hub attach to *their*
+        #: everything) that would only cost a lookup per tag.  What a
+        #: ``prepare_many`` set and the subscription hub attach to *their*
         #: fanouts.
         self.projection_spec: Optional[ProjectionSpec] = (
             None if spec is None or spec.trivial else spec

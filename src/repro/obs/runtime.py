@@ -7,9 +7,9 @@ engine's finish path.  The cost is a handful of integer adds per *run*
 (not per event or batch), which is why this can stay always-on.
 
 The instruments registered here are the engine-layer slice of the
-registry; the storage governor, the session plan cache, the multiquery
-engine and the conformance oracle register their own counters at their
-own layer.  Everything meets in :func:`repro.obs.metrics.global_registry`
+registry; the storage governor, the session (plan cache, shared
+multi-query passes) and the conformance oracle register their own
+counters at their own layer.  Everything meets in :func:`repro.obs.metrics.global_registry`
 and comes out through :func:`repro.obs.export.prometheus_text`.
 """
 

@@ -15,8 +15,8 @@ It is the only automaton the scanner ever runs against, in three shapes:
 * **solo** -- a :class:`~repro.engine.engine.FluxEngine` holds a one-slot
   fanout (``attach(None)`` when projection is off or trivial: the slot is
   pinned to keep-everything);
-* **static multi-query** -- a :class:`~repro.multiquery.registry.QueryRegistry`
-  attaches N slots once per registry version and never churns;
+* **static multi-query** -- a :class:`~repro.core.session.PreparedQuerySet`
+  attaches N slots once, when ``prepare_many`` builds it, and never churns;
 * **serve** -- the subscription hub attaches and detaches mid-stream:
 
   * **attach** (delta-merge): a new query appends a slot.  The intern

@@ -12,10 +12,10 @@ spill counters and (past the budget) throughput change.
 Entry points:
 
 * ``options=ExecutionOptions(memory_budget=...)`` on any run
-  (``FluxEngine.execute``, ``run_query``, ...) -- one governor per run,
-  created, owned and closed by the run,
-* the same options on ``MultiQueryEngine(registry, options=...)`` -- one
-  governor shared across all N seats of the pass,
+  (``PreparedQuery.execute``, ``FluxEngine.execute``, ...) -- one governor
+  per run, created, owned and closed by the run,
+* the same options on ``PreparedQuerySet.execute`` (``prepare_many``) --
+  one governor shared across all N seats of the pass,
 * ``FluxSession(dtd, memory_budget=...)`` / ``SubscriptionHub(options=...)``
   -- one governor for the session / the stream, lent to every run,
 * CLI: ``--memory-budget 32m`` on ``run``, ``multirun`` and ``xmark``.

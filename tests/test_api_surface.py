@@ -160,7 +160,6 @@ EXPECTED_SURFACE = r"""
         "kind": "class",
         "members": {
             "close": "(self) -> 'None'",
-            "execute": "(self, query: 'QuerySource', document: 'DocumentSource', *, sink=None, options: 'Optional[ExecutionOptions]' = None, projection: 'bool' = True, **overrides) -> 'FluxRunResult'",
             "memory_telemetry": "(self) -> 'Optional[dict]'",
             "prepare": "(self, query: 'QuerySource', *, projection: 'bool' = True, apply_simplifications: 'bool' = True, require_safe: 'bool' = True) -> 'PreparedQuery'",
             "prepare_many": "(self, queries: 'Union[Mapping[str, QuerySource], Sequence[QuerySource]]', *, projection: 'bool' = True, apply_simplifications: 'bool' = True, require_safe: 'bool' = True) -> 'PreparedQuerySet'"
@@ -196,15 +195,6 @@ EXPECTED_SURFACE = r"""
             "histogram": "(self, name: 'str', help: 'str' = '', buckets: 'Sequence[float]' = (0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10.0, 60.0)) -> 'Histogram'",
             "snapshot": "(self) -> 'dict'",
             "unregister": "(self, name: 'str') -> 'None'"
-        }
-    },
-    "MultiQueryEngine": {
-        "init": "(self, registry: 'QueryRegistry', *, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None)",
-        "kind": "class",
-        "members": {
-            "fanout": "<property>",
-            "run": "(self, document: 'DocumentSource') -> 'MultiQueryRun'",
-            "run_to_sinks": "(self, document: 'DocumentSource', writables: 'Mapping[str, object]') -> 'MultiQueryRun'"
         }
     },
     "MultiQueryRun": {
@@ -269,7 +259,7 @@ EXPECTED_SURFACE = r"""
         }
     },
     "PreparedQuerySet": {
-        "init": "(self, session: \"'FluxSession'\", registry: 'QueryRegistry')",
+        "init": "(self, session: \"'FluxSession'\", engines: 'Mapping[str, FluxEngine]')",
         "kind": "class",
         "members": {
             "execute": "(self, document: 'DocumentSource', *, sinks: 'Optional[Mapping[str, object]]' = None, options: 'Optional[ExecutionOptions]' = None, **overrides) -> 'MultiQueryRun'",
@@ -282,18 +272,6 @@ EXPECTED_SURFACE = r"""
         "members": {
             "run": "(self, document: 'DocumentSource', *, collect_output: 'bool' = True) -> 'BaselineResult'",
             "run_events": "(self, events: 'Iterable[Event]', *, collect_output: 'bool' = True) -> 'BaselineResult'"
-        }
-    },
-    "QueryRegistry": {
-        "init": "(self, dtd: 'DTD', *, root_element: 'Optional[str]' = None, projection: 'bool' = True)",
-        "kind": "class",
-        "members": {
-            "fanout": "(self) -> 'DynamicFanout'",
-            "get": "(self, name: 'str') -> 'RegisteredQuery'",
-            "names": "<property>",
-            "register": "(self, name: 'str', query: 'QuerySource', *, projection: 'Optional[bool]' = None, apply_simplifications: 'bool' = True, require_safe: 'bool' = True) -> 'RegisteredQuery'",
-            "register_engine": "(self, name: 'str', engine: 'FluxEngine') -> 'RegisteredQuery'",
-            "unregister": "(self, name: 'str') -> 'RegisteredQuery'"
         }
     },
     "RunHandle": {
@@ -388,22 +366,6 @@ EXPECTED_SURFACE = r"""
     "prometheus_text": {
         "kind": "function",
         "signature": "(registry: 'MetricsRegistry') -> 'str'"
-    },
-    "run_queries": {
-        "kind": "function",
-        "signature": "(queries: 'Union[Mapping[str, Union[str, XQExpr]], Sequence[Union[str, XQExpr]]]', document: 'DocumentSource', dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None, sinks: 'Optional[Mapping[str, object]]' = None) -> 'MultiQueryRun'"
-    },
-    "run_query": {
-        "kind": "function",
-        "signature": "(query: 'Union[str, XQExpr]', document: 'DocumentSource', dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None) -> 'FluxRunResult'"
-    },
-    "run_query_streaming": {
-        "kind": "function",
-        "signature": "(query: 'Union[str, XQExpr]', document: 'DocumentSource', dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None) -> \"'StreamingRun'\""
-    },
-    "run_query_to_sink": {
-        "kind": "function",
-        "signature": "(query: 'Union[str, XQExpr]', document: 'DocumentSource', dtd: 'Union[str, DTD]', writable, *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None) -> 'FluxRunResult'"
     },
     "validate_span_tree": {
         "kind": "function",

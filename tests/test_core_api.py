@@ -1,17 +1,10 @@
-"""Unit tests for the public convenience API (repro.core)."""
+"""Unit tests for the public API helpers and a prepared query's basic shapes."""
 
 import io
 
 import pytest
 
-from repro import (
-    FluxEngine,
-    compare_engines,
-    compile_to_flux,
-    load_dtd,
-    run_query,
-    run_query_to_sink,
-)
+from repro import FluxEngine, FluxSession, compare_engines, compile_to_flux, load_dtd
 from repro.dtd.schema import ROOT_ELEMENT
 from repro.xmark.usecases import BIB_DTD_UNORDERED, BIB_DTD_USECASES, XMP_INTRO
 
@@ -20,6 +13,10 @@ DOC = (
     "<book><title>Streams</title><author>Koch</author><publisher>V</publisher><price>5</price></book>"
     "</bib>"
 )
+
+
+def _intro():
+    return FluxSession(BIB_DTD_USECASES, root_element="bib").prepare(XMP_INTRO)
 
 
 def test_load_dtd_from_text_requires_root():
@@ -41,8 +38,8 @@ def test_compile_to_flux_reports_safety_and_sources():
     assert str(compiled) == compiled.flux_source
 
 
-def test_run_query_one_shot():
-    result = run_query(XMP_INTRO, DOC, BIB_DTD_USECASES, root_element="bib")
+def test_prepared_query_executes_without_buffering():
+    result = _intro().execute(DOC)
     assert "<title>Streams</title>" in result.output
     assert result.peak_buffered_events == 0
     assert result.peak_buffered_bytes == 0
@@ -69,20 +66,20 @@ def test_compare_engines_projection_toggle_passthrough():
     assert filtered["flux"]["peak_buffered_bytes"] == unfiltered["flux"]["peak_buffered_bytes"]
 
 
-def test_run_query_to_sink_streams_to_writable():
+def test_prepared_query_streams_to_writable():
     writable = io.StringIO()
-    result = run_query_to_sink(XMP_INTRO, DOC, BIB_DTD_USECASES, writable, root_element="bib")
+    result = _intro().execute(DOC, sink=writable)
     assert result.output is None
-    collected = run_query(XMP_INTRO, DOC, BIB_DTD_USECASES, root_element="bib")
+    collected = _intro().execute(DOC)
     assert writable.getvalue() == collected.output
     assert result.stats.output_bytes == collected.stats.output_bytes
 
 
-def test_run_query_to_sink_to_file(tmp_path):
+def test_prepared_query_streams_to_file(tmp_path):
     target = tmp_path / "result.xml"
     with open(target, "w", encoding="utf-8") as handle:
-        run_query_to_sink(XMP_INTRO, DOC, BIB_DTD_USECASES, handle, root_element="bib")
-    collected = run_query(XMP_INTRO, DOC, BIB_DTD_USECASES, root_element="bib")
+        _intro().execute(DOC, sink=handle)
+    collected = _intro().execute(DOC)
     assert target.read_text(encoding="utf-8") == collected.output
 
 
@@ -103,10 +100,10 @@ def test_engine_exposes_rewrite_result():
     assert engine.plan.buffer_trees
 
 
-def test_run_query_with_file_source(tmp_path):
+def test_prepared_query_reads_a_path(tmp_path):
     path = tmp_path / "bib.xml"
     path.write_text(DOC, encoding="utf-8")
-    result = run_query(XMP_INTRO, path, BIB_DTD_USECASES, root_element="bib")
+    result = _intro().execute(path)
     assert "<title>Streams</title>" in result.output
 
 

@@ -1,8 +1,8 @@
 """Edge cases of :func:`repro.engine.engine.ensure_rooted` and its callers.
 
 ``ensure_rooted`` is the single place the virtual-root rules live: the
-engine, the multi-query registry and :func:`repro.core.api.load_dtd` all
-funnel through it.  These tests pin the behaviours the docstrings promise:
+engine, the session and :func:`repro.core.api.load_dtd` all funnel
+through it.  These tests pin the behaviours the docstrings promise:
 already-rooted DTDs pass through untouched, unknown root tags fail with
 the DTD error (not a KeyError), and rootless DTDs without a hint fail
 with a clear message.
@@ -10,12 +10,12 @@ with a clear message.
 
 import pytest
 
+from repro import FluxSession
 from repro.core.api import load_dtd
 from repro.dtd.errors import UnknownElementError
 from repro.dtd.parser import parse_dtd
 from repro.dtd.schema import ROOT_ELEMENT
 from repro.engine.engine import ensure_rooted
-from repro.multiquery import QueryRegistry
 
 _DTD_SOURCE = """
 <!ELEMENT bib (book*)>
@@ -76,11 +76,14 @@ def test_load_dtd_unknown_root_raises(plain_dtd):
         load_dtd(_DTD_SOURCE, root_element="chapter")
 
 
-def test_registry_roots_its_dtd(plain_dtd):
-    registry = QueryRegistry(plain_dtd, root_element="bib")
-    assert ROOT_ELEMENT in registry.dtd
+def test_session_roots_its_dtd(plain_dtd):
+    session = FluxSession(plain_dtd, root_element="bib")
+    assert ROOT_ELEMENT in session.dtd
+    queries = session.prepare_many(["<t>{ for $b in $ROOT/bib/book return {$b/title} }</t>"])
+    run = queries.execute("<bib><book><title>T</title></book></bib>")
+    assert run["q0"].output == "<t><title>T</title></t>"
 
 
-def test_registry_rejects_unknown_root(plain_dtd):
+def test_session_rejects_unknown_root(plain_dtd):
     with pytest.raises(UnknownElementError, match="chapter"):
-        QueryRegistry(plain_dtd, root_element="chapter")
+        FluxSession(plain_dtd, root_element="chapter")

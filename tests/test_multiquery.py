@@ -1,10 +1,10 @@
 """Multi-query shared-stream execution.
 
-The contract of :mod:`repro.multiquery` is *observational equivalence with
-amortized scanning*: for every registered query, output and per-query
-statistics must be identical to a solo :func:`repro.run_query` run -- the
-only thing that changes is that the document-side pipeline stages run once
-for the whole set.  These tests pin down
+The contract of ``session.prepare_many`` is *observational equivalence with
+amortized scanning*: for every query of the set, output and per-query
+statistics must be identical to a solo ``prepare(query).execute`` run --
+the only thing that changes is that the document-side pipeline stages run
+once for the whole set.  These tests pin down
 
 * the union filter: each slot's sub-stream of a shared pass over an N-slot
   :class:`~repro.pipeline.fanout.DynamicFanout` equals the stream of a
@@ -12,7 +12,7 @@ for the whole set.  These tests pin down
 * byte-identical per-query output in every sink mode (collected, counted,
   writable),
 * per-query peak-buffer parity with solo runs,
-* the registry/engine API surface (naming, rebuild-on-register, errors).
+* the ``prepare_many`` shapes: mapping, sequence, sinks, other schemas.
 """
 
 import io
@@ -21,14 +21,7 @@ import itertools
 import pytest
 from _reference import reference_events
 
-from repro import (
-    ExecutionOptions,
-    FluxEngine,
-    MultiQueryEngine,
-    QueryRegistry,
-    run_queries,
-    run_query,
-)
+from repro import FluxEngine, FluxSession
 from repro.fastpath import DocumentPass
 from repro.pipeline.fanout import DynamicFanout
 from repro.xmark.dtd import XMARK_DTD_SOURCE, xmark_dtd
@@ -43,16 +36,23 @@ def document():
 
 
 @pytest.fixture(scope="module")
-def registry():
-    reg = QueryRegistry(xmark_dtd())
-    for name, query in BENCHMARK_QUERIES.items():
-        reg.register(name, query)
-    return reg
+def session():
+    with FluxSession(xmark_dtd()) as session:
+        yield session
 
 
 @pytest.fixture(scope="module")
-def shared_run(registry, document):
-    return MultiQueryEngine(registry).run(document)
+def queries(session):
+    return session.prepare_many(BENCHMARK_QUERIES)
+
+
+@pytest.fixture(scope="module")
+def shared_run(queries, document):
+    return queries.execute(document)
+
+
+def _solo(session, query, document):
+    return session.prepare(query).execute(document).output
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +151,13 @@ def test_one_spec_yields_one_sub_stream_in_every_fanout_shape(document):
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_QUERIES))
-def test_multiquery_output_identical_to_solo_runs(shared_run, document, name):
-    solo = run_query(BENCHMARK_QUERIES[name], document, xmark_dtd())
-    assert shared_run[name].output == solo.output
+def test_multiquery_output_identical_to_solo_runs(session, shared_run, document, name):
+    assert shared_run[name].output == _solo(session, BENCHMARK_QUERIES[name], document)
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_QUERIES))
-def test_multiquery_peak_buffer_parity(shared_run, registry, document, name):
-    solo = registry.get(name).engine.execute(document)
+def test_multiquery_peak_buffer_parity(shared_run, queries, document, name):
+    solo = queries.engines[name].execute(document)
     shared = shared_run[name].stats
     assert shared.peak_buffered_events == solo.stats.peak_buffered_events
     assert shared.peak_buffered_bytes == solo.stats.peak_buffered_bytes
@@ -167,137 +166,199 @@ def test_multiquery_peak_buffer_parity(shared_run, registry, document, name):
     assert shared.input_bytes == solo.stats.input_bytes
 
 
-def test_multiquery_counting_sink_mode(registry, shared_run, document):
+def test_multiquery_counting_sink_mode(queries, shared_run, document):
     """``collect_output=False`` keeps the statistics, drops the text."""
-    run = MultiQueryEngine(registry, options=ExecutionOptions(collect_output=False)).run(document)
-    for name in registry.names:
+    run = queries.execute(document, collect_output=False)
+    for name in queries.names:
         assert run[name].output is None
         assert run[name].stats.output_bytes == shared_run[name].stats.output_bytes
 
 
-def test_multiquery_writable_sink_mode(registry, shared_run, document):
+def test_multiquery_writable_sink_mode(queries, shared_run, document):
     """Per-query writables receive byte-identical streamed output."""
-    writables = {name: io.StringIO() for name in registry.names}
-    run = MultiQueryEngine(registry).run_to_sinks(document, writables)
-    for name in registry.names:
+    writables = {name: io.StringIO() for name in queries.names}
+    run = queries.execute(document, sinks=writables)
+    for name in queries.names:
         assert run[name].output is None
         assert writables[name].getvalue() == shared_run[name].output
 
 
-def test_multiquery_writable_sink_requires_all_sinks(registry, document):
+def test_multiquery_writable_sink_requires_all_sinks(queries, document):
     with pytest.raises(ValueError, match="no writable provided"):
-        MultiQueryEngine(registry).run_to_sinks(document, {"Q1": io.StringIO()})
+        queries.execute(document, sinks={"Q1": io.StringIO()})
 
 
-def test_multiquery_projection_disabled_matches(document):
-    reg = QueryRegistry(xmark_dtd(), projection=False)
-    for name in ("Q1", "Q13", "Q20"):
-        reg.register(name, BENCHMARK_QUERIES[name])
-    run = MultiQueryEngine(reg).run(document)
-    for name in ("Q1", "Q13", "Q20"):
-        assert run[name].output == run_query(BENCHMARK_QUERIES[name], document, xmark_dtd()).output
-
-
-def test_multiquery_mixed_projection_override(document):
-    """One query opting out of projection must not disturb the others."""
-    reg = QueryRegistry(xmark_dtd())
-    reg.register("filtered", BENCHMARK_QUERIES["Q13"])
-    reg.register("unfiltered", BENCHMARK_QUERIES["Q20"], projection=False)
-    run = MultiQueryEngine(reg).run(document)
-    assert run["filtered"].output == run_query(BENCHMARK_QUERIES["Q13"], document, xmark_dtd()).output
-    assert run["unfiltered"].output == run_query(BENCHMARK_QUERIES["Q20"], document, xmark_dtd()).output
-
-
-# ---------------------------------------------------------------------------
-# Registry / engine API
-
-
-def test_registry_rejects_duplicate_names(registry):
-    with pytest.raises(ValueError, match="already registered"):
-        registry_copy = QueryRegistry(xmark_dtd())
-        registry_copy.register("Q1", BENCHMARK_QUERIES["Q1"])
-        registry_copy.register("Q1", BENCHMARK_QUERIES["Q13"])
-
-
-def test_registry_lookup_and_order(registry):
-    assert registry.names == tuple(BENCHMARK_QUERIES)
-    assert len(registry) == len(BENCHMARK_QUERIES)
-    assert "Q8" in registry
-    assert registry.get("Q8").index == list(BENCHMARK_QUERIES).index("Q8")
-    with pytest.raises(KeyError, match="no query registered"):
-        registry.get("Q999")
-
-
-def test_engine_rebuilds_merged_filter_on_register(document):
-    reg = QueryRegistry(xmark_dtd())
-    reg.register("Q13", BENCHMARK_QUERIES["Q13"])
-    engine = MultiQueryEngine(reg)
-    engine.run(document)
-    first = engine.fanout
-    engine.run(document)
-    assert engine.fanout is first  # attached once while the set is stable
-    reg.register("Q20", BENCHMARK_QUERIES["Q20"])
-    run = engine.run(document)
-    assert engine.fanout is not first
-    assert engine.fanout.width == 2 and engine.fanout.recompiles == 0
-    assert set(run) == {"Q13", "Q20"}
-
-
-def test_engine_requires_registered_queries(document):
-    engine = MultiQueryEngine(QueryRegistry(xmark_dtd()))
-    with pytest.raises(ValueError, match="no queries"):
-        engine.run(document)
-
-
-# ---------------------------------------------------------------------------
-# run_queries convenience
-
-
-def test_run_queries_with_mapping(document):
-    run = run_queries(
-        {"a": BENCHMARK_QUERIES["Q1"], "b": BENCHMARK_QUERIES["Q13"]},
-        document,
-        XMARK_DTD_SOURCE,
-        root_element="site",
+def test_multiquery_projection_disabled_matches(session, document):
+    names = ("Q1", "Q13", "Q20")
+    unfiltered = session.prepare_many(
+        {name: BENCHMARK_QUERIES[name] for name in names}, projection=False
     )
+    assert all(engine.projection_spec is None for engine in unfiltered.engines.values())
+    run = unfiltered.execute(document)
+    for name in names:
+        assert run[name].output == _solo(session, BENCHMARK_QUERIES[name], document)
+
+
+# ---------------------------------------------------------------------------
+# prepare_many shapes
+
+
+def test_prepare_many_with_mapping(session, document):
+    with FluxSession(XMARK_DTD_SOURCE, root_element="site") as from_source:
+        run = from_source.prepare_many(
+            {"a": BENCHMARK_QUERIES["Q1"], "b": BENCHMARK_QUERIES["Q13"]}
+        ).execute(document)
     assert set(run.outputs()) == {"a", "b"}
-    assert run["a"].output == run_query(BENCHMARK_QUERIES["Q1"], document, xmark_dtd()).output
+    assert run["a"].output == _solo(session, BENCHMARK_QUERIES["Q1"], document)
 
 
-def test_run_queries_rejects_bare_string(document):
-    with pytest.raises(TypeError, match="mapping or a sequence"):
-        run_queries(BENCHMARK_QUERIES["Q1"], document, xmark_dtd())
-
-
-def test_run_queries_with_sequence_autonames(document):
-    run = run_queries(
-        [BENCHMARK_QUERIES["Q1"], BENCHMARK_QUERIES["Q13"]],
-        document,
-        xmark_dtd(),
+def test_prepare_many_with_sequence_autonames(session, document):
+    run = session.prepare_many([BENCHMARK_QUERIES["Q1"], BENCHMARK_QUERIES["Q13"]]).execute(
+        document
     )
     assert list(run) == ["q0", "q1"]
 
 
-def test_run_queries_with_sinks(document):
+def test_prepare_many_with_sinks(session, document):
     sinks = {"a": io.StringIO(), "b": io.StringIO()}
-    run = run_queries(
-        {"a": BENCHMARK_QUERIES["Q13"], "b": BENCHMARK_QUERIES["Q20"]},
-        document,
-        xmark_dtd(),
-        sinks=sinks,
-    )
+    run = session.prepare_many(
+        {"a": BENCHMARK_QUERIES["Q13"], "b": BENCHMARK_QUERIES["Q20"]}
+    ).execute(document, sinks=sinks)
     assert run["a"].output is None
-    assert sinks["a"].getvalue() == run_query(BENCHMARK_QUERIES["Q13"], document, xmark_dtd()).output
-    assert sinks["b"].getvalue() == run_query(BENCHMARK_QUERIES["Q20"], document, xmark_dtd()).output
+    assert sinks["a"].getvalue() == _solo(session, BENCHMARK_QUERIES["Q13"], document)
+    assert sinks["b"].getvalue() == _solo(session, BENCHMARK_QUERIES["Q20"], document)
 
 
-def test_run_queries_on_non_xmark_dtd(tiny_bibliography):
-    run = run_queries(
-        {"intro": XMP_INTRO, "intro2": XMP_INTRO},
-        tiny_bibliography,
-        BIB_DTD_USECASES,
-        root_element="bib",
+def test_prepare_many_on_non_xmark_dtd(tiny_bibliography):
+    with FluxSession(BIB_DTD_USECASES, root_element="bib") as bib:
+        run = bib.prepare_many({"intro": XMP_INTRO, "intro2": XMP_INTRO}).execute(
+            tiny_bibliography
+        )
+        solo = _solo(bib, XMP_INTRO, tiny_bibliography)
+    assert run["intro"].output == solo
+    assert run["intro2"].output == solo
+
+
+def test_prepare_many_reads_a_path(session, document, tmp_path):
+    path = tmp_path / "auction.xml"
+    path.write_text(document, encoding="utf-8")
+    members = {name: BENCHMARK_QUERIES[name] for name in ("Q1", "Q13")}
+    assert (
+        session.prepare_many(members).execute(path).outputs()
+        == session.prepare_many(members).execute(document).outputs()
     )
-    solo = run_query(XMP_INTRO, tiny_bibliography, BIB_DTD_USECASES, root_element="bib")
-    assert run["intro"].output == solo.output
-    assert run["intro2"].output == solo.output
+
+
+# ---------------------------------------------------------------------------
+# The prepared set: members, union fanout, per-pass bookkeeping
+
+
+def _counter(name):
+    from repro.obs.metrics import global_registry
+
+    return global_registry().counter(name)
+
+
+def test_prepared_set_names_keep_preparation_order(session, queries):
+    assert queries.names == tuple(BENCHMARK_QUERIES)
+    assert len(queries) == len(BENCHMARK_QUERIES)
+    assert list(queries.engines) == list(BENCHMARK_QUERIES)
+    # Members are the session's cached plans, not private copies.
+    assert queries.engines["Q8"] is session.prepare(BENCHMARK_QUERIES["Q8"]).engine
+
+
+def test_prepared_set_fanout_has_one_slot_per_member_in_order(queries):
+    fanout = queries.fanout
+    assert fanout.width == fanout.attaches == len(queries)
+    assert fanout.recompiles == 0
+    assert fanout.specs() == tuple(engine.projection_spec for engine in queries.engines.values())
+
+
+def test_prepared_set_keeps_its_fanout_across_passes(session, document):
+    single = session.prepare_many({"Q13": BENCHMARK_QUERIES["Q13"]})
+    first = single.execute(document)
+    fanout = single.fanout
+    assert single.execute(document).outputs() == first.outputs()
+    assert single.fanout is fanout and fanout.width == 1 and fanout.recompiles == 0
+    # A larger set is a new set with its own fanout; the first is untouched.
+    pair = session.prepare_many({"Q13": BENCHMARK_QUERIES["Q13"], "Q20": BENCHMARK_QUERIES["Q20"]})
+    assert pair.fanout is not fanout and pair.fanout.width == 2
+    assert set(pair.execute(document)) == {"Q13", "Q20"}
+    assert single.fanout.width == 1
+    assert single.execute(document).outputs() == first.outputs()
+
+
+def test_prepare_many_same_query_twice_compiles_once(document):
+    with FluxSession(xmark_dtd()) as fresh:
+        pair = fresh.prepare_many({"a": BENCHMARK_QUERIES["Q1"], "b": BENCHMARK_QUERIES["Q1"]})
+        assert fresh.cache.snapshot()["misses"] == 1
+        assert pair.engines["a"] is pair.engines["b"]
+        assert pair.fanout.width == 2  # still one seat per name
+        run = pair.execute(document)
+        assert run["a"].output == run["b"].output == _solo(fresh, BENCHMARK_QUERIES["Q1"], document)
+
+
+def test_prepare_many_projection_flag_selects_other_plans(session):
+    projected = session.prepare_many({"Q13": BENCHMARK_QUERIES["Q13"]})
+    unfiltered = session.prepare_many({"Q13": BENCHMARK_QUERIES["Q13"]}, projection=False)
+    assert projected.engines["Q13"] is not unfiltered.engines["Q13"]
+    assert projected.fanout.specs() != (None,)
+    assert unfiltered.fanout.specs() == (None,)
+
+
+def test_prepared_set_pass_releases_every_buffered_byte(shared_run):
+    # Balanced ledger: every byte a seat charged during the pass was released.
+    assert any(result.stats.peak_buffered_bytes > 0 for _, result in shared_run.items())
+    for _, result in shared_run.items():
+        assert result.stats.resident_bytes_current == 0
+
+
+def test_prepared_set_folds_every_seat_into_session_statistics(document):
+    with FluxSession(xmark_dtd()) as fresh:
+        pair = fresh.prepare_many({"a": BENCHMARK_QUERIES["Q1"], "b": BENCHMARK_QUERIES["Q13"]})
+        run = pair.execute(document)
+        statistics = fresh.statistics
+        assert statistics.runs == 2 and statistics.feed_runs == 0
+        assert statistics.output_bytes == sum(result.stats.output_bytes for _, result in run.items())
+        assert statistics.input_events == 2 * run["a"].stats.input_events
+
+
+def test_multiquery_pass_counters(queries, document):
+    passes = _counter("repro.multiquery.passes.total")
+    served = _counter("repro.multiquery.queries.total")
+    before = (passes.value, served.value)
+    queries.execute(document, collect_output=False)
+    assert (passes.value, served.value) == (before[0] + 1, before[1] + len(queries))
+    # A pass refused before it starts is not counted.
+    with pytest.raises(ValueError, match="no writable provided"):
+        queries.execute(document, sinks={})
+    assert (passes.value, served.value) == (before[0] + 1, before[1] + len(queries))
+
+
+def test_multiquery_missing_sinks_are_named_in_order(queries, document):
+    given = {name: io.StringIO() for name in ("Q1", "Q13")}
+    missing = [name for name in queries.names if name not in given]
+    with pytest.raises(ValueError) as caught:
+        queries.execute(document, sinks=given)
+    assert str(caught.value) == f"no writable provided for queries: {missing}"
+    assert all(writable.getvalue() == "" for writable in given.values())
+
+
+def test_prepared_set_seats_share_the_pass_trace(session, document):
+    pair = session.prepare_many({"a": BENCHMARK_QUERIES["Q1"], "b": BENCHMARK_QUERIES["Q13"]})
+    untraced = pair.execute(document)
+    assert untraced.trace is None and untraced.memory is None
+    traced = pair.execute(document, trace=True)
+    assert traced.trace is not None and traced.trace.mode == "multiquery"
+    assert all(result.trace is traced.trace for _, result in traced.items())
+    assert traced.outputs() == untraced.outputs()
+
+
+def test_closed_session_refuses_sets_and_their_passes(document):
+    fresh = FluxSession(xmark_dtd())
+    pair = fresh.prepare_many({"a": BENCHMARK_QUERIES["Q1"]})
+    fresh.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        fresh.prepare_many({"a": BENCHMARK_QUERIES["Q1"]})
+    with pytest.raises(RuntimeError, match="closed"):
+        pair.execute(document)

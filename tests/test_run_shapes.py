@@ -7,11 +7,12 @@ governor and what an aborted document leaves in its ledger -- is the same
 by construction.  These tests check it anyway, shape by shape.
 """
 
+import contextlib
 import json
 
 import pytest
 
-from repro import ExecutionOptions, FluxEngine, FluxSession, MultiQueryEngine, QueryRegistry
+from repro import ExecutionOptions, FluxEngine, FluxSession
 from repro.core.api import load_dtd
 from repro.engine.executor import StreamExecutor
 from repro.obs.metrics import global_registry
@@ -150,11 +151,11 @@ def test_failing_hub_seat_is_named_in_the_crash_dump(tmp_path, monkeypatch):
 
 def test_failing_multi_query_seat_is_named_in_the_crash_dump(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
-    registry = QueryRegistry(_schema())
-    registry.register("titles", TITLES)
-    _fail_plan(monkeypatch, registry.register("reordered", REORDERED).plan)
-    with pytest.raises(RuntimeError, match="injected"):
-        MultiQueryEngine(registry).run(_doc())
+    with FluxSession(_schema()) as session:
+        queries = session.prepare_many({"titles": TITLES, "reordered": REORDERED})
+        _fail_plan(monkeypatch, queries.engines["reordered"].plan)
+        with pytest.raises(RuntimeError, match="injected"):
+            queries.execute(_doc())
     dump = _crash(tmp_path)
     assert dump["mode"] == "multiquery"
     assert dump["queries"] == ["titles", "reordered"]
@@ -196,12 +197,14 @@ def _feed(document, governor):
     return outputs[-1]
 
 
-def _multi(document, governor):
-    registry = QueryRegistry(_schema())
-    registry.register("titles", TITLES)
-    registry.register("reordered", REORDERED)
-    run = MultiQueryEngine(registry, options=BOUNDED, governor=governor).run(_chunks(document))
-    return run["reordered"].output
+def _multi(document, session):
+    """A pass borrowing ``session``'s governor; without a session it runs
+    under per-run ``BOUNDED`` options and owns its governor."""
+    options = BOUNDED if session is None else None
+    queries = (session or FluxSession(_schema())).prepare_many(
+        {"titles": TITLES, "reordered": REORDERED}
+    )
+    return queries.execute(_chunks(document), options=options)["reordered"].output
 
 
 def _hub(document, governor):
@@ -218,18 +221,32 @@ SHAPES = pytest.mark.parametrize(
 )
 
 
+@contextlib.contextmanager
+def _lender(drive):
+    """``(what the shape borrows from, its ledger reader)``: a governor for
+    every shape but ``prepare_many``, which borrows a bounded session's."""
+    if drive is _multi:
+        with FluxSession(_schema(), options=BOUNDED) as session:
+            yield session, session.memory_telemetry
+    else:
+        with MemoryGovernor(
+            BOUNDED.memory_budget, page_bytes=BOUNDED.memory_page_bytes
+        ) as governor:
+            yield governor, governor.telemetry
+
+
 @SHAPES
 def test_failure_under_a_borrowed_governor_balances_its_ledger(drive):
     expected = FluxEngine(REORDERED, _schema()).execute(LONG).output
-    with MemoryGovernor(BOUNDED.memory_budget, page_bytes=BOUNDED.memory_page_bytes) as governor:
+    with _lender(drive) as (lender, telemetry):
         with pytest.raises(XMLWellFormednessError):
-            drive(BROKEN, governor)
-        assert governor.spill_count > 0, "the failure must hit with pages spilled"
-        ledger = governor.telemetry()
+            drive(BROKEN, lender)
+        ledger = telemetry()
+        assert ledger["spill_count"] > 0, "the failure must hit with pages spilled"
         assert (ledger["resident_bytes"], ledger["spill_live_bytes"]) == (0, 0)
         # Borrowed means it survives the failed run: the next one uses it.
-        assert drive(LONG, governor) == expected
-        ledger = governor.telemetry()
+        assert drive(LONG, lender) == expected
+        ledger = telemetry()
         assert (ledger["resident_bytes"], ledger["spill_live_bytes"]) == (0, 0)
 
 

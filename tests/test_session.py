@@ -31,7 +31,6 @@ from repro import (
     RunStatistics,
     WritableSink,
     load_dtd,
-    run_query,
 )
 from repro.pipeline.sinks import resolve_sink
 from repro.xmlstream.errors import XMLWellFormednessError
@@ -77,6 +76,11 @@ WEAK_DOC = (
 )
 
 
+def _solo(query, document, dtd):
+    """A throwaway session's run: the reference output of ``query``."""
+    return FluxSession(dtd, root_element="bib").prepare(query).execute(document)
+
+
 @pytest.fixture()
 def session():
     with FluxSession(BIB_DTD, root_element="bib") as sess:
@@ -116,7 +120,7 @@ def test_warm_execution_skips_parse_and_schedule(session, monkeypatch):
     """On a cache hit, neither the parser nor the scheduler may run."""
     import repro.engine.engine as engine_module
 
-    expected = run_query(QUERY, DOC, BIB_DTD, root_element="bib").output
+    expected = _solo(QUERY, DOC, BIB_DTD).output
     session.prepare(QUERY)
 
     def explode(*args, **kwargs):  # pragma: no cover - failure path
@@ -174,8 +178,8 @@ def test_dtd_fingerprint_invalidation_across_shared_cache():
     bib_again = FluxSession(BIB_DTD, root_element="bib", plan_cache=cache)
     assert bib_again.prepare(QUERY).engine is bib_plan.engine
     assert cache.snapshot()["hits"] == 1
-    # Cross-session cache hits must also feed prepare_many: the registry
-    # accepts an engine compiled by another session over an equal DTD.
+    # Cross-session cache hits must also feed prepare_many: a set runs an
+    # engine compiled by another session over an equal DTD.
     run = bib_again.prepare_many([QUERY]).execute(DOC)
     assert run["q0"].output == bib_plan.execute(DOC).output
 
@@ -221,7 +225,7 @@ def test_plan_cache_thread_safety_smoke():
 
 
 def _reference_output():
-    return run_query(QUERY, DOC, BIB_DTD, root_element="bib")
+    return _solo(QUERY, DOC, BIB_DTD)
 
 
 def test_collect_sink_conformance(session):
@@ -429,7 +433,7 @@ def test_session_shares_one_governor_across_runs():
 
 def test_dropped_session_finalizer_closes_governor():
     """Regression: a session abandoned without close() must not leak its
-    shared governor (the throwaway-session shape of the one-shot shims)."""
+    shared governor."""
     session = FluxSession(WEAK_DTD, root_element="bib", memory_budget=4096)
     session.prepare(QUERY).execute(WEAK_DOC)
     finalizer = session._release_governor
@@ -439,22 +443,15 @@ def test_dropped_session_finalizer_closes_governor():
     assert not finalizer.alive
 
 
-def test_one_shot_streaming_with_budget_owns_its_governor():
-    """Regression: the run_query_streaming shim hands governor ownership to
-    the StreamingRun (closed on exhaustion/close/gc), never to the
-    throwaway session."""
-    from repro import run_query_streaming
-
-    run = run_query_streaming(
-        QUERY,
-        WEAK_DOC,
-        WEAK_DTD,
-        root_element="bib",
-        options=ExecutionOptions(memory_budget=4096),
-    )
+def test_stream_with_a_per_run_budget_owns_its_governor():
+    """Regression: a per-run budget hands governor ownership to the
+    StreamingRun (closed on exhaustion/close/gc), never to the session."""
+    session = FluxSession(WEAK_DTD, root_element="bib")
+    run = session.prepare(QUERY).stream(WEAK_DOC, options=ExecutionOptions(memory_budget=4096))
     assert run._governor is not None  # run-owned, not session-owned
-    assert "".join(run) == run_query(QUERY, WEAK_DOC, WEAK_DTD, root_element="bib").output
+    assert "".join(run) == _solo(QUERY, WEAK_DOC, WEAK_DTD).output
     assert not run._release_governor.alive  # closed with the iteration
+    assert session._governor is None
 
 
 def test_aborted_feed_releases_buffers_back_to_shared_governor():
@@ -597,17 +594,17 @@ def test_prepared_set_attaches_its_union_fanout_once(session, monkeypatch):
     from repro.pipeline.fanout import DynamicFanout
 
     prepared_set = session.prepare_many({"t": TITLES, "a": AUTHORS})
-    first = prepared_set.execute(DOC)
-    fanout = prepared_set.registry.fanout()
+    fanout = prepared_set.fanout
+    assert fanout.attaches == len(prepared_set) == 2
     attach = DynamicFanout.attach
     late = []
     monkeypatch.setattr(
         DynamicFanout, "attach", lambda self, spec: late.append(spec) or attach(self, spec)
     )
+    first = prepared_set.execute(DOC)
     assert prepared_set.execute(DOC).outputs() == first.outputs()
-    assert late == []  # the second execute built no fanout of its own
-    assert prepared_set.registry.fanout() is fanout
-    assert fanout.attaches == len(prepared_set) == 2
+    assert late == []  # no execute attaches: the set built its fanout once
+    assert prepared_set.fanout is fanout and fanout.attaches == 2
 
 
 def test_prepare_many_sequence_autonames(session):
@@ -616,9 +613,9 @@ def test_prepare_many_sequence_autonames(session):
 
 
 def test_prepare_many_rejects_strings_and_empty(session):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="for a single query use prepare"):
         session.prepare_many(TITLES)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one query"):
         session.prepare_many({})
 
 
@@ -627,11 +624,6 @@ def test_prepare_many_to_sinks(session):
     session.prepare_many({"t": TITLES, "a": AUTHORS}).execute(DOC, sinks=targets)
     assert targets["t"].getvalue() == session.prepare(TITLES).execute(DOC).output
     assert targets["a"].getvalue() == session.prepare(AUTHORS).execute(DOC).output
-
-
-def test_session_one_shot_execute(session):
-    assert session.execute(QUERY, DOC).output == _reference_output().output
-    assert session.cache.snapshot()["misses"] == 1
 
 
 def test_session_accepts_dtd_source_text():
@@ -679,7 +671,7 @@ def test_abandoned_streaming_run_finalizer_fires_on_gc():
 def test_consumed_streaming_run_still_works_and_closes():
     run = _streaming_engine().stream(WEAK_DOC, options=BOUNDED)
     output = "".join(run)
-    assert output == run_query(QUERY, WEAK_DOC, WEAK_DTD, root_element="bib").output
+    assert output == _solo(QUERY, WEAK_DOC, WEAK_DTD).output
     assert not run._release_governor.alive
     run.close()  # idempotent after consumption
 
@@ -693,20 +685,14 @@ def test_streaming_run_without_governor_has_no_finalizer():
 
 
 # ---------------------------------------------------------------------------
-# One-shot functions
+# Options and the baseline comparison
 
 
-def test_one_shots_take_options_and_reject_the_removed_keywords():
-    result = run_query(
-        QUERY,
-        DOC,
-        BIB_DTD,
-        root_element="bib",
-        options=ExecutionOptions(collect_output=False),
-    )
-    assert result.output is None
+def test_engine_runs_take_options_and_reject_the_removed_keywords():
+    engine = FluxEngine(QUERY, load_dtd(BIB_DTD, root_element="bib"))
+    assert engine.execute(DOC, options=ExecutionOptions(collect_output=False)).output is None
     with pytest.raises(TypeError):
-        run_query(QUERY, DOC, BIB_DTD, root_element="bib", collect_output=False)
+        engine.execute(DOC, collect_output=False)
 
 
 def test_compare_engines_respects_projection_keyword():

@@ -11,7 +11,7 @@ import io
 
 import pytest
 
-from repro import ExecutionOptions, FluxEngine, MultiQueryEngine, QueryRegistry, load_dtd
+from repro import ExecutionOptions, FluxEngine, FluxSession, load_dtd
 from repro.engine.buffers import BufferManager, EventBuffer
 from repro.engine.stats import RunStatistics
 from repro.storage import (
@@ -369,19 +369,21 @@ def test_bounded_q8_actually_spills(xmark_setup):
     assert unbounded.stats.peak_buffered_bytes // 2 > 1024
 
 
+def _prepare_many(dtd, document, names):
+    """A ``prepare_many`` set of XMark queries and each one's solo output."""
+    queries = FluxSession(dtd).prepare_many({name: BENCHMARK_QUERIES[name] for name in names})
+    return queries, {name: queries.engines[name].execute(document).output for name in names}
+
+
 def test_multiquery_shared_budget_outputs_identical(xmark_setup):
     dtd, document = xmark_setup
-    registry = QueryRegistry(dtd)
-    for name in ("Q1", "Q8", "Q13"):
-        registry.register(name, BENCHMARK_QUERIES[name])
-    solo = {entry.name: entry.engine.execute(document).output for entry in registry}
+    queries, solo = _prepare_many(dtd, document, ("Q1", "Q8", "Q13"))
 
     peak = FluxEngine(BENCHMARK_QUERIES["Q8"], dtd).execute(document).stats.peak_buffered_bytes
     budget = max(peak // 2, 1024)
-    engine = MultiQueryEngine(
-        registry, options=ExecutionOptions(memory_budget=budget, memory_page_bytes=128)
+    run = queries.execute(
+        document, options=ExecutionOptions(memory_budget=budget, memory_page_bytes=128)
     )
-    run = engine.run(document)
 
     for name, output in solo.items():
         assert run[name].output == output, name
@@ -396,16 +398,12 @@ def test_multiquery_shared_budget_outputs_identical(xmark_setup):
 
 def test_multiquery_shared_budget_to_sinks_identical(xmark_setup):
     dtd, document = xmark_setup
-    registry = QueryRegistry(dtd)
-    for name in ("Q1", "Q8"):
-        registry.register(name, BENCHMARK_QUERIES[name])
-    solo = {entry.name: entry.engine.execute(document).output for entry in registry}
+    queries, solo = _prepare_many(dtd, document, ("Q1", "Q8"))
 
-    engine = MultiQueryEngine(
-        registry, options=ExecutionOptions(memory_budget=2048, memory_page_bytes=128)
+    sinks = {name: io.StringIO() for name in solo}
+    run = queries.execute(
+        document, sinks=sinks, options=ExecutionOptions(memory_budget=2048, memory_page_bytes=128)
     )
-    sinks = {name: io.StringIO() for name in ("Q1", "Q8")}
-    run = engine.run_to_sinks(document, sinks)
     for name, output in solo.items():
         assert sinks[name].getvalue() == output, name
     assert run.memory["peak_resident_bytes"] <= 2048
