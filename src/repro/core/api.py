@@ -23,7 +23,7 @@ from repro.flux.ast import FluxExpr
 from repro.flux.rewrite import rewrite_to_flux
 from repro.flux.safety import check_safety
 from repro.flux.serialize import flux_to_source
-from repro.xmlstream.parser import DocumentSource
+from repro.xmlstream.source import DocumentSource
 from repro.xquery.ast import ROOT_VARIABLE, XQExpr
 from repro.xquery.parser import parse_query
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Optional
 
-from repro.xmlstream.parser import DEFAULT_CHUNK_SIZE
+from repro.xmlstream.source import DEFAULT_CHUNK_SIZE
 
 
 @dataclass(frozen=True)

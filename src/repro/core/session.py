@@ -68,7 +68,7 @@ from repro.obs.metrics import global_registry
 from repro.obs.observer import TraceReport
 from repro.pipeline.fanout import DynamicFanout
 from repro.storage.governor import MemoryGovernor
-from repro.xmlstream.parser import DocumentSource
+from repro.xmlstream.source import DocumentSource
 from repro.xquery.ast import ROOT_VARIABLE, XQExpr
 
 #: Anything a session accepts as a query: source text, a parsed XQuery⁻

@@ -65,7 +65,7 @@ from repro.pipeline.fanout import DynamicFanout
 from repro.pipeline.projection import ProjectionSpec
 from repro.pipeline.sinks import FragmentSink, resolve_sink
 from repro.storage.governor import MemoryGovernor
-from repro.xmlstream.parser import DocumentSource
+from repro.xmlstream.source import DocumentSource
 from repro.xquery.ast import ROOT_VARIABLE, XQExpr
 from repro.xquery.parser import parse_query
 

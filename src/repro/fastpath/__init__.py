@@ -17,10 +17,12 @@ Everything between input bytes and the executor lives here:
   scan -> materialize site behind solo (pull and push), multi-query, feed
   and serve runs.
 
-The reference implementation these are tested against is the pure-Python
-tokenizer of :mod:`repro.xmlstream` (``iter_events`` / ``parse_tree``),
-which also backs the DOM baselines and the conformance oracle's expected
-output; it is not an engine path.
+The reference these are tested against is the stdlib expat event stream
+of :mod:`repro.xmlstream.parser` (``iter_events`` / ``parse_tree``), which
+also backs the DOM baselines and the conformance oracle's expected output;
+it is not an engine path and shares no tokenizing code with the scanner
+(string-level parsing deferred to materialization is in
+:mod:`repro.fastpath.markup`).
 """
 
 from __future__ import annotations

@@ -16,11 +16,11 @@ parallel columns instead of per-event dataclasses:
   nowhere in the source bytes, so there is no span to point at).
 
 Apart from those, nothing in a batch owns decoded text: the UTF-8 decode,
-entity decoding and attribute parsing all happen in :func:`materialize` --
-once, for survivors only.  Adjacent character rows are merged during
-materialization, so downstream sees one event per logical text node (within
-a batch; batch boundaries never split one text node, because the scanner
-holds text pending until the next ``<``).
+line-end normalisation, entity decoding and attribute parsing all happen in
+:func:`materialize` -- once, for survivors only.  Adjacent character rows
+are merged during materialization, so downstream sees one event per logical
+text node (within a batch; batch boundaries never split one text node,
+because the scanner holds text pending until the next ``<``).
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from __future__ import annotations
 from array import array
 from typing import Callable, List, Optional, Sequence
 
+from repro.fastpath.markup import decode_entities, normalize_newlines, parse_tag_body
 from repro.fastpath.tags import TagTable
 from repro.xmlstream.errors import XMLWellFormednessError
-from repro.xmlstream.events import Characters, Event
-from repro.xmlstream.events import EndElement, StartElement
-from repro.xmlstream.tokenizer import decode_entities, parse_tag_body
+from repro.xmlstream.events import Characters, EndElement, Event, StartElement
 
 #: Row kinds (3 bits of the packed word).
 K_START = 0  # interned start tag, no attributes
@@ -127,6 +126,7 @@ class SoABatch:
                     end = spans[si + 1]
                     si += 2
                     text = buffer[start:end].decode("utf-8")
+                    text = normalize_newlines(text) if "\r" in text else text
                     if kind == K_TEXT and "&" in text:
                         text = decode_entities(text, start)
                     pending = text if pending is None else pending + text
@@ -206,6 +206,7 @@ class SoABatch:
                     end = spans[si + 1]
                     si += 2
                     text = buffer[start:end].decode("utf-8")
+                    text = normalize_newlines(text) if "\r" in text else text
                     if kind == K_TEXT and "&" in text:
                         text = decode_entities(text, start)
                     if parts is None:

@@ -30,7 +30,7 @@ from repro.fastpath.scanner import ByteScanner
 from repro.obs.observer import NULL_OBSERVER
 from repro.xmlstream.errors import XMLWellFormednessError
 from repro.xmlstream.events import Event
-from repro.xmlstream.parser import DocumentSource
+from repro.xmlstream.source import DocumentSource
 
 
 class DocumentPass:

@@ -17,10 +17,11 @@ What makes it fast:
 * subtrees the projection filter drops emit *nothing*, and large ones are
   not tokenized at all.  When a dropped element's end tag lies inside the
   current window and the subtree is :data:`_BULK_MIN` to :data:`_BULK_MAX`
-  bytes long, it is taken in bulk if its content plus end tag is *plain* -- ASCII, text
-  without ``&``, ``<`` or ``>``, tags exactly ``<name>`` / ``</name>`` --
-  and expat accepts it; its events and bytes are then counted from
-  ``<``/``><`` counts and whitespace-only gaps (:func:`_plain_subtree`).
+  bytes long, it is taken in bulk if its content plus end tag is *plain* --
+  ASCII, text without ``&``, ``<`` or ``>``, tags exactly ``<name>`` /
+  ``</name>`` -- and expat accepts it; its events and bytes are then
+  counted from ``<``/``><`` counts and whitespace-only gaps
+  (:func:`_plain_subtree`).
   This is exact by construction: on plain content expat is stricter than
   the token loop and never laxer, so whatever it accepts the loop would
   have scanned without error and counted the same way, and anything else
@@ -28,17 +29,40 @@ What makes it fast:
   Input statistics are accounted pre-drop either way, so they describe the
   document that was read, not the survivors.
 
-The reference implementation is :class:`repro.xmlstream.tokenizer.Tokenizer`
+The reference is the expat event stream of :mod:`repro.xmlstream.parser`
 (+ :func:`~repro.xmlstream.attributes.expand_attributes`): for well-formed
-documents the scanner yields the same events, the same output bytes, the
-same buffered costs and the same well-formedness errors, and the test suite
-checks it differentially.  Two documented divergences exist, both limited
-to *invalid* content inside subtrees that projection drops: malformed
-attributes and bad entity-references in dropped regions are never parsed,
-so they cannot raise (except under ``expand_attrs``, where every attribute
-is parsed for the input accounting).  Input *byte* statistics are
-byte-oriented (UTF-8 length of raw text) rather than
-decoded-character-oriented; event counts match.
+documents the scanner yields the same events -- line ends and attribute
+values normalised as XML 1.0 requires -- and the test suite checks it
+differentially.  Input statistics count the reference's events, but the
+*source's* bytes: raw text by its UTF-8 length, before line-end
+normalisation, and an unexpanded attribute-bearing tag by its raw body.
+
+On malformed input one error rule relates the two:
+
+(i) if the scanner raises, the reference raises too, with the same class.
+    Exceptions: expat stops earlier at a laxity of (iii); content outside
+    the root element other than an element is a well-formedness error here
+    and often a syntax error there; a malformed attribute list (junk after
+    a start tag's name and whitespace) is parsed only when its tag is
+    materialized, so a nesting error further on may be reported first; one
+    defect that breaks two rules (an invalid byte in place of a quote) is
+    reported as whichever rule each side checks first; a leading
+    byte-order mark, and non-ASCII names on which ``str.isalnum`` and XML's
+    name table disagree, are rejected here only.
+(ii) offsets are equal, except where expat points inside the culprit: at
+    the name of a mismatched end tag (two bytes on), at the first byte that
+    cannot continue a malformed tag (the scanner points at its ``<``), at
+    the end of input for an unterminated CDATA section or DOCTYPE, and
+    anywhere for content outside the root element.
+(iii) the scanner's laxities -- it accepts what expat rejects: subtrees
+    that projection drops go unparsed (their attributes, unless
+    ``expand_attrs``; nesting, text references and text UTF-8 are still
+    checked); ``]]>`` in text; ``--`` in a comment; the content of comments
+    and processing instructions, and a processing instruction without a
+    target; ``&#0;`` and the other references to characters XML forbids;
+    control characters; duplicate attributes; whitespace after ``<`` or
+    ``</``; a DOCTYPE's internal subset; an XML declaration or DOCTYPE that
+    is not at the start.
 
 ``expand_attrs`` (the paper's attribute-to-subelement adaptation) is done
 here too: an attribute-bearing start tag emits its element row and then one
@@ -72,25 +96,20 @@ from repro.fastpath.batch import (
     decode_utf8,
 )
 from repro.fastpath.dfa import DROP, UNKNOWN, FlatProjectionTable
-from repro.fastpath.source import resolve_bytes_source
+from repro.fastpath.markup import decode_entities, parse_tag_body, valid_name
 from repro.fastpath.tags import TagTable, UNINTERNED
 from repro.xmlstream.attributes import expanded_attribute_name
 from repro.xmlstream.errors import XMLSyntaxError, XMLWellFormednessError
 from repro.xmlstream.events import Characters, EndElement, StartElement
-from repro.xmlstream.parser import DocumentSource
-from repro.xmlstream.tokenizer import (
-    _is_name_char,
-    _is_name_start,
-    decode_entities,
-    parse_tag_body,
-)
+from repro.xmlstream.source import DocumentSource, resolve_bytes_source
 
 #: A start-tag body that is just an (ASCII) name, possibly padded.
 _SIMPLE_TAG_RE = re.compile(rb"[ \t\r\n]*([A-Za-z_:][A-Za-z0-9_:.\-]*)[ \t\r\n]*\Z")
-#: The leading name of a start-tag body that carries more (attributes).
-_NAME_PREFIX_RE = re.compile(rb"[ \t\r\n]*([A-Za-z_:][A-Za-z0-9_:.\-]*)")
-#: End-tag name validation (every char a name char/start).
-_END_NAME_RE = re.compile(rb"[A-Za-z0-9_:.\-]+\Z")
+#: The leading name of a start-tag body that carries more: whitespace and
+#: attributes.  A name followed by anything else goes to :func:`parse_tag_body`.
+_NAME_PREFIX_RE = re.compile(rb"[ \t\r\n]*([A-Za-z_:][A-Za-z0-9_:.\-]*)(?=[ \t\r\n])")
+#: A start tag up to the first ``>`` outside quoted attribute values.
+_START_TAG_RE = re.compile(rb"<(?:[^\"'>]|\"[^\"]*\"|'[^']*')*>")
 
 #: Smallest dropped subtree (start tag to end tag, in bytes) worth taking in
 #: bulk; shorter ones are cheaper token by token.
@@ -484,13 +503,9 @@ class ByteScanner:
                     row = top * width
                     continue
                 # Slow path: padded, uninterned or mismatched names.
-                stripped = name_b.strip()
-                if _END_NAME_RE.match(stripped):
-                    name = stripped.decode("ascii")
-                else:
-                    name = stripped.decode("utf-8", "replace").strip()
-                    if not _valid_end_name(name):
-                        raise XMLSyntaxError(f"malformed end tag </{name}>", base + at)
+                name = decode_utf8(name_b, base + at + 2).strip()
+                if not valid_name(name):
+                    raise XMLSyntaxError(f"malformed end tag </{name}>", base + at)
                 if not stack:
                     raise XMLWellFormednessError(
                         f"unexpected closing tag </{name}>", base + at
@@ -612,13 +627,29 @@ class ByteScanner:
 
             # Generic start tag (fall-through from both start-tag branches):
             # self-closing tags, attributes, unseen/weird names.
+            if 60 in raw or 39 in raw or raw.count(b'"') & 1:
+                # The first '>' may sit inside a quoted value (an odd '"'
+                # count, or any "'"): the tag ends at the first '>' outside
+                # quotes.  No '<' may appear before it.
+                match = _START_TAG_RE.match(buf, at)
+                if match is None:
+                    if final:
+                        raise XMLSyntaxError("unterminated tag", base + at)
+                    pos = at
+                    break
+                pos = match.end()
+                raw = buf[at + 1 : pos - 1]
+                if 60 in raw:
+                    raise XMLSyntaxError(
+                        "'<' inside a start tag", base + at + 1 + raw.index(b"<")
+                    )
             self_closing = raw.endswith(b"/")
             body = raw[:-1] if self_closing else raw
             body_at = at + 1
             match = _SIMPLE_TAG_RE.match(body)
             if match is not None:
                 name_b = match.group(1)
-                tid = tags.intern(name_b, base + at)
+                tid = tags.intern(name_b)
                 if tid != UNINTERNED and not self_closing and raw != name_b:
                     # Remember the padded spelling so re-occurrences take
                     # the fast path.
@@ -629,17 +660,17 @@ class ByteScanner:
                 match = _NAME_PREFIX_RE.match(body)
                 if match is not None:
                     name_b = match.group(1)
-                    tid = tags.intern(name_b, base + at)
+                    tid = tags.intern(name_b)
                     has_attrs = True
                     name_span = (body_at + match.start(1), body_at + match.end(1))
                 else:
-                    # Non-ASCII or malformed: the reference parser decides,
-                    # so names, attributes and errors stay identical.
+                    # Non-ASCII or malformed: parse the whole body now, so
+                    # a malformed tag fails here and names come out whole.
                     name, attributes = parse_tag_body(
                         decode_utf8(body, base + body_at), base + at
                     )
                     name_b = name.encode("utf-8")
-                    tid = tags.intern(name_b, base + at)
+                    tid = tags.intern(name_b)
                     has_attrs = bool(attributes)
                     off = body.find(name_b)
                     name_span = (body_at + off, body_at + off + len(name_b))
@@ -709,7 +740,7 @@ class ByteScanner:
             else:
                 wapp((tid << TAG_SHIFT) | (cell << STATE_SHIFT))
             if children:
-                self._emit_children(batch, children, cell, base + at)
+                self._emit_children(batch, children, cell)
                 cells = table.cells
                 width = table.width
                 chars_keep = table.chars_keep
@@ -735,7 +766,7 @@ class ByteScanner:
             self._root_closed = True
         return pos
 
-    def _emit_children(self, batch: SoABatch, children, parent: int, at: int) -> None:
+    def _emit_children(self, batch: SoABatch, children, parent: int) -> None:
         """Rows for the subelements ``expand_attrs`` makes of one tag's attributes.
 
         Each name takes a projection transition from the element's state
@@ -744,7 +775,7 @@ class ByteScanner:
         tags = self.tags
         table = self.table
         for child, value in children:
-            tid = tags.intern(child.encode("utf-8"), at)
+            tid = tags.intern(child.encode("utf-8"))
             if tid != UNINTERNED:
                 cell = table.resolve(parent, tid)
                 triple = [tags.start_events[tid], tags.end_events[tid]]
@@ -785,10 +816,6 @@ def _plain_subtree(subtree: bytes, content: int):
     packed = _BLANK_GAP_RE.sub(b"><", subtree)
     tags = subtree.count(b"<", content)
     return 2 * tags - packed.count(b"><"), len(packed) - content
-
-
-def _valid_end_name(name: str) -> bool:
-    return bool(name) and all(_is_name_char(c) or _is_name_start(c) for c in name)
 
 
 __all__ = ["ByteScanner"]

@@ -19,13 +19,10 @@ per-occurrence parsing.
 
 from __future__ import annotations
 
-import re
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.xmlstream.errors import XMLSyntaxError
 from repro.xmlstream.events import EndElement, StartElement
-from repro.xmlstream.tokenizer import _is_name_char, _is_name_start
 
 #: Upper bound on interned tags (bounded memory on adversarial
 #: vocabularies); must not evict -- ids are baked into batches and the flat
@@ -34,16 +31,6 @@ TAG_TABLE_LIMIT = 1 << 16
 
 #: Sentinel id for tags past the cap (never a valid index).
 UNINTERNED = -1
-
-#: A complete, ASCII-only XML name (the overwhelmingly common case).
-_ASCII_NAME_RE = re.compile(rb"[A-Za-z_:][A-Za-z0-9_:.\-]*\Z")
-
-
-def valid_name(name: str) -> bool:
-    """Whether ``name`` is a well-formed tag name (reference tokenizer rules)."""
-    if not name or not _is_name_start(name[0]):
-        return False
-    return all(_is_name_char(char) for char in name[1:])
 
 
 class TagTable:
@@ -83,25 +70,16 @@ class TagTable:
     def __len__(self) -> int:
         return len(self.names)
 
-    def intern(self, raw: bytes, offset: int = 0) -> int:
-        """Return the id of the tag named by ``raw`` (exact bytes, no padding).
+    def intern(self, raw: bytes) -> int:
+        """Return the id of the tag named by ``raw``: the exact UTF-8 bytes of
+        a name the scanner has validated, no padding.
 
-        Validates the name on first sight (raising :class:`XMLSyntaxError`)
-        and returns
-        :data:`UNINTERNED` once the table is full.
+        Returns :data:`UNINTERNED` once the table is full.
         """
         tid = self.ids.get(raw)
         if tid is not None:
             return tid
-        if _ASCII_NAME_RE.match(raw):
-            name = raw.decode("ascii")
-        else:
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise XMLSyntaxError(f"malformed tag <{raw!r}>", offset) from exc
-            if not valid_name(name):
-                raise XMLSyntaxError(f"malformed tag <{name}>", offset)
+        name = raw.decode("utf-8")
         with self._lock:
             tid = self.ids.get(raw)
             if tid is not None:
@@ -135,4 +113,4 @@ class TagTable:
         return entry.decode("utf-8", "replace")
 
 
-__all__ = ["TagTable", "TAG_TABLE_LIMIT", "UNINTERNED", "valid_name"]
+__all__ = ["TagTable", "TAG_TABLE_LIMIT", "UNINTERNED"]

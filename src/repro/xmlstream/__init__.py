@@ -6,17 +6,15 @@ consume, buffer and serialize such event streams:
 
 * :mod:`repro.xmlstream.events` -- the event vocabulary (start/end element,
   character data, start/end document).
-* :mod:`repro.xmlstream.tokenizer` -- a hand-written, incremental XML
-  tokenizer that turns text chunks into events without ever materializing
-  the document.  It is the *reference implementation* the engine's byte
-  scanner (:mod:`repro.fastpath.scanner`) is differentially tested
-  against, and what the DOM baselines and the conformance oracle's
-  expected output are built on; it is not an engine path.
-* :mod:`repro.xmlstream.parser` -- user-facing parsing helpers built on the
-  tokenizer: :func:`~repro.xmlstream.parser.iter_event_batches` (one event
-  list per chunk), :func:`~repro.xmlstream.parser.iter_events` (flattened),
-  ``parse_events`` and ``parse_tree``.  Sources can be document text (``str``/``bytes``), paths
-  (``str``/:class:`os.PathLike`), file objects or chunk iterables.
+* :mod:`repro.xmlstream.source` -- what a document source may be (text,
+  bytes, a path, a file object, a chunk iterable) and how it is read as
+  bytes; the engine's scanner and the reference parser share it.
+* :mod:`repro.xmlstream.parser` -- the *reference* event stream, built on
+  the stdlib expat parser: :func:`~repro.xmlstream.parser.iter_events`,
+  ``parse_events`` and ``parse_tree``.  The engine's byte scanner
+  (:mod:`repro.fastpath.scanner`) is differentially tested against it, and
+  the DOM baselines and the conformance oracle's expected output are built
+  on it; it is not an engine path.
 * :mod:`repro.xmlstream.serializer` -- events back to XML text.
 * :mod:`repro.xmlstream.tree` -- a small in-memory node tree used by the
   reference/baseline evaluators and for inspecting buffered data.
@@ -34,12 +32,7 @@ from repro.xmlstream.events import (
     is_element_event,
 )
 from repro.xmlstream.errors import XMLSyntaxError
-from repro.xmlstream.parser import (
-    iter_event_batches,
-    iter_events,
-    parse_events,
-    parse_tree,
-)
+from repro.xmlstream.parser import iter_events, parse_events, parse_tree
 from repro.xmlstream.serializer import (
     escape_text,
     serialize_event,
@@ -61,7 +54,6 @@ __all__ = [
     "events_to_tree",
     "expand_attributes",
     "is_element_event",
-    "iter_event_batches",
     "iter_events",
     "parse_events",
     "parse_tree",

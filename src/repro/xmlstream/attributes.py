@@ -37,8 +37,8 @@ def expand_attributes(events: Iterable[Event]) -> Iterator[Event]:
     """Expand attributes of every start-element event into leading subelements.
 
     The produced stream contains no attributes.  Expansion order follows the
-    (sorted) attribute order of the event, which keeps the transformation
-    deterministic.
+    attribute order of the event (document order from the parsers), which
+    keeps the transformation deterministic.
     """
     for event in events:
         if isinstance(event, StartElement) and event.attributes:

@@ -2,11 +2,11 @@
 
 
 class XMLSyntaxError(ValueError):
-    """Raised when the tokenizer encounters malformed XML.
+    """Raised when a parser or the scanner encounters malformed XML.
 
-    The error carries the (approximate) character offset at which the
-    problem was detected, which is useful when debugging generated or
-    hand-written test documents.
+    The error carries the absolute byte offset at which the problem was
+    detected, which is useful when debugging generated or hand-written test
+    documents.
     """
 
     def __init__(self, message, offset=None):

@@ -11,7 +11,7 @@ Events are plain frozen dataclasses:
 * :class:`StartDocument` / :class:`EndDocument` -- document boundaries.
 * :class:`StartElement` -- an opening tag; carries the tag name and an
   attribute mapping (the core data model of the paper is attribute-free, but
-  the tokenizer still reports attributes so that the expansion pass in
+  the parsers still report attributes so that the expansion pass in
   :mod:`repro.xmlstream.attributes` can convert them into subelements).
 * :class:`EndElement` -- a closing tag.
 * :class:`Characters` -- character data.

@@ -1,170 +1,136 @@
-"""User-facing parsing helpers.
+"""The reference event stream, built on the stdlib expat parser.
 
-These wrap the incremental tokenizer with convenient entry points:
+:func:`iter_events` streams SAX-style events from any
+:data:`~repro.xmlstream.source.DocumentSource`; :func:`parse_events` and
+:func:`parse_tree` materialize them as a list or a tree.  Documents are read
+as bytes through :func:`~repro.xmlstream.source.resolve_bytes_source` (the
+scanner's own source rule), decoded as UTF-8 whatever an XML declaration
+says, and parsed by :mod:`xml.parsers.expat`.  The engine's byte scanner is
+differentially tested against this stream, and the DOM baselines and the
+conformance oracle's expected output are built on it; it is not an engine
+path and shares no tokenizing code with the scanner.
 
-* :func:`iter_event_batches` -- stream *batches* of events (one list per text
-  chunk); the cheapest way to consume a document.
-* :func:`iter_events` -- stream events one at a time from a string, a path, a
-  file-like object, bytes, or any iterable of text chunks.
-* :func:`parse_events` -- materialize the full event list (used in tests and
-  by the baselines).
-* :func:`parse_tree` -- parse straight into an :class:`~repro.xmlstream.tree.XMLNode`.
+The stream follows the paper's data model:
 
-A plain ``str`` source is treated as *document text* when (ignoring leading
-whitespace) it starts with ``<`` -- every well-formed XML document does --
-and as a file path otherwise.  ``bytes`` are always document text (decoded
-as UTF-8) and :class:`os.PathLike` objects are always paths, so callers can
-be explicit when the heuristic is not wanted.
+* character data is one :class:`Characters` event per segment between two
+  pieces of markup (tags, comments, processing instructions, CDATA section
+  boundaries); with ``strip_whitespace`` a whitespace-only segment
+  (``str.isspace``) is dropped.  Line ends and attribute values are
+  normalised as XML 1.0 requires;
+* attributes come in document order, only those the document specifies;
+* only the five predefined entities and character references exist: an
+  entity declaration, or a reference expat would skip, is an
+  :class:`XMLSyntaxError`.
+
+Errors: the UTF-8 codec finds invalid UTF-8 (an
+:class:`XMLWellFormednessError` at the first bad byte).  Expat's errors are
+translated in one place, :meth:`_Reader.feed`: nesting and document-extent
+errors (:data:`_WELLFORMEDNESS_CODES`) become
+:class:`XMLWellFormednessError`, all others :class:`XMLSyntaxError`, at
+expat's byte offset and with expat's message.
 """
 
 from __future__ import annotations
 
 import codecs
-import io
-import mmap
-import os
-from typing import Iterable, Iterator, List, Union
+from itertools import chain
+from typing import Iterator, List
+from xml.parsers.expat import ExpatError, ParserCreate, errors
 
 from repro.xmlstream.attributes import expand_attributes
-from repro.xmlstream.events import Event
-from repro.xmlstream.tokenizer import Tokenizer
+from repro.xmlstream.errors import XMLSyntaxError, XMLWellFormednessError
+from repro.xmlstream.events import (
+    Characters,
+    EndDocument,
+    EndElement,
+    Event,
+    StartDocument,
+    StartElement,
+)
+from repro.xmlstream.source import DEFAULT_CHUNK_SIZE, DocumentSource, resolve_bytes_source
 from repro.xmlstream.tree import XMLNode, events_to_tree
 
-#: Default read size for file-like sources, small enough to keep memory flat.
-DEFAULT_CHUNK_SIZE = 64 * 1024
-
-DocumentSource = Union[str, bytes, os.PathLike, io.IOBase, Iterable[str]]
-
-
-def _chunks_from_path(path: Union[str, os.PathLike], chunk_size: int) -> Iterator[str]:
-    """Decode a file in bounded chunks over a read-only ``mmap``.
-
-    Mapping the file lets the page cache serve the bytes directly (no
-    buffered-reader copies); decoding stays incremental, so multi-byte code
-    points straddling a chunk boundary are handled and memory stays flat.
-    Empty files (``mmap`` rejects length zero) and unmappable handles fall
-    back to a plain read.
-    """
-    with open(path, "rb") as handle:
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            text = handle.read().decode("utf-8")
-            if text:
-                yield text
-            return
-        try:
-            yield from _decode_buffer_chunks(mapped, chunk_size)
-        finally:
-            mapped.close()
-
-
-def _decode_buffer_chunks(buffer, chunk_size: int) -> Iterator[str]:
-    """Incrementally decode an in-memory byte buffer in bounded chunks."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    length = len(buffer)
-    for start in range(0, length, chunk_size):
-        chunk = decoder.decode(buffer[start : start + chunk_size])
-        if chunk:
-            yield chunk
-    tail = decoder.decode(b"", final=True)
-    if tail:
-        yield tail
-
-
-def _chunks_from_text(text: str, chunk_size: int) -> Iterator[str]:
-    """Slice an in-memory document so downstream batches stay bounded."""
-    if len(text) <= chunk_size:
-        yield text
-        return
-    for start in range(0, len(text), chunk_size):
-        yield text[start : start + chunk_size]
-
-
-def _looks_like_document(text: str) -> bool:
-    """First non-whitespace character is ``<`` -- without copying ``text``.
-
-    (``text.lstrip()`` would duplicate a potentially huge in-memory
-    document just to inspect one character.)
-    """
-    for char in text:
-        if not char.isspace():
-            return char == "<"
-    return False
-
-
-def _chunks_from_source(source: DocumentSource, chunk_size: int) -> Iterator[str]:
-    """Yield text chunks from any supported document source.
-
-    A ``str`` is document text when it starts with ``<`` after leading
-    whitespace, otherwise a file path.  ``bytes`` are always document text;
-    :class:`os.PathLike` always reads from disk.
-    """
-    if isinstance(source, str):
-        if _looks_like_document(source):
-            yield from _chunks_from_text(source, chunk_size)
-        else:
-            yield from _chunks_from_path(source, chunk_size)
-        return
-    if isinstance(source, (bytes, bytearray)):
-        # Incremental decode per chunk -- never one whole-document str copy.
-        yield from _decode_buffer_chunks(source, chunk_size)
-        return
-    if isinstance(source, os.PathLike):
-        yield from _chunks_from_path(source, chunk_size)
-        return
-    if hasattr(source, "read"):
-        decoder = None
-        while True:
-            chunk = source.read(chunk_size)
-            if not chunk:
-                if decoder is not None:
-                    tail = decoder.decode(b"", final=True)
-                    if tail:
-                        yield tail
-                return
-            if isinstance(chunk, bytes):
-                # Incremental decoding: a multi-byte code point may straddle
-                # a chunk boundary.
-                if decoder is None:
-                    decoder = codecs.getincrementaldecoder("utf-8")()
-                chunk = decoder.decode(chunk)
-                if not chunk:
-                    continue
-            yield chunk
-        return
-    for chunk in source:
-        yield chunk
-
-
-def iter_event_batches(
-    source: DocumentSource,
-    *,
-    strip_whitespace: bool = True,
-    expand_attrs: bool = False,
-    document_events: bool = True,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[List[Event]]:
-    """Stream batches of SAX-style events, one list per text chunk.
-
-    Each fed chunk becomes one bounded batch of events, so per-event
-    generator overhead is paid once per batch instead of once per token.
-    """
-    tokenizer = Tokenizer(
-        strip_whitespace=strip_whitespace,
-        report_document_events=document_events,
+#: Expat errors about nesting and the document's extent.
+_WELLFORMEDNESS_CODES = frozenset(
+    errors.codes[message]
+    for message in (
+        errors.XML_ERROR_NO_ELEMENTS,
+        errors.XML_ERROR_TAG_MISMATCH,
+        errors.XML_ERROR_JUNK_AFTER_DOC_ELEMENT,
+        errors.XML_ERROR_PARTIAL_CHAR,
     )
-    for chunk in _chunks_from_source(source, chunk_size):
-        batch = tokenizer.feed_batch(chunk)
-        if batch:
-            if expand_attrs:
-                batch = list(expand_attributes(batch))
-            yield batch
-    batch = tokenizer.close_batch()
-    if batch:
-        if expand_attrs:
-            batch = list(expand_attributes(batch))
-        yield batch
+)
+
+
+class _Reader:
+    """One expat parser whose callbacks collect events, fed chunk by chunk."""
+
+    def __init__(self, strip_whitespace: bool):
+        self.events: List[Event] = []
+        self._text: List[str] = []
+        self._strip = strip_whitespace
+        self._fed = 0
+        self._utf8 = codecs.getincrementaldecoder("utf-8")()
+        parser = self._parser = ParserCreate("utf-8")
+        parser.buffer_text = True
+        parser.ordered_attributes = True
+        parser.specified_attributes = True
+        parser.StartElementHandler = self._start
+        parser.EndElementHandler = self._end
+        parser.CharacterDataHandler = self._text.append
+        # Markup that ends a character-data segment without an event.
+        parser.CommentHandler = self._flush
+        parser.ProcessingInstructionHandler = self._flush
+        parser.StartCdataSectionHandler = self._flush
+        parser.EndCdataSectionHandler = self._flush
+        parser.EntityDeclHandler = self._entity_declared
+        parser.SkippedEntityHandler = self._entity_skipped
+
+    def feed(self, chunk: bytes, final: bool) -> List[Event]:
+        """Parse one chunk; return (and forget) the events it completed."""
+        parser = self._parser
+        pending = len(self._utf8.getstate()[0])
+        try:
+            try:
+                self._utf8.decode(chunk, final)
+            except UnicodeDecodeError as exc:
+                bad = self._fed - pending + exc.start
+                # An error expat finds before the bad byte comes first.
+                parser.Parse(chunk[: max(bad - self._fed, 0)], False)
+                raise XMLWellFormednessError(f"invalid UTF-8 in document: {exc.reason}", bad)
+            parser.Parse(chunk, final)
+        except ExpatError as exc:
+            kind = XMLWellFormednessError if exc.code in _WELLFORMEDNESS_CODES else XMLSyntaxError
+            raise kind(errors.messages[exc.code], max(parser.ErrorByteIndex, 0)) from None
+        self._fed += len(chunk)
+        events, self.events = self.events, []
+        return events
+
+    def _flush(self, *_markup) -> None:
+        text = self._text
+        if text:
+            segment = "".join(text)
+            text.clear()
+            if not (self._strip and segment.isspace()):
+                self.events.append(Characters(segment))
+
+    def _start(self, name: str, attributes: List[str]) -> None:
+        if self._text:
+            self._flush()
+        pairs = tuple(zip(attributes[::2], attributes[1::2])) if attributes else ()
+        self.events.append(StartElement(name, pairs))
+
+    def _end(self, name: str) -> None:
+        if self._text:
+            self._flush()
+        self.events.append(EndElement(name))
+
+    def _entity_declared(self, name: str, *_declaration) -> None:
+        at = self._parser.CurrentByteIndex
+        raise XMLSyntaxError(f"unsupported entity declaration {name!r}", at)
+
+    def _entity_skipped(self, name: str, _parameter: bool) -> None:
+        raise XMLSyntaxError(f"unknown entity &{name};", self._parser.CurrentByteIndex)
 
 
 def iter_events(
@@ -177,29 +143,29 @@ def iter_events(
 ) -> Iterator[Event]:
     """Stream SAX-style events from ``source``.
 
-    Parameters
-    ----------
-    source:
-        Document text (``str`` starting with ``<``, or ``bytes``), a path
-        (``str`` or :class:`os.PathLike`), an open file object, or an
-        iterable of chunks.
-    strip_whitespace:
-        Drop whitespace-only character data (the default; the paper's data
-        model has element-only content almost everywhere).
-    expand_attrs:
-        Apply the attribute-to-subelement expansion of
-        :mod:`repro.xmlstream.attributes`.
-    document_events:
-        Whether to emit :class:`StartDocument`/:class:`EndDocument` markers.
+    ``strip_whitespace`` drops whitespace-only character data (the paper's
+    data model has element-only content almost everywhere);
+    ``expand_attrs`` applies the attribute-to-subelement expansion of
+    :mod:`repro.xmlstream.attributes`; ``document_events`` adds the
+    :class:`StartDocument`/:class:`EndDocument` markers.  ``chunk_size``
+    bytes are parsed at a time; the events do not depend on it.
     """
-    for batch in iter_event_batches(
-        source,
-        strip_whitespace=strip_whitespace,
-        expand_attrs=expand_attrs,
-        document_events=document_events,
-        chunk_size=chunk_size,
-    ):
-        yield from batch
+    kind, data, closer = resolve_bytes_source(source, chunk_size)
+    if kind == "buffer":
+        buffer = data
+        data = (buffer[at : at + chunk_size] for at in range(0, len(buffer), chunk_size))
+    reader = _Reader(strip_whitespace)
+    try:
+        if document_events:
+            yield StartDocument()
+        # Sources never yield an empty chunk: the closing ``b""`` is final.
+        for chunk in chain(data, [b""]):
+            batch = reader.feed(chunk, final=not chunk)
+            yield from expand_attributes(batch) if expand_attrs else batch
+        if document_events:
+            yield EndDocument()
+    finally:
+        closer()
 
 
 def parse_events(
@@ -210,32 +176,21 @@ def parse_events(
     document_events: bool = True,
 ) -> List[Event]:
     """Parse ``source`` and return the complete list of events."""
-    events: List[Event] = []
-    for batch in iter_event_batches(
-        source,
-        strip_whitespace=strip_whitespace,
-        expand_attrs=expand_attrs,
-        document_events=document_events,
-    ):
-        events.extend(batch)
-    return events
-
-
-def parse_tree(
-    source: DocumentSource,
-    *,
-    strip_whitespace: bool = True,
-    expand_attrs: bool = False,
-) -> XMLNode:
-    """Parse ``source`` into an in-memory tree and return the root element."""
-    root = events_to_tree(
+    return list(
         iter_events(
             source,
             strip_whitespace=strip_whitespace,
             expand_attrs=expand_attrs,
-            document_events=False,
+            document_events=document_events,
         )
     )
-    if root is None:
-        raise ValueError("document contains no element")
-    return root
+
+
+def parse_tree(
+    source: DocumentSource, *, strip_whitespace: bool = True, expand_attrs: bool = False
+) -> XMLNode:
+    """Parse ``source`` into an in-memory tree and return the root element."""
+    events = iter_events(
+        source, strip_whitespace=strip_whitespace, expand_attrs=expand_attrs, document_events=False
+    )
+    return events_to_tree(events)  # expat rejects a document without an element

@@ -1,7 +1,8 @@
 """Reference implementations the byte scanner is differentially tested against.
 
-Built on the pure-Python tokenizer of :mod:`repro.xmlstream` and on the
-projection automaton itself -- neither is an engine path.
+Built on the stdlib expat event stream of :mod:`repro.xmlstream.parser`
+and on the projection automaton itself -- neither is an engine path, and
+the reference shares no tokenizing code with the scanner.
 """
 
 from repro.pipeline.projection import KEEP_ALL
@@ -10,9 +11,9 @@ from repro.xmlstream.parser import iter_events
 
 
 def reference_events(document, expand_attrs=False):
-    """What the scanner must reproduce: the reference tokenizer's event
-    stream (attribute expansion included), adjacent character events merged
-    into one logical text node."""
+    """What the scanner must reproduce: the expat reference's event stream
+    (attribute expansion included), adjacent character events merged into
+    one logical text node."""
     return coalesce_text(
         iter_events(document, expand_attrs=expand_attrs, document_events=False)
     )

@@ -100,7 +100,7 @@ def test_every_run_shape_reports_the_same_error(document):
     ids=["cdata-after-root", "unknown-entity"],
 )
 def test_errors_are_located_where_the_culprit_starts(document, culprit, error):
-    """Every run shape and the reference tokenizer point at the offending
+    """Every run shape and the expat reference point at the offending
     token's first byte: a CDATA section after the root (like character data
     there), an unknown entity (not the end of its text run)."""
     at = document.index(culprit)

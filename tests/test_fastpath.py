@@ -1,8 +1,8 @@
 """The document stages: byte scanner, SoA batches, flat DFA.
 
-The scanner is tested *differentially* against the reference tokenizer of
-:mod:`repro.xmlstream` (``_reference.reference_events``), with and without
-``expand_attrs``:
+The scanner is tested *differentially* against the expat reference stream
+of :mod:`repro.xmlstream` (``_reference.reference_events``), with and
+without ``expand_attrs``:
 
 * scanner <-> reference round trips on handcrafted documents (entities,
   CDATA, comments, PIs, DOCTYPE, self-closing tags, attributes,
@@ -15,7 +15,10 @@ The scanner is tested *differentially* against the reference tokenizer of
 * the ``mmap`` file ingest,
 * invalid UTF-8 as a typed, located error in pull, push and hub runs,
 * bounded behaviour on adversarial unbounded tag vocabularies: the
-  TagTable overflow path and the reference tokenizer's FIFO cache eviction.
+  TagTable overflow path,
+* well-formed XML the scanner once got wrong: ``>`` inside a quoted
+  attribute value, XML 1.0 line-end and attribute-value normalisation, and
+  non-ASCII element names.
 """
 
 import random
@@ -23,14 +26,15 @@ import random
 import pytest
 from _reference import coalesce_text, project_events, reference_events
 
-import repro.xmlstream.tokenizer as tokenizer_module
 from repro.core import FluxSession
 from repro.fastpath import ByteScanner, TagTable
 from repro.fastpath.batch import KIND_MASK, STATE_SHIFT, TAG_MASK, TAG_SHIFT
+from repro.fastpath.markup import decode_entities
 from repro.pipeline.fanout import DynamicFanout
 from repro.serve import SubscriptionHub
+from repro.xmlstream.attributes import expand_attributes
 from repro.xmlstream.errors import XMLWellFormednessError
-from repro.xmlstream.tokenizer import Tokenizer
+from repro.xmlstream.events import Characters, EndElement, StartElement
 
 BIB_DTD = """
 <!ELEMENT bib (book)*>
@@ -143,6 +147,7 @@ HANDCRAFTED_DOCUMENTS = [
     "<a>x<b/>y<b/>z</a>",
     "<a><b><c><d><e>deep</e></d></c></b></a>",
     "<a>t1<!-- c -->t2</a>",
+    '<a><café>x</café><naïve k="v"/><ü/></a>',
 ]
 
 
@@ -230,10 +235,27 @@ def test_scanner_rejects_mismatched_and_unclosed_tags():
 #: One text node in three segments, split by a CDATA section and a comment.
 SPLIT_TEXT_DOC = "<a>x<![CDATA[ c ]]>y<!-- z -->w<b>v</b></a>"
 
+#: ``>`` inside quoted attribute values, in both quote styles and next to
+#: the other quote character, on elements TITLES keeps (``book``, ``title``)
+#: and drops (``author``).
+QUOTED_GT_DOC = (
+    '<bib><book id="b>1" note=\'say "a>b"\'><title k="1 > 0">T</title>'
+    '<author ref="x>y"/><author>A</author><publisher>P</publisher>'
+    "<price>5</price></book></bib>"
+)
+
+#: Literal line ends in text, CDATA and attribute values, next to their
+#: character references (which are kept as written).
+LINE_END_DOC = (
+    '<a k="x\ty\nz&#9;" j="p\r\nq"><b>x\r\ny\rz<![CDATA[c\r\nd]]>e&#13;</b></a>'
+)
+
 
 @EXPAND
 @pytest.mark.parametrize(
-    "document", [DOC, ATTR_DOC, SPLIT_TEXT_DOC], ids=["text", "attributes", "split-text"]
+    "document",
+    [DOC, ATTR_DOC, SPLIT_TEXT_DOC, QUOTED_GT_DOC, LINE_END_DOC],
+    ids=["text", "attributes", "split-text", "quoted-gt", "line-ends"],
 )
 @pytest.mark.parametrize("stride", [1, 2, 3, 5, 7])
 def test_push_mode_byte_feeds_match_pull(stride, document, expand):
@@ -249,7 +271,7 @@ def test_push_mode_byte_feeds_match_pull(stride, document, expand):
         fed.extend(batch.materialize())
         seen += batch.seen
         cost += batch.cost
-    if document is SPLIT_TEXT_DOC:
+    if document in (SPLIT_TEXT_DOC, LINE_END_DOC):
         # A text node whose segments land in different batches materializes
         # in pieces, one per batch, but is still counted as one node.
         fed = coalesce_text(fed)
@@ -410,17 +432,51 @@ def test_tag_table_overflow_with_attributes_and_chunked_feed(expand):
     assert len(tags) <= 2
 
 
-def test_reference_tokenizer_caches_evict_fifo_not_cold_turkey(monkeypatch):
-    monkeypatch.setattr(tokenizer_module, "_TAG_CACHE_LIMIT", 8)
-    tokenizer = Tokenizer(report_document_events=False)
-    document = "<root>" + "".join(
-        f"<t{i}>x</t{i}>" for i in range(100)
-    ) + "</root>"
-    events = tokenizer.feed_batch(document)
-    events += tokenizer.close_batch()
-    assert events == reference_events(document)
-    # The caches never exceed the cap, yet keep serving the *newest* tags:
-    # FIFO eviction, not a periodic full clear.
-    assert 0 < len(tokenizer._start_cache) <= 8
-    assert 0 < len(tokenizer._end_cache) <= 8
-    assert "t99" in {event.name for event in tokenizer._end_cache.values()}
+def test_decode_entities_without_ampersand_is_identity():
+    assert decode_entities("plain text") == "plain text"
+
+
+# ---------------------------------------------------------------------------
+# Well-formed XML the scanner once rejected or changed
+
+
+@EXPAND
+@pytest.mark.parametrize("chunk_size", [3, 64 * 1024])
+def test_gt_inside_a_quoted_attribute_value_does_not_end_the_tag(chunk_size, expand):
+    assert reference_events(QUOTED_GT_DOC)[1] == StartElement(
+        "book", (("id", "b>1"), ("note", 'say "a>b"'))
+    )
+    assert_scan_matches_reference(QUOTED_GT_DOC, chunk_size=chunk_size, expand=expand)
+    with FluxSession(BIB_DTD, root_element="bib") as session:
+        spec = session.prepare(TITLES).engine.projection_spec
+        events, _ = scan(
+            QUOTED_GT_DOC, chunk_size=chunk_size, fanout=solo_fanout(spec), expand=expand
+        )
+        assert events == project_events(spec, reference_events(QUOTED_GT_DOC, expand))
+        result = session.prepare(TITLES).execute(QUOTED_GT_DOC, expand_attrs=expand)
+        title = '<title><title_k>1 &gt; 0</title_k>T' if expand else '<title k="1 &gt; 0">T'
+        assert result.output == f"<titles>{title}</title></titles>"
+
+
+@EXPAND
+def test_line_ends_and_attribute_whitespace_are_normalised(expand):
+    expected = [
+        StartElement("a", (("k", "x y z\t"), ("j", "p q"))),
+        StartElement("b"),
+        Characters("x\ny\nzc\nde\r"),
+        EndElement("b"),
+        EndElement("a"),
+    ]
+    if expand:
+        expected = list(expand_attributes(expected))
+    assert reference_events(LINE_END_DOC, expand) == expected
+    events, (seen, _) = scan(LINE_END_DOC, expand=expand)
+    assert events == expected
+    assert seen == len(expected)
+
+
+def test_input_bytes_count_source_text_before_normalisation():
+    # The text is four source bytes, though it materializes to three
+    # characters: ``<a>`` 3 + text 4 + ``</a>`` 4.
+    events = [StartElement("a"), Characters("x\ny"), EndElement("a")]
+    assert scan("<a>x\r\ny</a>") == (events, (3, 11))

@@ -6,7 +6,7 @@ query the output has to be byte-identical across
 
 * the pipeline with the projection filter on and off,
 * collected output, streamed fragments, and the writable-sink path,
-* the executor driven directly with the reference tokenizer's events,
+* the executor driven directly with the reference (expat) events,
 * both DOM baselines (naive and projection).
 
 Plus the memory contract of the streaming API: the run must yield multiple
@@ -28,7 +28,7 @@ from repro.xmlstream.parser import parse_events
 
 
 def _execute_events(plan, events):
-    """Reference-tokenizer events straight into the executor."""
+    """Reference (expat) events straight into the executor."""
     executor = StreamExecutor(plan)
     executor.begin()
     executor.process_batch(events)

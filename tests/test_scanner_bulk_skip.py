@@ -3,7 +3,7 @@
 :class:`~repro.fastpath.ByteScanner` takes a large dropped subtree past its
 token loop when the subtree is plain and expat accepts it, and accounts for
 it from byte counts (see :mod:`repro.fastpath.scanner`).  These tests hold
-that path to the loop it short-cuts and to the reference tokenizer:
+that path to the loop it short-cuts and to the expat reference:
 
 * a seeded differential over dropped subtrees at or above the bulk
   threshold that mix plain content with every near miss of the plain rule
@@ -12,7 +12,8 @@ that path to the loop it short-cuts and to the reference tokenizer:
   ``\\x0b``/``\\x0c`` segments, NUL and ``]]>`` -- run in push mode at
   strides 1, 7, 97 and whole, and in pull mode from bytes and from a file:
   output, ``input_events``, ``input_bytes`` and error class/message/offset
-  equal a run with the bulk path disabled and the reference tokenizer;
+  equal a run with the bulk path disabled, and output, counts and error
+  class/offset equal the reference's as the scanner's error rule states;
 * XMark Q1 takes most of its bytes through the bulk path with unchanged
   input statistics;
 * an idle subscription hub, whose root element is dropped, frames
@@ -69,6 +70,10 @@ NEAR_MISSES = {
     "nul": "a\x00b",
     "cdata-end": "a]]>b",
 }
+
+#: Near misses the scanner's error rule lists as laxities: expat rejects
+#: them, the scanner does not.
+LAXITIES = ("vt-ff", "nul", "cdata-end")
 
 TEXTS = ("alpha", "beta gamma", " delta ", "x/y", "'quoted'", "a=b", "wow!", "why?")
 BLANKS = ("", " ", "\n  ", "\t", "\r\n")
@@ -151,24 +156,27 @@ def _modes(prepared, data, path):
 
 
 def _reference(data):
-    """The reference tokenizer's view, in the shape of :func:`_outcome`."""
-    text = data.decode("utf-8")
+    """The expat reference's view: its error's class and offset, or the
+    output and input statistics of its event stream."""
     try:
-        events = reference_events(text)
+        events = reference_events(data)
     except XMLSyntaxError as exc:
-        return ("error", type(exc), str(exc), exc.offset)
-    output = NaiveDomEngine(QUERY).run_tree(parse_tree(text)).output
+        return ("error", type(exc), exc.offset)
+    output = NaiveDomEngine(QUERY).run_tree(parse_tree(data)).output
     return ("ok", output, len(events), sum(event.cost_in_bytes() for event in events))
 
 
-def _comparable(outcome, data):
-    """What the reference can be held to: it counts and locates in
-    characters, the scanner in bytes, so byte totals and offsets (which
-    error messages embed) only compare on ASCII documents."""
-    if data.isascii():
-        return outcome
-    kind, first, second, _third = outcome
-    return (kind, first, None, None) if kind == "error" else (kind, first, second, None)
+def _as_reference_sees(outcome, data):
+    """What the reference can be held to.  Errors: class, and the offset
+    expat reports (at a mismatched end tag's name, two bytes on).  Runs: the
+    byte total only where the scanner's source bytes equal decoded
+    characters -- ASCII, and no CR for line-end normalisation to drop."""
+    if outcome[0] == "error":
+        _kind, error, message, offset = outcome
+        return ("error", error, offset + 2 if "mismatched closing tag" in message else offset)
+    if not data.isascii() or b"\r" in data:
+        return outcome[:3]
+    return outcome
 
 
 @pytest.fixture
@@ -215,7 +223,12 @@ def test_bulk_path_is_exact_on_near_misses(tmp_path, monkeypatch, bulk_calls):
         errors += baseline[0] == "error"
         for name, outcome in observed[seed].items():
             assert outcome == baseline, (seed, name, data)
-        assert _comparable(baseline, data) == _comparable(_reference(data), data), (seed, data)
+        reference = _reference(data)
+        if any(NEAR_MISSES[name].encode() in data for name in LAXITIES):
+            assert reference[0] == "error", (seed, data)
+        else:
+            expected = _as_reference_sees(baseline, data)
+            assert reference[: len(expected)] == expected, (seed, data)
     assert bulk_calls["accepted"] == accepted, "the disabled runs took the bulk path"
     assert 0 < errors < len(documents)
 

@@ -1,21 +1,24 @@
-"""Unit and property tests for the incremental XML tokenizer."""
+"""Unit and property tests for the reference event stream (expat-based)."""
+
+import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.xmlstream.errors import XMLSyntaxError, XMLWellFormednessError
-from repro.xmlstream.events import Characters, EndElement, StartElement
-from repro.xmlstream.parser import parse_events
+from repro.xmlstream.events import (
+    Characters,
+    EndDocument,
+    EndElement,
+    StartDocument,
+    StartElement,
+)
+from repro.xmlstream.parser import iter_events, parse_events
 from repro.xmlstream.serializer import serialize_events
-from repro.xmlstream.tokenizer import Tokenizer, decode_entities, tokenize
 
 
 def events_of(text, **kwargs):
-    return [
-        event
-        for event in tokenize(text, **kwargs)
-        if isinstance(event, (StartElement, EndElement, Characters))
-    ]
+    return parse_events(text, document_events=False, **kwargs)
 
 
 def test_simple_document():
@@ -67,8 +70,16 @@ def test_unknown_entity_raises():
         events_of("<a>&unknown;</a>")
 
 
-def test_decode_entities_without_ampersand_is_identity():
-    assert decode_entities("plain text") == "plain text"
+def test_declared_entities_are_not_part_of_the_data_model():
+    with pytest.raises(XMLSyntaxError, match="entity declaration"):
+        events_of('<!DOCTYPE a [<!ENTITY e "x">]><a>&e;</a>')
+    with pytest.raises(XMLSyntaxError, match="unknown entity &e;"):
+        events_of('<!DOCTYPE a SYSTEM "a.dtd"><a>&e;</a>')
+
+
+def test_attributes_keep_document_order_and_skip_dtd_defaults():
+    text = '<!DOCTYPE a [<!ATTLIST a d CDATA "dflt">]><a z="1" b="2"/>'
+    assert events_of(text)[0] == StartElement("a", (("z", "1"), ("b", "2")))
 
 
 def test_comments_and_pis_are_skipped():
@@ -105,12 +116,15 @@ def test_multiple_roots_raise():
 
 def test_text_outside_root_raises():
     with pytest.raises(XMLWellFormednessError):
-        events_of("hello <a/>")
+        events_of("<a/> hello")
+    # Before the root, expat calls it a syntax error.
+    with pytest.raises(XMLSyntaxError):
+        events_of(b"hello <a/>")
 
 
 def test_empty_document_raises():
     with pytest.raises(XMLWellFormednessError):
-        events_of("   ")
+        events_of(b"   ")
 
 
 def test_malformed_attribute_raises():
@@ -118,23 +132,32 @@ def test_malformed_attribute_raises():
         events_of("<a b=c></a>")
 
 
-def test_incremental_feeding_matches_single_shot():
-    text = "<bib><book><title>T &amp; A</title><author>X</author></book></bib>"
+def test_errors_carry_absolute_byte_offsets():
+    with pytest.raises(XMLWellFormednessError) as raised:
+        events_of("<a><b></c></a>")
+    assert raised.value.offset == 8  # expat points at the end tag's name
+    with pytest.raises(XMLWellFormednessError, match="invalid UTF-8") as raised:
+        list(iter_events("<a>é".encode("utf-8") + b"\xff</a>", chunk_size=1))
+    assert raised.value.offset == 5
+
+
+def test_document_events_frame_the_stream():
+    events = list(iter_events("<a/>"))
+    assert events == [StartDocument(), StartElement("a"), EndElement("a"), EndDocument()]
+
+
+def test_every_source_kind_reads_the_same_events(tmp_path):
+    text = "<bib><book><title>T &amp; Café</title><author>X</author></book></bib>"
+    path = tmp_path / "doc.xml"
+    path.write_text(text, encoding="utf-8")
     single = parse_events(text)
-    tokenizer = Tokenizer()
-    chunked = []
-    for i in range(0, len(text), 7):
-        chunked.extend(tokenizer.feed(text[i : i + 7]))
-    chunked.extend(tokenizer.close())
-    assert chunked == single
-
-
-def test_feed_after_close_is_rejected():
-    tokenizer = Tokenizer()
-    list(tokenizer.feed("<a/>"))
-    list(tokenizer.close())
-    with pytest.raises(XMLWellFormednessError):
-        list(tokenizer.feed("<b/>"))
+    assert parse_events(text.encode("utf-8")) == single
+    assert parse_events(str(path)) == single
+    assert parse_events(path) == single
+    assert parse_events(io.BytesIO(text.encode("utf-8"))) == single
+    assert parse_events(io.StringIO(text)) == single
+    # An iterable of str chunks, cut every seven characters.
+    assert parse_events(text[i : i + 7] for i in range(0, len(text), 7)) == single
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +213,9 @@ def test_parse_serialize_round_trip(tree):
 def test_chunked_parsing_is_chunk_size_independent(tree, chunk_size):
     text = _to_xml(tree)
     whole = parse_events(text, strip_whitespace=False, document_events=False)
-    tokenizer = Tokenizer(strip_whitespace=False, report_document_events=False)
-    chunked = []
-    for i in range(0, len(text), chunk_size):
-        chunked.extend(tokenizer.feed(text[i : i + chunk_size]))
-    chunked.extend(tokenizer.close())
-    assert chunked == whole
+    chunks = [text[i : i + chunk_size] for i in range(0, len(text), chunk_size)]
+    assert parse_events(chunks, strip_whitespace=False, document_events=False) == whole
+    cut = iter_events(
+        text.encode("utf-8"), strip_whitespace=False, document_events=False, chunk_size=chunk_size
+    )
+    assert list(cut) == whole
