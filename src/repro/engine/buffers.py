@@ -1,16 +1,25 @@
 """SAX-event buffers with byte/event accounting.
 
 Buffers are plain lists of events (Section 5: "Buffers are implemented as
-lists of SAX events"); every append/clear is reported to the shared
-:class:`BufferManager`, which maintains the current and peak totals used by
-the benchmark harness and by the zero-buffering assertions in the tests.
+lists of SAX events").  An append only appends and marks the buffer dirty;
+the shared :class:`BufferManager` *charges* the new events later, one owner
+ledger update and one ``record_buffered`` per dirty buffer, when
+:meth:`BufferManager.flush` runs.  The executor flushes at the end of every
+batch, before it reads any buffer, and in ``finish``; every release flushes
+the whole manager first.  Buffered totals only grow between flushes, so the
+current and peak totals (and the owner composition at the peak) the
+benchmark harness and the zero-buffering assertions read are exactly the
+per-append values -- live readers such as ``/progress`` see them at most
+one batch behind.
 
 The manager's buffer *class* is pluggable: a ``factory`` callable
 ``(manager, name) -> buffer`` swaps the plain in-heap :class:`EventBuffer`
 for any object with the same surface.  The bounded-memory subsystem uses
 this to substitute :class:`~repro.storage.paged_buffer.PagedEventBuffer`,
 whose pages a shared :class:`~repro.storage.governor.MemoryGovernor` may
-spill to disk -- the executor never knows the difference.
+spill to disk -- the executor never knows the difference.  A paged buffer
+still charges (and admits) every append itself, because the governor must
+see every page as it fills; it is never dirty.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ class BufferManager:
         self.attribution = self.stats.attribution
         self._factory = factory
         self._live_buffers = 0
+        # Buffers appended to since the last flush, in first-append order.
+        self._dirty: List["EventBuffer"] = []
 
     def create_buffer(self, name: str = "", *, source=None, scope: str = "") -> "EventBuffer":
         """Create a new, empty buffer registered with this manager.
@@ -65,8 +76,20 @@ class BufferManager:
         """Number of buffers created and not yet released."""
         return self._live_buffers
 
-    def _notify_append(self, count: int, cost: int) -> None:
-        self.stats.record_buffered(count, cost)
+    def flush(self) -> None:
+        """Charge every dirty buffer's uncharged events.
+
+        Charging all of them -- never only the buffer about to be
+        released -- is what keeps the at-peak owner composition exact: the
+        global byte peak is only reached once every pending event is
+        charged, so :meth:`~repro.obs.attrib.BufferAttribution.snapshot_peak`
+        sees each owner's full live bytes.
+        """
+        dirty = self._dirty
+        if dirty:
+            for buffer in dirty:
+                buffer._charge()
+            dirty.clear()
 
     def _notify_release(self, count: int, cost: int, resident: Optional[int] = None) -> None:
         # With N executor states running concurrently (multi-query mode),
@@ -87,8 +110,10 @@ class EventBuffer:
         self._manager = manager
         self._owner = manager.attribution.ledger(name)
         self._events: List[Event] = []
+        # Charged totals: the events before index ``_count`` are charged.
         self._count = 0
         self._cost = 0
+        self._dirty = False
         self._released = False
         self.name = name
 
@@ -106,37 +131,48 @@ class EventBuffer:
 
         This is the live list; mutating it is not part of the contract,
         but :meth:`release` stays balanced even for a consumer that
-        drains it in place.  (The spillable paged buffer returns a
-        materialized *copy* here -- do not rely on mutation.)
+        drains it in place after a flush.  (The spillable paged buffer
+        returns a materialized *copy* here -- do not rely on mutation.)
         """
         return self._events
 
     @property
     def cost_bytes(self) -> int:
-        """Approximate memory footprint of the buffered events."""
+        """Approximate memory footprint of the charged (flushed) events."""
         return self._cost
 
     # ------------------------------------------------------------ mutation
 
     def append(self, event: Event) -> None:
-        """Append one event."""
+        """Append one event; it is charged at the manager's next flush."""
         if self._released:
             raise RuntimeError(f"buffer {self.name!r} was already released")
         self._events.append(event)
-        cost = event.cost_in_bytes()
-        self._count += 1
+        if not self._dirty:
+            self._dirty = True
+            self._manager._dirty.append(self)
+
+    def _charge(self) -> None:
+        """Charge the events appended since the last flush (manager only)."""
+        self._dirty = False
+        events = self._events
+        count = len(events) - self._count
+        cost = 0
+        for event in events[self._count :]:
+            cost += event.cost_in_bytes()
+        self._count += count
         self._cost += cost
         # Owner ledger first, stats second: record_buffered snapshots the
         # per-owner composition when it sets a new peak, so the owner's
-        # live bytes must already include this event.
+        # live bytes must already include these events.
         owner = self._owner
         owner.live_bytes += cost
-        owner.live_events += 1
+        owner.live_events += count
         owner.total_bytes += cost
-        owner.total_events += 1
+        owner.total_events += count
         if owner.live_bytes > owner.peak_bytes:
             owner.peak_bytes = owner.live_bytes
-        self._manager._notify_append(1, cost)
+        self._manager.stats.record_buffered(count, cost)
 
     def extend(self, events: Iterable[Event]) -> None:
         """Append several events."""
@@ -146,14 +182,16 @@ class EventBuffer:
     def release(self) -> None:
         """Free the buffer (when its variable scope ends).
 
-        Frees exactly the totals recorded at append time (``_count`` /
-        ``_cost``), *not* the current length of the event list: a caller
-        that drained part of the exposed list (a partial flush) must still
-        see a release whose freed events and bytes match what was charged,
-        or the manager's fail-loud guards fire on a phantom imbalance.
+        Flushes the whole manager first, then frees exactly the charged
+        totals (``_count`` / ``_cost``), *not* the current length of the
+        event list: a caller that drained part of the exposed list must
+        still see a release whose freed events and bytes match what was
+        charged, or the manager's fail-loud guards fire on a phantom
+        imbalance.
         """
         if self._released:
             return
+        self._manager.flush()
         self._released = True
         owner = self._owner
         owner.live_bytes -= self._cost
@@ -168,8 +206,8 @@ class EventBuffer:
     def to_tree(self, wrapper_name: str, *, allow_open: bool = False) -> XMLNode:
         """Materialise the buffered forest under a wrapper node.
 
-        Used when an ``on-first`` handler body navigates the buffer with
-        fixed paths.  The wrapper carries the name of the scope's element so
+        Used when a ``for`` loop of an ``on-first`` handler body iterates
+        buffered nodes.  The wrapper carries the name of the scope's element so
         that relative paths behave as if they navigated the original
         element.  ``allow_open`` tolerates still-open elements -- only the
         runtime's mid-stream condition evaluation may pass it; everything

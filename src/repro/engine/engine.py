@@ -377,6 +377,10 @@ class RunHandle:
     def _abort(self, error: BaseException) -> None:
         """A failed run: forensics for engine errors, then release everything."""
         if isinstance(error, Exception):
+            # The dump reports charged buffer totals, so charge what the
+            # failed batch appended first.
+            for seat in self._live:
+                seat.executor.buffers.flush()
             stats, context = self.stats, self._annotations
             if self._failing is not None:
                 stats = self._failing.executor.stats

@@ -20,7 +20,9 @@ punctuation mechanism of Appendix B.
 
 Hot-path structure (the pipeline's *execute* stage):
 
-* events arrive in *batches*; statistics are recorded once per batch,
+* events arrive in *batches*; statistics are recorded once per batch, and
+  so are scope buffers' charges (:meth:`~repro.engine.buffers.BufferManager.flush`
+  at the end of a batch, before any buffer is read or released),
 * the run loop dispatches on the event class directly, and per-scope child
   dispatch uses the plan's precompiled ``on_by_tag`` / ``on_first`` tables
   -- no ``isinstance`` chains per event,
@@ -236,29 +238,34 @@ class StreamExecutor:
         start = self._start_element
         end = self._end_element
         chars = self._characters
+        count_input = self._count_input
         count = 0
         cost = 0
         for event in batch:
             cls = event.__class__
             if cls is StartElement:
                 count += 1
-                cost += event.cost_in_bytes()
+                if count_input:
+                    cost += event.cost_in_bytes()
                 start(event)
             elif cls is Characters:
                 count += 1
-                cost += len(event.text)
+                if count_input:
+                    cost += len(event.text)
                 chars(event)
             elif cls is EndElement:
                 count += 1
-                cost += len(event.name) + 3
+                if count_input:
+                    cost += len(event.name) + 3
                 end(event)
             elif cls is StartDocument or cls is EndDocument:
                 continue
             else:
                 raise TypeError(f"not an XML event: {event!r}")
+        self.buffers.flush()
         if count:
             stats = self.stats
-            if self._count_input:
+            if count_input:
                 stats.record_input(count, cost)
             stack = self._stack
             self._recorder.note_batch(
@@ -290,6 +297,7 @@ class StreamExecutor:
 
     def finish(self) -> ExecutionResult:
         """End of stream: close the root scope and emit the plan postlude."""
+        self.buffers.flush()
         # Fires e.g. the final "on-first past(<document element>)" handlers.
         root_frame = self._stack.pop()
         for activation in root_frame.scopes:
@@ -304,6 +312,8 @@ class StreamExecutor:
     # ------------------------------------------------------------ internals
 
     def _runtime_environment(self, joins=None) -> RuntimeEnvironment:
+        # Every buffer read goes through an environment: charge first.
+        self.buffers.flush()
         bindings = {
             var: activations[-1].binding
             for var, activations in self._active_scopes.items()
@@ -567,6 +577,7 @@ class StreamExecutor:
                     action.copy_condition
                 )
                 if allowed:
+                    self.buffers.flush()
                     self.sink.write_events(buffer.events)
                 buffer.release()
             for part in action.suffix:

@@ -12,8 +12,16 @@ blocks.  The data available for a scope variable is
 This module provides the environment abstraction
 (:class:`ScopeBinding` / :class:`RuntimeEnvironment`) and an evaluator that
 mirrors :mod:`repro.xquery.semantics` but resolves paths through that hybrid
-environment.  Variables bound by for-loops during the evaluation itself are
-ordinary tree nodes (materialised from buffers), so nested loops and join
+environment.
+
+A scope buffer is read as events, not as a tree: ``exists`` / ``empty``,
+value reads and ``{$x}`` / ``{$x/path}`` output find the elements a path
+reaches by one walk over the buffered events (:func:`_path_spans`), and
+output writes those events -- start tags without attributes, still-open
+elements closed, exactly what serialising the tree wrote -- through the
+sink's ``write_events``.  An :class:`~repro.xmlstream.tree.XMLNode` tree is
+built only when a ``for`` loop iterates buffered nodes; variables bound by
+for-loops are then ordinary tree nodes, so nested loops and join
 conditions work exactly as in the reference evaluator.
 
 Joins are indexed.  A ``for`` loop the plan gave a
@@ -25,8 +33,10 @@ each outer binding probes it by ``bisect`` for the nodes that can satisfy the
 guard.  The unchanged loop -- ``where`` and body included -- then runs over
 those candidates in document order; since they are a superset of the nodes
 that could emit anything, output is identical to the nested loop's.  The
-indexes, the materialised scope trees and memoised ``resolve_values`` results
-live in one :class:`_HandlerCache` per handler execution.
+indexes, the scope buffers' events (read once, so a paged buffer faults each
+page once for its event reads), the path matches over them, the materialised
+scope trees and memoised ``resolve_values`` results live in one
+:class:`_HandlerCache` per handler execution.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.engine.buffers import EventBuffer
 from repro.engine.plan import JoinGuard
 from repro.engine.projection import BufferTreeNode
+from repro.xmlstream.events import Characters, EndElement, Event, StartElement
 from repro.xmlstream.tree import XMLNode
 from repro.xquery.ast import (
     AndCondition,
@@ -126,16 +137,20 @@ _NO_JOINS: Dict[int, JoinGuard] = {}
 class _HandlerCache:
     """What one handler execution computes once for all its loop iterations.
 
-    ``trees`` holds the materialised scope trees; ``values`` (memoised
+    ``events`` holds each scope variable's buffered events, ``matches`` the
+    :func:`_path_spans` of a ``(variable, path)`` over them, and ``trees``
+    the materialised scope trees; ``values`` (memoised
     :meth:`RuntimeEnvironment.resolve_values`, keyed by binding identity and
     path) and ``indexes`` (one :class:`_JoinIndex` per guard and source
     binding) are allocated on first use.  Everything goes when the handler
     returns, so none of it is charged to a memory governor.
     """
 
-    __slots__ = ("trees", "values", "indexes")
+    __slots__ = ("events", "matches", "trees", "values", "indexes")
 
     def __init__(self):
+        self.events: Dict[str, List[Event]] = {}
+        self.matches: Dict[tuple, List[Tuple[int, int, bool]]] = {}
         self.trees: Dict[str, XMLNode] = {}
         self.values: Optional[Dict[tuple, List[str]]] = None
         self.indexes: Optional[Dict[tuple, "_JoinIndex"]] = None
@@ -177,10 +192,31 @@ class RuntimeEnvironment:
             trees[var] = binding.materialize()
         return trees[var]
 
+    def _buffered_matches(self, var: str, binding: ScopeBinding, path: Path):
+        """``(events, spans)`` of the elements ``path`` reaches in ``var``'s buffer.
+
+        ``None`` for the one read only the tree answers: the empty path of
+        a buffer that does not capture the scope element itself.
+        """
+        steps = (binding.element_name, *path) if binding.root_marked else path
+        if not steps:
+            return None
+        cache = self._cache
+        events = cache.events.get(var)
+        if events is None:
+            # A paged buffer decodes its spilled pages here, once.
+            buffer = binding.buffer
+            events = cache.events[var] = [] if buffer is None else buffer.events
+        key = (var, steps)
+        spans = cache.matches.get(key)
+        if spans is None:
+            spans = cache.matches[key] = _path_spans(events, steps)
+        return events, spans
+
     # ----------------------------------------------------------- resolution
 
     def resolve_nodes(self, var: str, path: Path) -> List[XMLNode]:
-        """Nodes reachable from ``var`` via ``path`` (for loops and outputs)."""
+        """Nodes reachable from ``var`` via ``path`` (what a ``for`` loop iterates)."""
         binding = self.binding(var)
         if isinstance(binding, XMLNode):
             return binding.select_path(path)
@@ -229,9 +265,11 @@ class RuntimeEnvironment:
         if isinstance(binding, XMLNode):
             return [node.text_content() for node in binding.select_path(path)]
         if binding.covers_path(path):
+            # Never None: only a root-marked buffer covers the empty path.
+            events, spans = self._buffered_matches(var, binding, path)
             return [
-                node.text_content()
-                for node in self._materialized_scope(var, binding).select_path(path)
+                "".join([e.text for e in events[start:stop] if e.__class__ is Characters])
+                for start, stop, _closed in spans
             ]
         stored = binding.stored_values(path)
         if stored is not None:
@@ -246,18 +284,84 @@ class RuntimeEnvironment:
         if isinstance(binding, XMLNode):
             return len(binding.select_path(path))
         if binding.covers_path(path):
-            return len(self._materialized_scope(var, binding).select_path(path))
+            return len(self._buffered_matches(var, binding, path)[1])
         stored = binding.stored_values(path)
         if stored is not None:
             return len(stored)
         return 0
 
-    def output_node(self, var: str) -> XMLNode:
-        """The node to serialise for ``{$var}``."""
+    def write_output(self, var: str, path: Path, sink) -> None:
+        """Write the nodes ``{$var}`` (empty ``path``) or ``{$var/path}`` outputs."""
         binding = self.binding(var)
-        if isinstance(binding, XMLNode):
-            return binding
-        return self._materialized_scope(var, binding)
+        if isinstance(binding, ScopeBinding):
+            found = self._buffered_matches(var, binding, path)
+            if found is not None:
+                events, spans = found
+                for start, stop, closed in spans:
+                    sink.write_events(_copied_element(events, start, stop, closed))
+                return
+            nodes = self._materialized_scope(var, binding).select_path(path)
+        else:
+            nodes = binding.select_path(path)
+        for node in nodes:
+            sink.write_node(node)
+
+
+# ---------------------------------------------------------------------------
+# Reading buffered events
+
+
+def _path_spans(events: List[Event], steps: Path) -> List[Tuple[int, int, bool]]:
+    """Where the elements a non-empty child path reaches from a buffered forest lie.
+
+    One ``(start, stop, closed)`` per element, in document order: its events
+    are ``events[start:stop]``, and ``closed`` is false for an element still
+    open at the end of the buffer (a mid-stream read), which the tree path
+    closes virtually.  ``matched`` is how many leading ``steps`` the chain of
+    open elements spells; a start tag extends it only while the whole chain
+    matches.
+    """
+    last = len(steps)
+    spans = []
+    depth = matched = start = 0
+    for index, event in enumerate(events):
+        cls = event.__class__
+        if cls is StartElement:
+            if matched == depth and depth < last and event.name == steps[depth]:
+                matched += 1
+                if matched == last:
+                    start = index
+            depth += 1
+        elif cls is EndElement:
+            depth -= 1
+            if matched > depth:
+                if matched == last:
+                    spans.append((start, index + 1, True))
+                matched = depth
+    if matched == last:
+        spans.append((start, len(events), False))
+    return spans
+
+
+def _copied_element(events: List[Event], start: int, stop: int, closed: bool) -> List[Event]:
+    """The events serialising the tree of ``events[start:stop]`` wrote.
+
+    Trees drop attributes, so start tags lose theirs; an element still open
+    at the end of the buffer gets the end tags ``close_open`` would add.
+    """
+    copied = [
+        StartElement(event.name) if event.__class__ is StartElement and event.attributes else event
+        for event in events[start:stop]
+    ]
+    if not closed:
+        open_names = []
+        for event in copied:
+            if event.__class__ is StartElement:
+                open_names.append(event.name)
+            elif event.__class__ is EndElement:
+                open_names.pop()
+        copied.extend(EndElement(name) for name in reversed(open_names))
+    return copied
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +464,10 @@ def execute_expression(expr: XQExpr, env: RuntimeEnvironment, sink) -> None:
             execute_expression(expr.body, env, sink)
         return
     if isinstance(expr, PathOutputExpr):
-        for node in env.resolve_nodes(expr.var, expr.path):
-            sink.write_node(node)
+        env.write_output(expr.var, expr.path, sink)
         return
     if isinstance(expr, VarOutputExpr):
-        sink.write_node(env.output_node(expr.var))
+        env.write_output(expr.var, (), sink)
         return
     raise TypeError(f"not an XQuery- expression: {expr!r}")
 

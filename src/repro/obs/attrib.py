@@ -17,13 +17,15 @@ engine mode):
   :meth:`BufferAttribution.snapshot_peak` copies every owner's live bytes
   the instant :meth:`~repro.engine.stats.RunStatistics.record_buffered`
   raises the global byte peak, which makes the attribution *exact* by
-  construction,
+  construction (a release charges every pending append first, see
+  :mod:`repro.engine.buffers`),
 * ``sum(owner.spilled_bytes) == stats.spilled_bytes_written`` -- spill
   attribution rides on the governor's pages, which carry their owner.
 
 Hot-path discipline: buffers update their owner ledger with plain integer
-attribute bumps per append/release (a handful of ops, only on runs that
-buffer at all -- streaming-only queries never touch this), and the
+attribute bumps per charge/release -- once per batch for a plain buffer,
+per append for a paged one (only on runs that buffer at all --
+streaming-only queries never touch this), and the
 peak snapshot is O(number of owners), where the owner count is the number
 of buffered variables in the plan (single digits).
 

@@ -39,7 +39,7 @@ from typing import Iterable, List, Optional
 
 from repro.engine.stats import RunStatistics
 from repro.xmlstream.events import Event
-from repro.xmlstream.serializer import serialize_event, serialize_events
+from repro.xmlstream.serializer import serialize_event
 from repro.xmlstream.tree import XMLNode
 
 
@@ -82,16 +82,16 @@ class OutputSink:
         self._emit(rendered)
 
     def write_events(self, events: Iterable[Event]) -> None:
-        """Emit a sequence of SAX events."""
-        for event in events:
-            self.write_event(event)
+        """Emit a sequence of SAX events as one serialized fragment."""
+        parts = [serialize_event(event) for event in events]
+        if parts:
+            rendered = "".join(parts)
+            self.stats.record_output(len(parts), len(rendered))
+            self._emit(rendered)
 
     def write_node(self, node: XMLNode) -> None:
         """Emit a whole subtree."""
-        events = node.to_events()
-        rendered = serialize_events(events)
-        self.stats.record_output(len(events), len(rendered))
-        self._emit(rendered)
+        self.write_events(node.to_events())
 
     def text(self) -> Optional[str]:
         """The collected output; ``None`` for non-collecting sinks."""

@@ -31,6 +31,12 @@ plain dropped subtrees, some pretty-printed, next to near misses of the
 plain rule -- an entity, a comment, CDATA, a PI, an attribute, a padded
 tag, a self-closing tag and a nested same-name element.
 
+``buffer-peak-attribution`` (``CaseGenerator(seed=101)`` case 19, its
+``q0``) pins the batch charging of scope buffers: a release within a batch
+must charge every pending append of the manager, or the logical peak of the
+unbounded run (charged per batch) falls below the per-append peak of the
+bounded run (paged buffers charge every append).
+
 The replay path itself (``.case`` parsing -> oracle) is therefore tier-1
 tested, which is what makes saved fuzz artifacts trustworthy repros.
 """
@@ -55,6 +61,7 @@ CASES = (
     "join-equality.case",
     "join-range.case",
     "dropped-subtrees.case",
+    "buffer-peak-attribution.case",
 )
 
 

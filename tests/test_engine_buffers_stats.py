@@ -7,6 +7,10 @@ from repro.engine.stats import RunStatistics
 from repro.xmlstream.events import Characters, EndElement, StartElement
 
 
+def _cost(events):
+    return sum(event.cost_in_bytes() for event in events)
+
+
 def test_buffer_append_updates_stats():
     stats = RunStatistics()
     manager = BufferManager(stats)
@@ -15,24 +19,33 @@ def test_buffer_append_updates_stats():
     buffer.append(Characters("Koch"))
     buffer.append(EndElement("author"))
     assert len(buffer) == 3
+    # Appends only append: nothing is charged before the flush.
+    assert stats.buffered_events_current == 0
+    assert buffer.cost_bytes == 0
+    manager.flush()
     assert stats.buffered_events_current == 3
     assert stats.peak_buffered_events == 3
     assert stats.buffered_bytes_current == buffer.cost_bytes > 0
+    manager.flush()  # nothing dirty: a no-op
+    assert stats.total_buffered_events == 3
 
 
 def test_release_returns_memory_but_keeps_peak():
     stats = RunStatistics()
     manager = BufferManager(stats)
     buffer = manager.create_buffer()
-    buffer.extend([StartElement("a"), EndElement("a")])
-    peak = stats.peak_buffered_bytes
+    events = [StartElement("a"), EndElement("a")]
+    buffer.extend(events)
+    # The release charges the pending appends before freeing them.
     buffer.release()
+    assert stats.peak_buffered_bytes == _cost(events)
+    assert stats.peak_buffered_events == 2
     assert stats.buffered_events_current == 0
     assert stats.buffered_bytes_current == 0
-    assert stats.peak_buffered_bytes == peak
     # releasing twice is harmless
     buffer.release()
     assert manager.live_buffers == 0
+    assert stats.peak_buffered_bytes == _cost(events)
 
 
 def test_append_after_release_is_rejected():
@@ -50,12 +63,40 @@ def test_peak_tracks_concurrent_buffers():
     second = manager.create_buffer()
     first.extend([StartElement("a"), EndElement("a")])
     second.extend([StartElement("b"), EndElement("b")])
+    manager.flush()
     assert stats.peak_buffered_events == 4
     first.release()
     second.extend([StartElement("c"), EndElement("c")])
+    manager.flush()
     # current went down to 2 then up to 4 again; the peak stays at 4.
     assert stats.buffered_events_current == 4
     assert stats.peak_buffered_events == 4
+
+
+def test_release_charges_every_pending_buffer_of_the_manager():
+    """Appends to ``$a``, then the release of ``$b`` in the same batch.
+
+    Per append, the peak is both buffers' full contents, just before the
+    release.  A release that charged only its own buffer would free ``$b``
+    before ``$a``'s appends count, and report ``$a`` alone as the peak.
+    """
+    stats = RunStatistics()
+    manager = BufferManager(stats)
+    a = manager.create_buffer("$a")
+    b = manager.create_buffer("$b")
+    b_events = [StartElement("b"), Characters("xyz"), EndElement("b")]
+    b.extend(b_events)
+    manager.flush()  # the end of an earlier batch
+    a_events = [StartElement("a"), Characters("hello"), EndElement("a")]
+    a.extend(a_events)
+    b.release()
+    manager.flush()
+    assert stats.peak_buffered_bytes == _cost(a_events) + _cost(b_events)
+    assert stats.peak_buffered_events == 6
+    at_peak = {row["variable"]: row["at_peak_bytes"] for row in stats.buffer_attribution}
+    assert at_peak == {"$a": _cost(a_events), "$b": _cost(b_events)}
+    assert sum(at_peak.values()) == stats.peak_buffered_bytes
+    assert stats.attribution.total_live_bytes() == stats.buffered_bytes_current == _cost(a_events)
 
 
 def test_unbalanced_release_cannot_drive_live_buffers_negative():
@@ -80,13 +121,14 @@ def test_unbalanced_release_cannot_drive_live_buffers_negative():
 
 def test_release_after_partial_flush_frees_recorded_totals():
     """Regression: a buffer whose exposed event list was partially drained
-    (a partial flush) must still free exactly the events/bytes recorded at
-    append time -- a release based on the *current* list length would free
+    after a flush must still free exactly the events/bytes charged by
+    that flush -- a release based on the *current* list length would free
     mismatched counts and trip the fail-loud guards on the next run."""
     stats = RunStatistics()
     manager = BufferManager(stats)
     buffer = manager.create_buffer("$x")
     buffer.extend([StartElement("a"), Characters("hello"), EndElement("a")])
+    manager.flush()
     recorded_events = stats.buffered_events_current
     recorded_bytes = stats.buffered_bytes_current
 
@@ -108,6 +150,7 @@ def test_release_after_full_external_drain_is_balanced():
     manager = BufferManager(stats)
     buffer = manager.create_buffer()
     buffer.extend([StartElement("a"), EndElement("a")])
+    manager.flush()
     buffer.events.clear()
     buffer.release()
     assert stats.buffered_events_current == 0

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.api import load_dtd
+from repro.core.options import ExecutionOptions
 from repro.engine.buffers import BufferManager
+from repro.engine.engine import FluxEngine
 from repro.engine.projection import build_buffer_tree
 from repro.engine.xquery_exec import (
     RuntimeEnvironment,
@@ -10,26 +13,11 @@ from repro.engine.xquery_exec import (
     evaluate_condition_runtime,
     execute_expression,
 )
+from repro.pipeline.sinks import CollectSink
 from repro.xmlstream.events import Characters, EndElement, StartElement
 from repro.xmlstream.tree import XMLNode
 from repro.xquery.errors import XQueryEvaluationError
 from repro.xquery.parser import parse_condition, parse_query
-
-
-class _ListSink:
-    def __init__(self):
-        self.parts = []
-
-    def write_text(self, text):
-        self.parts.append(text)
-
-    def write_node(self, node):
-        from repro.xmlstream.serializer import serialize_events
-
-        self.parts.append(serialize_events(node.to_events()))
-
-    def text(self):
-        return "".join(self.parts)
 
 
 def _book_scope_binding():
@@ -93,7 +81,7 @@ def test_unbound_variable_raises():
 
 def test_execute_expression_over_buffers():
     env = RuntimeEnvironment({"$b": _book_scope_binding()})
-    sink = _ListSink()
+    sink = CollectSink()
     expr = parse_query("<rs>{ for $a in $b/author return <r>{$a}</r> }</rs>")
     execute_expression(expr, env, sink)
     assert sink.text() == (
@@ -126,10 +114,117 @@ def test_root_marked_scope_materialises_the_element_itself():
         "$p", "person", buffer=buffer, buffer_tree=build_buffer_tree({(): True})
     )
     env = RuntimeEnvironment({"$p": binding})
-    sink = _ListSink()
+    sink = CollectSink()
     execute_expression(parse_query("{$p}"), env, sink)
     assert sink.text() == "<person><name>Ada</name></person>"
+    assert sink.stats.output_events == 5
     assert env.resolve_values("$p", ("name",)) == ["Ada"]
+
+
+# ---------------------------------------------------------------------------
+# Buffered reads walk the events; the tree path is the reference
+
+
+def _tree_output(binding, path):
+    """``(text, output_events)`` the tree path writes for ``{$x/path}``."""
+    sink = CollectSink()
+    for node in binding.materialize().select_path(path):
+        sink.write_node(node)
+    return sink.text(), sink.stats.output_events
+
+
+def _buffered_output(binding, path):
+    sink = CollectSink()
+    env = RuntimeEnvironment({binding.var: binding})
+    execute_expression(parse_query("{%s}" % "/".join((binding.var, *path))), env, sink)
+    return sink.text(), sink.stats.output_events
+
+
+def _open_person_binding():
+    """A root-marked ``$p`` read mid-stream: ``person`` and ``address`` are still open."""
+    buffer = BufferManager().create_buffer("$p")
+    buffer.extend(
+        [
+            StartElement("person", (("id", "p0"),)),
+            StartElement("name"),
+            Characters("Ada "),
+            Characters("L."),
+            EndElement("name"),
+            StartElement("address", (("kind", "home"),)),
+            StartElement("city"),
+            Characters("Lon&don"),
+            EndElement("city"),
+            StartElement("zip"),
+            Characters("N1"),
+        ]
+    )
+    return ScopeBinding("$p", "person", buffer=buffer, buffer_tree=build_buffer_tree({(): True}))
+
+
+@pytest.mark.parametrize("path", [(), ("name",), ("address",), ("address", "zip"), ("city",)])
+def test_buffered_path_output_with_open_ancestors_matches_the_tree(path):
+    binding = _open_person_binding()
+    assert _buffered_output(binding, path) == _tree_output(binding, path)
+
+
+def test_buffered_output_closes_open_elements_and_drops_attributes():
+    binding = _open_person_binding()
+    assert _buffered_output(binding, ("address",)) == (
+        "<address><city>Lon&amp;don</city><zip>N1</zip></address>",
+        8,
+    )
+    # Two text events stay two output events, as the tree's two text children.
+    assert _buffered_output(binding, ("name",)) == ("<name>Ada L.</name>", 4)
+
+
+def test_buffered_forest_output_and_conditions_match_the_tree():
+    binding = _book_scope_binding()
+    binding.buffer.append(StartElement("author", (("role", "editor"),)))
+    binding.buffer.append(EndElement("author"))
+    assert _buffered_output(binding, ("author",)) == _tree_output(binding, ("author",))
+    assert _buffered_output(binding, ("author",))[0].endswith("<author></author>")
+    env = RuntimeEnvironment({"$b": binding})
+    tree = binding.materialize()
+    for path in [("author",), ("editor",)]:
+        assert env.resolve_count("$b", path) == len(tree.select_path(path))
+    assert env.resolve_values("$b", ("author",)) == ["Koch", "Scherzinger", ""]
+    assert evaluate_condition_runtime(parse_condition("exists $b/author"), env)
+    assert not evaluate_condition_runtime(parse_condition("empty($b/author)"), env)
+
+
+def test_exists_and_empty_over_an_open_root_marked_buffer():
+    binding = _open_person_binding()
+    env = RuntimeEnvironment({"$p": binding})
+    tree = binding.materialize()
+    for path in [(), ("name",), ("address", "zip"), ("address", "street"), ("zip",)]:
+        assert env.resolve_count("$p", path) == len(tree.select_path(path)), path
+    assert evaluate_condition_runtime(parse_condition("exists $p/address/zip"), env)
+    assert evaluate_condition_runtime(parse_condition("empty($p/address/street)"), env)
+    assert env.resolve_values("$p", ("address",)) == ["Lon&donN1"]
+
+
+def test_buffered_copy_drops_attributes_a_streamed_copy_keeps():
+    """Without attribute expansion, trees never carried attributes: a
+    buffered ``{$a}`` writes ``<a>`` where a stream-copied one writes the
+    source's ``<a x="1">``."""
+    schema = load_dtd(
+        "<!ELEMENT r (a*)> <!ELEMENT a (b?, c?)> "
+        "<!ELEMENT b (#PCDATA)> <!ELEMENT c (#PCDATA)>",
+        root_element="r",
+    )
+    document = '<r><a x="1"><b y="2">t</b></a><a><c>u</c></a></r>'
+    options = ExecutionOptions(expand_attrs=False)
+    buffered = FluxEngine(
+        "<o>{ for $a in /r/a where empty($a/c) return {$a} }</o>", schema
+    ).execute(document, options=options)
+    streamed = FluxEngine("<o>{ for $a in /r/a return {$a} }</o>", schema).execute(
+        document, options=options
+    )
+    assert buffered.stats.peak_buffered_bytes > 0
+    assert buffered.output == "<o><a><b>t</b></a></o>"
+    assert buffered.stats.output_events == 5
+    assert streamed.stats.peak_buffered_bytes == 0
+    assert streamed.output == '<o><a x="1"><b y="2">t</b></a><a><c>u</c></a></o>'
 
 
 def test_scope_binding_without_buffer_behaves_as_empty():
@@ -137,6 +232,6 @@ def test_scope_binding_without_buffer_behaves_as_empty():
     env = RuntimeEnvironment({"$x": binding})
     assert env.resolve_nodes("$x", ("a",)) == []
     assert env.resolve_count("$x", ("a",)) == 0
-    sink = _ListSink()
+    sink = CollectSink()
     execute_expression(parse_query("{ for $a in $x/a return {$a} }"), env, sink)
     assert sink.text() == ""

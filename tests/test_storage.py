@@ -153,8 +153,10 @@ def test_factory_swaps_buffer_class():
 def test_paged_buffer_matches_plain_buffer_unbounded():
     events = _sample_events()
     plain_stats = RunStatistics()
-    plain = BufferManager(plain_stats).create_buffer("$x")
+    plain_manager = BufferManager(plain_stats)
+    plain = plain_manager.create_buffer("$x")
     plain.extend(events)
+    plain_manager.flush()  # plain buffers are charged per batch, paged per append
 
     governor, paged_stats, manager = _paged_manager()
     paged = manager.create_buffer("$x")
