@@ -14,7 +14,7 @@ the classic delta-debugging compromise: not globally minimal, but small
 enough to read in a bug report.
 
 The document is manipulated through a tiny attribute-preserving tree (the
-engine's :class:`~repro.xmlstream.tree.XMLNode` deliberately drops
+reference side's :class:`~repro.xmlstream.tree.XMLNode` deliberately drops
 attributes, so it cannot round-trip a document that relies on
 ``expand_attrs``).
 """

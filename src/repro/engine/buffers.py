@@ -1,7 +1,10 @@
 """SAX-event buffers with byte/event accounting.
 
 Buffers are plain lists of events (Section 5: "Buffers are implemented as
-lists of SAX events").  An append only appends and marks the buffer dirty;
+lists of SAX events"), and that is also the only form they are read in: a
+handler takes a buffer's ``events`` once per execution and walks them
+(:mod:`repro.engine.xquery_exec`); no tree is built.  An append only
+appends and marks the buffer dirty;
 the shared :class:`BufferManager` *charges* the new events later, one owner
 ledger update and one ``record_buffered`` per dirty buffer, when
 :meth:`BufferManager.flush` runs.  The executor flushes at the end of every
@@ -29,7 +32,6 @@ from typing import Callable, Iterable, List, Optional
 from repro.engine.stats import RunStatistics
 from repro.obs.attrib import BufferAttribution
 from repro.xmlstream.events import Event
-from repro.xmlstream.tree import XMLNode, events_to_tree, events_to_wrapped_tree
 
 #: Signature of a pluggable buffer factory.
 BufferFactory = Callable[["BufferManager", str], "EventBuffer"]
@@ -200,26 +202,3 @@ class EventBuffer:
         self._events = []
         self._count = 0
         self._cost = 0
-
-    # ---------------------------------------------------------- conversion
-
-    def to_tree(self, wrapper_name: str, *, allow_open: bool = False) -> XMLNode:
-        """Materialise the buffered forest under a wrapper node.
-
-        Used when a ``for`` loop of an ``on-first`` handler body iterates
-        buffered nodes.  The wrapper carries the name of the scope's element so
-        that relative paths behave as if they navigated the original
-        element.  ``allow_open`` tolerates still-open elements -- only the
-        runtime's mid-stream condition evaluation may pass it; everything
-        else keeps the fail-loud unclosed-element guard.
-        """
-        return events_to_wrapped_tree(self._events, wrapper_name, close_open=allow_open)
-
-    def to_single_node(self, *, allow_open: bool = False) -> Optional[XMLNode]:
-        """Materialise a buffer that captured one complete element (root-marked).
-
-        Returns ``None`` for an empty buffer; if the buffer happens to contain
-        a forest, the ``#fragment`` wrapper produced by
-        :func:`~repro.xmlstream.tree.events_to_tree` is returned as is.
-        """
-        return events_to_tree(self._events, close_open=allow_open)

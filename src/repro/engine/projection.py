@@ -116,21 +116,21 @@ def _condition_paths_for(var: str, condition: Condition, all_conditions: bool) -
     Join (two-path) comparisons always need both sides in buffers.  When
     ``all_conditions`` is set (the variable ranges over buffered nodes), every
     condition path -- including constant comparisons and ``exists``/``empty``
-    -- is captured as well.
+    -- is captured as well.  A bare ``$var`` (the empty path) is always
+    captured: no on-the-fly value store tracks a variable's own value.
     """
     result: Dict[Path, bool] = {}
     for atom in iter_atomic_conditions(condition):
-        refs = []
         if isinstance(atom, ComparisonCondition):
-            left_ref = _operand_ref(atom.left)
-            right_ref = _operand_ref(atom.right)
-            is_join = left_ref is not None and right_ref is not None
-            if is_join or all_conditions:
-                refs = [ref for ref in (left_ref, right_ref) if ref is not None]
-        elif all_conditions:
+            refs = [
+                ref for ref in (_operand_ref(atom.left), _operand_ref(atom.right)) if ref is not None
+            ]
+            captured = all_conditions or len(refs) == 2
+        else:
             refs = list(condition_path_refs(atom))
+            captured = all_conditions
         for ref in refs:
-            if ref.var == var and ref.path:
+            if ref.var == var and (captured or not ref.path):
                 result[ref.path] = True
     return result
 

@@ -14,15 +14,16 @@ This module provides the environment abstraction
 mirrors :mod:`repro.xquery.semantics` but resolves paths through that hybrid
 environment.
 
-A scope buffer is read as events, not as a tree: ``exists`` / ``empty``,
-value reads and ``{$x}`` / ``{$x/path}`` output find the elements a path
-reaches by one walk over the buffered events (:func:`_path_spans`), and
-output writes those events -- start tags without attributes, still-open
-elements closed, exactly what serialising the tree wrote -- through the
-sink's ``write_events``.  An :class:`~repro.xmlstream.tree.XMLNode` tree is
-built only when a ``for`` loop iterates buffered nodes; variables bound by
-for-loops are then ordinary tree nodes, so nested loops and join
-conditions work exactly as in the reference evaluator.
+Buffered data has one form, the events.  A buffered element is a
+:class:`_Span` -- its slice ``events[start:stop]`` of a scope buffer's
+events -- and one walk (:func:`_path_spans`) finds the elements a path
+reaches, from a scope buffer or from inside a span.  ``for`` loops bind
+their variable to a span, so nested loops and conditions on loop variables
+walk the same events; ``exists`` / ``empty`` count spans, a value is a
+span's character data, and ``{$x}`` / ``{$x/path}`` output writes each
+span's events -- start tags without attributes, still-open elements closed,
+as the reference evaluator's attribute-free tree serialises them --
+through the sink's ``write_events``.
 
 Joins are indexed.  A ``for`` loop the plan gave a
 :class:`~repro.engine.plan.JoinGuard` does not iterate all its nodes:
@@ -34,9 +35,9 @@ guard.  The unchanged loop -- ``where`` and body included -- then runs over
 those candidates in document order; since they are a superset of the nodes
 that could emit anything, output is identical to the nested loop's.  The
 indexes, the scope buffers' events (read once, so a paged buffer faults each
-page once for its event reads), the path matches over them, the materialised
-scope trees and memoised ``resolve_values`` results live in one
-:class:`_HandlerCache` per handler execution.
+page once per handler execution), the spans over them and memoised
+``resolve_values`` results live in one :class:`_HandlerCache` per handler
+execution.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from repro.engine.buffers import EventBuffer
 from repro.engine.plan import JoinGuard
 from repro.engine.projection import BufferTreeNode
 from repro.xmlstream.events import Characters, EndElement, Event, StartElement
-from repro.xmlstream.tree import XMLNode
 from repro.xquery.ast import (
     AndCondition,
     ComparisonCondition,
@@ -102,23 +102,6 @@ class ScopeBinding:
         """Whether the buffer captures the scope element itself (``{$x}`` output)."""
         return self.buffer_tree is not None and self.buffer_tree.marked
 
-    def materialize(self) -> XMLNode:
-        """Build a navigable node for this scope from the buffered events.
-
-        ``allow_open=True``: handler conditions may navigate a scope buffer
-        *mid-stream*, while the scope element (and the deferred child being
-        gated) are still open; Definition 3.6 safety guarantees the
-        navigated paths themselves are complete.
-        """
-        if self.buffer is None:
-            return XMLNode(self.element_name)
-        if self.root_marked:
-            node = self.buffer.to_single_node(allow_open=True)
-            if node is None:
-                return XMLNode(self.element_name)
-            return node
-        return self.buffer.to_tree(self.element_name, allow_open=True)
-
     def covers_path(self, path: Path) -> bool:
         """Whether the buffer tree captures the content reachable via ``path``."""
         return self.buffer_tree is not None and self.buffer_tree.covers(path)
@@ -128,7 +111,30 @@ class ScopeBinding:
         return self.value_store.get(path)
 
 
-Binding = Union[XMLNode, ScopeBinding]
+class _Span:
+    """One buffered element: its events are ``events[start:stop]``.
+
+    ``closed`` is false for an element still open at the end of the buffer
+    (a mid-stream read); its output closes it virtually.  Spans are what
+    ``for`` loops bind their variable to.
+    """
+
+    __slots__ = ("events", "start", "stop", "closed")
+
+    def __init__(self, events: List[Event], start: int, stop: int, closed: bool):
+        self.events = events
+        self.start = start
+        self.stop = stop
+        self.closed = closed
+
+    def text(self) -> str:
+        """The element's character data (its atomised value)."""
+        return "".join(
+            [e.text for e in self.events[self.start : self.stop] if e.__class__ is Characters]
+        )
+
+
+Binding = Union[ScopeBinding, _Span]
 
 #: No indexed loops (conditions evaluated outside an ``on-first`` body).
 _NO_JOINS: Dict[int, JoinGuard] = {}
@@ -137,27 +143,27 @@ _NO_JOINS: Dict[int, JoinGuard] = {}
 class _HandlerCache:
     """What one handler execution computes once for all its loop iterations.
 
-    ``events`` holds each scope variable's buffered events, ``matches`` the
-    :func:`_path_spans` of a ``(variable, path)`` over them, and ``trees``
-    the materialised scope trees; ``values`` (memoised
-    :meth:`RuntimeEnvironment.resolve_values`, keyed by binding identity and
-    path) and ``indexes`` (one :class:`_JoinIndex` per guard and source
-    binding) are allocated on first use.  Everything goes when the handler
-    returns, so none of it is charged to a memory governor.
+    ``events`` holds each scope binding's buffered events and ``matches``
+    the :func:`_path_spans` of a ``(binding, path)`` over them, keyed by
+    binding identity: a loop returns the same span objects every time, so
+    ``values`` (memoised :meth:`RuntimeEnvironment.resolve_values`) and
+    ``indexes`` (one :class:`_JoinIndex` per guard and source binding), both
+    keyed by identity too and allocated on first use, always see the same
+    nodes.  Everything goes when the handler returns, so none of it is
+    charged to a memory governor.
     """
 
-    __slots__ = ("events", "matches", "trees", "values", "indexes")
+    __slots__ = ("events", "matches", "values", "indexes")
 
     def __init__(self):
-        self.events: Dict[str, List[Event]] = {}
-        self.matches: Dict[tuple, List[Tuple[int, int, bool]]] = {}
-        self.trees: Dict[str, XMLNode] = {}
+        self.events: Dict[int, List[Event]] = {}
+        self.matches: Dict[tuple, List[_Span]] = {}
         self.values: Optional[Dict[tuple, List[str]]] = None
         self.indexes: Optional[Dict[tuple, "_JoinIndex"]] = None
 
 
 class RuntimeEnvironment:
-    """Variable environment mixing tree nodes and scope bindings.
+    """Variable environment mixing scope bindings and loop-bound spans.
 
     ``joins`` is the handler's :attr:`~repro.engine.plan.CompiledOnFirst.joins`:
     the ``for`` loops of its body that run as indexed joins.
@@ -172,8 +178,8 @@ class RuntimeEnvironment:
         self._joins = joins or _NO_JOINS
         self._cache = _HandlerCache()
 
-    def with_node(self, var: str, node: XMLNode) -> "RuntimeEnvironment":
-        """Child environment with an additional tree-node binding."""
+    def with_node(self, var: str, node: Binding) -> "RuntimeEnvironment":
+        """Child environment with ``var`` bound to ``node`` (a loop variable)."""
         child = object.__new__(RuntimeEnvironment)
         child._bindings = {**self._bindings, var: node}
         child._joins = self._joins
@@ -186,43 +192,37 @@ class RuntimeEnvironment:
         except KeyError:
             raise XQueryEvaluationError(f"unbound variable {var} at handler execution time") from None
 
-    def _materialized_scope(self, var: str, binding: ScopeBinding) -> XMLNode:
-        trees = self._cache.trees
-        if var not in trees:
-            trees[var] = binding.materialize()
-        return trees[var]
-
-    def _buffered_matches(self, var: str, binding: ScopeBinding, path: Path):
-        """``(events, spans)`` of the elements ``path`` reaches in ``var``'s buffer.
-
-        ``None`` for the one read only the tree answers: the empty path of
-        a buffer that does not capture the scope element itself.
-        """
-        steps = (binding.element_name, *path) if binding.root_marked else path
-        if not steps:
-            return None
+    def _matches(self, binding: Binding, path: Path) -> List[_Span]:
+        """The buffered elements ``path`` reaches from ``binding``, in document order."""
         cache = self._cache
-        events = cache.events.get(var)
-        if events is None:
-            # A paged buffer decodes its spilled pages here, once.
-            buffer = binding.buffer
-            events = cache.events[var] = [] if buffer is None else buffer.events
-        key = (var, steps)
+        key = (id(binding), path)
         spans = cache.matches.get(key)
-        if spans is None:
-            spans = cache.matches[key] = _path_spans(events, steps)
-        return events, spans
+        if spans is not None:
+            return spans
+        if binding.__class__ is _Span:
+            events = binding.events
+            spans = _path_spans(
+                events, (events[binding.start].name, *path), binding.start, binding.stop
+            )
+        else:
+            events = cache.events.get(id(binding))
+            if events is None:
+                # A paged buffer decodes its spilled pages here, once.
+                buffer = binding.buffer
+                events = cache.events[id(binding)] = [] if buffer is None else buffer.events
+            # Without the scope element itself the buffer holds its children.
+            steps = (binding.element_name, *path) if binding.root_marked else path
+            spans = _path_spans(events, steps, 0, len(events)) if steps else []
+        cache.matches[key] = spans
+        return spans
 
     # ----------------------------------------------------------- resolution
 
-    def resolve_nodes(self, var: str, path: Path) -> List[XMLNode]:
+    def resolve_nodes(self, var: str, path: Path) -> List[_Span]:
         """Nodes reachable from ``var`` via ``path`` (what a ``for`` loop iterates)."""
-        binding = self.binding(var)
-        if isinstance(binding, XMLNode):
-            return binding.select_path(path)
-        return self._materialized_scope(var, binding).select_path(path)
+        return self._matches(self.binding(var), path)
 
-    def loop_nodes(self, loop: ForExpr) -> List[XMLNode]:
+    def loop_nodes(self, loop: ForExpr) -> List[_Span]:
         """The nodes ``loop`` iterates, in document order.
 
         For an indexed join these are only the candidates the guard's index
@@ -258,19 +258,12 @@ class RuntimeEnvironment:
         key = (id(binding), path)
         values = cache.values.get(key)
         if values is None:
-            values = cache.values[key] = self._resolve_values(binding, var, path)
+            values = cache.values[key] = self._resolve_values(binding, path)
         return values
 
-    def _resolve_values(self, binding: Binding, var: str, path: Path) -> List[str]:
-        if isinstance(binding, XMLNode):
-            return [node.text_content() for node in binding.select_path(path)]
-        if binding.covers_path(path):
-            # Never None: only a root-marked buffer covers the empty path.
-            events, spans = self._buffered_matches(var, binding, path)
-            return [
-                "".join([e.text for e in events[start:stop] if e.__class__ is Characters])
-                for start, stop, _closed in spans
-            ]
+    def _resolve_values(self, binding: Binding, path: Path) -> List[str]:
+        if binding.__class__ is _Span or binding.covers_path(path):
+            return [span.text() for span in self._matches(binding, path)]
         stored = binding.stored_values(path)
         if stored is not None:
             return list(stored)
@@ -281,10 +274,8 @@ class RuntimeEnvironment:
     def resolve_count(self, var: str, path: Path) -> int:
         """Number of nodes reachable via ``path`` (for ``exists`` / ``empty``)."""
         binding = self.binding(var)
-        if isinstance(binding, XMLNode):
-            return len(binding.select_path(path))
-        if binding.covers_path(path):
-            return len(self._buffered_matches(var, binding, path)[1])
+        if binding.__class__ is _Span or binding.covers_path(path):
+            return len(self._matches(binding, path))
         stored = binding.stored_values(path)
         if stored is not None:
             return len(stored)
@@ -292,39 +283,26 @@ class RuntimeEnvironment:
 
     def write_output(self, var: str, path: Path, sink) -> None:
         """Write the nodes ``{$var}`` (empty ``path``) or ``{$var/path}`` outputs."""
-        binding = self.binding(var)
-        if isinstance(binding, ScopeBinding):
-            found = self._buffered_matches(var, binding, path)
-            if found is not None:
-                events, spans = found
-                for start, stop, closed in spans:
-                    sink.write_events(_copied_element(events, start, stop, closed))
-                return
-            nodes = self._materialized_scope(var, binding).select_path(path)
-        else:
-            nodes = binding.select_path(path)
-        for node in nodes:
-            sink.write_node(node)
+        for span in self._matches(self.binding(var), path):
+            sink.write_events(_copied_element(span))
 
 
 # ---------------------------------------------------------------------------
 # Reading buffered events
 
 
-def _path_spans(events: List[Event], steps: Path) -> List[Tuple[int, int, bool]]:
-    """Where the elements a non-empty child path reaches from a buffered forest lie.
+def _path_spans(events: List[Event], steps: Path, lo: int, hi: int) -> List[_Span]:
+    """The elements a non-empty child path reaches from the forest ``events[lo:hi]``.
 
-    One ``(start, stop, closed)`` per element, in document order: its events
-    are ``events[start:stop]``, and ``closed`` is false for an element still
-    open at the end of the buffer (a mid-stream read), which the tree path
-    closes virtually.  ``matched`` is how many leading ``steps`` the chain of
-    open elements spells; a start tag extends it only while the whole chain
-    matches.
+    One span per element, in document order; an element still open at
+    ``hi`` (a mid-stream read) gets an open span ending there.  ``matched``
+    is how many leading ``steps`` the chain of open elements spells; a start
+    tag extends it only while the whole chain matches.
     """
     last = len(steps)
     spans = []
     depth = matched = start = 0
-    for index, event in enumerate(events):
+    for index, event in enumerate(events[lo:hi], lo):
         cls = event.__class__
         if cls is StartElement:
             if matched == depth and depth < last and event.name == steps[depth]:
@@ -336,24 +314,25 @@ def _path_spans(events: List[Event], steps: Path) -> List[Tuple[int, int, bool]]
             depth -= 1
             if matched > depth:
                 if matched == last:
-                    spans.append((start, index + 1, True))
+                    spans.append(_Span(events, start, index + 1, True))
                 matched = depth
     if matched == last:
-        spans.append((start, len(events), False))
+        spans.append(_Span(events, start, hi, False))
     return spans
 
 
-def _copied_element(events: List[Event], start: int, stop: int, closed: bool) -> List[Event]:
-    """The events serialising the tree of ``events[start:stop]`` wrote.
+def _copied_element(span: _Span) -> List[Event]:
+    """The events ``{$x}`` writes for a buffered element.
 
-    Trees drop attributes, so start tags lose theirs; an element still open
-    at the end of the buffer gets the end tags ``close_open`` would add.
+    As in the reference evaluator's trees, start tags lose their
+    attributes; an element still open at the end of the buffer gets the
+    end tags that close it.
     """
     copied = [
         StartElement(event.name) if event.__class__ is StartElement and event.attributes else event
-        for event in events[start:stop]
+        for event in span.events[span.start : span.stop]
     ]
-    if not closed:
+    if not span.closed:
         open_names = []
         for event in copied:
             if event.__class__ is StartElement:
@@ -406,7 +385,7 @@ class _JoinIndex:
 
     __slots__ = ("nodes", "numbers", "numeric_text", "text")
 
-    def __init__(self, nodes: List[XMLNode], keys: List[List[str]]):
+    def __init__(self, nodes: List[_Span], keys: List[List[str]]):
         self.nodes = nodes
         numbers, numeric_text, text = [], [], []
         for position, values in enumerate(keys):
@@ -422,7 +401,7 @@ class _JoinIndex:
         self.numeric_text = _SortedKeys(numeric_text)
         self.text = _SortedKeys(text)
 
-    def probe(self, op: str, values: List[str]) -> List[XMLNode]:
+    def probe(self, op: str, values: List[str]) -> List[_Span]:
         """The nodes, in document order, with a key ``k`` such that ``v op k`` for a ``v``."""
         hits = set()
         for value in values:

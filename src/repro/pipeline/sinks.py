@@ -23,7 +23,7 @@ multi-query engine and the CLI):
 
 All sinks implement the tiny writer protocol the XQuery⁻ evaluator and the
 stream executor use: ``write_text`` (pre-serialized markup), ``write_event``
-(one SAX event), ``write_events`` and ``write_node`` (subtrees).
+(one SAX event) and ``write_events`` (a subtree's events as one fragment).
 
 Sinks can be constructed *unbound* (without statistics) by API users --
 ``prepared.execute(doc, sink=CollectSink())`` -- and are bound to the run's
@@ -40,7 +40,6 @@ from typing import Iterable, List, Optional
 from repro.engine.stats import RunStatistics
 from repro.xmlstream.events import Event
 from repro.xmlstream.serializer import serialize_event
-from repro.xmlstream.tree import XMLNode
 
 
 class OutputSink:
@@ -88,10 +87,6 @@ class OutputSink:
             rendered = "".join(parts)
             self.stats.record_output(len(parts), len(rendered))
             self._emit(rendered)
-
-    def write_node(self, node: XMLNode) -> None:
-        """Emit a whole subtree."""
-        self.write_events(node.to_events())
 
     def text(self) -> Optional[str]:
         """The collected output; ``None`` for non-collecting sinks."""

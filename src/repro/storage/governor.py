@@ -28,9 +28,9 @@ worst case every page holds a single event and the run degrades to
 disk-speed rather than aborting.
 
 What the cap covers: *buffered event bytes*, the quantity the paper's
-figures report.  Trees a handler materializes from a buffer (and the
-engine's own fixed structures) are transient extra memory outside this
-ledger, exactly as in the unbounded engine.
+figures report.  The event list a handler decodes from a paged buffer for
+one execution (and the engine's own fixed structures) is transient extra
+memory outside this ledger, exactly as in the unbounded engine.
 """
 
 from __future__ import annotations

@@ -3,17 +3,17 @@
 :class:`PagedEventBuffer` is a drop-in replacement for
 :class:`~repro.engine.buffers.EventBuffer` produced by the
 :meth:`~repro.storage.governor.MemoryGovernor.make_buffer` factory.  The
-executor appends to it, handlers materialize it, and the scope release
+executor appends to it, handlers read its events, and the scope release
 frees it exactly as before; the difference is purely internal:
 
 * contents are split into **pages** of roughly ``governor.page_bytes``
   logical bytes.  A page that reaches the limit is *sealed* (immutable)
   and handed to the governor's LRU; appends continue on a fresh tail page,
 * the governor may **evict** sealed pages to the spill store at any time;
-  reading the buffer (iteration, ``to_tree`` / ``to_single_node`` when a
-  handler flushes it) decodes spilled pages transparently, one page at a
+  reading the buffer (iteration, or ``events``, which a handler reads
+  once per execution) decodes spilled pages transparently, one page at a
   time, without re-admitting them -- resident memory stays under the
-  budget even while a larger-than-budget buffer is being materialized,
+  budget even while a larger-than-budget buffer is being read,
 * logical accounting (``record_buffered`` / ``record_freed``, the
   quantities the paper's figures report) is byte-identical to the plain
   buffer; residency, spills and faults are tracked separately.
@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Optional
 
 from repro.xmlstream.events import Event
-from repro.xmlstream.tree import XMLNode, events_to_tree, events_to_wrapped_tree
 
 
 class Page:
@@ -179,20 +178,3 @@ class PagedEventBuffer:
         self._open = None
         self._count = 0
         self._cost = 0
-
-    # ---------------------------------------------------------- conversion
-
-    def to_tree(self, wrapper_name: str, *, allow_open: bool = False) -> XMLNode:
-        """Materialise the buffered forest under a wrapper node.
-
-        Mirrors :meth:`EventBuffer.to_tree` (same shared helper); spilled
-        pages are re-loaded (decoded) on the fly.
-        """
-        return events_to_wrapped_tree(iter(self), wrapper_name, close_open=allow_open)
-
-    def to_single_node(self, *, allow_open: bool = False) -> Optional[XMLNode]:
-        """Materialise a buffer that captured one complete element.
-
-        Mirrors :meth:`EventBuffer.to_single_node`.
-        """
-        return events_to_tree(iter(self), close_open=allow_open)

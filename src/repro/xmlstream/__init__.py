@@ -17,7 +17,7 @@ consume, buffer and serialize such event streams:
   on it; it is not an engine path.
 * :mod:`repro.xmlstream.serializer` -- events back to XML text.
 * :mod:`repro.xmlstream.tree` -- a small in-memory node tree used by the
-  reference/baseline evaluators and for inspecting buffered data.
+  reference/baseline evaluators (the engine reads its buffers as events).
 * :mod:`repro.xmlstream.attributes` -- the attribute-to-subelement expansion
   the paper applies to the XMark data ("XSAX").
 """

@@ -1,13 +1,13 @@
 """A small in-memory XML node tree.
 
-The FluX engine itself never builds a tree of the whole document -- that is
-the point of the paper -- but a tree representation is still needed in three
-places:
+The FluX engine builds no trees at all -- it reads its buffers as events
+(:mod:`repro.engine.xquery_exec`) -- but the reference side it is compared
+against needs them in two places:
 
-* the *naive* baseline engine (Galax-like) materializes the full document,
-* the *projection* baseline materializes the projected document,
-* XQuery⁻ subexpressions that run over buffered data navigate the buffered
-  events as a tree.
+* the *naive* baseline engine (Galax-like) materializes the full document
+  (:func:`~repro.xmlstream.parser.parse_tree`), and the reference evaluator
+  (:mod:`repro.xquery.semantics`) runs over it,
+* the *projection* baseline materializes the projected document.
 
 :class:`XMLNode` is intentionally minimal: a name, an ordered child list
 (elements and text), and helpers for navigation and atomization.
@@ -82,10 +82,6 @@ class XMLNode:
             else:
                 parts.append(child)
 
-    def subtree_size(self) -> int:
-        """Number of element nodes in the subtree (including this node)."""
-        return 1 + sum(child.subtree_size() for child in self.child_elements())
-
     # ----------------------------------------------------------- conversion
 
     def to_events(self) -> List[Event]:
@@ -107,20 +103,13 @@ class XMLNode:
         return f"XMLNode({self.name!r}, {len(self.children)} children)"
 
 
-def events_to_tree(events: Iterable[Event], *, close_open: bool = False) -> Optional[XMLNode]:
+def events_to_tree(events: Iterable[Event]) -> Optional[XMLNode]:
     """Build a tree from an event stream; returns the root element.
 
     Document events are optional.  If the stream contains no elements the
     function returns ``None``.  If the stream contains a *forest* (several
     top-level elements, as buffered fragments may), the forest is wrapped in a
     synthetic element named ``#fragment``.
-
-    ``close_open`` tolerates a stream that ends with elements still open
-    (their end events have not been buffered yet) by closing them
-    virtually.  Scope buffers are materialised *mid-stream* when a handler
-    condition navigates them while the scope element is still being read;
-    Definition 3.6 safety guarantees the navigated paths are complete even
-    though enclosing elements are not.
     """
     roots: List[XMLNode] = []
     stack: List[XMLNode] = []
@@ -147,7 +136,7 @@ def events_to_tree(events: Iterable[Event], *, close_open: bool = False) -> Opti
                 stack[-1].append_child(event.text)
         else:
             raise TypeError(f"not an XML event: {event!r}")
-    if stack and not close_open:
+    if stack:
         raise ValueError(f"unclosed element <{stack[-1].name}> in event stream")
     if not roots:
         return None
@@ -157,26 +146,6 @@ def events_to_tree(events: Iterable[Event], *, close_open: bool = False) -> Opti
     for root in roots:
         fragment.append_child(root)
     return fragment
-
-
-def events_to_wrapped_tree(
-    events: Iterable[Event], wrapper_name: str, *, close_open: bool = False
-) -> XMLNode:
-    """Materialise a buffered forest under a wrapper node.
-
-    The single place the buffer classes share the wrapper/``#fragment``
-    convention: an empty stream yields a bare wrapper, a forest's
-    ``#fragment`` shell is replaced by the wrapper, and a single root is
-    reparented under it.  Both :class:`~repro.engine.buffers.EventBuffer`
-    and the spillable paged buffer delegate here, which is what keeps
-    bounded and unbounded materialization byte-identical.
-    """
-    root = events_to_tree(events, close_open=close_open)
-    if root is None:
-        return XMLNode(wrapper_name)
-    if root.name == "#fragment":
-        return XMLNode(wrapper_name, list(root.children))
-    return XMLNode(wrapper_name, [root])
 
 
 def tree_to_events(root: XMLNode, *, document_events: bool = False) -> List[Event]:
@@ -189,12 +158,3 @@ def tree_to_events(root: XMLNode, *, document_events: bool = False) -> List[Even
         events.append(EndDocument())
     return events
 
-
-def forest_to_trees(events: Iterable[Event]) -> List[XMLNode]:
-    """Build the list of top-level element trees contained in an event stream."""
-    root = events_to_tree(events)
-    if root is None:
-        return []
-    if root.name == "#fragment":
-        return [child for child in root.child_elements()]
-    return [root]

@@ -226,7 +226,6 @@ EXPECTED_SURFACE = r"""
             "text": "(self) -> 'Optional[str]'",
             "write_event": "(self, event: 'Event') -> 'None'",
             "write_events": "(self, events: 'Iterable[Event]') -> 'None'",
-            "write_node": "(self, node: 'XMLNode') -> 'None'",
             "write_text": "(self, text: 'str') -> 'None'"
         }
     },

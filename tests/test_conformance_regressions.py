@@ -37,6 +37,16 @@ must charge every pending append of the manager, or the logical peak of the
 unbounded run (charged per batch) falls below the per-append peak of the
 bounded run (paged buffers charge every append).
 
+``buffered-loops`` is handcrafted and pins the shapes ``for`` loops over
+buffered nodes take, now that loop variables are bound to event spans
+rather than trees: a loop over a loop-bound node, ``{$a}`` and
+``{$a/path}`` of nodes whose start tags carry attributes (without
+attribute expansion, so the buffered copies drop them), ``exists`` /
+``empty`` on loop-bound nodes, a loop over a root-marked buffer that an
+``on-first`` handler runs before the scope element closes, and a join that
+compares the loop variable itself (``$t = $s/book/author``).  The last two
+were wrong before bare variables in conditions were buffered whole.
+
 The replay path itself (``.case`` parsing -> oracle) is therefore tier-1
 tested, which is what makes saved fuzz artifacts trustworthy repros.
 """
@@ -62,6 +72,7 @@ CASES = (
     "join-range.case",
     "dropped-subtrees.case",
     "buffer-peak-attribution.case",
+    "buffered-loops.case",
 )
 
 

@@ -194,45 +194,6 @@ def test_freeing_more_than_buffered_is_rejected():
     assert stats.buffered_bytes_current == 0
 
 
-def test_buffer_to_tree_wraps_forest_under_scope_name():
-    manager = BufferManager()
-    buffer = manager.create_buffer()
-    buffer.extend(
-        [
-            StartElement("author"),
-            Characters("Koch"),
-            EndElement("author"),
-            StartElement("author"),
-            Characters("Scherzinger"),
-            EndElement("author"),
-        ]
-    )
-    tree = buffer.to_tree("book")
-    assert tree.name == "book"
-    assert [node.text_content() for node in tree.children_named("author")] == [
-        "Koch",
-        "Scherzinger",
-    ]
-
-
-def test_buffer_to_single_node_for_root_marked_capture():
-    manager = BufferManager()
-    buffer = manager.create_buffer()
-    buffer.extend(
-        [StartElement("person"), StartElement("name"), Characters("Ada"), EndElement("name"), EndElement("person")]
-    )
-    node = buffer.to_single_node()
-    assert node.name == "person"
-    assert node.select_path(("name",))[0].text_content() == "Ada"
-
-
-def test_empty_buffer_materialisations():
-    manager = BufferManager()
-    buffer = manager.create_buffer()
-    assert buffer.to_single_node() is None
-    assert buffer.to_tree("x").name == "x"
-
-
 def test_condition_byte_accounting():
     stats = RunStatistics()
     stats.record_condition_bytes(10)

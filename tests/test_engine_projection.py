@@ -77,6 +77,17 @@ def test_pi_constant_conditions_on_inner_loop_variables_are_buffered():
     assert paths[("book", "year")] is True
 
 
+def test_pi_captures_a_bare_loop_variable_in_a_condition():
+    # ``$a`` compares its own value: the whole ``a`` subtree is needed, not
+    # just its tags (a tags-only ``a`` would compare as the empty string).
+    expr = normalize(parse_query(
+        "{ for $a in $x/a where $a = $x/c return <hit/> }"
+    ))
+    assert buffer_paths("$x", expr) == {("a",): True, ("c",): True}
+    expr = normalize(parse_query("{ for $a in $x/a return { if exists $a then <hit/> } }"))
+    assert buffer_paths("$x", expr) == {("a",): True}
+
+
 def test_paper_example_5_1_buffer_trees():
     """Figure 3: buffer trees of $bib and $article for the CEO query."""
     flux = parse_flux(

@@ -7,6 +7,7 @@ from repro.core.options import ExecutionOptions
 from repro.engine.buffers import BufferManager
 from repro.engine.engine import FluxEngine
 from repro.engine.projection import build_buffer_tree
+from repro.engine.stats import RunStatistics
 from repro.engine.xquery_exec import (
     RuntimeEnvironment,
     ScopeBinding,
@@ -14,10 +15,12 @@ from repro.engine.xquery_exec import (
     execute_expression,
 )
 from repro.pipeline.sinks import CollectSink
+from repro.storage.governor import MemoryGovernor
 from repro.xmlstream.events import Characters, EndElement, StartElement
-from repro.xmlstream.tree import XMLNode
+from repro.xmlstream.tree import XMLNode, events_to_tree
 from repro.xquery.errors import XQueryEvaluationError
 from repro.xquery.parser import parse_condition, parse_query
+from repro.xquery.semantics import evaluate_query
 
 
 def _book_scope_binding():
@@ -47,7 +50,9 @@ def _book_scope_binding():
 def test_resolve_nodes_from_buffered_paths():
     env = RuntimeEnvironment({"$b": _book_scope_binding()})
     nodes = env.resolve_nodes("$b", ("author",))
-    assert [node.text_content() for node in nodes] == ["Koch", "Scherzinger"]
+    assert [node.text() for node in nodes] == ["Koch", "Scherzinger"]
+    # Cached per handler execution: every read sees the same span objects.
+    assert env.resolve_nodes("$b", ("author",)) is nodes
 
 
 def test_resolve_values_prefers_buffer_then_value_store():
@@ -66,9 +71,10 @@ def test_resolve_count_for_exists_and_empty():
 
 def test_with_node_binds_loop_variables_without_mutating_parent():
     env = RuntimeEnvironment({"$b": _book_scope_binding()})
-    author = XMLNode("author", ["Koch"])
+    author = env.resolve_nodes("$b", ("author",))[0]
     child = env.with_node("$a", author)
     assert child.resolve_values("$a", ()) == ["Koch"]
+    assert child.resolve_count("$a", ()) == 1
     with pytest.raises(XQueryEvaluationError):
         env.binding("$a")
 
@@ -122,14 +128,34 @@ def test_root_marked_scope_materialises_the_element_itself():
 
 
 # ---------------------------------------------------------------------------
-# Buffered reads walk the events; the tree path is the reference
+# Buffered reads walk the events; a tree built here is the reference
+
+
+def _reference_tree(binding):
+    """The scope's node as a tree: the buffer's events with open elements closed."""
+    events = list(binding.buffer.events)
+    open_names = []
+    for event in events:
+        if isinstance(event, StartElement):
+            open_names.append(event.name)
+        elif isinstance(event, EndElement):
+            open_names.pop()
+    events.extend(EndElement(name) for name in reversed(open_names))
+    root = events_to_tree(events)
+    if binding.root_marked:
+        return root
+    # A buffer without the scope element holds its children.
+    if root is None:
+        return XMLNode(binding.element_name)
+    children = root.children if root.name == "#fragment" else [root]
+    return XMLNode(binding.element_name, list(children))
 
 
 def _tree_output(binding, path):
-    """``(text, output_events)`` the tree path writes for ``{$x/path}``."""
+    """``(text, output_events)`` serialising the reference tree writes for ``{$x/path}``."""
     sink = CollectSink()
-    for node in binding.materialize().select_path(path):
-        sink.write_node(node)
+    for node in _reference_tree(binding).select_path(path):
+        sink.write_events(node.to_events())
     return sink.text(), sink.stats.output_events
 
 
@@ -184,7 +210,7 @@ def test_buffered_forest_output_and_conditions_match_the_tree():
     assert _buffered_output(binding, ("author",)) == _tree_output(binding, ("author",))
     assert _buffered_output(binding, ("author",))[0].endswith("<author></author>")
     env = RuntimeEnvironment({"$b": binding})
-    tree = binding.materialize()
+    tree = _reference_tree(binding)
     for path in [("author",), ("editor",)]:
         assert env.resolve_count("$b", path) == len(tree.select_path(path))
     assert env.resolve_values("$b", ("author",)) == ["Koch", "Scherzinger", ""]
@@ -195,12 +221,55 @@ def test_buffered_forest_output_and_conditions_match_the_tree():
 def test_exists_and_empty_over_an_open_root_marked_buffer():
     binding = _open_person_binding()
     env = RuntimeEnvironment({"$p": binding})
-    tree = binding.materialize()
+    tree = _reference_tree(binding)
     for path in [(), ("name",), ("address", "zip"), ("address", "street"), ("zip",)]:
         assert env.resolve_count("$p", path) == len(tree.select_path(path)), path
     assert evaluate_condition_runtime(parse_condition("exists $p/address/zip"), env)
     assert evaluate_condition_runtime(parse_condition("empty($p/address/street)"), env)
     assert env.resolve_values("$p", ("address",)) == ["Lon&donN1"]
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        # a loop over a loop-bound node, the inner one still open
+        "{ for $a in $p/address return <a>{ for $z in $a/zip return {$z} }{$a/city}</a> }",
+        # {$a} of open and closed loop nodes whose start tags carry attributes
+        "{ for $a in $p/address return {$a} }{ for $n in $p/name return {$n} }",
+        # exists / empty and values on loop-bound nodes
+        "{ for $a in $p/address return"
+        " { if (exists $a/zip and empty($a/street) and $a/city = \"Lon&don\") then <y/> } }",
+        "{ for $n in $p/name where $n = \"Ada L.\" return <n/> }",
+    ],
+)
+def test_loops_over_buffered_spans_match_the_reference_evaluator(query):
+    binding = _open_person_binding()
+    sink = CollectSink()
+    execute_expression(parse_query(query), RuntimeEnvironment({"$p": binding}), sink)
+    expected = evaluate_query(parse_query(query), _reference_tree(binding), root_var="$p")
+    assert sink.text() == expected
+    assert expected.count("<") > 0
+
+
+def test_a_loop_reads_a_paged_buffer_once():
+    """Loops and direct reads share one decoded event list per handler execution."""
+    governor = MemoryGovernor(64, page_bytes=256)
+    stats = RunStatistics()
+    buffer = BufferManager(stats, factory=governor.make_buffer).create_buffer("$b")
+    for index in range(40):
+        buffer.extend([StartElement("a"), Characters(f"{index:02d}" * 10), EndElement("a")])
+    buffer.extend([StartElement("c"), Characters("07" * 10), EndElement("c")])
+    assert stats.spill_count > 0
+    binding = ScopeBinding(
+        "$b", "p", buffer=buffer, buffer_tree=build_buffer_tree({("a",): True, ("c",): True})
+    )
+    sink = CollectSink()
+    query = "{ for $a in $b/a where $a = $b/c return {$a} }{$b/c}"
+    execute_expression(parse_query(query), RuntimeEnvironment({"$b": binding}), sink)
+    assert sink.text() == "<a>%s</a><c>%s</c>" % ("07" * 10, "07" * 10)
+    assert stats.page_faults == stats.spill_count
+    buffer.release()
+    governor.close()
 
 
 def test_buffered_copy_drops_attributes_a_streamed_copy_keeps():
@@ -234,4 +303,13 @@ def test_scope_binding_without_buffer_behaves_as_empty():
     assert env.resolve_count("$x", ("a",)) == 0
     sink = CollectSink()
     execute_expression(parse_query("{ for $a in $x/a return {$a} }"), env, sink)
+    assert sink.text() == ""
+    # An empty root-marked buffer (the scope element not buffered yet) too.
+    empty = ScopeBinding(
+        "$x", "thing", buffer=BufferManager().create_buffer("$x"), buffer_tree=build_buffer_tree({(): True})
+    )
+    env = RuntimeEnvironment({"$x": empty})
+    assert env.resolve_count("$x", ()) == 0
+    assert env.resolve_values("$x", ("a",)) == []
+    execute_expression(parse_query("{$x}{ for $a in $x/a return {$a} }"), env, sink)
     assert sink.text() == ""

@@ -15,13 +15,15 @@ import random
 import pytest
 
 import repro.engine.xquery_exec as xquery_exec
+from repro.engine.buffers import BufferManager
 from repro.engine.engine import FluxEngine
 from repro.engine.plan import join_guards
-from repro.engine.xquery_exec import RuntimeEnvironment, execute_expression
+from repro.engine.projection import build_buffer_tree
+from repro.engine.xquery_exec import RuntimeEnvironment, ScopeBinding, execute_expression
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.generator import config_for_scale, generate_document
 from repro.xmark.queries import BENCHMARK_QUERIES
-from repro.xmlstream.parser import parse_tree
+from repro.xmlstream.parser import parse_events, parse_tree
 from repro.xmlstream.serializer import serialize_events
 from repro.xquery.parser import parse_query
 from repro.xquery.semantics import evaluate_condition, evaluate_query
@@ -46,6 +48,15 @@ def _element(name, values):
     return "".join(f"<{name}>{value}</{name}>" for value in values)
 
 
+def _buffered(var, text):
+    """``(binding, tree)``: ``text`` as a root-marked scope buffer and as the reference tree."""
+    buffer = BufferManager().create_buffer(var)
+    buffer.extend(parse_events(text, document_events=False))
+    tree = parse_tree(text)
+    binding = ScopeBinding(var, tree.name, buffer=buffer, buffer_tree=build_buffer_tree({(): True}))
+    return binding, tree
+
+
 @pytest.fixture(scope="module")
 def hostile_trees():
     rng = random.Random(7)
@@ -53,8 +64,8 @@ def hostile_trees():
     items = "".join(
         f"<item>{_element('k', rng.sample(HOSTILE, rng.randint(0, 3)))}</item>" for _ in range(60)
     )
-    container = parse_tree(f"<c>{items}</c>")
-    outers = [parse_tree(f"<o>{_element('v', values)}</o>") for values in (
+    container = _buffered("$c", f"<c>{items}</c>")
+    outers = [_buffered("$o", f"<o>{_element('v', values)}</o>") for values in (
         *([value] for value in HOSTILE),
         (),
         ("1", "abc"),
@@ -71,8 +82,8 @@ class _ListSink:
     def write_text(self, text):
         self.parts.append(text)
 
-    def write_node(self, node):
-        self.parts.append(serialize_events(node.to_events()))
+    def write_events(self, events):
+        self.parts.append(serialize_events(events))
 
     def text(self):
         return "".join(self.parts)
@@ -81,30 +92,34 @@ class _ListSink:
 @pytest.mark.parametrize("op", OPS)
 @pytest.mark.parametrize("template", CONDITIONS)
 def test_index_candidates_are_a_superset_of_brute_force_matches(hostile_trees, template, op):
-    container, outers = hostile_trees
+    (container, container_tree), outers = hostile_trees
     condition = template.format(op=op)
     loop = parse_query(f"{{ for $t in $c/item where {condition} return {{$t}} }}")
     joins = join_guards(loop)
     assert list(joins) == [id(loop)], condition
-    items = container.select_path(("item",))
-    for outer in outers:
+    item_trees = container_tree.select_path(("item",))
+    for outer, outer_tree in outers:
         env = RuntimeEnvironment({"$c": container, "$o": outer}, joins)
         candidates = env.loop_nodes(loop)
+        items = env.resolve_nodes("$c", ("item",))
+        assert len(items) == len(item_trees)
         positions = [next(i for i, item in enumerate(items) if item is node) for node in candidates]
         assert positions == sorted(set(positions)), "candidates out of document order"
         matches = {
-            i for i, item in enumerate(items) if evaluate_condition(loop.where, {"$t": item, "$o": outer})
+            i
+            for i, item in enumerate(item_trees)
+            if evaluate_condition(loop.where, {"$t": item, "$o": outer_tree})
         }
-        assert matches <= set(positions), (condition, outer.text_content())
+        assert matches <= set(positions), (condition, outer_tree.text_content())
         # And the loop's output is byte-identical to the reference evaluator.
         sink = _ListSink()
         execute_expression(loop, env, sink)
-        expected = evaluate_query(loop, container, root_var="$c", environment={"$o": outer})
+        expected = evaluate_query(loop, container_tree, root_var="$c", environment={"$o": outer_tree})
         assert sink.text() == expected
 
 
 def test_index_is_built_once_per_source_binding(hostile_trees, monkeypatch):
-    container, outers = hostile_trees
+    (container, _), outers = hostile_trees
     loop = parse_query("{ for $t in $c/item where $t/k = $o/v return {$t} }")
     joins = join_guards(loop)
     builds = []
@@ -116,7 +131,7 @@ def test_index_is_built_once_per_source_binding(hostile_trees, monkeypatch):
 
     monkeypatch.setattr(xquery_exec, "_JoinIndex", counting)
     env = RuntimeEnvironment({"$c": container}, joins)
-    for outer in outers:
+    for outer, _ in outers:
         env.with_node("$o", outer).loop_nodes(loop)
     assert len(builds) == 1
 

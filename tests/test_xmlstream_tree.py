@@ -3,9 +3,9 @@
 import pytest
 
 from repro.xmlstream.events import Characters, EndElement, StartElement
-from repro.xmlstream.parser import parse_events, parse_tree
+from repro.xmlstream.parser import parse_tree
 from repro.xmlstream.serializer import serialize_events
-from repro.xmlstream.tree import XMLNode, events_to_tree, forest_to_trees, tree_to_events
+from repro.xmlstream.tree import XMLNode, events_to_tree, tree_to_events
 
 
 def test_parse_tree_builds_children_in_order():
@@ -27,11 +27,6 @@ def test_select_path_missing_step_is_empty():
 def test_text_content_concatenates_descendants():
     root = parse_tree("<a>x<b>y</b>z</a>", strip_whitespace=False)
     assert root.text_content() == "xyz"
-
-
-def test_subtree_size_counts_elements():
-    root = parse_tree("<a><b><c/></b><d/></a>")
-    assert root.subtree_size() == 4
 
 
 def test_tree_to_events_round_trip():
@@ -59,18 +54,6 @@ def test_events_to_tree_handles_forest_with_fragment_wrapper():
     root = events_to_tree(events)
     assert root.name == "#fragment"
     assert [child.name for child in root.child_elements()] == ["a", "b"]
-
-
-def test_forest_to_trees_returns_top_level_elements():
-    events = [StartElement("a"), EndElement("a"), StartElement("b"), EndElement("b")]
-    trees = forest_to_trees(events)
-    assert [tree.name for tree in trees] == ["a", "b"]
-
-
-def test_forest_to_trees_single_root():
-    events = parse_events("<a><b/></a>", document_events=False)
-    trees = forest_to_trees(events)
-    assert len(trees) == 1 and trees[0].name == "a"
 
 
 def test_events_to_tree_empty_stream_is_none():
