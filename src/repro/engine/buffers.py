@@ -3,26 +3,27 @@
 Buffers are plain lists of events (Section 5: "Buffers are implemented as
 lists of SAX events"), and that is also the only form they are read in: a
 handler takes a buffer's ``events`` once per execution and walks them
-(:mod:`repro.engine.xquery_exec`); no tree is built.  An append only
-appends and marks the buffer dirty;
-the shared :class:`BufferManager` *charges* the new events later, one owner
-ledger update and one ``record_buffered`` per dirty buffer, when
-:meth:`BufferManager.flush` runs.  The executor flushes at the end of every
-batch, before it reads any buffer, and in ``finish``; every release flushes
-the whole manager first.  Buffered totals only grow between flushes, so the
-current and peak totals (and the owner composition at the peak) the
-benchmark harness and the zero-buffering assertions read are exactly the
-per-append values -- live readers such as ``/progress`` see them at most
-one batch behind.
+(:mod:`repro.engine.xquery_exec`); no tree is built.
 
 The manager's buffer *class* is pluggable: a ``factory`` callable
 ``(manager, name) -> buffer`` swaps the plain in-heap :class:`EventBuffer`
 for any object with the same surface.  The bounded-memory subsystem uses
 this to substitute :class:`~repro.storage.paged_buffer.PagedEventBuffer`,
 whose pages a shared :class:`~repro.storage.governor.MemoryGovernor` may
-spill to disk -- the executor never knows the difference.  A paged buffer
-still charges (and admits) every append itself, because the governor must
-see every page as it fills; it is never dirty.
+spill to disk -- the executor never knows the difference.
+
+**The charging rule**, the same for both classes: an append only appends
+and marks the buffer dirty; the shared :class:`BufferManager` *charges* the
+new events later, when :meth:`BufferManager.flush` runs -- one owner ledger
+update and one ``record_buffered`` per dirty plain buffer, and per page
+slice of a paged one, which the governor admits (evicting if over budget)
+right after.  The executor flushes at the end of every batch, before it
+reads any buffer, and in ``finish``; every read of a paged buffer and
+every release flush the whole manager first.  Buffered totals only grow
+between flushes, so the current and peak totals (and the owner
+composition at the peak) the benchmark harness and the zero-buffering
+assertions read are exactly the per-append values -- live readers such as
+``/progress`` see them at most one batch behind.
 """
 
 from __future__ import annotations
@@ -86,12 +87,16 @@ class BufferManager:
         global byte peak is only reached once every pending event is
         charged, so :meth:`~repro.obs.attrib.BufferAttribution.snapshot_peak`
         sees each owner's full live bytes.
+
+        A charge that fails (a paged buffer's spill error) abandons the
+        rest of the batch: the run aborts, and its releases free exactly
+        what was charged, with nothing left to admit.
         """
         dirty = self._dirty
         if dirty:
+            self._dirty = []
             for buffer in dirty:
                 buffer._charge()
-            dirty.clear()
 
     def _notify_release(self, count: int, cost: int, resident: Optional[int] = None) -> None:
         # With N executor states running concurrently (multi-query mode),

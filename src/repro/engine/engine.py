@@ -40,6 +40,7 @@ session-scoped governor, which it lends to the runs it opens.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import weakref
@@ -65,6 +66,7 @@ from repro.pipeline.fanout import DynamicFanout
 from repro.pipeline.projection import ProjectionSpec
 from repro.pipeline.sinks import FragmentSink, resolve_sink
 from repro.storage.governor import MemoryGovernor
+from repro.storage.spill import SpillError
 from repro.xmlstream.source import DocumentSource
 from repro.xquery.ast import ROOT_VARIABLE, XQExpr
 from repro.xquery.parser import parse_query
@@ -378,9 +380,11 @@ class RunHandle:
         """A failed run: forensics for engine errors, then release everything."""
         if isinstance(error, Exception):
             # The dump reports charged buffer totals, so charge what the
-            # failed batch appended first.
+            # failed batch appended first -- unless that admission fails
+            # again on spill I/O, which must not mask the run's own error.
             for seat in self._live:
-                seat.executor.buffers.flush()
+                with contextlib.suppress(SpillError):
+                    seat.executor.buffers.flush()
             stats, context = self.stats, self._annotations
             if self._failing is not None:
                 stats = self._failing.executor.stats

@@ -291,7 +291,8 @@ class StreamExecutor:
                 if activation.buffer is not None:
                     activation.buffer.release()
             for _action, buffer in frame.deferred_copies:
-                buffer.release()
+                if buffer is not None:
+                    buffer.release()
         self._stack = []
         self._active_scopes = {}
 

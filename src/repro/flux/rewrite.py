@@ -46,7 +46,7 @@ from repro.flux.ast import (
 )
 from repro.flux.errors import UnschedulableQueryError
 from repro.flux.simple import decompose_simple, is_simple
-from repro.xquery.analysis import dependencies
+from repro.xquery.analysis import WHOLE, dependencies
 from repro.xquery.ast import (
     ForExpr,
     ROOT_VARIABLE,
@@ -164,9 +164,11 @@ def rewrite_to_flux(
 
 
 def _rewrite(context: RewriteContext, parent_var: str, handled: FrozenSet[str], beta: XQExpr) -> FluxExpr:
-    if _outputs_variable(beta, parent_var):
-        # Line 5: {$x} occurs in β.
-        if is_simple(beta) and not dependencies(parent_var, beta):
+    deps = dependencies(parent_var, beta)
+    if WHOLE in deps or _outputs_variable(beta, parent_var):
+        # Line 5: {$x} occurs in β -- or a condition reads bare $x, which
+        # needs all of $x just the same -- so β runs whole at past(*).
+        if is_simple(beta) and not deps:
             return SimpleFlux(beta)
         return ProcessStream(parent_var, [OnFirstHandler(None, beta)])
 

@@ -30,7 +30,7 @@ from repro.flux.ast import (
     SimpleFlux,
     maximal_xquery_subexpressions,
 )
-from repro.xquery.analysis import dependencies, free_variables, iter_subexpressions
+from repro.xquery.analysis import WHOLE, dependencies, free_variables, iter_subexpressions
 from repro.xquery.ast import ROOT_VARIABLE, VarOutputExpr, XQExpr
 
 
@@ -85,7 +85,7 @@ def _check(expr: FluxExpr, dtd: DTD, types: Dict[str, str], violations: List[Saf
 
 def _past_set(handler: OnFirstHandler, symbols) -> frozenset:
     if handler.symbols is None:
-        return frozenset(symbols)
+        return frozenset(symbols) | {WHOLE}
     return handler.symbols
 
 
@@ -106,9 +106,12 @@ def _check_on_first(
     past = _past_set(handler, symbols)
     body = handler.body
 
-    # Condition 1, first bullet: every dependency is covered by the past set.
+    # Condition 1, first bullet: every dependency is covered by the past set
+    # (WHOLE, a condition on bare $var, only by past(*)).
     for dep in sorted(dependencies(var, body)):
-        covered = dep in past or any(_ord(constraints, dep, anchor) for anchor in past)
+        covered = dep in past or (
+            dep != WHOLE and any(_ord(constraints, dep, anchor) for anchor in past)
+        )
         if not covered:
             violations.append(
                 SafetyViolation(
@@ -154,7 +157,7 @@ def _check_on(
     handler_name = f"on {handler.label} as {handler.var}"
     for alpha in maximal_xquery_subexpressions(handler.body):
         for dep in sorted(dependencies(var, alpha)):
-            if not _ord(constraints, dep, handler.label):
+            if dep == WHOLE or not _ord(constraints, dep, handler.label):
                 violations.append(
                     SafetyViolation(
                         var,

@@ -5,9 +5,10 @@ lives.  A :class:`MemoryGovernor` owns a global byte budget and the
 admission accounting for every buffered event; buffers created through its
 factory are :class:`PagedEventBuffer` instances whose sealed pages the
 governor may evict -- encoded by the :mod:`~repro.storage.codec` -- into a
-temp-file :class:`SpillStore` and decode back on flush.  Output stays
+temp-file :class:`SpillStore` and decode back on read.  Output stays
 byte-identical to in-memory runs in every sink mode; only residency,
-spill counters and (past the budget) throughput change.
+spill counters and (past the budget) throughput change.  A spill I/O
+failure aborts the run with a :class:`SpillError` and no partial output.
 
 Entry points:
 
@@ -29,7 +30,7 @@ from repro.storage.governor import (
     parse_memory_budget,
 )
 from repro.storage.paged_buffer import Page, PagedEventBuffer
-from repro.storage.spill import PageHandle, SpillStore
+from repro.storage.spill import PageHandle, SpillError, SpillStore
 
 __all__ = [
     "DEFAULT_PAGE_BYTES",
@@ -38,6 +39,7 @@ __all__ = [
     "Page",
     "PagedEventBuffer",
     "PageHandle",
+    "SpillError",
     "SpillStore",
     "decode_events",
     "encode_events",

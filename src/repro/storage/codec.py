@@ -1,127 +1,148 @@
-"""Compact length-prefixed codec for spilled event pages.
+"""Bulk codec for spilled event pages.
 
-A spilled page is a flat byte string: a sequence of records, one per SAX
-event, each a one-byte kind tag followed by varint-length-prefixed UTF-8
-payloads.  The format is deliberately tiny and self-contained -- no pickle,
-no per-event object overhead on disk -- and the round-trip is *exact*:
-``decode_events(encode_events(events)) == events`` for every event the
-engine buffers (names, attribute order and character data are preserved
-byte-for-byte, which is what keeps spilled runs byte-identical to
-in-memory runs).
+A spilled page is one flat byte string in three sections, so encoding and
+decoding cost a few bulk operations per page rather than per-record
+varint and ``encode``/``decode`` calls::
 
-Record layout::
+    header    count:u32  typecode:u8      (little-endian)
+    kinds     count bytes, one per record
+    lengths   one unsigned integer per string, ``array(typecode)``
+    payload   every string, concatenated, as one UTF-8 run
 
-    kind:1  payload...
+Records, in kind order, and the strings each one takes from the payload:
 
-    0x01  StartElement, no attributes:   varint(len) name
-    0x02  StartElement with attributes:  varint(len) name  varint(n)
-                                         n * (varint(len) key varint(len) value)
-    0x03  EndElement:                    varint(len) name
-    0x04  Characters:                    varint(len) text
+    0x01  StartElement   name
+    0x02  EndElement     name
+    0x03  Characters     text
+    0x04  attribute      key value   (of the next StartElement)
 
-Varints are the usual LEB128 unsigned encoding (7 bits per byte, high bit
-= continuation), so short names cost a single length byte.
+An attribute-bearing start tag is its attribute records followed by its
+``StartElement`` record, so no record needs a count.  ``lengths`` counts
+*characters*: the payload is decoded once and sliced.  Its typecode is the
+narrowest of ``B``/``H``/``I`` that holds the page's longest string, so the
+usual short names and texts cost one byte each.  Lengths are written in
+native byte order; a page never leaves the process that spilled it.
+
+The round-trip is *exact* -- ``decode_events(encode_events(events)) ==
+events`` for every string the scanner can produce, ``\\x00`` and lone
+surrogates (``&#xD800;``) included, which UTF-8 proper cannot carry: the
+payload uses the ``surrogatepass`` error handler.  Decoding shares one
+``StartElement``/``EndElement`` object per distinct tag within a page
+(events are immutable); nothing is cached across pages, because tag
+vocabularies are unbounded.  A corrupt page raises :class:`ValueError`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+import struct
+from array import array
+from itertools import accumulate, chain
+from typing import Iterable, List
 
 from repro.xmlstream.events import Characters, EndElement, Event, StartElement
 
-_KIND_START = 0x01
-_KIND_START_ATTRS = 0x02
-_KIND_END = 0x03
-_KIND_CHARACTERS = 0x04
+_START = 0x01
+_END = 0x02
+_CHARACTERS = 0x03
+_ATTRIBUTE = 0x04
 
-
-def _append_varint(out: bytearray, value: int) -> None:
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _append_str(out: bytearray, text: str) -> None:
-    payload = text.encode("utf-8")
-    _append_varint(out, len(payload))
-    out += payload
+_HEADER = struct.Struct("<IB")
+_UTF8 = "utf-8"
+_SURROGATES = "surrogatepass"
 
 
 def encode_events(events: Iterable[Event]) -> bytes:
     """Serialize a sequence of buffered events to one page payload."""
-    out = bytearray()
+    kinds = bytearray()
+    strings: List[str] = []
+    record = kinds.append
+    take = strings.append
     for event in events:
         cls = event.__class__
-        if cls is StartElement:
-            if event.attributes:
-                out.append(_KIND_START_ATTRS)
-                _append_str(out, event.name)
-                _append_varint(out, len(event.attributes))
-                for key, value in event.attributes:
-                    _append_str(out, key)
-                    _append_str(out, value)
-            else:
-                out.append(_KIND_START)
-                _append_str(out, event.name)
-        elif cls is Characters:
-            out.append(_KIND_CHARACTERS)
-            _append_str(out, event.text)
+        if cls is Characters:
+            record(_CHARACTERS)
+            take(event.text)
+        elif cls is StartElement:
+            for key, value in event.attributes:
+                record(_ATTRIBUTE)
+                take(key)
+                take(value)
+            record(_START)
+            take(event.name)
         elif cls is EndElement:
-            out.append(_KIND_END)
-            _append_str(out, event.name)
+            record(_END)
+            take(event.name)
         else:
             # Document boundary events are never buffered (the executor
             # strips them before any buffer sees the stream).
             raise TypeError(f"event cannot be spilled: {event!r}")
-    return bytes(out)
-
-
-def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    value = 0
-    shift = 0
-    while True:
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
-
-
-def _read_str(data: bytes, pos: int) -> Tuple[str, int]:
-    length, pos = _read_varint(data, pos)
-    end = pos + length
-    return data[pos:end].decode("utf-8"), end
+    lengths = list(map(len, strings))
+    longest = max(lengths, default=0)
+    typecode = "B" if longest <= 0xFF else "H" if longest <= 0xFFFF else "I"
+    return b"".join(
+        (
+            _HEADER.pack(len(kinds), ord(typecode)),
+            kinds,
+            array(typecode, lengths).tobytes(),
+            "".join(strings).encode(_UTF8, _SURROGATES),
+        )
+    )
 
 
 def decode_events(data: bytes) -> List[Event]:
     """Reconstruct the event list of one spilled page payload."""
+    if len(data) < _HEADER.size:
+        raise ValueError("corrupt spill page: truncated header")
+    count, code = _HEADER.unpack_from(data)
+    typecode = chr(code)
+    if typecode not in ("B", "H", "I"):
+        raise ValueError(f"corrupt spill page: unknown length typecode 0x{code:02x}")
+    at = _HEADER.size
+    kinds = data[at : at + count]
+    at += count
+    lengths = array(typecode)
+    size = (
+        kinds.count(_START) + kinds.count(_END) + kinds.count(_CHARACTERS)
+        + 2 * kinds.count(_ATTRIBUTE)
+    ) * lengths.itemsize
+    lengths.frombytes(data[at : at + size])
+    at += size
+    if at > len(data):
+        raise ValueError("corrupt spill page: truncated record section")
+    text = data[at:].decode(_UTF8, _SURROGATES)
+    ends = list(accumulate(lengths))
+    if (ends[-1] if ends else 0) != len(text):
+        raise ValueError("corrupt spill page: string lengths do not match the payload")
+    take = iter([text[start:end] for start, end in zip(chain((0,), ends), ends)]).__next__
+
     events: List[Event] = []
     append = events.append
-    pos = 0
-    size = len(data)
-    while pos < size:
-        kind = data[pos]
-        pos += 1
-        if kind == _KIND_START:
-            name, pos = _read_str(data, pos)
-            append(StartElement(name))
-        elif kind == _KIND_CHARACTERS:
-            text, pos = _read_str(data, pos)
-            append(Characters(text))
-        elif kind == _KIND_END:
-            name, pos = _read_str(data, pos)
-            append(EndElement(name))
-        elif kind == _KIND_START_ATTRS:
-            name, pos = _read_str(data, pos)
-            count, pos = _read_varint(data, pos)
-            attributes = []
-            for _ in range(count):
-                key, pos = _read_str(data, pos)
-                value, pos = _read_str(data, pos)
-                attributes.append((key, value))
-            append(StartElement(name, tuple(attributes)))
+    starts: dict = {}
+    closes: dict = {}
+    attributes: list = []
+    for kind in kinds:
+        if kind == _CHARACTERS:
+            append(Characters(take()))
+        elif kind == _START:
+            name = take()
+            if attributes:
+                append(StartElement(name, tuple(attributes)))
+                attributes = []
+            else:
+                event = starts.get(name)
+                if event is None:
+                    event = starts[name] = StartElement(name)
+                append(event)
+        elif kind == _END:
+            name = take()
+            event = closes.get(name)
+            if event is None:
+                event = closes[name] = EndElement(name)
+            append(event)
+        elif kind == _ATTRIBUTE:
+            attributes.append((take(), take()))
         else:
             raise ValueError(f"corrupt spill page: unknown record kind 0x{kind:02x}")
+    if attributes:
+        raise ValueError("corrupt spill page: attributes without a start tag")
     return events

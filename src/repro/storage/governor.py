@@ -3,8 +3,11 @@
 A :class:`MemoryGovernor` owns
 
 * the **budget** -- a global cap on resident (in-memory) buffered bytes,
-* the **admission accounting** -- every byte appended to any
-  :class:`~repro.storage.paged_buffer.PagedEventBuffer` is charged here,
+* the **admission accounting** -- every byte charged to any
+  :class:`~repro.storage.paged_buffer.PagedEventBuffer` is admitted here,
+  through ``MemoryGovernor._admit``, once per page slice of a
+  :meth:`~repro.engine.buffers.BufferManager.flush` (the charging rule
+  itself is stated in :mod:`repro.engine.buffers`),
 * the **replacement policy** -- an LRU over all *sealed* pages of all live
   buffers; when admission pushes the resident total over the budget, the
   coldest sealed pages are encoded
@@ -22,15 +25,22 @@ resident high-water) is recorded into each page's own
 Sealed pages are the preferred victims; when none are left and the budget
 is still exceeded, the governor *force-seals* the least-recently-appended
 open tail page and evicts it too (its buffer just starts a new tail on the
-next append).  Admission is therefore never refused, and the resident
-high-water mark stays at or under the budget however small it is -- in the
-worst case every page holds a single event and the run degrades to
+next slice).  Admission is therefore never refused, and the resident total
+is at or under the budget after every admission however small the budget
+is -- in the worst case every page holds one slice and the run degrades to
 disk-speed rather than aborting.
 
 What the cap covers: *buffered event bytes*, the quantity the paper's
-figures report.  The event list a handler decodes from a paged buffer for
-one execution (and the engine's own fixed structures) is transient extra
-memory outside this ledger, exactly as in the unbounded engine.
+figures report.  The events a batch appended and the next flush has not
+admitted yet are that batch's own event objects, and the event list a
+handler decodes from a paged buffer for one execution (like the engine's
+own fixed structures) is transient; both are extra memory outside this
+ledger, exactly as in the unbounded engine.
+
+A spill I/O failure raises :class:`~repro.storage.spill.SpillError` out of
+the admission or the read that hit it, and the run aborts.  The failed page
+stays resident (a write) or spilled (a read), so the ledgers stay balanced
+and releasing the run's buffers returns the governor to zero.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ from repro.storage.spill import SpillStore
 
 # Process-wide storage-layer telemetry (:mod:`repro.obs`).  Bumped only on
 # the governor's cold paths -- per sealed page, eviction and fault, never
-# per admitted event (admission is inlined in ``PagedEventBuffer.append``).
+# per admitted page slice.
 _metrics = global_registry()
 _PAGES_SEALED = _metrics.counter(
     "repro.governor.pages_sealed.total", "Buffer pages sealed (admitted for eviction)"
@@ -148,14 +158,31 @@ class MemoryGovernor:
 
         Open pages are kept in creation order -- a good-enough coldness
         proxy for the force-seal fallback that avoids an ordered-dict
-        touch on the per-event hot path.
+        touch on every admission.
         """
         self._open_pages[page] = None
 
-    # Admission itself (resident += cost, enforce if over budget, sample
-    # the post-eviction peaks) lives inlined in
-    # :meth:`PagedEventBuffer.append` -- the per-event hot path; the
-    # governor provides the colder halves of the protocol below.
+    def _admit(self, page, cost: int) -> None:
+        """Admit ``cost`` bytes just charged to ``page`` (one page slice).
+
+        The one admission entry point, called by
+        :class:`~repro.storage.paged_buffer.PagedEventBuffer` once per page
+        slice of a flush.  Evicts while the resident total is over budget,
+        then samples the post-eviction resident peaks -- the residency the
+        budget actually bounds -- and seals ``page`` once it holds
+        ``page_bytes``.
+        """
+        self.resident_bytes += cost
+        if self.budget_bytes is not None and self.resident_bytes > self.budget_bytes:
+            self._enforce()
+        if self.resident_bytes > self.peak_resident_bytes:
+            self.peak_resident_bytes = self.resident_bytes
+        stats = page.stats
+        if stats.resident_bytes_current > stats.peak_resident_bytes:
+            stats.peak_resident_bytes = stats.resident_bytes_current
+        if page.cost >= self.page_bytes and not page.sealed:
+            page.sealed = True
+            self.seal(page)
 
     def seal(self, page) -> None:
         """A page became immutable: it is evictable from now on."""
@@ -174,7 +201,7 @@ class MemoryGovernor:
             if page in self._lru:
                 self._lru.move_to_end(page)
             return events
-        payload = self.store.read(page.handle)
+        payload = self.store.read(page.handle, page.owner.variable)
         self.fault_count += 1
         _FAULTS.inc()
         _recorder.RECORDER.note("fault", len(payload))
@@ -207,7 +234,7 @@ class MemoryGovernor:
                     page, _ = self._lru.popitem(last=False)
             elif self._open_pages:
                 # No sealed victims left: force-seal the coldest open tail
-                # page.  Its buffer starts a fresh tail on the next append.
+                # page.  Its buffer starts a fresh tail on its next slice.
                 page, _ = self._open_pages.popitem(last=False)
                 page.sealed = True
             else:
@@ -216,16 +243,15 @@ class MemoryGovernor:
 
     def _evict(self, page) -> None:
         payload = encode_events(page.events)
-        page.handle = self.store.write(payload)
+        page.handle = self.store.write(payload, page.owner.variable)
         page.events = None
         self.resident_bytes -= page.cost
         self.spill_count += 1
         _EVICTIONS.inc()
         _SPILL_BYTES.inc(len(payload))
         _recorder.RECORDER.note("evict", page.cost, len(payload))
-        if page.owner is not None:
-            page.owner.spilled_bytes += len(payload)
-            page.owner.spill_count += 1
+        page.owner.spilled_bytes += len(payload)
+        page.owner.spill_count += 1
         page.stats.record_spill(page.cost, len(payload))
 
     # ---------------------------------------------------------- lifecycle

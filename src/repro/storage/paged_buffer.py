@@ -4,16 +4,19 @@
 :class:`~repro.engine.buffers.EventBuffer` produced by the
 :meth:`~repro.storage.governor.MemoryGovernor.make_buffer` factory.  The
 executor appends to it, handlers read its events, and the scope release
-frees it exactly as before; the difference is purely internal:
+frees it exactly as before, under the charging rule stated in
+:mod:`repro.engine.buffers`.  The difference is purely internal:
 
-* contents are split into **pages** of roughly ``governor.page_bytes``
-  logical bytes.  A page that reaches the limit is *sealed* (immutable)
-  and handed to the governor's LRU; appends continue on a fresh tail page,
-* the governor may **evict** sealed pages to the spill store at any time;
-  reading the buffer (iteration, or ``events``, which a handler reads
-  once per execution) decodes spilled pages transparently, one page at a
-  time, without re-admitting them -- resident memory stays under the
-  budget even while a larger-than-budget buffer is being read,
+* a flush cuts the new events into **pages** of roughly
+  ``governor.page_bytes`` logical bytes and charges and admits them one
+  page slice at a time.  A page that reaches the limit is *sealed*
+  (immutable) and handed to the governor's LRU; later slices go to a fresh
+  tail page,
+* the governor may **evict** sealed pages to the spill store at any
+  admission; reading the buffer (``events``, which a handler reads once
+  per execution) decodes spilled pages transparently, one page at a time,
+  without re-admitting them -- resident memory stays under the budget
+  even while a larger-than-budget buffer is being read,
 * logical accounting (``record_buffered`` / ``record_freed``, the
   quantities the paper's figures report) is byte-identical to the plain
   buffer; residency, spills and faults are tracked separately.
@@ -39,7 +42,7 @@ class Page:
 
     __slots__ = ("events", "count", "cost", "sealed", "handle", "stats", "owner")
 
-    def __init__(self, stats, owner=None):
+    def __init__(self, stats, owner):
         self.events: Optional[List[Event]] = []
         self.count = 0
         self.cost = 0
@@ -60,6 +63,10 @@ class PagedEventBuffer:
         self._page_bytes = governor.page_bytes
         self._pages: List[Page] = []
         self._open: Optional[Page] = None
+        # Appended since the last flush, not charged yet.
+        self._pending: List[Event] = []
+        self._dirty = False
+        # Charged totals.
         self._count = 0
         self._cost = 0
         self._released = False
@@ -68,26 +75,30 @@ class PagedEventBuffer:
     # -------------------------------------------------------------- access
 
     def __len__(self) -> int:
+        self._manager.flush()
         return self._count
 
     def __iter__(self) -> Iterator[Event]:
-        read = self._governor.read_page
-        for page in self._pages:
-            yield from read(page)
+        return iter(self.events)
 
     @property
     def events(self) -> List[Event]:
         """The buffered events as one freshly-materialized list.
 
-        Materializes every page (spilled pages are decoded transiently);
-        prefer iteration on hot paths.  Unlike :class:`EventBuffer`, the
-        returned list is a *copy*: mutating it does not drain the buffer.
+        Flushes the manager, then reads every page (spilled pages are
+        decoded transiently).  Unlike :class:`EventBuffer`, the returned
+        list is a *copy*: mutating it does not drain the buffer.
         """
-        return list(self)
+        self._manager.flush()
+        events: List[Event] = []
+        read = self._governor.read_page
+        for page in self._pages:
+            events += read(page)
+        return events
 
     @property
     def cost_bytes(self) -> int:
-        """Logical memory footprint of the buffered events (spilled or not)."""
+        """Logical memory footprint of the charged events (spilled or not)."""
         return self._cost
 
     @property
@@ -103,78 +114,96 @@ class PagedEventBuffer:
     # ------------------------------------------------------------ mutation
 
     def append(self, event: Event) -> None:
-        """Append one event (possibly sealing the tail page).
-
-        This is the paged hot path, and the single place admission lives:
-        admit the bytes, let the governor evict if over budget, then
-        sample the post-eviction resident peaks -- inlined (no governor
-        call) to keep the tax of a budget that never spills small.
-        """
+        """Append one event; it is charged at the manager's next flush."""
         if self._released:
             raise RuntimeError(f"buffer {self.name!r} was already released")
-        page = self._open
-        if page is None or page.sealed:
-            # No tail yet, or the governor force-sealed (and evicted) the
-            # previous tail to meet the budget: start a fresh page.
-            page = Page(self._stats, self._owner)
-            self._pages.append(page)
-            self._open = page
-            self._governor.open_page(page)
-        cost = event.cost_in_bytes()
-        page.events.append(event)
-        page.count += 1
-        page.cost += cost
-        self._count += 1
-        self._cost += cost
-        stats = self._stats
-        # Owner ledger before record_buffered: a fresh byte peak snapshots
-        # the per-owner composition, which must already include this event.
-        owner = self._owner
-        owner.live_bytes += cost
-        owner.live_events += 1
-        owner.total_bytes += cost
-        owner.total_events += 1
-        if owner.live_bytes > owner.peak_bytes:
-            owner.peak_bytes = owner.live_bytes
-        stats.record_buffered(1, cost, False)
-        governor = self._governor
-        governor.resident_bytes += cost
-        if governor.budget_bytes is not None and governor.resident_bytes > governor.budget_bytes:
-            governor._enforce()
-        if governor.resident_bytes > governor.peak_resident_bytes:
-            governor.peak_resident_bytes = governor.resident_bytes
-        if stats.resident_bytes_current > stats.peak_resident_bytes:
-            stats.peak_resident_bytes = stats.resident_bytes_current
-        if page.cost >= self._page_bytes and not page.sealed:
-            page.sealed = True
-            self._open = None
-            self._governor.seal(page)
+        self._pending.append(event)
+        if not self._dirty:
+            self._dirty = True
+            self._manager._dirty.append(self)
 
     def extend(self, events: Iterable[Event]) -> None:
         """Append several events."""
         for event in events:
             self.append(event)
 
+    def _charge(self) -> None:
+        """Charge and admit the pending events (manager only).
+
+        The events are cut into page slices by the ``page_bytes`` rule (a
+        page is full once its cost reaches the limit).  Each slice updates
+        the owner ledger, then ``record_buffered`` (which snapshots the
+        owner composition at a new peak), then the governor's admission --
+        so a spill failure inside an admission leaves every ledger
+        balanced, with the slice resident; the slices after it are
+        abandoned with the rest of the batch (``BufferManager.flush``).
+        """
+        self._dirty = False
+        pending = self._pending
+        self._pending = []
+        total = len(pending)
+        start = 0
+        stats = self._stats
+        owner = self._owner
+        governor = self._governor
+        while start < total:
+            page = self._open
+            if page is None or page.sealed:
+                # No tail yet, or the tail filled up or was force-sealed
+                # (and evicted) to meet the budget: start a fresh page.
+                page = self._open = Page(stats, owner)
+                self._pages.append(page)
+                governor.open_page(page)
+            room = self._page_bytes - page.cost
+            cost = 0
+            stop = start
+            while stop < total:
+                cost += pending[stop].cost_in_bytes()
+                stop += 1
+                if cost >= room:
+                    break
+            count = stop - start
+            page.events += pending[start:stop]
+            page.count += count
+            page.cost += cost
+            self._count += count
+            self._cost += cost
+            owner.live_bytes += cost
+            owner.live_events += count
+            owner.total_bytes += cost
+            owner.total_events += count
+            if owner.live_bytes > owner.peak_bytes:
+                owner.peak_bytes = owner.live_bytes
+            stats.record_buffered(count, cost, False)
+            governor._admit(page, cost)
+            start = stop
+
     def release(self) -> None:
         """Free the buffer (when its variable scope ends).
 
-        The logical totals recorded at append time are freed in full --
-        whether a page is resident, spilled or already faulted back makes
-        no difference to the freed counts -- while the resident decrement
-        covers only the bytes actually still in memory.
+        Flushes the whole manager first, then frees the charged totals in
+        full -- whether a page is resident, spilled or already faulted
+        back makes no difference to the freed counts -- while the resident
+        decrement covers only the bytes actually still in memory.  The
+        buffer is freed even when that flush fails (a spill error), so an
+        aborting run can still balance every ledger.
         """
         if self._released:
             return
-        self._released = True
-        resident = self.resident_bytes
-        owner = self._owner
-        owner.live_bytes -= self._cost
-        owner.live_events -= self._count
-        self._manager._notify_release(self._count, self._cost, resident=resident)
-        discard = self._governor.discard
-        for page in self._pages:
-            discard(page)
-        self._pages = []
-        self._open = None
-        self._count = 0
-        self._cost = 0
+        try:
+            self._manager.flush()
+        finally:
+            self._released = True
+            self._pending = []
+            resident = self.resident_bytes
+            owner = self._owner
+            owner.live_bytes -= self._cost
+            owner.live_events -= self._count
+            self._manager._notify_release(self._count, self._cost, resident=resident)
+            discard = self._governor.discard
+            for page in self._pages:
+                discard(page)
+            self._pages = []
+            self._open = None
+            self._count = 0
+            self._cost = 0

@@ -6,7 +6,7 @@ checker rely on:
 * :func:`free_variables` -- free variables of an expression,
 * :func:`dependencies` -- ``dependencies($y, α)``: the child tags of ``$y``
   the expression depends on (first steps of condition paths and of for-loop
-  paths rooted at ``$y``),
+  paths rooted at ``$y``; :data:`WHOLE` for a condition on bare ``$y``),
 * :func:`condition_paths` -- all ``$x/π`` references in conditions,
 * :func:`path_references` -- every path reference of any kind, useful for the
   projection/Π computation,
@@ -100,18 +100,24 @@ def condition_paths(expr: XQExpr) -> Tuple[PathRef, ...]:
     return tuple(refs)
 
 
+#: The dependency of a condition on a bare ``$y`` (the empty path): all of
+#: ``$y``'s content, text included, which only ``past(*)`` covers.  No tag
+#: name can equal it.
+WHOLE = "*"
+
+
 def dependencies(var: str, expr: XQExpr) -> FrozenSet[str]:
     """``dependencies($y, α)`` as defined in Section 3.3.
 
     The set contains the first step ``a`` of every condition path ``$y/a`` or
     ``$y/a/π`` occurring in ``α`` and the first step ``b`` of every for-loop
     ``{for $u in $y/π return Q}`` occurring in ``α`` whose path starts at
-    ``$y``.
+    ``$y``.  A condition on ``$y`` itself contributes :data:`WHOLE`.
     """
     out: Set[str] = set()
     for ref in condition_paths(expr):
-        if ref.var == var and ref.path:
-            out.add(ref.path[0])
+        if ref.var == var:
+            out.add(ref.path[0] if ref.path else WHOLE)
     for sub in iter_subexpressions(expr):
         if isinstance(sub, ForExpr) and sub.source == var and sub.path:
             out.add(sub.path[0])

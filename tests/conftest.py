@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import errno
+import os
+import tempfile
+import types
+
 import pytest
 
 from repro.dtd.parser import parse_dtd
+from repro.storage import spill
 from repro.xmark.generator import XMarkConfig, generate_document
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.usecases import (
@@ -13,6 +19,53 @@ from repro.xmark.usecases import (
     BIB_DTD_USECASES,
     generate_bibliography,
 )
+
+
+class _FaultySpillFile:
+    """A spill file whose writes fail with ENOSPC and whose reads come back
+    one byte short from the planned call on; the rest goes to the real file."""
+
+    def __init__(self, real, plan: dict):
+        self._real = real
+        self._plan = plan
+
+    def write(self, data):
+        self._plan["writes"] += 1
+        if self._plan["write"] is not None and self._plan["writes"] >= self._plan["write"]:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._real.write(data)
+
+    def read(self, size):
+        data = self._real.read(size)
+        self._plan["reads"] += 1
+        if self._plan["read"] is not None and self._plan["reads"] >= self._plan["read"]:
+            return data[:-1]
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+@pytest.fixture
+def spill_faults(monkeypatch):
+    """Spill I/O fault injection for spill files created during the test.
+
+    ``spill_faults(write=N)`` fails every spill write from the Nth on with
+    ENOSPC (a full disk stays full), ``spill_faults(read=N)`` cuts every
+    spill read from the Nth on one byte short.  Each call restarts the
+    counts and replaces the plan; ``spill_faults()`` clears it.
+    """
+    plan = {"writes": 0, "reads": 0, "write": None, "read": None}
+
+    def temporary_file(*args, **kwargs):
+        return _FaultySpillFile(tempfile.TemporaryFile(*args, **kwargs), plan)
+
+    monkeypatch.setattr(spill, "tempfile", types.SimpleNamespace(TemporaryFile=temporary_file))
+
+    def inject(write=None, read=None):
+        plan.update(writes=0, reads=0, write=write, read=read)
+
+    return inject
 
 
 @pytest.fixture(scope="session")

@@ -47,6 +47,12 @@ attribute expansion, so the buffered copies drop them), ``exists`` /
 compares the loop variable itself (``$t = $s/book/author``).  The last two
 were wrong before bare variables in conditions were buffered whole.
 
+``bare-scope-variable`` is handcrafted and pins the scheduling of conditions
+on a bare scope variable (``if $a = "2"``, ``if $p = "12x"``): the empty
+path is a dependency on the variable's whole content, so the enclosing
+expression runs at ``past(*)``, as ``{$a}`` does.  Before that, the handler
+ran at ``past()`` and compared a value not read yet.
+
 The replay path itself (``.case`` parsing -> oracle) is therefore tier-1
 tested, which is what makes saved fuzz artifacts trustworthy repros.
 """
@@ -73,6 +79,7 @@ CASES = (
     "dropped-subtrees.case",
     "buffer-peak-attribution.case",
     "buffered-loops.case",
+    "bare-scope-variable.case",
 )
 
 

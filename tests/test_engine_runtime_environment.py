@@ -255,10 +255,12 @@ def test_a_loop_reads_a_paged_buffer_once():
     """Loops and direct reads share one decoded event list per handler execution."""
     governor = MemoryGovernor(64, page_bytes=256)
     stats = RunStatistics()
-    buffer = BufferManager(stats, factory=governor.make_buffer).create_buffer("$b")
+    manager = BufferManager(stats, factory=governor.make_buffer)
+    buffer = manager.create_buffer("$b")
     for index in range(40):
         buffer.extend([StartElement("a"), Characters(f"{index:02d}" * 10), EndElement("a")])
     buffer.extend([StartElement("c"), Characters("07" * 10), EndElement("c")])
+    manager.flush()
     assert stats.spill_count > 0
     binding = ScopeBinding(
         "$b", "p", buffer=buffer, buffer_tree=build_buffer_tree({("a",): True, ("c",): True})

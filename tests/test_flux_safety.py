@@ -148,3 +148,22 @@ def test_violations_carry_context():
     assert violation.variable == "$b"
     assert "on-first" in violation.handler
     assert str(violation)
+
+
+def test_a_condition_on_the_bare_scope_variable_needs_past_all():
+    """Comparing ``$b`` itself reads all of it: only ``past(*)`` covers that,
+    and neither a smaller past set nor an ``on`` handler does."""
+    condition = parse_query('{ if $b = "X" then <hit/> }')
+    early = _book_scope([OnFirstHandler(frozenset({"title", "author"}), condition)])
+    assert [violation.handler for violation in check_safety(early, ORDERED)] == [
+        "on-first past(author,title)"
+    ]
+    assert is_safe(_book_scope([OnFirstHandler(None, condition)]), ORDERED)
+    streamed = _book_scope(
+        [OnHandler("title", "$t", SimpleFlux(parse_query('{ if $b = "X" then {$t} }')))]
+    )
+    assert not is_safe(streamed, ORDERED)
+    rewritten = rewrite_query(
+        parse_query('<r>{ for $b in $ROOT/bib/book return { if $b = "X" then <hit/> } }</r>'), ORDERED
+    )
+    assert is_safe(rewritten, ORDERED)

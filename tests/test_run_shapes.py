@@ -8,6 +8,7 @@ by construction.  These tests check it anyway, shape by shape.
 """
 
 import contextlib
+import errno
 import json
 
 import pytest
@@ -17,7 +18,7 @@ from repro.core.api import load_dtd
 from repro.engine.executor import StreamExecutor
 from repro.obs.metrics import global_registry
 from repro.serve import SubscriptionHub
-from repro.storage.governor import MemoryGovernor
+from repro.storage import MemoryGovernor, SpillError
 from repro.xmlstream.errors import XMLWellFormednessError
 
 BIB_DTD = """
@@ -265,3 +266,59 @@ def test_clean_finish_closes_the_governor_the_run_owned(drive, monkeypatch):
     (governor,) = created  # one site decides: the run (or the stream) made one
     assert governor.spill_count > 0
     assert not governor.store.is_open
+
+
+# ---------------------------------------------------------------------------
+# Spill I/O failure: typed, attributed, and the ledger still balances
+
+
+@pytest.mark.parametrize(
+    "fault,code", [({"write": 2}, errno.ENOSPC), ({"read": 1}, errno.EIO)], ids=["enospc", "short-read"]
+)
+@SHAPES
+def test_spill_io_failure_is_typed_and_leaves_the_lender_reusable(drive, fault, code, spill_faults):
+    """A disk that fills up at the second page write, or short reads from
+    the first page fault on (inside the handler that reads the titles back),
+    abort the run with a SpillError -- no result -- and tearing it down
+    still leaves nothing resident or on disk; once the fault clears, the
+    same governor serves an identical run."""
+    expected = FluxEngine(REORDERED, _schema()).execute(LONG).output
+    with _lender(drive) as (lender, telemetry):
+        spill_faults(**fault)
+        with pytest.raises(SpillError) as failure:
+            drive(LONG, lender)
+        assert failure.value.errno == code
+        assert failure.value.owner.startswith("$") and failure.value.page_bytes > 0
+        ledger = telemetry()
+        assert (ledger["resident_bytes"], ledger["spill_live_bytes"]) == (0, 0)
+        spill_faults()
+        assert drive(LONG, lender) == expected
+        ledger = telemetry()
+        assert (ledger["resident_bytes"], ledger["spill_live_bytes"]) == (0, 0)
+
+
+def test_a_spill_failure_while_aborting_does_not_mask_the_runs_error(spill_faults, monkeypatch):
+    """An executor error mid-batch leaves appends uncharged; charging them
+    for the crash dump must evict, and the disk is full by then.  The run
+    still fails with its own error and balances the ledger."""
+    end_element = StreamExecutor._end_element
+    titles = []
+
+    def failing(self, event):
+        end_element(self, event)
+        if event.name == "title":
+            titles.append(event)
+            if len(titles) == 3:
+                spill_faults(write=1)
+                raise RuntimeError("injected executor failure")
+
+    monkeypatch.setattr(StreamExecutor, "_end_element", failing)
+    # One batch, titles longer than the budget: admitting what the failing
+    # batch appended must evict.
+    document = "<bib>%s</bib>" % "".join(
+        f"<book><title>{'t' * 600}{i}</title><author>A{i}</author></book>" for i in range(5)
+    )
+    with _lender(_solo_push) as (governor, telemetry):
+        with pytest.raises(RuntimeError, match="injected"):
+            FluxEngine(REORDERED, _schema()).execute(document, governor=governor)
+        assert (telemetry()["resident_bytes"], telemetry()["spill_live_bytes"]) == (0, 0)

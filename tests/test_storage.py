@@ -7,7 +7,10 @@ resident memory stays capped, and output is byte-identical to in-memory
 execution in every sink mode.
 """
 
+import errno
 import io
+import random
+import struct
 
 import pytest
 
@@ -17,11 +20,13 @@ from repro.engine.stats import RunStatistics
 from repro.storage import (
     MemoryGovernor,
     PagedEventBuffer,
+    SpillError,
     SpillStore,
     decode_events,
     encode_events,
     parse_memory_budget,
 )
+from repro.storage import spill
 from repro.xmark.dtd import XMARK_DTD_SOURCE
 from repro.xmark.generator import config_for_scale, generate_document
 from repro.xmark.queries import BENCHMARK_QUERIES
@@ -40,11 +45,15 @@ def test_codec_roundtrip_all_event_kinds():
         Characters(""),
         EndElement("item"),
         StartElement("名前", (("ключ", "значение"),)),
-        Characters("mixed ☃ unicode & <escapes>"),
+        Characters("mixed ☃ unicode & <escapes> 😀"),
+        Characters("nul \x00 and a lone surrogate \ud800 and \udfff"),
+        StartElement("e", (("k", "\ud800"), ("", ""))),
+        EndElement("e"),
         EndElement("名前"),
         EndElement("site"),
     ]
     assert decode_events(encode_events(events)) == events
+    assert decode_events(encode_events([])) == []
 
 
 def test_codec_roundtrip_preserves_attribute_order():
@@ -53,9 +62,43 @@ def test_codec_roundtrip_preserves_attribute_order():
     assert decoded.attributes == (("z", "1"), ("a", "2"))
 
 
-def test_codec_long_text_uses_varint_lengths():
-    text = "x" * 70000  # needs a multi-byte varint
-    assert decode_events(encode_events([Characters(text)])) == [Characters(text)]
+def test_codec_long_text_widens_the_length_array():
+    short = [StartElement("a"), Characters("x" * 200), EndElement("a")]
+    for text in ("x" * 300, "y" * 70000):  # two- and four-byte lengths
+        page = [*short, Characters(text)]
+        assert decode_events(encode_events(page)) == page
+    # A page of short strings spends one byte per length.
+    assert len(encode_events(short)) == 5 + 3 + 3 + len("a" * 2 + "x" * 200)
+
+
+def _random_text(rng):
+    alphabet = "ab <&>\"' \t\n\x00é☃😀\ud800􏰀"
+    size = rng.choice((0, 1, 3, 17, 255, 256, 300))
+    return "".join(rng.choice(alphabet) for _ in range(size))
+
+
+def _random_events(rng, count):
+    events = []
+    for _ in range(count):
+        name = rng.choice(("a", "item", "名前", "x" * 300))
+        attributes = tuple((_random_text(rng)[:8] or "k", _random_text(rng)) for _ in range(rng.randrange(3)))
+        events.append(StartElement(name, attributes))
+        events.append(Characters(_random_text(rng)))
+        events.append(EndElement(name))
+    return events
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_codec_roundtrip_property(seed):
+    rng = random.Random(seed)
+    events = _random_events(rng, rng.randrange(0, 60))
+    if seed % 5 == 0:
+        events.append(Characters("z" * (64 * 1024 + seed)))  # text over 64 KiB
+    decoded = decode_events(encode_events(events))
+    assert decoded == events
+    # Tags are shared within a page; events are immutable, so that is exact.
+    starts = [e for e in decoded if isinstance(e, StartElement) and not e.attributes]
+    assert len({id(e) for e in starts}) == len({e.name for e in starts})
 
 
 def test_codec_rejects_document_events():
@@ -63,9 +106,39 @@ def test_codec_rejects_document_events():
         encode_events([StartDocument()])
 
 
-def test_codec_rejects_corrupt_payload():
-    with pytest.raises(ValueError, match="unknown record kind"):
-        decode_events(b"\xff")
+_PAGE = encode_events([StartElement("a", (("k", "v"),)), Characters("text"), EndElement("a")])
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        (b"", "truncated header"),
+        (b"\xff", "truncated header"),
+        (_PAGE[:4], "truncated header"),
+        (struct.pack("<IB", 1, ord("B")) + b"\x07", "unknown record kind"),
+        (struct.pack("<IB", 0, ord("q")), "unknown length typecode"),
+        (_PAGE[:9], "truncated record section"),
+        (_PAGE[:-1], "do not match the payload"),
+        (_PAGE + b"x", "do not match the payload"),
+        (struct.pack("<IB", 1, ord("B")) + b"\x04\x00\x00", "attributes without a start tag"),
+        (struct.pack("<IB", 1, ord("B")) + b"\x03\x01\xff", "utf-8"),
+    ],
+    ids=[
+        "empty",
+        "one-byte",
+        "short-header",
+        "unknown-kind",
+        "unknown-typecode",
+        "truncated-kinds",
+        "payload-too-short",
+        "payload-too-long",
+        "dangling-attribute",
+        "invalid-utf8",
+    ],
+)
+def test_codec_rejects_corrupt_payload(payload, message):
+    with pytest.raises(ValueError, match=message):
+        decode_events(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +168,36 @@ def test_spill_store_read_before_write_fails():
 
     with pytest.raises(RuntimeError, match="no backing file"):
         store.read(PageHandle(0, 4))
+
+
+def test_spill_store_write_failure_is_typed_and_changes_nothing(spill_faults):
+    spill_faults(write=2)
+    store = SpillStore()
+    first = store.write(b"abc", "$x")
+    with pytest.raises(SpillError) as failure:
+        store.write(b"defg", "$y")
+    error = failure.value
+    assert isinstance(error, OSError)
+    assert (error.errno, error.owner, error.page_bytes) == (errno.ENOSPC, "$y", 4)
+    assert "$y" in str(error) and "4-byte page" in str(error)
+    assert (store.bytes_written, store.pages_written, store.live_bytes) == (3, 1, 3)
+    spill_faults()  # space is back
+    second = store.write(b"hij", "$y")  # the failed write left no hole
+    assert (store.read(first), store.read(second)) == (b"abc", b"hij")
+    store.close()
+
+
+def test_spill_store_short_read_is_typed(spill_faults):
+    spill_faults(read=1)
+    store = SpillStore()
+    handle = store.write(b"abcdef", "$x")
+    with pytest.raises(SpillError) as failure:
+        store.read(handle, "$x")
+    assert (failure.value.errno, failure.value.owner, failure.value.page_bytes) == (errno.EIO, "$x", 6)
+    assert store.bytes_read == 0
+    spill_faults()
+    assert store.read(handle, "$x") == b"abcdef"
+    store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +259,7 @@ def test_paged_buffer_matches_plain_buffer_unbounded():
     plain_manager = BufferManager(plain_stats)
     plain = plain_manager.create_buffer("$x")
     plain.extend(events)
-    plain_manager.flush()  # plain buffers are charged per batch, paged per append
+    plain_manager.flush()
 
     governor, paged_stats, manager = _paged_manager()
     paged = manager.create_buffer("$x")
@@ -179,6 +282,7 @@ def test_paged_buffer_materialization_matches_plain():
     governor, _, manager = _paged_manager(budget=128, page_bytes=64)
     paged = manager.create_buffer()
     paged.extend(events)
+    manager.flush()
     assert paged.spilled_pages > 0  # the comparison crosses the disk boundary
 
     assert paged.events == plain.events
@@ -204,6 +308,7 @@ def test_budget_forces_spills_and_caps_residency():
     governor, stats, manager = _paged_manager(budget=256, page_bytes=64)
     buffer = manager.create_buffer("$x")
     buffer.extend(events)
+    manager.flush()
 
     assert stats.spill_count > 0
     assert stats.peak_resident_bytes <= 256
@@ -221,14 +326,17 @@ def test_lru_evicts_coldest_buffer_first():
     governor, _, manager = _paged_manager(budget=10_000, page_bytes=64)
     cold = manager.create_buffer("$cold")
     cold.extend(_sample_events(10))
+    manager.flush()
     hot = manager.create_buffer("$hot")
     hot.extend(_sample_events(10))
+    manager.flush()
     assert cold.spilled_pages == 0 and hot.spilled_pages == 0
 
     # Shrink the budget indirectly: fill a third buffer until eviction.
-    governor.budget_bytes = governor.resident_bytes  # next append must evict
+    governor.budget_bytes = governor.resident_bytes  # the next admission must evict
     filler = manager.create_buffer("$filler")
     filler.extend(_sample_events(4))
+    manager.flush()
 
     # The buffers that have not been touched longest lose pages first.
     assert cold.spilled_pages > 0
@@ -240,6 +348,7 @@ def test_reading_spilled_pages_does_not_grow_residency():
     governor, stats, manager = _paged_manager(budget=256, page_bytes=64)
     buffer = manager.create_buffer("$x")
     buffer.extend(_sample_events())
+    manager.flush()
     resident_before = governor.resident_bytes
     faults_before = stats.page_faults
 
@@ -254,6 +363,7 @@ def test_release_with_spilled_pages_frees_full_logical_totals():
     governor, stats, manager = _paged_manager(budget=256, page_bytes=64)
     buffer = manager.create_buffer("$x")
     buffer.extend(_sample_events())
+    manager.flush()
     assert buffer.spilled_pages > 0
 
     buffer.release()
@@ -273,6 +383,7 @@ def test_force_seal_handles_budget_smaller_than_a_page():
     governor, stats, manager = _paged_manager(budget=32, page_bytes=4096)
     buffer = manager.create_buffer("$x")
     buffer.extend(events)
+    manager.flush()
     # Even open tail pages are evicted once sealed victims run out.
     assert stats.peak_resident_bytes <= 32
     assert stats.spill_count > 0
@@ -283,10 +394,13 @@ def test_force_seal_handles_budget_smaller_than_a_page():
 def test_one_governor_shared_by_two_managers():
     governor = MemoryGovernor(256, page_bytes=64)
     stats_a, stats_b = RunStatistics(), RunStatistics()
-    buffer_a = BufferManager(stats_a, factory=governor.make_buffer).create_buffer("$a")
-    buffer_b = BufferManager(stats_b, factory=governor.make_buffer).create_buffer("$b")
+    manager_a = BufferManager(stats_a, factory=governor.make_buffer)
+    manager_b = BufferManager(stats_b, factory=governor.make_buffer)
+    buffer_a, buffer_b = manager_a.create_buffer("$a"), manager_b.create_buffer("$b")
     buffer_a.extend(_sample_events(20))
+    manager_a.flush()
     buffer_b.extend(_sample_events(20))
+    manager_b.flush()
 
     # The budget caps the *sum*; spills are attributed per-run.
     assert governor.peak_resident_bytes <= 256
@@ -304,6 +418,113 @@ def test_governor_rejects_nonpositive_budget():
         MemoryGovernor(0)
     with pytest.raises(ValueError):
         MemoryGovernor(-1)
+
+
+_LEDGER_FIELDS = (
+    "buffered_events_current",
+    "buffered_bytes_current",
+    "peak_buffered_events",
+    "peak_buffered_bytes",
+    "total_buffered_events",
+)
+_OWNER_FIELDS = (
+    "variable",
+    "live_bytes",
+    "live_events",
+    "peak_bytes",
+    "at_peak_bytes",
+    "at_peak_events",
+    "total_bytes",
+    "total_events",
+    "buffers_created",
+)
+
+
+def _logical_ledger(stats):
+    totals = [getattr(stats, field) for field in _LEDGER_FIELDS]
+    owners = [[row[field] for field in _OWNER_FIELDS] for row in stats.buffer_attribution]
+    return totals, owners
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_per_batch_admission_matches_the_plain_buffer(seed):
+    """Random appends over several buffers, flushed at random batch cuts and
+    released at random points: the paged buffers' logical totals, peaks and
+    at-peak attribution equal the plain buffers' after every flush, and the
+    resident peak never exceeds the budget -- including budgets smaller
+    than one page."""
+    rng = random.Random(seed)
+    page_bytes = rng.choice((16, 64, 256))
+    budget = (None, page_bytes // 2, page_bytes * 3, rng.randrange(1, 1500))[seed % 4]
+    plain_stats = RunStatistics()
+    plain_manager = BufferManager(plain_stats)
+    governor, paged_stats, paged_manager = _paged_manager(budget, page_bytes)
+    live = {}
+
+    def check():
+        assert _logical_ledger(paged_stats) == _logical_ledger(plain_stats)
+        if budget is not None:
+            assert governor.resident_bytes <= budget
+            assert paged_stats.peak_resident_bytes <= budget
+            assert governor.peak_resident_bytes <= budget
+
+    for _ in range(rng.randrange(30, 90)):
+        roll = rng.random()
+        if roll < 0.1 and live:
+            name = rng.choice(sorted(live))
+            for buffer in live.pop(name):
+                buffer.release()
+            check()
+        elif roll < 0.3:
+            plain_manager.flush()
+            paged_manager.flush()
+            check()
+        else:
+            name = rng.choice(("$a", "$b", "$c"))
+            if name not in live:
+                live[name] = (plain_manager.create_buffer(name), paged_manager.create_buffer(name))
+            events = _random_events(rng, rng.randrange(1, 4))
+            for buffer in live[name]:
+                buffer.extend(events)
+    plain_manager.flush()  # a paged read flushes its manager; a plain read does not
+    for plain, paged in live.values():
+        assert paged.events == plain.events
+        assert len(paged) == len(plain)
+    check()
+    for plain, paged in live.values():
+        plain.release()
+        paged.release()
+    check()
+    assert (governor.resident_bytes, governor.store.live_bytes) == (0, 0)
+    assert paged_stats.resident_bytes_current == 0
+    governor.close()
+
+
+def test_a_failed_release_flush_abandons_its_batch_and_every_buffer_still_frees(spill_faults):
+    """A full disk fails the flush a release triggers.  The released buffer
+    is freed anyway, and the rest of the batch is abandoned (the run is
+    aborting), so the remaining releases have nothing to admit and cannot
+    fail again."""
+    spill_faults(write=1)
+    governor, stats, manager = _paged_manager(budget=256, page_bytes=64)
+    first = manager.create_buffer("$first")
+    first.extend(_sample_events())  # not charged yet
+    second = manager.create_buffer("$second")
+    second.extend(_sample_events())
+    gone = manager.create_buffer("$gone")
+    gone.append(StartElement("a"))
+    with pytest.raises(SpillError) as failure:
+        gone.release()  # its flush admits $first's pages, which must evict
+    assert (failure.value.errno, failure.value.owner) == (errno.ENOSPC, "$first")
+    assert failure.value.page_bytes > 0
+    assert manager.live_buffers == 2
+    assert governor.resident_bytes == stats.resident_bytes_current == first.resident_bytes
+    second.release()
+    first.release()
+    assert (governor.resident_bytes, governor.store.live_bytes) == (0, 0)
+    assert (stats.buffered_bytes_current, stats.resident_bytes_current) == (0, 0)
+    assert manager.live_buffers == 0
+    governor.close()
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +619,24 @@ def test_a_handler_that_loops_over_a_paged_buffer_and_reads_it_faults_each_page_
     assert stats.spill_count > 0
     assert stats.page_faults == stats.spill_count
     assert stats.spilled_bytes_read == stats.spilled_bytes_written
+
+
+def test_spilling_a_lone_surrogate_matches_the_unbounded_run():
+    """``&#xD800;`` is a lone surrogate in the text; UTF-8 cannot carry it,
+    so spilling it used to raise UnicodeEncodeError under a budget."""
+    schema = load_dtd(
+        "<!ELEMENT r (p*)> <!ELEMENT p (a*, b)> <!ELEMENT a (#PCDATA)> <!ELEMENT b (#PCDATA)>",
+        root_element="r",
+    )
+    engine = FluxEngine(
+        '<out>{ for $p in /r/p return { if $p/b = "x" then { $p/a } } }</out>', schema
+    )
+    document = "<r><p><a>&#xD800;%s</a><a>%s</a><b>x</b></p></r>" % ("z" * 300, "y" * 300)
+    unbounded = engine.execute(document)
+    bounded = engine.execute(document, options=ExecutionOptions(memory_budget=300))
+    assert "\ud800" in unbounded.output
+    assert bounded.stats.spill_count > 0
+    assert bounded.output == unbounded.output
 
 
 def _prepare_many(dtd, document, names):

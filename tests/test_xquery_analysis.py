@@ -1,6 +1,7 @@
 """Unit tests for the static analyses over XQuery⁻ expressions."""
 
 from repro.xquery.analysis import (
+    WHOLE,
     binding_environment,
     condition_paths,
     dependencies,
@@ -70,6 +71,11 @@ def test_dependencies_include_condition_paths():
         '{ if $b/publisher = "X" and $b/year > 1991 then <hit/> }'
     )
     assert dependencies("$b", expr) == {"publisher", "year"}
+
+
+def test_a_condition_on_a_bare_variable_depends_on_all_of_it():
+    expr = parse_query('{ if $b = "X" and $b/year > 1991 then <hit/> }')
+    assert dependencies("$b", expr) == {WHOLE, "year"}
 
 
 def test_path_references_kinds():
