@@ -63,7 +63,7 @@ server and streams their results to stdout until ``eof``.
 (:mod:`repro.conformance`): ``--seed``/``--cases`` sweep generated
 (DTD, document, queries) triples through every engine and sink mode,
 failing cases are shrunk and saved as replayable ``.case`` files, and
-``--replay FILE`` re-checks one such file.
+``--replay FILE...`` re-checks such files (``--replay tests/fixtures/*.case``).
 """
 
 from __future__ import annotations
@@ -889,7 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--verbose", action="store_true", help="per-case progress on stderr")
     fuzz_parser.add_argument(
         "--replay",
-        action="append",
+        action="extend",
+        nargs="+",
         metavar="FILE",
         help="replay saved .case files through the oracle instead of generating (repeatable)",
     )

@@ -425,7 +425,7 @@ class PreparedQuerySet:
     Built by :meth:`FluxSession.prepare_many` from engines that came through
     the session's plan cache.  The union filter -- an N-slot
     :class:`~repro.pipeline.fanout.DynamicFanout`, one slot per member's
-    projection automaton -- is attached and tabled once, here, and every
+    projection automaton -- is attached once, here, and every
     pass scans through it.  A pass hands query *i* exactly the events its
     solo filter would keep, so per-query output and peak-buffer numbers
     equal N solo runs; only the scan is shared.
@@ -437,7 +437,6 @@ class PreparedQuerySet:
         self.fanout = DynamicFanout()
         for engine in self.engines.values():
             self.fanout.attach(engine.projection_spec)
-        self.fanout.table()  # built now, not raced for by concurrent first passes
 
     @property
     def names(self) -> tuple:

@@ -667,7 +667,6 @@ class FluxEngine:
         #: through: its tag and transition tables stay warm across runs.
         self.fanout = DynamicFanout()
         self.fanout.attach(self.projection_spec)
-        self.fanout.table()  # built now, not raced for by concurrent first runs
 
     # ----------------------------------------------------------- inspection
 

@@ -9,10 +9,9 @@ Everything between input bytes and the executor lives here:
 * :mod:`repro.fastpath.batch` -- struct-of-arrays event batches (packed
   integer words + byte spans) between the scanner and the executor
   boundary, materialized into event objects lazily,
-* :mod:`repro.fastpath.dfa` -- the union projection automaton
-  (:class:`repro.pipeline.fanout.DynamicFanout`) compiled to a flat integer
-  transition table indexed by ``state * width + tag_id``, including the
-  per-slot membership bitsets,
+* :mod:`repro.fastpath.tags` -- the tag-name interning whose ids index the
+  flat transition table of the one union projection automaton,
+  :class:`repro.pipeline.fanout.DynamicFanout`,
 * :mod:`repro.fastpath.pipeline` -- :class:`DocumentPass`, the one per-document
   scan -> materialize site behind solo (pull and push), multi-query, feed
   and serve runs.
@@ -28,7 +27,6 @@ it is not an engine path and shares no tokenizing code with the scanner
 from __future__ import annotations
 
 from repro.fastpath.batch import SoABatch
-from repro.fastpath.dfa import FlatProjectionTable
 from repro.fastpath.pipeline import DocumentPass
 from repro.fastpath.scanner import ByteScanner
 from repro.fastpath.tags import TagTable
@@ -36,7 +34,6 @@ from repro.fastpath.tags import TagTable
 __all__ = [
     "ByteScanner",
     "DocumentPass",
-    "FlatProjectionTable",
     "SoABatch",
     "TagTable",
 ]

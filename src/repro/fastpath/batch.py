@@ -4,10 +4,9 @@ Between the byte scanner and the executor boundary, events travel as
 parallel columns instead of per-event dataclasses:
 
 * ``words`` -- one packed ``int`` per surviving event:
-  ``kind`` (3 bits) | ``tag id`` (30 bits) | ``projection state index``
-  (upper bits).  The state index is what the multi-query fan-out uses to
-  recover the union filter's membership masks without touching state
-  objects.
+  ``kind`` (3 bits) | ``tag id`` (30 bits) | ``fanout row`` (upper bits).
+  The row indexes the union filter's membership masks, which is all the
+  multi-query fan-out needs.
 * ``spans`` -- ``(start, end)`` byte offsets into the batch's source
   ``buffer`` for rows that carry text: character data, CDATA content, and
   the raw body of attribute-bearing (or uninterned) tags.
@@ -26,7 +25,7 @@ because the scanner holds text pending until the next ``<``).
 from __future__ import annotations
 
 from array import array
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.fastpath.markup import decode_entities, normalize_newlines, parse_tag_body
 from repro.fastpath.tags import TagTable
@@ -154,27 +153,25 @@ class SoABatch:
             append(chars(pending))
         return out
 
-    def materialize_split(
-        self,
-        count: int,
-        keep_masks: Sequence[int],
-        chars_masks: Sequence[int],
-        indices_for: Callable[[int], tuple],
-    ) -> List[List[Event]]:
-        """Fan the batch out into per-query event sub-batches.
+    def materialize_split(self, fanout) -> List[List[Event]]:
+        """Fan the batch out into one event sub-batch per ``fanout`` slot.
 
-        ``keep_masks`` / ``chars_masks`` are the flat table's per-state
-        bitsets; each row's packed state index selects the queries that
-        receive the materialized event (element events go to every query
-        whose component keeps the state, character data only to those in a
+        Each word's packed state is a row of the
+        :class:`~repro.pipeline.fanout.DynamicFanout` the batch was scanned
+        through; its ``keep_masks`` / ``chars_masks`` select the slots that
+        receive the materialized event (element events go to every slot
+        whose component keeps the row, character data only to those in a
         keep-everything region).  Adjacent text rows share one state
         (nothing kept may sit between them), so coalescing before
         distribution is safe.
         """
-        subs: List[List[Event]] = [[] for _ in range(count)]
+        subs: List[List[Event]] = [[] for _ in range(fanout.width)]
         words = self.words
         if not words:
             return subs
+        keep_masks = fanout.keep_masks
+        chars_masks = fanout.chars_masks
+        indices_for = fanout.indices_for
         appends = [sub.append for sub in subs]
         spans = self.spans
         buffer = self.buffer

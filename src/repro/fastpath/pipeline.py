@@ -4,7 +4,7 @@
 for one document, whoever drives it -- a solo run (one slot), the
 multi-query engine (N slots) or the subscription hub (a churning slot set):
 the bytes-native scanner (:mod:`repro.fastpath.scanner`, tokenizing,
-coalescing and projecting in one loop through the flat table of the run's
+coalescing and projecting in one loop through the run's
 :class:`~repro.pipeline.fanout.DynamicFanout`) followed by the lazy
 materialization of the surviving struct-of-arrays rows into
 :class:`~repro.xmlstream.events.Event` objects -- the executor boundary.
@@ -36,10 +36,10 @@ from repro.xmlstream.source import DocumentSource
 class DocumentPass:
     """One document through scan -> materialize, fanned out per slot.
 
-    ``fanout`` supplies the shared tag and flat transition tables (warm
-    across documents).  ``base_offset`` is the stream offset of the
-    document's first byte, so located errors of document N of a feed are
-    stream-absolute.  With ``stop_at_root_close`` the pass parses exactly
+    ``fanout`` is the shared union automaton -- tag table, flat transition
+    table and membership masks, warm across documents.  ``base_offset`` is
+    the stream offset of the document's first byte, so located errors of
+    document N of a feed are stream-absolute.  With ``stop_at_root_close`` the pass parses exactly
     one document and parks anything fed past the root's close tag
     (:meth:`take_remainder`) -- the substrate of continuous feeds.  The
     ``scan`` and ``materialize`` stages are charged to ``observer``.
@@ -48,7 +48,6 @@ class DocumentPass:
     __slots__ = (
         "_scanner",
         "_fanout",
-        "_table",
         "_stats",
         "_finished",
         "_tracer",
@@ -67,10 +66,8 @@ class DocumentPass:
         observer=NULL_OBSERVER,
     ):
         self._fanout = fanout
-        self._table = fanout.table()
         self._scanner = ByteScanner(
-            fanout.tags,
-            self._table,
+            fanout,
             stop_at_root_close=stop_at_root_close,
             expand_attrs=expand_attrs,
             base_offset=base_offset,
@@ -144,17 +141,13 @@ class DocumentPass:
         if batch.cost:
             for stats in self._stats:
                 stats.record_input(batch.seen, batch.cost)
-        width = self._fanout.width
         with self._tracer.span("materialize") as span:
-            if width == 1:
+            if self._fanout.width == 1:
                 # The only seat is the only possible recipient, so the
                 # mask-free materializer is exact (solo runs live on it).
                 subs = [batch.materialize()]
             else:
-                table = self._table
-                subs = batch.materialize_split(
-                    width, table.keep_masks, table.chars_masks, self._fanout.indices_for
-                )
+                subs = batch.materialize_split(self._fanout)
         self._materialize_stage.charge(span.record.seconds, sum(map(len, subs)))
         return subs
 

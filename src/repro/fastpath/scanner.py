@@ -12,8 +12,8 @@ What makes it fast:
   ``find`` is always correct; text is decoded only if and when a surviving
   span is materialized,
 * tag names are interned to ints once (:class:`~repro.fastpath.tags.TagTable`);
-  the steady-state cost of a start tag is one dict hit plus one flat-array
-  index (:class:`~repro.fastpath.dfa.FlatProjectionTable`),
+  the steady-state cost of a start tag is one dict hit plus one index into
+  the flat transition table of :class:`~repro.pipeline.fanout.DynamicFanout`,
 * subtrees the projection filter drops emit *nothing*, and large ones are
   not tokenized at all.  When a dropped element's end tag lies inside the
   current window and the subtree is :data:`_BULK_MIN` to :data:`_BULK_MAX`
@@ -95,9 +95,8 @@ from repro.fastpath.batch import (
     SoABatch,
     decode_utf8,
 )
-from repro.fastpath.dfa import DROP, UNKNOWN, FlatProjectionTable
 from repro.fastpath.markup import decode_entities, parse_tag_body, valid_name
-from repro.fastpath.tags import TagTable, UNINTERNED
+from repro.fastpath.tags import DROP, UNINTERNED, UNKNOWN
 from repro.xmlstream.attributes import expanded_attribute_name
 from repro.xmlstream.errors import XMLSyntaxError, XMLWellFormednessError
 from repro.xmlstream.events import Characters, EndElement, StartElement
@@ -133,10 +132,10 @@ _BLANK_GAP_RE = re.compile(rb">[ \t\n\r\x0b\x0c]+<")
 class ByteScanner:
     """One in-flight scan: tokenize + project a byte stream into SoA rows.
 
-    ``tags`` and ``table`` are fanout-shared (warm across runs); everything
-    else is per-run cursor state.  The scanner always runs against a flat
-    table -- a projection-less slot is pinned to keep-everything by its
-    :class:`~repro.pipeline.fanout.DynamicFanout`, keeping a single code
+    ``fanout`` (its tag table and flat transition table) is shared and warm
+    across runs; everything else is per-run cursor state, starting at the
+    fanout's row 0.  A projection-less slot is pinned to keep-everything by
+    its :class:`~repro.pipeline.fanout.DynamicFanout`, keeping a single code
     path.  ``base_offset`` is the stream offset of the document's first
     byte: every offset the scanner reports (errors, batch bases, the
     truncated-tail position) is stream-absolute by construction.
@@ -144,7 +143,7 @@ class ByteScanner:
 
     __slots__ = (
         "tags",
-        "table",
+        "fanout",
         "_stack",
         "_states",
         "_skip",
@@ -160,17 +159,16 @@ class ByteScanner:
 
     def __init__(
         self,
-        tags: TagTable,
-        table: FlatProjectionTable,
+        fanout,
         *,
         stop_at_root_close: bool = False,
         expand_attrs: bool = False,
         base_offset: int = 0,
     ):
-        self.tags = tags
-        self.table = table
+        self.tags = fanout.tags
+        self.fanout = fanout
         self._stack: List[object] = []  # tag ids; raw name bytes past the cap
-        self._states: List[int] = [table.initial]
+        self._states: List[int] = [0]
         self._skip = 0
         self._text_run = False
         self._finished = False
@@ -315,12 +313,11 @@ class ByteScanner:
         states = self._states
         spush = states.append
         spop = states.pop
-        table = self.table
-        cells = table.cells
-        width = table.width
-        chars_keep = table.chars_keep
+        fanout = self.fanout
+        cells, stride = fanout.layout
+        chars_masks = fanout.chars_masks
         top = states[-1]
-        row = top * width
+        row = top * stride
         skip = self._skip
         base = self._offset
         seen = 0
@@ -377,7 +374,7 @@ class ByteScanner:
                     text_run = True
                 if skip:
                     continue
-                if chars_keep[top]:
+                if chars_masks[top]:
                     wapp(K_TEXT | (top << STATE_SHIFT))
                     sapp(start)
                     sapp(end)
@@ -414,18 +411,16 @@ class ByteScanner:
                         self._seen_root = True
                     push(tid)
                     if not skip:
-                        cell = cells[row + tid] if tid < width else UNKNOWN
+                        cell = cells[row + tid] if tid < stride else UNKNOWN
                         if cell == UNKNOWN:
-                            cell = table.resolve(top, tid)
-                            cells = table.cells
-                            width = table.width
-                            chars_keep = table.chars_keep
-                            row = top * width
+                            cell = fanout.resolve(top, tid)
+                            cells, stride = fanout.layout
+                            row = top * stride
                         if cell != DROP:
                             spush(cell)
                             wapp((tid << TAG_SHIFT) | (cell << STATE_SHIFT))
                             top = cell
-                            row = top * width
+                            row = top * stride
                             continue
                     skip += 1
                     # A dropped element: take its subtree in bulk when it
@@ -478,7 +473,7 @@ class ByteScanner:
                         sidx = spop()
                         wapp(K_END | (expected << TAG_SHIFT) | (sidx << STATE_SHIFT))
                         top = states[-1]
-                        row = top * width
+                        row = top * stride
                         continue
                 gt = find(b">", pos)
                 if gt == -1:
@@ -500,7 +495,7 @@ class ByteScanner:
                     sidx = spop()
                     wapp(K_END | (tid << TAG_SHIFT) | (sidx << STATE_SHIFT))
                     top = states[-1]
-                    row = top * width
+                    row = top * stride
                     continue
                 # Slow path: padded, uninterned or mismatched names.
                 name = decode_utf8(name_b, base + at + 2).strip()
@@ -535,7 +530,7 @@ class ByteScanner:
                     sapp(lead)
                     sapp(lead + len(encoded))
                 top = states[-1]
-                row = top * width
+                row = top * stride
                 continue
 
             elif second == 63:  # '?'
@@ -586,7 +581,7 @@ class ByteScanner:
                         text_run = True
                     if skip:
                         continue
-                    if chars_keep[top]:
+                    if chars_masks[top]:
                         wapp(K_CDATA | (top << STATE_SHIFT))
                         sapp(start)
                         sapp(tend)
@@ -715,19 +710,13 @@ class ByteScanner:
                     skip += 1
                 continue
             if tid != UNINTERNED:
-                cell = cells[row + tid] if tid < width else UNKNOWN
+                cell = cells[row + tid] if tid < stride else UNKNOWN
                 if cell == UNKNOWN:
-                    cell = table.resolve(top, tid)
-                    cells = table.cells
-                    width = table.width
-                    chars_keep = table.chars_keep
-                    row = top * width
+                    cell = fanout.resolve(top, tid)
+                    cells, stride = fanout.layout
+                    row = top * stride
             else:
-                cell = table.resolve_name(top, name_b.decode("utf-8"))
-                cells = table.cells
-                width = table.width
-                chars_keep = table.chars_keep
-                row = top * width
+                cell = fanout.resolve_name(top, name_b.decode("utf-8"))
             if cell == DROP:
                 if not self_closing:
                     skip = 1
@@ -741,10 +730,8 @@ class ByteScanner:
                 wapp((tid << TAG_SHIFT) | (cell << STATE_SHIFT))
             if children:
                 self._emit_children(batch, children, cell)
-                cells = table.cells
-                width = table.width
-                chars_keep = table.chars_keep
-                row = top * width
+                cells, stride = fanout.layout
+                row = top * stride
             if self_closing:
                 if tid != UNINTERNED:
                     wapp(K_END | (tid << TAG_SHIFT) | (cell << STATE_SHIFT))
@@ -755,7 +742,7 @@ class ByteScanner:
             else:
                 spush(cell)
                 top = cell
-                row = top * width
+                row = top * stride
             continue
 
         self._skip = skip
@@ -773,18 +760,18 @@ class ByteScanner:
         ``parent`` like a real child tag would; a dropped one emits nothing.
         """
         tags = self.tags
-        table = self.table
+        fanout = self.fanout
         for child, value in children:
             tid = tags.intern(child.encode("utf-8"))
             if tid != UNINTERNED:
-                cell = table.resolve(parent, tid)
+                cell = fanout.resolve(parent, tid)
                 triple = [tags.start_events[tid], tags.end_events[tid]]
             else:
-                cell = table.resolve_name(parent, child)
+                cell = fanout.resolve_name(parent, child)
                 triple = [StartElement(child), EndElement(child)]
             if cell == DROP:
                 continue
-            if value and table.chars_keep[cell]:
+            if value and fanout.chars_masks[cell]:
                 triple.insert(1, Characters(value))
             for event in triple:
                 batch.words.append(K_EVENT | (cell << STATE_SHIFT))

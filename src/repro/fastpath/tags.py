@@ -32,6 +32,14 @@ TAG_TABLE_LIMIT = 1 << 16
 #: Sentinel id for tags past the cap (never a valid index).
 UNINTERNED = -1
 
+#: Cell values of the flat transition table these ids index (see
+#: :mod:`repro.pipeline.fanout`): every slot drops the subtree rooted at the
+#: tag, or the cell is not computed yet.  They live here, beside the ids,
+#: because the scanner imports nothing from :mod:`repro.pipeline` (which
+#: imports this package).
+DROP = -1
+UNKNOWN = -2
+
 
 class TagTable:
     """Dense ``bytes`` -> ``int`` interning of tag names (engine-shared).
@@ -113,4 +121,4 @@ class TagTable:
         return entry.decode("utf-8", "replace")
 
 
-__all__ = ["TagTable", "TAG_TABLE_LIMIT", "UNINTERNED"]
+__all__ = ["TagTable", "TAG_TABLE_LIMIT", "UNINTERNED", "DROP", "UNKNOWN"]

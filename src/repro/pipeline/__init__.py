@@ -10,8 +10,9 @@ The execution path of the engine is a pipeline of stages::
   decisions come from the tag-driven automaton this package derives from
   the plan's buffer trees, value tries and handler tables
   (:mod:`repro.pipeline.projection`), run through the one union automaton
-  :class:`repro.pipeline.fanout.DynamicFanout` (solo = one slot,
-  ``multirun`` = N slots, ``serve`` = slots that come and go),
+  :class:`repro.pipeline.fanout.DynamicFanout`, which is also the scanner's
+  flat transition table (solo = one slot, ``multirun`` = N slots,
+  ``serve`` = slots that come and go),
 * **materialize** (:mod:`repro.fastpath.batch`) turns the surviving rows
   into bounded batches of SAX events, one list per fanout slot,
 * **execute** (:class:`repro.engine.executor.StreamExecutor`) drives the

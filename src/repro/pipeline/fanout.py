@@ -6,9 +6,9 @@ runs any number of them *in lockstep*, one **slot** per query: a state is a
 tuple with one component per slot -- the query's own interned projection
 state, :data:`~repro.pipeline.projection.KEEP_ALL` (the query captures the
 whole region), or ``None`` (the query dropped this subtree).  An event
-survives the shared pass iff *any* slot keeps it, and each state carries
-per-slot *membership masks* saying exactly which, so the sub-stream of slot
-*i* is byte for byte what the query's solo filter would have produced.
+survives the shared pass iff *any* slot keeps it, and per-slot *membership
+masks* say exactly which, so the sub-stream of slot *i* is byte for byte
+what the query's solo filter would have produced.
 
 It is the only automaton the scanner ever runs against, in three shapes:
 
@@ -17,82 +17,71 @@ It is the only automaton the scanner ever runs against, in three shapes:
   pinned to keep-everything);
 * **static multi-query** -- a :class:`~repro.core.session.PreparedQuerySet`
   attaches N slots once, when ``prepare_many`` builds it, and never churns;
-* **serve** -- the subscription hub attaches and detaches mid-stream:
+* **serve** -- the subscription hub attaches and detaches mid-stream.
 
-  * **attach** (delta-merge): a new query appends a slot.  The intern
-    table is discarded (component tuples grew by one), but re-deriving a
-    state is pure dict work for every pre-existing query: per-query
-    transitions are memoized on the queries' own interned
-    :class:`~repro.pipeline.projection._State` objects (``state.trans``),
-    which survive untouched.  Only the *new* query's automaton computes
-    real transitions -- the delta.  The ``recompiles`` counter does not
-    move.
-  * **detach** (tombstone): the slot is marked inactive and its bit is
-    cleared from the membership masks of every interned state (and, in
-    place, from the flat table's per-row masks).  No transition is
-    recomputed, no state is discarded; the dead slot's component keeps
-    riding the (memoized) lockstep product until the next :meth:`compact`.
-  * :meth:`compact` is the only full re-merge: it drops tombstoned slots
-    from the component tuples and rebuilds the intern table -- the
-    operation the ``recompiles`` counter counts, and the one a server
-    schedules at leisure (or never), not on the churn path.
+**The flat table.**  Each lockstep tuple is interned straight to a dense
+**row**; row 0 is the initial state.  Per row, ``keep_masks[row]`` marks
+the slots that keep element events there (their component is not ``None``)
+and ``chars_masks[row]`` the slots inside a keep-everything region
+(character data is forwarded only there).  Transitions live in one
+``array('i')`` of cells laid out as ``row * stride + tag_id`` over the
+shared :class:`~repro.fastpath.tags.TagTable` ids: a cell holds the
+successor row, :data:`~repro.fastpath.tags.DROP` (every slot drops the
+subtree) or :data:`~repro.fastpath.tags.UNKNOWN`.  The table is a lazy
+cache in front of the per-query automata, never a reimplementation: the
+scanner hands an unknown cell to :meth:`DynamicFanout.resolve`, which
+computes the lockstep successor, interns it and writes the cell -- so only
+the ``(row, tag)`` pairs the documents contain are ever materialized.  Tags
+past the TagTable's cap have no id and go through
+:meth:`DynamicFanout.resolve_name`, uncached.
 
-The run-side cursor is the byte scanner over :meth:`DynamicFanout.table`
-(the flat table delegates to :meth:`DynamicFanout.transition`); the fanout
-also owns the shared :class:`~repro.fastpath.tags.TagTable`, so every run
-over it hits warm interning state.  Sub-batch position *i* always belongs
-to slot ``order()[i]``; tombstoned slots keep their position (and receive
-nothing) until a compaction renumbers.  With no slot at all the automaton
-drops everything -- the hub's idle scan, which only tracks document
-boundaries.
+**Concurrency.**  Runs over one fanout share it: cell reads are lock-free,
+misses take the lock.  ``layout`` publishes ``(cells, stride)`` as one
+tuple, replaced whole when a tag id outgrows the stride, so a reader always
+pairs an array with its own stride; a stale array only yields unknown
+cells, whose resolve hands back the right row.  The mask lists are only
+ever appended to or rewritten in place.
 
-Mutations are only legal between documents -- exactly the boundary the
-subscription hub applies churn at -- because interned states cached in a
-run's cursor stack would otherwise go stale mid-document.
+**Churn.**
+
+* **attach** (delta-merge): a new query appends a slot.  The rows are
+  discarded (component tuples grew by one), but re-deriving a row is pure
+  dict work for every pre-existing query: per-query transitions are
+  memoized on the queries' own interned
+  :class:`~repro.pipeline.projection._State` objects (``state.trans``),
+  which survive untouched.  Only the *new* query's automaton computes real
+  transitions -- the delta.  The ``recompiles`` counter does not move.
+* **detach** (tombstone): the slot is marked inactive and its bit is
+  cleared from every row's masks, in one sweep under the lock.  No
+  transition is recomputed and no row or cell is discarded; the dead
+  slot's component keeps riding the (memoized) lockstep product until the
+  next :meth:`~DynamicFanout.compact`.
+* :meth:`~DynamicFanout.compact` is the only full re-merge: it drops
+  tombstoned slots from the component tuples and rebuilds the rows -- the
+  operation the ``recompiles`` counter counts, and the one a server
+  schedules at leisure (or never), not on the churn path.
+
+Sub-batch position *i* always belongs to slot ``order()[i]``; tombstoned
+slots keep their position (and receive nothing) until a compaction
+renumbers.  With no slot at all the automaton drops everything -- the
+hub's idle scan, which only tracks document boundaries.  Mutations are only
+legal between documents -- exactly the boundary the subscription hub
+applies churn at -- because rows held in a run's cursor stack would
+otherwise go stale mid-document.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
+from array import array
 from typing import Dict, List, Optional, Tuple
 
-from repro.fastpath.dfa import FlatProjectionTable
-from repro.fastpath.tags import TagTable
+from repro.fastpath.tags import DROP, UNKNOWN, TagTable
 from repro.pipeline.projection import KEEP_ALL, ProjectionSpec
 
 #: Sentinel distinguishing "memo miss" from a memoized ``None`` (drop).
 _MISS = object()
-
-
-class _DynState:
-    """One interned lockstep state over the current slot tuple.
-
-    ``keep_mask`` marks the slots that keep element events at this state
-    (their component is not ``None``); ``chars_mask`` the slots inside a
-    keep-everything region (character data is forwarded only there).  Both
-    are intersected with the fanout's *active* mask, so a tombstoned slot's
-    component can keep riding the product (its transitions are all memo
-    hits) while its bit never reaches a sub-batch.  :meth:`refresh`
-    re-derives the masks in place -- that is all a detach costs per state.
-    """
-
-    __slots__ = ("components", "keep_mask", "chars_mask")
-
-    def __init__(self, components: Tuple[object, ...], active_mask: int):
-        self.components = components
-        self.refresh(active_mask)
-
-    def refresh(self, active_mask: int) -> None:
-        keep_mask = 0
-        chars_mask = 0
-        for index, component in enumerate(self.components):
-            if component is None or not active_mask >> index & 1:
-                continue
-            keep_mask |= 1 << index
-            if component is KEEP_ALL:
-                chars_mask |= 1 << index
-        self.keep_mask = keep_mask
-        self.chars_mask = chars_mask
 
 
 class _Slot:
@@ -107,23 +96,23 @@ class _Slot:
 
 
 class DynamicFanout:
-    """A mutable union projection automaton with stable slot identities."""
+    """A mutable union projection automaton with stable slot identities,
+    interned straight into the scanner's flat transition table."""
 
     def __init__(self):
         self._slot_ids = itertools.count(1)
         self._slots: List[_Slot] = []
         self._active_mask = 0
-        self._states: Dict[Tuple[object, ...], _DynState] = {}
-        self._initial: Optional[_DynState] = None
+        self._lock = threading.Lock()
         #: Tag interning shared by every run over this fanout; survives
-        #: table rebuilds so interned tag ids stay valid across attaches.
+        #: row rebuilds so interned tag ids stay valid across attaches.
         self.tags = TagTable()
-        self._table: Optional[FlatProjectionTable] = None
         self._indices: Dict[int, Tuple[int, ...]] = {}
         #: Full re-merges of the union automaton (only :meth:`compact`).
         self.recompiles = 0
         self.attaches = 0
         self.detaches = 0
+        self._reset_rows()
 
     # -------------------------------------------------------------- mutation
 
@@ -149,23 +138,22 @@ class DynamicFanout:
 
         ``spec`` is the query's projection automaton (``None`` pins the
         slot to keep-everything, like a projection-disabled query).  Only
-        the dynamic intern table is reset: every pre-existing query's own
-        memoized transitions are reused verbatim, so the re-derivation
-        work as the stream continues touches only the new query's states.
+        the rows are reset: every pre-existing query's own memoized
+        transitions are reused verbatim, so the re-derivation work as the
+        stream continues touches only the new query's states.
         """
         slot = _Slot(next(self._slot_ids), spec)
         self._slots.append(slot)
         self._active_mask |= 1 << (len(self._slots) - 1)
         self.attaches += 1
-        self._reset_states()
+        self._reset_rows()
         return slot.slot_id
 
     def detach(self, slot_id: int) -> None:
-        """Tombstone one slot: clear its membership bit everywhere, in place.
+        """Tombstone one slot: clear its membership bit from every row.
 
-        No transition is recomputed and no interned state is discarded --
-        the mutation is a mask sweep over the states the stream has
-        actually visited (plus the flat table's rows).
+        No transition is recomputed and no row or cell is discarded -- the
+        mutation is one sweep over the mask rows.
         """
         position = self._position(slot_id)
         slot = self._slots[position]
@@ -174,14 +162,9 @@ class DynamicFanout:
         slot.active = False
         self._active_mask &= ~(1 << position)
         self.detaches += 1
-        active_mask = self._active_mask
-        if self._initial is not None:
-            self._initial.refresh(active_mask)
-        for state in self._states.values():
-            if state is not self._initial:
-                state.refresh(active_mask)
-        if self._table is not None:
-            self._table.refresh_metadata()
+        with self._lock:
+            self.keep_masks[:] = [mask & self._active_mask for mask in self.keep_masks]
+            self.chars_masks[:] = [mask & self._active_mask for mask in self.chars_masks]
         self._indices.clear()
 
     def compact(self) -> int:
@@ -196,10 +179,8 @@ class DynamicFanout:
             self._slots = [slot for slot in self._slots if slot.active]
         self.recompiles += 1
         self._active_mask = (1 << len(self._slots)) - 1
-        self._reset_states()
+        self._reset_rows()
         return reclaimed
-
-    # ------------------------------------------------------------ automaton
 
     def _position(self, slot_id: int) -> int:
         for position, slot in enumerate(self._slots):
@@ -207,67 +188,95 @@ class DynamicFanout:
                 return position
         raise KeyError(f"no slot {slot_id}; live slots: {self.order()}")
 
-    def _reset_states(self) -> None:
-        self._states = {}
-        self._initial = None
-        self._table = None
-        self._indices.clear()
-
-    @property
-    def initial(self) -> _DynState:
-        if self._initial is None:
-            components = tuple(
-                KEEP_ALL if slot.spec is None else slot.spec.initial for slot in self._slots
-            )
-            self._initial = self._intern(components)
-        return self._initial
-
-    def _intern(self, components: Tuple[object, ...]) -> _DynState:
-        state = self._states.get(components)
-        if state is None:
-            state = _DynState(components, self._active_mask)
-            self._states[components] = state
-        return state
-
-    def transition(self, state: _DynState, tag: str) -> Optional[_DynState]:
-        """Lockstep successor for ``tag``; ``None`` when every slot drops.
-
-        Per-slot successors are looked up in the slot automaton's *own*
-        per-state memo first (``_State.trans``), so replaying a warm
-        stream after an attach never re-enters a pre-existing query's
-        transition function.
-        """
-        slots = self._slots
-        components: List[object] = []
-        any_kept = False
-        for index, component in enumerate(state.components):
-            if component is None or component is KEEP_ALL:
-                successor = component
-            else:
-                successor = component.trans.get(tag, _MISS)
-                if successor is _MISS:
-                    successor = slots[index].spec.transition(component, tag)
-                    component.trans[tag] = successor
-            components.append(successor)
-            if successor is not None:
-                any_kept = True
-        if not any_kept:
-            return None
-        return self._intern(tuple(components))
-
     # ------------------------------------------------------------ flat table
 
-    def table(self) -> FlatProjectionTable:
-        """The flat transition table over the current slot tuple (lazy).
+    def _reset_rows(self) -> None:
+        """Discard every row, then intern the initial state as row 0."""
+        self._rows: Dict[Tuple[object, ...], int] = {}
+        self._components: List[Tuple[object, ...]] = []
+        self.keep_masks: List[int] = []
+        self.chars_masks: List[int] = []
+        self.layout = (array("i"), 64)
+        self._indices.clear()
+        self._intern(
+            tuple(KEEP_ALL if slot.spec is None else slot.spec.initial for slot in self._slots)
+        )
 
-        Rebuilt from scratch only after an attach or a compaction; the
-        rebuild itself is lazy (cells fill as the stream revisits states,
-        through the per-query memos).  A detach patches the existing
-        table's mask rows in place instead.
+    def _intern(self, components: Tuple[object, ...]) -> int:
+        """The row of a lockstep tuple (callers hold the lock, or reset)."""
+        row = self._rows.get(components)
+        if row is None:
+            keep_mask = 0
+            chars_mask = 0
+            for index, component in enumerate(components):
+                if component is not None and self._active_mask >> index & 1:
+                    keep_mask |= 1 << index
+                    if component is KEEP_ALL:
+                        chars_mask |= 1 << index
+            self.keep_masks.append(keep_mask)
+            self.chars_masks.append(chars_mask)
+            cells, stride = self.layout
+            cells.extend(array("i", [UNKNOWN]) * stride)
+            row = self._rows[components] = len(self._components)
+            self._components.append(components)
+        return row
+
+    def _successor(self, row: int, tag: str) -> int:
+        """Lockstep successor of ``row`` on ``tag``: a row, or :data:`DROP`
+        when every slot drops (lock held).
+
+        Per-slot successors are looked up in the slot automaton's *own*
+        per-state memo first (``_State.trans``), so replaying a warm stream
+        after an attach never re-enters a pre-existing query's transition
+        function.
         """
-        if self._table is None:
-            self._table = FlatProjectionTable(self.initial, self.transition, self.tags)
-        return self._table
+        components: List[object] = []
+        for slot, component in zip(self._slots, self._components[row]):
+            if component is not None and component is not KEEP_ALL:
+                successor = component.trans.get(tag, _MISS)
+                if successor is _MISS:
+                    successor = component.trans[tag] = slot.spec.transition(component, tag)
+                component = successor
+            components.append(component)
+        if all(component is None for component in components):
+            return DROP
+        return self._intern(tuple(components))
+
+    def resolve(self, row: int, tid: int) -> int:
+        """Fill (and return) the cell for ``(row, tid)``.
+
+        The scanner calls this on an :data:`UNKNOWN` (or out-of-stride) cell
+        and must reload ``layout`` afterwards: the cells may have moved.
+        """
+        with self._lock:
+            if tid >= self.layout[1]:
+                self._widen(tid)
+            cells, stride = self.layout
+            cell = cells[row * stride + tid]
+            if cell == UNKNOWN:
+                cell = cells[row * stride + tid] = self._successor(row, self.tags.names[tid])
+            return cell
+
+    def _widen(self, tid: int) -> None:
+        """Re-lay the cells with a stride past ``tid`` (lock held)."""
+        cells, stride = self.layout
+        wide = stride
+        while wide <= tid:
+            wide *= 2
+        grown = array("i", [UNKNOWN]) * (len(self._components) * wide)
+        for row in range(len(self._components)):
+            grown[row * wide : row * wide + stride] = cells[row * stride : (row + 1) * stride]
+        self.layout = (grown, wide)
+
+    def resolve_name(self, row: int, name: str) -> int:
+        """Transition by name for uninterned (past-the-cap) tags.
+
+        Nothing is cached -- there is no tag id to key a cell on -- so
+        adversarial vocabularies degrade to per-occurrence transition cost
+        without growing the table.
+        """
+        with self._lock:
+            return self._successor(row, name)
 
     def indices_for(self, mask: int) -> Tuple[int, ...]:
         """Unpack a membership bitset into sub-batch positions (memoized)."""

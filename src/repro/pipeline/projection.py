@@ -28,7 +28,8 @@ where the executor can route text anywhere (buffers, accumulators, copies).
 
 This module only *decides*: the byte scanner (:mod:`repro.fastpath.scanner`)
 applies the decisions, through the flat transition table that
-:mod:`repro.fastpath.dfa` compiles lazily from :meth:`ProjectionSpec.transition`.
+:class:`~repro.pipeline.fanout.DynamicFanout` fills lazily from
+:meth:`ProjectionSpec.transition`.
 """
 
 from __future__ import annotations

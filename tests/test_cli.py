@@ -286,12 +286,15 @@ def test_fuzz_command_runs_a_deterministic_sweep(tmp_path, capsys):
 def test_fuzz_command_replays_case_files(tmp_path, capsys):
     from repro.conformance import CaseGenerator, save_case
 
-    path = tmp_path / "case0.case"
-    save_case(path, CaseGenerator(seed=3).case(0))
-    code = main(["fuzz", "--replay", str(path)])
+    paths = [str(tmp_path / f"case{index}.case") for index in range(3)]
+    for index, path in enumerate(paths):
+        save_case(path, CaseGenerator(seed=3).case(index))
+    # One flag takes several files (a shell glob), and it stays repeatable.
+    code = main(["fuzz", "--replay", paths[0], paths[1], "--replay", paths[2]])
     out = capsys.readouterr().out
     assert code == 0
-    assert "PASS" in out
+    assert [line.split(":")[0] for line in out.splitlines()] == paths
+    assert out.count("PASS") == 3
 
 
 def test_fuzz_command_replay_reports_failures(tmp_path, capsys):

@@ -70,17 +70,8 @@ from repro.xmlstream.parser import parse_tree
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
-CASES = (
-    "seed1-case23.case",
-    "seed1-case64.case",
-    "seed1-case92.case",
-    "join-equality.case",
-    "join-range.case",
-    "dropped-subtrees.case",
-    "buffer-peak-attribution.case",
-    "buffered-loops.case",
-    "bare-scope-variable.case",
-)
+#: Every recorded fixture: a new ``.case`` file is picked up by dropping it in.
+CASES = tuple(sorted(name for name in os.listdir(FIXTURES) if name.endswith(".case")))
 
 
 def _fixture(name: str) -> str:

@@ -1,4 +1,4 @@
-"""The document stages: byte scanner, SoA batches, flat DFA.
+"""The document stages: byte scanner, SoA batches, the fanout's flat table.
 
 The scanner is tested *differentially* against the expat reference stream
 of :mod:`repro.xmlstream` (``_reference.reference_events``), with and
@@ -9,13 +9,14 @@ without ``expand_attrs``:
   multi-byte UTF-8, NBSP-only text, padded tag names) and on randomized
   documents, including the pre-drop input accounting,
 * the flat integer transition table versus the projection automaton it
-  caches, on randomized tag streams,
+  caches, on randomized tag streams, and its layout never torn by a
+  concurrent widening,
 * push-mode byte feeds split at every small stride (including
   mid-multibyte-UTF-8 and inside attribute values) versus pull mode,
 * the ``mmap`` file ingest,
 * invalid UTF-8 as a typed, located error in pull, push and hub runs,
 * bounded behaviour on adversarial unbounded tag vocabularies: the
-  TagTable overflow path,
+  TagTable overflow path, through one- and two-slot fanouts,
 * well-formed XML the scanner once got wrong: ``>`` inside a quoted
   attribute value, XML 1.0 line-end and attribute-value normalisation, and
   non-ASCII element names.
@@ -46,6 +47,7 @@ BIB_DTD = """
 """
 
 TITLES = "<titles>{ for $b in $ROOT/bib/book return {$b/title} }</titles>"
+AUTHORS = "<authors>{ for $b in $ROOT/bib/book return {$b/author} }</authors>"
 
 #: Attribute-heavy: entities and non-ASCII in values, empty values, a
 #: self-closing attribute carrier, an attribute already prefixed by its
@@ -78,14 +80,13 @@ def solo_fanout(spec=None, tags=None):
     """A one-slot fanout: keep-everything unless ``spec`` filters."""
     fanout = DynamicFanout()
     if tags is not None:
-        fanout.tags = tags  # a capped table, before the flat table binds it
+        fanout.tags = tags  # a capped table, before any run interns a tag
     fanout.attach(spec)
     return fanout
 
 
 def solo_scanner(fanout=None, **kwargs):
-    fanout = fanout if fanout is not None else solo_fanout()
-    return ByteScanner(fanout.tags, fanout.table(), **kwargs)
+    return ByteScanner(fanout if fanout is not None else solo_fanout(), **kwargs)
 
 
 def scan(document, chunk_size=64 * 1024, fanout=None, expand=False):
@@ -305,7 +306,7 @@ def test_soa_word_packing_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Flat DFA versus the projection automaton it caches
+# The fanout's flat table versus the projection automaton it caches
 
 
 @EXPAND
@@ -334,6 +335,44 @@ def test_flat_table_matches_projection_automaton_on_random_streams(expand):
             # Input accounting is pre-drop: the whole document, not the survivors.
             assert seen == len(reference)
             assert cost == sum(event.cost_in_bytes() for event in reference)
+
+
+class _WidensAfterLoad(DynamicFanout):
+    """A fanout whose flat table widens right after the scanner loads it:
+    what another run's miss on a tag id past the stride does when the
+    thread switch falls between two reads."""
+
+    armed = False
+
+    def __getattribute__(self, name):
+        value = super().__getattribute__(name)
+        # Any name the table could be loaded by, so that a reader loading
+        # the cells and the stride one at a time is caught between the two.
+        if name in ("layout", "cells", "stride") and super().__getattribute__("armed"):
+            self.armed = False
+            for index in range(100):
+                tid = self.tags.intern(b"wide%d" % index)
+            self.resolve(0, tid)
+        return value
+
+
+def test_a_widening_between_table_loads_never_tears_the_layout():
+    # Rows 0 and 1 (``bib``) exist when the second chunk starts, with row 1
+    # open: a stride from after the widening paired with cells from before
+    # it would index past the old array.
+    with FluxSession(BIB_DTD, root_element="bib") as session:
+        spec = session.prepare(TITLES).engine.projection_spec
+    fanout = _WidensAfterLoad()
+    fanout.attach(spec)
+    scanner = ByteScanner(fanout)
+    data = DOC.encode("utf-8")
+    cut = len(b"<bib>")
+    events = scanner.feed_batch(data[:cut]).materialize()
+    fanout.armed = True
+    events += scanner.feed_batch(data[cut:]).materialize()
+    events += scanner.close_batch().materialize()
+    assert not fanout.armed and fanout.layout[1] > 64
+    assert events == scanned_events(DOC, fanout=solo_fanout(spec))
 
 
 @EXPAND
@@ -408,12 +447,41 @@ def test_invalid_utf8_is_a_located_wellformedness_error(mode, document, offset):
 # Adversarial unbounded vocabularies
 
 
-def test_tag_table_overflow_stays_bounded_and_correct():
+def slot_streams(fanout, document, chunk_size=64 * 1024):
+    """Per-slot sub-streams of one scan through an N-slot fanout."""
+    scanner = ByteScanner(fanout)
+    streams = [[] for _ in range(fanout.width)]
+    data = document.encode("utf-8")
+    for batch in [*scanner.scan_document(data, chunk_size), scanner.close_batch()]:
+        for stream, sub in zip(streams, batch.materialize_split(fanout)):
+            stream.extend(sub)
+    return streams
+
+
+@pytest.mark.parametrize("queries", [(None,), (TITLES, AUTHORS)], ids=["one-slot", "two-slot"])
+def test_tag_table_overflow_stays_bounded_and_correct(queries):
+    # Past the cap (``bib``, ``book``, ``title``), ``author`` and every
+    # ``t{i}`` are uninterned: each slot's transitions on them go through
+    # ``resolve_name``, uncached.
     tags = TagTable(limit=3)
-    document = "<root>" + "".join(
-        f"<t{i}>x{i}</t{i}>" for i in range(40)
-    ) + "</root>"
-    assert_scan_matches_reference(document, fanout=solo_fanout(tags=tags))
+    document = "<bib>" + "".join(
+        f"<book><title>T{i}</title><author>A{i}</author><t{i}>x{i}</t{i}></book>"
+        for i in range(40)
+    ) + "</bib>"
+    with FluxSession(BIB_DTD, root_element="bib") as session:
+        specs = [
+            None if query is None else session.prepare(query).engine.projection_spec
+            for query in queries
+        ]
+    fanout = solo_fanout(specs[0], tags=tags)
+    for spec in specs[1:]:
+        fanout.attach(spec)
+    streams = slot_streams(fanout, document)
+    assert len(streams) == len(specs)
+    for spec, stream in zip(specs, streams):
+        assert stream == scanned_events(document, fanout=solo_fanout(spec))
+    if queries == (None,):
+        assert_scan_matches_reference(document, fanout=fanout)
     assert len(tags) <= 3
     assert len(tags.ids) <= 2 * 3  # canonical entries + padded aliases
 

@@ -104,14 +104,14 @@ def test_merged_filter_with_projection_disabled_component(document):
 
 
 def test_merged_state_membership_masks(document):
-    """``chars_mask`` ⊆ ``keep_mask`` on every state the document visits."""
+    """``chars_mask`` ⊆ ``keep_mask`` on every row the document visits."""
     fanout = _fanout(_specs("Q1", "Q13"))
     _slot_streams(fanout, document)
-    assert len(fanout._states) > 1
-    for state in fanout._states.values():
+    assert len(fanout.keep_masks) == len(fanout.chars_masks) > 1
+    for keep_mask, chars_mask in zip(fanout.keep_masks, fanout.chars_masks):
         # A query inside a keep-everything region necessarily keeps elements.
-        assert state.chars_mask & state.keep_mask == state.chars_mask
-    assert fanout.initial.keep_mask == 0b11  # both queries watch the root
+        assert chars_mask & keep_mask == chars_mask
+    assert fanout.keep_masks[0] == 0b11  # both queries watch the root
 
 
 def test_shared_scan_records_stats_per_query(document):

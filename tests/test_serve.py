@@ -28,6 +28,7 @@ from repro.core.api import load_dtd
 from repro.core.options import ExecutionOptions
 from repro.engine.engine import FluxEngine
 from repro.fastpath import ByteScanner
+from repro.fastpath.tags import DROP
 from repro.obs import serve as obs_serve
 from repro.pipeline.projection import ProjectionSpec
 from repro.serve import (
@@ -89,7 +90,7 @@ def _spec_for(query: str) -> ProjectionSpec:
 def test_fanout_slots_and_tombstones():
     fanout = DynamicFanout()
     # No slot: the drop-everything automaton (the hub's idle scan).
-    assert fanout.transition(fanout.initial, "bib") is None
+    assert fanout.resolve_name(0, "bib") == DROP
     a = fanout.attach(_spec_for(TITLES))
     b = fanout.attach(_spec_for(AUTHORS))
     assert fanout.order() == (a, b)
@@ -144,23 +145,32 @@ def test_attach_is_delta_merge_never_reenters_existing_queries():
     slot_t = fanout.attach(spec_t)
     fanout.attach(spec_a)
 
-    def run_doc():
-        # What the hub does per document: scan over the fanout's flat
+    def run_doc(fanout=fanout):
+        # What the hub does per document: scan through the fanout's flat
         # table, ``materialize_split`` by its membership masks.
-        table = fanout.table()
-        scanner = ByteScanner(fanout.tags, table)
-        for batch in scanner.scan_document(_doc(0).encode("utf-8"), 1 << 16):
-            subs = batch.materialize_split(
-                fanout.width, table.keep_masks, table.chars_masks, fanout.indices_for
-            )
+        streams = [[] for _ in range(fanout.width)]
+        scanner = ByteScanner(fanout)
+        data = _doc(0).encode("utf-8")
+        for batch in [*scanner.scan_document(data, 1 << 16), scanner.close_batch()]:
+            subs = batch.materialize_split(fanout)
             assert len(subs) == fanout.width
+            for stream, sub in zip(streams, subs):
+                stream.extend(sub)
+        return streams
+
+    def one_slot(query):
+        alone = DynamicFanout()
+        alone.attach(_spec_for(query))
+        return run_doc(alone)[0]
 
     run_doc()
     warm_t, warm_a = calls_t[0], calls_a[0]
     assert warm_t > 0 and warm_a > 0
 
     fanout.attach(spec_p)
-    run_doc()
+    solo = [one_slot(query) for query in (TITLES, AUTHORS, PRICES)]
+    assert all(solo)
+    assert run_doc() == solo
     # The survivors never re-entered their transition functions: replaying
     # the same tag vocabulary after the attach is dict work only.
     assert calls_t[0] == warm_t
@@ -168,10 +178,12 @@ def test_attach_is_delta_merge_never_reenters_existing_queries():
     assert calls_p[0] > 0
     assert fanout.recompiles == 0
 
-    # A detach recomputes nothing either.
+    # A detach recomputes nothing either, and on this warm table its one
+    # mask sweep reaches every row the stream has visited: the tombstone's
+    # seat goes silent, the survivors' streams do not move.
     warm_p = calls_p[0]
     fanout.detach(slot_t)
-    run_doc()
+    assert run_doc() == [[], solo[1], solo[2]]
     assert (calls_t[0], calls_a[0], calls_p[0]) == (warm_t, warm_a, warm_p)
     assert fanout.recompiles == 0
 
