@@ -17,7 +17,7 @@ Run with::
 
 import sys
 
-from repro import ExecutionOptions, FluxEngine
+from repro import ExecutionOptions, FluxSession
 from repro.obs.attrib import format_attribution
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.generator import config_for_scale, generate_document
@@ -28,16 +28,17 @@ def main(scale: float) -> None:
     document = generate_document(config_for_scale(scale, seed=97))
     print(f"generated XMark document at scale {scale}: {len(document)} bytes")
 
-    engine = FluxEngine(BENCHMARK_QUERIES["Q8"], xmark_dtd())
+    session = FluxSession(xmark_dtd())
+    q8 = session.prepare(BENCHMARK_QUERIES["Q8"])
     count_only = ExecutionOptions(collect_output=False)
-    stats = engine.execute(document, options=count_only).stats
+    stats = q8.execute(document, options=count_only).stats
     print("\n--- Q8 unbounded: who owns the peak? ---")
     print(format_attribution(stats))
     attributed = stats.attribution.total_at_peak_bytes()
     assert attributed == stats.peak_buffered_bytes, "attribution is exact"
 
     # Q1 streams everything: the table degenerates to a one-line proof.
-    q1_stats = FluxEngine(BENCHMARK_QUERIES["Q1"], xmark_dtd()).execute(
+    q1_stats = session.prepare(BENCHMARK_QUERIES["Q1"]).execute(
         document, options=count_only
     ).stats
     print("\n--- Q1: a fully streaming query ---")
@@ -46,7 +47,7 @@ def main(scale: float) -> None:
     # Halve the budget: the same owners spill, and every spilled byte is
     # attributed too.
     budget = max(32, stats.peak_buffered_bytes // 2)
-    bounded = engine.execute(document, options=count_only.replace(memory_budget=budget)).stats
+    bounded = q8.execute(document, options=count_only.replace(memory_budget=budget)).stats
     print(f"\n--- Q8 with a {budget}B budget: spills attributed ---")
     print(format_attribution(bounded))
     print(

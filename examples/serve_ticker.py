@@ -27,7 +27,7 @@ Run with::
 import sys
 import threading
 
-from repro.engine.engine import FluxEngine
+from repro import FluxSession
 from repro.serve import SubscribeClient, SubscriptionHub, ServeServer
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
@@ -91,16 +91,13 @@ def main() -> None:
     server.stop()
 
     # Oracle: solo runs over independently regenerated tick documents.
-    solo_q1 = [
-        FluxEngine(BENCHMARK_QUERIES["Q1"], xmark_dtd(), projection=True)
-        .execute(ticker_document(i, scale=SCALE))
-        .output
-        for i in range(documents)
-    ]
-    engine_q13 = FluxEngine(BENCHMARK_QUERIES["Q13"], xmark_dtd(), projection=True)
+    session = FluxSession(xmark_dtd())
+    q1 = session.prepare(BENCHMARK_QUERIES["Q1"])
+    solo_q1 = [q1.execute(ticker_document(i, scale=SCALE)).output for i in range(documents)]
+    q13 = session.prepare(BENCHMARK_QUERIES["Q13"])
     late_first = late_frames[0]["document"] if late_frames else None
     solo_q13 = [
-        engine_q13.execute(ticker_document(i, scale=SCALE)).output
+        q13.execute(ticker_document(i, scale=SCALE)).output
         for i in range(late_first or 0, documents)
     ]
 

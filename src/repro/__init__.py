@@ -57,10 +57,13 @@ Quickstart::
     both = session.prepare_many({"a": SOURCE_A, "b": SOURCE_B})
     print(both.execute("bib.xml").outputs())           # one shared pass
 
-Whatever opens it -- a solo ``execute``, a ``prepare_many`` pass, a feed
-or the subscription hub -- a document runs through one
-:class:`RunHandle`, one seat per query, configured by one
-:class:`ExecutionOptions`.
+``prepare`` and ``prepare_many`` return the same :class:`PreparedQuery`
+(one unnamed member, or N named ones) with the same four verbs:
+``execute``, ``stream``, ``open_run`` and ``open_feed``.  Each opens one
+:class:`RunHandle` with a seat per member, configured by one
+:class:`ExecutionOptions`; the subscription hub opens its own per
+document.  A run seals to a :class:`FluxRunResult` for an unnamed member
+and to a :class:`MultiQueryRun` for named ones.
 """
 
 from repro.core import (
@@ -85,7 +88,6 @@ from repro.core import (
     PlanCache,
     PlanKey,
     PreparedQuery,
-    PreparedQuerySet,
     ProjectionDomEngine,
     RunHandle,
     RunStatistics,
@@ -127,7 +129,6 @@ __all__ = [
     "PlanCache",
     "PlanKey",
     "PreparedQuery",
-    "PreparedQuerySet",
     "ProjectionDomEngine",
     "RunHandle",
     "RunStatistics",

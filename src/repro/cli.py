@@ -199,37 +199,15 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.output and args.discard_output:
-        print("error: --output and --discard-output are mutually exclusive", file=sys.stderr)
-        return 2
-    session = FluxSession(_load_schema(args), options=_options(args))
-    prepared = session.prepare(
-        _resolve_query(args.query), projection=not args.no_projection
+    query = _resolve_query(args.query)
+    return _execute_and_report(
+        args,
+        [args.output] if args.output else [],
+        lambda session: session.prepare(query, projection=not args.no_projection),
     )
-    if args.output:
-        # Stream fragments straight to the file: the result never exists as
-        # one in-memory string, however large it is.
-        with open(args.output, "w", encoding="utf-8") as handle:
-            result = prepared.execute(args.document, sink=handle)
-    else:
-        result = prepared.execute(args.document, collect_output=not args.discard_output)
-        if not args.discard_output:
-            print(result.output)
-    print(result.stats.summary(), file=sys.stderr)
-    if args.explain_buffers:
-        from repro.obs.attrib import format_attribution
-
-        print(format_attribution(result.stats), file=sys.stderr)
-    if result.trace is not None:
-        print(result.trace.table(), file=sys.stderr)
-    return 0
 
 
 def _cmd_multirun(args) -> int:
-    if args.output and args.discard_output:
-        print("error: --output and --discard-output are mutually exclusive", file=sys.stderr)
-        return 2
-    schema = _load_schema(args)
     if args.output and len(args.output) != len(args.query):
         print(
             f"error: {len(args.query)} queries but {len(args.output)} --output paths "
@@ -237,10 +215,7 @@ def _cmd_multirun(args) -> int:
             file=sys.stderr,
         )
         return 2
-
-    session = FluxSession(schema, options=_options(args))
     queries = {}
-    names = []
     for argument in args.query:
         name = argument
         suffix = 2
@@ -248,38 +223,57 @@ def _cmd_multirun(args) -> int:
             name = f"{argument}#{suffix}"
             suffix += 1
         queries[name] = _resolve_query(argument)
-        names.append(name)
-    prepared = session.prepare_many(queries, projection=not args.no_projection)
+    return _execute_and_report(
+        args,
+        args.output or [],
+        lambda session: session.prepare_many(queries, projection=not args.no_projection),
+    )
 
-    if args.output:
-        with contextlib.ExitStack() as stack:
-            sinks = {
-                name: stack.enter_context(open(path, "w", encoding="utf-8"))
-                for name, path in zip(names, args.output)
-            }
-            run = prepared.execute(args.document, sinks=sinks)
-    else:
-        run = prepared.execute(args.document, collect_output=not args.discard_output)
-        if not args.discard_output:
-            for name in names:
+
+def _execute_and_report(args, outputs: Sequence[str], prepare) -> int:
+    """The body ``run`` and ``multirun`` share: ``prepare(session)`` gives
+    one unnamed query (``run``) or named members (``multirun``); execute it
+    once, to one ``--output`` file per member or to stdout, and report.
+    Unnamed output and statistics carry no ``--- name ---`` labels."""
+    if outputs and args.discard_output:
+        print("error: --output and --discard-output are mutually exclusive", file=sys.stderr)
+        return 2
+    prepared = prepare(FluxSession(_load_schema(args), options=_options(args)))
+    names = prepared.names
+    solo = names == (None,)
+    with contextlib.ExitStack() as stack:
+        # Output files take fragments as they are produced: a result never
+        # exists as one in-memory string, however large it is.
+        files = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in outputs]
+        if files:
+            result = prepared.execute(args.document, sinks=dict(zip(names, files)))
+        else:
+            result = prepared.execute(args.document, collect_output=not args.discard_output)
+    members = [(None, result)] if solo else list(result.items())
+    if not files and not args.discard_output:
+        for name, member in members:
+            if name is not None:
                 print(f"--- {name} ---")
-                print(run[name].output)
-    for name in names:
-        print(f"{name}: {run[name].stats.summary()}", file=sys.stderr)
+            print(member.output)
+    for name, member in members:
+        label = "" if name is None else f"{name}: "
+        print(f"{label}{member.stats.summary()}", file=sys.stderr)
     if args.explain_buffers:
         from repro.obs.attrib import format_attribution
 
-        for name in names:
-            print(f"--- {name} buffers ---", file=sys.stderr)
-            print(format_attribution(run[name].stats), file=sys.stderr)
-    print(
-        f"shared pass over {len(names)} queries: {run.elapsed_seconds:.3f}s total",
-        file=sys.stderr,
-    )
-    if args.stats:
-        _print_multirun_stats(run, names)
-    if run.trace is not None:
-        print(run.trace.table(), file=sys.stderr)
+        for name, member in members:
+            if name is not None:
+                print(f"--- {name} buffers ---", file=sys.stderr)
+            print(format_attribution(member.stats), file=sys.stderr)
+    if not solo:
+        print(
+            f"shared pass over {len(names)} queries: {result.elapsed_seconds:.3f}s total",
+            file=sys.stderr,
+        )
+        if args.stats:
+            _print_multirun_stats(result, names)
+    if result.trace is not None:
+        print(result.trace.table(), file=sys.stderr)
     return 0
 
 

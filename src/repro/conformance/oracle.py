@@ -12,7 +12,7 @@ execution path the repo has grown:
   projected and the unprojected run must both equal the totals of the
   reference event stream (the pre-drop accounting contract),
 * the **multi-query engine** (all of the case's queries in one shared
-  pass),
+  pass, pulled and push-fed at markup splits),
 * a **bounded-memory** run with a budget of half the query's unbounded
   buffer peak -- small enough that any query that buffers at all is forced
   to spill -- plus a bounded multi-query pass sharing one governor,
@@ -77,7 +77,6 @@ from repro.core.api import load_dtd
 from repro.core.options import ExecutionOptions
 from repro.core.session import FluxSession
 from repro.dtd.validator import validate_document
-from repro.engine.engine import FluxEngine
 from repro.engine.stats import RunStatistics
 from repro.obs.tracer import validate_span_tree
 from repro.xmlstream.events import Characters
@@ -299,14 +298,14 @@ class Oracle:
         expected = reference.output
 
         try:
-            engine = FluxEngine(source, schema)
+            prepared = session.prepare(source)
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "compile", f"scheduling/compilation crashed: {exc!r}"))
             return "", 0
 
         # --- sink mode 1: collect ---------------------------------------
         try:
-            collected = engine.execute(case.document, options=options)
+            collected = prepared.execute(case.document, options=options)
         except Exception as exc:  # noqa: BLE001 - engine crashes are findings
             record(Divergence(name, "flux-collect", f"run crashed: {exc!r}"))
             return expected, 0
@@ -322,7 +321,7 @@ class Oracle:
         comparable = 2 if case.document.isascii() else 1
         wanted = _reference_input(case.document, expand)[:comparable]
         try:
-            unprojected = FluxEngine(source, schema, projection=False).execute(
+            unprojected = session.prepare(source, projection=False).execute(
                 case.document, options=options
             )
         except Exception as exc:  # noqa: BLE001
@@ -347,7 +346,7 @@ class Oracle:
 
         # --- sink mode 2: streaming fragments ---------------------------
         try:
-            run = engine.stream(case.document, options=options)
+            run = prepared.stream(case.document, options=options)
             streamed = "".join(run)
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "flux-streaming", f"run crashed: {exc!r}"))
@@ -359,7 +358,7 @@ class Oracle:
         # --- sink mode 3: writable sink ---------------------------------
         sink = io.StringIO()
         try:
-            sink_result = engine.execute(case.document, sink=sink, options=options)
+            sink_result = prepared.execute(case.document, sink=sink, options=options)
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "flux-sink", f"run crashed: {exc!r}"))
             return expected, peak
@@ -369,7 +368,7 @@ class Oracle:
 
         # --- stats-only run (collect_output=False) ----------------------
         try:
-            discarded = engine.execute(
+            discarded = prepared.execute(
                 case.document, options=options.replace(collect_output=False)
             )
         except Exception as exc:  # noqa: BLE001
@@ -425,11 +424,11 @@ class Oracle:
                 record(Divergence(name, "projection-dom", _diff(expected, projected.output)))
 
         # --- bounded-memory run (budget forces spills when buffering) ---
-        # The compiled engine is reused: the budget is a per-run option (a
+        # The compiled plan is reused: the budget is a per-run option (a
         # fresh, run-owned governor each time).
         budget = max(self.min_budget_bytes, peak // 2)
         try:
-            bounded = engine.execute(
+            bounded = prepared.execute(
                 case.document, options=options.replace(memory_budget=budget)
             )
         except Exception as exc:  # noqa: BLE001
@@ -466,11 +465,6 @@ class Oracle:
             )
 
         # --- session push mode at adversarial chunk splits ---------------
-        try:
-            prepared = session.prepare(source)
-        except Exception as exc:  # noqa: BLE001
-            record(Divergence(name, "session-prepare", f"prepare crashed: {exc!r}"))
-            return expected, peak
         # Text chunks first; then byte chunks, the zero-copy entry: a stride
         # of 3 bytes guarantees every multi-byte UTF-8 sequence in the
         # document is split mid-sequence at least once, the markup family
@@ -513,7 +507,7 @@ class Oracle:
         # tree a run leaves behind must be structurally well-formed.
         label = "traced"
         try:
-            traced = engine.execute(case.document, options=options.replace(trace=True))
+            traced = prepared.execute(case.document, options=options.replace(trace=True))
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, label, f"traced run crashed: {exc!r}"))
             return expected, peak
@@ -772,17 +766,27 @@ class Oracle:
         if any(solo_peaks.values()):
             total_peak = sum(solo_peaks.values())
             budgets.append(max(self.min_budget_bytes, total_peak // 2))
-        for budget in budgets:
+        # Each set runs twice: pulled, and push-fed in chunks split at
+        # markup.  Both legs must seal to the solo outputs and peaks.
+        legs = [(budget, push) for budget in budgets for push in (False, True)]
+        for budget, push in legs:
             label = "multiquery" if budget is None else f"multiquery-bounded({budget}B)"
+            if push:
+                label += "-push"
             try:
                 # Sharing the case session's plan cache skips recompiling
                 # every query per budget pass (keys embed the fingerprint).
                 with FluxSession(
                     schema, memory_budget=budget, plan_cache=session.cache
                 ) as bounded_session:
-                    run = bounded_session.prepare_many(case.query_map).execute(
-                        case.document, expand_attrs=case.expand_attrs
-                    )
+                    queries = bounded_session.prepare_many(case.query_map)
+                    if push:
+                        with queries.open_run(expand_attrs=case.expand_attrs) as handle:
+                            for chunk in _split_at_markup(case.document):
+                                handle.feed(chunk)
+                        run = handle.result
+                    else:
+                        run = queries.execute(case.document, expand_attrs=case.expand_attrs)
             except Exception as exc:  # noqa: BLE001
                 record(Divergence("*", label, f"shared pass crashed: {exc!r}"))
                 return

@@ -11,12 +11,13 @@ per schema:
   :class:`ExecutionOptions`,
 * :meth:`PreparedQuery.open_run` -- push mode: ``feed(chunk)`` /
   ``finish()`` for network-arriving documents,
-* :meth:`FluxSession.prepare_many` -- N queries, one shared document pass
-  (:meth:`PreparedQuerySet.execute` returns a :class:`MultiQueryRun`).
+* :meth:`FluxSession.prepare_many` -- N named queries, one shared document
+  pass: the same :class:`PreparedQuery`, whose runs seal to a
+  :class:`MultiQueryRun`.
 
 :func:`compile_to_flux` exposes the scheduling rewrite itself (the paper's
 Sections 4.1/4.2); :class:`FluxEngine` is the compiled plan a prepared query
-wraps, runnable on its own with explicit ``options``.  The baseline engines
+wraps (compile and inspection only).  The baseline engines
 (:class:`NaiveDomEngine`, :class:`ProjectionDomEngine`) are re-exported for
 side-by-side comparisons (:func:`compare_engines`; ``benchmarks/perf``
 verifies every result against the naive one).
@@ -26,15 +27,13 @@ from repro.core.api import CompiledQuery, compare_engines, compile_to_flux, load
 from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions, FeedOptions
 from repro.core.session import (
     FluxSession,
-    MultiQueryRun,
     PlanCache,
     PlanKey,
     PreparedQuery,
-    PreparedQuerySet,
     SessionStatistics,
 )
 from repro.baselines import NaiveDomEngine, ProjectionDomEngine
-from repro.engine.engine import FluxEngine, FluxRunResult, RunHandle, StreamingRun
+from repro.engine.engine import FluxEngine, FluxRunResult, MultiQueryRun, RunHandle, StreamingRun
 from repro.engine.stats import RunStatistics
 from repro.feeds import DocumentResult, FeedHandle, FeedResult
 from repro.pipeline.sinks import (
@@ -76,7 +75,6 @@ __all__ = [
     "PlanCache",
     "PlanKey",
     "PreparedQuery",
-    "PreparedQuerySet",
     "ProjectionDomEngine",
     "RunHandle",
     "RunStatistics",

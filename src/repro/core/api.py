@@ -1,8 +1,9 @@
 """Schema loading, the scheduling rewrite and the baseline comparison.
 
 Running queries is the session's job (:mod:`repro.core.session`): hold a
-:class:`~repro.core.session.FluxSession`, ``prepare`` a query (or
-``prepare_many`` a set) and execute the prepared plan.  The helpers here
+:class:`~repro.core.session.FluxSession`, ``prepare`` a query or
+``prepare_many`` a named set -- both give one
+:class:`~repro.core.session.PreparedQuery` -- and run it with its verbs.  The helpers here
 sit beside that path: :func:`load_dtd` roots a schema,
 :func:`compile_to_flux` exposes the paper's rewrite (Sections 4.1/4.2)
 with its intermediate stages, and :func:`compare_engines` runs FluX next

@@ -2,30 +2,29 @@
 
 A :class:`FluxSession` is the long-lived object a service keeps per schema:
 
-* **plan cache** -- ``session.prepare(query)`` returns a
-  :class:`PreparedQuery` backed by an LRU :class:`PlanCache` keyed on the
-  *normalized query text* and the DTD's stable
-  :meth:`~repro.dtd.schema.DTD.fingerprint`.  Preparing the same query
-  again skips parsing, scheduling and plan compilation entirely -- the
-  expensive, perfectly cacheable step of FluX execution (the schedule
+* **plan cache** -- ``session.prepare(query)`` compiles through an LRU
+  :class:`PlanCache` keyed on the *normalized query text* and the DTD's
+  stable :meth:`~repro.dtd.schema.DTD.fingerprint`.  Preparing the same
+  query again skips parsing, scheduling and plan compilation entirely --
+  the expensive, perfectly cacheable step of FluX execution (the schedule
   depends only on query and DTD, never on the document).
-* **unified execution** -- ``prepared.execute(document, sink=..., options=...)``:
-  where the output goes is a :mod:`~repro.pipeline.sinks` value, how the run
-  behaves is one :class:`~repro.core.options.ExecutionOptions`.
-* **push mode** -- ``prepared.open_run(sink)`` returns a
-  :class:`~repro.engine.engine.RunHandle`: ``feed(chunk)`` / ``finish()``
-  execute network-arriving documents incrementally, with every pipeline
-  stage resumable across arbitrary chunk boundaries.
+* **one prepared shape** -- ``prepare(query)`` and ``prepare_many({...})``
+  both return a :class:`PreparedQuery`: one unnamed member, or N named
+  ones sharing one document pass.  Its four verbs -- ``execute``,
+  ``stream``, ``open_run`` (push mode: ``feed(chunk)`` / ``finish()``) and
+  ``open_feed`` (concatenated documents) -- each open one
+  :class:`~repro.engine.engine.RunHandle` with a seat per member.  Where
+  the output goes is a :mod:`~repro.pipeline.sinks` value (``sinks`` per
+  name for a set); how the run behaves is one
+  :class:`~repro.core.options.ExecutionOptions`.  A run seals to a
+  :class:`~repro.engine.engine.FluxRunResult` for an unnamed member and to
+  a :class:`~repro.engine.engine.MultiQueryRun` for named ones.
 * **shared memory governance** -- a session constructed with a
   ``memory_budget`` owns one :class:`~repro.storage.governor.MemoryGovernor`
   for all of its runs, so the budget caps the *session's* resident buffered
   bytes, not each run separately.
-* **multi-query** -- ``session.prepare_many({...})`` compiles through the
-  same plan cache; its :class:`PreparedQuerySet` executes all queries over
-  one shared document pass -- one :class:`~repro.engine.engine.RunHandle`
-  with a seat per query -- under the same governor.
 * **cumulative telemetry** -- :class:`SessionStatistics` aggregates every
-  completed run.
+  completed run (every seat of a shared pass).
 
 Typical service shape::
 
@@ -40,11 +39,9 @@ Typical service shape::
         both = session.prepare_many({"a": QUERY, "b": OTHER})
         print(both.execute(document).outputs())  # one scan, a seat per query
 """
-
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
@@ -55,8 +52,8 @@ from repro.dtd.parser import parse_dtd
 from repro.dtd.schema import DTD
 from repro.engine.engine import (
     FluxEngine,
-    FluxRunResult,
     RunHandle,
+    RunResult,
     StreamingRun,
     ensure_rooted,
     governor_for,
@@ -65,8 +62,8 @@ from repro.engine.stats import RunStatistics
 from repro.feeds import FeedHandle
 from repro.flux.ast import FluxExpr
 from repro.obs.metrics import global_registry
-from repro.obs.observer import TraceReport
 from repro.pipeline.fanout import DynamicFanout
+from repro.pipeline.sinks import FragmentSink
 from repro.storage.governor import MemoryGovernor
 from repro.xmlstream.source import DocumentSource
 from repro.xquery.ast import ROOT_VARIABLE, XQExpr
@@ -85,7 +82,7 @@ _metrics = global_registry()
 _CACHE_HITS = _metrics.counter("repro.plan_cache.hits.total", "Plan-cache lookups served from cache")
 _CACHE_MISSES = _metrics.counter("repro.plan_cache.misses.total", "Plan-cache lookups that compiled")
 _CACHE_EVICTIONS = _metrics.counter("repro.plan_cache.evictions.total", "Plans evicted by the LRU")
-# Shared multi-query passes: bumped once per pass.
+# Shared multi-query passes: bumped once per pass a named set opens.
 _PASSES = _metrics.counter("repro.multiquery.passes.total", "Shared multi-query passes")
 _PASS_QUERIES = _metrics.counter(
     "repro.multiquery.queries.total", "Queries served across all shared passes"
@@ -275,21 +272,55 @@ class SessionStatistics:
 
 
 class PreparedQuery:
-    """One compiled, cached plan bound to its session.
+    """N >= 1 compiled, cached plans bound to their session: one run shape.
 
-    All execution shapes share the plan:
+    ``session.prepare(query)`` gives one *unnamed* member and
+    ``session.prepare_many({...})`` named ones.  Either way every verb opens
+    one :class:`~repro.engine.engine.RunHandle` with a seat per member, in
+    :meth:`_open`:
 
     * :meth:`execute` -- pull a document through, output to any sink,
-    * :meth:`stream` -- pull mode with lazily-yielded output fragments,
-    * :meth:`open_run` -- push mode (``feed``/``finish``).
+    * :meth:`stream` -- pull mode with lazily-yielded output fragments
+      (one member only: a fragment sink drains one seat),
+    * :meth:`open_run` -- push mode (``feed``/``finish``),
+    * :meth:`open_feed` -- an endless stream of concatenated documents.
+
+    A run seals to an unnamed member's
+    :class:`~repro.engine.engine.FluxRunResult`, or to one
+    :class:`~repro.engine.engine.MultiQueryRun` keyed by member name.  A one-member query scans
+    through its cached engine's warm one-slot fanout; a set attaches each
+    member's projection automaton to an N-slot fanout, once, here.  A pass
+    hands member *i* exactly the events its solo filter would keep, so
+    per-member output and peak-buffer numbers equal N solo runs; only the
+    scan is shared.
     """
 
-    def __init__(self, session: "FluxSession", engine: FluxEngine, key: PlanKey):
+    def __init__(self, session: "FluxSession", engines: Mapping[Optional[str], FluxEngine]):
         self.session = session
-        self.engine = engine
-        self.key = key
+        self.engines = dict(engines)
+        if len(self.engines) == 1:
+            self.fanout = self.engine.fanout
+        else:
+            self.fanout = DynamicFanout()
+            for engine in self.engines.values():
+                self.fanout.attach(engine.projection_spec)
 
     # ------------------------------------------------------------ inspection
+
+    @property
+    def names(self) -> tuple:
+        """The member names, in preparation order (``(None,)`` for ``prepare``)."""
+        return tuple(self.engines)
+
+    def __len__(self) -> int:
+        return len(self.engines)
+
+    @property
+    def engine(self) -> FluxEngine:
+        """The compiled engine of a one-member query."""
+        if len(self.engines) != 1:
+            raise TypeError(f"a set of {len(self.engines)} queries has no single engine; use .engines")
+        return next(iter(self.engines.values()))
 
     @property
     def flux_source(self) -> str:
@@ -312,18 +343,22 @@ class PreparedQuery:
         document: DocumentSource,
         *,
         sink=None,
+        sinks: Optional[Mapping[str, object]] = None,
         options: Optional[ExecutionOptions] = None,
         **overrides,
-    ) -> FluxRunResult:
-        """Execute over one document; the unified replacement for the trio.
+    ) -> RunResult:
+        """Execute every member over one document in one pass.
 
-        ``sink=None`` collects output into ``result.output`` (or only counts
-        it with ``collect_output=False``); a writable object streams; an
+        ``sink`` receives a one-member query's output: ``None`` collects it
+        into ``result.output`` (or only counts it with
+        ``collect_output=False``), a writable streams, an
         :class:`~repro.pipeline.sinks.OutputSink` instance is used directly.
+        ``sinks`` maps *every* member name to its own sink instead.
         ``options`` (or keyword overrides of the session defaults) carry the
         per-run knobs.
         """
-        return self.engine.execute(document, sink=sink, **self.session._lend(options, overrides))
+        run = self._open("pull", self._seats(sink, sinks), self.session._lend(options, overrides))
+        return run.drive(document).result
 
     def stream(
         self,
@@ -332,13 +367,25 @@ class PreparedQuery:
         options: Optional[ExecutionOptions] = None,
         **overrides,
     ) -> StreamingRun:
-        """Pull-mode run yielding serialized output fragments lazily."""
-        return self.engine.stream(document, **self.session._lend(options, overrides))
+        """Pull-mode run yielding serialized output fragments lazily.
+
+        The returned :class:`~repro.engine.engine.StreamingRun` scans and
+        executes as fragments are pulled; no full-output string is ever
+        materialized.  A set of several queries raises :class:`TypeError`.
+        """
+        if len(self.engines) != 1:
+            raise TypeError(
+                f"stream drains one query's fragments, not {len(self.engines)}; "
+                "use open_run(sinks=...) for a set"
+            )
+        seats = self._seats(FragmentSink(), None)
+        return self._open("stream", seats, self.session._lend(options, overrides), document=document)
 
     def open_run(
         self,
         sink=None,
         *,
+        sinks: Optional[Mapping[str, object]] = None,
         options: Optional[ExecutionOptions] = None,
         **overrides,
     ) -> RunHandle:
@@ -347,14 +394,16 @@ class PreparedQuery:
         Pass a :class:`~repro.pipeline.sinks.FragmentSink` to get each
         ``feed`` call's output back incrementally (duplex streaming), a
         writable to forward output as it is produced, or nothing to collect
-        the result.
+        the result; ``sinks`` as for :meth:`execute`.
         """
-        return self.engine.open_run(sink=sink, **self.session._lend(options, overrides, feed=True))
+        lent = self.session._lend(options, overrides, feed=True)
+        return self._open("push", self._seats(sink, sinks), lent)
 
     def open_feed(
         self,
         sink=None,
         *,
+        sinks: Optional[Mapping[str, object]] = None,
         options: Optional[ExecutionOptions] = None,
         on_document=None,
         on_heartbeat=None,
@@ -364,7 +413,7 @@ class PreparedQuery:
         """Open a continuous feed: unboundedly many concatenated documents.
 
         Each document executes as its own push run over the shared compiled
-        plan (buffers, statistics and attribution reset at every boundary),
+        plans (buffers, statistics and attribution reset at every boundary),
         against the session's shared memory governor when one is
         configured.  ``on_document`` receives each sealed
         :class:`~repro.feeds.DocumentResult`; ``on_heartbeat`` fires every
@@ -372,116 +421,51 @@ class PreparedQuery:
         (or ``options.feed.resume_offset``) skips an already-processed
         stream prefix byte-exactly.  See :mod:`repro.feeds`.
         """
-        return self.engine.open_feed(
-            sink=sink,
+        seats = self._seats(sink, sinks)
+        lent = self.session._lend(options, overrides, feed=True)
+        governor = lent.pop("governor")
+        return FeedHandle(
+            partial(self._open, "push", seats, lent, stop_at_root_close=True),
+            options=lent["options"],
+            governor=governor,
             on_document=on_document,
             on_heartbeat=on_heartbeat,
             resume_from=resume_from,
-            **self.session._lend(options, overrides, feed=True),
         )
 
+    # ------------------------------------------------------------- internals
 
-class MultiQueryRun:
-    """Per-query results of one shared pass, keyed by query name."""
-
-    def __init__(
-        self,
-        results: Dict[str, FluxRunResult],
-        elapsed_seconds: float,
-        memory: Optional[dict] = None,
-        trace: Optional[TraceReport] = None,
-    ):
-        self.results = results
-        #: Wall-clock time of the whole shared pass (all queries together).
-        self.elapsed_seconds = elapsed_seconds
-        #: Shared memory-governor telemetry (budget, peak resident, spills)
-        #: when the pass ran under a memory budget; ``None`` otherwise.
-        self.memory = memory
-        #: Pass-level :class:`~repro.obs.observer.TraceReport` (the shared
-        #: scan and materialize vs. the N-executor fan-out) for traced
-        #: passes; ``None`` otherwise.
-        self.trace = trace
-
-    def __getitem__(self, name: str) -> FluxRunResult:
-        return self.results[name]
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def items(self):
-        return self.results.items()
-
-    def outputs(self) -> Dict[str, Optional[str]]:
-        """Mapping name -> collected output text."""
-        return {name: result.output for name, result in self.results.items()}
-
-
-class PreparedQuerySet:
-    """N prepared queries that execute over one shared document pass.
-
-    Built by :meth:`FluxSession.prepare_many` from engines that came through
-    the session's plan cache.  The union filter -- an N-slot
-    :class:`~repro.pipeline.fanout.DynamicFanout`, one slot per member's
-    projection automaton -- is attached once, here, and every
-    pass scans through it.  A pass hands query *i* exactly the events its
-    solo filter would keep, so per-query output and peak-buffer numbers
-    equal N solo runs; only the scan is shared.
-    """
-
-    def __init__(self, session: "FluxSession", engines: Mapping[str, FluxEngine]):
-        self.session = session
-        self.engines = dict(engines)
-        self.fanout = DynamicFanout()
-        for engine in self.engines.values():
-            self.fanout.attach(engine.projection_spec)
-
-    @property
-    def names(self) -> tuple:
-        """The member query names, in preparation order."""
-        return tuple(self.engines)
-
-    def __len__(self) -> int:
-        return len(self.engines)
-
-    def execute(
-        self,
-        document: DocumentSource,
-        *,
-        sinks: Optional[Mapping[str, object]] = None,
-        options: Optional[ExecutionOptions] = None,
-        **overrides,
-    ) -> MultiQueryRun:
-        """One shared projecting scan for all member queries.
-
-        The pass is one :class:`~repro.engine.engine.RunHandle` with a seat
-        per member, opened like any run of the session: its options, its
-        governor when the budget is the session's, its statistics.
-        ``sinks`` maps query names to writables (every name must be
-        covered); omitted, each query collects (or just counts) its own
-        output per ``options.collect_output``.
-        """
+    def _seats(self, sink, sinks: Optional[Mapping[str, object]]) -> list:
+        """One seat per member.  The one check of ``sink``/``sinks``,
+        before anything runs: ``sinks`` must name every member and no
+        other, and ``sink`` serves a one-member query only."""
         if sinks is None:
             sinks = {}
         else:
+            unknown = [name for name in sinks if name not in self.engines]
+            if unknown:
+                raise ValueError(f"sinks for queries that are not members: {unknown}")
             missing = [name for name in self.engines if name not in sinks]
             if missing:
                 raise ValueError(f"no writable provided for queries: {missing}")
-        started_at = time.perf_counter()
-        run = RunHandle(
-            self.fanout,
-            [(engine.plan, sinks.get(name), name) for name, engine in self.engines.items()],
-            mode="multiquery",
-            **self.session._lend(options, overrides),
-        ).drive(document)
-        elapsed = time.perf_counter() - started_at
-        _PASSES.inc()
-        _PASS_QUERIES.inc(len(self.engines))
-        return MultiQueryRun(
-            dict(zip(self.engines, run.results)), elapsed, memory=run.memory, trace=run.trace
-        )
+        if sink is not None:
+            if sinks or len(self.engines) != 1:
+                raise TypeError("sink= serves a one-member query; pass sinks={name: sink}")
+            sinks = dict.fromkeys(self.engines, sink)
+        return [(engine.plan, sinks.get(name), name) for name, engine in self.engines.items()]
+
+    def _open(self, mode: str, seats: list, lent: dict, *, document=None, **framing) -> RunHandle:
+        """The run every verb opens: ``lent`` is the session's
+        (:meth:`FluxSession._lend`), ``document`` makes it a
+        :class:`StreamingRun`, ``framing`` is a feed document's.  A named
+        set's run is one shared multi-query pass."""
+        if self.names != (None,):
+            mode = "multiquery"
+            _PASSES.inc()
+            _PASS_QUERIES.inc(len(seats))
+        if document is not None:
+            return StreamingRun(document, self.fanout, seats, mode=mode, **lent, **framing)
+        return RunHandle(self.fanout, seats, mode=mode, **lent, **framing)
 
 
 class FluxSession:
@@ -582,7 +566,7 @@ class FluxSession:
                 require_safe=require_safe,
             ),
         )
-        return PreparedQuery(self, engine, key)
+        return PreparedQuery(self, {None: engine})
 
     def prepare_many(
         self,
@@ -591,13 +575,15 @@ class FluxSession:
         projection: bool = True,
         apply_simplifications: bool = True,
         require_safe: bool = True,
-    ) -> PreparedQuerySet:
-        """Prepare N queries for shared-pass execution.
+    ) -> PreparedQuery:
+        """Prepare N named queries for shared-pass execution.
 
         ``queries`` is a mapping ``name -> query`` or a plain sequence
         (auto-named ``q0``, ``q1``, ...).  Every member compiles through
         the session's plan cache -- preparing a query solo and again in a
-        set costs one compilation, not two.
+        set costs one compilation, not two.  The result is the same
+        :class:`PreparedQuery` ``prepare`` returns, with named members: its
+        runs seal to a :class:`~repro.engine.engine.MultiQueryRun`.
         """
         self._ensure_open()
         if isinstance(queries, str):
@@ -618,7 +604,7 @@ class FluxSession:
             ).engine
             for name, query in queries.items()
         }
-        return PreparedQuerySet(self, engines)
+        return PreparedQuery(self, engines)
 
     # ------------------------------------------------------------- internals
 

@@ -32,8 +32,10 @@ Run side (:class:`~repro.engine.executor.StreamExecutor`):
 * output goes to a pluggable :mod:`repro.pipeline.sinks` sink -- collected,
   discarded, streamed as fragments, or written straight to a file.
 
-Public entry point: :class:`repro.engine.engine.FluxEngine` (re-exported
-from :mod:`repro.core`) with ``execute``, ``stream`` and ``open_run``.
+:class:`repro.engine.engine.FluxEngine` (re-exported from
+:mod:`repro.core`) compiles; :class:`repro.engine.engine.RunHandle` runs,
+opened by a session's prepared query (``execute``, ``stream``,
+``open_run``, ``open_feed``) or by the subscription hub.
 """
 
 from repro.engine.buffers import BufferManager, EventBuffer

@@ -1,41 +1,34 @@
-"""High-level FluX engine facade.
+"""The FluX compile step and the one run handle.
 
-:class:`FluxEngine` bundles the whole pipeline of the paper:
+The paper splits FluX into compiling and evaluating.  :class:`FluxEngine`
+is the compile step, which depends only on query and schema:
 
 1. parse the XQuery⁻ query,
 2. normalise it (Figure 1) and apply the Section-7 simplifications,
 3. schedule it into a safe FluX query using the DTD (Figure 2),
 4. compile the FluX query into an executable plan (buffer trees, handlers,
-   punctuation tables) plus the pre-executor projection filter,
-5. execute the plan over a streaming document through the push-based
-   pipeline (``scan -> materialize -> execute -> sink``),
-   producing the result and the memory/time statistics.
+   punctuation tables) plus the pre-executor projection filter.
 
 The engine can equally be constructed from an already-built FluX query
-(hand-written or produced elsewhere); it then starts at step 4.
+(hand-written or produced elsewhere); it then starts at step 4.  It has
+no run verbs: a session's prepared query runs it.
 
-There is one way to run: a :class:`RunHandle`, *N seats wide*, over one
+Evaluation is a :class:`RunHandle`, *N seats wide*, over one
 :class:`~repro.fastpath.pipeline.DocumentPass`.  It is the only site that
 builds executors, settles who owns the memory governor, aborts, writes the
-crash dump and folds statistics into the global telemetry, so every
-execution shape behaves the same by construction:
+crash dump, seals the result and folds statistics into the global
+telemetry, so every execution shape behaves the same by construction.
+Two callers open handles:
 
-* :meth:`FluxEngine.open_run` -- **push mode**, one seat: the caller drives
-  the handle, ``feed(chunk)`` / ``finish()`` executing the query
-  incrementally as chunks arrive (network sockets, message frames),
-* :meth:`FluxEngine.execute` -- the pull entry: one document, any
-  :mod:`~repro.pipeline.sinks` target; the handle is driven from the
-  document source to completion,
-* :meth:`FluxEngine.stream` -- the same drive, iterated for serialized
-  output fragments while the input is being consumed,
-* :meth:`~repro.core.session.PreparedQuerySet.execute` -- the same drive
-  with one seat per query of a ``prepare_many`` set,
-* :mod:`repro.feeds` / :mod:`repro.serve` -- one handle per document of an
-  endless stream (one seat, or one per subscription).
+* a :class:`~repro.core.session.PreparedQuery` -- one seat per member
+  query, whatever the verb (``execute``, ``stream``, ``open_run``,
+  ``open_feed``; a feed opens one handle per document),
+* the :class:`~repro.serve.hub.SubscriptionHub` -- one handle per
+  document, one seat per subscription.
 
-Per-run behaviour is one :class:`~repro.core.options.ExecutionOptions`.
-The session layer (:mod:`repro.core.session`) adds plan caching and a
-session-scoped governor, which it lends to the runs it opens.
+The result shape is decided where the run seals: a single unnamed seat
+gives its :class:`FluxRunResult`, named seats give one
+:class:`MultiQueryRun`.
 """
 
 from __future__ import annotations
@@ -43,11 +36,11 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import time
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.dtd.schema import DTD, ROOT_ELEMENT
@@ -64,7 +57,7 @@ from repro.obs.observer import NULL_OBSERVER, Observer, TraceReport, use_tracing
 from repro.obs.runtime import record_run
 from repro.pipeline.fanout import DynamicFanout
 from repro.pipeline.projection import ProjectionSpec
-from repro.pipeline.sinks import FragmentSink, resolve_sink
+from repro.pipeline.sinks import resolve_sink
 from repro.storage.governor import MemoryGovernor
 from repro.storage.spill import SpillError
 from repro.xmlstream.source import DocumentSource
@@ -95,6 +88,49 @@ class FluxRunResult:
     def peak_buffered_bytes(self) -> int:
         """Convenience accessor used throughout the examples and benches."""
         return self.stats.peak_buffered_bytes
+
+
+class MultiQueryRun:
+    """Per-query results of one shared pass, keyed by query name."""
+
+    def __init__(
+        self,
+        results: Dict[str, FluxRunResult],
+        elapsed_seconds: float,
+        memory: Optional[dict] = None,
+        trace: Optional[TraceReport] = None,
+    ):
+        self.results = results
+        #: Wall-clock time of the whole shared pass (all queries together).
+        self.elapsed_seconds = elapsed_seconds
+        #: Shared memory-governor telemetry (budget, peak resident, spills)
+        #: when the pass ran under a memory budget; ``None`` otherwise.
+        self.memory = memory
+        #: Pass-level :class:`~repro.obs.observer.TraceReport` (the shared
+        #: scan and materialize vs. the N-executor fan-out) for traced
+        #: passes; ``None`` otherwise.
+        self.trace = trace
+
+    def __getitem__(self, name: str) -> FluxRunResult:
+        return self.results[name]
+
+    def __iter__(self):
+        return iter(self.results)
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def items(self):
+        return self.results.items()
+
+    def outputs(self) -> Dict[str, Optional[str]]:
+        """Mapping name -> collected output text."""
+        return {name: result.output for name, result in self.results.items()}
+
+
+#: What a sealed run yields: one unnamed seat's result, or every named
+#: seat's results of one shared pass.
+RunResult = Union[FluxRunResult, MultiQueryRun]
 
 
 #: Monotone run ids for the ``REPRO_OBS_JSON`` dump (process-wide).
@@ -175,7 +211,7 @@ class RunHandle:
     ``governor`` is *borrowed* and survives the run; without one the run
     creates its own from ``options`` and closes it when it ends.
 
-    :meth:`FluxEngine.open_run` hands the handle to the caller (**push
+    A prepared query's ``open_run`` hands the handle to the caller (**push
     mode** -- typically a network loop handing over payload chunks as they
     arrive)::
 
@@ -184,9 +220,8 @@ class RunHandle:
                 run.feed(chunk)
         print(run.result.output)
 
-    while :meth:`FluxEngine.execute`, :meth:`FluxEngine.stream` and a
-    ``prepare_many`` set open the same handle and :meth:`drive` it from a
-    document source themselves.
+    while its ``execute`` and ``stream`` open the same handle and
+    :meth:`drive` it from a document source themselves.
 
     ``feed`` accepts text or UTF-8 bytes split at arbitrary points (the
     scanner is resumable across chunk boundaries) and returns the
@@ -194,7 +229,8 @@ class RunHandle:
     supports draining (a :class:`~repro.pipeline.sinks.FragmentSink`),
     ``None`` otherwise.  ``finish`` flushes the final events, validates
     well-formedness and seals one :class:`FluxRunResult` per seat into
-    :attr:`results` (:attr:`result` is the first); the context manager
+    :attr:`results`; :attr:`result` is the single unnamed seat's result,
+    or a :class:`MultiQueryRun` over named seats.  The context manager
     finishes on a clean exit and aborts (``close``) on an exception.  Any
     failure aborts every seat, writes the crash dump (naming the seat
     whose executor raised) and re-raises.  :attr:`stats` -- the first
@@ -218,6 +254,7 @@ class RunHandle:
         base_offset: int = 0,
         annotations: Optional[dict] = None,
     ):
+        self._opened_at = time.perf_counter()
         options = options if options is not None else DEFAULT_OPTIONS
         self._options = options
         #: ``pull`` / ``stream`` / ``push`` / ``multiquery`` / ``serve``: a
@@ -281,11 +318,11 @@ class RunHandle:
             base_offset=base_offset,
             observer=observer,
         )
-        #: Per-seat results (``None`` for an empty seat), the first seat's
-        #: result, the pass-level trace and the governor's telemetry; all
-        #: set by :meth:`finish`.
+        #: Per-seat results (``None`` for an empty seat), the sealed result,
+        #: the pass-level trace and the governor's telemetry; all set by
+        #: :meth:`finish`.
         self.results: List[Optional[FluxRunResult]] = []
-        self.result: Optional[FluxRunResult] = None
+        self.result: Optional[RunResult] = None
         self.trace: Optional[TraceReport] = None
         self.memory: Optional[dict] = None
         self._drain = getattr(self._live[0].executor.sink, "drain", None) if self._live else None
@@ -477,10 +514,10 @@ class RunHandle:
         deque(self._drive(document), maxlen=0)
         return self
 
-    def finish(self) -> Optional[FluxRunResult]:
+    def finish(self) -> Optional[RunResult]:
         """End of input: flush, validate, release resources, seal the results.
 
-        Returns the first seat's result (``None`` for a run without seats).
+        Returns :attr:`result` (``None`` for a run without seats).
         """
         if self._state == "finished":
             return self.result
@@ -507,8 +544,15 @@ class RunHandle:
         self.results = results
         for seat in self._live:
             results[seat.index].trace = self.trace
-        if self._live:
+        if len(self._live) == 1 and self._live[0].name is None:
             self.result = results[self._live[0].index]
+        elif self._live:
+            self.result = MultiQueryRun(
+                {seat.name: results[seat.index] for seat in self._live},
+                time.perf_counter() - self._opened_at,
+                memory=self.memory,
+                trace=self.trace,
+            )
         if self._on_finish is not None:
             for stats in self._seat_stats():
                 self._on_finish(stats)
@@ -604,7 +648,7 @@ class StreamingRun(RunHandle):
 
 
 class FluxEngine:
-    """Compile once, execute many times.
+    """One query compiled against one schema: plan, projection, fanout.
 
     Parameters
     ----------
@@ -621,8 +665,9 @@ class FluxEngine:
         events of provably untouched subtrees before they reach the
         executor (on by default; pass ``False`` to measure its effect).
 
-    How a run behaves -- output collection, attribute expansion, the memory
-    budget, tracing -- is the ``options`` argument of each run method.
+    The engine does not run: ``FluxSession(dtd).prepare(query)`` compiles
+    through the plan cache and runs it, with per-run
+    :class:`~repro.core.options.ExecutionOptions`.
     """
 
     def __init__(
@@ -658,13 +703,13 @@ class FluxEngine:
         #: The projection automaton, or ``None`` when nothing is filtered:
         #: projection off, or a trivial spec (the root scope captures
         #: everything) that would only cost a lookup per tag.  What a
-        #: ``prepare_many`` set and the subscription hub attach to *their*
-        #: fanouts.
+        #: multi-member prepared query and the subscription hub attach to
+        #: *their* fanouts.
         self.projection_spec: Optional[ProjectionSpec] = (
             None if spec is None or spec.trivial else spec
         )
-        #: The one-slot union automaton every run of this engine scans
-        #: through: its tag and transition tables stay warm across runs.
+        #: The one-slot union automaton every one-member run of this engine
+        #: scans through: its tag and transition tables stay warm across runs.
         self.fanout = DynamicFanout()
         self.fanout.attach(self.projection_spec)
 
@@ -677,130 +722,3 @@ class FluxEngine:
     def describe_buffers(self) -> str:
         """Human-readable buffer trees (what the engine will buffer)."""
         return self.plan.describe_buffers()
-
-    # ------------------------------------------------------------ execution
-
-    def _open(self, handle, mode: str, sink, options, governor, on_finish, **framing) -> RunHandle:
-        """The one-seat run behind every solo shape (``handle`` is
-        :class:`RunHandle` or its iterable subclass)."""
-        return handle(
-            self.fanout,
-            [(self.plan, sink, None)],
-            options,
-            governor=governor,
-            mode=mode,
-            on_finish=on_finish,
-            **framing,
-        )
-
-    def execute(
-        self,
-        document: DocumentSource,
-        *,
-        sink=None,
-        options: Optional[ExecutionOptions] = None,
-        governor: Optional[MemoryGovernor] = None,
-        on_finish=None,
-    ) -> FluxRunResult:
-        """The unified pull-mode execution path.
-
-        ``sink`` follows the Sink protocol (:func:`~repro.pipeline.sinks.resolve_sink`):
-        ``None`` collects (or just counts, per ``options.collect_output``),
-        a writable streams, an :class:`~repro.pipeline.sinks.OutputSink`
-        instance is used directly.  ``governor`` lends the run a shared
-        memory governor (the session layer's), which survives it.
-        ``on_finish`` is called with the completed run's statistics
-        (session bookkeeping).
-        """
-        run = self._open(RunHandle, "pull", sink, options, governor, on_finish)
-        return run.drive(document).result
-
-    def open_run(
-        self,
-        *,
-        sink=None,
-        options: Optional[ExecutionOptions] = None,
-        governor: Optional[MemoryGovernor] = None,
-        on_finish=None,
-        stop_at_root_close: bool = False,
-        base_offset: int = 0,
-        annotations: Optional[dict] = None,
-    ) -> RunHandle:
-        """Open a **push-mode** run: the caller feeds document chunks.
-
-        Returns a :class:`RunHandle`; see its docs for the feed/finish
-        protocol.  Unlike :meth:`execute` there is no document argument --
-        the input arrives through :meth:`RunHandle.feed`, split at arbitrary
-        byte/character boundaries.
-
-        ``stop_at_root_close`` makes the run parse exactly one document and
-        park any surplus bytes for the caller (:mod:`repro.feeds` uses this
-        to chain documents, passing each document's stream position as
-        ``base_offset`` so located errors are stream-absolute);
-        ``annotations`` are caller watermarks (e.g. a feed's absolute
-        document offsets) echoed into /progress snapshots and crash dumps.
-        """
-        return self._open(
-            RunHandle,
-            "push",
-            sink,
-            options,
-            governor,
-            on_finish,
-            stop_at_root_close=stop_at_root_close,
-            base_offset=base_offset,
-            annotations=annotations,
-        )
-
-    def open_feed(
-        self,
-        *,
-        sink=None,
-        options: Optional[ExecutionOptions] = None,
-        governor: Optional[MemoryGovernor] = None,
-        on_finish=None,
-        on_document=None,
-        on_heartbeat=None,
-        resume_from: Optional[int] = None,
-    ):
-        """Open a **continuous feed**: one handle, unboundedly many documents.
-
-        Returns a :class:`repro.feeds.FeedHandle` consuming a stream of
-        concatenated documents, each through its own :meth:`open_run`;
-        per-document results are framed through ``on_document`` (and the
-        return value of ``feed``).  See :mod:`repro.feeds` for the full
-        protocol.
-        """
-        from repro.feeds import FeedHandle  # engine <- feeds would cycle at import time
-
-        return FeedHandle(
-            partial(
-                self.open_run,
-                sink=sink,
-                options=options,
-                on_finish=on_finish,
-                stop_at_root_close=True,
-            ),
-            options=options,
-            governor=governor,
-            on_document=on_document,
-            on_heartbeat=on_heartbeat,
-            resume_from=resume_from,
-        )
-
-    def stream(
-        self,
-        document: DocumentSource,
-        *,
-        options: Optional[ExecutionOptions] = None,
-        governor: Optional[MemoryGovernor] = None,
-        on_finish=None,
-    ) -> StreamingRun:
-        """Pull-mode execution yielding serialized output fragments lazily.
-
-        The returned :class:`StreamingRun` is a lazy iterable: input is
-        scanned and executed as fragments are pulled, and no full-output
-        string is ever materialized.
-        """
-        stream = partial(StreamingRun, document)
-        return self._open(stream, "stream", FragmentSink(), options, governor, on_finish)

@@ -12,8 +12,8 @@ UTF-8 sequence.
 Lifecycle
 ---------
 Each document runs in a fresh inner push run, opened by the callable the
-handle was built with: one seat over an engine's compiled plan
-(:meth:`~repro.engine.engine.FluxEngine.open_feed`) or one seat per
+handle was built with: one seat per member of a prepared query
+(:meth:`~repro.core.session.PreparedQuery.open_feed`) or one seat per
 subscription (:class:`~repro.serve.hub.SubscriptionHub`) -- this is the
 only framing loop either way.  The scanner's cursors, the run's statistics
 and its buffer-attribution ledger all start from zero at every boundary,
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions, FeedOptions
-from repro.engine.engine import FluxRunResult, governor_for
+from repro.engine.engine import RunResult, governor_for
 from repro.obs import recorder as _flight
 from repro.obs import serve as _serve
 from repro.obs.runtime import (
@@ -70,13 +70,15 @@ class DocumentResult:
     ``start_offset`` / ``end_offset`` are absolute byte offsets into the
     stream: the first byte of the document's markup and the byte just past
     its root close tag.  ``end_offset`` is exactly the feed's
-    ``resume_offset`` after this document sealed.
+    ``resume_offset`` after this document sealed.  ``result`` is what the
+    document's run sealed: a :class:`~repro.engine.engine.FluxRunResult`,
+    or a :class:`~repro.engine.engine.MultiQueryRun` for a named set.
     """
 
     index: int
     start_offset: int
     end_offset: int
-    result: FluxRunResult
+    result: RunResult
 
 
 @dataclass(frozen=True)
@@ -302,7 +304,7 @@ class FeedHandle:
             },
         )
 
-    def _seal_document(self, boundary: int, result: FluxRunResult) -> DocumentResult:
+    def _seal_document(self, boundary: int, result: RunResult) -> DocumentResult:
         document = DocumentResult(
             index=self._documents_completed,
             start_offset=self._doc_start,

@@ -21,9 +21,9 @@ The execution path of the engine is a pipeline of stages::
   writes the serialized output.
 
 :class:`repro.fastpath.DocumentPass` is the one scan -> materialize site,
-for every run shape; :class:`repro.engine.engine.FluxEngine` glues pass,
-executor and sink into the public ``execute`` / ``open_run`` / ``stream``
-API.
+for every run shape; :class:`repro.engine.engine.RunHandle` glues pass,
+executors and sinks, and a prepared query's ``execute`` / ``stream`` /
+``open_run`` / ``open_feed`` open it.
 """
 
 from repro.pipeline.fanout import DynamicFanout

@@ -15,8 +15,9 @@ It is the only automaton the scanner ever runs against, in three shapes:
 * **solo** -- a :class:`~repro.engine.engine.FluxEngine` holds a one-slot
   fanout (``attach(None)`` when projection is off or trivial: the slot is
   pinned to keep-everything);
-* **static multi-query** -- a :class:`~repro.core.session.PreparedQuerySet`
-  attaches N slots once, when ``prepare_many`` builds it, and never churns;
+* **static multi-query** -- a :class:`~repro.core.session.PreparedQuery`
+  of N > 1 members attaches N slots once, when ``prepare_many`` builds it,
+  and never churns;
 * **serve** -- the subscription hub attaches and detaches mid-stream.
 
 **The flat table.**  Each lockstep tuple is interned straight to a dense

@@ -4,8 +4,8 @@ The seed engine joined every run's output into one giant string.  The sink
 hierarchy decouples *producing* output from *materializing* it, and is the
 single answer to "where does the output go?" across the whole public API
 (:meth:`PreparedQuery.execute(..., sink=...)
-<repro.core.session.PreparedQuery.execute>`, the engine's run methods, the
-multi-query engine and the CLI):
+<repro.core.session.PreparedQuery.execute>` and its other verbs, ``sinks=``
+per member of a ``prepare_many`` set, the hub and the CLI):
 
 * :class:`OutputSink` -- base class; counts output events/bytes and discards
   the text.
@@ -17,8 +17,8 @@ multi-query engine and the CLI):
   object (an open file, a socket wrapper, ``sys.stdout``); nothing is
   retained, so output far larger than main memory streams through flat.
 * :class:`FragmentSink` -- holds fragments only until the driver drains them;
-  streaming iteration (:meth:`~repro.engine.engine.FluxEngine.stream`)
-  and the push-mode :class:`~repro.core.session.RunHandle` use it to hand
+  streaming iteration (:meth:`~repro.core.session.PreparedQuery.stream`)
+  and the push-mode :class:`~repro.engine.engine.RunHandle` use it to hand
   serialized fragments back incrementally.
 
 All sinks implement the tiny writer protocol the XQuery⁻ evaluator and the

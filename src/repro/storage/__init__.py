@@ -13,10 +13,9 @@ failure aborts the run with a :class:`SpillError` and no partial output.
 Entry points:
 
 * ``options=ExecutionOptions(memory_budget=...)`` on any run
-  (``PreparedQuery.execute``, ``FluxEngine.execute``, ...) -- one governor
-  per run, created, owned and closed by the run,
-* the same options on ``PreparedQuerySet.execute`` (``prepare_many``) --
-  one governor shared across all N seats of the pass,
+  (``PreparedQuery.execute``, ``open_run``, ...) -- one governor per run,
+  created, owned and closed by the run and shared across all N seats of a
+  ``prepare_many`` pass,
 * ``FluxSession(dtd, memory_budget=...)`` / ``SubscriptionHub(options=...)``
   -- one governor for the session / the stream, lent to every run,
 * CLI: ``--memory-budget 32m`` on ``run``, ``multirun`` and ``xmark``.

@@ -101,7 +101,7 @@ EXPECTED_SURFACE = r"""
         "type": "ExecutionOptions"
     },
     "DocumentResult": {
-        "init": "(self, index: 'int', start_offset: 'int', end_offset: 'int', result: 'FluxRunResult') -> None",
+        "init": "(self, index: 'int', start_offset: 'int', end_offset: 'int', result: 'RunResult') -> None",
         "kind": "class",
         "members": {}
     },
@@ -140,11 +140,7 @@ EXPECTED_SURFACE = r"""
         "kind": "class",
         "members": {
             "describe_buffers": "(self) -> 'str'",
-            "execute": "(self, document: 'DocumentSource', *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, on_finish=None) -> 'FluxRunResult'",
-            "flux_source": "(self) -> 'str'",
-            "open_feed": "(self, *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, on_finish=None, on_document=None, on_heartbeat=None, resume_from: 'Optional[int]' = None)",
-            "open_run": "(self, *, sink=None, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, on_finish=None, stop_at_root_close: 'bool' = False, base_offset: 'int' = 0, annotations: 'Optional[dict]' = None) -> 'RunHandle'",
-            "stream": "(self, document: 'DocumentSource', *, options: 'Optional[ExecutionOptions]' = None, governor: 'Optional[MemoryGovernor]' = None, on_finish=None) -> 'StreamingRun'"
+            "flux_source": "(self) -> 'str'"
         }
     },
     "FluxRunResult": {
@@ -162,7 +158,7 @@ EXPECTED_SURFACE = r"""
             "close": "(self) -> 'None'",
             "memory_telemetry": "(self) -> 'Optional[dict]'",
             "prepare": "(self, query: 'QuerySource', *, projection: 'bool' = True, apply_simplifications: 'bool' = True, require_safe: 'bool' = True) -> 'PreparedQuery'",
-            "prepare_many": "(self, queries: 'Union[Mapping[str, QuerySource], Sequence[QuerySource]]', *, projection: 'bool' = True, apply_simplifications: 'bool' = True, require_safe: 'bool' = True) -> 'PreparedQuerySet'"
+            "prepare_many": "(self, queries: 'Union[Mapping[str, QuerySource], Sequence[QuerySource]]', *, projection: 'bool' = True, apply_simplifications: 'bool' = True, require_safe: 'bool' = True) -> 'PreparedQuery'"
         }
     },
     "FragmentSink": {
@@ -245,24 +241,18 @@ EXPECTED_SURFACE = r"""
         "members": {}
     },
     "PreparedQuery": {
-        "init": "(self, session: \"'FluxSession'\", engine: 'FluxEngine', key: 'PlanKey')",
+        "init": "(self, session: \"'FluxSession'\", engines: 'Mapping[Optional[str], FluxEngine]')",
         "kind": "class",
         "members": {
             "describe_buffers": "(self) -> 'str'",
-            "execute": "(self, document: 'DocumentSource', *, sink=None, options: 'Optional[ExecutionOptions]' = None, **overrides) -> 'FluxRunResult'",
+            "engine": "<property>",
+            "execute": "(self, document: 'DocumentSource', *, sink=None, sinks: 'Optional[Mapping[str, object]]' = None, options: 'Optional[ExecutionOptions]' = None, **overrides) -> 'RunResult'",
             "flux_source": "<property>",
-            "open_feed": "(self, sink=None, *, options: 'Optional[ExecutionOptions]' = None, on_document=None, on_heartbeat=None, resume_from: 'Optional[int]' = None, **overrides) -> \"'FeedHandle'\"",
-            "open_run": "(self, sink=None, *, options: 'Optional[ExecutionOptions]' = None, **overrides) -> 'RunHandle'",
+            "names": "<property>",
+            "open_feed": "(self, sink=None, *, sinks: 'Optional[Mapping[str, object]]' = None, options: 'Optional[ExecutionOptions]' = None, on_document=None, on_heartbeat=None, resume_from: 'Optional[int]' = None, **overrides) -> \"'FeedHandle'\"",
+            "open_run": "(self, sink=None, *, sinks: 'Optional[Mapping[str, object]]' = None, options: 'Optional[ExecutionOptions]' = None, **overrides) -> 'RunHandle'",
             "plan": "<property>",
             "stream": "(self, document: 'DocumentSource', *, options: 'Optional[ExecutionOptions]' = None, **overrides) -> 'StreamingRun'"
-        }
-    },
-    "PreparedQuerySet": {
-        "init": "(self, session: \"'FluxSession'\", engines: 'Mapping[str, FluxEngine]')",
-        "kind": "class",
-        "members": {
-            "execute": "(self, document: 'DocumentSource', *, sinks: 'Optional[Mapping[str, object]]' = None, options: 'Optional[ExecutionOptions]' = None, **overrides) -> 'MultiQueryRun'",
-            "names": "<property>"
         }
     },
     "ProjectionDomEngine": {
@@ -281,7 +271,7 @@ EXPECTED_SURFACE = r"""
             "drain": "(self) -> 'str'",
             "drive": "(self, document: 'DocumentSource') -> \"'RunHandle'\"",
             "feed": "(self, chunk) -> 'Optional[str]'",
-            "finish": "(self) -> 'Optional[FluxRunResult]'",
+            "finish": "(self) -> 'Optional[RunResult]'",
             "progress": "(self) -> 'dict'",
             "root_closed": "<property>",
             "take_remainder": "(self) -> 'bytes'"

@@ -65,7 +65,7 @@ from repro.conformance import Oracle, load_case, replay
 from repro.baselines import NaiveDomEngine
 from repro.core.api import load_dtd
 from repro.core.options import ExecutionOptions
-from repro.engine.engine import FluxEngine
+from repro.core.session import FluxSession
 from repro.xmlstream.parser import parse_tree
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -92,7 +92,7 @@ def test_recorded_case_matches_reference_byte_for_byte(name):
     tree = parse_tree(case.document, expand_attrs=case.expand_attrs)
     for _qname, source in case.queries:
         expected = NaiveDomEngine(source).run_tree(tree).output
-        got = FluxEngine(source, schema).execute(
+        got = FluxSession(schema).prepare(source).execute(
             case.document, options=ExecutionOptions(expand_attrs=case.expand_attrs)
         )
         assert got.output == expected
@@ -102,7 +102,7 @@ def test_case23_on_first_fires_before_the_triggering_copy():
     """The q0 output must open <row> before the streamed <t1> copy."""
     case = load_case(_fixture("seed1-case23.case"))
     schema = load_dtd(case.dtd_source, root_element=case.root)
-    output = FluxEngine(case.queries[0][1], schema).execute(
+    output = FluxSession(schema).prepare(case.queries[0][1]).execute(
         case.document, options=ExecutionOptions(expand_attrs=case.expand_attrs)
     ).output
     assert output.index("<row>") < output.index("<t1>")
@@ -111,7 +111,7 @@ def test_case23_on_first_fires_before_the_triggering_copy():
 def test_case64_condition_over_open_scope_buffer_does_not_crash():
     case = load_case(_fixture("seed1-case64.case"))
     schema = load_dtd(case.dtd_source, root_element=case.root)
-    result = FluxEngine(case.queries[0][1], schema).execute(
+    result = FluxSession(schema).prepare(case.queries[0][1]).execute(
         case.document, options=ExecutionOptions(expand_attrs=case.expand_attrs)
     )
     assert result.output is not None

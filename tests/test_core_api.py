@@ -89,8 +89,8 @@ def test_engine_requires_root_information():
     dtd = parse_dtd(BIB_DTD_USECASES)
     with pytest.raises(ValueError):
         FluxEngine(XMP_INTRO, dtd)
-    engine = FluxEngine(XMP_INTRO, dtd, root_element="bib")
-    assert engine.execute(DOC).output
+    prepared = FluxSession(dtd, root_element="bib").prepare(XMP_INTRO)
+    assert prepared.execute(DOC).output
 
 
 def test_engine_exposes_rewrite_result():

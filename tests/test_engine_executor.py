@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.options import ExecutionOptions
 from repro.dtd.parser import parse_dtd
+from repro.core.session import FluxSession
 from repro.engine.engine import FluxEngine
 from repro.engine.plan import compile_plan
 from repro.flux.errors import UnsafeQueryError
@@ -43,8 +44,8 @@ DOC = (
 
 
 def test_intro_query_output_matches_reference():
-    engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_USECASES))
-    result = engine.execute(DOC)
+    prepared = FluxSession(_dtd(BIB_DTD_USECASES)).prepare(XMP_INTRO)
+    result = prepared.execute(DOC)
     expected = NaiveDomEngine(XMP_INTRO).run(DOC).output
     assert result.output == expected
     assert result.stats.peak_buffered_events == 0
@@ -57,8 +58,8 @@ def test_intro_query_weak_dtd_buffers_one_book_of_authors():
         "<book><title>T2</title><author>B1</author></book>"
         "</bib>"
     )
-    engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_UNORDERED))
-    result = engine.execute(weak_doc)
+    prepared = FluxSession(_dtd(BIB_DTD_UNORDERED)).prepare(XMP_INTRO)
+    result = prepared.execute(weak_doc)
     expected = NaiveDomEngine(XMP_INTRO).run(weak_doc).output
     assert result.output == expected
     # Only the authors of a single book are ever buffered (2 authors, 3
@@ -68,7 +69,7 @@ def test_intro_query_weak_dtd_buffers_one_book_of_authors():
     # not the file.
     for books in (50, 200):
         many = generate_bibliography(books, seed=29, ordered=False)
-        assert 0 < engine.execute(many).stats.peak_buffered_bytes < 1000
+        assert 0 < prepared.execute(many).stats.peak_buffered_bytes < 1000
 
 
 def test_document_order_is_preserved_for_interleaved_children():
@@ -81,8 +82,8 @@ def test_document_order_is_preserved_for_interleaved_children():
         "<author>Second Author</author>"
         "</book></bib>"
     )
-    engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_UNORDERED))
-    output = engine.execute(weak_doc).output
+    prepared = FluxSession(_dtd(BIB_DTD_UNORDERED)).prepare(XMP_INTRO)
+    output = prepared.execute(weak_doc).output
     assert output == (
         "<results><result><title>The Title</title>"
         "<author>First Author</author><author>Second Author</author>"
@@ -92,8 +93,8 @@ def test_document_order_is_preserved_for_interleaved_children():
 
 def test_conditional_output_with_on_the_fly_flags():
     doc = generate_q1_bibliography(30, seed=5, ordered=True)
-    engine = FluxEngine(XMP_Q1, _dtd(BIB_Q1_DTD_ORDERED))
-    result = engine.execute(doc)
+    prepared = FluxSession(_dtd(BIB_Q1_DTD_ORDERED)).prepare(XMP_Q1)
+    result = prepared.execute(doc)
     assert result.output == NaiveDomEngine(XMP_Q1).run(doc).output
     # Titles are streamed; the publisher condition lives in flags.  Only the
     # year element (whose own value the condition needs) is held, one book at
@@ -104,8 +105,8 @@ def test_conditional_output_with_on_the_fly_flags():
 
 def test_conditional_output_with_buffering_for_weak_dtd():
     doc = generate_q1_bibliography(30, seed=6, ordered=False)
-    engine = FluxEngine(XMP_Q1, _dtd(BIB_Q1_DTD_UNORDERED))
-    result = engine.execute(doc)
+    prepared = FluxSession(_dtd(BIB_Q1_DTD_UNORDERED)).prepare(XMP_Q1)
+    result = prepared.execute(doc)
     assert result.output == NaiveDomEngine(XMP_Q1).run(doc).output
     assert result.stats.peak_buffered_events > 0
 
@@ -113,12 +114,12 @@ def test_conditional_output_with_buffering_for_weak_dtd():
 def test_join_query_streams_articles_under_ordered_dtd():
     doc = generate_bibliography(20, articles=10, seed=9)
     dtd = _dtd(BIB_ARTICLES_DTD_ORDERED)
-    engine = FluxEngine(XMP_Q3, dtd)
-    result = engine.execute(doc)
+    prepared = FluxSession(dtd).prepare(XMP_Q3)
+    result = prepared.execute(doc)
     assert result.output == NaiveDomEngine(XMP_Q3).run(doc).output
     # Example 4.6: under (book*, article*) only books are buffered and
     # articles stream; under (book|article)* both kinds are buffered.
-    weak = FluxEngine(XMP_Q3, _dtd(BIB_ARTICLES_DTD_UNORDERED)).execute(doc)
+    weak = FluxSession(_dtd(BIB_ARTICLES_DTD_UNORDERED)).prepare(XMP_Q3).execute(doc)
     assert weak.output == result.output
     assert 0 < result.stats.peak_buffered_bytes < weak.stats.peak_buffered_bytes
 
@@ -130,9 +131,9 @@ def test_title_author_pairs_under_both_dtds():
         "</bib>"
     )
     expected = NaiveDomEngine(XMP_Q2).run(ordered_doc).output
-    result = FluxEngine(XMP_Q2, _dtd(BIB_DTD_ORDERED)).execute(ordered_doc)
+    result = FluxSession(_dtd(BIB_DTD_ORDERED)).prepare(XMP_Q2).execute(ordered_doc)
     assert result.output == expected
-    weak = FluxEngine(XMP_Q2, _dtd(BIB_DTD_UNORDERED)).execute(ordered_doc)
+    weak = FluxSession(_dtd(BIB_DTD_UNORDERED)).prepare(XMP_Q2).execute(ordered_doc)
     assert weak.output == expected
 
 
@@ -147,8 +148,8 @@ def test_handwritten_flux_query_executes():
         </results>
         """
     )
-    engine = FluxEngine(flux, _dtd(BIB_DTD_USECASES))
-    result = engine.execute(DOC)
+    prepared = FluxSession(_dtd(BIB_DTD_USECASES)).prepare(flux)
+    result = prepared.execute(DOC)
     assert result.output.startswith("<results><title>Streams</title>")
     assert result.output.endswith("</results>")
     assert result.stats.peak_buffered_events == 0
@@ -174,13 +175,13 @@ def test_unsafe_check_can_be_disabled():
             { ps $b: on-first past(title) return { for $a in $b/author return {$a} } } } }
         """
     )
-    engine = FluxEngine(flux, _dtd(BIB_DTD_UNORDERED), require_safe=False)
-    assert engine.execute(DOC).output is not None
+    prepared = FluxSession(_dtd(BIB_DTD_UNORDERED)).prepare(flux, require_safe=False)
+    assert prepared.execute(DOC).output is not None
 
 
 def test_collect_output_false_still_counts_bytes():
-    engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_USECASES))
-    result = engine.execute(DOC, options=ExecutionOptions(collect_output=False))
+    prepared = FluxSession(_dtd(BIB_DTD_USECASES)).prepare(XMP_INTRO)
+    result = prepared.execute(DOC, options=ExecutionOptions(collect_output=False))
     assert result.output is None
     assert result.stats.output_bytes > 0
 
@@ -199,8 +200,8 @@ def test_executor_accepts_reference_tokenizer_events():
 
 
 def test_input_statistics_are_recorded():
-    engine = FluxEngine(XMP_INTRO, _dtd(BIB_DTD_USECASES))
-    result = engine.execute(DOC)
+    prepared = FluxSession(_dtd(BIB_DTD_USECASES)).prepare(XMP_INTRO)
+    result = prepared.execute(DOC)
     assert result.stats.input_events > 10
     assert result.stats.input_bytes > 50
     assert result.stats.elapsed_seconds >= 0

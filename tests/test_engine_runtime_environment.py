@@ -5,7 +5,7 @@ import pytest
 from repro.core.api import load_dtd
 from repro.core.options import ExecutionOptions
 from repro.engine.buffers import BufferManager
-from repro.engine.engine import FluxEngine
+from repro.core.session import FluxSession
 from repro.engine.projection import build_buffer_tree
 from repro.engine.stats import RunStatistics
 from repro.engine.xquery_exec import (
@@ -285,10 +285,11 @@ def test_buffered_copy_drops_attributes_a_streamed_copy_keeps():
     )
     document = '<r><a x="1"><b y="2">t</b></a><a><c>u</c></a></r>'
     options = ExecutionOptions(expand_attrs=False)
-    buffered = FluxEngine(
-        "<o>{ for $a in /r/a where empty($a/c) return {$a} }</o>", schema
+    session = FluxSession(schema)
+    buffered = session.prepare(
+        "<o>{ for $a in /r/a where empty($a/c) return {$a} }</o>"
     ).execute(document, options=options)
-    streamed = FluxEngine("<o>{ for $a in /r/a return {$a} }</o>", schema).execute(
+    streamed = session.prepare("<o>{ for $a in /r/a return {$a} }</o>").execute(
         document, options=options
     )
     assert buffered.stats.peak_buffered_bytes > 0

@@ -13,7 +13,7 @@ evaluate" plan.  These tests check that
 
 import pytest
 
-from repro import ExecutionOptions, FluxEngine, NaiveDomEngine
+from repro import ExecutionOptions, FluxSession, NaiveDomEngine
 from repro.dtd.parser import parse_dtd
 from repro.flux.ast import OnFirstHandler, ProcessStream
 from repro.xquery.normalize import normalize
@@ -33,8 +33,9 @@ def trivial_flux(query_source: str) -> ProcessStream:
 @pytest.mark.parametrize("name", ["Q1", "Q13", "Q20", "Q8"])
 def test_trivial_and_scheduled_plans_agree_on_xmark(name, small_xmark_document):
     query = BENCHMARK_QUERIES[name]
-    scheduled = FluxEngine(query, xmark_dtd()).execute(small_xmark_document)
-    trivial = FluxEngine(trivial_flux(query), xmark_dtd()).execute(small_xmark_document)
+    session = FluxSession(xmark_dtd())
+    scheduled = session.prepare(query).execute(small_xmark_document)
+    trivial = session.prepare(trivial_flux(query)).execute(small_xmark_document)
     reference = NaiveDomEngine(query).run(small_xmark_document)
     assert scheduled.output == trivial.output == reference.output
 
@@ -42,8 +43,9 @@ def test_trivial_and_scheduled_plans_agree_on_xmark(name, small_xmark_document):
 @pytest.mark.parametrize("name", ["Q1", "Q13", "Q20"])
 def test_scheduling_reduces_buffering_substantially(name, small_xmark_document):
     query = BENCHMARK_QUERIES[name]
-    scheduled = FluxEngine(query, xmark_dtd()).execute(small_xmark_document, options=COUNT_ONLY)
-    trivial = FluxEngine(trivial_flux(query), xmark_dtd()).execute(
+    session = FluxSession(xmark_dtd())
+    scheduled = session.prepare(query).execute(small_xmark_document, options=COUNT_ONLY)
+    trivial = session.prepare(trivial_flux(query)).execute(
         small_xmark_document, options=COUNT_ONLY
     )
     assert trivial.stats.peak_buffered_bytes > 0
@@ -54,7 +56,7 @@ def test_trivial_plan_buffers_only_the_projection(small_xmark_document):
     # Even the trivial plan benefits from the Π projection: it holds much less
     # than the naive engine's full document tree.
     query = BENCHMARK_QUERIES["Q1"]
-    trivial = FluxEngine(trivial_flux(query), xmark_dtd()).execute(
+    trivial = FluxSession(xmark_dtd()).prepare(trivial_flux(query)).execute(
         small_xmark_document, options=COUNT_ONLY
     )
     naive = NaiveDomEngine(query).run(small_xmark_document, collect_output=False)
@@ -65,7 +67,7 @@ def test_trivial_plan_on_bibliography_matches_reference():
     document = generate_bibliography(25, seed=8, ordered=False)
     dtd = parse_dtd(BIB_DTD_UNORDERED).with_root("bib")
     for query in (XMP_INTRO, XMP_Q2):
-        trivial = FluxEngine(trivial_flux(query), dtd).execute(document)
+        trivial = FluxSession(dtd).prepare(trivial_flux(query)).execute(document)
         reference = NaiveDomEngine(query).run(document)
         assert trivial.output == reference.output
 
@@ -88,8 +90,8 @@ def test_loop_fusion_removes_publisher_buffering():
         "</publisher><title>Book</title></book>"
         for i in range(40)
     ) + "</bib>"
-    fused = FluxEngine(query, dtd, apply_simplifications=True).execute(document)
-    unfused = FluxEngine(query, dtd, apply_simplifications=False).execute(document)
+    fused = FluxSession(dtd).prepare(query, apply_simplifications=True).execute(document)
+    unfused = FluxSession(dtd).prepare(query, apply_simplifications=False).execute(document)
     assert fused.output == unfused.output == NaiveDomEngine(query).run(document).output
     assert fused.stats.peak_buffered_bytes == 0
     assert unfused.stats.peak_buffered_bytes > 0

@@ -8,7 +8,7 @@ document happens to be valid for.
 
 from hypothesis import given, settings, strategies as st
 
-from repro import FluxEngine, NaiveDomEngine, ProjectionDomEngine
+from repro import FluxSession, NaiveDomEngine, ProjectionDomEngine
 from repro.dtd.parser import parse_dtd
 from repro.flux.rewrite import rewrite_to_flux
 from repro.flux.safety import is_safe
@@ -39,7 +39,7 @@ _ORDERED_ONLY_QUERIES = (
 
 
 def _run_all_engines(query, document, dtd):
-    flux = FluxEngine(query, dtd).execute(document)
+    flux = FluxSession(dtd).prepare(query).execute(document)
     naive = NaiveDomEngine(query).run(document)
     projection = ProjectionDomEngine(query).run(document)
     return flux, naive, projection
@@ -108,6 +108,6 @@ def test_rewrite_is_always_safe_for_every_dtd(query, dtd_source):
 def test_buffered_data_never_exceeds_document_size(books, seed):
     document = generate_bibliography(books, seed=seed, ordered=False)
     dtd = parse_dtd(BIB_DTD_UNORDERED).with_root("bib")
-    result = FluxEngine(XMP_INTRO, dtd).execute(document)
+    result = FluxSession(dtd).prepare(XMP_INTRO).execute(document)
     assert result.stats.peak_buffered_bytes <= len(document)
     assert result.stats.buffered_bytes_current == 0  # everything was released

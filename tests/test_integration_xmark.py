@@ -13,7 +13,7 @@ These tests assert the qualitative claims of the paper's evaluation:
 
 import pytest
 
-from repro import FluxEngine, NaiveDomEngine, ProjectionDomEngine
+from repro import FluxSession, NaiveDomEngine, ProjectionDomEngine
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmlstream.parser import parse_tree
@@ -22,7 +22,7 @@ from repro.xmlstream.parser import parse_tree
 def _run_all_engines(document):
     results = {}
     for name, query in BENCHMARK_QUERIES.items():
-        flux = FluxEngine(query, xmark_dtd()).execute(document)
+        flux = FluxSession(xmark_dtd()).prepare(query).execute(document)
         naive = NaiveDomEngine(query).run(document)
         projection = ProjectionDomEngine(query).run(document)
         results[name] = (flux, naive, projection)
@@ -113,9 +113,9 @@ def test_figure4_memory_shape_across_document_sizes(
 
 
 def test_flux_results_are_reusable_across_documents(small_xmark_document, medium_xmark_document):
-    engine = FluxEngine(BENCHMARK_QUERIES["Q13"], xmark_dtd())
-    small = engine.execute(small_xmark_document)
-    medium = engine.execute(medium_xmark_document)
+    prepared = FluxSession(xmark_dtd()).prepare(BENCHMARK_QUERIES["Q13"])
+    small = prepared.execute(small_xmark_document)
+    medium = prepared.execute(medium_xmark_document)
     assert small.output != medium.output
     assert small.stats.peak_buffered_events == medium.stats.peak_buffered_events == 0
 

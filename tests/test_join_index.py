@@ -16,6 +16,7 @@ import pytest
 
 import repro.engine.xquery_exec as xquery_exec
 from repro.engine.buffers import BufferManager
+from repro.core.session import FluxSession
 from repro.engine.engine import FluxEngine
 from repro.engine.plan import join_guards
 from repro.engine.projection import build_buffer_tree
@@ -221,7 +222,7 @@ def _count_comparisons(monkeypatch, query, document):
         return real(*args)
 
     monkeypatch.setattr(xquery_exec, "compare_existential", counting)
-    output = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd()).execute(document).output
+    output = FluxSession(xmark_dtd()).prepare(BENCHMARK_QUERIES[query]).execute(document).output
     monkeypatch.undo()
     return next(calls), output
 

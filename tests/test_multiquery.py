@@ -12,7 +12,9 @@ once for the whole set.  These tests pin down
 * byte-identical per-query output in every sink mode (collected, counted,
   writable),
 * per-query peak-buffer parity with solo runs,
-* the ``prepare_many`` shapes: mapping, sequence, sinks, other schemas.
+* the ``prepare_many`` shapes: mapping, sequence, sinks, other schemas,
+* the set's other verbs: push runs and feeds seal to a ``MultiQueryRun``
+  equal to solo runs, ``stream`` refuses a set.
 """
 
 import io
@@ -21,8 +23,10 @@ import itertools
 import pytest
 from _reference import reference_events
 
-from repro import FluxEngine, FluxSession
+from repro import FluxEngine, FluxSession, MultiQueryRun
+from repro.conformance.oracle import _split_at_markup
 from repro.fastpath import DocumentPass
+from repro.obs.observer import use_tracing
 from repro.pipeline.fanout import DynamicFanout
 from repro.xmark.dtd import XMARK_DTD_SOURCE, xmark_dtd
 from repro.xmark.generator import config_for_scale, generate_document
@@ -156,8 +160,8 @@ def test_multiquery_output_identical_to_solo_runs(session, shared_run, document,
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_QUERIES))
-def test_multiquery_peak_buffer_parity(shared_run, queries, document, name):
-    solo = queries.engines[name].execute(document)
+def test_multiquery_peak_buffer_parity(session, shared_run, document, name):
+    solo = session.prepare(BENCHMARK_QUERIES[name]).execute(document)
     shared = shared_run[name].stats
     assert shared.peak_buffered_events == solo.stats.peak_buffered_events
     assert shared.peak_buffered_bytes == solo.stats.peak_buffered_bytes
@@ -347,7 +351,8 @@ def test_multiquery_missing_sinks_are_named_in_order(queries, document):
 def test_prepared_set_seats_share_the_pass_trace(session, document):
     pair = session.prepare_many({"a": BENCHMARK_QUERIES["Q1"], "b": BENCHMARK_QUERIES["Q13"]})
     untraced = pair.execute(document)
-    assert untraced.trace is None and untraced.memory is None
+    assert (untraced.trace is not None) == use_tracing(None)  # REPRO_TRACE=1 forces it
+    assert untraced.memory is None
     traced = pair.execute(document, trace=True)
     assert traced.trace is not None and traced.trace.mode == "multiquery"
     assert all(result.trace is traced.trace for _, result in traced.items())
@@ -362,3 +367,72 @@ def test_closed_session_refuses_sets_and_their_passes(document):
         fresh.prepare_many({"a": BENCHMARK_QUERIES["Q1"]})
     with pytest.raises(RuntimeError, match="closed"):
         pair.execute(document)
+
+
+def test_multiquery_sinks_naming_no_member_are_rejected(queries, document):
+    """A typo in a sink name is an error, not a silently unused writable."""
+    given = {name: io.StringIO() for name in queries.names}
+    typo = given["Q20 "] = io.StringIO()
+    with pytest.raises(ValueError, match=r"not members: \['Q20 '\]"):
+        queries.execute(document, sinks=given)
+    with pytest.raises(ValueError, match="not members"):
+        queries.open_run(sinks=given)
+    assert typo.getvalue() == ""
+
+
+# ---------------------------------------------------------------------------
+# One prepared shape: a set pushes, feeds and refuses to stream
+
+
+PUSHED = ("Q1", "Q8", "Q13", "Q20")
+
+
+@pytest.fixture(scope="module")
+def small_documents():
+    return [generate_document(config_for_scale(0.01, seed=seed)) for seed in (3, 5, 7)]
+
+
+def _assert_solo_parity(session, run, document):
+    assert isinstance(run, MultiQueryRun)
+    assert list(run) == list(PUSHED)
+    for name in PUSHED:
+        solo = session.prepare(BENCHMARK_QUERIES[name]).execute(document)
+        assert run[name].output == solo.output, name
+        assert run[name].stats.peak_buffered_bytes == solo.stats.peak_buffered_bytes, name
+
+
+def test_set_open_run_at_markup_splits_equals_solo_runs(session, small_documents):
+    document = small_documents[0]
+    members = session.prepare_many({name: BENCHMARK_QUERIES[name] for name in PUSHED})
+    with members.open_run() as run:
+        for chunk in _split_at_markup(document):
+            run.feed(chunk)
+    _assert_solo_parity(session, run.result, document)
+    assert run.result.memory is None
+
+
+def test_set_open_feed_across_document_boundaries_equals_solo_runs(session, small_documents):
+    stream = "\n".join(small_documents).encode("utf-8")
+    boundaries, offset = [], 0
+    for document in small_documents[:-1]:
+        offset += len(document.encode("utf-8")) + 1
+        boundaries.append(offset)
+    cuts = sorted(
+        {cut for boundary in boundaries for cut in (boundary - 1, boundary, boundary + 1)}
+        | set(range(997, len(stream), 997))
+    )
+    members = session.prepare_many({name: BENCHMARK_QUERIES[name] for name in PUSHED})
+    sealed = []
+    with members.open_feed(on_document=sealed.append) as feed:
+        for begin, end in zip([0, *cuts], [*cuts, len(stream)]):
+            feed.feed(stream[begin:end])
+    assert [document.index for document in sealed] == [0, 1, 2]
+    for document, text in zip(sealed, small_documents):
+        _assert_solo_parity(session, document.result, text)
+
+
+def test_stream_refuses_a_set_of_several_queries(queries, document):
+    with pytest.raises(TypeError, match="use open_run"):
+        queries.stream(document)
+    single = queries.session.prepare_many({"Q13": BENCHMARK_QUERIES["Q13"]})
+    assert "".join(single.stream(document)) == single.execute(document)["Q13"].output

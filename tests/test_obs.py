@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from repro import FluxEngine, FluxSession
+from repro import FluxSession, PreparedQuery
 from repro.core.options import ExecutionOptions
 from repro.engine.stats import RunStatistics
 from repro.obs import (
@@ -54,8 +54,8 @@ def xmark_doc():
     return generate_document(config_for_scale(0.02, seed=11))
 
 
-def _engine(query: str) -> FluxEngine:
-    return FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd())
+def _prepare(query: str) -> PreparedQuery:
+    return FluxSession(xmark_dtd()).prepare(BENCHMARK_QUERIES[query])
 
 
 # ---------------------------------------------------------------- tracer
@@ -166,21 +166,21 @@ def test_global_registry_carries_engine_layer_metrics():
 # ---------------------------------------------- invisibility (byte identity)
 
 
-def _run_mode(engine: FluxEngine, document: str, mode: str, options: ExecutionOptions):
+def _run_mode(prepared: PreparedQuery, document: str, mode: str, options: ExecutionOptions):
     """Run one sink mode; returns (output_text, stats, trace_or_none)."""
     if mode == "collect":
-        result = engine.execute(document, options=options)
+        result = prepared.execute(document, options=options)
         return result.output, result.stats, result.trace
     if mode == "writable":
         sink = io.StringIO()
-        result = engine.execute(document, sink=sink, options=options)
+        result = prepared.execute(document, sink=sink, options=options)
         return sink.getvalue(), result.stats, result.trace
     if mode == "stream":
-        run = engine.stream(document, options=options)
+        run = prepared.stream(document, options=options)
         text = "".join(run)
         return text, run.stats, run.trace
     if mode == "push":
-        handle = engine.open_run(options=options)
+        handle = prepared.open_run(options=options)
         data = document.encode("utf-8")
         for start in range(0, len(data), 777):
             handle.feed(data[start : start + 777])
@@ -191,11 +191,11 @@ def _run_mode(engine: FluxEngine, document: str, mode: str, options: ExecutionOp
 
 @pytest.mark.parametrize("mode", ["collect", "writable", "stream", "push"])
 def test_tracing_is_invisible_across_sink_modes(xmark_doc, mode):
-    engine = _engine("Q8")
+    prepared = _prepare("Q8")
     base = ExecutionOptions()
-    plain_out, plain_stats, plain_trace = _run_mode(engine, xmark_doc, mode, base)
+    plain_out, plain_stats, plain_trace = _run_mode(prepared, xmark_doc, mode, base)
     traced_out, traced_stats, trace = _run_mode(
-        engine, xmark_doc, mode, base.replace(trace=True)
+        prepared, xmark_doc, mode, base.replace(trace=True)
     )
     assert plain_trace is None
     assert traced_out == plain_out
@@ -216,9 +216,9 @@ def test_push_feed_span_tree_survives_adversarial_splits(stride):
         + "<item id=\"i1\"><name>one &amp; two</name></item>" * 6
         + "</namerica></regions></site>"
     )
-    engine = FluxEngine(BENCHMARK_QUERIES["Q1"], xmark_dtd())
-    reference = engine.execute(document).output
-    handle = engine.open_run(options=ExecutionOptions(trace=True))
+    prepared = _prepare("Q1")
+    reference = prepared.execute(document).output
+    handle = prepared.open_run(options=ExecutionOptions(trace=True))
     data = document.encode("utf-8")
     for start in range(0, len(data), stride):
         handle.feed(data[start : start + stride])
@@ -232,8 +232,8 @@ def test_push_feed_span_tree_survives_adversarial_splits(stride):
 
 
 def test_abandoned_traced_stream_leaves_no_open_spans(xmark_doc):
-    engine = _engine("Q1")
-    run = engine.stream(xmark_doc, options=ExecutionOptions(trace=True))
+    prepared = _prepare("Q1")
+    run = prepared.stream(xmark_doc, options=ExecutionOptions(trace=True))
     iterator = iter(run)
     next(iterator, None)  # consume one fragment, then walk away
     run.close()
@@ -270,20 +270,20 @@ def test_env_trace_resolution(monkeypatch):
 
 
 def test_env_var_forces_tracing_on_runs(xmark_doc, monkeypatch):
-    engine = _engine("Q1")
+    prepared = _prepare("Q1")
     monkeypatch.setenv("REPRO_TRACE", "1")
-    assert engine.execute(xmark_doc).trace is not None
+    assert prepared.execute(xmark_doc).trace is not None
     monkeypatch.setenv("REPRO_TRACE", "0")
-    forced_off = engine.execute(xmark_doc, options=ExecutionOptions(trace=True))
+    forced_off = prepared.execute(xmark_doc, options=ExecutionOptions(trace=True))
     assert forced_off.trace is None
 
 
 def test_obs_json_env_appends_one_trace_per_run(xmark_doc, monkeypatch, tmp_path):
     path = tmp_path / "traces.jsonl"
     monkeypatch.setenv("REPRO_OBS_JSON", str(path))
-    engine = _engine("Q1")
-    engine.execute(xmark_doc)
-    engine.execute(xmark_doc)
+    prepared = _prepare("Q1")
+    prepared.execute(xmark_doc)
+    prepared.execute(xmark_doc)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     headers = [row for row in rows if row["record"] == "run"]
     spans = [row for row in rows if row["record"] == "span"]
@@ -298,10 +298,10 @@ def test_obs_json_env_appends_one_trace_per_run(xmark_doc, monkeypatch, tmp_path
 
 def test_run_telemetry_folds_every_run(xmark_doc):
     registry = global_registry()
-    engine = _engine("Q13")
+    prepared = _prepare("Q13")
     before = registry.snapshot()
-    engine.execute(xmark_doc)
-    engine.execute(xmark_doc, options=ExecutionOptions(trace=True))
+    prepared.execute(xmark_doc)
+    prepared.execute(xmark_doc, options=ExecutionOptions(trace=True))
     after = registry.snapshot()
     assert after["repro.runs.total"] - before["repro.runs.total"] == 2
     assert after["repro.runs.traced"] - before["repro.runs.traced"] == 1

@@ -26,7 +26,7 @@ import urllib.request
 
 import pytest
 
-from repro import FluxEngine, FluxSession
+from repro import FluxSession, PreparedQuery
 from repro.cli import main as cli_main
 from repro.conformance.oracle import _split_at_markup
 from repro.core.options import ExecutionOptions
@@ -60,15 +60,15 @@ def xmark_doc():
     return generate_document(config_for_scale(0.02, seed=11))
 
 
-def _engine(query: str) -> FluxEngine:
-    return FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd())
+def _prepare(query: str) -> PreparedQuery:
+    return FluxSession(xmark_dtd()).prepare(BENCHMARK_QUERIES[query])
 
 
 # ----------------------------------------------------------- attribution
 
 
 def test_attribution_sums_exactly_to_peak(xmark_doc):
-    result = _engine("Q8").execute(xmark_doc)
+    result = _prepare("Q8").execute(xmark_doc)
     stats = result.stats
     assert stats.peak_buffered_bytes > 0, "Q8 must buffer for this test to bite"
     attribution = stats.attribution
@@ -84,7 +84,7 @@ def test_attribution_sums_exactly_to_peak(xmark_doc):
 
 
 def test_attribution_names_the_blocking_constraint(xmark_doc):
-    stats = _engine("Q8").execute(xmark_doc).stats
+    stats = _prepare("Q8").execute(xmark_doc).stats
     reasons = " ".join(row["reason"] for row in stats.buffer_attribution)
     # Q8's join variable buffers because an on-first handler navigates it
     # after its past() condition holds: the reason must say so, naming
@@ -94,7 +94,7 @@ def test_attribution_names_the_blocking_constraint(xmark_doc):
 
 
 def test_format_attribution_renders_exact_footer(xmark_doc):
-    stats = _engine("Q8").execute(xmark_doc).stats
+    stats = _prepare("Q8").execute(xmark_doc).stats
     table = format_attribution(stats)
     assert f"peak_buffered = {stats.peak_buffered_bytes}B" in table
     assert "(exact)" in table
@@ -102,15 +102,15 @@ def test_format_attribution_renders_exact_footer(xmark_doc):
 
 
 def test_format_attribution_streaming_run_reports_no_buffers(xmark_doc):
-    stats = _engine("Q1").execute(xmark_doc).stats
+    stats = _prepare("Q1").execute(xmark_doc).stats
     assert stats.peak_buffered_bytes == 0
     assert "no buffers were allocated" in format_attribution(stats)
 
 
 def test_spill_attribution_matches_governor(xmark_doc):
-    engine = _engine("Q8")
-    peak = engine.execute(xmark_doc).stats.peak_buffered_bytes
-    stats = engine.execute(
+    prepared = _prepare("Q8")
+    peak = prepared.execute(xmark_doc).stats.peak_buffered_bytes
+    stats = prepared.execute(
         xmark_doc, options=ExecutionOptions(memory_budget=max(32, peak // 2))
     ).stats
     assert stats.spilled_bytes_written > 0, "the halved budget must force spills"
@@ -119,7 +119,7 @@ def test_spill_attribution_matches_governor(xmark_doc):
 
 
 def test_owner_gauges_registered_globally(xmark_doc):
-    _engine("Q8").execute(xmark_doc)
+    _prepare("Q8").execute(xmark_doc)
     exposition = prometheus_text(global_registry())
     assert "repro_buffer_owner_" in exposition
     assert "_live_bytes" in exposition and "_spilled_bytes" in exposition
@@ -130,7 +130,7 @@ def test_owner_gauges_registered_globally(xmark_doc):
 
 def test_recorder_ring_sees_batches(xmark_doc):
     RECORDER.clear()
-    _engine("Q1").execute(xmark_doc)
+    _prepare("Q1").execute(xmark_doc)
     kinds = [entry["kind"] for entry in RECORDER.snapshot()]
     assert "batch" in kinds
     batch = next(e for e in RECORDER.snapshot() if e["kind"] == "batch")
@@ -313,7 +313,7 @@ def test_registry_and_recorder_survive_concurrent_sessions(xmark_doc):
     the registry and snapshots the ring.  Outputs stay byte-identical,
     per-run attribution stays exact, per-thread counters lose no bumps and
     ring snapshots never tear."""
-    expected = _engine("Q8").execute(xmark_doc).output
+    expected = _prepare("Q8").execute(xmark_doc).output
     threads, problems = 4, []
     bumps = 200
     done = threading.Event()
@@ -321,9 +321,9 @@ def test_registry_and_recorder_survive_concurrent_sessions(xmark_doc):
     def worker(index: int) -> None:
         try:
             counter = global_registry().counter(f"diag.stress.{index}")
-            engine = _engine("Q8")
+            prepared = _prepare("Q8")
             for _ in range(3):
-                result = engine.execute(xmark_doc)
+                result = prepared.execute(xmark_doc)
                 if result.output != expected:
                     problems.append(f"thread {index}: output diverged")
                 stats = result.stats

@@ -17,8 +17,9 @@ TRACE_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "perf" / "trace.
 
 #: Stale since the classic pipeline and its event-object projectors went,
 #: since ``prepare_many`` drives its shared pass itself, since the
-#: reference event stream is expat's, and since buffers are read only as
-#: events (no tree conversions, no ``write_node``).
+#: reference event stream is expat's, since buffers are read only as
+#: events (no tree conversions, no ``write_node``), and since a
+#: ``prepare_many`` set is the same ``PreparedQuery`` a solo query is.
 KNOWN_STALE = {
     "repro.pipeline.stages:coalesce_characters",
     "repro.pipeline.projection:StreamProjector.filter_batch",
@@ -33,6 +34,7 @@ KNOWN_STALE = {
     "repro.storage.paged_buffer:PagedEventBuffer.to_tree",
     "repro.storage.paged_buffer:PagedEventBuffer.to_single_node",
     "repro.pipeline.sinks:OutputSink.write_node",
+    "repro.core.session:PreparedQuerySet.execute",
 }
 
 
@@ -43,4 +45,4 @@ def test_every_layer_target_still_resolves():
     targets = [target for entries in trace.LAYERS.values() for target, _ in entries]
     unresolved = {target for target in targets if trace._resolve(target) is None}
     assert unresolved == KNOWN_STALE
-    assert len(targets) - len(unresolved) == 36
+    assert len(targets) - len(unresolved) == 35

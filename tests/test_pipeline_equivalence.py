@@ -18,7 +18,7 @@ import io
 
 import pytest
 
-from repro import FluxEngine, NaiveDomEngine, ProjectionDomEngine
+from repro import FluxSession, NaiveDomEngine, ProjectionDomEngine
 from repro.engine.executor import StreamExecutor
 from repro.fastpath import DocumentPass
 from repro.xmark.dtd import xmark_dtd
@@ -40,8 +40,8 @@ def pipeline_outputs(medium_xmark_document):
     """Every query in every execution mode, computed once for the module."""
     outputs = {}
     for name, query in BENCHMARK_QUERIES.items():
-        projected = FluxEngine(query, xmark_dtd())
-        unfiltered = FluxEngine(query, xmark_dtd(), projection=False)
+        projected = FluxSession(xmark_dtd()).prepare(query)
+        unfiltered = FluxSession(xmark_dtd()).prepare(query, projection=False)
         writable = io.StringIO()
         projected.execute(medium_xmark_document, sink=writable)
         outputs[name] = {
@@ -92,19 +92,19 @@ def test_streaming_output_is_incremental_and_memory_flat():
     rather than one joined string, and (b) record zero buffered bytes --
     i.e. neither the document nor the result is ever materialized.
     """
-    engine = FluxEngine(BENCHMARK_QUERIES["Q13"], xmark_dtd())
+    prepared = FluxSession(xmark_dtd()).prepare(BENCHMARK_QUERIES["Q13"])
     config = config_for_scale(0.5, seed=11)
     document = "".join(iter_document_chunks(config))
     # Feed small chunks so the output-producing region spans many batches.
     chunks = [document[i : i + 4096] for i in range(0, len(document), 4096)]
 
-    run = engine.stream(iter(chunks))
+    run = prepared.stream(iter(chunks))
     fragments = list(run)
     assert len(fragments) > 3
     assert run.stats.peak_buffered_bytes == 0
     assert run.stats.peak_buffered_events == 0
     # The fragments join to exactly what a collected run produces.
-    collected = engine.execute(document).output
+    collected = prepared.execute(document).output
     assert "".join(fragments) == collected
     # Pending output is bounded by one input chunk's production, far below
     # the total output size.
@@ -113,13 +113,13 @@ def test_streaming_output_is_incremental_and_memory_flat():
 
 def test_projection_filter_drops_events_before_executor():
     """The filter must actually shield the executor on selective queries."""
-    engine = FluxEngine(BENCHMARK_QUERIES["Q13"], xmark_dtd())
-    assert engine.projection_spec is not None
+    prepared = FluxSession(xmark_dtd()).prepare(BENCHMARK_QUERIES["Q13"])
+    assert prepared.engine.projection_spec is not None
     document = "".join(iter_document_chunks(config_for_scale(0.1, seed=11)))
 
-    stats_events = engine.execute(document).stats.input_events
+    stats_events = prepared.execute(document).stats.input_events
     survivors = sum(
-        len(batch) for (batch,) in DocumentPass(engine.fanout).scan(document, 64 * 1024)
+        len(batch) for (batch,) in DocumentPass(prepared.fanout).scan(document, 64 * 1024)
     )
     # Most of an XMark document is irrelevant to Q13 (auction regions etc.).
     assert survivors < stats_events / 2
@@ -150,8 +150,8 @@ def test_value_condition_queries_survive_projection():
     from repro.core.api import load_dtd
 
     schema = load_dtd(dtd, root_element="bib")
-    projected = FluxEngine(query, schema)
-    unfiltered = FluxEngine(query, schema, projection=False)
+    projected = FluxSession(schema).prepare(query)
+    unfiltered = FluxSession(schema).prepare(query, projection=False)
     naive = NaiveDomEngine(query).run(doc)
     assert projected.execute(doc).output == unfiltered.execute(doc).output == naive.output
     assert "B" in projected.execute(doc).output

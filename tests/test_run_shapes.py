@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro import ExecutionOptions, FluxEngine, FluxSession
+from repro import ExecutionOptions, FluxSession
 from repro.core.api import load_dtd
 from repro.engine.executor import StreamExecutor
 from repro.obs.metrics import global_registry
@@ -177,20 +177,30 @@ def _chunks(document):
     return [document[start : start + 64] for start in range(0, len(document), 64)]
 
 
-def _solo_push(document, governor):
-    engine = FluxEngine(REORDERED, _schema())
-    with engine.open_run(options=BOUNDED, governor=governor) as run:
+def _prepare(session, query):
+    """``(prepared, options)``: a query of ``session`` borrowing its governor;
+    without a session, of an unbounded one, run under per-run ``BOUNDED``
+    options so the run owns its governor."""
+    options = BOUNDED if session is None else None
+    session = session or FluxSession(_schema())
+    if isinstance(query, dict):
+        return session.prepare_many(query), options
+    return session.prepare(query), options
+
+
+def _solo_push(document, session):
+    prepared, options = _prepare(session, REORDERED)
+    with prepared.open_run(options=options) as run:
         for chunk in _chunks(document):
             run.feed(chunk)
     return run.result.output
 
 
-def _feed(document, governor):
+def _feed(document, session):
     outputs = []
-    engine = FluxEngine(REORDERED, _schema())
-    with engine.open_feed(
-        options=BOUNDED,
-        governor=governor,
+    prepared, options = _prepare(session, REORDERED)
+    with prepared.open_feed(
+        options=options,
         on_document=lambda sealed: outputs.append(sealed.result.output),
     ) as feed:
         for chunk in _chunks(_doc() + "\n" + document):
@@ -199,12 +209,7 @@ def _feed(document, governor):
 
 
 def _multi(document, session):
-    """A pass borrowing ``session``'s governor; without a session it runs
-    under per-run ``BOUNDED`` options and owns its governor."""
-    options = BOUNDED if session is None else None
-    queries = (session or FluxSession(_schema())).prepare_many(
-        {"titles": TITLES, "reordered": REORDERED}
-    )
+    queries, options = _prepare(session, {"titles": TITLES, "reordered": REORDERED})
     return queries.execute(_chunks(document), options=options)["reordered"].output
 
 
@@ -224,9 +229,9 @@ SHAPES = pytest.mark.parametrize(
 
 @contextlib.contextmanager
 def _lender(drive):
-    """``(what the shape borrows from, its ledger reader)``: a governor for
-    every shape but ``prepare_many``, which borrows a bounded session's."""
-    if drive is _multi:
+    """``(what the shape borrows from, its ledger reader)``: a bounded
+    session for every prepared shape, a governor for the hub."""
+    if drive is not _hub:
         with FluxSession(_schema(), options=BOUNDED) as session:
             yield session, session.memory_telemetry
     else:
@@ -238,7 +243,7 @@ def _lender(drive):
 
 @SHAPES
 def test_failure_under_a_borrowed_governor_balances_its_ledger(drive):
-    expected = FluxEngine(REORDERED, _schema()).execute(LONG).output
+    expected = FluxSession(_schema()).prepare(REORDERED).execute(LONG).output
     with _lender(drive) as (lender, telemetry):
         with pytest.raises(XMLWellFormednessError):
             drive(BROKEN, lender)
@@ -261,7 +266,7 @@ def test_clean_finish_closes_the_governor_the_run_owned(drive, monkeypatch):
         created.append(self)
 
     monkeypatch.setattr(MemoryGovernor, "__init__", recording)
-    expected = FluxEngine(REORDERED, _schema()).execute(LONG).output
+    expected = FluxSession(_schema()).prepare(REORDERED).execute(LONG).output
     assert drive(LONG, None) == expected
     (governor,) = created  # one site decides: the run (or the stream) made one
     assert governor.spill_count > 0
@@ -282,7 +287,7 @@ def test_spill_io_failure_is_typed_and_leaves_the_lender_reusable(drive, fault, 
     abort the run with a SpillError -- no result -- and tearing it down
     still leaves nothing resident or on disk; once the fault clears, the
     same governor serves an identical run."""
-    expected = FluxEngine(REORDERED, _schema()).execute(LONG).output
+    expected = FluxSession(_schema()).prepare(REORDERED).execute(LONG).output
     with _lender(drive) as (lender, telemetry):
         spill_faults(**fault)
         with pytest.raises(SpillError) as failure:
@@ -318,7 +323,7 @@ def test_a_spill_failure_while_aborting_does_not_mask_the_runs_error(spill_fault
     document = "<bib>%s</bib>" % "".join(
         f"<book><title>{'t' * 600}{i}</title><author>A{i}</author></book>" for i in range(5)
     )
-    with _lender(_solo_push) as (governor, telemetry):
+    with _lender(_solo_push) as (session, telemetry):
         with pytest.raises(RuntimeError, match="injected"):
-            FluxEngine(REORDERED, _schema()).execute(document, governor=governor)
+            session.prepare(REORDERED).execute(document)
         assert (telemetry()["resident_bytes"], telemetry()["spill_live_bytes"]) == (0, 0)

@@ -26,7 +26,7 @@ import pytest
 from _reference import reference_events
 
 import repro.fastpath.scanner as scanner_module
-from repro import ExecutionOptions, FluxEngine, FluxSession
+from repro import ExecutionOptions, FluxSession
 from repro.baselines import NaiveDomEngine
 from repro.serve import SubscriptionHub
 from repro.xmark.dtd import xmark_dtd
@@ -235,11 +235,11 @@ def test_bulk_path_is_exact_on_near_misses(tmp_path, monkeypatch, bulk_calls):
 
 def test_xmark_q1_takes_most_bytes_in_bulk_with_unchanged_statistics(monkeypatch, bulk_calls):
     data = generate_document(config_for_scale(0.2)).encode("utf-8")
-    engine = FluxEngine(BENCHMARK_QUERIES["Q1"], xmark_dtd())
-    bulk = engine.execute(data)
+    prepared = FluxSession(xmark_dtd()).prepare(BENCHMARK_QUERIES["Q1"])
+    bulk = prepared.execute(data)
     assert bulk_calls["accepted_bytes"] >= len(data) // 2, (bulk_calls, len(data))
     _disabled(monkeypatch)
-    loop = engine.execute(data)
+    loop = prepared.execute(data)
     assert bulk.output == loop.output
     assert (bulk.stats.input_events, bulk.stats.input_bytes) == (
         loop.stats.input_events,

@@ -26,6 +26,7 @@ import pytest
 
 from repro.core.api import load_dtd
 from repro.core.options import ExecutionOptions
+from repro.core.session import FluxSession
 from repro.engine.engine import FluxEngine
 from repro.fastpath import ByteScanner
 from repro.fastpath.tags import DROP
@@ -75,8 +76,8 @@ def _schema():
 
 
 def _solo(query: str, count: int):
-    engine = FluxEngine(query, _schema(), projection=True)
-    return [engine.execute(_doc(i)).output for i in range(count)]
+    prepared = FluxSession(_schema()).prepare(query)
+    return [prepared.execute(_doc(i)).output for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +248,7 @@ def test_hub_honours_expand_attrs():
     )
     query = "<ids>{ for $b in $ROOT/bib/book return {$b/book_id} }</ids>"
     document = '<bib><book id="b&amp;1"><title>T</title></book><book id="b2"><title>U</title></book></bib>'
-    solo = FluxEngine(query, dtd).execute(
+    solo = FluxSession(dtd).prepare(query).execute(
         document, options=ExecutionOptions(expand_attrs=True)
     ).output
     assert "<book_id>b&amp;1</book_id>" in solo

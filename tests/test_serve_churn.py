@@ -21,7 +21,7 @@ import random
 import pytest
 
 from repro.core.api import load_dtd
-from repro.engine.engine import FluxEngine
+from repro.core.session import FluxSession
 from repro.serve import SubscriptionHub
 
 BIB_DTD = """
@@ -123,9 +123,7 @@ def test_adversarial_churn_is_byte_identical(seed):
 
     def solo(query_index: int, document: int) -> str:
         if query_index not in solos:
-            solos[query_index] = FluxEngine(
-                QUERY_POOL[query_index], _schema(), projection=True
-            )
+            solos[query_index] = FluxSession(_schema()).prepare(QUERY_POOL[query_index])
         return solos[query_index].execute(_doc(document)).output
 
     query_of = {

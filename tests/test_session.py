@@ -638,12 +638,12 @@ def test_session_accepts_dtd_source_text():
 BOUNDED = ExecutionOptions(memory_budget=4096)
 
 
-def _streaming_engine():
-    return FluxEngine(QUERY, load_dtd(WEAK_DTD, root_element="bib"))
+def _streaming_query():
+    return FluxSession(WEAK_DTD, root_element="bib").prepare(QUERY)
 
 
 def test_unconsumed_streaming_run_close_releases_governor():
-    run = _streaming_engine().stream(WEAK_DOC, options=BOUNDED)
+    run = _streaming_query().stream(WEAK_DOC, options=BOUNDED)
     assert run._release_governor.alive
     run.close()
     assert not run._release_governor.alive
@@ -652,13 +652,13 @@ def test_unconsumed_streaming_run_close_releases_governor():
 
 
 def test_streaming_run_context_manager_releases_governor():
-    with _streaming_engine().stream(WEAK_DOC, options=BOUNDED) as run:
+    with _streaming_query().stream(WEAK_DOC, options=BOUNDED) as run:
         pass  # never iterated
     assert not run._release_governor.alive
 
 
 def test_abandoned_streaming_run_finalizer_fires_on_gc():
-    run = _streaming_engine().stream(WEAK_DOC, options=BOUNDED)
+    run = _streaming_query().stream(WEAK_DOC, options=BOUNDED)
     governor = run._governor
     finalizer = run._release_governor
     assert finalizer.alive
@@ -669,7 +669,7 @@ def test_abandoned_streaming_run_finalizer_fires_on_gc():
 
 
 def test_consumed_streaming_run_still_works_and_closes():
-    run = _streaming_engine().stream(WEAK_DOC, options=BOUNDED)
+    run = _streaming_query().stream(WEAK_DOC, options=BOUNDED)
     output = "".join(run)
     assert output == _solo(QUERY, WEAK_DOC, WEAK_DTD).output
     assert not run._release_governor.alive
@@ -677,8 +677,7 @@ def test_consumed_streaming_run_still_works_and_closes():
 
 
 def test_streaming_run_without_governor_has_no_finalizer():
-    engine = FluxEngine(QUERY, load_dtd(WEAK_DTD, root_element="bib"))
-    run = engine.stream(WEAK_DOC)
+    run = _streaming_query().stream(WEAK_DOC)
     assert run._governor is None
     assert not hasattr(run._release_governor, "alive")  # nothing to finalize
     run.close()  # still safe
@@ -688,11 +687,14 @@ def test_streaming_run_without_governor_has_no_finalizer():
 # Options and the baseline comparison
 
 
-def test_engine_runs_take_options_and_reject_the_removed_keywords():
+def test_engine_only_compiles_and_prepared_runs_take_options():
     engine = FluxEngine(QUERY, load_dtd(BIB_DTD, root_element="bib"))
-    assert engine.execute(DOC, options=ExecutionOptions(collect_output=False)).output is None
-    with pytest.raises(TypeError):
-        engine.execute(DOC, collect_output=False)
+    for verb in ("execute", "stream", "open_run", "open_feed"):
+        assert not hasattr(engine, verb), verb
+    prepared = FluxSession(BIB_DTD, root_element="bib").prepare(QUERY)
+    assert prepared.engine is not engine  # another session compiles its own
+    assert prepared.execute(DOC, options=ExecutionOptions(collect_output=False)).output is None
+    assert prepared.execute(DOC, collect_output=False).output is None
 
 
 def test_compare_engines_respects_projection_keyword():

@@ -14,7 +14,7 @@ import struct
 
 import pytest
 
-from repro import ExecutionOptions, FluxEngine, FluxSession, load_dtd
+from repro import ExecutionOptions, FluxSession, load_dtd
 from repro.engine.buffers import BufferManager, EventBuffer
 from repro.engine.stats import RunStatistics
 from repro.storage import (
@@ -541,23 +541,23 @@ def xmark_setup():
 @pytest.mark.parametrize("query", ["Q1", "Q8", "Q13"])
 def test_bounded_output_identical_across_all_sink_modes(xmark_setup, query):
     dtd, document = xmark_setup
-    unbounded = FluxEngine(BENCHMARK_QUERIES[query], dtd).execute(document)
+    unbounded = FluxSession(dtd).prepare(BENCHMARK_QUERIES[query]).execute(document)
     peak = unbounded.stats.peak_buffered_bytes
     budget = max(peak // 2, 1024)
 
-    engine = FluxEngine(BENCHMARK_QUERIES[query], dtd)
+    prepared = FluxSession(dtd).prepare(BENCHMARK_QUERIES[query])
     options = ExecutionOptions(memory_budget=budget, memory_page_bytes=128)
 
-    collected = engine.execute(document, options=options)
+    collected = prepared.execute(document, options=options)
     assert collected.output == unbounded.output
     assert collected.stats.peak_resident_bytes <= budget
 
     sink = io.StringIO()
-    to_sink = engine.execute(document, sink=sink, options=options)
+    to_sink = prepared.execute(document, sink=sink, options=options)
     assert sink.getvalue() == unbounded.output
     assert to_sink.stats.peak_resident_bytes <= budget
 
-    streaming = engine.stream(document, options=options)
+    streaming = prepared.stream(document, options=options)
     assert "".join(streaming) == unbounded.output
     assert streaming.stats.peak_resident_bytes <= budget
 
@@ -575,7 +575,7 @@ def test_bounded_output_identical_across_all_sink_modes(xmark_setup, query):
 
     # A budget the run never reaches: nothing spills, and the resident
     # high-water mark is exactly the unbounded peak.
-    generous = engine.execute(
+    generous = prepared.execute(
         document, options=ExecutionOptions(memory_budget=peak * 4 + 64 * 1024)
     )
     assert generous.output == unbounded.output
@@ -586,7 +586,7 @@ def test_bounded_output_identical_across_all_sink_modes(xmark_setup, query):
 def test_bounded_q8_actually_spills(xmark_setup):
     """Guard the guard: Q8's budget really is below its unbounded peak."""
     dtd, document = xmark_setup
-    unbounded = FluxEngine(BENCHMARK_QUERIES["Q8"], dtd).execute(document)
+    unbounded = FluxSession(dtd).prepare(BENCHMARK_QUERIES["Q8"]).execute(document)
     assert unbounded.stats.peak_buffered_bytes // 2 > 1024
 
 
@@ -597,9 +597,8 @@ def test_a_handler_that_loops_over_a_paged_buffer_and_reads_it_faults_each_page_
         "<!ELEMENT c (#PCDATA)> <!ELEMENT b (#PCDATA)>",
         root_element="r",
     )
-    engine = FluxEngine(
-        "<o>{ for $p in /r/p return <x>{$p/b}{ for $a in $p/a where $a = $p/c return <y/> }</x> }</o>",
-        schema,
+    prepared = FluxSession(schema).prepare(
+        "<o>{ for $p in /r/p return <x>{$p/b}{ for $a in $p/a where $a = $p/c return <y/> }</x> }</o>"
     )
     pad = "x" * 40
     document = "<r>%s</r>" % "".join(
@@ -611,8 +610,8 @@ def test_a_handler_that_loops_over_a_paged_buffer_and_reads_it_faults_each_page_
         )
         for p in range(3)
     )
-    unbounded = engine.execute(document)
-    bounded = engine.execute(document, options=ExecutionOptions(memory_budget=300, memory_page_bytes=64))
+    unbounded = prepared.execute(document)
+    bounded = prepared.execute(document, options=ExecutionOptions(memory_budget=300, memory_page_bytes=64))
     stats = bounded.stats
     assert bounded.output == unbounded.output
     assert bounded.output.count("<y/>") == 3 * 40
@@ -628,12 +627,12 @@ def test_spilling_a_lone_surrogate_matches_the_unbounded_run():
         "<!ELEMENT r (p*)> <!ELEMENT p (a*, b)> <!ELEMENT a (#PCDATA)> <!ELEMENT b (#PCDATA)>",
         root_element="r",
     )
-    engine = FluxEngine(
-        '<out>{ for $p in /r/p return { if $p/b = "x" then { $p/a } } }</out>', schema
+    prepared = FluxSession(schema).prepare(
+        '<out>{ for $p in /r/p return { if $p/b = "x" then { $p/a } } }</out>'
     )
     document = "<r><p><a>&#xD800;%s</a><a>%s</a><b>x</b></p></r>" % ("z" * 300, "y" * 300)
-    unbounded = engine.execute(document)
-    bounded = engine.execute(document, options=ExecutionOptions(memory_budget=300))
+    unbounded = prepared.execute(document)
+    bounded = prepared.execute(document, options=ExecutionOptions(memory_budget=300))
     assert "\ud800" in unbounded.output
     assert bounded.stats.spill_count > 0
     assert bounded.output == unbounded.output
@@ -641,15 +640,17 @@ def test_spilling_a_lone_surrogate_matches_the_unbounded_run():
 
 def _prepare_many(dtd, document, names):
     """A ``prepare_many`` set of XMark queries and each one's solo output."""
-    queries = FluxSession(dtd).prepare_many({name: BENCHMARK_QUERIES[name] for name in names})
-    return queries, {name: queries.engines[name].execute(document).output for name in names}
+    session = FluxSession(dtd)
+    queries = session.prepare_many({name: BENCHMARK_QUERIES[name] for name in names})
+    solo = {name: session.prepare(BENCHMARK_QUERIES[name]).execute(document).output for name in names}
+    return queries, solo
 
 
 def test_multiquery_shared_budget_outputs_identical(xmark_setup):
     dtd, document = xmark_setup
     queries, solo = _prepare_many(dtd, document, ("Q1", "Q8", "Q13"))
 
-    peak = FluxEngine(BENCHMARK_QUERIES["Q8"], dtd).execute(document).stats.peak_buffered_bytes
+    peak = FluxSession(dtd).prepare(BENCHMARK_QUERIES["Q8"]).execute(document).peak_buffered_bytes
     budget = max(peak // 2, 1024)
     run = queries.execute(
         document, options=ExecutionOptions(memory_budget=budget, memory_page_bytes=128)
@@ -681,8 +682,8 @@ def test_multiquery_shared_budget_to_sinks_identical(xmark_setup):
 
 def test_streaming_run_closes_governor_when_abandoned(xmark_setup):
     dtd, document = xmark_setup
-    engine = FluxEngine(BENCHMARK_QUERIES["Q8"], dtd)
-    streaming = engine.stream(
+    prepared = FluxSession(dtd).prepare(BENCHMARK_QUERIES["Q8"])
+    streaming = prepared.stream(
         document, options=ExecutionOptions(memory_budget=2048, memory_page_bytes=128)
     )
     iterator = iter(streaming)
