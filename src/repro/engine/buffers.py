@@ -24,6 +24,11 @@ between flushes, so the current and peak totals (and the owner
 composition at the peak) the benchmark harness and the zero-buffering
 assertions read are exactly the per-append values -- live readers such as
 ``/progress`` see them at most one batch behind.
+
+A :class:`~repro.xmlstream.events.RawContent` item -- an opaque element's
+content, appended as one item -- counts as the events it stands for: its
+``count`` events and their summed cost (its text's length), so buffer
+totals and peaks are the same whether or not the scanner took it raw.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Callable, Iterable, List, Optional
 
 from repro.engine.stats import RunStatistics
 from repro.obs.attrib import BufferAttribution
-from repro.xmlstream.events import Event
+from repro.xmlstream.events import Event, RawContent
 
 #: Signature of a pluggable buffer factory.
 BufferFactory = Callable[["BufferManager", str], "EventBuffer"]
@@ -117,7 +122,9 @@ class EventBuffer:
         self._manager = manager
         self._owner = manager.attribution.ledger(name)
         self._events: List[Event] = []
-        # Charged totals: the events before index ``_count`` are charged.
+        # The items before index ``_charged`` are charged, and these are
+        # their totals.
+        self._charged = 0
         self._count = 0
         self._cost = 0
         self._dirty = False
@@ -163,10 +170,13 @@ class EventBuffer:
         """Charge the events appended since the last flush (manager only)."""
         self._dirty = False
         events = self._events
-        count = len(events) - self._count
+        count = len(events) - self._charged
         cost = 0
-        for event in events[self._count :]:
+        for event in events[self._charged :]:
             cost += event.cost_in_bytes()
+            if event.__class__ is RawContent:
+                count += event.count - 1
+        self._charged = len(events)
         self._count += count
         self._cost += cost
         # Owner ledger first, stats second: record_buffered snapshots the
@@ -205,5 +215,6 @@ class EventBuffer:
         owner.live_events -= self._count
         self._manager._notify_release(self._count, self._cost)
         self._events = []
+        self._charged = 0
         self._count = 0
         self._cost = 0

@@ -71,6 +71,7 @@ from repro.xmlstream.events import (
     EndDocument,
     EndElement,
     Event,
+    RawContent,
     StartDocument,
     StartElement,
 )
@@ -258,6 +259,11 @@ class StreamExecutor:
                 if count_input:
                     cost += len(event.name) + 3
                 end(event)
+            elif cls is RawContent:
+                count += event.count
+                if count_input:
+                    cost += len(event.text)
+                self._raw_content(event)
             elif cls is StartDocument or cls is EndDocument:
                 continue
             else:
@@ -537,6 +543,20 @@ class StreamExecutor:
             sink.append(event)
         if frame.value_accumulators:
             text = event.text
+            for accumulator in frame.value_accumulators:
+                accumulator.add(text)
+        if frame.copy_active:
+            self.sink.write_event(event)
+
+    def _raw_content(self, event: RawContent) -> None:
+        # An opaque element's content: the projection guarantees that no
+        # scope, capture position or handler sits inside it, so it only
+        # goes where its events would have gone one by one.
+        frame = self._stack[-1]
+        for sink in frame.subtree_sinks:
+            sink.append(event)
+        if frame.value_accumulators:
+            text = event.characters()
             for accumulator in frame.value_accumulators:
                 accumulator.add(text)
         if frame.copy_active:

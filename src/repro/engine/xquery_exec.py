@@ -23,7 +23,9 @@ walk the same events; ``exists`` / ``empty`` count spans, a value is a
 span's character data, and ``{$x}`` / ``{$x/path}`` output writes each
 span's events -- start tags without attributes, still-open elements closed,
 as the reference evaluator's attribute-free tree serialises them --
-through the sink's ``write_events``.
+through the sink's ``write_events``.  An opaque element's content may sit
+in a buffer as one raw content item: output writes its text as it is, and a
+path that steps inside it takes out only the children it names.
 
 Joins are indexed.  A ``for`` loop the plan gave a
 :class:`~repro.engine.plan.JoinGuard` does not iterate all its nodes:
@@ -48,7 +50,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.engine.buffers import EventBuffer
 from repro.engine.plan import JoinGuard
 from repro.engine.projection import BufferTreeNode
-from repro.xmlstream.events import Characters, EndElement, Event, StartElement
+from repro.xmlstream.events import Characters, EndElement, Event, RawContent, StartElement
 from repro.xquery.ast import (
     AndCondition,
     ComparisonCondition,
@@ -129,9 +131,14 @@ class _Span:
 
     def text(self) -> str:
         """The element's character data (its atomised value)."""
-        return "".join(
-            [e.text for e in self.events[self.start : self.stop] if e.__class__ is Characters]
-        )
+        parts = []
+        for event in self.events[self.start : self.stop]:
+            cls = event.__class__
+            if cls is Characters:
+                parts.append(event.text)
+            elif cls is RawContent:
+                parts.append(event.characters())
+        return "".join(parts)
 
 
 Binding = Union[ScopeBinding, _Span]
@@ -297,7 +304,9 @@ def _path_spans(events: List[Event], steps: Path, lo: int, hi: int) -> List[_Spa
     One span per element, in document order; an element still open at
     ``hi`` (a mid-stream read) gets an open span ending there.  ``matched``
     is how many leading ``steps`` the chain of open elements spells; a start
-    tag extends it only while the whole chain matches.
+    tag extends it only while the whole chain matches.  Raw content is
+    balanced, so it is stepped over -- unless the path continues inside it:
+    then the walk goes on in each of its children the next step names.
     """
     last = len(steps)
     spans = []
@@ -316,9 +325,59 @@ def _path_spans(events: List[Event], steps: Path, lo: int, hi: int) -> List[_Spa
                 if matched == last:
                     spans.append(_Span(events, start, index + 1, True))
                 matched = depth
+        elif cls is RawContent and matched == depth < last:
+            rest = steps[depth:]
+            for child in _raw_children(event.text, rest[0]):
+                spans += _path_spans(child, rest, 0, len(child))
     if matched == last:
         spans.append(_Span(events, start, hi, False))
     return spans
+
+
+def _raw_children(text: str, name: str) -> List[List[Event]]:
+    """The children named ``name`` of raw content ``text``, each as its own
+    events: start tag, content (one text or raw content item, if any), end
+    tag.  In canonical text every tag has one ``<`` and only end tags a
+    ``</``, so the depth at a position is the count of ``<`` before it less
+    twice the count of ``</``."""
+    opening = f"<{name}>"
+    closing = f"</{name}>"
+    children = []
+    depth = counted = 0  # open elements before ``counted``
+    at = text.find(opening)
+    while at != -1:
+        depth += text.count("<", counted, at) - 2 * text.count("</", counted, at)
+        counted = at
+        if depth:  # a deeper element of that name
+            at = text.find(opening, at + 1)
+            continue
+        inner = at + len(opening)
+        close = text.find(closing, inner)
+        level = text.count("<", inner, close) - 2 * text.count("</", inner, close)
+        while level:  # an end tag of a nested same-name element
+            after = close
+            close = text.find(closing, after + 1)
+            level += text.count("<", after, close) - 2 * text.count("</", after, close)
+        content = text[inner:close]
+        child: List[Event] = [StartElement(name)]
+        if "<" in content:
+            child.append(RawContent(content, _raw_event_count(content)))
+        elif content:
+            child.append(Characters(content))
+        child.append(EndElement(name))
+        children.append(child)
+        counted = close + len(closing)
+        at = text.find(opening, counted)
+    return children
+
+
+def _raw_event_count(text: str) -> int:
+    """How many events canonical raw content ``text`` (with a tag) stands for:
+    its tags, and its text runs -- the gaps between tags that are not empty,
+    and text before the first tag or after the last."""
+    tags = text.count("<")
+    runs = tags - 1 - text.count("><") + (text[0] != "<") + (text[-1] != ">")
+    return tags + runs
 
 
 def _copied_element(span: _Span) -> List[Event]:

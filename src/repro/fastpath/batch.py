@@ -10,9 +10,11 @@ parallel columns instead of per-event dataclasses:
 * ``spans`` -- ``(start, end)`` byte offsets into the batch's source
   ``buffer`` for rows that carry text: character data, CDATA content, and
   the raw body of attribute-bearing (or uninterned) tags.
-* ``events`` -- ready-made event objects for :data:`K_EVENT` rows (the
-  subelements ``expand_attrs`` synthesizes: their names and values exist
-  nowhere in the source bytes, so there is no span to point at).
+* ``events`` -- ready-made event objects for :data:`K_EVENT` rows: the
+  subelements ``expand_attrs`` synthesizes (their names and values exist
+  nowhere in the source bytes, so there is no span to point at), and the
+  :class:`~repro.xmlstream.events.RawContent` of opaque elements the
+  scanner took raw.
 
 Apart from those, nothing in a batch owns decoded text: the UTF-8 decode,
 line-end normalisation, entity decoding and attribute parsing all happen in
@@ -39,7 +41,7 @@ K_TEXT = 2  # character data span (entity references still encoded)
 K_CDATA = 3  # CDATA content span (no entity decoding)
 K_START_C = 4  # complex start tag: span is the raw tag body (attrs/uninterned)
 K_END_C = 5  # uninterned end tag: span is the name
-K_EVENT = 6  # ready-made event: one span slot, an index into ``events``
+K_EVENT = 6  # ready-made event (or raw content): one span slot, an index into ``events``
 
 KIND_BITS = 3
 TAG_SHIFT = KIND_BITS

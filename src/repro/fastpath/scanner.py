@@ -28,6 +28,20 @@ What makes it fast:
   -- including every error -- goes through the token loop unchanged.
   Input statistics are accounted pre-drop either way, so they describe the
   document that was read, not the survivors.
+* the content of an *opaque* kept element -- every slot that keeps it is
+  :data:`~repro.pipeline.projection.OPAQUE` there (``opaque_masks``):
+  nothing of the plan sits inside it -- is taken *raw* on the same terms
+  (window, :data:`_RAW_MIN` to :data:`_BULK_MAX` bytes,
+  :func:`_plain_subtree`) and without ``\\r``.  The element's start and
+  end rows stay the token loop's; between them goes one ``K_EVENT`` row of
+  a :class:`~repro.xmlstream.events.RawContent` carrying the content's
+  text, event count and byte cost, counted as above.  Its text is byte for
+  byte what the events the loop would have made serialise to: plain
+  content with its blank gaps removed *is* the serialiser's output, since
+  its tags are already ``<name>``/``</name>``, its text needs no escaping
+  and, without CR, no line-end normalisation, and the loop drops exactly
+  the blank segments.  Anything else, every error included, stays on the
+  token loop.
 
 The reference is the expat event stream of :mod:`repro.xmlstream.parser`
 (+ :func:`~repro.xmlstream.attributes.expand_attributes`): for well-formed
@@ -99,7 +113,7 @@ from repro.fastpath.markup import decode_entities, parse_tag_body, valid_name
 from repro.fastpath.tags import DROP, UNINTERNED, UNKNOWN
 from repro.xmlstream.attributes import expanded_attribute_name
 from repro.xmlstream.errors import XMLSyntaxError, XMLWellFormednessError
-from repro.xmlstream.events import Characters, EndElement, StartElement
+from repro.xmlstream.events import Characters, EndElement, RawContent, StartElement
 from repro.xmlstream.source import DocumentSource, resolve_bytes_source
 
 #: A start-tag body that is just an (ASCII) name, possibly padded.
@@ -113,6 +127,10 @@ _START_TAG_RE = re.compile(rb"<(?:[^\"'>]|\"[^\"]*\"|'[^']*')*>")
 #: Smallest dropped subtree (start tag to end tag, in bytes) worth taking in
 #: bulk; shorter ones are cheaper token by token.
 _BULK_MIN = 256
+#: Smallest opaque element taken raw.  Lower than :data:`_BULK_MIN`: each
+#: event of opaque content would also be materialized, dispatched and
+#: written one by one, so taking it raw pays off sooner.
+_RAW_MIN = 128
 #: Largest subtree taken in one piece: bounds the copy and expat's buffers
 #: whatever the window size; a larger one is taken child by child.
 _BULK_MAX = 16 << 10
@@ -316,6 +334,9 @@ class ByteScanner:
         fanout = self.fanout
         cells, stride = fanout.layout
         chars_masks = fanout.chars_masks
+        keep_masks = fanout.keep_masks
+        opaque_masks = fanout.opaque_masks
+        raw_items = batch.events
         top = states[-1]
         row = top * stride
         skip = self._skip
@@ -421,13 +442,19 @@ class ByteScanner:
                             wapp((tid << TAG_SHIFT) | (cell << STATE_SHIFT))
                             top = cell
                             row = top * stride
-                            continue
-                    skip += 1
-                    # A dropped element: take its subtree in bulk when it
-                    # closes inside this window, is large but not too large,
-                    # and is plain.  Bytes already examined (``fence``) are
-                    # not searched again, and misses are capped, so the
-                    # extra C-level work per byte stays a small constant.
+                            opaque = opaque_masks[cell]
+                            if not opaque or opaque != keep_masks[cell]:
+                                continue
+                        else:
+                            skip = 1
+                    else:
+                        skip += 1
+                    # A dropped element (``skip``) or an opaque one: take its
+                    # subtree in bulk, or its content raw, when it closes
+                    # inside this window, is large but not too large, and is
+                    # plain.  Bytes already examined (``fence``) are not
+                    # searched again, and misses are capped, so the extra
+                    # C-level work per byte stays a small constant.
                     if pos < fence or misses >= _BULK_MISSES:
                         continue
                     pat = end_pats[tid]
@@ -437,16 +464,32 @@ class ByteScanner:
                         misses += 1
                         continue
                     fence = close = close + len(pat)
-                    if close - at < _BULK_MIN:
+                    if close - at < (_BULK_MIN if skip else _RAW_MIN):
                         continue
-                    counted = _plain_subtree(buf[at:close], pos - at)
+                    subtree = buf[at:close]
+                    if not skip and 13 in subtree:  # '\r' would be normalised
+                        continue
+                    counted = _plain_subtree(subtree, pos - at)
                     if counted is None:
                         continue
-                    seen += counted[0]
-                    cost += counted[1]
-                    pop()
-                    skip -= 1
-                    pos = close
+                    if skip:
+                        seen += counted[0]
+                        cost += counted[1]
+                        pop()
+                        skip -= 1
+                        pos = close
+                        continue
+                    # The content becomes one row; its end tag is the loop's.
+                    count = counted[0] - 1
+                    if count:
+                        seen += count
+                        cost += counted[1] - len(pat)
+                        wapp(K_EVENT | (top << STATE_SHIFT))
+                        sapp(len(raw_items))
+                        raw_items.append(
+                            RawContent(counted[2][pos - at : -len(pat)].decode("ascii"), count)
+                        )
+                    pos = close - len(pat)
                     continue
                 # Uninterned: fall through (past the dispatch chain) into the
                 # generic start-tag path below.
@@ -780,7 +823,8 @@ class ByteScanner:
 
 
 def _plain_subtree(subtree: bytes, content: int):
-    """``(events, bytes)`` the token loop would count for a plain subtree.
+    """``(events, bytes, packed)`` the token loop would count for a plain
+    subtree, and the subtree with its blank text segments removed.
 
     ``subtree`` runs from an element's start tag to the first occurrence of
     its end tag; ``content`` is the start tag's length, already counted.
@@ -802,7 +846,7 @@ def _plain_subtree(subtree: bytes, content: int):
         return None
     packed = _BLANK_GAP_RE.sub(b"><", subtree)
     tags = subtree.count(b"<", content)
-    return 2 * tags - packed.count(b"><"), len(packed) - content
+    return 2 * tags - packed.count(b"><"), len(packed) - content, packed
 
 
 __all__ = ["ByteScanner"]

@@ -5,10 +5,12 @@ tag-driven automaton over the element hierarchy).  :class:`DynamicFanout`
 runs any number of them *in lockstep*, one **slot** per query: a state is a
 tuple with one component per slot -- the query's own interned projection
 state, :data:`~repro.pipeline.projection.KEEP_ALL` (the query captures the
-whole region), or ``None`` (the query dropped this subtree).  An event
+whole region), :data:`~repro.pipeline.projection.OPAQUE` (likewise, and it
+never looks inside), or ``None`` (the query dropped this subtree).  An event
 survives the shared pass iff *any* slot keeps it, and per-slot *membership
 masks* say exactly which, so the sub-stream of slot *i* is byte for byte
-what the query's solo filter would have produced.
+what the query's solo filter would have produced (up to raw content: the
+scanner takes content raw only where every keeping slot is opaque).
 
 It is the only automaton the scanner ever runs against, in three shapes:
 
@@ -22,10 +24,13 @@ It is the only automaton the scanner ever runs against, in three shapes:
 
 **The flat table.**  Each lockstep tuple is interned straight to a dense
 **row**; row 0 is the initial state.  Per row, ``keep_masks[row]`` marks
-the slots that keep element events there (their component is not ``None``)
-and ``chars_masks[row]`` the slots inside a keep-everything region
-(character data is forwarded only there).  Transitions live in one
-``array('i')`` of cells laid out as ``row * stride + tag_id`` over the
+the slots that keep element events there (their component is not ``None``),
+``chars_masks[row]`` the slots inside a keep-everything region (character
+data is forwarded only there) and ``opaque_masks[row]`` those of them whose
+region is :data:`~repro.pipeline.projection.OPAQUE` -- where the masks of a
+row agree, the scanner may take the element's content as one raw row.
+Transitions live in one ``array('i')`` of cells laid out as
+``row * stride + tag_id`` over the
 shared :class:`~repro.fastpath.tags.TagTable` ids: a cell holds the
 successor row, :data:`~repro.fastpath.tags.DROP` (every slot drops the
 subtree) or :data:`~repro.fastpath.tags.UNKNOWN`.  The table is a lazy
@@ -79,7 +84,7 @@ from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.fastpath.tags import DROP, UNKNOWN, TagTable
-from repro.pipeline.projection import KEEP_ALL, ProjectionSpec
+from repro.pipeline.projection import KEEP_ALL, OPAQUE, ProjectionSpec
 
 #: Sentinel distinguishing "memo miss" from a memoized ``None`` (drop).
 _MISS = object()
@@ -166,6 +171,7 @@ class DynamicFanout:
         with self._lock:
             self.keep_masks[:] = [mask & self._active_mask for mask in self.keep_masks]
             self.chars_masks[:] = [mask & self._active_mask for mask in self.chars_masks]
+            self.opaque_masks[:] = [mask & self._active_mask for mask in self.opaque_masks]
         self._indices.clear()
 
     def compact(self) -> int:
@@ -197,6 +203,7 @@ class DynamicFanout:
         self._components: List[Tuple[object, ...]] = []
         self.keep_masks: List[int] = []
         self.chars_masks: List[int] = []
+        self.opaque_masks: List[int] = []
         self.layout = (array("i"), 64)
         self._indices.clear()
         self._intern(
@@ -209,13 +216,18 @@ class DynamicFanout:
         if row is None:
             keep_mask = 0
             chars_mask = 0
+            opaque_mask = 0
             for index, component in enumerate(components):
                 if component is not None and self._active_mask >> index & 1:
                     keep_mask |= 1 << index
                     if component is KEEP_ALL:
                         chars_mask |= 1 << index
+                    elif component is OPAQUE:
+                        chars_mask |= 1 << index
+                        opaque_mask |= 1 << index
             self.keep_masks.append(keep_mask)
             self.chars_masks.append(chars_mask)
+            self.opaque_masks.append(opaque_mask)
             cells, stride = self.layout
             cells.extend(array("i", [UNKNOWN]) * stride)
             row = self._rows[components] = len(self._components)
@@ -233,7 +245,7 @@ class DynamicFanout:
         """
         components: List[object] = []
         for slot, component in zip(self._slots, self._components[row]):
-            if component is not None and component is not KEEP_ALL:
+            if component is not None and component is not KEEP_ALL and component is not OPAQUE:
                 successor = component.trans.get(tag, _MISS)
                 if successor is _MISS:
                     successor = component.trans[tag] = slot.spec.transition(component, tag)

@@ -25,6 +25,9 @@ A start tag with no surviving position is dropped together with its entire
 subtree (a single integer depth counter skips it); character data is only
 forwarded inside keep-everything regions, which are exactly the regions
 where the executor can route text anywhere (buffers, accumulators, copies).
+A keep-everything region that only feeds buffers, accumulators and copies,
+with nothing of the plan inside it, is :data:`OPAQUE`: the scanner may hand
+its content over as one canonical text instead of events.
 
 This module only *decides*: the byte scanner (:mod:`repro.fastpath.scanner`)
 applies the decisions, through the flat transition table that
@@ -50,7 +53,8 @@ class _State:
     """One interned automaton state: a set of plan positions.
 
     ``trans`` maps a child tag to the successor state, ``None`` for "drop the
-    subtree", or :data:`KEEP_ALL` for "stop filtering below".  Transitions
+    subtree", or :data:`KEEP_ALL` / :data:`OPAQUE` for "stop filtering
+    below".  Transitions
     are computed lazily and memoized, so only the tag/state combinations the
     document actually contains are ever materialized.
     """
@@ -73,6 +77,36 @@ class _KeepAll:
 
 
 KEEP_ALL = _KeepAll()
+
+
+class _Opaque:
+    """Sentinel state: a kept region the plan never looks inside.
+
+    The element's whole subtree is kept, but no scope, buffer-tree path,
+    value-trie path or ``on`` handler sits strictly inside it: its content
+    is only captured, copied or accumulated, so its events need not exist
+    one by one.  Below it, everything is opaque too.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "<opaque>"
+
+
+OPAQUE = _Opaque()
+
+
+def _opaque_scope(spec: ScopeSpec) -> bool:
+    """Whether a root-marked scope never dispatches on its element's children:
+    no ``on`` handler, no value trie, and only ``past()``/``past(*)``
+    handlers (``past()`` fires when the scope opens and ``past(*)``, which
+    has no past table, when it closes: neither fires on a child)."""
+    return (
+        not spec.on_by_tag
+        and spec.value_trie is None
+        and all(not handler.symbols for handler in spec.on_first)
+    )
 
 
 class ProjectionSpec:
@@ -117,9 +151,17 @@ class ProjectionSpec:
         return state
 
     def transition(self, state: _State, tag: str):
-        """Successor for ``tag``: a state, :data:`KEEP_ALL`, or ``None`` (drop)."""
+        """Successor for ``tag``: a state, :data:`KEEP_ALL`, :data:`OPAQUE`,
+        or ``None`` (drop).
+
+        A kept subtree is opaque when every reason to keep it is one that
+        never looks inside: a marked buffer child, a stream-copied child, a
+        terminal value child without deeper value paths, or a root-marked
+        scope that never dispatches on its children.
+        """
         keep = False
         keep_all = False
+        opaque = True
         positions: List[Position] = []
         for kind, node in state.positions:
             if kind == _SCOPE:
@@ -133,6 +175,7 @@ class ProjectionSpec:
                             nested = self._scope_positions(handler.nested, ())
                             if nested is None:
                                 keep_all = True
+                                opaque = opaque and _opaque_scope(handler.nested)
                             else:
                                 positions.extend(nested)
                         elif handler.copy is not None and handler.copy.copy_var is not None:
@@ -153,10 +196,10 @@ class ProjectionSpec:
                     if child.terminal_path is not None:
                         # The element's full text content is accumulated.
                         keep_all = True
-                    elif child.children:
+                    if child.children:
                         positions.append((_VALUE, child))
         if keep_all:
-            return KEEP_ALL
+            return OPAQUE if opaque and not positions else KEEP_ALL
         if not keep and not positions:
             return None
         return self._intern(tuple(positions))

@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.engine.stats import RunStatistics
-from repro.xmlstream.events import Event
+from repro.xmlstream.events import Event, RawContent
 from repro.xmlstream.serializer import serialize_event
 
 
@@ -75,17 +75,28 @@ class OutputSink:
         self._emit(text)
 
     def write_event(self, event: Event) -> None:
-        """Emit one SAX event."""
+        """Emit one SAX event (raw content counts as the events it stands for)."""
         rendered = serialize_event(event)
-        self.stats.record_output(1, len(rendered))
+        self.stats.record_output(
+            event.count if event.__class__ is RawContent else 1, len(rendered)
+        )
         self._emit(rendered)
 
     def write_events(self, events: Iterable[Event]) -> None:
         """Emit a sequence of SAX events as one serialized fragment."""
-        parts = [serialize_event(event) for event in events]
+        count = 0
+        parts = []
+        for event in events:
+            if event.__class__ is RawContent:
+                # Already its events' serialisation: written as it is.
+                count += event.count
+                parts.append(event.text)
+            else:
+                count += 1
+                parts.append(serialize_event(event))
         if parts:
             rendered = "".join(parts)
-            self.stats.record_output(len(parts), len(rendered))
+            self.stats.record_output(count, len(rendered))
             self._emit(rendered)
 
     def text(self) -> Optional[str]:

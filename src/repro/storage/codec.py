@@ -15,6 +15,7 @@ Records, in kind order, and the strings each one takes from the payload:
     0x02  EndElement     name
     0x03  Characters     text
     0x04  attribute      key value   (of the next StartElement)
+    0x05  RawContent     text count  (the count as decimal digits)
 
 An attribute-bearing start tag is its attribute records followed by its
 ``StartElement`` record, so no record needs a count.  ``lengths`` counts
@@ -39,12 +40,13 @@ from array import array
 from itertools import accumulate, chain
 from typing import Iterable, List
 
-from repro.xmlstream.events import Characters, EndElement, Event, StartElement
+from repro.xmlstream.events import Characters, EndElement, Event, RawContent, StartElement
 
 _START = 0x01
 _END = 0x02
 _CHARACTERS = 0x03
 _ATTRIBUTE = 0x04
+_RAW = 0x05
 
 _HEADER = struct.Struct("<IB")
 _UTF8 = "utf-8"
@@ -72,6 +74,10 @@ def encode_events(events: Iterable[Event]) -> bytes:
         elif cls is EndElement:
             record(_END)
             take(event.name)
+        elif cls is RawContent:
+            record(_RAW)
+            take(event.text)
+            take(str(event.count))
         else:
             # Document boundary events are never buffered (the executor
             # strips them before any buffer sees the stream).
@@ -103,7 +109,7 @@ def decode_events(data: bytes) -> List[Event]:
     lengths = array(typecode)
     size = (
         kinds.count(_START) + kinds.count(_END) + kinds.count(_CHARACTERS)
-        + 2 * kinds.count(_ATTRIBUTE)
+        + 2 * (kinds.count(_ATTRIBUTE) + kinds.count(_RAW))
     ) * lengths.itemsize
     lengths.frombytes(data[at : at + size])
     at += size
@@ -141,6 +147,8 @@ def decode_events(data: bytes) -> List[Event]:
             append(event)
         elif kind == _ATTRIBUTE:
             attributes.append((take(), take()))
+        elif kind == _RAW:
+            append(RawContent(take(), int(take())))
         else:
             raise ValueError(f"corrupt spill page: unknown record kind 0x{kind:02x}")
     if attributes:

@@ -19,14 +19,16 @@ frees it exactly as before, under the charging rule stated in
   even while a larger-than-budget buffer is being read,
 * logical accounting (``record_buffered`` / ``record_freed``, the
   quantities the paper's figures report) is byte-identical to the plain
-  buffer; residency, spills and faults are tracked separately.
+  buffer; residency, spills and faults are tracked separately.  A raw
+  content item is never split across pages, so a page may overshoot the
+  limit by up to one item, as it may by one long text.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional
 
-from repro.xmlstream.events import Event
+from repro.xmlstream.events import Event, RawContent
 
 
 class Page:
@@ -156,13 +158,15 @@ class PagedEventBuffer:
                 governor.open_page(page)
             room = self._page_bytes - page.cost
             cost = 0
+            count = 0
             stop = start
             while stop < total:
-                cost += pending[stop].cost_in_bytes()
+                event = pending[stop]
+                cost += event.cost_in_bytes()
+                count += event.count if event.__class__ is RawContent else 1
                 stop += 1
                 if cost >= room:
                     break
-            count = stop - start
             page.events += pending[start:stop]
             page.count += count
             page.cost += cost

@@ -15,10 +15,14 @@ Events are plain frozen dataclasses:
   :mod:`repro.xmlstream.attributes` can convert them into subelements).
 * :class:`EndElement` -- a closing tag.
 * :class:`Characters` -- character data.
+* :class:`RawContent` -- an element's whole content as canonical text,
+  standing for the events it serialises (only for content the plan never
+  dispatches on).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Mapping, Tuple, Union
 
@@ -98,7 +102,35 @@ class Characters:
         return len(self.text)
 
 
-Event = Union[StartDocument, EndDocument, StartElement, EndElement, Characters]
+@dataclass(frozen=True)
+class RawContent:
+    """The whole content of one element, ``count`` events as canonical text.
+
+    ``text`` is exactly what serialising those events gives: ASCII,
+    attribute-free ``<name>``/``</name>`` tags and character data without
+    ``&``, ``<``, ``>`` or CR.  The byte scanner makes one for content the
+    plan never looks inside (:mod:`repro.fastpath.scanner`); a buffer read
+    that steps inside it cuts the children it needs out of the text.
+    """
+
+    text: str
+    count: int
+
+    def cost_in_bytes(self) -> int:
+        """The summed cost of the events it stands for: each one's cost is
+        its serialised length."""
+        return len(self.text)
+
+    def characters(self) -> str:
+        """The character data of the content (its string value)."""
+        return _TAG_RE.sub("", self.text)
+
+
+#: A tag of canonical raw content.
+_TAG_RE = re.compile(r"<[^>]*>")
+
+
+Event = Union[StartDocument, EndDocument, StartElement, EndElement, Characters, RawContent]
 
 
 def is_element_event(event: Event) -> bool:

@@ -9,6 +9,7 @@ from repro.xmlstream.events import (
     EndDocument,
     EndElement,
     Event,
+    RawContent,
     StartDocument,
     StartElement,
 )
@@ -46,6 +47,8 @@ def serialize_event(event: Event) -> str:
         return f"</{event.name}>"
     if isinstance(event, Characters):
         return escape_text(event.text)
+    if isinstance(event, RawContent):
+        return event.text
     if isinstance(event, (StartDocument, EndDocument)):
         return ""
     raise TypeError(f"not an XML event: {event!r}")

@@ -5,8 +5,10 @@ and on the projection automaton itself -- neither is an engine path, and
 the reference shares no tokenizing code with the scanner.
 """
 
-from repro.pipeline.projection import KEEP_ALL
-from repro.xmlstream.events import Characters, EndElement, StartElement
+from repro.pipeline.projection import KEEP_ALL, OPAQUE
+import re
+
+from repro.xmlstream.events import Characters, EndElement, RawContent, StartElement
 from repro.xmlstream.parser import iter_events
 
 
@@ -30,6 +32,10 @@ def coalesce_text(events):
     return out
 
 
+#: The states below which nothing is filtered.
+KEEP_EVERYTHING = (KEEP_ALL, OPAQUE)
+
+
 def project_events(spec, events):
     """Reference projection: walk ``events`` through a ``ProjectionSpec``
     one transition at a time (what the flat table must agree with)."""
@@ -42,7 +48,7 @@ def project_events(spec, events):
                 skip += 1
                 continue
             state = stack[-1]
-            target = KEEP_ALL if state is KEEP_ALL else spec.transition(state, event.name)
+            target = state if state in KEEP_EVERYTHING else spec.transition(state, event.name)
             if target is None:
                 skip = 1
                 continue
@@ -54,6 +60,25 @@ def project_events(spec, events):
                 continue
             stack.pop()
             out.append(event)
-        elif not skip and stack[-1] is KEEP_ALL:
+        elif not skip and stack[-1] in KEEP_EVERYTHING:
             out.append(event)
+    return out
+
+
+def expand_raw(raw):
+    """The events a :class:`RawContent` stands for, parsed from its text."""
+    events = []
+    for close, name, text in re.findall(r"<(/?)([^>]*)>|([^<]+)", raw.text):
+        if text:
+            events.append(Characters(text))
+        else:
+            events.append(EndElement(name) if close else StartElement(name))
+    return events
+
+
+def expanded(events):
+    """``events`` with every raw content item replaced by its events."""
+    out = []
+    for event in events:
+        out.extend(expand_raw(event) if event.__class__ is RawContent else [event])
     return out

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.fastpath.scanner as scanner_module
 from repro.conformance import (
     Case,
     CaseGenerator,
@@ -80,6 +81,28 @@ def test_oracle_sweep_is_green(generated_cases):
         report = oracle.check(case)  # raises ConformanceFailure on divergence
         spills += report.forced_spills
     assert spills > 0, "no case ever forced a spill; the bounded leg is untested"
+
+
+def test_oracle_sweep_is_green_with_every_opaque_element_taken_raw(monkeypatch):
+    """Generated documents are too small for the raw path's size floor, so
+    the floor goes to 0: every plain opaque content is taken raw, on every
+    leg of the oracle."""
+    monkeypatch.setattr(scanner_module, "_RAW_MIN", 0)
+    made = []
+    real = scanner_module.RawContent
+
+    def recording(text, count):
+        made.append(count)
+        return real(text, count)
+
+    monkeypatch.setattr(scanner_module, "RawContent", recording)
+    oracle = Oracle()
+    cases_raw = 0
+    for case in CaseGenerator(seed=1).cases(200):
+        before = len(made)
+        oracle.check(case)
+        cases_raw += len(made) > before
+    assert cases_raw > 0, "no case took the raw path"
 
 
 def test_oracle_flags_output_divergence():

@@ -21,7 +21,7 @@ import io
 import itertools
 
 import pytest
-from _reference import reference_events
+from _reference import expanded, reference_events
 
 from repro import FluxEngine, FluxSession, MultiQueryRun
 from repro.conformance.oracle import _split_at_markup
@@ -72,11 +72,13 @@ def _fanout(specs):
 
 def _slot_streams(fanout, document, stats_list=()):
     """Per-slot sub-streams of one shared pass: ``materialize_split`` for an
-    N-slot fanout, ``materialize`` for a one-slot one."""
+    N-slot fanout, ``materialize`` for a one-slot one.  Raw content is
+    expanded: the pass takes an element's content raw only where every slot
+    keeping it is opaque there, but the events it stands for are the same."""
     streams = [[] for _ in range(fanout.width)]
     for subs in DocumentPass(fanout, stats_list).scan(document, 4096):
         for stream, sub in zip(streams, subs):
-            stream.extend(sub)
+            stream.extend(expanded(sub))
     return streams
 
 

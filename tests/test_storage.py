@@ -30,7 +30,13 @@ from repro.storage import spill
 from repro.xmark.dtd import XMARK_DTD_SOURCE
 from repro.xmark.generator import config_for_scale, generate_document
 from repro.xmark.queries import BENCHMARK_QUERIES
-from repro.xmlstream.events import Characters, EndElement, StartDocument, StartElement
+from repro.xmlstream.events import (
+    Characters,
+    EndElement,
+    RawContent,
+    StartDocument,
+    StartElement,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +55,7 @@ def test_codec_roundtrip_all_event_kinds():
         Characters("nul \x00 and a lone surrogate \ud800 and \udfff"),
         StartElement("e", (("k", "\ud800"), ("", ""))),
         EndElement("e"),
+        RawContent("<p>text<q>more</q></p>tail", 7),
         EndElement("名前"),
         EndElement("site"),
     ]

@@ -1,13 +1,17 @@
 """Unit tests for the SAX-style event model."""
 
+from _reference import expand_raw
+
 from repro.xmlstream.events import (
     Characters,
     EndDocument,
     EndElement,
+    RawContent,
     StartDocument,
     StartElement,
     is_element_event,
 )
+from repro.xmlstream.serializer import serialize_event, serialize_events
 
 
 def test_start_element_attribute_dict():
@@ -61,3 +65,13 @@ def test_events_equality_by_value():
     assert StartElement("a") == StartElement("a")
     assert EndElement("a") != EndElement("b")
     assert Characters("x") == Characters("x")
+
+
+def test_raw_content_stands_for_the_events_it_serialises():
+    text = "<title>a <em>b</em></title>tail<note></note>"
+    raw = RawContent(text, 9)
+    events = expand_raw(raw)
+    assert len(events) == raw.count
+    assert serialize_events(events) == serialize_event(raw) == text
+    assert sum(event.cost_in_bytes() for event in events) == raw.cost_in_bytes()
+    assert raw.characters() == "".join(e.text for e in events if isinstance(e, Characters))
