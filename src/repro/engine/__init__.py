@@ -47,7 +47,7 @@ from repro.engine.projection import (
     condition_value_paths,
 )
 from repro.engine.plan import QueryPlan, compile_plan
-from repro.engine.executor import ExecutionResult, StreamExecutor
+from repro.engine.executor import StreamExecutor
 from repro.engine.engine import FluxEngine, StreamingRun
 from repro.engine.stats import RunStatistics
 
@@ -55,7 +55,6 @@ __all__ = [
     "BufferManager",
     "BufferTreeNode",
     "EventBuffer",
-    "ExecutionResult",
     "FluxEngine",
     "QueryPlan",
     "RunStatistics",

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional
 
 from repro.engine.stats import RunStatistics
-from repro.obs.attrib import BufferAttribution
+from repro.obs.attrib import BufferAttribution, OwnerLedger
 from repro.xmlstream.events import Event, RawContent
 
 #: Signature of a pluggable buffer factory.
@@ -103,7 +103,32 @@ class BufferManager:
             for buffer in dirty:
                 buffer._charge()
 
-    def _notify_release(self, count: int, cost: int, resident: Optional[int] = None) -> None:
+    def _notify_charge(
+        self, count: int, cost: int, *, owner: OwnerLedger, settle_resident: bool = True
+    ) -> None:
+        """Charge newly flushed events to ``owner`` and to the run (buffers only).
+
+        Owner ledger first, stats second: ``record_buffered`` snapshots the
+        per-owner composition when it sets a new peak, so the owner's live
+        bytes must already include these events.
+        """
+        owner.live_bytes += cost
+        owner.live_events += count
+        owner.total_bytes += cost
+        owner.total_events += count
+        if owner.live_bytes > owner.peak_bytes:
+            owner.peak_bytes = owner.live_bytes
+        self.stats.record_buffered(count, cost, settle_resident)
+
+    def _notify_release(
+        self,
+        count: int,
+        cost: int,
+        resident: Optional[int] = None,
+        *,
+        owner: Optional[OwnerLedger] = None,
+    ) -> None:
+        """Free a released buffer's charged totals from ``owner`` and the run."""
         # With N executor states running concurrently (multi-query mode),
         # a negative count would silently poison every shared debugging
         # readout -- fail loudly at the first unbalanced release instead.
@@ -111,6 +136,9 @@ class BufferManager:
             raise RuntimeError(
                 "buffer release without a matching create: live_buffers would go negative"
             )
+        if owner is not None:
+            owner.live_bytes -= cost
+            owner.live_events -= count
         self.stats.record_freed(count, cost, resident=resident)
         self._live_buffers -= 1
 
@@ -179,17 +207,7 @@ class EventBuffer:
         self._charged = len(events)
         self._count += count
         self._cost += cost
-        # Owner ledger first, stats second: record_buffered snapshots the
-        # per-owner composition when it sets a new peak, so the owner's
-        # live bytes must already include these events.
-        owner = self._owner
-        owner.live_bytes += cost
-        owner.live_events += count
-        owner.total_bytes += cost
-        owner.total_events += count
-        if owner.live_bytes > owner.peak_bytes:
-            owner.peak_bytes = owner.live_bytes
-        self._manager.stats.record_buffered(count, cost)
+        self._manager._notify_charge(count, cost, owner=self._owner)
 
     def extend(self, events: Iterable[Event]) -> None:
         """Append several events."""
@@ -210,10 +228,7 @@ class EventBuffer:
             return
         self._manager.flush()
         self._released = True
-        owner = self._owner
-        owner.live_bytes -= self._cost
-        owner.live_events -= self._count
-        self._manager._notify_release(self._count, self._cost)
+        self._manager._notify_release(self._count, self._cost, owner=self._owner)
         self._events = []
         self._charged = 0
         self._count = 0

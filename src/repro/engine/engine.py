@@ -53,8 +53,9 @@ from repro.flux.rewrite import RewriteResult, rewrite_to_flux
 from repro.obs import recorder as _flight
 from repro.obs import serve as _serve
 from repro.obs.export import append_jsonl
-from repro.obs.observer import NULL_OBSERVER, Observer, TraceReport, use_tracing
+from repro.obs.observer import TraceReport, stage_table, use_tracing
 from repro.obs.runtime import record_run
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pipeline.fanout import DynamicFanout
 from repro.pipeline.projection import ProjectionSpec
 from repro.pipeline.sinks import resolve_sink
@@ -273,11 +274,7 @@ class RunHandle:
         self._chunk_offsets = deque(maxlen=256)
         self._governor, self._release_governor = governor_for(self, options, governor)
         factory = self._governor.make_buffer if self._governor is not None else None
-        observer = NULL_OBSERVER
-        if use_tracing(options.trace):
-            observer = Observer()
-            observer.mode = mode
-        self._observer = observer
+        self._tracer = Tracer() if use_tracing(options.trace) else NULL_TRACER
         if options.serve_metrics is not None:
             # Start (or reuse) the background /metrics + /progress server;
             # the run itself executes identical code either way.
@@ -287,21 +284,15 @@ class RunHandle:
             raise ValueError(f"{self._width} seats for a fanout {fanout.width} slots wide")
         #: The occupied seats, in seat order.
         self._live: List[_LiveSeat] = []
-        # A filtered seat's input is accounted by the pass (pre-drop); a
-        # seat that keeps everything sees every event and counts its own.
-        counted_by_pass: List[RunStatistics] = []
-        for index, (seat, spec) in enumerate(zip(seats, fanout.specs())):
+        for index, seat in enumerate(seats):
             if seat is None:
                 continue
             plan, sink, name = seat
             stats = RunStatistics()
-            if spec is not None:
-                counted_by_pass.append(stats)
             executor = StreamExecutor(
                 plan,
                 stats=stats,
                 sink=resolve_sink(sink, stats, collect_output=options.collect_output),
-                count_input=spec is None,
                 buffer_factory=factory,
             )
             self._live.append(_LiveSeat(index, name, executor))
@@ -310,13 +301,14 @@ class RunHandle:
         self.stats: RunStatistics = (
             self._live[0].executor.stats if self._live else RunStatistics()
         )
+        # The pass counts the document's input for every seat.
         self._pass = DocumentPass(
             fanout,
-            counted_by_pass if self._live else [self.stats],
+            self._seat_stats() or [self.stats],
             expand_attrs=options.expand_attrs,
             stop_at_root_close=stop_at_root_close,
             base_offset=base_offset,
-            observer=observer,
+            tracer=self._tracer,
         )
         #: Per-seat results (``None`` for an empty seat), the sealed result,
         #: the pass-level trace and the governor's telemetry; all set by
@@ -338,20 +330,17 @@ class RunHandle:
         # Every open run is visible on /progress (whether or not a server
         # is listening, registration is one dict insert).
         self._progress_key = _serve.register_run(self.progress)
-        # ``begin``/``finish`` are charged to the execute stage too, so
-        # end-of-document handler work (e.g. Q8's final joins) is
-        # attributed -- that is what lets the stage sum track wall time.
-        self._tracer = observer.tracer
-        self._execute_stage = observer.stage("execute")
+        # ``begin``/``finish`` run in ``execute`` spans too (seconds, no
+        # batch), so end-of-document handler work (e.g. Q8's final joins)
+        # is attributed -- that is what lets the stage sum track wall time.
         try:
-            with self._tracer.span("execute") as span:
+            with self._tracer.span("execute"):
                 for self._failing in self._live:
                     self._failing.executor.begin()
             self._failing = None
         except Exception as exc:
             self._abort(exc)
             raise
-        self._execute_stage.seconds += span.record.seconds
         _flight.RECORDER.note("run-begin", mode)
 
     def _seat_stats(self) -> List[RunStatistics]:
@@ -386,18 +375,17 @@ class RunHandle:
             for attribution in attributions:
                 for owner in attribution.owners.values():
                     owners[owner.variable] = owners.get(owner.variable, 0) + owner.live_bytes
-        if self._observer.enabled:
-            stages = {}
-            for name, stage in self._observer.stages.items():
-                seconds = stage.seconds
-                stages[name] = {
-                    "seconds": seconds,
+        if self._tracer.enabled:
+            entry["stages"] = {
+                stage.name: {
+                    "seconds": stage.seconds,
                     "events": stage.events,
                     "throughput_events_per_s": (
-                        stage.events / seconds if seconds > 0 else 0.0
+                        stage.events / stage.seconds if stage.seconds > 0 else 0.0
                     ),
                 }
-            entry["stages"] = stages
+                for stage in stage_table(self._tracer.records)
+            }
         return entry
 
     # --------------------------------------------------------------- framing
@@ -451,7 +439,7 @@ class RunHandle:
                     events += len(sub)
                     seat.executor.process_batch(sub)
         self._failing = None
-        self._execute_stage.charge(span.record.seconds, events)
+        span.add("events", events)
 
     def feed(self, chunk) -> Optional[str]:
         """Execute one more chunk of the document (text or UTF-8 bytes).
@@ -526,21 +514,24 @@ class RunHandle:
         results: List[Optional[FluxRunResult]] = [None] * self._width
         try:
             self._process(self._pass.finish())
-            with self._tracer.span("execute") as span:
+            with self._tracer.span("execute"):
                 for self._failing in self._live:
-                    execution = self._failing.executor.finish()
-                    results[self._failing.index] = FluxRunResult(execution.output, execution.stats)
+                    executor = self._failing.executor
+                    results[self._failing.index] = FluxRunResult(executor.finish(), executor.stats)
             self._failing = None
-            self._execute_stage.seconds += span.record.seconds
         except Exception as exc:
             self._abort(exc)
             raise
+        # The run's one clock reading: every seat and the pass share it.
+        elapsed = time.perf_counter() - self._opened_at
+        for stats in self._seat_stats():
+            stats.elapsed_seconds = elapsed
         self._state = "finished"
         _flight.RECORDER.note("run-finish", self._mode, self.stats.output_bytes)
         if self._governor is not None:
             self.memory = self._governor.telemetry()
         self.close()  # no live buffers remain: leaves /progress, closes an owned governor
-        self.trace = self._seal_observation()
+        self.trace = self._seal_observation(elapsed)
         self.results = results
         for seat in self._live:
             results[seat.index].trace = self.trace
@@ -549,7 +540,7 @@ class RunHandle:
         elif self._live:
             self.result = MultiQueryRun(
                 {seat.name: results[seat.index] for seat in self._live},
-                time.perf_counter() - self._opened_at,
+                elapsed,
                 memory=self.memory,
                 trace=self.trace,
             )
@@ -558,29 +549,26 @@ class RunHandle:
                 self._on_finish(stats)
         return self.result
 
-    def _seal_observation(self) -> Optional[TraceReport]:
+    def _seal_observation(self, elapsed: float) -> Optional[TraceReport]:
         """Fold the *completed* run into the always-on global telemetry --
         every seat, traced or not, exactly once -- and, for a traced run,
         build the pass-level :class:`TraceReport` (appended to the
         ``REPRO_OBS_JSON`` JSON-lines dump when that is set).  Aborted runs
         never reach it.
         """
-        observer = self._observer
+        tracer = self._tracer
         seats = self._seat_stats()
         for stats in seats:
-            record_run(stats, traced=observer.enabled, push=self._chunks_fed > 0)
-        if not observer.enabled:
+            record_run(stats, traced=tracer.enabled, push=self._chunks_fed > 0)
+        if not tracer.enabled:
             return None
-        totals = self.stats
-        if len(seats) > 1:
-            # Pass-level byte columns: input is the shared document, output
-            # the sum over all seats.
-            totals = RunStatistics(
-                input_bytes=self.stats.input_bytes,
-                output_bytes=sum(stats.output_bytes for stats in seats),
-                elapsed_seconds=max(stats.elapsed_seconds for stats in seats),
-            )
-        report = observer.finish(totals)
+        spans = list(tracer.records)
+        # Pass-level byte columns: input is the shared document, output the
+        # sum over all seats.
+        stages = stage_table(
+            spans, self.stats.input_bytes, sum(stats.output_bytes for stats in seats)
+        )
+        report = TraceReport(stages, spans, elapsed, self._mode)
         path = os.environ.get("REPRO_OBS_JSON")
         if path:
             append_jsonl(path, report, run=next(_obs_run_ids))

@@ -20,9 +20,10 @@ punctuation mechanism of Appendix B.
 
 Hot-path structure (the pipeline's *execute* stage):
 
-* events arrive in *batches*; statistics are recorded once per batch, and
-  so are scope buffers' charges (:meth:`~repro.engine.buffers.BufferManager.flush`
-  at the end of a batch, before any buffer is read or released),
+* events arrive in *batches*; scope buffers are charged once per batch
+  (:meth:`~repro.engine.buffers.BufferManager.flush` at the end of a
+  batch, before any buffer is read or released).  Input is not counted
+  here: the document pass records it for every seat,
 * the run loop dispatches on the event class directly, and per-scope child
   dispatch uses the plan's precompiled ``on_by_tag`` / ``on_first`` tables
   -- no ``isinstance`` chains per event,
@@ -37,26 +38,22 @@ Hot-path structure (the pipeline's *execute* stage):
   ``process_batch`` with whatever events one fed chunk completed, at any
   chunk boundary, and ``finish`` validates and flushes exactly as in pull
   mode.  All executor state (frames, scopes, buffers) is held between
-  batches, so no stage ever needs the whole document.
+  batches, so no stage ever needs the whole document.  ``finish`` returns
+  the sink's text; the run handle owns the clock and the result.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dtd.glushkov import INITIAL_STATE
 from repro.engine.buffers import BufferManager, EventBuffer
 from repro.engine.plan import (
-    CompiledOn,
     CompiledOnFirst,
     QueryPlan,
     ScopeSpec,
     StreamCopyAction,
-    ValueTrieNode,
 )
-from repro.engine.projection import BufferTreeNode
 from repro.engine.stats import RunStatistics
 from repro.obs import recorder as _recorder
 from repro.engine.xquery_exec import (
@@ -81,14 +78,6 @@ Path = Tuple[str, ...]
 
 #: Shared placeholder for never-written frame list fields (copy-on-write).
 _EMPTY: tuple = ()
-
-
-@dataclass
-class ExecutionResult:
-    """Outcome of one streaming run."""
-
-    output: Optional[str]
-    stats: RunStatistics
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +185,8 @@ class StreamExecutor:
     """Executes a compiled plan over an event stream.
 
     ``sink`` may be any :class:`~repro.pipeline.sinks.OutputSink`; omitted,
-    the output is collected.  ``count_input`` disables the executor's own
-    input accounting when an upstream stage (the document pass) already
-    records it.  ``buffer_factory`` swaps the scope buffers' implementation
+    the output is collected.  Input is not counted here: the document pass
+    records it for every seat.  ``buffer_factory`` swaps the scope buffers' implementation
     (a memory governor's ``make_buffer`` makes them spillable under a byte
     budget); omitted, buffers are plain in-heap event lists.
     """
@@ -209,18 +197,15 @@ class StreamExecutor:
         *,
         stats: Optional[RunStatistics] = None,
         sink: Optional[OutputSink] = None,
-        count_input: bool = True,
         buffer_factory=None,
     ):
         self.plan = plan
         self.stats = stats or RunStatistics()
         self.sink = sink if sink is not None else CollectSink(self.stats)
         self.buffers = BufferManager(self.stats, factory=buffer_factory)
-        self._count_input = count_input
         # Bound at construction so a run started after the flight recorder
         # is swapped (tests) picks up the new one.
         self._recorder = _recorder.RECORDER
-        self._started_at = 0.0
         self._stack: List[_Frame] = []
         self._active_scopes: Dict[str, List[ScopeActivation]] = {}
 
@@ -228,7 +213,6 @@ class StreamExecutor:
 
     def begin(self) -> None:
         """Start a run: emit the plan prelude and open the root scope."""
-        self._started_at = time.perf_counter()
         self.sink.write_text(self.plan.pre)
         root_frame = _Frame("#ROOT")
         self._stack.append(root_frame)
@@ -239,30 +223,20 @@ class StreamExecutor:
         start = self._start_element
         end = self._end_element
         chars = self._characters
-        count_input = self._count_input
         count = 0
-        cost = 0
         for event in batch:
             cls = event.__class__
             if cls is StartElement:
                 count += 1
-                if count_input:
-                    cost += event.cost_in_bytes()
                 start(event)
             elif cls is Characters:
                 count += 1
-                if count_input:
-                    cost += len(event.text)
                 chars(event)
             elif cls is EndElement:
                 count += 1
-                if count_input:
-                    cost += len(event.name) + 3
                 end(event)
             elif cls is RawContent:
                 count += event.count
-                if count_input:
-                    cost += len(event.text)
                 self._raw_content(event)
             elif cls is StartDocument or cls is EndDocument:
                 continue
@@ -270,14 +244,11 @@ class StreamExecutor:
                 raise TypeError(f"not an XML event: {event!r}")
         self.buffers.flush()
         if count:
-            stats = self.stats
-            if count_input:
-                stats.record_input(count, cost)
             stack = self._stack
             self._recorder.note_batch(
                 count,
-                stats.input_bytes,
-                stats.buffered_bytes_current,
+                self.stats.input_bytes,
+                self.stats.buffered_bytes_current,
                 len(stack),
                 stack[-1].name if stack else None,
             )
@@ -302,8 +273,12 @@ class StreamExecutor:
         self._stack = []
         self._active_scopes = {}
 
-    def finish(self) -> ExecutionResult:
-        """End of stream: close the root scope and emit the plan postlude."""
+    def finish(self) -> Optional[str]:
+        """End of stream: close the root scope and emit the plan postlude.
+
+        Returns the sink's collected text (``None`` for a sink that does
+        not collect).
+        """
         self.buffers.flush()
         # Fires e.g. the final "on-first past(<document element>)" handlers.
         root_frame = self._stack.pop()
@@ -313,8 +288,7 @@ class StreamExecutor:
             raise ValueError("unbalanced input stream: elements left open")
 
         self.sink.write_text(self.plan.post)
-        self.stats.elapsed_seconds = time.perf_counter() - self._started_at
-        return ExecutionResult(output=self.sink.text(), stats=self.stats)
+        return self.sink.text()
 
     # ------------------------------------------------------------ internals
 

@@ -20,9 +20,9 @@ quantities for this implementation:
 Recording is *batch-aware*: the pipeline calls :meth:`RunStatistics.record_input`
 once per event batch (one bounded chunk of the document), not once per
 token, so statistics cost a few integer additions per chunk on the hot
-path.  Input counters always describe the document as read -- when the
-projection filter is active it records the pre-drop totals itself and the
-executor's own accounting is disabled.
+path.  Input counters always describe the document as read: the document
+pass records its pre-drop totals for every seat, filtered or not, and the
+executor counts no input.
 """
 
 from __future__ import annotations

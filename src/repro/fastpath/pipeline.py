@@ -16,10 +16,11 @@ Push callers :meth:`~DocumentPass.feed` chunks cut anywhere and then
 and files) and ends through the same :meth:`~DocumentPass.finish` -- so
 end-of-input errors are identical in every run shape by construction.
 
-Statistics protocol: every ``RunStatistics`` in ``stats_list`` records the
-shared pass's *pre-drop* input totals (their executors must not count
-input themselves); a seat whose slot keeps everything is left out and
-lets its executor count the unfiltered events it receives.
+Statistics protocol: the pass is the only place input is counted.  Every
+``RunStatistics`` in ``stats_list`` -- one per live seat, filtered or
+not -- records the pass's *pre-drop* totals (the rule of the
+:mod:`~repro.fastpath.scanner` docstring), so every seat of one pass
+reports the same ``input_events``/``input_bytes``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from repro.fastpath.scanner import ByteScanner
-from repro.obs.observer import NULL_OBSERVER
+from repro.obs.tracer import NULL_TRACER
 from repro.xmlstream.errors import XMLWellFormednessError
 from repro.xmlstream.events import Event
 from repro.xmlstream.source import DocumentSource
@@ -41,8 +42,9 @@ class DocumentPass:
     the stream offset of the document's first byte, so located errors of
     document N of a feed are stream-absolute.  With ``stop_at_root_close`` the pass parses exactly
     one document and parks anything fed past the root's close tag
-    (:meth:`take_remainder`) -- the substrate of continuous feeds.  The
-    ``scan`` and ``materialize`` stages are charged to ``observer``.
+    (:meth:`take_remainder`) -- the substrate of continuous feeds.  Each
+    step opens a ``scan`` and a ``materialize`` span on ``tracer``, each
+    carrying its batch's ``events`` counter.
     """
 
     __slots__ = (
@@ -51,8 +53,6 @@ class DocumentPass:
         "_stats",
         "_finished",
         "_tracer",
-        "_scan_stage",
-        "_materialize_stage",
     )
 
     def __init__(
@@ -63,7 +63,7 @@ class DocumentPass:
         expand_attrs: bool = False,
         stop_at_root_close: bool = False,
         base_offset: int = 0,
-        observer=NULL_OBSERVER,
+        tracer=NULL_TRACER,
     ):
         self._fanout = fanout
         self._scanner = ByteScanner(
@@ -74,9 +74,7 @@ class DocumentPass:
         )
         self._stats = list(stats_list)
         self._finished = False
-        self._tracer = observer.tracer
-        self._scan_stage = observer.stage("scan")
-        self._materialize_stage = observer.stage("materialize")
+        self._tracer = tracer
 
     @property
     def pending_bytes(self) -> bool:
@@ -135,7 +133,7 @@ class DocumentPass:
         # ``scan``'s event count is pre-drop (``batch.seen``),
         # ``materialize``'s is the survivors: the per-stage table reads as
         # a selectivity funnel.
-        self._scan_stage.charge(span.record.seconds, batch.seen)
+        span.add("events", batch.seen)
         # Every event costs bytes, but bytes may come without an event: text
         # continuing the previous batch's text node.
         if batch.cost:
@@ -148,7 +146,7 @@ class DocumentPass:
                 subs = [batch.materialize()]
             else:
                 subs = batch.materialize_split(self._fanout)
-        self._materialize_stage.charge(span.record.seconds, sum(map(len, subs)))
+        span.add("events", sum(map(len, subs)))
         return subs
 
 

@@ -52,10 +52,15 @@ from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions, FeedOptions
 from repro.engine.engine import RunResult, governor_for
 from repro.obs import recorder as _flight
 from repro.obs import serve as _serve
-from repro.obs.runtime import (
-    record_feed_document,
-    record_feed_finished,
-    record_feed_heartbeat,
+from repro.obs.metrics import global_registry
+
+_metrics = global_registry()
+_FEEDS = _metrics.counter("repro.feeds.total", "Finished continuous feeds")
+_DOCUMENTS = _metrics.counter(
+    "repro.feed.documents.total", "Documents completed by continuous feeds"
+)
+_HEARTBEATS = _metrics.counter(
+    "repro.feed.heartbeats.total", "Heartbeat callbacks fired by continuous feeds"
 )
 
 #: Padding accepted (and skipped, charged to the stream offset) between
@@ -259,7 +264,7 @@ class FeedHandle:
             self._seal_document(self._cursor, result)
         self._state = "finished"
         self._teardown()
-        record_feed_finished()
+        _FEEDS.inc()
         _flight.RECORDER.note("feed-finish", self._documents_completed, self._resume_offset)
         self.result = FeedResult(
             documents_completed=self._documents_completed,
@@ -313,7 +318,7 @@ class FeedHandle:
         )
         self._documents_completed += 1
         self._resume_offset = boundary
-        record_feed_document()
+        _DOCUMENTS.inc()
         _flight.RECORDER.note("doc-boundary", document.index, boundary)
         if self._on_document is not None:
             self._on_document(document)
@@ -326,7 +331,7 @@ class FeedHandle:
             return
         while self._bytes_fed >= self._next_heartbeat:
             self._next_heartbeat += self._heartbeat_every
-        record_feed_heartbeat()
+        _HEARTBEATS.inc()
         self._on_heartbeat(self.progress())
 
     def _teardown(self) -> None:

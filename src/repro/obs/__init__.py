@@ -36,7 +36,7 @@ from .metrics import (
     MetricsRegistry,
     global_registry,
 )
-from .observer import NULL_OBSERVER, Observer, StageStats, TraceReport, use_tracing
+from .observer import StageStats, TraceReport, stage_table, use_tracing
 from .recorder import (
     CRASH_SCHEMA,
     RECORDER,
@@ -58,10 +58,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsServer",
-    "NULL_OBSERVER",
     "NULL_TRACER",
     "NullTracer",
-    "Observer",
     "OwnerLedger",
     "RECORDER",
     "SpanRecord",
@@ -80,6 +78,7 @@ __all__ = [
     "prometheus_text",
     "record_run",
     "shutdown_servers",
+    "stage_table",
     "trace_to_jsonl",
     "use_tracing",
     "validate_span_tree",

@@ -1,23 +1,20 @@
-"""Per-run observability state: the :class:`Observer` and its report.
+"""Per-run stage table, read off the run's spans.
 
-One observer flows through a whole run -- engine setup hands it to the
-document pass and the run handle -- so every layer charges time and volume
-to the same place.  An enabled :class:`Observer` owns:
+Every batch loop of a run opens spans on the tracer it was handed -- a
+:class:`~repro.obs.tracer.Tracer` for a traced run,
+:data:`~repro.obs.tracer.NULL_TRACER` otherwise: ``scan`` and
+``materialize`` per document step
+(:class:`~repro.fastpath.pipeline.DocumentPass`), ``execute`` per batch
+and around the executors' ``begin``/``finish``
+(:class:`~repro.engine.engine.RunHandle`).  A span that processed a batch
+carries its event count as the ``events`` counter.  The spans are the only
+record of stage time: :func:`stage_table` sums them into one
+:class:`StageStats` row per stage, and :class:`TraceReport`, the CLI table,
+the JSON-lines header and ``/progress`` all read that table.
 
-* a :class:`~repro.obs.tracer.Tracer` for the span tree,
-* a ``stages`` dict of :class:`StageStats` -- the per-stage aggregate
-  (seconds, batches, events, bytes) that the CLI table and the JSON
-  exporter print.
-
-There is one batch loop per run shape and it always charges the observer
-it was handed; a run without tracing is handed :data:`NULL_OBSERVER`,
-whose spans and stage rows are throwaway no-ops (a few calls per batch).
-
-Byte columns are backfilled at :meth:`Observer.finish` from the run's
-``RunStatistics``: the scan/materialize stages consume the document
-(``input_bytes``), execute produces ``output_bytes``.  Charging
-them per-batch instead would put additions on the hot path for numbers
-the statistics object already tracks.
+Byte columns are filled in from the run's ``RunStatistics`` when the table
+is built: the scan/materialize stages consume the document
+(``input_bytes``), execute produces ``output_bytes``.
 
 ``trace=None`` in :class:`~repro.core.options.ExecutionOptions` defers to
 the ``REPRO_TRACE`` environment variable; setting ``REPRO_OBS_JSON`` to a
@@ -29,8 +26,6 @@ from __future__ import annotations
 
 import os
 from typing import Dict, List, Optional
-
-from .tracer import NULL_TRACER, Tracer
 
 #: Canonical stage ordering for reports.
 STAGE_ORDER = ("scan", "materialize", "execute")
@@ -63,11 +58,6 @@ class StageStats:
         self.events = 0
         self.bytes = 0
 
-    def charge(self, seconds: float, events: int = 0) -> None:
-        self.seconds += seconds
-        self.batches += 1
-        self.events += events
-
     def to_dict(self) -> dict:
         return {
             "stage": self.name,
@@ -78,63 +68,27 @@ class StageStats:
         }
 
 
-class Observer:
-    """Enabled observability state for one run (tracer + stage aggregates)."""
+def stage_table(spans, input_bytes: int = 0, output_bytes: int = 0) -> List[StageStats]:
+    """The per-stage rows of a span list, in :data:`STAGE_ORDER`.
 
-    __slots__ = ("tracer", "stages", "mode")
-    enabled = True
-
-    def __init__(self, tracer: Optional[Tracer] = None):
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.stages: Dict[str, StageStats] = {}
-        self.mode = "pull"
-
-    def stage(self, name: str) -> StageStats:
-        """Get-or-create the aggregate row for stage ``name``."""
-        stats = self.stages.get(name)
-        if stats is None:
-            stats = StageStats(name)
-            self.stages[name] = stats
-        return stats
-
-    def clock(self) -> float:
-        """The tracer's clock, so stage charges and spans agree."""
-        return self.tracer._clock()
-
-    def finish(self, stats) -> "TraceReport":
-        """Seal the run: backfill byte columns and build the report.
-
-        ``stats`` is the run's ``RunStatistics``.  The scan-side stages
-        (scan/materialize) each process the document's input bytes; execute
-        accounts for the produced output bytes.
-        """
-        for name, stage in self.stages.items():
-            stage.bytes = stats.output_bytes if name == "execute" else stats.input_bytes
-        return TraceReport(
-            stages=[self.stages[name] for name in STAGE_ORDER if name in self.stages],
-            spans=list(self.tracer.records),
-            wall_seconds=stats.elapsed_seconds,
-            mode=self.mode,
-        )
-
-
-class NullObserver:
-    """The disabled observer: one shared instance; charges go nowhere."""
-
-    __slots__ = ()
-    enabled = False
-    tracer = NULL_TRACER
-    stages: dict = {}
-    mode = "pull"
-
-    def stage(self, name: str) -> StageStats:
-        return StageStats(name)
-
-    def finish(self, stats) -> None:
-        return None
-
-
-NULL_OBSERVER = NullObserver()
+    A stage's seconds sum every span of its name (open spans count 0.0);
+    each span with an ``events`` counter is one batch of that many events.
+    Stages without a span get no row.
+    """
+    rows: Dict[str, StageStats] = {}
+    for span in spans:
+        if span.name not in STAGE_ORDER:
+            continue
+        row = rows.get(span.name)
+        if row is None:
+            row = rows[span.name] = StageStats(span.name)
+            row.bytes = output_bytes if span.name == "execute" else input_bytes
+        row.seconds += span.seconds
+        events = span.counters.get("events")
+        if events is not None:
+            row.batches += 1
+            row.events += events
+    return [rows[name] for name in STAGE_ORDER if name in rows]
 
 
 class TraceReport:

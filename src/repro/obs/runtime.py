@@ -8,8 +8,8 @@ engine's finish path.  The cost is a handful of integer adds per *run*
 
 The instruments registered here are the engine-layer slice of the
 registry; the storage governor, the session (plan cache, shared
-multi-query passes) and the conformance oracle register their own
-counters at their own layer.  Everything meets in :func:`repro.obs.metrics.global_registry`
+multi-query passes), the continuous feeds, the subscription hub and the
+conformance oracle register their own counters at their own layer.  Everything meets in :func:`repro.obs.metrics.global_registry`
 and comes out through :func:`repro.obs.export.prometheus_text`.
 """
 
@@ -30,13 +30,6 @@ SPILL_COUNT = _registry.counter("repro.run.spills.total", "Buffer pages spilled 
 SPILL_BYTES = _registry.counter("repro.run.spill_bytes.total", "Encoded bytes written to spill storage")
 PAGE_FAULTS = _registry.counter("repro.run.page_faults.total", "Spilled pages read back")
 RUN_SECONDS = _registry.histogram("repro.run.seconds", "Wall time per run (seconds)")
-FEEDS_TOTAL = _registry.counter("repro.feeds.total", "Finished continuous feeds")
-FEED_DOCUMENTS = _registry.counter(
-    "repro.feed.documents.total", "Documents completed by continuous feeds"
-)
-FEED_HEARTBEATS = _registry.counter(
-    "repro.feed.heartbeats.total", "Heartbeat callbacks fired by continuous feeds"
-)
 
 
 def record_run(stats, *, traced: bool = False, push: bool = False) -> None:
@@ -55,17 +48,3 @@ def record_run(stats, *, traced: bool = False, push: bool = False) -> None:
     PAGE_FAULTS.inc(stats.page_faults)
     RUN_SECONDS.observe(stats.elapsed_seconds)
 
-
-def record_feed_document() -> None:
-    """Count one completed feed document (its run is counted by record_run)."""
-    FEED_DOCUMENTS.inc()
-
-
-def record_feed_finished() -> None:
-    """Count one cleanly-finished continuous feed."""
-    FEEDS_TOTAL.inc()
-
-
-def record_feed_heartbeat() -> None:
-    """Count one fired feed heartbeat."""
-    FEED_HEARTBEATS.inc()

@@ -17,9 +17,11 @@ Overhead discipline -- the whole point of this module:
 * the **disabled** path is the :data:`NULL_TRACER` singleton: its
   ``span`` returns one shared no-op context manager whose record reads
   ``0.0`` seconds.  The engine's batch loops are written once and always
-  run their span/charge pairs; with tracing off those are a handful of
-  no-op calls per *batch* (64 KiB of input by default), never per event;
-  the perf harness's ``trace_overhead`` row reports the traced cost.
+  open their spans and bump their ``events`` counters; with tracing off
+  those are a handful of no-op calls per *batch* (64 KiB of input by
+  default), never per event; the perf harness's ``trace_overhead`` row
+  reports the traced cost.  The stage table is computed from these spans
+  (:func:`~repro.obs.observer.stage_table`).
 
 The clock is injectable (``Tracer(clock=...)``) so the exporter golden
 tests can produce deterministic timings.

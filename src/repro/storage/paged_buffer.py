@@ -147,6 +147,7 @@ class PagedEventBuffer:
         start = 0
         stats = self._stats
         owner = self._owner
+        charge = self._manager._notify_charge
         governor = self._governor
         while start < total:
             page = self._open
@@ -172,13 +173,7 @@ class PagedEventBuffer:
             page.cost += cost
             self._count += count
             self._cost += cost
-            owner.live_bytes += cost
-            owner.live_events += count
-            owner.total_bytes += cost
-            owner.total_events += count
-            if owner.live_bytes > owner.peak_bytes:
-                owner.peak_bytes = owner.live_bytes
-            stats.record_buffered(count, cost, False)
+            charge(count, cost, owner=owner, settle_resident=False)
             governor._admit(page, cost)
             start = stop
 
@@ -199,11 +194,9 @@ class PagedEventBuffer:
         finally:
             self._released = True
             self._pending = []
-            resident = self.resident_bytes
-            owner = self._owner
-            owner.live_bytes -= self._cost
-            owner.live_events -= self._count
-            self._manager._notify_release(self._count, self._cost, resident=resident)
+            self._manager._notify_release(
+                self._count, self._cost, self.resident_bytes, owner=self._owner
+            )
             discard = self._governor.discard
             for page in self._pages:
                 discard(page)

@@ -195,8 +195,7 @@ def test_executor_accepts_reference_tokenizer_events():
     executor = StreamExecutor(engine.plan)
     executor.begin()
     executor.process_batch(events)
-    result = executor.finish()
-    assert result.output == NaiveDomEngine(XMP_INTRO).run(DOC).output
+    assert executor.finish() == NaiveDomEngine(XMP_INTRO).run(DOC).output
 
 
 def test_input_statistics_are_recorded():

@@ -375,20 +375,50 @@ def test_a_widening_between_table_loads_never_tears_the_layout():
     assert events == scanned_events(DOC, fanout=solo_fanout(spec))
 
 
+#: Plain documents whose input bytes are exactly their UTF-8 length: text
+#: is counted as read, before line-end normalisation, in bytes not
+#: characters.
+CRLF_DOC = "<bib><book><title>A\r\nB</title></book></bib>"
+NON_ASCII_DOC = "<bib><book><title>\u00e9\u00e9</title></book></bib>"
+ALL = "<all>{$ROOT}</all>"
+
+
+def _input(stats):
+    return stats.input_events, stats.input_bytes
+
+
 @EXPAND
 def test_execution_input_statistics_match_reference_stream(expand):
     with FluxSession(BIB_DTD, root_element="bib") as session:
-        for document in (DOC, ATTR_DOC):
+        for document in (DOC, ATTR_DOC, CRLF_DOC, NON_ASCII_DOC):
             reference = reference_events(document, expand)
-            for projection in (True, False):
-                stats = session.prepare(TITLES, projection=projection).execute(
-                    document, expand_attrs=expand
-                ).stats
-                assert stats.input_events == len(reference)
-                # The projecting scanner charges an *unexpanded* attribute
-                # tag its raw body, entities undecoded.
-                if expand or document is DOC or not projection:
-                    assert stats.input_bytes == sum(e.cost_in_bytes() for e in reference)
+            projected, unprojected = (
+                session.prepare(TITLES, projection=projection)
+                .execute(document, expand_attrs=expand)
+                .stats
+                for projection in (True, False)
+            )
+            # One pass, one input count: projection does not change it.
+            assert _input(unprojected) == _input(projected)
+            assert projected.input_events == len(reference)
+            if document in (CRLF_DOC, NON_ASCII_DOC):
+                assert projected.input_bytes == len(document.encode("utf-8"))
+            # The scanner charges an *unexpanded* attribute tag its raw
+            # body, entities undecoded.
+            elif expand or document is DOC:
+                assert projected.input_bytes == sum(e.cost_in_bytes() for e in reference)
+
+
+@EXPAND
+def test_every_member_of_a_pass_reports_the_same_input(expand):
+    # A projected member and a keep-everything member share one pass.
+    with FluxSession(BIB_DTD, root_element="bib") as session:
+        prepared = session.prepare_many({"titles": TITLES, "all": ALL})
+        for document in (DOC, ATTR_DOC, CRLF_DOC, NON_ASCII_DOC):
+            run = prepared.execute(document, expand_attrs=expand)
+            solo = session.prepare(TITLES).execute(document, expand_attrs=expand)
+            assert _input(run["titles"].stats) == _input(solo.stats)
+            assert _input(run["all"].stats) == _input(solo.stats)
 
 
 # ---------------------------------------------------------------------------

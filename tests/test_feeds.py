@@ -515,14 +515,14 @@ def test_feed_options_validation():
 
 
 def test_feed_runtime_counters_advance(session):
-    from repro.obs.runtime import FEED_DOCUMENTS, FEEDS_TOTAL
+    from repro.obs import global_registry
 
-    docs_before = FEED_DOCUMENTS.value
-    feeds_before = FEEDS_TOTAL.value
+    before = global_registry().snapshot()
     with session.prepare(TITLES).open_feed() as feed:
         feed.feed(_stream(3))
-    assert FEED_DOCUMENTS.value == docs_before + 3
-    assert FEEDS_TOTAL.value == feeds_before + 1
+    after = global_registry().snapshot()
+    assert after["repro.feed.documents.total"] == before["repro.feed.documents.total"] + 3
+    assert after["repro.feeds.total"] == before["repro.feeds.total"] + 1
 
 
 def test_flight_recorder_notes_doc_boundaries(session):

@@ -17,19 +17,19 @@ from __future__ import annotations
 import io
 import json
 import os
+import time
 
 import pytest
 
 from repro import FluxSession, PreparedQuery
 from repro.core.options import ExecutionOptions
-from repro.engine.stats import RunStatistics
 from repro.obs import (
     MetricsRegistry,
-    Observer,
     TraceReport,
     Tracer,
     global_registry,
     prometheus_text,
+    stage_table,
     trace_to_jsonl,
     use_tracing,
     validate_span_tree,
@@ -253,6 +253,56 @@ def test_multiquery_trace_is_invisible_and_pass_scoped(xmark_doc):
     assert "scan" in stage_names and "execute" in stage_names
 
 
+def _stage_sums(spans) -> dict:
+    """``name -> [seconds, spans with an events counter, summed events]``."""
+    sums: dict = {}
+    for span in spans:
+        if span.name in ("scan", "materialize", "execute"):
+            row = sums.setdefault(span.name, [0.0, 0, 0])
+            row[0] += span.seconds
+            if "events" in span.counters:
+                row[1] += 1
+                row[2] += span.counters["events"]
+    return sums
+
+
+@pytest.mark.parametrize("shape", ["pull", "multiquery", "push"])
+def test_stage_table_is_read_off_the_spans(xmark_doc, shape):
+    options = ExecutionOptions(trace=True)
+    progress = None
+    if shape == "pull":
+        trace = _prepare("Q8").execute(xmark_doc, options=options).trace
+    elif shape == "multiquery":
+        queries = {name: BENCHMARK_QUERIES[name] for name in ("Q1", "Q8", "Q13")}
+        prepared = FluxSession(xmark_dtd()).prepare_many(queries)
+        trace = prepared.execute(xmark_doc, options=options).trace
+    else:
+        handle = _prepare("Q8").open_run(options=options)
+        data = xmark_doc.encode("utf-8")
+        half = len(data) // 2
+        for start in range(0, half, 4096):
+            handle.feed(data[start : min(start + 4096, half)])
+        # /progress reads the same table off the spans closed so far.
+        progress = handle.progress()["stages"]
+        cut = time.perf_counter()
+        handle.feed(data[half:])
+        trace = handle.finish().trace
+    sums = _stage_sums(trace.spans)
+    assert [stage.name for stage in trace.stages] == ["scan", "materialize", "execute"]
+    for stage in trace.stages:
+        seconds, batches, events = sums[stage.name]
+        assert stage.seconds == pytest.approx(seconds)
+        assert (stage.batches, stage.events) == (batches, events)
+        assert stage.batches > 0 and stage.events > 0
+    if progress is not None:
+        live = _stage_sums([span for span in trace.spans if span.end <= cut])
+        assert set(progress) == set(live) == {"scan", "materialize", "execute"}
+        for name, row in progress.items():
+            assert row["events"] == live[name][2]
+            assert row["seconds"] == pytest.approx(live[name][0])
+        assert 0 < progress["scan"]["events"] < sums["scan"][2]
+
+
 # ------------------------------------------------------------- environment
 
 
@@ -316,16 +366,15 @@ def test_run_telemetry_folds_every_run(xmark_doc):
 
 def _golden_report() -> TraceReport:
     """A fully deterministic report: fake clock, fixed statistics."""
-    observer = Observer(Tracer(clock=_FakeClock()))
-    with observer.tracer.span("scan") as span:
-        observer.tracer.add("events", 3)
-    observer.stage("scan").charge(span.record.seconds, 3)
-    with observer.tracer.span("execute") as span:
-        with observer.tracer.span("flush"):
+    tracer = Tracer(clock=_FakeClock())
+    with tracer.span("scan"):
+        tracer.add("events", 3)
+    with tracer.span("execute"):
+        tracer.add("events", 2)
+        with tracer.span("flush"):
             pass
-    observer.stage("execute").charge(span.record.seconds, 2)
-    stats = RunStatistics(input_bytes=1000, output_bytes=64, elapsed_seconds=1.0)
-    return observer.finish(stats)
+    stages = stage_table(tracer.records, input_bytes=1000, output_bytes=64)
+    return TraceReport(stages, list(tracer.records), wall_seconds=1.0)
 
 
 def _golden(name: str) -> str:

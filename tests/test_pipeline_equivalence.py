@@ -32,7 +32,7 @@ def _execute_events(plan, events):
     executor = StreamExecutor(plan)
     executor.begin()
     executor.process_batch(events)
-    return executor.finish().output
+    return executor.finish()
 
 
 @pytest.fixture(scope="module")
