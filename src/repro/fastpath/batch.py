@@ -72,11 +72,12 @@ class SoABatch:
 
     ``seen`` / ``cost`` carry the batch's *pre-projection* input accounting
     (every event of the document, dropped or not), so statistics keep
-    describing the document that was read, not the survivors.  ``base`` is
-    the absolute stream offset of ``buffer[0]`` (for located errors).
+    describing the document that was read, not the survivors; ``bulk`` is
+    how many of the input bytes the scanner took without tokens.  ``base``
+    is the absolute stream offset of ``buffer[0]`` (for located errors).
     """
 
-    __slots__ = ("words", "spans", "events", "buffer", "tags", "base", "seen", "cost")
+    __slots__ = ("words", "spans", "events", "buffer", "tags", "base", "seen", "cost", "bulk")
 
     def __init__(self, buffer, tags: TagTable, base: int = 0):
         self.words = array("q")
@@ -87,6 +88,7 @@ class SoABatch:
         self.base = base
         self.seen = 0
         self.cost = 0
+        self.bulk = 0
 
     def __len__(self) -> int:
         return len(self.words)

@@ -134,6 +134,8 @@ class DocumentPass:
         # ``materialize``'s is the survivors: the per-stage table reads as
         # a selectivity funnel.
         span.add("events", batch.seen)
+        if batch.bulk:
+            span.add("bulk_bytes", batch.bulk)
         # Every event costs bytes, but bytes may come without an event: text
         # continuing the previous batch's text node.
         if batch.cost:

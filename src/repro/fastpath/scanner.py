@@ -14,34 +14,58 @@ What makes it fast:
 * tag names are interned to ints once (:class:`~repro.fastpath.tags.TagTable`);
   the steady-state cost of a start tag is one dict hit plus one index into
   the flat transition table of :class:`~repro.pipeline.fanout.DynamicFanout`,
-* subtrees the projection filter drops emit *nothing*, and large ones are
-  not tokenized at all.  When a dropped element's end tag lies inside the
-  current window and the subtree is :data:`_BULK_MIN` to :data:`_BULK_MAX`
-  bytes long, it is taken in bulk if its content plus end tag is *plain* --
-  ASCII, text without ``&``, ``<`` or ``>``, tags exactly ``<name>`` /
-  ``</name>`` -- and expat accepts it; its events and bytes are then
-  counted from ``<``/``><`` counts and whitespace-only gaps
-  (:func:`_plain_subtree`).
-  This is exact by construction: on plain content expat is stricter than
-  the token loop and never laxer, so whatever it accepts the loop would
-  have scanned without error and counted the same way, and anything else
-  -- including every error -- goes through the token loop unchanged.
-  Input statistics are accounted pre-drop either way, so they describe the
-  document that was read, not the survivors.
-* the content of an *opaque* kept element -- every slot that keeps it is
-  :data:`~repro.pipeline.projection.OPAQUE` there (``opaque_masks``):
-  nothing of the plan sits inside it -- is taken *raw* on the same terms
-  (window, :data:`_RAW_MIN` to :data:`_BULK_MAX` bytes,
-  :func:`_plain_subtree`) and without ``\\r``.  The element's start and
-  end rows stay the token loop's; between them goes one ``K_EVENT`` row of
-  a :class:`~repro.xmlstream.events.RawContent` carrying the content's
-  text, event count and byte cost, counted as above.  Its text is byte for
-  byte what the events the loop would have made serialise to: plain
-  content with its blank gaps removed *is* the serialiser's output, since
-  its tags are already ``<name>``/``</name>``, its text needs no escaping
-  and, without CR, no line-end normalisation, and the loop drops exactly
-  the blank segments.  Anything else, every error included, stays on the
-  token loop.
+* subtrees the projection filter drops emit *nothing*, and what the
+  query never reads is mostly not tokenized at all.  The **bulk rule**
+  takes a span in one piece when it lies inside the current window, is
+  at most :data:`_BULK_MAX` bytes (the default chunk size; it bounds the
+  copy and expat's buffers whatever chunks a caller pushes) and is
+  *plain* (below).  It has three shapes:
+
+  - a **dropped subtree**: from a dropped element's start tag to the
+    first occurrence of its end tag, at least :data:`_BULK_MIN` bytes;
+  - a **run** of dropped siblings, when the parent is dropped too or
+    *hollow* (``fanout.hollow``: kept for its tag alone, it drops every
+    child and forwards no text), and never at the root level, where the
+    siblings would be concatenated documents: from the element's start
+    tag to the *last* occurrence of its end tag before the parent's first
+    end tag, at least :data:`_BULK_MIN` bytes.  A refused run falls back
+    to the dropped-subtree shape for that element, and no run starts
+    again before the refused one's end, so each byte reaches the proof at
+    most twice;
+  - the **content** of an *opaque* kept element -- every slot that keeps
+    it is :data:`~repro.pipeline.projection.OPAQUE` there
+    (``opaque_masks``): nothing of the plan sits inside it -- at least
+    :data:`_RAW_MIN` bytes and without ``\\r``, taken *raw*.  The
+    element's start and end rows stay the token loop's; between them goes
+    one ``K_EVENT`` row of a :class:`~repro.xmlstream.events.RawContent`
+    carrying the content's text, event count and byte cost.  Its text is
+    byte for byte what the events the loop would have made serialise to:
+    plain content with its blank gaps removed *is* the serialiser's
+    output, since its tags are already ``<name>``/``</name>``, its text
+    needs no escaping and, without CR, no line-end normalisation, and the
+    loop drops exactly the blank segments.
+
+  A span is plain when what follows its first start tag is ASCII, text
+  without ``&``, ``<`` or ``>``, and tags exactly ``<name>`` /
+  ``</name>``, and expat accepts the span as the content of a wrapper
+  element (:func:`_plain_span`), which proves that it nests: the loop's
+  stack after the span is its stack before.  The test is a handful of
+  C-level byte operations, no regex: the rest is ASCII, holds no ``&`` and no ``/>``, as many ``>`` as ``<``,
+  and once the name bytes are deleted every ``<`` begins ``<>`` or
+  ``</>``.  Given expat's acceptance that *is* plainness: every ``<``
+  then opens a tag of name bytes closed by the next ``>``, so equal
+  counts leave no ``>`` in text or attribute values; comments, CDATA,
+  PIs, padding and attributes leave a ``<`` that begins neither; and a
+  self-closing ``<name/>``, the only well-formed tag whose skeleton
+  reads ``</>``, holds ``/>``.  The span's events and bytes are then
+  counted from ``<``/``><`` counts and whitespace-only gaps.  This is
+  exact by construction: on plain content expat is stricter than the
+  token loop and never laxer, so whatever it accepts the loop would have
+  scanned without error and counted the same way, and anything else --
+  including every error -- goes through the token loop unchanged.  Input
+  statistics are accounted pre-drop either way, so they describe the
+  document that was read, not the survivors; ``SoABatch.bulk`` counts the
+  bytes taken without tokens.
 
 The reference is the expat event stream of :mod:`repro.xmlstream.parser`
 (+ :func:`~repro.xmlstream.attributes.expand_attributes`): for well-formed
@@ -114,7 +138,7 @@ from repro.fastpath.tags import DROP, UNINTERNED, UNKNOWN
 from repro.xmlstream.attributes import expanded_attribute_name
 from repro.xmlstream.errors import XMLSyntaxError, XMLWellFormednessError
 from repro.xmlstream.events import Characters, EndElement, RawContent, StartElement
-from repro.xmlstream.source import DocumentSource, resolve_bytes_source
+from repro.xmlstream.source import DEFAULT_CHUNK_SIZE, DocumentSource, resolve_bytes_source
 
 #: A start-tag body that is just an (ASCII) name, possibly padded.
 _SIMPLE_TAG_RE = re.compile(rb"[ \t\r\n]*([A-Za-z_:][A-Za-z0-9_:.\-]*)[ \t\r\n]*\Z")
@@ -124,25 +148,26 @@ _NAME_PREFIX_RE = re.compile(rb"[ \t\r\n]*([A-Za-z_:][A-Za-z0-9_:.\-]*)(?=[ \t\r
 #: A start tag up to the first ``>`` outside quoted attribute values.
 _START_TAG_RE = re.compile(rb"<(?:[^\"'>]|\"[^\"]*\"|'[^']*')*>")
 
-#: Smallest dropped subtree (start tag to end tag, in bytes) worth taking in
-#: bulk; shorter ones are cheaper token by token.
+#: Smallest dropped subtree or run (start tag to end tag, in bytes) worth
+#: taking in bulk; shorter ones are cheaper token by token.
 _BULK_MIN = 256
 #: Smallest opaque element taken raw.  Lower than :data:`_BULK_MIN`: each
 #: event of opaque content would also be materialized, dispatched and
 #: written one by one, so taking it raw pays off sooner.
 _RAW_MIN = 128
-#: Largest subtree taken in one piece: bounds the copy and expat's buffers
-#: whatever the window size; a larger one is taken child by child.
-_BULK_MAX = 16 << 10
+#: Largest span taken in one piece (dropped subtree, run or raw content):
+#: bounds the copy and expat's buffers whatever the window size; a larger
+#: subtree is taken child by child.
+_BULK_MAX = DEFAULT_CHUNK_SIZE
 #: Bulk searches per window that may end without finding the end tag (the
 #: element is larger than ``_BULK_MAX`` or still open at the window's end).
 #: It only bounds adversarial deep nesting, where every level would search
 #: up to ``_BULK_MAX`` bytes again; XMark queries never reach it (at most 5
 #: misses per window, pull or push, 8 KiB to 1 MiB windows).
 _BULK_MISSES = 8
-#: Plain content: text without ``<``, ``>`` or ``&``, and tags that are
-#: exactly ``<name>`` or ``</name>`` in the TagTable's ASCII name class.
-_PLAIN_RE = re.compile(rb"(?:[^<>&]*</?[A-Za-z_:][A-Za-z0-9_:.\-]*>)*")
+#: The bytes of an ASCII XML name, deleted to leave a plain span's tag
+#: skeleton (``<>`` and ``</>``).
+_NAME_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_:.-"
 #: A whitespace-only text segment between two tags (``bytes.isspace`` class).
 _BLANK_GAP_RE = re.compile(rb">[ \t\n\r\x0b\x0c]+<")
 
@@ -325,6 +350,7 @@ class ByteScanner:
         spans = batch.spans
         sapp = spans.append
         find = buf.find
+        rfind = buf.rfind
         stack = self._stack
         push = stack.append
         pop = stack.pop
@@ -336,6 +362,7 @@ class ByteScanner:
         chars_masks = fanout.chars_masks
         keep_masks = fanout.keep_masks
         opaque_masks = fanout.opaque_masks
+        hollow = fanout.hollow
         raw_items = batch.events
         top = states[-1]
         row = top * stride
@@ -353,7 +380,9 @@ class ByteScanner:
         # completion, exactly like the old per-iteration ``pos >= stop`` break.
         limit = stop if stop < length else length
         fence = 0
+        run_fence = 0
         misses = 0
+        bulk = 0
 
         while pos < limit:
             if stop_root and not stack and self._seen_root:
@@ -459,28 +488,57 @@ class ByteScanner:
                         continue
                     pat = end_pats[tid]
                     reach = at + _BULK_MAX
-                    close = find(pat, pos, reach if reach < limit else limit)
+                    if reach > limit:
+                        reach = limit
+                    close = find(pat, pos, reach)
                     if close == -1:
                         misses += 1
                         continue
                     fence = close = close + len(pat)
+                    if (
+                        skip
+                        and pos >= run_fence
+                        and len(stack) > 1
+                        and (skip > 1 or hollow[top])
+                        and (parent := stack[-2]).__class__ is int
+                    ):
+                        # Its parent drops every child: take the run of
+                        # siblings up to its last end tag before the
+                        # parent's, proven at once.  A refused run is not
+                        # retried from inside (``run_fence``).
+                        bound = find(end_pats[parent], close, reach)
+                        last = rfind(pat, close, reach if bound == -1 else bound)
+                        if last != -1:
+                            run_fence = last = last + len(pat)
+                            if last - at >= _BULK_MIN:
+                                counted = _plain_span(buf[at:last], pos - at)
+                                if counted is not None:
+                                    seen += counted[0]
+                                    cost += counted[1]
+                                    bulk += last - pos
+                                    pop()
+                                    skip -= 1
+                                    pos = fence = last
+                                    continue
                     if close - at < (_BULK_MIN if skip else _RAW_MIN):
                         continue
                     subtree = buf[at:close]
                     if not skip and 13 in subtree:  # '\r' would be normalised
                         continue
-                    counted = _plain_subtree(subtree, pos - at)
+                    counted = _plain_span(subtree, pos - at)
                     if counted is None:
                         continue
                     if skip:
                         seen += counted[0]
                         cost += counted[1]
+                        bulk += close - pos
                         pop()
                         skip -= 1
                         pos = close
                         continue
                     # The content becomes one row; its end tag is the loop's.
                     count = counted[0] - 1
+                    bulk += close - len(pat) - pos
                     if count:
                         seen += count
                         cost += counted[1] - len(pat)
@@ -792,6 +850,7 @@ class ByteScanner:
         self._text_run = text_run
         batch.seen += seen
         batch.cost += cost
+        batch.bulk += bulk
         if stop_root and not stack and self._seen_root:
             self._root_closed = True
         return pos
@@ -822,30 +881,33 @@ class ByteScanner:
                 batch.events.append(event)
 
 
-def _plain_subtree(subtree: bytes, content: int):
+def _plain_span(span: bytes, content: int):
     """``(events, bytes, packed)`` the token loop would count for a plain
-    subtree, and the subtree with its blank text segments removed.
+    span, and the span with its blank text segments removed; ``None`` --
+    leave it to the token loop -- unless the span is plain and expat
+    accepts it as the content of a wrapper element (the module docstring's
+    bulk rule says why that is exact).
 
-    ``subtree`` runs from an element's start tag to the first occurrence of
-    its end tag; ``content`` is the start tag's length, already counted.
-    Returns ``None`` -- leave it to the token loop -- unless the content plus
-    end tag is plain (ASCII, see :data:`_PLAIN_RE`) and expat accepts the
-    whole subtree, which proves that every tag inside nests and matches and
-    that the end tag found closes this element.  On plain content expat is
-    stricter than the token loop (it also rejects NUL, control characters
-    and ``]]>``), never laxer, so an accepted subtree is one the loop would
-    have scanned without error.  Each of its ``tags`` is then one event and
+    ``span`` runs from an element's start tag to an end tag of its name --
+    one subtree, or a run of siblings -- and ``content`` is the start tag's
+    length, already counted.  Each of the rest's ``tags`` is one event and
     every text segment before a tag one more unless it is empty or blank:
     the loop skips whitespace-only segments, events and bytes alike.
     """
-    if not subtree.isascii() or _PLAIN_RE.fullmatch(subtree, content) is None:
+    rest = span[content:]
+    if not span.isascii() or b"&" in rest or b"/>" in rest:
+        return None
+    tags = rest.count(b"<")
+    if rest.count(b">") != tags:
+        return None
+    skeleton = rest.translate(None, _NAME_BYTES)
+    if skeleton.count(b"<>") + skeleton.count(b"</>") != tags:
         return None
     try:
-        ParserCreate().Parse(subtree, True)
+        ParserCreate().Parse(b"<_>" + span + b"</_>", True)
     except ExpatError:
         return None
-    packed = _BLANK_GAP_RE.sub(b"><", subtree)
-    tags = subtree.count(b"<", content)
+    packed = _BLANK_GAP_RE.sub(b"><", span)
     return 2 * tags - packed.count(b"><"), len(packed) - content, packed
 
 

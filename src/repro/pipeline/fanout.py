@@ -28,7 +28,11 @@ the slots that keep element events there (their component is not ``None``),
 ``chars_masks[row]`` the slots inside a keep-everything region (character
 data is forwarded only there) and ``opaque_masks[row]`` those of them whose
 region is :data:`~repro.pipeline.projection.OPAQUE` -- where the masks of a
-row agree, the scanner may take the element's content as one raw row.
+row agree, the scanner may take the element's content as one raw row.  A
+row is ``hollow[row]`` when every active slot's component is ``None`` or a
+projection state without positions: the element is kept for its tag
+alone, every active slot drops each of its children and no character data
+is forwarded, so the scanner may take runs of its children in one piece.
 Transitions live in one ``array('i')`` of cells laid out as
 ``row * stride + tag_id`` over the
 shared :class:`~repro.fastpath.tags.TagTable` ids: a cell holds the
@@ -58,10 +62,13 @@ ever appended to or rewritten in place.
   which survive untouched.  Only the *new* query's automaton computes real
   transitions -- the delta.  The ``recompiles`` counter does not move.
 * **detach** (tombstone): the slot is marked inactive and its bit is
-  cleared from every row's masks, in one sweep under the lock.  No
+  cleared from every row's masks, in one sweep under the lock that also
+  recomputes ``hollow`` (a row the slot alone kept open turns hollow; a
+  flag that lags can only err towards "not hollow", which is safe).  No
   transition is recomputed and no row or cell is discarded; the dead
   slot's component keeps riding the (memoized) lockstep product until the
-  next :meth:`~DynamicFanout.compact`.
+  next :meth:`~DynamicFanout.compact`, so a child it still reaches is not
+  ``DROP`` -- it resolves to a row no active slot keeps.
 * :meth:`~DynamicFanout.compact` is the only full re-merge: it drops
   tombstoned slots from the component tuples and rebuilds the rows -- the
   operation the ``recompiles`` counter counts, and the one a server
@@ -172,6 +179,7 @@ class DynamicFanout:
             self.keep_masks[:] = [mask & self._active_mask for mask in self.keep_masks]
             self.chars_masks[:] = [mask & self._active_mask for mask in self.chars_masks]
             self.opaque_masks[:] = [mask & self._active_mask for mask in self.opaque_masks]
+            self.hollow[:] = [self._hollow(components) for components in self._components]
         self._indices.clear()
 
     def compact(self) -> int:
@@ -204,6 +212,7 @@ class DynamicFanout:
         self.keep_masks: List[int] = []
         self.chars_masks: List[int] = []
         self.opaque_masks: List[int] = []
+        self.hollow: List[bool] = []
         self.layout = (array("i"), 64)
         self._indices.clear()
         self._intern(
@@ -228,11 +237,22 @@ class DynamicFanout:
             self.keep_masks.append(keep_mask)
             self.chars_masks.append(chars_mask)
             self.opaque_masks.append(opaque_mask)
+            self.hollow.append(self._hollow(components))
             cells, stride = self.layout
             cells.extend(array("i", [UNKNOWN]) * stride)
             row = self._rows[components] = len(self._components)
             self._components.append(components)
         return row
+
+    def _hollow(self, components: Tuple[object, ...]) -> bool:
+        """Whether every active slot drops the row's whole content: its
+        component is ``None`` or a projection state with no positions."""
+        return not any(
+            component is not None
+            and self._active_mask >> index & 1
+            and (component is KEEP_ALL or component is OPAQUE or component.positions)
+            for index, component in enumerate(components)
+        )
 
     def _successor(self, row: int, tag: str) -> int:
         """Lockstep successor of ``row`` on ``tag``: a row, or :data:`DROP`

@@ -82,3 +82,14 @@ def expanded(events):
     for event in events:
         out.extend(expand_raw(event) if event.__class__ is RawContent else [event])
     return out
+
+
+def top_level_elements(span):
+    """How many sibling elements a plain span -- every ``<`` opens a tag
+    ``<name>`` or ``</name>`` -- holds at its top level: more than one for a
+    run the scanner took in one piece."""
+    depth = count = 0
+    for close in re.findall(rb"<(/?)", span):
+        depth += -1 if close else 1
+        count += bool(close) and not depth
+    return count

@@ -1,6 +1,7 @@
 """The conformance harness itself: generator, oracle, case files, shrinker."""
 
 import pytest
+from _reference import top_level_elements
 
 import repro.fastpath.scanner as scanner_module
 from repro.conformance import (
@@ -103,6 +104,31 @@ def test_oracle_sweep_is_green_with_every_opaque_element_taken_raw(monkeypatch):
         oracle.check(case)
         cases_raw += len(made) > before
     assert cases_raw > 0, "no case took the raw path"
+
+
+def test_oracle_sweep_is_green_with_every_dropped_subtree_taken_in_bulk(monkeypatch):
+    """Both floors go to 0: every plain dropped subtree, run of dropped
+    siblings and opaque content is taken in one piece, on every leg of the
+    oracle."""
+    monkeypatch.setattr(scanner_module, "_BULK_MIN", 0)
+    monkeypatch.setattr(scanner_module, "_RAW_MIN", 0)
+    runs = []
+    real = scanner_module._plain_span
+
+    def recording(span, content):
+        counted = real(span, content)
+        if counted is not None and top_level_elements(span) > 1:
+            runs.append(len(span))
+        return counted
+
+    monkeypatch.setattr(scanner_module, "_plain_span", recording)
+    oracle = Oracle()
+    cases_run = 0
+    for case in CaseGenerator(seed=1).cases(200):
+        before = len(runs)
+        oracle.check(case)
+        cases_run += len(runs) > before
+    assert cases_run > 0, "no case took a run"
 
 
 def test_oracle_flags_output_divergence():

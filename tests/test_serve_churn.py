@@ -14,15 +14,24 @@ Invariants asserted for every delivered result:
   indices starting at its recorded ``first_document``;
 * **no re-merge**: ``fanout.recompiles`` stays 0 through all churn, and
   the attach/detach counters reconcile with the plan.
+
+A detach also refreshes the fanout's hollow rows (those the scanner may
+take runs of children under): one XMark test checks the flag across a
+detach and a compaction, and the hub's output against solo runs.
 """
 
 import random
 
 import pytest
+from _reference import top_level_elements
 
+import repro.fastpath.scanner as scanner_module
 from repro.core.api import load_dtd
 from repro.core.session import FluxSession
 from repro.serve import SubscriptionHub
+from repro.xmark.dtd import xmark_dtd
+from repro.xmark.queries import BENCHMARK_QUERIES
+from repro.xmark.ticker import ticker_document
 
 BIB_DTD = """
 <!ELEMENT bib (book)*>
@@ -145,3 +154,63 @@ def test_adversarial_churn_is_byte_identical(seed):
     anchor = delivered["anchor"]
     assert [d for d, _ in anchor][: 1] == [0]  # saw the stream from the start
     assert total > 0
+
+
+def _people_row(fanout):
+    """The fanout row of ``/site/people``."""
+    tags = fanout.tags
+    site = fanout.resolve(0, tags.intern(b"site"))
+    return fanout.resolve(site, tags.intern(b"people"))
+
+
+def test_a_detach_turns_a_row_hollow_and_output_stays_byte_identical(monkeypatch):
+    """``people`` is hollow for Q13 (kept for its tag alone) but not for a
+    set that also holds Q1, which reads persons.  Detaching the Q1
+    subscriber makes the hub's row hollow at the detach sweep; once a
+    compaction drops the tombstone, persons drop for every slot and the
+    scanner takes them as runs.  Every result equals a solo run."""
+    dtd = xmark_dtd()
+    session = FluxSession(dtd)
+    q1, q13 = BENCHMARK_QUERIES["Q1"], BENCHMARK_QUERIES["Q13"]
+    alone = session.prepare(q13).fanout
+    assert alone.hollow[_people_row(alone)]
+    both = session.prepare_many({"q1": q1, "q13": q13}).fanout
+    assert not both.hollow[_people_row(both)]
+
+    person_runs = []
+    real = scanner_module._plain_span
+
+    def recording(span, content):
+        counted = real(span, content)
+        if counted is not None and span.startswith(b"<person>"):
+            person_runs.append(top_level_elements(span))
+        return counted
+
+    monkeypatch.setattr(scanner_module, "_plain_span", recording)
+    documents = [ticker_document(index).encode("utf-8") for index in range(6)]
+    hub = SubscriptionHub(dtd)
+    with hub:
+        subs = {"q1": hub.subscribe(q1, name="q1"), "q13": hub.subscribe(q13, name="q13")}
+        hollow = []
+        runs = []
+        for index, document in enumerate(documents):
+            if index == 2:
+                hub.unsubscribe(subs["q1"])
+            if index == 4:
+                hub.compact()
+            hub.feed(document)
+            hollow.append(hub.fanout.hollow[_people_row(hub.fanout)])
+            runs.append(len(person_runs))
+        hub.finish()
+        delivered = {
+            name: [(result.document, result.output) for result in sub.results()]
+            for name, sub in subs.items()
+        }
+    assert hollow == [False, False, True, True, True, True]
+    assert runs[3] == 0 < runs[4] < runs[5] and min(person_runs) > 1, person_runs
+    solos = {"q1": session.prepare(q1), "q13": session.prepare(q13)}
+    assert [document for document, _ in delivered["q1"]] == [0, 1]
+    assert [document for document, _ in delivered["q13"]] == list(range(len(documents)))
+    for name, results in delivered.items():
+        for document, output in results:
+            assert output == solos[name].execute(documents[document]).output, (name, document)
