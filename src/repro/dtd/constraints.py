@@ -8,6 +8,8 @@ Everything the scheduling algorithm needs from the DTD is packaged in
 * ``Past(q, a)`` -- after reaching automaton state ``q``, no ``a`` child can
   be encountered anymore,
 * ``past_table(S)`` -- the per-state conjunction over a symbol set ``S``,
+* ``erased(O, tables)`` -- the automaton over the children in ``O`` only,
+  every other child a silent move, with past tables carried over,
 * cardinality constraints (``at_most_one``, ``at_least_one``) used by the
   Section-7 algebraic simplifications,
 * :class:`FirstPastTracker`, the runtime object the validating stream layer
@@ -24,7 +26,7 @@ after the last possible ``a`` -- contradicting the formal definition of
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.dtd.glushkov import INITIAL_STATE, GlushkovAutomaton
 
@@ -105,6 +107,54 @@ class OrderConstraints:
             state: all(self.past(state, symbol) for symbol in wanted)
             for state in self._automaton.states
         }
+
+    def erased(
+        self, observed: FrozenSet[str], tables: Sequence[Dict[int, bool]]
+    ) -> Optional[Tuple[GlushkovAutomaton, List[Dict[int, bool]]]]:
+        """The automaton over the ``observed`` children only, with ``tables``
+        (past tables of this automaton) carried over to its states.
+
+        Every other child is a silent move.  A state of the result is the set
+        of Glushkov states the element can be in right after an observed
+        child (or at the start), so it is again labelled by one symbol.
+        Returns ``None`` when such a set disagrees on some table: the erased
+        automaton could then decide differently.
+        """
+        automaton = self._automaton
+        moves = automaton.transitions
+        members: List[FrozenSet[int]] = [frozenset({INITIAL_STATE})]
+        ids = {members[0]: INITIAL_STATE}
+        labels: List[str] = []
+        transitions: Dict[int, Dict[str, int]] = {}
+        accepting: Set[int] = set()
+        for state, group in enumerate(members):  # grows while it is walked
+            if any(len({table[q] for q in group}) > 1 for table in tables):
+                return None
+            reach, stack = set(group), list(group)
+            while stack:
+                for symbol, target in moves.get(stack.pop(), {}).items():
+                    if symbol not in observed and target not in reach:
+                        reach.add(target)
+                        stack.append(target)
+            if not automaton.accepting.isdisjoint(reach):
+                accepting.add(state)
+            targets: Dict[str, Set[int]] = {}
+            for source in reach:
+                for symbol, target in moves.get(source, {}).items():
+                    if symbol in observed:
+                        targets.setdefault(symbol, set()).add(target)
+            row = transitions[state] = {}
+            for symbol, target_set in targets.items():
+                key = frozenset(target_set)
+                if key not in ids:
+                    ids[key] = len(members)
+                    members.append(key)
+                    labels.append(symbol)
+                row[symbol] = ids[key]
+        erased_tables = [
+            {state: table[min(group)] for state, group in enumerate(members)} for table in tables
+        ]
+        return GlushkovAutomaton(labels, transitions, accepting), erased_tables
 
     # --------------------------------------------------------- cardinality
 

@@ -8,11 +8,12 @@ the parent's content model, and the same transition is what produces the
 
 :class:`StreamValidator` implements that layer in a reusable way:
 
-* it can be used standalone to check that a document conforms to a DTD
-  (``validate`` / ``iter_validated``),
-* the engine drives one :class:`~repro.dtd.constraints.FirstPastTracker` per
-  *active scope*; the validator exposes the same state-transition machinery
-  so the two stay consistent.
+* it checks that a document conforms to a DTD
+  (``validate`` / ``iter_validated``); the engine does not run it,
+* the engine steps one automaton per *active scope* instead: the element's
+  Glushkov automaton with every child the scope does not observe erased
+  (:attr:`repro.engine.plan.ScopeSpec.automaton`), so it only notices an
+  invalid child sequence where an observed child cannot come.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ records
 * ``on-first`` handlers of the parent scope that fired on this child and must
   execute when the child is complete.
 
-Per child of an active scope, exactly one Glushkov transition and one
-PastTable lookup per watched symbol set are performed -- the cheap
-punctuation mechanism of Appendix B.
+Per child of an active scope that the scope observes, exactly one
+transition of its (erased) Glushkov automaton and one PastTable lookup per
+watched symbol set are performed -- the cheap punctuation mechanism of
+Appendix B; any other child of the scope element is skipped outright.
 
 Hot-path structure (the pipeline's *execute* stage):
 
@@ -442,6 +443,8 @@ class StreamExecutor:
     def _dispatch_child(self, activation: ScopeActivation, event: StartElement, frame: _Frame) -> None:
         name = event.name
         spec = activation.spec
+        if spec.observed is not None and name not in spec.observed:
+            return  # a silent move of the scope's automaton: nothing to do
         previous_state = activation.dfa_state
         if spec.automaton is not None and previous_state is not None:
             new_state = spec.automaton.step(previous_state, name)

@@ -11,17 +11,21 @@ needs:
   decomposition),
 * per scope, the pruned buffer tree (Section 5) and the set of condition
   paths to track on the fly,
-* the Glushkov automaton of the scope's element type, which provides the one
-  DFA transition per child that drives the punctuation events,
+* the automaton that drives the punctuation events: the Glushkov automaton
+  of the scope's element type with every child the scope does not observe
+  made a silent move (:meth:`~repro.dtd.constraints.OrderConstraints.erased`),
+  so the executor steps it only on the children it observes -- or the
+  element's own automaton where the erased one could decide differently,
 * per ``on-first`` handler, the :class:`JoinGuard` of every ``for`` loop in
   its body that the executor can run as an indexed join.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
+from repro.dtd.constraints import OrderConstraints
 from repro.dtd.glushkov import GlushkovAutomaton, INITIAL_STATE
 from repro.dtd.schema import DTD, ROOT_ELEMENT
 from repro.engine.projection import (
@@ -303,6 +307,10 @@ class ScopeSpec:
     automaton: Optional[GlushkovAutomaton]
     buffer_tree: Optional[BufferTreeNode]
     value_trie: Optional[ValueTrieNode]
+    #: The children ``automaton`` steps on (``on`` labels, buffer-tree and
+    #: value-trie children, past-set symbols); ``None`` when it is the
+    #: element's own automaton, which steps on every child.
+    observed: Optional[FrozenSet[str]] = None
     on_first: Tuple["CompiledOnFirst", ...] = field(init=False, repr=False, compare=False)
     on_by_tag: Dict[str, Tuple["CompiledOn", ...]] = field(init=False, repr=False, compare=False)
 
@@ -454,22 +462,40 @@ class _ScopeCompiler:
         self._buffer_trees = buffer_trees
         self._value_paths = value_paths
 
-    def compile_scope(self, block: ProcessStream, element_type: Optional[str]) -> ScopeSpec:
+    def compile_scope(
+        self, block: ProcessStream, element_type: Optional[str], alone: bool = True
+    ) -> ScopeSpec:
+        """``alone``: no other handler of an enclosing scope acts on this
+        element or an ancestor up to the root scope, so nothing but this
+        scope writes while one of its unobserved children streams by."""
+        labels = [handler.label for handler in block.handlers if isinstance(handler, OnHandler)]
         handlers: List[CompiledHandler] = []
         for index, handler in enumerate(block.handlers):
             if isinstance(handler, OnFirstHandler):
                 handlers.append(self._compile_on_first(index, handler, element_type))
             elif isinstance(handler, OnHandler):
-                handlers.append(self._compile_on(index, handler, element_type, block.var))
+                nested_alone = alone and labels.count(handler.label) == 1
+                handlers.append(
+                    self._compile_on(index, handler, element_type, block.var, nested_alone)
+                )
             else:  # pragma: no cover - exhaustive over the AST
                 raise TypeError(f"not a FluX handler: {handler!r}")
+        automaton = _automaton(self._dtd, element_type)
+        buffer_tree = self._buffer_trees.get(block.var)
+        value_trie = build_value_trie(self._value_paths.get(block.var, frozenset()))
+        observed = None
+        if automaton is not None and alone:
+            erased = _erase(self._dtd.constraints(element_type), handlers, buffer_tree, value_trie)
+            if erased is not None:
+                automaton, handlers, observed = erased
         return ScopeSpec(
             var=block.var,
             element_type=element_type if element_type in self._dtd else None,
             handlers=tuple(handlers),
-            automaton=_automaton(self._dtd, element_type),
-            buffer_tree=self._buffer_trees.get(block.var),
-            value_trie=build_value_trie(self._value_paths.get(block.var, frozenset())),
+            automaton=automaton,
+            buffer_tree=buffer_tree,
+            value_trie=value_trie,
+            observed=observed,
         )
 
     def _compile_on_first(
@@ -491,6 +517,7 @@ class _ScopeCompiler:
         handler: OnHandler,
         element_type: Optional[str],
         scope_var: str,
+        alone: bool,
     ) -> CompiledOn:
         body = handler.body
         if isinstance(body, ProcessStream):
@@ -498,7 +525,7 @@ class _ScopeCompiler:
                 raise UnschedulableQueryError(
                     f"nested process-stream ranges over {body.var}, expected {handler.var}"
                 )
-            nested = self.compile_scope(body, handler.label)
+            nested = self.compile_scope(body, handler.label, alone)
             return CompiledOn(index, handler.label, handler.var, nested, None)
         if isinstance(body, SimpleFlux):
             decomposition = decompose_simple(body.expr)
@@ -578,3 +605,46 @@ def _past_table(
             return {INITIAL_STATE: True}
         return None
     return dtd.constraints(element_type).past_table(symbols)
+
+
+def _erase(
+    constraints: OrderConstraints,
+    handlers: List[CompiledHandler],
+    buffer_tree: Optional[BufferTreeNode],
+    value_trie: Optional[ValueTrieNode],
+) -> Optional[Tuple[GlushkovAutomaton, List[CompiledHandler], FrozenSet[str]]]:
+    """The scope's automaton over the children it observes, its handlers with
+    past tables over that automaton, and those children.
+
+    An unobserved child writes nothing, so a handler whose past set closes
+    at one fires just before the next observed child or at scope close
+    instead.  That keeps the output only if the handlers still fire in list
+    order: past tables must be monotone in it (``past(*)``, which fires at
+    close, counts as never past).  ``None`` when they are not, or when the
+    erased automaton could decide differently.
+    """
+    on_first = [handler for handler in handlers if isinstance(handler, CompiledOnFirst)]
+    states = constraints.automaton.states
+    never = dict.fromkeys(states, False)
+    ordered = [handler.past_table or never for handler in on_first]
+    if any(later[q] and not earlier[q] for earlier, later in zip(ordered, ordered[1:]) for q in states):
+        return None
+    observed = {handler.label for handler in handlers if isinstance(handler, CompiledOn)}
+    for handler in on_first:
+        observed.update(handler.symbols or ())
+    for tree in (buffer_tree, value_trie):
+        if tree is not None:
+            observed.update(tree.children)
+    tabled = [handler for handler in on_first if handler.past_table is not None]
+    erased = constraints.erased(frozenset(observed), [handler.past_table for handler in tabled])
+    if erased is None:
+        return None
+    automaton, tables = erased
+    tables = iter(tables)
+    handlers = [
+        replace(handler, past_table=next(tables))
+        if isinstance(handler, CompiledOnFirst) and handler.past_table is not None
+        else handler
+        for handler in handlers
+    ]
+    return automaton, handlers, frozenset(observed)

@@ -12,9 +12,11 @@ irrelevant subtrees are dropped before they reach the executor.
 The automaton's states are sets of *positions* in the plan:
 
 * ``scope`` positions -- the element hosts a live ``process-stream`` scope;
-  every direct child must be delivered (the executor performs one Glushkov
-  transition and one handler-table lookup per child), and children matched
-  by ``on`` handlers spawn nested positions,
+  a direct child the scope observes (:attr:`ScopeSpec.observed
+  <repro.engine.plan.ScopeSpec.observed>`) must be delivered, since the
+  executor steps the scope's automaton on it and looks up its handlers, and
+  children matched by ``on`` handlers spawn nested positions.  Any other
+  child is a silent move of that automaton and needs no delivery,
 * ``buffer`` positions -- a node of a pruned buffer tree (Section 5); only
   child tags present in the tree are relevant, and a *marked* child switches
   to keep-everything mode (its whole subtree is captured),
@@ -165,8 +167,10 @@ class ProjectionSpec:
         positions: List[Position] = []
         for kind, node in state.positions:
             if kind == _SCOPE:
-                # Every child of a scope element feeds the scope's Glushkov
-                # automaton, so the tag itself is always delivered.
+                # An observed child steps the scope's automaton, so its tag
+                # is delivered; an unobserved one is a silent move.
+                if node.observed is not None and tag not in node.observed:
+                    continue
                 keep = True
                 handlers = node.on_by_tag.get(tag)
                 if handlers is not None:

@@ -264,3 +264,38 @@ def test_at_most_one_matches_brute_force():
             repeated = any(word.count(symbol) > 1 for word in words)
             if oc.at_most_one(symbol):
                 assert not repeated
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_MODELS), st.data())
+def test_erased_automaton_decides_as_the_element_automaton(model, data):
+    """Stepped on the observed children of a valid word only, the erased
+    automaton accepts the word, and after each observed child its table
+    says what the element's automaton's table says there."""
+    particle = parse_content_model(model)
+    oc = OrderConstraints(build_glushkov(particle))
+    observed = frozenset(data.draw(st.sets(st.sampled_from(sorted(particle.symbols())), min_size=1)))
+    watch = data.draw(st.sets(st.sampled_from(sorted(observed))))
+    full = oc.past_table(watch)
+    erased = oc.erased(observed, [full])
+    if erased is None:
+        return
+    automaton, (table,) = erased
+    assert table[INITIAL_STATE] == full[INITIAL_STATE]
+    for word in enumerate_words(particle, max_length=5):
+        state = erased_state = INITIAL_STATE
+        for symbol in word:
+            state = oc.automaton.step(state, symbol)
+            if symbol in observed:
+                erased_state = automaton.step(erased_state, symbol)
+                assert automaton.state_symbol(erased_state) == symbol
+                assert table[erased_state] == full[state], (word, symbol)
+        assert automaton.is_accepting(erased_state), word
+
+
+def test_erasure_refuses_when_an_unobserved_child_decides():
+    oc = constraints_of("((h,r,b)|(r,c))")
+    # After r, only the unobserved h says whether a b may still come.
+    assert oc.erased(frozenset({"r", "b"}), [oc.past_table({"b"})]) is None
+    automaton, (table,) = oc.erased(frozenset({"h", "r", "b"}), [oc.past_table({"b"})])
+    assert table[automaton.step(INITIAL_STATE, "r")] is True
