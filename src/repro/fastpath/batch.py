@@ -13,8 +13,8 @@ parallel columns instead of per-event dataclasses:
 * ``events`` -- ready-made event objects for :data:`K_EVENT` rows: the
   subelements ``expand_attrs`` synthesizes (their names and values exist
   nowhere in the source bytes, so there is no span to point at), and the
-  :class:`~repro.xmlstream.events.RawContent` of opaque elements the
-  scanner took raw.
+  :class:`~repro.xmlstream.events.RawContent` of elements the scanner
+  took raw for the slots that keep them opaque.
 
 Apart from those, nothing in a batch owns decoded text: the UTF-8 decode,
 line-end normalisation, entity decoding and attribute parsing all happen in
@@ -32,7 +32,7 @@ from typing import List, Optional
 from repro.fastpath.markup import decode_entities, normalize_newlines, parse_tag_body
 from repro.fastpath.tags import TagTable
 from repro.xmlstream.errors import XMLWellFormednessError
-from repro.xmlstream.events import Characters, EndElement, Event, StartElement
+from repro.xmlstream.events import Characters, EndElement, Event, RawContent, StartElement
 
 #: Row kinds (3 bits of the packed word).
 K_START = 0  # interned start tag, no attributes
@@ -162,10 +162,13 @@ class SoABatch:
 
         Each word's packed state is a row of the
         :class:`~repro.pipeline.fanout.DynamicFanout` the batch was scanned
-        through; its ``keep_masks`` / ``chars_masks`` select the slots that
-        receive the materialized event (element events go to every slot
-        whose component keeps the row, character data only to those in a
-        keep-everything region).  Adjacent text rows share one state
+        through; its masks select the slots that receive the materialized
+        event: element events go to every slot whose component keeps the
+        row (``keep_masks``), character data only to those in a
+        keep-everything region (``chars_masks``), and raw content, which
+        carries its element's row, only to the slots opaque there
+        (``opaque_masks``) -- the others read the same content as rows of
+        the element's taken row.  Adjacent text rows share one state
         (nothing kept may sit between them), so coalescing before
         distribution is safe.
         """
@@ -175,6 +178,7 @@ class SoABatch:
             return subs
         keep_masks = fanout.keep_masks
         chars_masks = fanout.chars_masks
+        opaque_masks = fanout.opaque_masks
         indices_for = fanout.indices_for
         appends = [sub.append for sub in subs]
         spans = self.spans
@@ -223,6 +227,12 @@ class SoABatch:
                         # An expanded attribute value: the only text between
                         # its subelement's tags, so nothing is pending.
                         for index in indices_for(chars_masks[state]):
+                            appends[index](event)
+                        continue
+                    if event.__class__ is RawContent:
+                        # Right after its element's start row, so nothing
+                        # is pending: it goes to the slots opaque there.
+                        for index in indices_for(opaque_masks[state]):
                             appends[index](event)
                         continue
                 else:

@@ -32,18 +32,28 @@ What makes it fast:
     to the dropped-subtree shape for that element, and no run starts
     again before the refused one's end, so each byte reaches the proof at
     most twice;
-  - the **content** of an *opaque* kept element -- every slot that keeps
-    it is :data:`~repro.pipeline.projection.OPAQUE` there
-    (``opaque_masks``): nothing of the plan sits inside it -- at least
-    :data:`_RAW_MIN` bytes and without ``\\r``, taken *raw*.  The
-    element's start and end rows stay the token loop's; between them goes
-    one ``K_EVENT`` row of a :class:`~repro.xmlstream.events.RawContent`
-    carrying the content's text, event count and byte cost.  Its text is
-    byte for byte what the events the loop would have made serialise to:
-    plain content with its blank gaps removed *is* the serialiser's
-    output, since its tags are already ``<name>``/``</name>``, its text
-    needs no escaping and, without CR, no line-end normalisation, and the
-    loop drops exactly the blank segments.
+  - the **content** of a kept element, *raw* for the slots that keep it
+    :data:`~repro.pipeline.projection.OPAQUE` (``opaque_masks``: nothing
+    of their plans sits inside it), at least :data:`_RAW_MIN` bytes and
+    without ``\\r``.  Right after the element's start row goes one
+    ``K_EVENT`` row of a :class:`~repro.xmlstream.events.RawContent`
+    (the content's text and event count) stamped with the element's
+    row, whose ``opaque_masks`` route it.  The element then
+    goes on in ``fanout.taken(row)``, where those slots receive its end
+    tag and nothing inside.  If that row is hollow -- no slot reads
+    inside -- the loop jumps to the end tag and counts the content from
+    the proof; otherwise (a **split**) it tokenizes the same bytes for
+    the other slots and counts them itself, so no byte is counted twice.
+    A split leaves ``fence`` where it was, so dropped subtrees and raw
+    content inside it are still taken in one piece, but no run or other
+    split starts inside a tried one (``run_fence``): each byte reaches
+    at most one run or split proof and one subtree or whole-content
+    proof, at most twice in all.  The raw text is byte for byte what the
+    events the loop would have made serialise to: plain content with its
+    blank gaps removed *is* the serialiser's output, since its tags are
+    already ``<name>``/``</name>``, its text needs no escaping and,
+    without CR, no line-end normalisation, and the loop drops exactly the
+    blank segments.
 
   A span is plain when what follows its first start tag is ASCII, text
   without ``&``, ``<`` or ``>``, and tags exactly ``<name>`` /
@@ -360,7 +370,6 @@ class ByteScanner:
         fanout = self.fanout
         cells, stride = fanout.layout
         chars_masks = fanout.chars_masks
-        keep_masks = fanout.keep_masks
         opaque_masks = fanout.opaque_masks
         hollow = fanout.hollow
         raw_items = batch.events
@@ -471,18 +480,18 @@ class ByteScanner:
                             wapp((tid << TAG_SHIFT) | (cell << STATE_SHIFT))
                             top = cell
                             row = top * stride
-                            opaque = opaque_masks[cell]
-                            if not opaque or opaque != keep_masks[cell]:
+                            if not opaque_masks[cell]:
                                 continue
                         else:
                             skip = 1
                     else:
                         skip += 1
-                    # A dropped element (``skip``) or an opaque one: take its
-                    # subtree in bulk, or its content raw, when it closes
-                    # inside this window, is large but not too large, and is
-                    # plain.  Bytes already examined (``fence``) are not
-                    # searched again, and misses are capped, so the extra
+                    # A dropped element (``skip``) or one that some slot keeps
+                    # opaque: take its subtree in bulk, or its content raw,
+                    # when it closes inside this window, is large but not too
+                    # large, and is plain.  Bytes already examined (``fence``,
+                    # or ``run_fence`` for a split) are not searched again by
+                    # the same shape, and misses are capped, so the extra
                     # C-level work per byte stays a small constant.
                     if pos < fence or misses >= _BULK_MISSES:
                         continue
@@ -494,7 +503,17 @@ class ByteScanner:
                     if close == -1:
                         misses += 1
                         continue
-                    fence = close = close + len(pat)
+                    close += len(pat)
+                    if skip or hollow[taken := fanout.taken(top)]:
+                        fence = close
+                    elif pos < run_fence:
+                        continue
+                    else:
+                        # A split: the loop reads the content on for the
+                        # slots that look inside, so dropped subtrees there
+                        # still go in bulk (``fence`` stays), but no run or
+                        # split starts inside (``run_fence``).
+                        run_fence = close
                     if (
                         skip
                         and pos >= run_fence
@@ -536,18 +555,24 @@ class ByteScanner:
                         skip -= 1
                         pos = close
                         continue
-                    # The content becomes one row; its end tag is the loop's.
+                    # The content becomes one row for the opaque slots, and
+                    # the element goes on in the taken row.
                     count = counted[0] - 1
-                    bulk += close - len(pat) - pos
                     if count:
-                        seen += count
-                        cost += counted[1] - len(pat)
                         wapp(K_EVENT | (top << STATE_SHIFT))
                         sapp(len(raw_items))
                         raw_items.append(
                             RawContent(counted[2][pos - at : -len(pat)].decode("ascii"), count)
                         )
-                    pos = close - len(pat)
+                    states[-1] = top = taken
+                    row = top * stride
+                    if hollow[top]:
+                        # Nobody reads inside: counted from the proof, and
+                        # the end tag is the loop's.
+                        seen += count
+                        cost += counted[1] - len(pat)
+                        bulk += close - len(pat) - pos
+                        pos = close - len(pat)
                     continue
                 # Uninterned: fall through (past the dispatch chain) into the
                 # generic start-tag path below.

@@ -9,8 +9,9 @@ whole region), :data:`~repro.pipeline.projection.OPAQUE` (likewise, and it
 never looks inside), or ``None`` (the query dropped this subtree).  An event
 survives the shared pass iff *any* slot keeps it, and per-slot *membership
 masks* say exactly which, so the sub-stream of slot *i* is byte for byte
-what the query's solo filter would have produced (up to raw content: the
-scanner takes content raw only where every keeping slot is opaque).
+what the query's solo filter would have produced (up to raw content: a
+slot that keeps an element opaque may receive its content as one raw row,
+which stands for the same events).
 
 It is the only automaton the scanner ever runs against, in three shapes:
 
@@ -27,14 +28,14 @@ It is the only automaton the scanner ever runs against, in three shapes:
 the slots that keep element events there (their component is not ``None``),
 ``chars_masks[row]`` the slots inside a keep-everything region (character
 data is forwarded only there) and ``opaque_masks[row]`` those of them whose
-region is :data:`~repro.pipeline.projection.OPAQUE` -- where the masks of a
-row agree, the scanner may take the element's content as one raw row.  A
-row is ``hollow[row]`` when every active slot's component is ``None`` or a
-projection state without positions: the element is kept for its tag
-alone, every active slot drops each of its children and no character data
-is forwarded, so the scanner may take runs of its children in one piece.
-Transitions live in one ``array('i')`` of cells laid out as
-``row * stride + tag_id`` over the
+region is :data:`~repro.pipeline.projection.OPAQUE` -- the slots the
+scanner may hand the element's content as one raw row.  A row is
+``hollow[row]`` when every active slot's component is ``None`` or a
+hollow projection state (its only positions are scopes that observe no
+child): the element is kept for its tag alone, every active slot drops
+each of its children and no character data is forwarded, so the scanner
+may take runs of its children in one piece.  Transitions live in one
+``array('i')`` of cells laid out as ``row * stride + tag_id`` over the
 shared :class:`~repro.fastpath.tags.TagTable` ids: a cell holds the
 successor row, :data:`~repro.fastpath.tags.DROP` (every slot drops the
 subtree) or :data:`~repro.fastpath.tags.UNKNOWN`.  The table is a lazy
@@ -44,6 +45,17 @@ computes the lockstep successor, interns it and writes the cell -- so only
 the ``(row, tag)`` pairs the documents contain are ever materialized.  Tags
 past the TagTable's cap have no id and go through
 :meth:`DynamicFanout.resolve_name`, uncached.
+
+**Taken rows.**  Once the scanner has taken an element's content raw,
+the element goes on in :meth:`DynamicFanout.taken` of its row: the same
+tuple with each ``OPAQUE`` component replaced by
+:data:`~repro.pipeline.projection.TAG_ONLY`, a state without positions.
+Its masks keep the same slots, so the opaque slots still receive the
+element's end tag, but they drop every child and forwarded text -- the
+raw row already stood for them -- while the other slots read on.  When
+the taken row is hollow nobody reads inside, and the scanner skips to the
+end tag; otherwise it tokenizes the content for the other slots (a
+*split*).  Taken rows are ordinary interned rows, memoized per row.
 
 **Concurrency.**  Runs over one fanout share it: cell reads are lock-free,
 misses take the lock.  ``layout`` publishes ``(cells, stride)`` as one
@@ -91,7 +103,7 @@ from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.fastpath.tags import DROP, UNKNOWN, TagTable
-from repro.pipeline.projection import KEEP_ALL, OPAQUE, ProjectionSpec
+from repro.pipeline.projection import KEEP_ALL, OPAQUE, TAG_ONLY, ProjectionSpec
 
 #: Sentinel distinguishing "memo miss" from a memoized ``None`` (drop).
 _MISS = object()
@@ -213,6 +225,7 @@ class DynamicFanout:
         self.chars_masks: List[int] = []
         self.opaque_masks: List[int] = []
         self.hollow: List[bool] = []
+        self._taken: List[int] = []
         self.layout = (array("i"), 64)
         self._indices.clear()
         self._intern(
@@ -238,6 +251,7 @@ class DynamicFanout:
             self.chars_masks.append(chars_mask)
             self.opaque_masks.append(opaque_mask)
             self.hollow.append(self._hollow(components))
+            self._taken.append(UNKNOWN)
             cells, stride = self.layout
             cells.extend(array("i", [UNKNOWN]) * stride)
             row = self._rows[components] = len(self._components)
@@ -246,13 +260,31 @@ class DynamicFanout:
 
     def _hollow(self, components: Tuple[object, ...]) -> bool:
         """Whether every active slot drops the row's whole content: its
-        component is ``None`` or a projection state with no positions."""
+        component is ``None`` or a hollow projection state (no position
+        but scopes that observe no child)."""
         return not any(
             component is not None
             and self._active_mask >> index & 1
-            and (component is KEEP_ALL or component is OPAQUE or component.positions)
+            and (component is KEEP_ALL or component is OPAQUE or not component.hollow)
             for index, component in enumerate(components)
         )
+
+    def taken(self, row: int) -> int:
+        """The row an element of ``row`` continues in once its content went
+        raw: each :data:`~repro.pipeline.projection.OPAQUE` component is
+        replaced by :data:`~repro.pipeline.projection.TAG_ONLY` (memoized).
+
+        Its masks keep the same slots, so those slots still receive the
+        element's end tag, but they drop every child and forwarded text.
+        The scanner may call it lock-free; a miss interns under the lock.
+        """
+        taken = self._taken[row]
+        if taken == UNKNOWN:
+            with self._lock:
+                taken = self._taken[row] = self._intern(
+                    tuple(TAG_ONLY if part is OPAQUE else part for part in self._components[row])
+                )
+        return taken
 
     def _successor(self, row: int, tag: str) -> int:
         """Lockstep successor of ``row`` on ``tag``: a row, or :data:`DROP`
@@ -261,15 +293,20 @@ class DynamicFanout:
         Per-slot successors are looked up in the slot automaton's *own*
         per-state memo first (``_State.trans``), so replaying a warm stream
         after an attach never re-enters a pre-existing query's transition
-        function.
+        function.  A hollow state drops every child without a memo, so
+        :data:`~repro.pipeline.projection.TAG_ONLY`, which every query
+        shares, never grows one.
         """
         components: List[object] = []
         for slot, component in zip(self._slots, self._components[row]):
             if component is not None and component is not KEEP_ALL and component is not OPAQUE:
-                successor = component.trans.get(tag, _MISS)
-                if successor is _MISS:
-                    successor = component.trans[tag] = slot.spec.transition(component, tag)
-                component = successor
+                if component.hollow:
+                    component = None
+                else:
+                    successor = component.trans.get(tag, _MISS)
+                    if successor is _MISS:
+                        successor = component.trans[tag] = slot.spec.transition(component, tag)
+                    component = successor
             components.append(component)
         if all(component is None for component in components):
             return DROP

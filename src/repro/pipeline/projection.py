@@ -29,7 +29,8 @@ forwarded inside keep-everything regions, which are exactly the regions
 where the executor can route text anywhere (buffers, accumulators, copies).
 A keep-everything region that only feeds buffers, accumulators and copies,
 with nothing of the plan inside it, is :data:`OPAQUE`: the scanner may hand
-its content over as one canonical text instead of events.
+its content over as one canonical text instead of events, and the element
+then goes on in :data:`TAG_ONLY` for that query (its end tag, no child).
 
 This module only *decides*: the byte scanner (:mod:`repro.fastpath.scanner`)
 applies the decisions, through the flat transition table that
@@ -58,15 +59,21 @@ class _State:
     subtree", or :data:`KEEP_ALL` / :data:`OPAQUE` for "stop filtering
     below".  Transitions
     are computed lazily and memoized, so only the tag/state combinations the
-    document actually contains are ever materialized.
+    document actually contains are ever materialized.  ``hollow`` says that
+    every transition is ``None``: each position is a scope that observes no
+    child (no positions at all, in particular).
     """
 
-    __slots__ = ("positions", "trans", "key")
+    __slots__ = ("positions", "trans", "key", "hollow")
 
     def __init__(self, positions: Tuple[Position, ...], key: frozenset):
         self.positions = positions
         self.trans: Dict[str, Optional[object]] = {}
         self.key = key
+        self.hollow = all(
+            kind == _SCOPE and node.observed is not None and not node.observed
+            for kind, node in positions
+        )
 
 
 class _KeepAll:
@@ -97,6 +104,11 @@ class _Opaque:
 
 
 OPAQUE = _Opaque()
+
+#: The state an :data:`OPAQUE` region takes once its content went raw: the
+#: element keeps its tags and drops every child (shared by every query, as
+#: it holds no position).
+TAG_ONLY = _State((), frozenset())
 
 
 def _opaque_scope(spec: ScopeSpec) -> bool:

@@ -5,8 +5,10 @@ and on the projection automaton itself -- neither is an engine path, and
 the reference shares no tokenizing code with the scanner.
 """
 
-from repro.pipeline.projection import KEEP_ALL, OPAQUE
 import re
+
+from repro.fastpath.batch import K_EVENT, KIND_MASK, STATE_SHIFT
+from repro.pipeline.projection import KEEP_ALL, OPAQUE
 
 from repro.xmlstream.events import Characters, EndElement, RawContent, StartElement
 from repro.xmlstream.parser import iter_events
@@ -93,3 +95,15 @@ def top_level_elements(span):
         depth += -1 if close else 1
         count += bool(close) and not depth
     return count
+
+
+def split_raw_items(batch, fanout):
+    """The raw content items of ``batch`` taken by a split: a slot that keeps
+    the element reads inside it, so the row the element goes on in after its
+    content went raw (``fanout.taken``) is not hollow."""
+    rows = [word >> STATE_SHIFT for word in batch.words if word & KIND_MASK == K_EVENT]
+    return [
+        event
+        for row, event in zip(rows, batch.events)
+        if event.__class__ is RawContent and not fanout.hollow[fanout.taken(row)]
+    ]

@@ -1,7 +1,7 @@
 """The conformance harness itself: generator, oracle, case files, shrinker."""
 
 import pytest
-from _reference import top_level_elements
+from _reference import split_raw_items, top_level_elements
 
 import repro.fastpath.scanner as scanner_module
 from repro.conformance import (
@@ -16,6 +16,7 @@ from repro.conformance import (
 )
 from repro.core.api import load_dtd
 from repro.dtd.validator import validate_document
+from repro.fastpath.batch import SoABatch
 from repro.xmlstream.parser import iter_events
 
 SWEEP_CASES = 25
@@ -104,6 +105,29 @@ def test_oracle_sweep_is_green_with_every_opaque_element_taken_raw(monkeypatch):
         oracle.check(case)
         cases_raw += len(made) > before
     assert cases_raw > 0, "no case took the raw path"
+
+
+def test_oracle_sweep_is_green_with_opaque_content_split_between_members(monkeypatch):
+    """The raw floor goes to 0 and the oracle's multi-query legs hold every
+    member to its solo run while the shared pass takes an element's content
+    raw for the members that keep it opaque and another member reads the
+    same bytes as events (a split)."""
+    monkeypatch.setattr(scanner_module, "_RAW_MIN", 0)
+    splits = []
+    real = SoABatch.materialize_split
+
+    def recording(batch, fanout):
+        splits.extend(split_raw_items(batch, fanout))
+        return real(batch, fanout)
+
+    monkeypatch.setattr(SoABatch, "materialize_split", recording)
+    oracle = Oracle()
+    cases_split = 0
+    for case in CaseGenerator(seed=1).cases(200):
+        before = len(splits)
+        oracle.check(case)
+        cases_split += len(splits) > before
+    assert cases_split > 0, "no case took a split"
 
 
 def test_oracle_sweep_is_green_with_every_dropped_subtree_taken_in_bulk(monkeypatch):

@@ -19,7 +19,8 @@ path to the loop it short-cuts and to the expat reference:
   error class/message/offset equal a run with the bulk path disabled, and
   output, counts and error class/offset equal the reference's as the
   scanner's error rule states;
-* no run is taken under a parent that keeps some of its children;
+* no run is taken under a parent that keeps some of its children, and
+  runs are taken under one whose scope observes none of them;
 * a refused run sends each byte to the proof at most twice;
 * XMark Q1 takes most of its bytes through the bulk path with unchanged
   input statistics;
@@ -303,6 +304,24 @@ def test_no_run_is_taken_under_a_parent_that_keeps_children(monkeypatch, bulk_ca
     documents = [_document(seed) for seed in range(40)]
     bulk = [_outcome(lambda: prepared.execute(data)) for data in documents]
     assert bulk_calls["accepted"] > 0
+    _disabled(monkeypatch)
+    assert bulk == [_outcome(lambda: prepared.execute(data)) for data in documents]
+
+
+#: Counts the ``<drop>`` elements: each one hosts a scope that observes no
+#: child, so its row is hollow though its projection state has a position.
+COUNT_QUERY = "<o>{ for $d in $ROOT/r/drop return <d/> }</o>"
+
+
+def test_runs_are_taken_under_a_scope_that_observes_no_child(monkeypatch, bulk_calls):
+    prepared = FluxSession(DTD, root_element="r").prepare(COUNT_QUERY)
+    fanout = prepared.fanout
+    tags = fanout.tags
+    drop = fanout.resolve(fanout.resolve(0, tags.intern(b"r")), tags.intern(b"drop"))
+    assert fanout._components[drop][0].positions and fanout.hollow[drop]
+    documents = [_document(seed) for seed in range(40)]
+    bulk = [_outcome(lambda: prepared.execute(data)) for data in documents]
+    assert bulk_calls["runs"] > 0
     _disabled(monkeypatch)
     assert bulk == [_outcome(lambda: prepared.execute(data)) for data in documents]
 
