@@ -17,7 +17,7 @@ Run with::
 
 import sys
 
-from repro import ExecutionOptions, FluxSession
+from repro import ExecutionOptions, FluxSession, NullSink
 from repro.obs.attrib import format_attribution
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.generator import config_for_scale, generate_document
@@ -30,8 +30,7 @@ def main(scale: float) -> None:
 
     session = FluxSession(xmark_dtd())
     q8 = session.prepare(BENCHMARK_QUERIES["Q8"])
-    count_only = ExecutionOptions(collect_output=False)
-    stats = q8.execute(document, options=count_only).stats
+    stats = q8.execute(document, sink=NullSink()).stats
     print("\n--- Q8 unbounded: who owns the peak? ---")
     print(format_attribution(stats))
     attributed = stats.attribution.total_at_peak_bytes()
@@ -39,7 +38,7 @@ def main(scale: float) -> None:
 
     # Q1 streams everything: the table degenerates to a one-line proof.
     q1_stats = session.prepare(BENCHMARK_QUERIES["Q1"]).execute(
-        document, options=count_only
+        document, sink=NullSink()
     ).stats
     print("\n--- Q1: a fully streaming query ---")
     print(format_attribution(q1_stats))
@@ -47,7 +46,9 @@ def main(scale: float) -> None:
     # Halve the budget: the same owners spill, and every spilled byte is
     # attributed too.
     budget = max(32, stats.peak_buffered_bytes // 2)
-    bounded = q8.execute(document, options=count_only.replace(memory_budget=budget)).stats
+    bounded = q8.execute(
+        document, sink=NullSink(), options=ExecutionOptions(memory_budget=budget)
+    ).stats
     print(f"\n--- Q8 with a {budget}B budget: spills attributed ---")
     print(format_attribution(bounded))
     print(

@@ -16,7 +16,7 @@ Run with::
 
 import sys
 
-from repro import FluxSession, ExecutionOptions, global_registry, prometheus_text
+from repro import FluxSession, ExecutionOptions, NullSink, global_registry, prometheus_text
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.generator import config_for_scale, generate_document
 from repro.xmark.queries import BENCHMARK_QUERIES
@@ -28,7 +28,7 @@ def main(scale: float) -> None:
 
     session = FluxSession(xmark_dtd(), options=ExecutionOptions(trace=True))
     result = session.prepare(BENCHMARK_QUERIES["Q8"]).execute(
-        document, collect_output=False
+        document, sink=NullSink()
     )
 
     print("\n--- per-stage breakdown (Q8) ---")

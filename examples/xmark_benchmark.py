@@ -13,7 +13,7 @@ Run with (takes a minute or two)::
 
 import sys
 
-from repro import FluxSession, NaiveDomEngine, ProjectionDomEngine
+from repro import FluxSession, NaiveDomEngine, NullSink, ProjectionDomEngine
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.generator import config_for_scale, generate_document
 from repro.xmark.queries import BENCHMARK_QUERIES
@@ -45,7 +45,7 @@ def run_benchmark(scales) -> None:
                 continue
             document = documents[scale]
 
-            flux = prepared.execute(document, collect_output=False)
+            flux = prepared.execute(document, sink=NullSink())
             naive = NaiveDomEngine(query).run(document, collect_output=False)
             projection = ProjectionDomEngine(query).run(document, collect_output=False)
 

@@ -73,7 +73,6 @@ from repro.core import (
     DocumentResult,
     ExecutionOptions,
     FeedHandle,
-    FeedOptions,
     FeedResult,
     FluxEngine,
     FluxRunResult,
@@ -114,7 +113,6 @@ __all__ = [
     "DocumentResult",
     "ExecutionOptions",
     "FeedHandle",
-    "FeedOptions",
     "FeedResult",
     "FluxEngine",
     "FluxRunResult",

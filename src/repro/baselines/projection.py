@@ -36,12 +36,6 @@ def projection_paths(query: XQExpr, *, root_var: str = ROOT_VARIABLE) -> Set[Pat
     return all_paths
 
 
-def projection_content_paths(query: XQExpr, *, root_var: str = ROOT_VARIABLE) -> Set[Path]:
-    """Absolute paths whose *content* (whole subtree / text) the query reads."""
-    _all, content = projection_path_sets(query, root_var=root_var)
-    return content
-
-
 def projection_path_sets(query: XQExpr, *, root_var: str = ROOT_VARIABLE) -> Tuple[Set[Path], Set[Path]]:
     """Both path sets used by the projecting builder.
 

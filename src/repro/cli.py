@@ -77,6 +77,7 @@ from repro.core.api import compare_engines, compile_to_flux, load_dtd
 from repro.core.options import ExecutionOptions
 from repro.core.session import FluxSession
 from repro.engine.engine import FluxEngine
+from repro.pipeline.sinks import NullSink
 from repro.dtd.validator import validate_document
 from repro.storage import parse_memory_budget
 from repro.xmark.dtd import XMARK_DTD_SOURCE
@@ -84,6 +85,10 @@ from repro.xmark.generator import config_for_scale, write_document, generate_doc
 from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmark.ticker import DEFAULT_TICK_SCALE, iter_ticker_chunks
 from repro.xmlstream.parser import iter_events
+
+
+class _UsageError(Exception):
+    """A bad flag value or combination: :func:`main` prints it, exit code 2."""
 
 
 def _read(path: str) -> str:
@@ -141,9 +146,11 @@ def _add_memory_budget_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_serve_metrics_argument(parser: argparse.ArgumentParser) -> None:
+def _add_metrics_port_argument(parser: argparse.ArgumentParser) -> None:
+    """``--serve-metrics PORT``; :func:`main` starts the server."""
     parser.add_argument(
         "--serve-metrics",
+        dest="metrics_port",
         type=int,
         default=None,
         metavar="PORT",
@@ -155,24 +162,26 @@ def _add_serve_metrics_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _options(args) -> ExecutionOptions:
-    """The run options a subcommand's ``--memory-budget`` / ``--trace`` /
-    ``--serve-metrics`` flags ask for (a flag the subcommand lacks stays
-    unset).  With ``--serve-metrics`` the inspection server starts now and
-    its address goes to stderr."""
-    port = getattr(args, "serve_metrics", None)
-    if port is not None:
-        from repro.obs.serve import ensure_server
+def _start_metrics_server(port: Optional[int]) -> None:
+    """Start the ``--serve-metrics`` inspection server (if asked for) for
+    the rest of the process, and print its address to stderr."""
+    if port is None:
+        return
+    from repro.obs.serve import ensure_server
 
+    try:
         server = ensure_server(port)
-        print(
-            f"serving /metrics and /progress on http://127.0.0.1:{server.port}",
-            file=sys.stderr,
-        )
+    except ValueError as error:
+        raise _UsageError(f"--serve-metrics: {error}") from None
+    print(f"serving /metrics and /progress on http://127.0.0.1:{server.port}", file=sys.stderr)
+
+
+def _options(args) -> ExecutionOptions:
+    """The run options a subcommand's ``--memory-budget`` / ``--trace``
+    flags ask for (a flag the subcommand lacks stays unset)."""
     return ExecutionOptions(
         memory_budget=args.memory_budget,
         trace=True if getattr(args, "trace", False) else None,
-        serve_metrics=port,
     )
 
 
@@ -209,12 +218,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_multirun(args) -> int:
     if args.output and len(args.output) != len(args.query):
-        print(
-            f"error: {len(args.query)} queries but {len(args.output)} --output paths "
-            "(pass exactly one per query, or none)",
-            file=sys.stderr,
+        raise _UsageError(
+            f"{len(args.query)} queries but {len(args.output)} --output paths "
+            "(pass exactly one per query, or none)"
         )
-        return 2
     queries = {}
     for argument in args.query:
         name = argument
@@ -236,8 +243,7 @@ def _execute_and_report(args, outputs: Sequence[str], prepare) -> int:
     once, to one ``--output`` file per member or to stdout, and report.
     Unnamed output and statistics carry no ``--- name ---`` labels."""
     if outputs and args.discard_output:
-        print("error: --output and --discard-output are mutually exclusive", file=sys.stderr)
-        return 2
+        raise _UsageError("--output and --discard-output are mutually exclusive")
     prepared = prepare(FluxSession(_load_schema(args), options=_options(args)))
     names = prepared.names
     solo = names == (None,)
@@ -246,9 +252,12 @@ def _execute_and_report(args, outputs: Sequence[str], prepare) -> int:
         # exists as one in-memory string, however large it is.
         files = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in outputs]
         if files:
-            result = prepared.execute(args.document, sinks=dict(zip(names, files)))
+            sinks = dict(zip(names, files))
+        elif args.discard_output:
+            sinks = {name: NullSink() for name in names}
         else:
-            result = prepared.execute(args.document, collect_output=not args.discard_output)
+            sinks = None
+        result = prepared.execute(args.document, sinks=sinks)
     members = [(None, result)] if solo else list(result.items())
     if not files and not args.discard_output:
         for name, member in members:
@@ -362,7 +371,7 @@ def _cmd_xmark(args) -> int:
     query = BENCHMARK_QUERIES[args.query]
     session = FluxSession(schema, options=_options(args))
     result = session.prepare(query, projection=not args.no_projection).execute(
-        document, collect_output=not args.discard_output
+        document, sink=NullSink() if args.discard_output else None
     )
     if not args.discard_output and args.show_output:
         print(result.output)
@@ -393,27 +402,27 @@ def _iter_file_chunks(path: str, chunk_size: int):
             yield chunk
 
 
+def _stream_source(args):
+    """The stream ``feed`` and ``serve`` read, as ``(chunks, label)``: the
+    ``--input`` file or the XMark ticker, cut into ``--chunk-size`` chunks."""
+    if args.chunk_size <= 0:
+        raise _UsageError("--chunk-size must be positive")
+    if args.input is not None:
+        return _iter_file_chunks(args.input, args.chunk_size), args.input
+    chunks = iter_ticker_chunks(
+        documents=args.documents,
+        seed=args.seed,
+        scale=args.scale,
+        chunk_size=args.chunk_size,
+    )
+    return chunks, f"ticker({args.documents} docs, scale {args.scale}, seed {args.seed})"
+
+
 def _cmd_feed(args) -> int:
     import time
 
-    if args.chunk_size <= 0:
-        print("error: --chunk-size must be positive", file=sys.stderr)
-        return 2
-    if args.input is None:
-        schema = load_dtd(XMARK_DTD_SOURCE, root_element=args.root or "site")
-        chunks = iter_ticker_chunks(
-            documents=args.documents,
-            seed=args.seed,
-            scale=args.scale,
-            chunk_size=args.chunk_size,
-        )
-        source = f"ticker({args.documents} docs, scale {args.scale}, seed {args.seed})"
-    else:
-        schema = _load_schema(args)
-        chunks = _iter_file_chunks(args.input, args.chunk_size)
-        source = args.input
-
-    session = FluxSession(schema, options=_options(args))
+    chunks, source = _stream_source(args)
+    session = FluxSession(_load_schema(args), options=_options(args))
     prepared = session.prepare(_resolve_query(args.query))
 
     def on_document(document) -> None:
@@ -460,25 +469,8 @@ def _cmd_serve(args) -> int:
 
     from repro.serve import ServeServer, SubscriptionHub
 
-    if args.chunk_size <= 0:
-        print("error: --chunk-size must be positive", file=sys.stderr)
-        return 2
+    chunks, source = (None, "client-fed stream") if args.client_fed else _stream_source(args)
     hub = SubscriptionHub(_load_schema(args), options=_options(args))
-    if args.client_fed:
-        chunks = None
-        source = "client-fed stream"
-    elif args.input is not None:
-        chunks = _iter_file_chunks(args.input, args.chunk_size)
-        source = args.input
-    else:
-        chunks = iter_ticker_chunks(
-            documents=args.documents,
-            seed=args.seed,
-            scale=args.scale,
-            chunk_size=args.chunk_size,
-        )
-        source = f"ticker({args.documents} docs, scale {args.scale}, seed {args.seed})"
-
     server = ServeServer(hub, host=args.host, port=args.port, chunks=chunks)
     server.start()
     print(f"subscription server on {args.host}:{server.port} ({source})", flush=True)
@@ -635,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_memory_budget_argument(run_parser)
     _add_trace_argument(run_parser)
-    _add_serve_metrics_argument(run_parser)
+    _add_metrics_port_argument(run_parser)
     run_parser.add_argument(
         "--explain-buffers",
         action="store_true",
@@ -672,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_memory_budget_argument(multirun_parser)
     _add_trace_argument(multirun_parser)
-    _add_serve_metrics_argument(multirun_parser)
+    _add_metrics_port_argument(multirun_parser)
     multirun_parser.add_argument(
         "--explain-buffers",
         action="store_true",
@@ -772,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     feed_parser.add_argument("--verbose", action="store_true", help="per-document progress on stderr")
     _add_memory_budget_argument(feed_parser)
-    _add_serve_metrics_argument(feed_parser)
+    _add_metrics_port_argument(feed_parser)
     feed_parser.set_defaults(handler=_cmd_feed)
 
     serve_parser = subparsers.add_parser(
@@ -815,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="after the feed ends, wait up to this long for subscribers to drain",
     )
     _add_memory_budget_argument(serve_parser)
-    _add_serve_metrics_argument(serve_parser)
+    _add_metrics_port_argument(serve_parser)
     serve_parser.set_defaults(handler=_cmd_serve)
 
     subscribe_parser = subparsers.add_parser(
@@ -897,7 +889,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        _start_metrics_server(getattr(args, "metrics_port", None))
+        return args.handler(args)
+    except _UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

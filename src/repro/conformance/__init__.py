@@ -29,7 +29,7 @@ from repro.conformance.oracle import (
     Oracle,
 )
 from repro.conformance.runner import Failure, FuzzReport, fuzz, replay
-from repro.conformance.shrink import Shrinker, shrink_case
+from repro.conformance.shrink import Shrinker
 
 __all__ = [
     "Case",
@@ -48,5 +48,4 @@ __all__ = [
     "parse_case",
     "replay",
     "save_case",
-    "shrink_case",
 ]

@@ -7,7 +7,7 @@ execution path the repo has grown:
   this is the reference output,
 * the **projection baseline** (path-projected materialisation),
 * the **FluX engine** in all three sink modes (``run``, ``stream``,
-  ``execute(sink=)``) plus a ``collect_output=False`` run for the stats-only
+  ``execute(sink=)``) plus a ``NullSink`` run for the stats-only
   path and a ``projection=False`` run; the input statistics of the
   projected and the unprojected run must both equal the totals of the
   reference event stream (the pre-drop accounting contract),
@@ -54,7 +54,7 @@ the oracle asserts the runtime invariants that PRs 1-3 promised:
   to ``spilled_bytes_written`` -- in every mode: solo and multi-query,
   bounded and unbounded,
 * the **live-inspection endpoint** is side-effect free: one push-mode run
-  per case executes with ``serve_metrics`` enabled and ``/metrics`` +
+  per case executes with the metrics server up and ``/metrics`` +
   ``/progress`` scraped mid-run; output bytes must be identical and the
   progress watermarks must reflect the half-fed document.
 
@@ -79,6 +79,7 @@ from repro.core.session import FluxSession
 from repro.dtd.validator import validate_document
 from repro.engine.stats import RunStatistics
 from repro.obs.tracer import validate_span_tree
+from repro.pipeline.sinks import NullSink
 from repro.xmlstream.events import Characters
 from repro.xmlstream.parser import iter_events, parse_tree
 
@@ -366,16 +367,14 @@ class Oracle:
             record(Divergence(name, "flux-sink", _diff(expected, sink.getvalue())))
         self._check_balanced(name, "flux-sink", sink_result.stats, record)
 
-        # --- stats-only run (collect_output=False) ----------------------
+        # --- stats-only run (a NullSink) --------------------------------
         try:
-            discarded = prepared.execute(
-                case.document, options=options.replace(collect_output=False)
-            )
+            discarded = prepared.execute(case.document, sink=NullSink(), options=options)
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "flux-discard", f"run crashed: {exc!r}"))
             return expected, peak
         if discarded.output is not None:
-            record(Divergence(name, "flux-discard", "collect_output=False returned output text"))
+            record(Divergence(name, "flux-discard", "a NullSink run returned output text"))
         if discarded.stats.output_bytes != collected.stats.output_bytes:
             record(
                 Divergence(
@@ -680,7 +679,7 @@ class Oracle:
         expected: str,
         report: CaseReport,
     ) -> None:
-        """One push-mode run per case under ``serve_metrics`` with a mid-run
+        """One push-mode run per case under the metrics server with a mid-run
         scrape of both endpoints.  The live-inspection guarantee is *zero
         effect on output bytes*: the scraped run must be byte-identical to
         every other mode, and the progress watermarks must reflect exactly
@@ -698,9 +697,7 @@ class Oracle:
         head, tail = case.document[:half], case.document[half:]
         try:
             run = session.prepare(source).open_run(
-                options=ExecutionOptions(
-                    serve_metrics=0, expand_attrs=case.expand_attrs
-                )
+                options=ExecutionOptions(expand_attrs=case.expand_attrs)
             )
             if head:
                 run.feed(head)
@@ -777,7 +774,9 @@ class Oracle:
                 # Sharing the case session's plan cache skips recompiling
                 # every query per budget pass (keys embed the fingerprint).
                 with FluxSession(
-                    schema, memory_budget=budget, plan_cache=session.cache
+                    schema,
+                    options=ExecutionOptions(memory_budget=budget),
+                    plan_cache=session.cache,
                 ) as bounded_session:
                     queries = bounded_session.prepare_many(case.query_map)
                     if push:

@@ -236,13 +236,3 @@ class Shrinker:
             if not changed:
                 break
         return case
-
-
-def shrink_case(
-    case: Case,
-    still_fails: Callable[[Case], bool],
-    *,
-    max_rounds: int = 6,
-) -> Case:
-    """Convenience wrapper: :class:`Shrinker` with default knobs."""
-    return Shrinker(still_fails, max_rounds=max_rounds).shrink(case)

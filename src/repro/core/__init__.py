@@ -24,7 +24,7 @@ verifies every result against the naive one).
 """
 
 from repro.core.api import CompiledQuery, compare_engines, compile_to_flux, load_dtd
-from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions, FeedOptions
+from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.core.session import (
     FluxSession,
     PlanCache,
@@ -60,7 +60,6 @@ __all__ = [
     "DocumentResult",
     "ExecutionOptions",
     "FeedHandle",
-    "FeedOptions",
     "FeedResult",
     "FluxEngine",
     "FluxRunResult",

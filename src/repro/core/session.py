@@ -19,7 +19,7 @@ A :class:`FluxSession` is the long-lived object a service keeps per schema:
   :class:`~repro.core.options.ExecutionOptions`.  A run seals to a
   :class:`~repro.engine.engine.FluxRunResult` for an unnamed member and to
   a :class:`~repro.engine.engine.MultiQueryRun` for named ones.
-* **shared memory governance** -- a session constructed with a
+* **shared memory governance** -- a session whose ``options`` set a
   ``memory_budget`` owns one :class:`~repro.storage.governor.MemoryGovernor`
   for all of its runs, so the budget caps the *session's* resident buffered
   bytes, not each run separately.
@@ -350,9 +350,9 @@ class PreparedQuery:
         """Execute every member over one document in one pass.
 
         ``sink`` receives a one-member query's output: ``None`` collects it
-        into ``result.output`` (or only counts it with
-        ``collect_output=False``), a writable streams, an
-        :class:`~repro.pipeline.sinks.OutputSink` instance is used directly.
+        into ``result.output``, a writable streams, an
+        :class:`~repro.pipeline.sinks.OutputSink` instance is used directly
+        (a :class:`~repro.pipeline.sinks.NullSink` only counts it).
         ``sinks`` maps *every* member name to its own sink instead.
         ``options`` (or keyword overrides of the session defaults) carry the
         per-run knobs.
@@ -417,9 +417,9 @@ class PreparedQuery:
         against the session's shared memory governor when one is
         configured.  ``on_document`` receives each sealed
         :class:`~repro.feeds.DocumentResult`; ``on_heartbeat`` fires every
-        ``options.feed.heartbeat_interval_bytes`` fed bytes; ``resume_from``
-        (or ``options.feed.resume_offset``) skips an already-processed
-        stream prefix byte-exactly.  See :mod:`repro.feeds`.
+        :data:`~repro.feeds.HEARTBEAT_INTERVAL_BYTES` fed bytes;
+        ``resume_from`` skips an already-processed stream prefix
+        byte-exactly.  See :mod:`repro.feeds`.
         """
         seats = self._seats(sink, sinks)
         lent = self.session._lend(options, overrides, feed=True)
@@ -480,14 +480,13 @@ class FluxSession:
         an attached root).
     options:
         Session-default :class:`~repro.core.options.ExecutionOptions`;
-        every run starts from these and may override per call.
-    memory_budget / memory_page_bytes:
-        Convenience spellings folded into ``options``: one governor shared
-        by all of the session's runs caps resident buffered memory
-        session-wide.
-    plan_cache_size / plan_cache:
-        Retained compiled plans (LRU), or an externally-shared
-        :class:`PlanCache`.
+        every run starts from these and may override per call.  A
+        ``memory_budget`` here is one governor shared by all of the
+        session's runs: it caps resident buffered memory session-wide.
+    plan_cache:
+        The :class:`PlanCache` compiled plans are retained in; pass one to
+        share it between sessions or to size it (default: a private cache
+        of ``DEFAULT_PLAN_CACHE_SIZE`` plans).
 
     Sessions are context managers; :meth:`close` releases the shared
     governor's spill file.
@@ -495,7 +494,7 @@ class FluxSession:
     Threading: ``prepare``/``prepare_many`` are thread-safe (the plan
     cache locks; concurrent sessions compile each plan exactly once), and
     *unbounded* runs are independent.  The shared memory governor of a
-    session-level ``memory_budget`` is deliberately lock-free -- admission
+    session-level budget is deliberately lock-free -- admission
     accounting sits on the per-event hot path -- so **bounded runs of one
     session must not execute concurrently**; give each thread its own
     session (they can still share a ``plan_cache``) or pass per-run
@@ -508,21 +507,14 @@ class FluxSession:
         *,
         root_element: Optional[str] = None,
         options: Optional[ExecutionOptions] = None,
-        memory_budget: Optional[int] = None,
-        memory_page_bytes: Optional[int] = None,
-        plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
         plan_cache: Optional[PlanCache] = None,
         root_var: str = ROOT_VARIABLE,
     ):
         schema = parse_dtd(dtd) if isinstance(dtd, str) else dtd
         self.dtd = ensure_rooted(schema, root_element)
         self.root_var = root_var
-        self.options = ExecutionOptions.from_kwargs(
-            options if options is not None else DEFAULT_OPTIONS,
-            memory_budget=memory_budget,
-            memory_page_bytes=memory_page_bytes,
-        )
-        self.cache = plan_cache if plan_cache is not None else PlanCache(plan_cache_size)
+        self.options = options if options is not None else DEFAULT_OPTIONS
+        self.cache = plan_cache if plan_cache is not None else PlanCache()
         self.statistics = SessionStatistics()
         self._fingerprint = self.dtd.fingerprint()
         self._governor: Optional[MemoryGovernor] = None

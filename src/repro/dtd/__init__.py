@@ -35,7 +35,7 @@ from repro.dtd.errors import DTDError, DTDSyntaxError, NotOneUnambiguousError, V
 from repro.dtd.parser import parse_dtd
 from repro.dtd.schema import DTD, ElementDeclaration
 from repro.dtd.glushkov import GlushkovAutomaton, build_glushkov
-from repro.dtd.constraints import OrderConstraints, FirstPastTracker
+from repro.dtd.constraints import OrderConstraints
 from repro.dtd.validator import StreamValidator
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "DTDSyntaxError",
     "ElementDeclaration",
     "EmptyContent",
-    "FirstPastTracker",
     "GlushkovAutomaton",
     "MixedContent",
     "NotOneUnambiguousError",

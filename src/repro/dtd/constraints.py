@@ -11,10 +11,11 @@ Everything the scheduling algorithm needs from the DTD is packaged in
 * ``erased(O, tables)`` -- the automaton over the children in ``O`` only,
   every other child a silent move, with past tables carried over,
 * cardinality constraints (``at_most_one``, ``at_least_one``) used by the
-  Section-7 algebraic simplifications,
-* :class:`FirstPastTracker`, the runtime object the validating stream layer
-  uses to raise ``first-past`` punctuation events with one DFA transition and
-  one table lookup per input token (Appendix B).
+  Section-7 algebraic simplifications.
+
+At run time the executor raises ``first-past`` punctuation with one DFA
+transition and one table lookup per observed child (Appendix B): it steps a
+scope's automaton and reads the past tables compiled here.
 
 The reachability relation ``∆`` is computed over *non-empty* symbol sequences:
 a state does not count as reachable from itself unless the automaton contains
@@ -174,12 +175,6 @@ class OrderConstraints:
         """Every valid child sequence contains exactly one ``symbol``."""
         return self.at_most_one(symbol) and self.at_least_one(symbol)
 
-    # -------------------------------------------------------------- helpers
-
-    def first_past_tracker(self, symbols: Iterable[str]) -> "FirstPastTracker":
-        """Create a runtime tracker for ``first-past(symbols)`` events."""
-        return FirstPastTracker(self, symbols)
-
     # ----------------------------------------------------------- internals
 
     def _compute_past(self) -> Set[Tuple[int, str]]:
@@ -235,69 +230,6 @@ class OrderConstraints:
                 seen.add(target)
                 stack.append(target)
         return False
-
-
-class FirstPastTracker:
-    """Runtime tracker for ``first-past_{ρ,S}`` punctuation (Appendix B).
-
-    The tracker is attached to one parent element while its children are being
-    streamed.  Feed it the child labels in order via :meth:`advance`; it
-    reports ``True`` exactly once -- at the earliest prefix after which no
-    symbol of ``S`` can occur anymore.  If that point is never reached while
-    children remain (or the constraint only becomes true at the very end), the
-    engine forces the handler at end-of-children via :meth:`fire_at_end`.
-    """
-
-    def __init__(self, constraints: OrderConstraints, symbols: Iterable[str]):
-        self._constraints = constraints
-        self._automaton = constraints.automaton
-        self._symbols = frozenset(symbols)
-        self._table = constraints.past_table(self._symbols)
-        self._state: Optional[int] = INITIAL_STATE
-        self._fired = False
-
-    @property
-    def symbols(self) -> FrozenSet[str]:
-        """The watched symbol set ``S``."""
-        return self._symbols
-
-    @property
-    def fired(self) -> bool:
-        """Whether the first-past event has already fired."""
-        return self._fired
-
-    def initial_fire(self) -> bool:
-        """Check the ``i = 0`` case: ``S`` may already be impossible at the start."""
-        if self._fired:
-            return False
-        if self._table.get(INITIAL_STATE, False):
-            self._fired = True
-            return True
-        return False
-
-    def advance(self, symbol: str) -> bool:
-        """Consume the next child label; return ``True`` if first-past fires now."""
-        if self._state is None:
-            return False
-        previous = self._state
-        self._state = self._automaton.step(previous, symbol)
-        if self._state is None:
-            # Invalid with respect to the DTD; the validator reports this
-            # separately.  No punctuation is generated on invalid input.
-            return False
-        if self._fired:
-            return False
-        if self._table.get(self._state, False) and not self._table.get(previous, False):
-            self._fired = True
-            return True
-        return False
-
-    def fire_at_end(self) -> bool:
-        """Force the event at end-of-children if it has not fired yet."""
-        if self._fired:
-            return False
-        self._fired = True
-        return True
 
 
 def _transitive_successors(automaton: GlushkovAutomaton) -> Dict[int, FrozenSet[int]]:

@@ -275,10 +275,6 @@ class RunHandle:
         self._governor, self._release_governor = governor_for(self, options, governor)
         factory = self._governor.make_buffer if self._governor is not None else None
         self._tracer = Tracer() if use_tracing(options.trace) else NULL_TRACER
-        if options.serve_metrics is not None:
-            # Start (or reuse) the background /metrics + /progress server;
-            # the run itself executes identical code either way.
-            _serve.ensure_server(options.serve_metrics)
         self._width = len(seats)
         if self._width != fanout.width:
             raise ValueError(f"{self._width} seats for a fanout {fanout.width} slots wide")
@@ -292,7 +288,7 @@ class RunHandle:
             executor = StreamExecutor(
                 plan,
                 stats=stats,
-                sink=resolve_sink(sink, stats, collect_output=options.collect_output),
+                sink=resolve_sink(sink, stats),
                 buffer_factory=factory,
             )
             self._live.append(_LiveSeat(index, name, executor))

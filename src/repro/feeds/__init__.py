@@ -28,9 +28,8 @@ Framing and punctuation
 ``feed(chunk)`` returns the :class:`DocumentResult`\\ s that *completed*
 within that chunk (zero or many -- a single chunk may close several
 small documents); an ``on_document`` callback receives each one as it
-seals.  ``on_heartbeat`` fires every
-:attr:`~repro.core.options.FeedOptions.heartbeat_interval_bytes` fed
-bytes with a progress snapshot, as punctuation on otherwise-quiet
+seals.  ``on_heartbeat`` fires every :data:`HEARTBEAT_INTERVAL_BYTES`
+fed bytes with a progress snapshot, as punctuation on otherwise-quiet
 streams.
 
 Crash-safe resume
@@ -48,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions, FeedOptions
+from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.engine.engine import RunResult, governor_for
 from repro.obs import recorder as _flight
 from repro.obs import serve as _serve
@@ -66,6 +65,9 @@ _HEARTBEATS = _metrics.counter(
 #: Padding accepted (and skipped, charged to the stream offset) between
 #: documents: the four XML whitespace bytes.
 _INTERDOC_WS = b" \t\r\n"
+
+#: Fed bytes between two ``on_heartbeat`` callbacks.
+HEARTBEAT_INTERVAL_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,9 +129,8 @@ class FeedHandle:
         #: next document's run (``stop_at_root_close`` set).
         self._open_document = open_document
         options = options if options is not None else DEFAULT_OPTIONS
-        feed_options = options.feed if options.feed is not None else FeedOptions()
         if resume_from is None:
-            resume_from = feed_options.resume_offset
+            resume_from = 0
         if resume_from < 0:
             raise ValueError(f"resume_from must be >= 0, got {resume_from}")
         self._on_document = on_document
@@ -151,7 +152,7 @@ class FeedHandle:
         self._bytes_fed = 0
         self._chunks_fed = 0
         self._documents_completed = 0
-        self._heartbeat_every = feed_options.heartbeat_interval_bytes
+        self._heartbeat_every = HEARTBEAT_INTERVAL_BYTES
         self._next_heartbeat = self._heartbeat_every
         #: The finished feed's summary; set by :meth:`finish`.
         self.result: Optional[FeedResult] = None

@@ -22,8 +22,7 @@ ISSUE 8 adds the diagnostics layer on top of that substrate:
 * :mod:`repro.obs.recorder` -- the always-on flight-recorder ring and the
   ``*.crash.json`` forensic dumps (``repro inspect``),
 * :mod:`repro.obs.serve` -- the ``/metrics`` + ``/progress`` live
-  inspection HTTP endpoint (``--serve-metrics``,
-  ``ExecutionOptions(serve_metrics=...)``).
+  inspection HTTP endpoint (``--serve-metrics``, ``ensure_server(port)``).
 """
 
 from .attrib import BufferAttribution, OwnerLedger, describe_reason, format_attribution

@@ -1,8 +1,7 @@
 """Live run inspection: a stdlib-only background HTTP endpoint.
 
-``repro run/multirun --serve-metrics PORT`` (or
-``ExecutionOptions(serve_metrics=...)``) starts a daemon-thread HTTP
-server bound to ``127.0.0.1`` that exposes:
+:func:`ensure_server` (``--serve-metrics PORT`` on the CLI) starts a
+daemon-thread HTTP server bound to ``127.0.0.1`` that exposes:
 
 * ``/metrics`` -- the global :class:`~repro.obs.metrics.MetricsRegistry`
   rendered by :func:`~repro.obs.export.prometheus_text`,
@@ -139,7 +138,11 @@ def ensure_server(port: int) -> MetricsServer:
 
     Cached by the *requested* port: asking for port 0 twice returns the
     same ephemeral server rather than binding a new socket per run.
+    The server lives as long as the process; runs execute identical code
+    whether or not one is listening.
     """
+    if not isinstance(port, int) or isinstance(port, bool) or not 0 <= port <= 65535:
+        raise ValueError(f"port must be a TCP port (0-65535), got {port!r}")
     with _SERVER_LOCK:
         server = _SERVERS.get(port)
         if server is None:

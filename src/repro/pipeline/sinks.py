@@ -9,8 +9,8 @@ per member of a ``prepare_many`` set, the hub and the CLI):
 
 * :class:`OutputSink` -- base class; counts output events/bytes and discards
   the text.
-* :class:`NullSink` -- the explicit spelling of "count only, keep nothing"
-  (what ``collect_output=False`` used to mean).
+* :class:`NullSink` -- "count only, keep nothing": the run's statistics
+  without its output text (``result.output`` is ``None``).
 * :class:`CollectSink` -- accumulates fragments and joins them once at the
   end of the run (the classic ``result.output`` behaviour).
 * :class:`WritableSink` -- pushes every fragment straight into a writable
@@ -112,8 +112,7 @@ class OutputSink:
 class NullSink(OutputSink):
     """Counts output events/bytes, retains nothing.
 
-    The explicit spelling of the old ``collect_output=False`` mode: use it
-    when only the statistics of a run matter.
+    Pass it as a run's sink when only the statistics of the run matter.
     """
 
     __slots__ = ()
@@ -191,17 +190,17 @@ class FragmentSink(OutputSink):
         return joined
 
 
-def resolve_sink(target, stats: RunStatistics, *, collect_output: bool = True) -> OutputSink:
+def resolve_sink(target, stats: RunStatistics) -> OutputSink:
     """Turn a public-API ``sink`` argument into a bound :class:`OutputSink`.
 
-    * ``None`` -- a :class:`CollectSink` (or a :class:`NullSink` when
-      ``collect_output`` is off): the classic ``result.output`` behaviour,
+    * ``None`` -- a :class:`CollectSink`: the classic ``result.output``
+      behaviour,
     * an :class:`OutputSink` instance -- used as-is, bound to ``stats``,
     * anything with a ``write(str)`` method -- wrapped in a
       :class:`WritableSink`.
     """
     if target is None:
-        return CollectSink(stats) if collect_output else NullSink(stats)
+        return CollectSink(stats)
     if isinstance(target, OutputSink):
         return target.bind(stats)
     if hasattr(target, "write"):

@@ -293,11 +293,15 @@ class SubscriptionHub:
         (subscriptions with equal text share one engine); the subscription
         itself -- seat, queue, counters -- is always private, so the same
         query text subscribed twice delivers results independently to both.
+        A finished or closed hub refuses with :class:`RuntimeError`.
         """
-        if self._state == "closed":
-            raise RuntimeError("cannot subscribe on a closed hub")
         engine = self.session.prepare(query).engine
         with self._lock:
+            # Checked under the lock the end of the hub takes: a
+            # subscription either lands before it (and is ended with the
+            # others) or is refused, never left active on a dead stream.
+            if self._state != "open":
+                raise RuntimeError(f"cannot subscribe on a {self._state} hub")
             self._names += 1
             sub = Subscription(
                 self, name or f"sub-{self._names}", query, policy, max_queue
@@ -413,7 +417,6 @@ class SubscriptionHub:
         except Exception:
             self.close()
             raise
-        self._state = "finished"
         self._apply_pending()
         self._end_subscriptions("finished")
 
@@ -422,11 +425,12 @@ class SubscriptionHub:
         if self._state == "closed":
             return
         self._feed.close()  # aborts the open document's run, if any
-        self._state = "closed"
         self._end_subscriptions("closed")
 
     def _end_subscriptions(self, state: str) -> None:
+        """End the hub in ``state`` and every subscription with it."""
         with self._lock:
+            self._state = state
             self._run = None
             live = list(self._by_slot.values()) + self._pending_attach
             self._pending_attach = []

@@ -16,9 +16,12 @@ Entry points:
   (``PreparedQuery.execute``, ``open_run``, ...) -- one governor per run,
   created, owned and closed by the run and shared across all N seats of a
   ``prepare_many`` pass,
-* ``FluxSession(dtd, memory_budget=...)`` / ``SubscriptionHub(options=...)``
-  -- one governor for the session / the stream, lent to every run,
-* CLI: ``--memory-budget 32m`` on ``run``, ``multirun`` and ``xmark``.
+* ``FluxSession(dtd, options=ExecutionOptions(memory_budget=...))`` /
+  ``SubscriptionHub(options=...)`` -- one governor for the session / the
+  stream, lent to every run (a run of a budgeted session always runs under
+  a budget: its own, or the session's),
+* CLI: ``--memory-budget 32m`` on ``run``, ``multirun``, ``xmark``,
+  ``feed`` and ``serve``.
 """
 
 from repro.storage.codec import decode_events, encode_events

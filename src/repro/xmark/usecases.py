@@ -197,11 +197,6 @@ def generate_bibliography(
     return "".join(parts)
 
 
-def generate_usecase_bibliography(books: int = 50, *, seed: int = 7) -> str:
-    """Bibliography valid for :data:`BIB_DTD_USECASES` (title, authors, publisher, price)."""
-    return generate_bibliography(books, seed=seed, ordered=True)
-
-
 def generate_q1_bibliography(books: int = 50, *, seed: int = 7, ordered: bool = True) -> str:
     """Bibliography for the XMP-Q1 example (publisher/year/title books).
 

@@ -30,7 +30,7 @@ import math
 import re
 from typing import Dict, List, Optional
 
-from repro.xmlstream.serializer import escape_text, serialize_events
+from repro.xmlstream.serializer import serialize_events
 from repro.xmlstream.tree import XMLNode
 from repro.xquery.ast import (
     AndCondition,
@@ -247,8 +247,3 @@ def _format_number(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return repr(value)
-
-
-def escape_output_text(text: str) -> str:
-    """Escape character data the same way the streaming engine does."""
-    return escape_text(text)

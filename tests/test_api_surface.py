@@ -106,7 +106,7 @@ EXPECTED_SURFACE = r"""
         "members": {}
     },
     "ExecutionOptions": {
-        "init": "(self, collect_output: 'bool' = True, expand_attrs: 'bool' = False, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, chunk_size: 'int' = 65536, trace: 'Optional[bool]' = None, serve_metrics: 'Optional[int]' = None, feed: 'Optional[FeedOptions]' = None) -> None",
+        "init": "(self, expand_attrs: 'bool' = False, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, chunk_size: 'int' = 65536, trace: 'Optional[bool]' = None) -> None",
         "kind": "class",
         "members": {
             "replace": "(self, **changes) -> \"'ExecutionOptions'\""
@@ -124,11 +124,6 @@ EXPECTED_SURFACE = r"""
             "progress": "(self) -> 'dict'",
             "resume_offset": "<property>"
         }
-    },
-    "FeedOptions": {
-        "init": "(self, heartbeat_interval_bytes: 'int' = 1048576, resume_offset: 'int' = 0) -> None",
-        "kind": "class",
-        "members": {}
     },
     "FeedResult": {
         "init": "(self, documents_completed: 'int', resume_offset: 'int', bytes_fed: 'int') -> None",
@@ -152,7 +147,7 @@ EXPECTED_SURFACE = r"""
         }
     },
     "FluxSession": {
-        "init": "(self, dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, plan_cache_size: 'int' = 64, plan_cache: 'Optional[PlanCache]' = None, root_var: 'str' = '$ROOT')",
+        "init": "(self, dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None, plan_cache: 'Optional[PlanCache]' = None, root_var: 'str' = '$ROOT')",
         "kind": "class",
         "members": {
             "close": "(self) -> 'None'",

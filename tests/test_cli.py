@@ -1,8 +1,12 @@
 """Unit tests for the command-line interface."""
 
+import re
+import urllib.request
+
 import pytest
 
 from repro.cli import main
+from repro.obs.serve import shutdown_servers
 from repro.xmark.usecases import BIB_DTD_USECASES, XMP_INTRO, generate_bibliography
 
 
@@ -211,6 +215,54 @@ def test_xmark_command_accepts_memory_budget(capsys):
     out = capsys.readouterr().out
     assert "peak-resident=" in out
     assert "spills=" in out
+
+
+def test_run_serve_metrics_prints_its_address_and_serves(xmark_workspace, capsys):
+    try:
+        code = main(["run", "--query", "Q1", "--document", xmark_workspace["document"],
+                     "--discard-output", "--serve-metrics", "0"])
+        assert code == 0
+        err = capsys.readouterr().err
+        address = re.search(r"serving /metrics and /progress on (http://127\.0\.0\.1:\d+)", err)
+        assert address, err
+        with urllib.request.urlopen(f"{address.group(1)}/metrics", timeout=10) as response:
+            assert "repro_runs_total" in response.read().decode("utf-8")
+    finally:
+        shutdown_servers()
+
+
+@pytest.mark.parametrize("command", ["run", "multirun", "feed", "serve"])
+def test_negative_serve_metrics_port_is_a_usage_error(command, capsys):
+    argv = [command, "--serve-metrics", "-1"]
+    if command in ("run", "multirun"):
+        argv += ["--query", "Q1", "--document", "never-read.xml"]
+    elif command == "feed":
+        argv += ["--query", "Q1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--serve-metrics" in err and "TCP port" in err
+
+
+@pytest.mark.parametrize("command", ["feed", "serve"])
+def test_stream_commands_reject_a_non_positive_chunk_size(command, capsys):
+    argv = [command, "--chunk-size", "0"] + (["--query", "Q1"] if command == "feed" else [])
+    assert main(argv) == 2
+    assert "--chunk-size must be positive" in capsys.readouterr().err
+
+
+def test_feed_reads_the_ticker_or_an_input_file(tmp_path, capsys):
+    from repro.xmark.ticker import iter_ticker_chunks
+
+    assert main(["feed", "--query", "Q1", "--documents", "3", "--chunk-size", "512"]) == 0
+    ticker = capsys.readouterr().out
+    assert ticker.startswith("feed over ticker(3 docs, scale ")
+    stream = tmp_path / "stream.xml"
+    stream.write_bytes(b"".join(iter_ticker_chunks(documents=3, seed=42, chunk_size=512)))
+    assert main(["feed", "--query", "Q1", "--input", str(stream), "--chunk-size", "100"]) == 0
+    from_file = capsys.readouterr().out
+    assert from_file.startswith(f"feed over {stream}: 3 documents, {stream.stat().st_size} bytes")
+    # The same stream either way: the same final resume offset.
+    assert ticker.rsplit("resume offset", 1)[1] == from_file.rsplit("resume offset", 1)[1]
 
 
 def test_invalid_memory_budget_is_rejected(xmark_workspace, capsys):

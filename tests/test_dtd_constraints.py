@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.dtd.ast import enumerate_words
-from repro.dtd.constraints import FirstPastTracker, OrderConstraints
+from repro.dtd.constraints import OrderConstraints
 from repro.dtd.glushkov import INITIAL_STATE, build_glushkov
 from repro.dtd.parser import parse_content_model, parse_dtd
 
@@ -105,54 +105,6 @@ def test_past_table_empty_set_is_always_true():
 
 
 # ---------------------------------------------------------------------------
-# first-past tracking
-
-
-def test_first_past_fires_once_at_earliest_point():
-    oc = constraints_of("(title,(author+|editor+),publisher,price)")
-    tracker = FirstPastTracker(oc, {"author", "title"})
-    assert not tracker.initial_fire()
-    assert not tracker.advance("title")
-    assert not tracker.advance("author")
-    # publisher is the first symbol after which neither title nor author can
-    # occur anymore.
-    assert tracker.advance("publisher")
-    assert tracker.fired
-    assert not tracker.advance("price")
-    assert not tracker.fire_at_end()
-
-
-def test_first_past_fires_at_start_for_impossible_symbols():
-    oc = constraints_of("(title,author*)")
-    tracker = FirstPastTracker(oc, {"zzz"})
-    assert tracker.initial_fire()
-
-
-def test_first_past_empty_set_fires_at_start():
-    oc = constraints_of("(title,author*)")
-    tracker = FirstPastTracker(oc, frozenset())
-    assert tracker.initial_fire()
-    assert not tracker.advance("title")
-
-
-def test_first_past_forced_at_end_when_symbols_may_always_come():
-    oc = constraints_of("((title|author)*)")
-    tracker = FirstPastTracker(oc, {"author"})
-    assert not tracker.initial_fire()
-    assert not tracker.advance("title")
-    assert not tracker.advance("author")
-    assert tracker.fire_at_end()
-    assert not tracker.fire_at_end()
-
-
-def test_first_past_invalid_child_does_not_crash():
-    oc = constraints_of("(a,b)")
-    tracker = FirstPastTracker(oc, {"a"})
-    assert not tracker.advance("zzz")
-    assert tracker.fire_at_end()
-
-
-# ---------------------------------------------------------------------------
 # Cardinalities
 
 
@@ -231,8 +183,9 @@ def test_ord_matches_brute_force_on_enumerated_words(model, data):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(_MODELS), st.data())
 def test_first_past_never_fires_too_early(model, data):
-    """If first-past(S) has fired after prefix u, no enumerated completion of u
-    may contain a symbol of S."""
+    """Where the past table holds after a prefix u -- the state the executor
+    reaches by stepping the automaton over u -- no enumerated completion of
+    u may contain a symbol of S."""
     particle = parse_content_model(model)
     oc = OrderConstraints(build_glushkov(particle))
     words = list(enumerate_words(particle, max_length=5))
@@ -241,18 +194,18 @@ def test_first_past_never_fires_too_early(model, data):
     word = data.draw(st.sampled_from(words))
     symbols = sorted(particle.symbols())
     watch = frozenset(data.draw(st.sets(st.sampled_from(symbols), min_size=1, max_size=2)))
-    tracker = FirstPastTracker(oc, watch)
-    fired_at = 0 if tracker.initial_fire() else None
-    for index, symbol in enumerate(word, start=1):
-        if tracker.advance(symbol) and fired_at is None:
-            fired_at = index
-    if fired_at is None:
-        return
-    # No word extending the fired prefix may still contain a watched symbol.
-    prefix = word[:fired_at]
-    for other in words:
-        if other[: len(prefix)] == prefix:
-            assert not any(symbol in watch for symbol in other[len(prefix):])
+    table = oc.past_table(watch)
+    state = INITIAL_STATE
+    for length in range(len(word) + 1):
+        if length:
+            state = oc.automaton.step(state, word[length - 1])
+        assert state is not None, word
+        if not table[state]:
+            continue
+        prefix = word[:length]
+        for other in words:
+            if other[:length] == prefix:
+                assert not any(symbol in watch for symbol in other[length:]), (word, length)
 
 
 def test_at_most_one_matches_brute_force():

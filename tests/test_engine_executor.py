@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.options import ExecutionOptions
+from repro.pipeline.sinks import NullSink
 from repro.dtd.parser import parse_dtd
 from repro.core.session import FluxSession
 from repro.engine.engine import FluxEngine
@@ -179,9 +179,9 @@ def test_unsafe_check_can_be_disabled():
     assert prepared.execute(DOC).output is not None
 
 
-def test_collect_output_false_still_counts_bytes():
+def test_null_sink_still_counts_bytes():
     prepared = FluxSession(_dtd(BIB_DTD_USECASES)).prepare(XMP_INTRO)
-    result = prepared.execute(DOC, options=ExecutionOptions(collect_output=False))
+    result = prepared.execute(DOC, sink=NullSink())
     assert result.output is None
     assert result.stats.output_bytes > 0
 

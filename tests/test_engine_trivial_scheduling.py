@@ -13,7 +13,7 @@ evaluate" plan.  These tests check that
 
 import pytest
 
-from repro import ExecutionOptions, FluxSession, NaiveDomEngine
+from repro import FluxSession, NaiveDomEngine, NullSink
 from repro.dtd.parser import parse_dtd
 from repro.flux.ast import OnFirstHandler, ProcessStream
 from repro.xquery.normalize import normalize
@@ -21,9 +21,6 @@ from repro.xquery.parser import parse_query
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmark.usecases import BIB_DTD_UNORDERED, XMP_INTRO, XMP_Q2, generate_bibliography
-
-COUNT_ONLY = ExecutionOptions(collect_output=False)
-
 
 def trivial_flux(query_source: str) -> ProcessStream:
     """The Example-3.4 embedding of a query."""
@@ -44,9 +41,9 @@ def test_trivial_and_scheduled_plans_agree_on_xmark(name, small_xmark_document):
 def test_scheduling_reduces_buffering_substantially(name, small_xmark_document):
     query = BENCHMARK_QUERIES[name]
     session = FluxSession(xmark_dtd())
-    scheduled = session.prepare(query).execute(small_xmark_document, options=COUNT_ONLY)
+    scheduled = session.prepare(query).execute(small_xmark_document, sink=NullSink())
     trivial = session.prepare(trivial_flux(query)).execute(
-        small_xmark_document, options=COUNT_ONLY
+        small_xmark_document, sink=NullSink()
     )
     assert trivial.stats.peak_buffered_bytes > 0
     assert scheduled.stats.peak_buffered_bytes <= trivial.stats.peak_buffered_bytes / 5
@@ -57,7 +54,7 @@ def test_trivial_plan_buffers_only_the_projection(small_xmark_document):
     # than the naive engine's full document tree.
     query = BENCHMARK_QUERIES["Q1"]
     trivial = FluxSession(xmark_dtd()).prepare(trivial_flux(query)).execute(
-        small_xmark_document, options=COUNT_ONLY
+        small_xmark_document, sink=NullSink()
     )
     naive = NaiveDomEngine(query).run(small_xmark_document, collect_output=False)
     assert trivial.stats.peak_buffered_bytes < naive.peak_buffered_bytes / 3

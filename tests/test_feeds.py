@@ -22,7 +22,7 @@ Covers the feed tentpole and its satellites:
   logical peaks,
 * crash-safe resume: ``resume_from=<reported offset>`` replays the
   remaining documents byte-identically,
-* heartbeats, ``FeedOptions`` validation, and runtime counters.
+* heartbeats, ``resume_from`` validation, and runtime counters.
 """
 
 import json
@@ -30,13 +30,8 @@ import random
 
 import pytest
 
-from repro import (
-    DocumentResult,
-    ExecutionOptions,
-    FeedOptions,
-    FeedResult,
-    FluxSession,
-)
+import repro.feeds
+from repro import DocumentResult, FeedResult, FluxSession
 from repro.fastpath import DocumentPass
 from repro.serve import SubscriptionHub
 from repro.xmlstream.errors import XMLWellFormednessError
@@ -471,13 +466,12 @@ def test_resume_from_reported_offset_replays_byte_identically(session):
     assert second.result.resume_offset == len(stream) - 1
 
 
-def test_resume_offset_via_feed_options(session):
+def test_resume_from_skips_a_prefix_inside_one_chunk(session):
     stream = _stream(3)
     boundary = len(_doc(0).encode("utf-8")) + 1
     documents = []
     with session.prepare(TITLES).open_feed(
-        options=ExecutionOptions(feed=FeedOptions(resume_offset=boundary)),
-        on_document=documents.append,
+        resume_from=boundary, on_document=documents.append
     ) as feed:
         feed.feed(stream)
     assert len(documents) == 2
@@ -488,12 +482,11 @@ def test_resume_offset_via_feed_options(session):
 # Heartbeats, options validation, counters
 
 
-def test_heartbeat_fires_per_interval_with_progress_snapshot(session):
+def test_heartbeat_fires_per_interval_with_progress_snapshot(session, monkeypatch):
+    assert repro.feeds.HEARTBEAT_INTERVAL_BYTES == 1 << 20
+    monkeypatch.setattr(repro.feeds, "HEARTBEAT_INTERVAL_BYTES", 64)
     beats = []
-    options = ExecutionOptions(feed=FeedOptions(heartbeat_interval_bytes=64))
-    with session.prepare(TITLES).open_feed(
-        options=options, on_heartbeat=beats.append
-    ) as feed:
+    with session.prepare(TITLES).open_feed(on_heartbeat=beats.append) as feed:
         for chunk in _chunks(_stream(3), 50):
             feed.feed(chunk)
     assert beats, "64B interval over a multi-hundred-byte stream must beat"
@@ -504,14 +497,9 @@ def test_heartbeat_fires_per_interval_with_progress_snapshot(session):
     assert len(beats) <= len(_stream(3)) // 64 + 1
 
 
-def test_feed_options_validation():
-    with pytest.raises(ValueError):
-        FeedOptions(heartbeat_interval_bytes=0)
-    with pytest.raises(ValueError):
-        FeedOptions(resume_offset=-1)
-    with pytest.raises(ValueError):
-        ExecutionOptions(feed="not-feed-options")
-    assert ExecutionOptions(feed=FeedOptions()).feed.resume_offset == 0
+def test_resume_from_validation(session):
+    with pytest.raises(ValueError, match="resume_from"):
+        session.prepare(TITLES).open_feed(resume_from=-1)
 
 
 def test_feed_runtime_counters_advance(session):

@@ -23,7 +23,7 @@ import itertools
 import pytest
 from _reference import expanded, reference_events
 
-from repro import FluxEngine, FluxSession, MultiQueryRun
+from repro import FluxEngine, FluxSession, MultiQueryRun, NullSink
 from repro.conformance.oracle import _split_at_markup
 from repro.fastpath import DocumentPass
 from repro.obs.observer import use_tracing
@@ -173,8 +173,8 @@ def test_multiquery_peak_buffer_parity(session, shared_run, document, name):
 
 
 def test_multiquery_counting_sink_mode(queries, shared_run, document):
-    """``collect_output=False`` keeps the statistics, drops the text."""
-    run = queries.execute(document, collect_output=False)
+    """A ``NullSink`` per member keeps the statistics, drops the text."""
+    run = queries.execute(document, sinks={name: NullSink() for name in queries.names})
     for name in queries.names:
         assert run[name].output is None
         assert run[name].stats.output_bytes == shared_run[name].stats.output_bytes
@@ -333,7 +333,7 @@ def test_multiquery_pass_counters(queries, document):
     passes = _counter("repro.multiquery.passes.total")
     served = _counter("repro.multiquery.queries.total")
     before = (passes.value, served.value)
-    queries.execute(document, collect_output=False)
+    queries.execute(document, sinks={name: NullSink() for name in queries.names})
     assert (passes.value, served.value) == (before[0] + 1, before[1] + len(queries))
     # A pass refused before it starts is not counted.
     with pytest.raises(ValueError, match="no writable provided"):

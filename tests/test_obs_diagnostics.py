@@ -261,12 +261,10 @@ def test_progress_watermarks_monotonic_under_adversarial_splits(xmark_doc):
     assert ours["run"] not in keys
 
 
-def test_serve_metrics_option_validation():
-    assert ExecutionOptions(serve_metrics=0).serve_metrics == 0
-    with pytest.raises(ValueError, match="serve_metrics"):
-        ExecutionOptions(serve_metrics=-1)
-    with pytest.raises(ValueError, match="serve_metrics"):
-        ExecutionOptions(serve_metrics="8080")
+def test_ensure_server_validates_the_port():
+    for port in (-1, 65536, "8080", None, True):
+        with pytest.raises(ValueError, match="TCP port"):
+            ensure_server(port)
 
 
 # ------------------------------------------------------------ exporters

@@ -19,6 +19,7 @@ Covers the serve tentpole:
   including a subscriber joining mid-feed.
 """
 
+import sys
 import threading
 import time
 
@@ -393,10 +394,58 @@ def test_unsubscribe_pending_subscription_never_activates():
 def test_subscribe_on_closed_hub_raises():
     hub = SubscriptionHub(_schema())
     hub.close()
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="closed hub"):
         hub.subscribe(TITLES)
     with pytest.raises(RuntimeError):
         hub.feed(b"<bib></bib>")
+
+
+def test_subscribe_on_finished_hub_raises():
+    """Regression: a subscription taken after ``finish`` stayed ``active``
+    forever, so ``get()`` blocked and ``/progress`` listed it."""
+    hub = SubscriptionHub(_schema())
+    hub.feed(_stream(1))
+    hub.finish()
+    with pytest.raises(RuntimeError, match="finished hub"):
+        hub.subscribe(TITLES)
+    assert hub.progress()["subscriptions"] == []
+
+
+def test_subscribe_racing_finish_never_leaves_an_active_subscription():
+    """Subscribers on more threads than cores race ``finish``: each
+    subscription is either ended with the hub or refused."""
+    hub = SubscriptionHub(_schema())
+    hub.feed(_stream(1))
+    taken, refusals, stop = [], [], threading.Event()
+
+    def subscriber():
+        while not stop.is_set():  # a bound should ``finish`` never refuse
+            try:
+                taken.append(hub.subscribe(TITLES))
+            except RuntimeError:
+                refusals.append(True)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=subscriber, daemon=True) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 10
+        while len(taken) < 8 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        hub.finish()
+        for thread in threads:
+            thread.join(timeout=5)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(refusals) == 4 and taken
+    for sub in taken:
+        assert sub.state == "finished"
+        assert sub.get(timeout=5) is None
 
 
 def test_truncated_stream_raises_and_ends_subscriptions():

@@ -75,6 +75,9 @@ WEAK_DOC = (
     "</bib>"
 )
 
+#: A session (or run) budget: one governor, shared by a session's runs.
+BOUNDED = ExecutionOptions(memory_budget=4096)
+
 
 def _solo(query, document, dtd):
     """A throwaway session's run: the reference output of ``query``."""
@@ -134,7 +137,7 @@ def test_warm_execution_skips_parse_and_schedule(session, monkeypatch):
 
 
 def test_cache_eviction_is_lru_ordered():
-    session = FluxSession(BIB_DTD, root_element="bib", plan_cache_size=2)
+    session = FluxSession(BIB_DTD, root_element="bib", plan_cache=PlanCache(2))
     session.prepare(TITLES)
     session.prepare(AUTHORS)
     session.prepare(TITLES)  # refresh TITLES: AUTHORS is now the LRU victim
@@ -149,7 +152,7 @@ def test_cache_eviction_is_lru_ordered():
 
 
 def test_cache_capacity_zero_disables_retention():
-    session = FluxSession(BIB_DTD, root_element="bib", plan_cache_size=0)
+    session = FluxSession(BIB_DTD, root_element="bib", plan_cache=PlanCache(0))
     first = session.prepare(TITLES)
     second = session.prepare(TITLES)
     assert first.engine is not second.engine
@@ -280,7 +283,6 @@ def test_every_sink_counts_identical_output_bytes(session):
 def test_resolve_sink_dispatch():
     stats = RunStatistics()
     assert isinstance(resolve_sink(None, stats), CollectSink)
-    assert isinstance(resolve_sink(None, stats, collect_output=False), NullSink)
     assert isinstance(resolve_sink(io.StringIO(), stats), WritableSink)
     explicit = FragmentSink()
     assert resolve_sink(explicit, stats) is explicit
@@ -416,7 +418,7 @@ def test_feed_writable_sink_streams_output(session):
 
 
 def test_session_shares_one_governor_across_runs():
-    session = FluxSession(WEAK_DTD, root_element="bib", memory_budget=4096)
+    session = FluxSession(WEAK_DTD, root_element="bib", options=BOUNDED)
     prepared = session.prepare(QUERY)
     first = prepared.execute(WEAK_DOC)
     governor = session._governor
@@ -434,7 +436,7 @@ def test_session_shares_one_governor_across_runs():
 def test_dropped_session_finalizer_closes_governor():
     """Regression: a session abandoned without close() must not leak its
     shared governor."""
-    session = FluxSession(WEAK_DTD, root_element="bib", memory_budget=4096)
+    session = FluxSession(WEAK_DTD, root_element="bib", options=BOUNDED)
     session.prepare(QUERY).execute(WEAK_DOC)
     finalizer = session._release_governor
     assert finalizer.alive
@@ -457,7 +459,7 @@ def test_stream_with_a_per_run_budget_owns_its_governor():
 def test_aborted_feed_releases_buffers_back_to_shared_governor():
     """Regression: a run aborted mid-buffering must not leave dead pages
     charged against the session-shared governor forever."""
-    session = FluxSession(WEAK_DTD, root_element="bib", memory_budget=4096)
+    session = FluxSession(WEAK_DTD, root_element="bib", options=BOUNDED)
     prepared = session.prepare(QUERY)
     run = prepared.open_run()
     # Feed up to inside a book: authors are being buffered right now.
@@ -474,7 +476,7 @@ def test_aborted_feed_releases_buffers_back_to_shared_governor():
 
 
 def test_abandoned_stream_releases_buffers_on_gc():
-    session = FluxSession(WEAK_DTD, root_element="bib", memory_budget=4096)
+    session = FluxSession(WEAK_DTD, root_element="bib", options=BOUNDED)
     prepared = session.prepare(QUERY)
     run = prepared.stream(WEAK_DOC)
     iterator = iter(run)
@@ -515,7 +517,7 @@ def test_push_run_mixes_text_and_bytes_at_safe_points(session):
 def test_failed_execute_releases_buffers_back_to_shared_governor():
     """Regression: a pull-mode run that raises mid-buffering must not leave
     pages charged against the session governor."""
-    session = FluxSession(WEAK_DTD, root_element="bib", memory_budget=4096)
+    session = FluxSession(WEAK_DTD, root_element="bib", options=BOUNDED)
     prepared = session.prepare(QUERY)
     truncated = WEAK_DOC[: WEAK_DOC.index("</book>")]  # authors buffered, no close
     for _ in range(3):
@@ -529,7 +531,7 @@ def test_failed_execute_releases_buffers_back_to_shared_governor():
 
 
 def test_failed_multiquery_pass_releases_buffers_back_to_shared_governor():
-    session = FluxSession(WEAK_DTD, root_element="bib", memory_budget=4096)
+    session = FluxSession(WEAK_DTD, root_element="bib", options=BOUNDED)
     prepared = session.prepare_many({"q": QUERY})
     truncated = WEAK_DOC[: WEAK_DOC.index("</book>")]
     with pytest.raises(XMLWellFormednessError):
@@ -544,12 +546,12 @@ def test_failed_multiquery_pass_releases_buffers_back_to_shared_governor():
 def test_explicit_options_inherit_the_session_budget():
     """Regression: options passed for an unrelated knob must not silently
     drop the session-wide memory budget."""
-    session = FluxSession(WEAK_DTD, root_element="bib", memory_budget=4096)
+    session = FluxSession(WEAK_DTD, root_element="bib", options=BOUNDED)
     prepared = session.prepare(QUERY)
-    result = prepared.execute(WEAK_DOC, options=ExecutionOptions(collect_output=False))
+    result = prepared.execute(WEAK_DOC, options=ExecutionOptions(chunk_size=16))
     assert session._governor is not None  # the run was governed
     assert session.memory_telemetry()["budget_bytes"] == 4096
-    assert result.output is None
+    assert result.output == _solo(QUERY, WEAK_DOC, WEAK_DTD).output
     # An options object with its own budget still wins (private governor).
     prepared.execute(WEAK_DOC, options=ExecutionOptions(memory_budget=64))
     assert session.memory_telemetry()["budget_bytes"] == 4096
@@ -635,9 +637,6 @@ def test_session_accepts_dtd_source_text():
 # StreamingRun governor-leak regression
 
 
-BOUNDED = ExecutionOptions(memory_budget=4096)
-
-
 def _streaming_query():
     return FluxSession(WEAK_DTD, root_element="bib").prepare(QUERY)
 
@@ -693,8 +692,10 @@ def test_engine_only_compiles_and_prepared_runs_take_options():
         assert not hasattr(engine, verb), verb
     prepared = FluxSession(BIB_DTD, root_element="bib").prepare(QUERY)
     assert prepared.engine is not engine  # another session compiles its own
-    assert prepared.execute(DOC, options=ExecutionOptions(collect_output=False)).output is None
-    assert prepared.execute(DOC, collect_output=False).output is None
+    expected = prepared.execute(DOC).output
+    assert prepared.execute(DOC, options=ExecutionOptions(chunk_size=7)).output == expected
+    assert prepared.execute(DOC, chunk_size=7).output == expected
+    assert prepared.execute(DOC, sink=NullSink()).output is None
 
 
 def test_compare_engines_respects_projection_keyword():
