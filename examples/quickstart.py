@@ -6,15 +6,16 @@ either streams everything (titles are guaranteed to precede authors) or
 buffers the authors of one book at a time (no order constraint).
 
 The session API is the front door: a :class:`repro.FluxSession` holds the
-DTD and an LRU plan cache, ``prepare`` schedules + compiles a query once,
-and ``execute`` runs the prepared plan over any number of documents.
+DTD and an LRU plan cache, ``prepare`` schedules + compiles a query once
+(its ``flux_source`` is the schedule; an unsafe one is refused), and
+``execute`` runs the prepared plan over any number of documents.
 
 Run with::
 
     python examples/quickstart.py
 """
 
-from repro import FluxSession, NaiveDomEngine, compile_to_flux, load_dtd
+from repro import FluxSession, NaiveDomEngine
 
 QUERY = """
 <results>
@@ -58,15 +59,10 @@ def main() -> None:
     print("=" * 72)
 
     for label, dtd_text in (("weak DTD", WEAK_DTD), ("ordered DTD", ORDERED_DTD)):
-        dtd = load_dtd(dtd_text, root_element="bib")
-
-        compiled = compile_to_flux(QUERY, dtd)
-        print(f"\n--- scheduled FluX query ({label}) ---")
-        print(compiled.flux_source)
-        print(f"safe for the DTD: {compiled.is_safe}")
-
-        session = FluxSession(dtd)
+        session = FluxSession(dtd_text, root_element="bib")
         query = session.prepare(QUERY)  # scheduled + compiled once, cached
+        print(f"\n--- scheduled FluX query ({label}) ---")
+        print(query.flux_source)
         print("--- buffers the engine will allocate ---")
         print(query.describe_buffers())
 

@@ -63,12 +63,13 @@ Quickstart::
 :class:`RunHandle` with a seat per member, configured by one
 :class:`ExecutionOptions`; the subscription hub opens its own per
 document.  A run seals to a :class:`FluxRunResult` for an unnamed member
-and to a :class:`MultiQueryRun` for named ones.
+and to a :class:`MultiQueryRun` for named ones.  ``prepare`` is also the
+one way to compile: a prepared query shows its scheduled FluX query
+(``flux_source``) and buffer trees (``describe_buffers()``).
 """
 
 from repro.core import (
     CollectSink,
-    CompiledQuery,
     DEFAULT_OPTIONS,
     DocumentResult,
     ExecutionOptions,
@@ -97,7 +98,6 @@ from repro.core import (
     WritableSink,
     compare_engines,
     global_registry,
-    compile_to_flux,
     load_dtd,
     parse_memory_budget,
     prometheus_text,
@@ -108,7 +108,6 @@ __version__ = "1.3.0"
 
 __all__ = [
     "CollectSink",
-    "CompiledQuery",
     "DEFAULT_OPTIONS",
     "DocumentResult",
     "ExecutionOptions",
@@ -137,7 +136,6 @@ __all__ = [
     "WritableSink",
     "__version__",
     "compare_engines",
-    "compile_to_flux",
     "global_registry",
     "load_dtd",
     "parse_memory_budget",

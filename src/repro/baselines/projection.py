@@ -25,24 +25,17 @@ from repro.xquery.parser import parse_query
 Path = Tuple[str, ...]
 
 
-def projection_paths(query: XQExpr, *, root_var: str = ROOT_VARIABLE) -> Set[Path]:
-    """Absolute paths (from the virtual root) the query can possibly touch.
-
-    Every path reference is resolved through the chain of for-loop bindings
-    back to ``$ROOT``.  Paths rooted at variables that cannot be resolved
-    (which does not happen for well-formed XQuery⁻ queries) are ignored.
-    """
-    all_paths, _content = projection_path_sets(query, root_var=root_var)
-    return all_paths
-
-
 def projection_path_sets(query: XQExpr, *, root_var: str = ROOT_VARIABLE) -> Tuple[Set[Path], Set[Path]]:
     """Both path sets used by the projecting builder.
 
-    The first set contains every referenced path (including pure navigation
-    spines of for-loops): nodes *on* these paths are kept.  The second set
-    contains the paths whose content is actually read (outputs and condition
-    operands): nodes *below* these paths are kept as well.
+    Every path reference is resolved through the chain of for-loop bindings
+    back to ``$ROOT`` (absolute paths from the virtual root); paths rooted at
+    variables that cannot be resolved (which does not happen for well-formed
+    XQuery⁻ queries) are ignored.  The first set contains every referenced
+    path (including pure navigation spines of for-loops): nodes *on* these
+    paths are kept.  The second set contains the paths whose content is
+    actually read (outputs and condition operands): nodes *below* these
+    paths are kept as well.
     """
     normalized = normalize(query)
     env = binding_environment(normalized, root_var)

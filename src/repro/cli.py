@@ -73,22 +73,31 @@ import contextlib
 import sys
 from typing import Optional, Sequence
 
-from repro.core.api import compare_engines, compile_to_flux, load_dtd
+from repro.core.api import compare_engines, load_dtd
 from repro.core.options import ExecutionOptions
 from repro.core.session import FluxSession
-from repro.engine.engine import FluxEngine
 from repro.pipeline.sinks import NullSink
+from repro.dtd.errors import DTDError
 from repro.dtd.validator import validate_document
+from repro.flux.errors import FluxError
 from repro.storage import parse_memory_budget
 from repro.xmark.dtd import XMARK_DTD_SOURCE
 from repro.xmark.generator import config_for_scale, write_document, generate_document
 from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmark.ticker import DEFAULT_TICK_SCALE, iter_ticker_chunks
+from repro.xmlstream.errors import XMLSyntaxError
 from repro.xmlstream.parser import iter_events
+from repro.xquery.errors import XQueryError
 
 
 class _UsageError(Exception):
     """A bad flag value or combination: :func:`main` prints it, exit code 2."""
+
+
+#: Errors in what a command reads -- files, sockets and spill I/O, documents,
+#: schemas, queries -- that :func:`main` prints as one line, exit code 1.  A
+#: failing run has written its crash dump before the error reaches ``main``.
+_INPUT_ERRORS = (OSError, XMLSyntaxError, DTDError, XQueryError, FluxError)
 
 
 def _read(path: str) -> str:
@@ -190,20 +199,19 @@ def _options(args) -> ExecutionOptions:
 
 
 def _cmd_compile(args) -> int:
-    schema = _load_schema(args)
-    compiled = compile_to_flux(_resolve_query(args.query), schema)
+    prepared = FluxSession(_load_schema(args)).prepare(_resolve_query(args.query))
     print("--- scheduled FluX query ---")
-    print(compiled.flux_source)
+    print(prepared.flux_source)
     if args.show_normalized:
         print("\n--- normalised XQuery- ---")
-        print(compiled.normalized_source)
-    engine = FluxEngine(compiled.flux, schema)
+        print(prepared.engine.rewrite_result.normalized.to_source())
     print("\n--- buffer trees ---")
-    print(engine.describe_buffers())
-    joins = engine.plan.describe_joins()
+    print(prepared.describe_buffers())
+    joins = prepared.plan.describe_joins()
     if joins:
         print(joins)
-    print(f"\nsafe for the DTD: {compiled.is_safe}")
+    # The compile step refuses an unsafe schedule, so a compiled query is safe.
+    print("\nsafe for the DTD: True")
     return 0
 
 
@@ -510,30 +518,26 @@ def _cmd_subscribe(args) -> int:
     queries = [_resolve_subscribe_query(q) for q in args.query]
     results = 0
     status = 0
-    try:
-        with SubscribeClient(args.host, args.port, timeout=args.timeout) as client:
-            for query in queries:
-                client.subscribe(query, policy=args.policy, max_queue=args.max_queue)
-            for frame in client.frames():
-                event = frame.get("event")
-                if event == "subscribed":
-                    print(f"subscribed as {frame['name']}", file=sys.stderr)
-                elif event == "result":
-                    results += 1
-                    if not args.quiet:
-                        print(frame["output"], end="")
-                        if frame["output"] and not frame["output"].endswith("\n"):
-                            print()
-                    if args.max_results is not None and results >= args.max_results:
-                        break
-                elif event == "error":
-                    print(f"server error: {frame.get('message')}", file=sys.stderr)
-                    status = 1
-                elif event == "eof":
+    with SubscribeClient(args.host, args.port, timeout=args.timeout) as client:
+        for query in queries:
+            client.subscribe(query, policy=args.policy, max_queue=args.max_queue)
+        for frame in client.frames():
+            event = frame.get("event")
+            if event == "subscribed":
+                print(f"subscribed as {frame['name']}", file=sys.stderr)
+            elif event == "result":
+                results += 1
+                if not args.quiet:
+                    print(frame["output"], end="")
+                    if frame["output"] and not frame["output"].endswith("\n"):
+                        print()
+                if args.max_results is not None and results >= args.max_results:
                     break
-    except (ConnectionError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+            elif event == "error":
+                print(f"server error: {frame.get('message')}", file=sys.stderr)
+                status = 1
+            elif event == "eof":
+                break
     print(f"{results} results received", file=sys.stderr)
     return status
 
@@ -895,6 +899,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except _INPUT_ERRORS as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

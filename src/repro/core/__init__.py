@@ -15,15 +15,16 @@ per schema:
   pass: the same :class:`PreparedQuery`, whose runs seal to a
   :class:`MultiQueryRun`.
 
-:func:`compile_to_flux` exposes the scheduling rewrite itself (the paper's
-Sections 4.1/4.2); :class:`FluxEngine` is the compiled plan a prepared query
-wraps (compile and inspection only).  The baseline engines
-(:class:`NaiveDomEngine`, :class:`ProjectionDomEngine`) are re-exported for
-side-by-side comparisons (:func:`compare_engines`; ``benchmarks/perf``
-verifies every result against the naive one).
+:meth:`FluxSession.prepare` is the one way to compile: the
+:class:`FluxEngine` it caches runs the paper's scheduling rewrite
+(Sections 4.1/4.2) and builds the executor plan, which a prepared query
+exposes as ``flux_source``, ``describe_buffers()`` and ``plan``.  The
+baseline engines (:class:`NaiveDomEngine`, :class:`ProjectionDomEngine`)
+are re-exported for side-by-side comparisons (:func:`compare_engines`;
+``benchmarks/perf`` verifies every result against the naive one).
 """
 
-from repro.core.api import CompiledQuery, compare_engines, compile_to_flux, load_dtd
+from repro.core.api import compare_engines, load_dtd
 from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.core.session import (
     FluxSession,
@@ -55,7 +56,6 @@ from repro.storage import MemoryGovernor, parse_memory_budget
 
 __all__ = [
     "CollectSink",
-    "CompiledQuery",
     "DEFAULT_OPTIONS",
     "DocumentResult",
     "ExecutionOptions",
@@ -83,7 +83,6 @@ __all__ = [
     "Tracer",
     "WritableSink",
     "compare_engines",
-    "compile_to_flux",
     "global_registry",
     "load_dtd",
     "parse_memory_budget",

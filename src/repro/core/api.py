@@ -1,18 +1,17 @@
-"""Schema loading, the scheduling rewrite and the baseline comparison.
+"""Schema loading and the baseline comparison.
 
-Running queries is the session's job (:mod:`repro.core.session`): hold a
+Compiling and running queries is the session's job
+(:mod:`repro.core.session`): hold a
 :class:`~repro.core.session.FluxSession`, ``prepare`` a query or
 ``prepare_many`` a named set -- both give one
-:class:`~repro.core.session.PreparedQuery` -- and run it with its verbs.  The helpers here
-sit beside that path: :func:`load_dtd` roots a schema,
-:func:`compile_to_flux` exposes the paper's rewrite (Sections 4.1/4.2)
-with its intermediate stages, and :func:`compare_engines` runs FluX next
-to both DOM baselines.
+:class:`~repro.core.session.PreparedQuery`, which carries the scheduled
+FluX query and its plan -- and run it with its verbs.  The helpers here
+sit beside that path: :func:`load_dtd` roots a schema and
+:func:`compare_engines` runs FluX next to both DOM baselines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from repro.baselines import NaiveDomEngine, ProjectionDomEngine
@@ -20,12 +19,8 @@ from repro.core.session import FluxSession
 from repro.dtd.parser import parse_dtd
 from repro.dtd.schema import DTD
 from repro.engine.engine import ensure_rooted
-from repro.flux.ast import FluxExpr
-from repro.flux.rewrite import rewrite_to_flux
-from repro.flux.safety import check_safety
-from repro.flux.serialize import flux_to_source
 from repro.xmlstream.source import DocumentSource
-from repro.xquery.ast import ROOT_VARIABLE, XQExpr
+from repro.xquery.ast import XQExpr
 from repro.xquery.parser import parse_query
 
 
@@ -38,44 +33,6 @@ def load_dtd(source: Union[str, DTD], *, root_element: Optional[str] = None) -> 
     """
     dtd = parse_dtd(source) if isinstance(source, str) else source
     return ensure_rooted(dtd, root_element)
-
-
-@dataclass
-class CompiledQuery:
-    """An XQuery⁻ query scheduled into FluX, with its intermediate stages."""
-
-    flux: FluxExpr
-    flux_source: str
-    normalized_source: str
-    is_safe: bool
-    dtd: DTD
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.flux_source
-
-
-def compile_to_flux(
-    query: Union[str, XQExpr],
-    dtd: Union[str, DTD],
-    *,
-    root_element: Optional[str] = None,
-    root_var: str = ROOT_VARIABLE,
-    apply_simplifications: bool = True,
-) -> CompiledQuery:
-    """Schedule an XQuery⁻ query into an equivalent safe FluX query."""
-    schema = load_dtd(dtd, root_element=root_element)
-    expr = parse_query(query) if isinstance(query, str) else query
-    result = rewrite_to_flux(
-        expr, schema, root_var=root_var, apply_simplifications=apply_simplifications
-    )
-    violations = check_safety(result.flux, schema, root_var=root_var)
-    return CompiledQuery(
-        flux=result.flux,
-        flux_source=flux_to_source(result.flux),
-        normalized_source=result.normalized.to_source(),
-        is_safe=not violations,
-        dtd=schema,
-    )
 
 
 def compare_engines(

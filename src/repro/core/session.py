@@ -66,7 +66,7 @@ from repro.pipeline.fanout import DynamicFanout
 from repro.pipeline.sinks import FragmentSink
 from repro.storage.governor import MemoryGovernor
 from repro.xmlstream.source import DocumentSource
-from repro.xquery.ast import ROOT_VARIABLE, XQExpr
+from repro.xquery.ast import XQExpr
 
 #: Anything a session accepts as a query: source text, a parsed XQuery⁻
 #: expression, or a ready-made FluX query.
@@ -116,9 +116,6 @@ class PlanKey:
     query_text: str
     dtd_fingerprint: str
     projection: bool
-    root_var: str
-    apply_simplifications: bool
-    require_safe: bool
 
 
 class PlanCache:
@@ -508,11 +505,9 @@ class FluxSession:
         root_element: Optional[str] = None,
         options: Optional[ExecutionOptions] = None,
         plan_cache: Optional[PlanCache] = None,
-        root_var: str = ROOT_VARIABLE,
     ):
         schema = parse_dtd(dtd) if isinstance(dtd, str) else dtd
         self.dtd = ensure_rooted(schema, root_element)
-        self.root_var = root_var
         self.options = options if options is not None else DEFAULT_OPTIONS
         self.cache = plan_cache if plan_cache is not None else PlanCache()
         self.statistics = SessionStatistics()
@@ -522,19 +517,13 @@ class FluxSession:
 
     # -------------------------------------------------------------- prepare
 
-    def prepare(
-        self,
-        query: QuerySource,
-        *,
-        projection: bool = True,
-        apply_simplifications: bool = True,
-        require_safe: bool = True,
-    ) -> PreparedQuery:
+    def prepare(self, query: QuerySource, *, projection: bool = True) -> PreparedQuery:
         """Schedule and compile ``query`` (or fetch it from the plan cache).
 
-        The keyword arguments are *compile-time* choices and are part of
-        the cache key; per-run behaviour lives in
-        :class:`~repro.core.options.ExecutionOptions` at execute time.
+        This is the one way to compile a query.  ``projection`` is the one
+        compile-time choice and is part of the cache key; per-run behaviour
+        lives in :class:`~repro.core.options.ExecutionOptions` at execute
+        time.
         """
         self._ensure_open()
         kind, text = _normalize_query(query)
@@ -543,20 +532,9 @@ class FluxSession:
             query_text=text,
             dtd_fingerprint=self._fingerprint,
             projection=projection,
-            root_var=self.root_var,
-            apply_simplifications=apply_simplifications,
-            require_safe=require_safe,
         )
         engine = self.cache.get_or_build(
-            key,
-            lambda: FluxEngine(
-                query,
-                self.dtd,
-                root_var=self.root_var,
-                projection=projection,
-                apply_simplifications=apply_simplifications,
-                require_safe=require_safe,
-            ),
+            key, lambda: FluxEngine(query, self.dtd, projection=projection)
         )
         return PreparedQuery(self, {None: engine})
 
@@ -565,8 +543,6 @@ class FluxSession:
         queries: Union[Mapping[str, QuerySource], Sequence[QuerySource]],
         *,
         projection: bool = True,
-        apply_simplifications: bool = True,
-        require_safe: bool = True,
     ) -> PreparedQuery:
         """Prepare N named queries for shared-pass execution.
 
@@ -588,12 +564,7 @@ class FluxSession:
         if not queries:
             raise ValueError("prepare_many needs at least one query")
         engines = {
-            name: self.prepare(
-                query,
-                projection=projection,
-                apply_simplifications=apply_simplifications,
-                require_safe=require_safe,
-            ).engine
+            name: self.prepare(query, projection=projection).engine
             for name, query in queries.items()
         }
         return PreparedQuery(self, engines)

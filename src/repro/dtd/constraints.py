@@ -97,10 +97,6 @@ class OrderConstraints:
             return False
         return (first, second) in self._ord
 
-    def order_pairs(self) -> FrozenSet[Tuple[str, str]]:
-        """All pairs ``(a, b)`` with ``Ord(a, b)`` and both symbols occurring."""
-        return frozenset(self._ord)
-
     def past_table(self, symbols: Iterable[str]) -> Dict[int, bool]:
         """``PastTable_{ρ,S}``: per-state conjunction of ``past`` over ``S``."""
         wanted = tuple(symbols)

@@ -62,7 +62,7 @@ from repro.pipeline.sinks import resolve_sink
 from repro.storage.governor import MemoryGovernor
 from repro.storage.spill import SpillError
 from repro.xmlstream.source import DocumentSource
-from repro.xquery.ast import ROOT_VARIABLE, XQExpr
+from repro.xquery.ast import XQExpr
 from repro.xquery.parser import parse_query
 
 
@@ -649,8 +649,13 @@ class FluxEngine:
         events of provably untouched subtrees before they reach the
         executor (on by default; pass ``False`` to measure its effect).
 
-    The engine does not run: ``FluxSession(dtd).prepare(query)`` compiles
-    through the plan cache and runs it, with per-run
+    The engine always schedules with the Section-7 simplifications and
+    refuses an unsafe FluX query (:class:`~repro.flux.errors.UnsafeQueryError`);
+    the stage functions :func:`~repro.flux.rewrite.rewrite_to_flux` and
+    :func:`~repro.engine.plan.compile_plan` keep those switches for
+    ablations.  The engine does not run: ``FluxSession(dtd).prepare(query)``
+    is the one way to compile -- it builds the engine through the plan
+    cache -- and runs it, with per-run
     :class:`~repro.core.options.ExecutionOptions`.
     """
 
@@ -660,29 +665,22 @@ class FluxEngine:
         dtd: DTD,
         *,
         root_element: Optional[str] = None,
-        root_var: str = ROOT_VARIABLE,
-        apply_simplifications: bool = True,
-        require_safe: bool = True,
         projection: bool = True,
     ):
         dtd = ensure_rooted(dtd, root_element)
         self.dtd = dtd
-        self.root_var = root_var
+        #: The rewrite's stages (``normalized``, ``simplified``), or ``None``
+        #: for an engine built from a FluX query.
         self.rewrite_result: Optional[RewriteResult] = None
 
         if isinstance(query, FluxExpr):
             flux = query
         else:
             expr = parse_query(query) if isinstance(query, str) else query
-            self.rewrite_result = rewrite_to_flux(
-                expr,
-                dtd,
-                root_var=root_var,
-                apply_simplifications=apply_simplifications,
-            )
+            self.rewrite_result = rewrite_to_flux(expr, dtd)
             flux = self.rewrite_result.flux
         self.flux = flux
-        self.plan: QueryPlan = compile_plan(flux, dtd, root_var=root_var, require_safe=require_safe)
+        self.plan: QueryPlan = compile_plan(flux, dtd)
         spec = ProjectionSpec(self.plan) if projection else None
         #: The projection automaton, or ``None`` when nothing is filtered:
         #: projection off, or a trivial spec (the root scope captures

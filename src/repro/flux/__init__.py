@@ -8,7 +8,9 @@ This package contains the paper's primary contribution:
   Section 3.2,
 * :mod:`repro.flux.rewrite` -- the Figure-2 algorithm that turns a normalised
   XQuery⁻ query into an equivalent *safe* FluX query, scheduling event
-  handlers with the DTD's order constraints so that buffering is minimised,
+  handlers with the DTD's order constraints so that buffering is minimised
+  (:func:`rewrite_to_flux`, the stage ``FluxSession.prepare`` compiles
+  through),
 * :mod:`repro.flux.safety` -- the Definition-3.6 safety checker,
 * :mod:`repro.flux.serialize` -- pretty printing in the paper's concrete
   syntax,
@@ -26,7 +28,7 @@ from repro.flux.ast import (
     maximal_xquery_subexpressions,
 )
 from repro.flux.errors import FluxError, UnschedulableQueryError
-from repro.flux.rewrite import RewriteContext, rewrite_query, rewrite_to_flux
+from repro.flux.rewrite import RewriteContext, rewrite_to_flux
 from repro.flux.safety import SafetyViolation, check_safety, is_safe
 from repro.flux.serialize import flux_to_source
 from repro.flux.simple import decompose_simple, is_simple
@@ -50,6 +52,5 @@ __all__ = [
     "iter_process_streams",
     "maximal_xquery_subexpressions",
     "parse_flux",
-    "rewrite_query",
     "rewrite_to_flux",
 ]

@@ -1,7 +1,8 @@
 """The scheduling rewrite: XQuery⁻ → safe FluX (Section 4.2, Figure 2).
 
-Given a DTD and a normalised XQuery⁻ query, :func:`rewrite_query` produces an
-equivalent *safe* FluX query in which
+Given a DTD and an XQuery⁻ query, :func:`rewrite_to_flux` -- the stage
+``FluxSession.prepare`` compiles through -- produces an equivalent *safe*
+FluX query in which
 
 * as many subexpressions as possible are attached to ``on`` handlers and are
   therefore executed in a purely streaming fashion (no buffering), and
@@ -22,7 +23,7 @@ here (see DESIGN.md, "faithfulness notes"):
   ``dependencies($x, α) ∪ H`` -- filtering it against the foreign loop symbol
   would be meaningless.
 
-The rewrite expects the query in normal form; :func:`rewrite_query` takes
+The rewrite expects the query in normal form; :func:`rewrite_to_flux` takes
 care of normalisation and of the Section-7 simplifications (which are what
 makes re-rooted paths such as XMark Q8's ``/site/closed_auctions`` inside a
 person loop schedulable).
@@ -98,13 +99,6 @@ class RewriteContext:
             return None
         return self._dtd.constraints(element_type)
 
-    def symbols_for(self, var: str) -> Optional[FrozenSet[str]]:
-        """``symb($var)`` if the element type is known, else ``None``."""
-        element_type = self._types.get(var)
-        if element_type is None or element_type not in self._dtd:
-            return None
-        return self._dtd.symbols(element_type)
-
 
 @dataclass(frozen=True)
 class RewriteResult:
@@ -117,34 +111,19 @@ class RewriteResult:
     root_var: str = field(default=ROOT_VARIABLE)
 
 
-def rewrite_query(
-    query: XQExpr,
-    dtd: DTD,
-    *,
-    root_var: str = ROOT_VARIABLE,
-    apply_normalization: bool = True,
-    apply_simplifications: bool = True,
-) -> FluxExpr:
-    """Rewrite an XQuery⁻ query into an equivalent safe FluX query."""
-    return rewrite_to_flux(
-        query,
-        dtd,
-        root_var=root_var,
-        apply_normalization=apply_normalization,
-        apply_simplifications=apply_simplifications,
-    ).flux
-
-
 def rewrite_to_flux(
     query: XQExpr,
     dtd: DTD,
     *,
     root_var: str = ROOT_VARIABLE,
-    apply_normalization: bool = True,
     apply_simplifications: bool = True,
 ) -> RewriteResult:
-    """Full pipeline: normalise, simplify (Section 7) and schedule (Figure 2)."""
-    normalized = normalize(query) if apply_normalization else query
+    """Full pipeline: normalise, simplify (Section 7) and schedule (Figure 2).
+
+    ``apply_simplifications=False`` skips Section 7 (the ablation that shows
+    what loop fusion saves); the compile step always applies it.
+    """
+    normalized = normalize(query)
     if not is_normal_form(normalized):
         raise UnschedulableQueryError("query is not in XQuery- normal form")
     simplified = simplify(normalized, dtd, root_var=root_var) if apply_simplifications else normalized

@@ -287,10 +287,6 @@ class ForExpr(XQExpr):
     body: XQExpr
     where: Optional[Condition] = field(default=None)
 
-    def first_step(self) -> str:
-        """The first tag name of the loop path."""
-        return self.path[0]
-
 
 @dataclass(frozen=True)
 class PathOutputExpr(XQExpr):

@@ -91,11 +91,6 @@ EXPECTED_SURFACE = r"""
             "text": "(self) -> 'Optional[str]'"
         }
     },
-    "CompiledQuery": {
-        "init": "(self, flux: 'FluxExpr', flux_source: 'str', normalized_source: 'str', is_safe: 'bool', dtd: 'DTD') -> None",
-        "kind": "class",
-        "members": {}
-    },
     "DEFAULT_OPTIONS": {
         "kind": "value",
         "type": "ExecutionOptions"
@@ -131,7 +126,7 @@ EXPECTED_SURFACE = r"""
         "members": {}
     },
     "FluxEngine": {
-        "init": "(self, query: 'Union[str, XQExpr, FluxExpr]', dtd: 'DTD', *, root_element: 'Optional[str]' = None, root_var: 'str' = '$ROOT', apply_simplifications: 'bool' = True, require_safe: 'bool' = True, projection: 'bool' = True)",
+        "init": "(self, query: 'Union[str, XQExpr, FluxExpr]', dtd: 'DTD', *, root_element: 'Optional[str]' = None, projection: 'bool' = True)",
         "kind": "class",
         "members": {
             "describe_buffers": "(self) -> 'str'",
@@ -147,13 +142,13 @@ EXPECTED_SURFACE = r"""
         }
     },
     "FluxSession": {
-        "init": "(self, dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None, plan_cache: 'Optional[PlanCache]' = None, root_var: 'str' = '$ROOT')",
+        "init": "(self, dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, options: 'Optional[ExecutionOptions]' = None, plan_cache: 'Optional[PlanCache]' = None)",
         "kind": "class",
         "members": {
             "close": "(self) -> 'None'",
             "memory_telemetry": "(self) -> 'Optional[dict]'",
-            "prepare": "(self, query: 'QuerySource', *, projection: 'bool' = True, apply_simplifications: 'bool' = True, require_safe: 'bool' = True) -> 'PreparedQuery'",
-            "prepare_many": "(self, queries: 'Union[Mapping[str, QuerySource], Sequence[QuerySource]]', *, projection: 'bool' = True, apply_simplifications: 'bool' = True, require_safe: 'bool' = True) -> 'PreparedQuery'"
+            "prepare": "(self, query: 'QuerySource', *, projection: 'bool' = True) -> 'PreparedQuery'",
+            "prepare_many": "(self, queries: 'Union[Mapping[str, QuerySource], Sequence[QuerySource]]', *, projection: 'bool' = True) -> 'PreparedQuery'"
         }
     },
     "FragmentSink": {
@@ -231,7 +226,7 @@ EXPECTED_SURFACE = r"""
         }
     },
     "PlanKey": {
-        "init": "(self, query_kind: 'str', query_text: 'str', dtd_fingerprint: 'str', projection: 'bool', root_var: 'str', apply_simplifications: 'bool', require_safe: 'bool') -> None",
+        "init": "(self, query_kind: 'str', query_text: 'str', dtd_fingerprint: 'str', projection: 'bool') -> None",
         "kind": "class",
         "members": {}
     },
@@ -330,10 +325,6 @@ EXPECTED_SURFACE = r"""
     "compare_engines": {
         "kind": "function",
         "signature": "(query: 'Union[str, XQExpr]', document: 'DocumentSource', dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, projection: 'bool' = True) -> 'Dict[str, Dict[str, object]]'"
-    },
-    "compile_to_flux": {
-        "kind": "function",
-        "signature": "(query: 'Union[str, XQExpr]', dtd: 'Union[str, DTD]', *, root_element: 'Optional[str]' = None, root_var: 'str' = '$ROOT', apply_simplifications: 'bool' = True) -> 'CompiledQuery'"
     },
     "global_registry": {
         "kind": "function",

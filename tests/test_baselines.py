@@ -1,7 +1,7 @@
 """Unit tests for the baseline engines (naive DOM and projection DOM)."""
 
 from repro.baselines import NaiveDomEngine, ProjectionDomEngine
-from repro.baselines.projection import projection_paths
+from repro.baselines.projection import projection_path_sets
 from repro.xquery.parser import parse_query
 from repro.xmark.queries import QUERY_1, QUERY_8
 from repro.xmark.usecases import XMP_INTRO, generate_bibliography
@@ -46,13 +46,13 @@ def test_projection_engine_uses_less_memory_than_naive():
 
 
 def test_projection_paths_resolve_through_binding_chain():
-    paths = projection_paths(parse_query(XMP_INTRO))
+    paths = projection_path_sets(parse_query(XMP_INTRO))[0]
     assert ("bib", "book", "title") in paths
     assert ("bib", "book", "author") in paths
 
 
 def test_projection_paths_for_join_query_include_both_sides():
-    paths = projection_paths(parse_query(QUERY_8))
+    paths = projection_path_sets(parse_query(QUERY_8))[0]
     assert ("site", "people", "person", "person_id") in paths
     assert ("site", "closed_auctions", "closed_auction") in paths
 

@@ -1,7 +1,10 @@
 """Unit tests for the command-line interface."""
 
 import re
+import socket
+import sys
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +49,96 @@ def test_compile_command_prints_one_line_per_indexed_join(capsys):
     )
     assert out.count("join index:") == 1
     assert buffers < out.index(line) < out.index("safe for the DTD")
+
+
+GOLDEN_COMPILE = Path(__file__).parent / "fixtures" / "compile"
+
+
+@pytest.mark.parametrize("query", ["Q1", "Q8", "Q11", "Q13", "Q20"])
+def test_compile_output_matches_golden_file(query, capsys):
+    assert main(["compile", "--query", query, "--show-normalized"]) == 0
+    golden = (GOLDEN_COMPILE / f"{query}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+def test_compile_checks_safety_once(monkeypatch, capsys):
+    import repro.flux.safety as safety
+
+    calls = []
+    original = safety.check_safety
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # Every module that imported the checker by name counts through it.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "check_safety", None) is original:
+            monkeypatch.setattr(module, "check_safety", counting)
+    assert main(["compile", "--query", "Q8"]) == 0
+    assert "safe for the DTD: True" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def _closed_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        (
+            {},
+            ["run", "--query", "Q1", "--dtd", "{dir}/missing.dtd", "--document", "{dir}/doc.xml"],
+            "No such file or directory",
+        ),
+        (
+            {},
+            ["subscribe", "--query", "Q1", "--port", "{closed_port}"],
+            "refused",
+        ),
+        (
+            {"doc.xml": "<bib><book><title>x</title></bib>"},
+            ["run", "--query", "{dir}/q.xq", "--dtd", "{dir}/bib.dtd", "--root", "bib",
+             "--document", "{dir}/doc.xml"],
+            "mismatched closing tag </bib>, expected </book>",
+        ),
+        (
+            {"bib.dtd": "<!ELEMENT bib (book"},
+            ["run", "--query", "{dir}/q.xq", "--dtd", "{dir}/bib.dtd", "--root", "bib",
+             "--document", "{dir}/doc.xml"],
+            "unterminated",
+        ),
+        (
+            {"q.xq": "<r>{ for $b in $ROOT/bib/book return {$b}</r>"},
+            ["run", "--query", "{dir}/q.xq", "--dtd", "{dir}/bib.dtd", "--root", "bib",
+             "--document", "{dir}/doc.xml"],
+            "unbalanced",
+        ),
+        (
+            {"q.xq": "{ for $b in $ROOT/bib/book return { $bib } }"},
+            ["compile", "--query", "{dir}/q.xq", "--dtd", "{dir}/bib.dtd", "--root", "bib"],
+            "cannot be scheduled",
+        ),
+    ],
+    ids=["OSError-file", "OSError-connection", "XMLSyntaxError", "DTDError", "XQueryError", "FluxError"],
+)
+def test_input_errors_print_one_line_and_exit_1(tmp_path, capsys, files, argv, message):
+    defaults = {
+        "q.xq": XMP_INTRO,
+        "bib.dtd": BIB_DTD_USECASES,
+        "doc.xml": "<bib><book><title>x</title></book></bib>",
+    }
+    for name, text in {**defaults, **files}.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    values = {"dir": tmp_path, "closed_port": _closed_port()}
+    assert main([arg.format(**values) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0], err
+    assert "Traceback" not in err
 
 
 def test_run_command_writes_output_file(workspace, capsys):

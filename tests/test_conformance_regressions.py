@@ -119,11 +119,9 @@ def test_case64_condition_over_open_scope_buffer_does_not_crash():
 
 def test_case92_self_dependent_loop_is_buffered_not_streamed():
     """The rewrite must schedule the e2 loop behind past(e2), not 'on e2'."""
-    from repro.core.api import compile_to_flux
-
     case = load_case(_fixture("seed1-case92.case"))
     schema = load_dtd(case.dtd_source, root_element=case.root)
-    flux_source = compile_to_flux(case.queries[0][1], schema).flux_source
+    flux_source = FluxSession(schema).prepare(case.queries[0][1]).flux_source
     # The conditional e2_kind output depends on $v1/e2/t0: it must not be
     # compiled into a nested streaming scope over e2.
     assert "on-first past(e2) return" in flux_source

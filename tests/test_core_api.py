@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro import FluxEngine, FluxSession, compare_engines, compile_to_flux, load_dtd
+from repro import FluxEngine, FluxSession, compare_engines, load_dtd
 from repro.dtd.schema import ROOT_ELEMENT
 from repro.xmark.usecases import BIB_DTD_UNORDERED, BIB_DTD_USECASES, XMP_INTRO
 
@@ -30,12 +30,11 @@ def test_load_dtd_passes_through_rooted_dtd(bib_dtd_usecases):
     assert load_dtd(bib_dtd_usecases) is bib_dtd_usecases
 
 
-def test_compile_to_flux_reports_safety_and_sources():
-    compiled = compile_to_flux(XMP_INTRO, BIB_DTD_UNORDERED, root_element="bib")
-    assert compiled.is_safe
-    assert "on-first past(author,title)" in compiled.flux_source
-    assert "for" in compiled.normalized_source
-    assert str(compiled) == compiled.flux_source
+def test_prepare_exposes_schedule_and_sources():
+    prepared = FluxSession(BIB_DTD_UNORDERED, root_element="bib").prepare(XMP_INTRO)
+    assert "on-first past(author,title)" in prepared.flux_source
+    assert "for" in prepared.engine.rewrite_result.normalized.to_source()
+    assert "author" in prepared.describe_buffers()
 
 
 def test_prepared_query_executes_without_buffering():

@@ -9,8 +9,6 @@ from repro.engine.engine import FluxEngine
 from repro.engine.plan import compile_plan
 from repro.flux.errors import UnsafeQueryError
 from repro.flux.parser import parse_flux
-from repro.flux.rewrite import rewrite_query
-from repro.xquery.parser import parse_query
 from repro.baselines import NaiveDomEngine
 from repro.xmark.usecases import (
     BIB_ARTICLES_DTD_ORDERED,
@@ -165,18 +163,6 @@ def test_unsafe_handwritten_query_is_rejected():
     )
     with pytest.raises(UnsafeQueryError):
         FluxEngine(flux, _dtd(BIB_DTD_UNORDERED))
-
-
-def test_unsafe_check_can_be_disabled():
-    flux = parse_flux(
-        """
-        { ps $ROOT: on bib as $bib return
-          { ps $bib: on book as $b return
-            { ps $b: on-first past(title) return { for $a in $b/author return {$a} } } } }
-        """
-    )
-    prepared = FluxSession(_dtd(BIB_DTD_UNORDERED)).prepare(flux, require_safe=False)
-    assert prepared.execute(DOC).output is not None
 
 
 def test_null_sink_still_counts_bytes():

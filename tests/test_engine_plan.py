@@ -11,7 +11,7 @@ from repro.engine.plan import (
 )
 from repro.flux.errors import UnschedulableQueryError
 from repro.flux.parser import parse_flux
-from repro.flux.rewrite import rewrite_query
+from repro.flux.rewrite import rewrite_to_flux
 from repro.xquery.parser import parse_query
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import QUERY_1, QUERY_8, QUERY_20
@@ -23,7 +23,7 @@ def _dtd(source):
 
 
 def _plan(query_source, dtd):
-    return compile_plan(rewrite_query(parse_query(query_source), dtd), dtd)
+    return compile_plan(rewrite_to_flux(parse_query(query_source), dtd).flux, dtd)
 
 
 def test_plan_structure_of_intro_query():

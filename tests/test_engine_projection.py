@@ -11,7 +11,7 @@ from repro.engine.projection import (
     condition_value_paths,
 )
 from repro.flux.parser import parse_flux
-from repro.flux.rewrite import rewrite_query
+from repro.flux.rewrite import rewrite_to_flux
 from repro.xquery.normalize import normalize
 from repro.xquery.parser import parse_query
 from repro.xmark.dtd import xmark_dtd
@@ -140,12 +140,12 @@ def test_describe_renders_markers():
 def test_zero_buffering_queries_have_no_buffer_trees():
     dtd = xmark_dtd()
     for source in (QUERY_1, QUERY_13):
-        flux = rewrite_query(parse_query(source), dtd)
+        flux = rewrite_to_flux(parse_query(source), dtd).flux
         assert buffer_trees(flux) == {}, source
 
 
 def test_q20_buffers_exactly_one_person_subtree():
-    flux = rewrite_query(parse_query(QUERY_20), xmark_dtd())
+    flux = rewrite_to_flux(parse_query(QUERY_20), xmark_dtd()).flux
     trees = buffer_trees(flux)
     assert len(trees) == 1
     ((var, tree),) = trees.items()
@@ -153,7 +153,7 @@ def test_q20_buffers_exactly_one_person_subtree():
 
 
 def test_q8_buffers_projected_people_and_closed_auctions():
-    flux = rewrite_query(parse_query(QUERY_8), xmark_dtd())
+    flux = rewrite_to_flux(parse_query(QUERY_8), xmark_dtd()).flux
     trees = buffer_trees(flux)
     assert len(trees) == 1
     tree = next(iter(trees.values()))
@@ -171,7 +171,7 @@ def test_condition_value_paths_exclude_buffer_covered_paths():
     query = parse_query(
         '{ for $b in $ROOT/bib/book where $b/title = "X" return {$b/author} }'
     )
-    flux = rewrite_query(query, dtd)
+    flux = rewrite_to_flux(query, dtd).flux
     exprs = buffered_subexpressions(flux)
     from repro.flux.ast import maximal_xquery_subexpressions
 

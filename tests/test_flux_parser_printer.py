@@ -5,7 +5,7 @@ import pytest
 from repro.flux.ast import OnFirstHandler, OnHandler, ProcessStream, SimpleFlux
 from repro.flux.errors import FluxParseError
 from repro.flux.parser import parse_flux
-from repro.flux.rewrite import rewrite_query
+from repro.flux.rewrite import rewrite_to_flux
 from repro.flux.serialize import flux_to_source
 from repro.dtd.parser import parse_dtd
 from repro.xquery.ast import ForExpr, VarOutputExpr
@@ -94,7 +94,7 @@ def test_reject_expression_next_to_ps_block():
 
 def test_printer_parser_round_trip_on_rewritten_query():
     dtd = parse_dtd(BIB_DTD_UNORDERED).with_root("bib")
-    flux = rewrite_query(parse_query(XMP_Q2), dtd)
+    flux = rewrite_to_flux(parse_query(XMP_Q2), dtd).flux
     printed = flux_to_source(flux)
     reparsed = parse_flux(printed)
     assert flux_to_source(reparsed) == printed

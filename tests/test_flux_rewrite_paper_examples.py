@@ -10,7 +10,7 @@ import pytest
 
 from repro.dtd.parser import parse_dtd
 from repro.flux.ast import OnFirstHandler, OnHandler, ProcessStream, SimpleFlux
-from repro.flux.rewrite import rewrite_query
+from repro.flux.rewrite import rewrite_to_flux
 from repro.flux.safety import is_safe
 from repro.xquery.ast import ForExpr
 from repro.xquery.parser import parse_query
@@ -45,7 +45,7 @@ def _handler_kinds(block):
 
 
 def test_intro_example_weak_dtd_buffers_only_authors():
-    flux = rewrite_query(parse_query(XMP_INTRO), _dtd(BIB_DTD_UNORDERED))
+    flux = rewrite_to_flux(parse_query(XMP_INTRO), _dtd(BIB_DTD_UNORDERED)).flux
     assert isinstance(flux, ProcessStream)
     kinds = _handler_kinds(flux)
     assert kinds[0] == ("on-first", frozenset())
@@ -73,7 +73,7 @@ def test_intro_example_weak_dtd_buffers_only_authors():
 def test_intro_example_usecases_dtd_needs_no_buffering():
     from repro.engine.projection import buffer_trees
 
-    flux = rewrite_query(parse_query(XMP_INTRO), _dtd(BIB_DTD_USECASES))
+    flux = rewrite_to_flux(parse_query(XMP_INTRO), _dtd(BIB_DTD_USECASES)).flux
     bib_block = flux.handlers[1].body
     book_block = bib_block.handlers[0].body
     kinds = _handler_kinds(book_block)
@@ -93,7 +93,7 @@ def test_intro_example_usecases_dtd_needs_no_buffering():
 
 
 def test_example_4_4_weak_dtd_produces_f2():
-    flux = rewrite_query(parse_query(XMP_Q2), _dtd(BIB_DTD_UNORDERED))
+    flux = rewrite_to_flux(parse_query(XMP_Q2), _dtd(BIB_DTD_UNORDERED)).flux
     assert _handler_kinds(flux) == [
         ("on-first", frozenset()),
         ("on", "bib"),
@@ -106,7 +106,7 @@ def test_example_4_4_weak_dtd_produces_f2():
 
 
 def test_example_4_4_ordered_dtd_produces_f2_prime():
-    flux = rewrite_query(parse_query(XMP_Q2), _dtd(BIB_DTD_ORDERED))
+    flux = rewrite_to_flux(parse_query(XMP_Q2), _dtd(BIB_DTD_ORDERED)).flux
     book_block = flux.handlers[1].body.handlers[0].body
     # Titles are processed by an "on" handler whose body delays only until the
     # title subtree is complete (past(*)), then joins against buffered authors.
@@ -126,7 +126,7 @@ def test_example_4_4_ordered_dtd_produces_f2_prime():
 
 
 def test_example_4_5_weak_dtd_produces_f1():
-    flux = rewrite_query(parse_query(XMP_Q1), _dtd(BIB_Q1_DTD_UNORDERED))
+    flux = rewrite_to_flux(parse_query(XMP_Q1), _dtd(BIB_Q1_DTD_UNORDERED)).flux
     book_block = flux.handlers[1].body.handlers[0].body
     kinds = _handler_kinds(book_block)
     assert kinds == [
@@ -138,7 +138,7 @@ def test_example_4_5_weak_dtd_produces_f1():
 
 
 def test_example_4_5_ordered_dtd_streams_titles():
-    flux = rewrite_query(parse_query(XMP_Q1), _dtd(BIB_Q1_DTD_ORDERED))
+    flux = rewrite_to_flux(parse_query(XMP_Q1), _dtd(BIB_Q1_DTD_ORDERED)).flux
     book_block = flux.handlers[1].body.handlers[0].body
     kinds = _handler_kinds(book_block)
     # The title loop now becomes an "on title" handler; titles are never buffered.
@@ -152,13 +152,13 @@ def test_example_4_5_ordered_dtd_streams_titles():
 
 
 def test_example_4_6_weak_dtd_buffers_books_and_articles():
-    flux = rewrite_query(parse_query(XMP_Q3), _dtd(BIB_ARTICLES_DTD_UNORDERED))
+    flux = rewrite_to_flux(parse_query(XMP_Q3), _dtd(BIB_ARTICLES_DTD_UNORDERED)).flux
     bib_block = flux.handlers[1].body
     assert _handler_kinds(bib_block) == [("on-first", frozenset({"book", "article"}))]
 
 
 def test_example_4_6_ordered_dtd_streams_articles():
-    flux = rewrite_query(parse_query(XMP_Q3), _dtd(BIB_ARTICLES_DTD_ORDERED))
+    flux = rewrite_to_flux(parse_query(XMP_Q3), _dtd(BIB_ARTICLES_DTD_ORDERED)).flux
     bib_block = flux.handlers[1].body
     assert len(bib_block.handlers) == 1
     article_handler = bib_block.handlers[0]
@@ -191,5 +191,5 @@ def test_example_4_6_ordered_dtd_streams_articles():
 )
 def test_all_paper_rewrites_are_safe(query, dtd_source):
     dtd = _dtd(dtd_source)
-    flux = rewrite_query(parse_query(query), dtd)
+    flux = rewrite_to_flux(parse_query(query), dtd).flux
     assert is_safe(flux, dtd)

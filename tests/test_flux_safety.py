@@ -3,7 +3,7 @@
 from repro.dtd.parser import parse_dtd
 from repro.flux.ast import OnFirstHandler, OnHandler, ProcessStream, SimpleFlux
 from repro.flux.parser import parse_flux
-from repro.flux.rewrite import rewrite_query
+from repro.flux.rewrite import rewrite_to_flux
 from repro.flux.safety import check_safety, is_safe
 from repro.xquery.parser import parse_query
 from repro.xmark.usecases import BIB_DTD_UNORDERED, BIB_DTD_USECASES
@@ -138,7 +138,7 @@ def test_rewrite_output_is_always_safe_even_for_weak_dtds():
     from repro.xmark.usecases import XMP_Q1, XMP_Q2, XMP_Q3
 
     for source in (XMP_Q1, XMP_Q2, XMP_Q3):
-        flux = rewrite_query(parse_query(source), WEAK)
+        flux = rewrite_to_flux(parse_query(source), WEAK).flux
         assert is_safe(flux, WEAK), source
 
 
@@ -163,7 +163,7 @@ def test_a_condition_on_the_bare_scope_variable_needs_past_all():
         [OnHandler("title", "$t", SimpleFlux(parse_query('{ if $b = "X" then {$t} }')))]
     )
     assert not is_safe(streamed, ORDERED)
-    rewritten = rewrite_query(
+    rewritten = rewrite_to_flux(
         parse_query('<r>{ for $b in $ROOT/bib/book return { if $b = "X" then <hit/> } }</r>'), ORDERED
-    )
+    ).flux
     assert is_safe(rewritten, ORDERED)

@@ -292,8 +292,6 @@ def test_unsafe_flux_query_raises_at_compile_time():
     )
     with pytest.raises(UnsafeQueryError):
         FluxEngine(unsafe, dtd)
-    # The same engine accepts it when the caller explicitly opts out.
-    FluxEngine(unsafe, dtd, require_safe=False)
 
 
 def test_ancestor_subtree_output_raises_unschedulable():
