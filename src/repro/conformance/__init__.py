@@ -1,18 +1,16 @@
 """Randomized conformance testing: schema-directed fuzzing with a
 cross-engine differential oracle.
 
-The repo has four independent execution paths for the same query language
--- the naive baseline, the compiled FluX pipeline (in three sink modes),
-multi-query fan-out and bounded-memory paged buffers.  Their byte-identity
-is exactly the guarantee of the paper (schema-based scheduling produces
-conventional-evaluation output while minimizing buffering), so this package
-hammers it with randomized cases instead of hand-picked fixtures:
+The paper's guarantee is that schema-based scheduling produces the output
+of conventional evaluation while minimizing buffering.  This package
+hammers it with randomized cases instead of hand-picked fixtures, holding
+every run shape of the FluX engine to the naive baseline:
 
 * :mod:`repro.conformance.generator` -- seeded, DTD-directed generation of
   (schema, conforming document, safe queries) triples,
-* :mod:`repro.conformance.oracle` -- the differential oracle plus runtime
-  invariants (balanced buffer accounting, resident <= budget, logical-peak
-  stability under spilling, multi-query peak parity),
+* :mod:`repro.conformance.oracle` -- the differential oracle: one table of
+  run shapes (``LEGS``), each held to the reference output and to the
+  runtime invariants it lists,
 * :mod:`repro.conformance.shrink` -- delta-debugging minimizer for failing
   cases,
 * :mod:`repro.conformance.cases` -- the replayable ``.case`` file format,

@@ -1,66 +1,16 @@
-"""The differential oracle: every engine, every sink mode, one verdict.
+"""The differential oracle: every run shape of a case, held to one reference.
 
-For each case the oracle runs the same (document, query) pair through every
-execution path the repo has grown:
+The FluX guarantee (Proposition 3.2 / Theorem 4.3): a schema-scheduled run
+produces exactly what conventional evaluation produces.  Per query the
+:class:`NaiveDomEngine` output is the reference.  Each row of :data:`LEGS`
+is one run shape: its label, its scope (each query, the first query or the
+whole set), how it opens and feeds the run, and the shared checks it asks
+for (see ``Oracle._verify``).
 
-* the **naive baseline** (full materialisation + reference semantics) --
-  this is the reference output,
-* the **projection baseline** (path-projected materialisation),
-* the **FluX engine** in all three sink modes (``run``, ``stream``,
-  ``execute(sink=)``) plus a ``NullSink`` run for the stats-only
-  path and a ``projection=False`` run; the input statistics of the
-  projected and the unprojected run must both equal the totals of the
-  reference event stream (the pre-drop accounting contract),
-* the **multi-query engine** (all of the case's queries in one shared
-  pass, pulled and push-fed at markup splits),
-* a **bounded-memory** run with a budget of half the query's unbounded
-  buffer peak -- small enough that any query that buffers at all is forced
-  to spill -- plus a bounded multi-query pass sharing one governor,
-* the **session/feed path**: a :class:`~repro.core.session.FluxSession`
-  prepares every query through the plan cache and executes it in **push
-  mode** (``open_run``/``feed``/``finish``), with the document split at
-  adversarial chunk boundaries -- text chunks cut right before and right
-  after every ``<`` (every tag truncated mid-markup), inside attribute
-  values, between a closing quote and ``>`` and inside entity references,
-  and at a fixed tiny prime stride (entities, names and text all straddle
-  chunks); *byte* chunks cut mid-markup and at a stride of 3, which splits
-  every multi-byte UTF-8 sequence.  Push mode must be byte-identical to
-  pull mode at *any* split,
-* the **continuous feed** (:mod:`repro.feeds`): the case document
-  concatenated three times into one stream, consumed through
-  ``open_feed`` with chunk splits placed right before, at, and right after
-  every document-boundary byte, and again at the prime stride.  Every
-  sealed document's output must be byte-identical to the solo run, its
-  live-buffer counters must be back at the floor (zero) at the boundary,
-  and its logical peak must equal the solo peak; a second feed resumed
-  from the first document's recorded ``end_offset`` must replay the
-  remaining documents byte-identically (the crash-recovery contract).
-
-Byte-identity across all of them is the FluX guarantee (Proposition 3.2 /
-Theorem 4.3) the paper's correctness story rests on.  On top of identity
-the oracle asserts the runtime invariants that PRs 1-3 promised:
-
-* balanced buffer accounting -- after every run the ``buffered`` /
-  ``resident`` *current* counters are back to zero,
-* ``peak_resident_bytes <= budget`` for every bounded run,
-* the *logical* ``peak_buffered_bytes`` is identical across memory
-  configurations (spilling must not change what the paper's figures
-  report),
-* multi-query per-query peaks equal the solo peaks (PR 2's parity claim),
-* **buffer attribution is exact** (ISSUE 8): after every run, the
-  per-owner ledgers (:mod:`repro.obs.attrib`) must account for every
-  byte -- live bytes sum to the (zero) current counter, the at-peak
-  snapshot sums to ``peak_buffered_bytes`` exactly, and spilled bytes sum
-  to ``spilled_bytes_written`` -- in every mode: solo and multi-query,
-  bounded and unbounded,
-* the **live-inspection endpoint** is side-effect free: one push-mode run
-  per case executes with the metrics server up and ``/metrics`` +
-  ``/progress`` scraped mid-run; output bytes must be identical and the
-  progress watermarks must reflect the half-fed document.
-
-A violation raises :class:`ConformanceFailure` carrying structured
-:class:`Divergence` records; a pass returns a :class:`CaseReport` with the
-case's coverage facts (did it buffer, did it spill, output size).
+A crash is recorded and ends the case; any other divergence is recorded and
+the next row runs.  :meth:`Oracle.check` raises :class:`ConformanceFailure`
+carrying the :class:`Divergence` records; :meth:`Oracle.examine` returns
+them in a :class:`CaseReport` with the case's coverage facts.
 """
 
 from __future__ import annotations
@@ -69,7 +19,7 @@ import io
 import json
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.baselines import NaiveDomEngine, ProjectionDomEngine
 from repro.conformance.cases import Case
@@ -78,6 +28,7 @@ from repro.core.options import ExecutionOptions
 from repro.core.session import FluxSession
 from repro.dtd.validator import validate_document
 from repro.engine.stats import RunStatistics
+from repro.obs import serve as _serve
 from repro.obs.tracer import validate_span_tree
 from repro.pipeline.sinks import NullSink
 from repro.xmlstream.events import Characters
@@ -88,33 +39,40 @@ from repro.xmlstream.parser import iter_events, parse_tree
 #: page bookkeeping from dominating the oracle's runtime.
 MIN_BUDGET_BYTES = 32
 
-#: Fixed stride of the second feed-mode sweep: a small prime, so chunk
+#: Fixed stride of the stride-split legs: a small prime, so chunk
 #: boundaries drift through tags, entity references and text alike.
 FEED_STRIDE = 7
 
+#: Documents per continuous-feed stream: enough for interior boundaries
+#: (first, middle, last) without dominating the sweep's runtime.
+FEED_COPIES = 3
+
 
 def _split_at_markup(document: str) -> List[str]:
-    """Chunks cut right before *and* right after every ``<``.
-
-    The most hostile split family for a tokenizer: every single piece of
-    markup arrives truncated (a chunk ends on a lone ``<``, the next begins
-    with the tag name).
-    """
+    """Chunks cut right before *and* right after every ``<``: every piece of
+    markup arrives truncated, the most hostile split for a tokenizer."""
     return _split_at(
         document, (j for i, char in enumerate(document) if char == "<" for j in (i, i + 1))
     )
 
 
 def _split_in_values(document: str) -> List[str]:
-    """Chunks cut one and two characters after every ``"`` and ``&``.
-
-    Cuts land inside attribute values, between a closing quote and the
-    ``>`` (or the next attribute) and inside entity references -- the
-    splits an attribute-expanding scanner must survive.
-    """
+    """Chunks cut one and two characters after every ``"`` and ``&``: inside
+    attribute values, between a closing quote and ``>`` and inside entity
+    references."""
     return _split_at(
         document,
         (j for i, char in enumerate(document) if char in '"&' for j in (i + 1, i + 2)),
+    )
+
+
+def _split_at_boundaries(stream: bytes) -> List[bytes]:
+    """Chunks of a ``FEED_COPIES``-document stream cut right before, at and
+    right after every document-boundary byte."""
+    unit = len(stream) // FEED_COPIES
+    return _split_at(
+        stream,
+        (edge * unit + shift for edge in range(1, FEED_COPIES + 1) for shift in (-2, -1, 0)),
     )
 
 
@@ -122,6 +80,23 @@ def _split_at(document, points) -> list:
     """Chunks of ``document`` (text or bytes) cut at every in-range offset in ``points``."""
     cuts = sorted({point for point in points if 0 < point < len(document)})
     return [document[begin:end] for begin, end in zip([0, *cuts], [*cuts, len(document)])]
+
+
+def _strided(stride: int, encode: bool = False) -> Callable[[object], list]:
+    """A splitter into chunks of a fixed stride, of the UTF-8 bytes when
+    ``encode`` (the zero-copy entry)."""
+
+    def split(document):
+        if encode:
+            document = document.encode("utf-8")
+        return [document[i : i + stride] for i in range(0, len(document), stride)]
+
+    return split
+
+
+def _bytes_at_markup(document: str) -> List[bytes]:
+    """:func:`_split_at_markup` in UTF-8 byte chunks (the zero-copy entry)."""
+    return [chunk.encode("utf-8") for chunk in _split_at_markup(document)]
 
 
 def _reference_input(document: str, expand_attrs: bool) -> Tuple[int, int]:
@@ -139,11 +114,6 @@ def _reference_input(document: str, expand_attrs: bool) -> Tuple[int, int]:
         in_text = is_text
         cost += event.cost_in_bytes()
     return events, cost
-
-
-def _split_fixed(document: str, stride: int) -> List[str]:
-    """Chunks of a fixed character stride."""
-    return [document[i : i + stride] for i in range(0, len(document), stride)]
 
 
 @dataclass(frozen=True)
@@ -186,6 +156,267 @@ class CaseReport:
         return not self.divergences
 
 
+# ------------------------------------------------------------------ the legs
+
+
+@dataclass
+class _Query:
+    """What a leg runs on: one query of the case, or (named ``*``) the set.
+    ``peak`` is the logical peak every leg must report: the
+    ``flux-collect`` run's for a query, the members' sum for the set."""
+
+    name: str
+    source: str = ""
+    prepared: object = None
+    expected: str = ""
+    peak: int = 0
+
+
+@dataclass
+class _State:
+    """One case in flight."""
+
+    case: Case
+    schema: object
+    session: FluxSession
+    tree: object
+    options: ExecutionOptions
+    #: (events, bytes) of the reference event stream; events only for a
+    #: non-ASCII document (the scanner counts UTF-8 bytes, the reference
+    #: characters).
+    input_totals: Tuple[int, ...]
+    queries: Dict[str, _Query] = field(default_factory=dict)
+    #: The first document's ``end_offset`` in a feed: ``feed-resume``'s start.
+    first_end: Optional[int] = None
+
+
+class _Result(NamedTuple):
+    """Output and statistics of a run shape that returns no result object."""
+
+    output: Optional[str]
+    stats: object
+    trace: object = None
+
+
+@dataclass
+class _Seen:
+    """What one leg produced: ``(query name, where, result)`` per sealed run
+    (``where`` names a feed's document), the findings of the leg's own
+    checks, and the peak resident bytes of a bounded run."""
+
+    runs: List[Tuple[str, str, object]]
+    problems: List[str] = field(default_factory=list)
+    resident: Optional[int] = None
+
+
+def _one(query: _Query, result, **facts) -> _Seen:
+    return _Seen([(query.name, "", result)], **facts)
+
+
+def _collect(state: _State, query: _Query, budget) -> _Seen:
+    """The plain pull run: it fixes the peak the query's later legs report."""
+    result = query.prepared.execute(state.case.document, options=state.options)
+    query.peak = result.stats.peak_buffered_bytes
+    return _one(query, result)
+
+
+def _execute(sink=None, projection: bool = True, **options):
+    """A pull leg: ``execute`` into a fresh ``sink()`` (collected when
+    ``None``) with the leg's budget and ``options`` over the case's.  The
+    compiled plan is reused, so a budget is a fresh run-owned governor."""
+
+    def run(state: _State, query: _Query, budget) -> _Seen:
+        prepared = query.prepared
+        if not projection:
+            prepared = state.session.prepare(query.source, projection=False)
+        into = sink() if sink else None
+        run_options = state.options.replace(memory_budget=budget, **options)
+        result = prepared.execute(state.case.document, sink=into, options=run_options)
+        if isinstance(into, io.StringIO):
+            result = _Result(into.getvalue(), result.stats)
+        return _one(query, result, resident=result.stats.peak_resident_bytes)
+
+    return run
+
+
+def _streaming(state: _State, query: _Query, budget) -> _Seen:
+    run = query.prepared.stream(state.case.document, options=state.options)
+    return _one(query, _Result("".join(run), run.stats))
+
+
+def _naive_stats_only(state: _State, query: _Query, budget) -> _Seen:
+    result = NaiveDomEngine(query.source).run_tree(state.tree, collect_output=False)
+    return _one(query, _Result(result.output, result))
+
+
+def _projection_dom(state: _State, query: _Query, budget) -> _Seen:
+    events = iter_events(
+        state.case.document, expand_attrs=state.case.expand_attrs, document_events=False
+    )
+    result = ProjectionDomEngine(query.source).run_events(events)
+    return _one(query, _Result(result.output, result))
+
+
+def _push(split: Callable[[str], list]):
+    """A push-mode leg: the document fed to ``open_run`` in ``split(document)``
+    chunks; it must seal byte-identical to the pull run at *any* split."""
+
+    def run(state: _State, query: _Query, budget) -> _Seen:
+        with query.prepared.open_run(options=state.options) as handle:
+            for chunk in split(state.case.document):
+                handle.feed(chunk)
+        return _one(query, handle.result)
+
+    return run
+
+
+def _served(state: _State, query: _Query, budget) -> _Seen:
+    """A push-mode run under the metrics server, ``/progress`` and
+    ``/metrics`` scraped once half the document is fed: output bytes must not
+    move, and the watermarks must show the half-fed document."""
+    port = _serve.ensure_server(0).port
+    half = len(state.case.document) // 2
+    head, tail = state.case.document[:half], state.case.document[half:]
+    with query.prepared.open_run(options=state.options) as handle:
+        if head:
+            handle.feed(head)
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/progress", timeout=10) as got:
+            progress = json.loads(got.read().decode("utf-8"))
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics", timeout=10) as got:
+            metrics = got.read().decode("utf-8")
+        if tail:
+            handle.feed(tail)
+    seen = _one(query, handle.result)
+    if progress.get("open_runs", 0) < 1:
+        seen.problems.append("/progress showed no open runs during a live feed")
+    fed_bytes = [entry.get("bytes_fed") for entry in progress.get("runs", [])]
+    if half and len(head) not in fed_bytes:
+        seen.problems.append(f"/progress watermarks {fed_bytes} miss the {len(head)}B fed")
+    if "repro_runs_total" not in metrics:
+        seen.problems.append("/metrics exposition is missing repro_runs_total")
+    return seen
+
+
+def _feed(split: Callable[[bytes], list], resume: bool = False):
+    """A continuous-feed leg: the document ``FEED_COPIES`` times, each
+    ``\\n``-terminated, as one ``open_feed`` stream in ``split(stream)``
+    chunks; every sealed document is held to the solo run.  ``resume``
+    restarts past the first document's recorded ``end_offset`` and must
+    replay the rest (the crash-recovery contract)."""
+
+    def run(state: _State, query: _Query, budget) -> Optional[_Seen]:
+        resume_from = state.first_end if resume else None
+        if resume and resume_from is None:
+            return None
+        stream = (state.case.document.encode("utf-8") + b"\n") * FEED_COPIES
+        with query.prepared.open_feed(options=state.options, resume_from=resume_from) as feed:
+            documents = [document for chunk in split(stream) for document in feed.feed(chunk)]
+        summary = feed.result
+        if documents and state.first_end is None:
+            state.first_end = documents[0].end_offset
+        seen = _Seen([(query.name, f"document {doc.index}", doc.result) for doc in documents])
+        wanted = FEED_COPIES - 1 if resume else FEED_COPIES
+        if len(documents) != wanted:
+            seen.problems.append(f"sealed {len(documents)} documents, expected {wanted}")
+        if documents and summary.resume_offset != documents[-1].end_offset:
+            seen.problems.append(
+                f"resume_offset {summary.resume_offset} != end_offset {documents[-1].end_offset}"
+            )
+        seen.problems.extend(
+            f"document {doc.index}: degenerate framing [{doc.start_offset}, {doc.end_offset})"
+            for doc in documents
+            if doc.end_offset <= doc.start_offset
+        )
+        return seen
+
+    return run
+
+
+def _shared(push: bool):
+    """A shared pass of the whole set, pulled or push-fed at markup splits.
+    Bounded, it runs only when some member buffers, under one governor the
+    pass's session owns."""
+
+    def run(state: _State, whole: _Query, budget) -> Optional[_Seen]:
+        if budget is not None and not whole.peak:
+            return None
+        # The case session's plan cache: no member is compiled again.
+        with FluxSession(
+            state.schema,
+            options=ExecutionOptions(memory_budget=budget),
+            plan_cache=state.session.cache,
+        ) as session:
+            queries = session.prepare_many(state.case.query_map)
+            if push:
+                with queries.open_run(options=state.options) as handle:
+                    for chunk in _split_at_markup(state.case.document):
+                        handle.feed(chunk)
+                result = handle.result
+            else:
+                result = queries.execute(state.case.document, options=state.options)
+        resident = (result.memory or {}).get("peak_resident_bytes")  # None unbounded
+        return _Seen([(name, "", result[name]) for name in state.queries], resident=resident)
+
+    return run
+
+
+# The shared checks a leg can ask for (see ``Oracle._verify``).
+OUTPUT = "output"  # output bytes equal the reference
+DISCARD = "discard"  # no output text, but the reference's output byte count
+BALANCED = "balanced"  # ledgers back at zero, attribution exact
+PEAK = "peak"  # logical peak equals the solo peak
+INPUT = "input"  # input totals equal the reference event stream's
+BUDGET = "budget"  # resident bytes within the budget
+SPILL = "spill"  # a page was spilled whenever the budget is below the peak
+SPANS = "spans"  # a trace was recorded and its span tree is well formed
+
+_PUSHED = (OUTPUT, BALANCED, PEAK)
+_BOUNDED = (*_PUSHED, BUDGET)
+
+
+@dataclass(frozen=True)
+class _Leg:
+    """One run shape: ``run(state, target, budget)`` opens, feeds and seals
+    it, or returns ``None`` when the leg does not apply to the case.  A
+    ``bounded`` leg runs under half the target's peak, so a plan that
+    buffers at all must spill; ``{budget}`` in the label is filled in."""
+
+    label: str
+    scope: str  # "each" query, the "first" query, or the query "set"
+    run: Callable[[_State, _Query, Optional[int]], Optional[_Seen]]
+    checks: Tuple[str, ...]
+    bounded: bool = False
+
+
+#: Every leg, in the order a case runs them: the ``each`` rows per query in
+#: case order, then the ``first`` rows, then the ``set`` rows.
+LEGS: Tuple[_Leg, ...] = (
+    _Leg("flux-collect", "each", _collect, (OUTPUT, BALANCED, INPUT)),
+    _Leg("flux-unprojected", "each", _execute(projection=False), (OUTPUT, INPUT)),
+    _Leg("flux-streaming", "each", _streaming, (OUTPUT, BALANCED)),
+    _Leg("flux-sink", "each", _execute(sink=io.StringIO), (OUTPUT, BALANCED)),
+    _Leg("flux-discard", "each", _execute(sink=NullSink), (DISCARD, PEAK)),
+    _Leg("naive-dom", "each", _naive_stats_only, (DISCARD,)),
+    _Leg("projection-dom", "each", _projection_dom, (OUTPUT,)),
+    _Leg("flux-bounded", "each", _execute(), (*_BOUNDED, SPILL), bounded=True),
+    _Leg("feed-markup-splits", "each", _push(_split_at_markup), _PUSHED),
+    _Leg("feed-value-splits", "each", _push(_split_in_values), _PUSHED),
+    _Leg(f"feed-stride-{FEED_STRIDE}", "each", _push(_strided(FEED_STRIDE)), _PUSHED),
+    _Leg("feed-bytes-markup", "each", _push(_bytes_at_markup), _PUSHED),
+    # A stride of 3 bytes splits every multi-byte UTF-8 sequence.
+    _Leg("feed-bytes-stride-3", "each", _push(_strided(3, encode=True)), _PUSHED),
+    _Leg("traced", "each", _execute(trace=True), (*_PUSHED, SPANS)),
+    _Leg("serve-metrics", "first", _served, (OUTPUT, BALANCED)),
+    _Leg("feed-boundary-splits", "first", _feed(_split_at_boundaries), _PUSHED),
+    _Leg(f"feed-stream-stride-{FEED_STRIDE}", "first", _feed(_strided(FEED_STRIDE)), _PUSHED),
+    _Leg("feed-resume", "first", _feed(_split_at_boundaries, resume=True), _PUSHED),
+    _Leg("multiquery", "set", _shared(push=False), _PUSHED),
+    _Leg("multiquery-push", "set", _shared(push=True), _PUSHED),
+    _Leg("multiquery-bounded({budget}B)", "set", _shared(push=False), _BOUNDED, bounded=True),
+    _Leg("multiquery-bounded({budget}B)-push", "set", _shared(push=True), _BOUNDED, bounded=True),
+)
+
+
 class Oracle:
     """Checks cases; stateless apart from configuration.
 
@@ -194,11 +425,8 @@ class Oracle:
     instead (the shrinker's predicate uses this non-raising form).
     """
 
-    def __init__(self, *, min_budget_bytes: int = MIN_BUDGET_BYTES, validate: bool = True):
-        self.min_budget_bytes = min_budget_bytes
+    def __init__(self, *, validate: bool = True):
         self.validate = validate
-
-    # ------------------------------------------------------------------- API
 
     def check(self, case: Case) -> CaseReport:
         """Run the full differential sweep; raise on any divergence."""
@@ -216,657 +444,144 @@ class Oracle:
         except Exception as exc:  # noqa: BLE001 - a bad DTD is a finding, not a crash
             record(Divergence("-", "dtd", f"DTD failed to load: {exc!r}"))
             return report
-
-        if self.validate:
-            try:
+        try:
+            if self.validate:
                 validation = validate_document(
                     schema,
                     iter_events(case.document, expand_attrs=case.expand_attrs),
                     expected_root=case.root,
                 )
-            except Exception as exc:  # noqa: BLE001
-                record(Divergence("-", "document", f"document failed to parse: {exc!r}"))
-                return report
-            if not validation.is_valid:
-                record(
-                    Divergence(
-                        "-",
-                        "document",
-                        f"document does not conform to its DTD: {validation.errors[:3]}",
-                    )
-                )
-                return report
-
-        try:
-            reference_tree = parse_tree(case.document, expand_attrs=case.expand_attrs)
+                if not validation.is_valid:
+                    detail = f"document does not conform to its DTD: {validation.errors[:3]}"
+                    record(Divergence("-", "document", detail))
+                    return report
+            tree = parse_tree(case.document, expand_attrs=case.expand_attrs)
         except Exception as exc:  # noqa: BLE001
-            record(Divergence("-", "document", f"tree materialisation failed: {exc!r}"))
+            record(Divergence("-", "document", f"document failed to parse: {exc!r}"))
             return report
 
-        # One session for the whole case: every query's second prepare (the
-        # feed path below) must be a plan-cache hit.
-        session = FluxSession(schema)
-        solo_outputs: Dict[str, str] = {}
-        solo_peaks: Dict[str, int] = {}
-        for name, source in case.queries:
-            solo = self._check_query(case, schema, session, name, source, reference_tree, report)
-            if report.divergences:
-                return report
-            solo_outputs[name], solo_peaks[name] = solo
-
-        first_name, first_source = case.queries[0]
-        self._check_serve(
-            case, session, first_name, first_source, solo_outputs[first_name], report
-        )
-        if report.divergences:
-            return report
-
-        self._check_feed(
+        state = _State(
             case,
-            session,
-            first_name,
-            first_source,
-            solo_outputs[first_name],
-            solo_peaks[first_name],
-            report,
+            schema,
+            FluxSession(schema),  # one plan cache for every leg of the case
+            tree,
+            ExecutionOptions(expand_attrs=case.expand_attrs),
+            _reference_input(case.document, case.expand_attrs)[: 1 + case.document.isascii()],
         )
-        if report.divergences:
-            return report
-
-        self._check_multiquery(case, schema, session, solo_outputs, solo_peaks, report)
+        for name, source in case.queries:
+            query = self._prepare(state, name, source, record)
+            if query is None or not self._run_legs(state, "each", query, report):
+                return report
+            report.output_bytes += len(query.expected)
+            report.peak_buffered_bytes = max(report.peak_buffered_bytes, query.peak)
+            report.buffered = report.buffered or query.peak > 0
+        if self._run_legs(state, "first", state.queries[case.queries[0][0]], report):
+            whole = _Query("*", peak=sum(query.peak for query in state.queries.values()))
+            self._run_legs(state, "set", whole, report)
         return report
 
-    # ----------------------------------------------------------- single query
-
-    def _check_query(
-        self,
-        case: Case,
-        schema,
-        session: FluxSession,
-        name: str,
-        source: str,
-        reference_tree,
-        report: CaseReport,
-    ) -> Tuple[str, int]:
-        record = report.divergences.append
-        options = ExecutionOptions(expand_attrs=case.expand_attrs)
-        expand = case.expand_attrs
+    @staticmethod
+    def _prepare(state: _State, name: str, source: str, record) -> Optional[_Query]:
+        """The reference output and the compiled query; ``None`` on a crash."""
         try:
-            reference = NaiveDomEngine(source).run_tree(reference_tree)
+            expected = NaiveDomEngine(source).run_tree(state.tree).output
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "naive-dom", f"reference evaluation crashed: {exc!r}"))
-            return "", 0
-        expected = reference.output
-
+            return None
         try:
-            prepared = session.prepare(source)
+            prepared = state.session.prepare(source)
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "compile", f"scheduling/compilation crashed: {exc!r}"))
-            return "", 0
-
-        # --- sink mode 1: collect ---------------------------------------
-        try:
-            collected = prepared.execute(case.document, options=options)
-        except Exception as exc:  # noqa: BLE001 - engine crashes are findings
-            record(Divergence(name, "flux-collect", f"run crashed: {exc!r}"))
-            return expected, 0
-        if collected.output != expected:
-            record(Divergence(name, "flux-collect", _diff(expected, collected.output)))
-            return expected, collected.stats.peak_buffered_bytes
-        self._check_balanced(name, "flux-collect", collected.stats, record)
-        peak = collected.stats.peak_buffered_bytes
-
-        # --- input accounting: projected (pre-drop) and unprojected ------
-        # Byte totals are only comparable for ASCII documents: the scanner
-        # counts raw text in UTF-8 bytes, the reference in characters.
-        comparable = 2 if case.document.isascii() else 1
-        wanted = _reference_input(case.document, expand)[:comparable]
-        try:
-            unprojected = session.prepare(source, projection=False).execute(
-                case.document, options=options
-            )
-        except Exception as exc:  # noqa: BLE001
-            record(Divergence(name, "flux-unprojected", f"run crashed: {exc!r}"))
-            return expected, peak
-        if unprojected.output != expected:
-            record(Divergence(name, "flux-unprojected", _diff(expected, unprojected.output)))
-        for label, stats in (
-            ("flux-collect", collected.stats),
-            ("flux-unprojected", unprojected.stats),
-        ):
-            counted = (stats.input_events, stats.input_bytes)[:comparable]
-            if counted != wanted:
-                record(
-                    Divergence(
-                        name,
-                        label,
-                        f"input statistics (events, bytes) {counted} != {wanted} "
-                        "of the reference event stream",
-                    )
-                )
-
-        # --- sink mode 2: streaming fragments ---------------------------
-        try:
-            run = prepared.stream(case.document, options=options)
-            streamed = "".join(run)
-        except Exception as exc:  # noqa: BLE001
-            record(Divergence(name, "flux-streaming", f"run crashed: {exc!r}"))
-            return expected, peak
-        if streamed != expected:
-            record(Divergence(name, "flux-streaming", _diff(expected, streamed)))
-        self._check_balanced(name, "flux-streaming", run.stats, record)
-
-        # --- sink mode 3: writable sink ---------------------------------
-        sink = io.StringIO()
-        try:
-            sink_result = prepared.execute(case.document, sink=sink, options=options)
-        except Exception as exc:  # noqa: BLE001
-            record(Divergence(name, "flux-sink", f"run crashed: {exc!r}"))
-            return expected, peak
-        if sink.getvalue() != expected:
-            record(Divergence(name, "flux-sink", _diff(expected, sink.getvalue())))
-        self._check_balanced(name, "flux-sink", sink_result.stats, record)
-
-        # --- stats-only run (a NullSink) --------------------------------
-        try:
-            discarded = prepared.execute(case.document, sink=NullSink(), options=options)
-        except Exception as exc:  # noqa: BLE001
-            record(Divergence(name, "flux-discard", f"run crashed: {exc!r}"))
-            return expected, peak
-        if discarded.output is not None:
-            record(Divergence(name, "flux-discard", "a NullSink run returned output text"))
-        if discarded.stats.output_bytes != collected.stats.output_bytes:
-            record(
-                Divergence(
-                    name,
-                    "flux-discard",
-                    f"output_bytes {discarded.stats.output_bytes} != "
-                    f"{collected.stats.output_bytes} with output collection off",
-                )
-            )
-        if discarded.stats.peak_buffered_bytes != peak:
-            record(
-                Divergence(
-                    name,
-                    "flux-discard",
-                    f"peak_buffered {discarded.stats.peak_buffered_bytes} != {peak}",
-                )
-            )
-
-        # --- baseline stats without output collection -------------------
-        try:
-            stats_only = NaiveDomEngine(source).run_tree(reference_tree, collect_output=False)
-        except Exception as exc:  # noqa: BLE001
-            record(Divergence(name, "naive-dom", f"stats-only run crashed: {exc!r}"))
-            return expected, peak
-        if stats_only.output is not None:
-            record(Divergence(name, "naive-dom", "collect_output=False returned output text"))
-        if stats_only.output_bytes != len(expected):
-            record(
-                Divergence(
-                    name,
-                    "naive-dom",
-                    f"collect_output=False output_bytes {stats_only.output_bytes} != "
-                    f"{len(expected)}",
-                )
-            )
-
-        # --- projection baseline ----------------------------------------
-        try:
-            projected = ProjectionDomEngine(source).run_events(
-                iter_events(case.document, expand_attrs=expand, document_events=False)
-            )
-        except Exception as exc:  # noqa: BLE001
-            record(Divergence(name, "projection-dom", f"projection baseline crashed: {exc!r}"))
-        else:
-            if projected.output != expected:
-                record(Divergence(name, "projection-dom", _diff(expected, projected.output)))
-
-        # --- bounded-memory run (budget forces spills when buffering) ---
-        # The compiled plan is reused: the budget is a per-run option (a
-        # fresh, run-owned governor each time).
-        budget = max(self.min_budget_bytes, peak // 2)
-        try:
-            bounded = prepared.execute(
-                case.document, options=options.replace(memory_budget=budget)
-            )
-        except Exception as exc:  # noqa: BLE001
-            record(Divergence(name, "flux-bounded", f"run crashed: {exc!r}"))
-            return expected, peak
-        stats = bounded.stats
-        if bounded.output != expected:
-            record(Divergence(name, "flux-bounded", _diff(expected, bounded.output)))
-        self._check_balanced(name, "flux-bounded", stats, record)
-        if stats.peak_resident_bytes > budget:
-            record(
-                Divergence(
-                    name,
-                    "flux-bounded",
-                    f"resident {stats.peak_resident_bytes}B exceeds the {budget}B budget",
-                )
-            )
-        if stats.peak_buffered_bytes != peak:
-            record(
-                Divergence(
-                    name,
-                    "flux-bounded",
-                    f"logical peak {stats.peak_buffered_bytes}B != unbounded peak {peak}B "
-                    "(spilling must not change the paper's figure)",
-                )
-            )
-        if budget < peak and stats.spill_count == 0:
-            record(
-                Divergence(
-                    name,
-                    "flux-bounded",
-                    f"budget {budget}B below peak {peak}B but no page was ever spilled",
-                )
-            )
-
-        # --- session push mode at adversarial chunk splits ---------------
-        # Text chunks first; then byte chunks, the zero-copy entry: a stride
-        # of 3 bytes guarantees every multi-byte UTF-8 sequence in the
-        # document is split mid-sequence at least once, the markup family
-        # re-runs the hostile truncated-tag splits as bytes.
-        encoded = case.document.encode("utf-8")
-        for label, chunks in (
-            ("feed-markup-splits", _split_at_markup(case.document)),
-            ("feed-value-splits", _split_in_values(case.document)),
-            (f"feed-stride-{FEED_STRIDE}", _split_fixed(case.document, FEED_STRIDE)),
-            (
-                "feed-bytes-markup",
-                [chunk.encode("utf-8") for chunk in _split_at_markup(case.document)],
-            ),
-            ("feed-bytes-stride-3", [encoded[i : i + 3] for i in range(0, len(encoded), 3)]),
-        ):
-            try:
-                run = prepared.open_run(expand_attrs=expand)
-                for chunk in chunks:
-                    run.feed(chunk)
-                fed = run.finish()
-            except Exception as exc:  # noqa: BLE001
-                record(Divergence(name, label, f"feed run crashed: {exc!r}"))
-                return expected, peak
-            if fed.output != expected:
-                record(Divergence(name, label, _diff(expected, fed.output)))
-            self._check_balanced(name, label, fed.stats, record)
-            if fed.stats.peak_buffered_bytes != peak:
-                record(
-                    Divergence(
-                        name,
-                        label,
-                        f"push-mode peak {fed.stats.peak_buffered_bytes}B != "
-                        f"pull-mode peak {peak}B (chunking must not change buffering)",
-                    )
-                )
-
-        # --- tracing must be invisible (:mod:`repro.obs`) -----------------
-        # A traced run executes instrumented stage loops; output bytes and
-        # the paper's logical buffering figure must not move, and the span
-        # tree a run leaves behind must be structurally well-formed.
-        label = "traced"
-        try:
-            traced = prepared.execute(case.document, options=options.replace(trace=True))
-        except Exception as exc:  # noqa: BLE001
-            record(Divergence(name, label, f"traced run crashed: {exc!r}"))
-            return expected, peak
-        if traced.output != expected:
-            record(Divergence(name, label, _diff(expected, traced.output)))
-        self._check_balanced(name, label, traced.stats, record)
-        if traced.stats.peak_buffered_bytes != peak:
-            record(
-                Divergence(
-                    name,
-                    label,
-                    f"traced peak {traced.stats.peak_buffered_bytes}B != "
-                    f"untraced peak {peak}B (tracing must not change buffering)",
-                )
-            )
-        if traced.trace is None:
-            record(Divergence(name, label, "trace=True produced no trace report"))
-        else:
-            for problem in validate_span_tree(traced.trace.spans):
-                record(Divergence(name, label, f"malformed span tree: {problem}"))
-
-        report.output_bytes += len(expected)
-        report.peak_buffered_bytes = max(report.peak_buffered_bytes, peak)
-        report.buffered = report.buffered or peak > 0
-        report.forced_spills = report.forced_spills or stats.spill_count > 0
-        return expected, peak
-
-    # --------------------------------------------------------- continuous feed
-
-    #: Documents per oracle feed stream: enough for interior boundaries
-    #: (first, middle, last) without dominating the sweep's runtime.
-    FEED_COPIES = 3
-
-    def _check_feed(
-        self,
-        case: Case,
-        session: FluxSession,
-        name: str,
-        source: str,
-        expected: str,
-        peak: int,
-        report: CaseReport,
-    ) -> None:
-        """The case document concatenated FEED_COPIES times, as one feed.
-
-        Chunk splits are placed right before, at, and right after every
-        document-boundary byte (the splits most likely to confuse boundary
-        detection), then at the prime stride.  Per sealed document:
-        byte-identity with the solo run, live buffers back at the zero
-        floor, logical peak equal to the solo peak.  Finally one resumed
-        feed replays everything past the first document's recorded
-        ``end_offset`` byte-identically.
-        """
-        record = report.divergences.append
-        doc = case.document.encode("utf-8")
-        unit = len(doc) + 1  # document plus its "\n" separator
-        stream = (doc + b"\n") * self.FEED_COPIES
-        boundary_chunks = _split_at(
-            stream,
-            (
-                point
-                for copy in range(1, self.FEED_COPIES + 1)
-                for point in (copy * unit - 2, copy * unit - 1, copy * unit)
-            ),
-        )
-        stride_chunks = [
-            stream[i : i + FEED_STRIDE] for i in range(0, len(stream), FEED_STRIDE)
-        ]
-        first_end = None
-        options = ExecutionOptions(expand_attrs=case.expand_attrs)
-        for label, chunks in (
-            ("feed-boundary-splits", boundary_chunks),
-            (f"feed-stride-{FEED_STRIDE}", stride_chunks),
-        ):
-            documents = self._run_feed(session, source, options, chunks, record, name, label)
-            if documents is None:
-                return
-            self._check_feed_documents(name, label, documents, expected, peak, record)
-            if documents and first_end is None:
-                first_end = documents[0].end_offset
-
-        # Crash-recovery contract: resume past document 0, replay the rest.
-        if first_end is not None and self.FEED_COPIES > 1:
-            label = "feed-resume"
-            documents = self._run_feed(
-                session,
-                source,
-                options,
-                boundary_chunks,
-                record,
-                name,
-                label,
-                resume_from=first_end,
-            )
-            if documents is None:
-                return
-            if len(documents) != self.FEED_COPIES - 1:
-                record(
-                    Divergence(
-                        name,
-                        label,
-                        f"resume from {first_end} replayed {len(documents)} documents, "
-                        f"expected {self.FEED_COPIES - 1}",
-                    )
-                )
-            self._check_feed_documents(name, label, documents, expected, peak, record)
-
-    @staticmethod
-    def _run_feed(session, source, options, chunks, record, name, label, resume_from=None):
-        """One oracle feed pass; returns the sealed documents or None on crash."""
-        try:
-            feed = session.prepare(source).open_feed(
-                options=options, resume_from=resume_from
-            )
-            documents = []
-            for chunk in chunks:
-                documents.extend(feed.feed(chunk))
-            summary = feed.finish()
-        except Exception as exc:  # noqa: BLE001 - feed crashes are findings
-            record(Divergence(name, label, f"feed crashed: {exc!r}"))
             return None
-        if documents and summary.resume_offset != documents[-1].end_offset:
-            record(
-                Divergence(
-                    name,
-                    label,
-                    f"resume_offset {summary.resume_offset} != last document "
-                    f"end_offset {documents[-1].end_offset}",
-                )
-            )
-        return documents
+        query = state.queries[name] = _Query(name, source, prepared, expected)
+        return query
 
-    def _check_feed_documents(self, name, label, documents, expected, peak, record) -> None:
-        for document in documents:
-            where = f"document {document.index}"
-            if document.result.output != expected:
-                record(
-                    Divergence(
-                        name, label, f"{where}: {_diff(expected, document.result.output)}"
-                    )
-                )
-            self._check_balanced(name, f"{label}:{where}", document.result.stats, record)
-            if document.result.stats.peak_buffered_bytes != peak:
-                record(
-                    Divergence(
-                        name,
-                        label,
-                        f"{where}: per-document peak "
-                        f"{document.result.stats.peak_buffered_bytes}B != solo peak {peak}B",
-                    )
-                )
-            if document.end_offset <= document.start_offset:
-                record(
-                    Divergence(
-                        name,
-                        label,
-                        f"{where}: degenerate framing "
-                        f"[{document.start_offset}, {document.end_offset})",
-                    )
-                )
-
-    # ------------------------------------------------------- live inspection
-
-    def _check_serve(
-        self,
-        case: Case,
-        session: FluxSession,
-        name: str,
-        source: str,
-        expected: str,
-        report: CaseReport,
-    ) -> None:
-        """One push-mode run per case under the metrics server with a mid-run
-        scrape of both endpoints.  The live-inspection guarantee is *zero
-        effect on output bytes*: the scraped run must be byte-identical to
-        every other mode, and the progress watermarks must reflect exactly
-        the half-fed document at scrape time."""
-        from repro.obs import serve as _serve
-
-        record = report.divergences.append
-        label = "serve-metrics"
-        try:
-            server = _serve.ensure_server(0)
-        except Exception as exc:  # noqa: BLE001 - a dead loopback is a finding
-            record(Divergence(name, label, f"metrics server failed to start: {exc!r}"))
-            return
-        half = len(case.document) // 2
-        head, tail = case.document[:half], case.document[half:]
-        try:
-            run = session.prepare(source).open_run(
-                options=ExecutionOptions(expand_attrs=case.expand_attrs)
-            )
-            if head:
-                run.feed(head)
-            progress, metrics = self._scrape(server.port)
-            if tail:
-                run.feed(tail)
-            fed = run.finish()
-        except Exception as exc:  # noqa: BLE001
-            record(Divergence(name, label, f"served push run crashed: {exc!r}"))
-            return
-        if fed.output != expected:
-            record(Divergence(name, label, _diff(expected, fed.output)))
-        self._check_balanced(name, label, fed.stats, record)
-        if progress.get("open_runs", 0) < 1:
-            record(
-                Divergence(
-                    name, label, "/progress showed no open runs during a live feed"
-                )
-            )
-        fed_bytes = [entry.get("bytes_fed") for entry in progress.get("runs", [])]
-        if half and len(head) not in fed_bytes:
-            record(
-                Divergence(
-                    name,
-                    label,
-                    f"/progress watermarks {fed_bytes} never showed the "
-                    f"{len(head)}B actually fed at scrape time",
-                )
-            )
-        if "repro_runs_total" not in metrics:
-            record(
-                Divergence(
-                    name, label, "/metrics exposition is missing repro_runs_total"
-                )
-            )
-
-    @staticmethod
-    def _scrape(port: int) -> Tuple[dict, str]:
-        """GET ``/progress`` (parsed) and ``/metrics`` (raw text)."""
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}/progress", timeout=10
-        ) as response:
-            progress = json.loads(response.read().decode("utf-8"))
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}/metrics", timeout=10
-        ) as response:
-            metrics = response.read().decode("utf-8")
-        return progress, metrics
-
-    # ------------------------------------------------------------ multi-query
-
-    def _check_multiquery(
-        self,
-        case: Case,
-        schema,
-        session: FluxSession,
-        solo_outputs: Dict[str, str],
-        solo_peaks: Dict[str, int],
-        report: CaseReport,
-    ) -> None:
-        record = report.divergences.append
-        budgets: List[Optional[int]] = [None]
-        if any(solo_peaks.values()):
-            total_peak = sum(solo_peaks.values())
-            budgets.append(max(self.min_budget_bytes, total_peak // 2))
-        # Each set runs twice: pulled, and push-fed in chunks split at
-        # markup.  Both legs must seal to the solo outputs and peaks.
-        legs = [(budget, push) for budget in budgets for push in (False, True)]
-        for budget, push in legs:
-            label = "multiquery" if budget is None else f"multiquery-bounded({budget}B)"
-            if push:
-                label += "-push"
+    def _run_legs(self, state: _State, scope: str, target: _Query, report: CaseReport) -> bool:
+        """Run ``scope``'s rows of :data:`LEGS` on ``target``; ``False`` once
+        one crashed, which ends the case."""
+        for leg in LEGS:
+            if leg.scope != scope:
+                continue
+            budget = max(MIN_BUDGET_BYTES, target.peak // 2) if leg.bounded else None
+            label = leg.label.format(budget=budget)
             try:
-                # Sharing the case session's plan cache skips recompiling
-                # every query per budget pass (keys embed the fingerprint).
-                with FluxSession(
-                    schema,
-                    options=ExecutionOptions(memory_budget=budget),
-                    plan_cache=session.cache,
-                ) as bounded_session:
-                    queries = bounded_session.prepare_many(case.query_map)
-                    if push:
-                        with queries.open_run(expand_attrs=case.expand_attrs) as handle:
-                            for chunk in _split_at_markup(case.document):
-                                handle.feed(chunk)
-                        run = handle.result
-                    else:
-                        run = queries.execute(case.document, expand_attrs=case.expand_attrs)
-            except Exception as exc:  # noqa: BLE001
-                record(Divergence("*", label, f"shared pass crashed: {exc!r}"))
-                return
-            for name, expected in solo_outputs.items():
-                result = run[name]
-                if result.output != expected:
-                    record(Divergence(name, label, _diff(expected, result.output)))
-                self._check_balanced(name, label, result.stats, record)
-                if result.stats.peak_buffered_bytes != solo_peaks[name]:
-                    record(
-                        Divergence(
-                            name,
-                            label,
-                            f"per-query peak {result.stats.peak_buffered_bytes}B != "
-                            f"solo peak {solo_peaks[name]}B",
-                        )
-                    )
-            if budget is not None and run.memory is not None:
-                if run.memory["peak_resident_bytes"] > budget:
-                    record(
-                        Divergence(
-                            "*",
-                            label,
-                            f"shared resident {run.memory['peak_resident_bytes']}B "
-                            f"exceeds the {budget}B budget",
-                        )
-                    )
-
-    # -------------------------------------------------------------- invariants
+                seen = leg.run(state, target, budget)
+            except Exception as exc:  # noqa: BLE001 - engine crashes are findings
+                report.divergences.append(Divergence(target.name, label, f"run crashed: {exc!r}"))
+                return False
+            if seen is not None:
+                self._verify(state, leg.checks, label, target, budget, seen, report)
+        return True
 
     @staticmethod
-    def _check_balanced(name: str, mode: str, stats: RunStatistics, record) -> None:
-        """Balanced releases: all *current* counters must settle to zero."""
-        leftovers = (
-            ("buffered events", stats.buffered_events_current),
-            ("buffered bytes", stats.buffered_bytes_current),
-            ("resident bytes", stats.resident_bytes_current),
-        )
-        for what, value in leftovers:
-            if value != 0:
-                record(
-                    Divergence(
-                        name, mode, f"unbalanced buffer accounting: {value} {what} left after the run"
-                    )
-                )
-        # Attribution exactness (ISSUE 8): the per-owner ledgers must account
-        # for every byte the paper's counters report -- no byte unattributed,
-        # no byte double-charged, in this mode exactly like every other.
-        attribution = getattr(stats, "attribution", None)
-        if attribution is None:
-            record(
-                Divergence(
-                    name, mode, "run statistics carry no buffer attribution ledger"
-                )
-            )
-            return
-        sums = (
-            ("live", attribution.total_live_bytes(), stats.buffered_bytes_current),
-            ("at-peak", attribution.total_at_peak_bytes(), stats.peak_buffered_bytes),
-            ("spilled", attribution.total_spilled_bytes(), stats.spilled_bytes_written),
-        )
-        for what, attributed, counter in sums:
-            if attributed != counter:
-                record(
-                    Divergence(
-                        name,
-                        mode,
-                        f"inexact buffer attribution: {what} owner bytes sum to "
-                        f"{attributed}B but the stats counter says {counter}B",
-                    )
-                )
-        for row in attribution.rows():
-            if row["at_peak_bytes"] and not row["reason"]:
-                record(
-                    Divergence(
-                        name,
-                        mode,
-                        f"owner {row['variable']!r} buffered {row['at_peak_bytes']}B "
-                        "at peak without a plan-level reason",
-                    )
-                )
+    def _verify(state, checks, label: str, target, budget, seen: _Seen, report) -> None:
+        """The shared checks a leg asks for, then the leg's own findings."""
+        record = report.divergences.append
+        for name, where, result in seen.runs:
+            query, stats = state.queries[name], result.stats
+            found = []
+            if OUTPUT in checks and result.output != query.expected:
+                found.append(_diff(query.expected, result.output))
+            if DISCARD in checks:
+                if result.output is not None:
+                    found.append("a run without output collection returned output text")
+                if stats.output_bytes != len(query.expected):
+                    found.append(f"output_bytes {stats.output_bytes} != {len(query.expected)}")
+            if PEAK in checks and stats.peak_buffered_bytes != query.peak:
+                found.append(f"logical peak {stats.peak_buffered_bytes}B != solo {query.peak}B")
+            if INPUT in checks:
+                counted = (stats.input_events, stats.input_bytes)[: len(state.input_totals)]
+                if counted != state.input_totals:
+                    found.append(f"input (events, bytes) {counted} != {state.input_totals}")
+            if SPILL in checks:
+                if budget < query.peak and stats.spill_count == 0:
+                    found.append(f"budget {budget}B below peak {query.peak}B but nothing spilled")
+                report.forced_spills = report.forced_spills or stats.spill_count > 0
+            if SPANS in checks:
+                if result.trace is None:
+                    found.append("trace=True produced no trace report")
+                else:
+                    problems = validate_span_tree(result.trace.spans)
+                    found.extend(f"malformed span tree: {problem}" for problem in problems)
+            prefix = f"{where}: " if where else ""
+            for detail in found:
+                record(Divergence(name, label, prefix + detail))
+            if BALANCED in checks:
+                for detail in _unbalanced(stats):
+                    record(Divergence(name, f"{label}:{where}" if where else label, detail))
+        if BUDGET in checks and seen.resident is not None and seen.resident > budget:
+            seen.problems.append(f"resident {seen.resident}B exceeds the {budget}B budget")
+        for problem in seen.problems:
+            record(Divergence(target.name, label, problem))
+
+
+def _unbalanced(stats: RunStatistics) -> Iterator[str]:
+    """Balanced releases: all *current* counters must settle to zero, and the
+    per-owner ledgers (:mod:`repro.obs.attrib`) must account for every byte
+    the counters report -- none unattributed, none double-charged."""
+    leftovers = (
+        ("buffered events", stats.buffered_events_current),
+        ("buffered bytes", stats.buffered_bytes_current),
+        ("resident bytes", stats.resident_bytes_current),
+    )
+    for what, value in leftovers:
+        if value != 0:
+            yield f"unbalanced buffer accounting: {value} {what} left after the run"
+    attribution = getattr(stats, "attribution", None)
+    if attribution is None:
+        yield "run statistics carry no buffer attribution ledger"
+        return
+    sums = (
+        ("live", attribution.total_live_bytes(), stats.buffered_bytes_current),
+        ("at-peak", attribution.total_at_peak_bytes(), stats.peak_buffered_bytes),
+        ("spilled", attribution.total_spilled_bytes(), stats.spilled_bytes_written),
+    )
+    for what, attributed, counter in sums:
+        if attributed != counter:
+            yield f"inexact buffer attribution: {what} owner bytes {attributed}B != {counter}B"
+    for row in attribution.rows():
+        if row["at_peak_bytes"] and not row["reason"]:
+            yield f"owner {row['variable']!r}: {row['at_peak_bytes']}B at peak, no plan reason"
 
 
 def _diff(expected: str, actual: Optional[str]) -> str:

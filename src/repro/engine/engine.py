@@ -62,7 +62,9 @@ from repro.pipeline.sinks import resolve_sink
 from repro.storage.governor import MemoryGovernor
 from repro.storage.spill import SpillError
 from repro.xmlstream.source import DocumentSource
-from repro.xquery.ast import XQExpr
+from repro.xquery.analysis import free_variables
+from repro.xquery.ast import ROOT_VARIABLE, XQExpr
+from repro.xquery.errors import XQueryError
 from repro.xquery.parser import parse_query
 
 
@@ -649,8 +651,10 @@ class FluxEngine:
         events of provably untouched subtrees before they reach the
         executor (on by default; pass ``False`` to measure its effect).
 
-    The engine always schedules with the Section-7 simplifications and
-    refuses an unsafe FluX query (:class:`~repro.flux.errors.UnsafeQueryError`);
+    The engine always schedules with the Section-7 simplifications,
+    refuses a query with a free variable
+    (:class:`~repro.xquery.errors.XQueryError`) and an unsafe FluX query
+    (:class:`~repro.flux.errors.UnsafeQueryError`);
     the stage functions :func:`~repro.flux.rewrite.rewrite_to_flux` and
     :func:`~repro.engine.plan.compile_plan` keep those switches for
     ablations.  The engine does not run: ``FluxSession(dtd).prepare(query)``
@@ -679,6 +683,12 @@ class FluxEngine:
             expr = parse_query(query) if isinstance(query, str) else query
             self.rewrite_result = rewrite_to_flux(expr, dtd)
             flux = self.rewrite_result.flux
+            free = sorted(free_variables(expr) - {ROOT_VARIABLE})
+            if free:  # else a handler fails on it mid-run, after output was written
+                raise XQueryError(
+                    f"unbound variable{'s' if len(free) > 1 else ''} {', '.join(free)}: "
+                    f"only {ROOT_VARIABLE} and variables bound by an enclosing for are in scope"
+                )
         self.flux = flux
         self.plan: QueryPlan = compile_plan(flux, dtd)
         spec = ProjectionSpec(self.plan) if projection else None

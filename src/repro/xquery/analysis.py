@@ -74,9 +74,10 @@ def _free_variables(expr: XQExpr, bound: FrozenSet[str]) -> Set[str]:
         out = set()
         if expr.source not in bound:
             out.add(expr.source)
+        inner = bound | {expr.var}
         if expr.where is not None:
-            out |= {ref.var for ref in condition_path_refs(expr.where) if ref.var not in bound}
-        out |= _free_variables(expr.body, bound | {expr.var})
+            out |= {ref.var for ref in condition_path_refs(expr.where) if ref.var not in inner}
+        out |= _free_variables(expr.body, inner)
         return out
     if isinstance(expr, IfExpr):
         out = {ref.var for ref in condition_path_refs(expr.condition) if ref.var not in bound}

@@ -122,8 +122,21 @@ def _closed_port() -> int:
             ["compile", "--query", "{dir}/q.xq", "--dtd", "{dir}/bib.dtd", "--root", "bib"],
             "cannot be scheduled",
         ),
+        (
+            {"q.xq": "<r>{ for $b in $ROOT/bib/book return <t>{ $x/title }</t> }</r>"},
+            ["compile", "--query", "{dir}/q.xq", "--dtd", "{dir}/bib.dtd", "--root", "bib"],
+            "unbound variable $x",
+        ),
     ],
-    ids=["OSError-file", "OSError-connection", "XMLSyntaxError", "DTDError", "XQueryError", "FluxError"],
+    ids=[
+        "OSError-file",
+        "OSError-connection",
+        "XMLSyntaxError",
+        "DTDError",
+        "XQueryError",
+        "FluxError",
+        "XQueryError-free-variable",
+    ],
 )
 def test_input_errors_print_one_line_and_exit_1(tmp_path, capsys, files, argv, message):
     defaults = {

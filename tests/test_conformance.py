@@ -1,8 +1,12 @@
 """The conformance harness itself: generator, oracle, case files, shrinker."""
 
+import dataclasses
+import os
+
 import pytest
 from _reference import split_raw_items, top_level_elements
 
+import repro.conformance.oracle as oracle_module
 import repro.fastpath.scanner as scanner_module
 from repro.conformance import (
     Case,
@@ -12,6 +16,7 @@ from repro.conformance import (
     Shrinker,
     dump_case,
     fuzz,
+    load_case,
     parse_case,
 )
 from repro.core.api import load_dtd
@@ -153,6 +158,62 @@ def test_oracle_sweep_is_green_with_every_dropped_subtree_taken_in_bulk(monkeypa
         oracle.check(case)
         cases_run += len(runs) > before
     assert cases_run > 0, "no case took a run"
+
+
+EACH_QUERY_LEGS = (
+    "flux-collect",
+    "flux-unprojected",
+    "flux-streaming",
+    "flux-sink",
+    "flux-discard",
+    "naive-dom",
+    "projection-dom",
+    "flux-bounded",
+    "feed-markup-splits",
+    "feed-value-splits",
+    "feed-stride-7",
+    "feed-bytes-markup",
+    "feed-bytes-stride-3",
+    "traced",
+)
+FIRST_QUERY_LEGS = ("serve-metrics", "feed-boundary-splits", "feed-stream-stride-7", "feed-resume")
+QUERY_SET_LEGS = (
+    "multiquery",
+    "multiquery-push",
+    "multiquery-bounded({budget}B)",
+    "multiquery-bounded({budget}B)-push",
+)
+
+
+def test_leg_labels_are_unique():
+    labels = [leg.label for leg in oracle_module.LEGS]
+    assert labels == [*EACH_QUERY_LEGS, *FIRST_QUERY_LEGS, *QUERY_SET_LEGS]
+    assert len(set(labels)) == len(labels)
+
+
+def test_every_leg_runs_on_a_buffering_query_set(monkeypatch):
+    """Each row of the oracle's table runs in its scope: every query, the
+    first query, the whole set (bounded too, since the set buffers)."""
+    ran = []
+
+    def recorded(leg):
+        def run(state, target, budget):
+            seen = leg.run(state, target, budget)
+            if seen is not None:
+                ran.append((leg.scope, target.name, leg.label))
+            return seen
+
+        return dataclasses.replace(leg, run=run)
+
+    monkeypatch.setattr(oracle_module, "LEGS", tuple(map(recorded, oracle_module.LEGS)))
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "buffered-loops.case")
+    report = Oracle().examine(load_case(fixture))
+    assert report.passed and report.buffered and report.forced_spills, report.divergences
+    assert ran == [
+        *(("each", name, label) for name in ("q0", "q1", "q2", "q3") for label in EACH_QUERY_LEGS),
+        *(("first", "q0", label) for label in FIRST_QUERY_LEGS),
+        *(("set", "*", label) for label in QUERY_SET_LEGS),
+    ]
 
 
 def test_oracle_flags_output_divergence():

@@ -15,6 +15,7 @@ Covers the tentpole of the session redesign plus its satellites:
 
 import gc
 import io
+import re
 import threading
 
 import pytest
@@ -34,6 +35,7 @@ from repro import (
 )
 from repro.pipeline.sinks import resolve_sink
 from repro.xmlstream.errors import XMLWellFormednessError
+from repro.xquery.errors import XQueryError
 
 BIB_DTD = """
 <!ELEMENT bib (book)*>
@@ -132,8 +134,28 @@ def test_warm_execution_skips_parse_and_schedule(session, monkeypatch):
     monkeypatch.setattr(engine_module, "parse_query", explode)
     monkeypatch.setattr(engine_module, "rewrite_to_flux", explode)
     monkeypatch.setattr(engine_module, "compile_plan", explode)
+    monkeypatch.setattr(engine_module, "free_variables", explode)
     warm = session.prepare(QUERY)
     assert warm.execute(DOC).output == expected
+
+
+@pytest.mark.parametrize(
+    "query, free",
+    [
+        ("<r>{for $p in /a/d return <q>{$x/c}</q>}</r>", "$x"),
+        # Unbraced, the inner loop is literal text: its $y is bound nowhere.
+        ("for $x in /a return for $y in $x/d return <o>{$y/c}</o>", "$y"),
+    ],
+    ids=["unbound-path", "unbraced-nested-loop"],
+)
+def test_prepare_refuses_a_free_variable(query, free):
+    """Regression: these compiled, then failed with ``unbound variable`` once
+    a handler ran, after output had been written."""
+    dtd = "<!ELEMENT a (d*)><!ELEMENT d (c)><!ELEMENT c (#PCDATA)>"
+    session = FluxSession(dtd, root_element="a")
+    with pytest.raises(XQueryError, match=re.escape(f"unbound variable {free}:")):
+        session.prepare(query)
+    assert len(session.cache) == 0
 
 
 def test_cache_eviction_is_lru_ordered():

@@ -43,6 +43,11 @@ def test_free_variables_inside_loop_body():
     assert free_variables(loop.body) == {"$b"}
 
 
+def test_a_where_clause_is_in_its_loop_variable_scope():
+    expr = parse_query("{ for $b in $ROOT/bib/book where $b/title = $c/x return {$b} }")
+    assert free_variables(expr) == {ROOT_VARIABLE, "$c"}
+
+
 def test_variables_bound_collects_all_loop_variables():
     expr = parse_query(JOIN_QUERY)
     assert variables_bound(expr) == {"$bib", "$article", "$book"}
