@@ -1,69 +1,10 @@
-"""Command-line interface.
+"""Command-line interface: ``python -m repro --help`` lists the commands,
+``python -m repro COMMAND --help`` the flags of one.
 
-The CLI exposes the end-to-end pipeline for experimentation without writing
-Python code::
-
-    python -m repro compile  --query q.xq --dtd bib.dtd --root bib
-    python -m repro run      --query q.xq --dtd bib.dtd --root bib --document doc.xml
-    python -m repro multirun --query Q1 --query Q13 --query Q20 --document doc.xml
-    python -m repro compare  --query q.xq --dtd bib.dtd --root bib --document doc.xml
-    python -m repro validate --dtd bib.dtd --root bib --document doc.xml
-    python -m repro generate --scale 0.2 --output xmark.xml
-    python -m repro xmark    --query Q13 --scale 0.1
-    python -m repro fuzz     --seed 1 --cases 200
-    python -m repro fuzz     --replay fuzz-failures/seed1-case23.case
-    python -m repro feed     --query Q1 --documents 100 --chunk-size 4096
-    python -m repro feed     --query q.xq --dtd bib.dtd --root bib --input stream.xml
-    python -m repro serve    --documents 1000 --port 9901
-    python -m repro subscribe --query Q1 --query Q13 --port 9901
-    python -m repro inspect  crash-dumps/repro-1234-1.crash.json
-
-``compile`` prints the scheduled FluX query and the buffer trees; ``run``
-executes a query and reports the output (optionally to a file) together with
-the buffer statistics; ``multirun`` executes several queries over *one*
-shared document pass (repeat ``--query``, optionally one ``--output`` per
-query; ``--stats`` prints a per-query summary table); ``compare`` runs the
-FluX engine and both baselines; ``generate`` produces XMark-like documents;
-``xmark`` runs one of the benchmark queries on generated data.
-
-``run``, ``multirun`` and ``xmark`` accept ``--memory-budget BYTES`` (k/m/g
-suffixes allowed): resident buffered memory is then hard-capped and cold
-buffer pages spill to a temp file, with output byte-identical to the
-unbounded run.  The same three commands accept ``--trace``, which prints a
-per-stage time/bytes/events breakdown table (:mod:`repro.obs`) to stderr
-after the run; tracing never changes the output.
-
-``run`` and ``multirun`` additionally accept ``--explain-buffers`` (the
-per-owner buffer attribution table: who held the peak bytes, and which
-plan decision blocked streaming) and ``--serve-metrics PORT`` (a
-background ``/metrics`` + ``/progress`` HTTP endpoint on ``127.0.0.1``
-for the duration of the command).  ``inspect`` renders the
-``*.crash.json`` forensic dumps the flight recorder writes when
-``REPRO_CRASH_DIR`` is set and an engine error aborts a run.
-
-``feed`` runs one prepared query as a continuous feed
-(:mod:`repro.feeds`) over a stream of concatenated documents: either the
-synthetic XMark auction ticker (default; ``--documents``/``--scale``/
-``--seed`` shape it) or a file of concatenated documents (``--input``,
-with ``--dtd``/``--root`` naming their schema).  The stream is cut into
-``--chunk-size``-byte chunks, so document boundaries land mid-chunk; the
-summary line reports documents/second and the final resume offset, and
-``--resume-from`` skips an already-processed prefix (the crash-recovery
-recipe: pass the resume offset a previous run printed or dumped).
-
-``serve`` runs the streaming subscription server (:mod:`repro.serve`):
-one shared projecting scan over a live feed (the
-XMark ticker, a file of concatenated documents, or client-pushed chunks
-with ``--client-fed``), fanned out to any number of subscribed queries
-over NDJSON-over-TCP.  ``subscribe`` is the matching client: it
-registers one or more queries (``--query``, repeatable) on a running
-server and streams their results to stdout until ``eof``.
-
-``fuzz`` drives the randomized conformance harness
-(:mod:`repro.conformance`): ``--seed``/``--cases`` sweep generated
-(DTD, document, queries) triples through every engine and sink mode,
-failing cases are shrunk and saved as replayable ``.case`` files, and
-``--replay FILE...`` re-checks such files (``--replay tests/fixtures/*.case``).
+Exit codes: 0 on success; 1 when what a command reads is bad (a missing
+file, malformed XML, DTD or query, an unschedulable query, a refused
+connection) or when a check it runs fails; 2 on a usage error (a bad flag
+value or combination).  Errors print one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -71,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import time
 from typing import Optional, Sequence
 
 from repro.core.api import compare_engines, load_dtd
@@ -116,11 +58,16 @@ def _add_schema_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--root", help="name of the document element", default=None)
 
 
-def _add_query_argument(parser: argparse.ArgumentParser) -> None:
+def _add_query_argument(parser: argparse.ArgumentParser, repeated: str = "") -> None:
+    """``--query``; given a ``repeated`` help suffix, the flag repeats."""
     parser.add_argument(
         "--query",
         required=True,
-        help="path to the XQuery- file, or the name of a built-in XMark query (Q1, Q8, Q11, Q13, Q20)",
+        action="append" if repeated else "store",
+        help=(
+            "path to the XQuery- file, or the name of a built-in XMark query "
+            "(Q1, Q8, Q11, Q13, Q20)" + repeated
+        ),
     )
 
 
@@ -130,18 +77,9 @@ def _resolve_query(argument: str) -> str:
     return _read(argument)
 
 
-def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help=(
-            "trace the run and print a per-stage time/bytes/events breakdown "
-            "to stderr (REPRO_TRACE overrides); output is unchanged"
-        ),
-    )
-
-
-def _add_memory_budget_argument(parser: argparse.ArgumentParser) -> None:
+def _add_run_settings(parser: argparse.ArgumentParser) -> None:
+    """``--memory-budget BYTES`` and ``--serve-metrics PORT`` (:func:`main`
+    starts the metrics server)."""
     parser.add_argument(
         "--memory-budget",
         type=parse_memory_budget,
@@ -153,10 +91,6 @@ def _add_memory_budget_argument(parser: argparse.ArgumentParser) -> None:
             "unchanged"
         ),
     )
-
-
-def _add_metrics_port_argument(parser: argparse.ArgumentParser) -> None:
-    """``--serve-metrics PORT``; :func:`main` starts the server."""
     parser.add_argument(
         "--serve-metrics",
         dest="metrics_port",
@@ -169,6 +103,56 @@ def _add_metrics_port_argument(parser: argparse.ArgumentParser) -> None:
             "runs (0 picks an ephemeral port); output is unchanged"
         ),
     )
+
+
+def _add_generator_arguments(parser, mode="", scale=0.1, what="document scale (~MB)") -> None:
+    """``--scale`` and ``--seed`` of a generated XMark input; ``mode``
+    prefixes the help with when they apply."""
+    parser.add_argument("--scale", type=float, default=scale, help=f"{mode}{what}")
+    parser.add_argument("--seed", type=int, default=42, help=f"{mode}generator seed")
+
+
+def _add_stream_source_arguments(parser: argparse.ArgumentParser) -> None:
+    """The stream ``feed`` and ``serve`` read: an ``--input`` file or the
+    ticker, cut into ``--chunk-size`` chunks (see :func:`_stream_source`)."""
+    parser.add_argument(
+        "--input",
+        help=(
+            "file of concatenated documents to stream (omit to generate the "
+            "synthetic XMark auction ticker instead)"
+        ),
+    )
+    parser.add_argument(
+        "--documents",
+        type=int,
+        default=100,
+        help="ticker mode: number of tick documents to stream",
+    )
+    _add_generator_arguments(parser, "ticker mode: ", DEFAULT_TICK_SCALE, "per-tick document scale")
+    parser.add_argument(
+        "--chunk-size",
+        type=int,
+        default=8192,
+        metavar="BYTES",
+        help="cut the stream into chunks of this many bytes (boundaries land anywhere)",
+    )
+
+
+#: Numeric flags out of whose range a command would crash or quietly run
+#: on nothing; checked before any command runs.
+_POSITIVE_FLAGS = ("--scale", "--documents", "--chunk-size", "--max-queries")
+_NON_NEGATIVE_FLAGS = ("--resume-from",)
+
+
+def _check_flag_values(args) -> None:
+    for flag in _POSITIVE_FLAGS + _NON_NEGATIVE_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None:
+            continue
+        if flag in _NON_NEGATIVE_FLAGS and value < 0:
+            raise _UsageError(f"{flag} must not be negative")
+        if flag in _POSITIVE_FLAGS and value <= 0:
+            raise _UsageError(f"{flag} must be positive")
 
 
 def _start_metrics_server(port: Optional[int]) -> None:
@@ -186,12 +170,18 @@ def _start_metrics_server(port: Optional[int]) -> None:
 
 
 def _options(args) -> ExecutionOptions:
-    """The run options a subcommand's ``--memory-budget`` / ``--trace``
-    flags ask for (a flag the subcommand lacks stays unset)."""
+    """The run options a command's ``--memory-budget`` / ``--trace`` flags
+    ask for (a flag the command lacks stays unset)."""
     return ExecutionOptions(
-        memory_budget=args.memory_budget,
+        memory_budget=getattr(args, "memory_budget", None),
         trace=True if getattr(args, "trace", False) else None,
     )
+
+
+def _session(args) -> FluxSession:
+    """The session ``compile``, ``run`` and ``feed`` prepare their queries
+    in: the ``--dtd``/``--root`` schema under the command's run options."""
+    return FluxSession(_load_schema(args), options=_options(args))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +189,7 @@ def _options(args) -> ExecutionOptions:
 
 
 def _cmd_compile(args) -> int:
-    prepared = FluxSession(_load_schema(args)).prepare(_resolve_query(args.query))
+    prepared = _session(args).prepare(_resolve_query(args.query))
     print("--- scheduled FluX query ---")
     print(prepared.flux_source)
     if args.show_normalized:
@@ -216,20 +206,20 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    query = _resolve_query(args.query)
-    return _execute_and_report(
-        args,
-        [args.output] if args.output else [],
-        lambda session: session.prepare(query, projection=not args.no_projection),
-    )
-
-
-def _cmd_multirun(args) -> int:
-    if args.output and len(args.output) != len(args.query):
+    """Execute every ``--query`` in one pass over ``--document`` (or a
+    generated XMark document), to one ``--output`` file per query or to
+    stdout, and report.  One query runs unnamed: its output and statistics
+    carry no ``--- name ---`` labels and there is no shared-pass line."""
+    outputs = args.output or []
+    if outputs and len(outputs) != len(args.query):
         raise _UsageError(
-            f"{len(args.query)} queries but {len(args.output)} --output paths "
+            f"{len(args.query)} queries but {len(outputs)} --output paths "
             "(pass exactly one per query, or none)"
         )
+    if outputs and args.discard_output:
+        raise _UsageError("--output and --discard-output are mutually exclusive")
+    if args.document is None and args.dtd is not None:
+        raise _UsageError("--dtd needs --document: a generated document follows the XMark DTD")
     queries = {}
     for argument in args.query:
         name = argument
@@ -238,21 +228,14 @@ def _cmd_multirun(args) -> int:
             name = f"{argument}#{suffix}"
             suffix += 1
         queries[name] = _resolve_query(argument)
-    return _execute_and_report(
-        args,
-        args.output or [],
-        lambda session: session.prepare_many(queries, projection=not args.no_projection),
-    )
-
-
-def _execute_and_report(args, outputs: Sequence[str], prepare) -> int:
-    """The body ``run`` and ``multirun`` share: ``prepare(session)`` gives
-    one unnamed query (``run``) or named members (``multirun``); execute it
-    once, to one ``--output`` file per member or to stdout, and report.
-    Unnamed output and statistics carry no ``--- name ---`` labels."""
-    if outputs and args.discard_output:
-        raise _UsageError("--output and --discard-output are mutually exclusive")
-    prepared = prepare(FluxSession(_load_schema(args), options=_options(args)))
+    session = _session(args)
+    if len(queries) == 1:
+        prepared = session.prepare(*queries.values(), projection=not args.no_projection)
+    else:
+        prepared = session.prepare_many(queries, projection=not args.no_projection)
+    document = args.document
+    if document is None:
+        document = generate_document(config_for_scale(args.scale, seed=args.seed))
     names = prepared.names
     solo = names == (None,)
     with contextlib.ExitStack() as stack:
@@ -265,7 +248,7 @@ def _execute_and_report(args, outputs: Sequence[str], prepare) -> int:
             sinks = {name: NullSink() for name in names}
         else:
             sinks = None
-        result = prepared.execute(args.document, sinks=sinks)
+        result = prepared.execute(document, sinks=sinks)
     members = [(None, result)] if solo else list(result.items())
     if not files and not args.discard_output:
         for name, member in members:
@@ -287,31 +270,28 @@ def _execute_and_report(args, outputs: Sequence[str], prepare) -> int:
             f"shared pass over {len(names)} queries: {result.elapsed_seconds:.3f}s total",
             file=sys.stderr,
         )
-        if args.stats:
-            _print_multirun_stats(result, names)
+    if args.stats:
+        named = [(name or args.query[0], member.stats) for name, member in members]
+        _print_stats(named, session.memory_telemetry())
     if result.trace is not None:
         print(result.trace.table(), file=sys.stderr)
     return 0
 
 
-def _print_multirun_stats(run, names) -> None:
-    """The ``multirun --stats`` per-query summary table (to stderr)."""
+def _print_stats(members, memory: Optional[dict]) -> None:
+    """The ``run --stats`` per-query summary table (to stderr): one row per
+    ``(name, stats)``, then the shared memory governor's counters."""
     headers = (
         "query", "in events", "out bytes", "peak buffer [B]",
         "peak resident [B]", "spill bytes", "evictions",
     )
-    rows = []
-    for name in names:
-        stats = run[name].stats
-        rows.append((
-            name,
-            str(stats.input_events),
-            str(stats.output_bytes),
-            str(stats.peak_buffered_bytes),
-            str(stats.peak_resident_bytes),
-            str(stats.spilled_bytes_written),
-            str(stats.spill_count),
-        ))
+    rows = [
+        (name, *map(str, (
+            stats.input_events, stats.output_bytes, stats.peak_buffered_bytes,
+            stats.peak_resident_bytes, stats.spilled_bytes_written, stats.spill_count,
+        )))
+        for name, stats in members
+    ]
     widths = [
         max(len(header), *(len(row[column]) for row in rows))
         for column, header in enumerate(headers)
@@ -325,16 +305,12 @@ def _print_multirun_stats(run, names) -> None:
     print(render(headers), file=sys.stderr)
     for row in rows:
         print(render(row), file=sys.stderr)
-    if run.memory is not None:
-        memory = run.memory
+    if memory is not None:
         print(
-            f"memory budget: {memory['budget_bytes']}B "
-            f"(page {memory['page_bytes']}B) "
-            f"peak-resident={memory['peak_resident_bytes']}B "
-            f"spills={memory['spill_count']} pages/"
-            f"{memory['spilled_bytes_written']}B "
-            f"faults={memory['fault_count']} pages/"
-            f"{memory['spilled_bytes_read']}B",
+            "memory budget: {budget_bytes}B (page {page_bytes}B) "
+            "peak-resident={peak_resident_bytes}B "
+            "spills={spill_count} pages/{spilled_bytes_written}B "
+            "faults={fault_count} pages/{spilled_bytes_read}B".format(**memory),
             file=sys.stderr,
         )
 
@@ -373,50 +349,18 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_xmark(args) -> int:
-    schema = load_dtd(XMARK_DTD_SOURCE, root_element="site")
-    document = generate_document(config_for_scale(args.scale, seed=args.seed))
-    query = BENCHMARK_QUERIES[args.query]
-    session = FluxSession(schema, options=_options(args))
-    result = session.prepare(query, projection=not args.no_projection).execute(
-        document, sink=NullSink() if args.discard_output else None
-    )
-    if not args.discard_output and args.show_output:
-        print(result.output)
-    line = (
-        f"{args.query} on {len(document)} bytes: "
-        f"time={result.stats.elapsed_seconds:.3f}s "
-        f"peak-buffer={result.stats.peak_buffered_bytes}B "
-        f"output={result.stats.output_bytes}B"
-    )
-    if args.memory_budget is not None:
-        line += (
-            f" peak-resident={result.stats.peak_resident_bytes}B "
-            f"spills={result.stats.spill_count} "
-            f"spill-bytes={result.stats.spilled_bytes_written}B"
-        )
-    print(line)
-    if result.trace is not None:
-        print(result.trace.table(), file=sys.stderr)
-    return 0
-
-
 def _iter_file_chunks(path: str, chunk_size: int):
     with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(chunk_size)
-            if not chunk:
-                return
-            yield chunk
+        yield from iter(lambda: handle.read(chunk_size), b"")
 
 
 def _stream_source(args):
     """The stream ``feed`` and ``serve`` read, as ``(chunks, label)``: the
     ``--input`` file or the XMark ticker, cut into ``--chunk-size`` chunks."""
-    if args.chunk_size <= 0:
-        raise _UsageError("--chunk-size must be positive")
     if args.input is not None:
         return _iter_file_chunks(args.input, args.chunk_size), args.input
+    if args.dtd is not None:
+        raise _UsageError("--dtd needs --input: the ticker streams XMark documents")
     chunks = iter_ticker_chunks(
         documents=args.documents,
         seed=args.seed,
@@ -427,11 +371,8 @@ def _stream_source(args):
 
 
 def _cmd_feed(args) -> int:
-    import time
-
     chunks, source = _stream_source(args)
-    session = FluxSession(_load_schema(args), options=_options(args))
-    prepared = session.prepare(_resolve_query(args.query))
+    prepared = _session(args).prepare(_resolve_query(args.query))
 
     def on_document(document) -> None:
         if args.show_output:
@@ -473,8 +414,6 @@ def _cmd_feed(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import time
-
     from repro.serve import ServeServer, SubscriptionHub
 
     chunks, source = (None, "client-fed stream") if args.client_fed else _stream_source(args)
@@ -504,18 +443,12 @@ def _cmd_serve(args) -> int:
     return 1 if server.engine_error is not None else 0
 
 
-def _resolve_subscribe_query(argument: str) -> str:
-    # Built-in names travel as-is (the server resolves them); anything else
-    # must be a local query file whose text goes over the wire.
-    if argument in BENCHMARK_QUERIES:
-        return argument
-    return _read(argument)
-
-
 def _cmd_subscribe(args) -> int:
     from repro.serve import SubscribeClient
 
-    queries = [_resolve_subscribe_query(q) for q in args.query]
+    # Built-in names travel as-is (the server resolves them); anything else
+    # must be a local query file whose text goes over the wire.
+    queries = [q if q in BENCHMARK_QUERIES else _read(q) for q in args.query]
     results = 0
     status = 0
     with SubscribeClient(args.host, args.port, timeout=args.timeout) as client:
@@ -610,18 +543,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    compile_parser = subparsers.add_parser("compile", help="schedule a query into FluX and show the buffers")
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        subparser = subparsers.add_parser(name, help=summary)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    compile_parser = command("compile", _cmd_compile, "schedule a query into FluX and show the buffers")
     _add_query_argument(compile_parser)
     _add_schema_arguments(compile_parser)
     compile_parser.add_argument("--show-normalized", action="store_true", help="also print the normalised query")
-    compile_parser.set_defaults(handler=_cmd_compile)
 
-    run_parser = subparsers.add_parser("run", help="execute a query over a document")
-    _add_query_argument(run_parser)
+    run_parser = command(
+        "run", _cmd_run, "execute one query, or several in one shared pass, over a document"
+    )
+    _add_query_argument(run_parser, "; repeat it to run several queries over one shared document pass")
     _add_schema_arguments(run_parser)
-    run_parser.add_argument("--document", required=True, help="path to the XML document")
     run_parser.add_argument(
-        "--output", help="stream the result to this file instead of stdout (never materialised)"
+        "--document",
+        help="path to the XML document (omit to run over a generated XMark document)",
+    )
+    _add_generator_arguments(run_parser, "without --document: ")
+    run_parser.add_argument(
+        "--output",
+        action="append",
+        help=(
+            "stream the result to this file instead of stdout (never materialised); "
+            "repeat it once per --query"
+        ),
     )
     run_parser.add_argument("--discard-output", action="store_true", help="do not materialise the result")
     run_parser.add_argument(
@@ -629,9 +577,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the pre-executor projection filter (for comparisons)",
     )
-    _add_memory_budget_argument(run_parser)
-    _add_trace_argument(run_parser)
-    _add_metrics_port_argument(run_parser)
+    _add_run_settings(run_parser)
+    run_parser.add_argument(
+        "--trace",
+        action="store_true",
+        help=(
+            "trace the run and print a per-stage time/bytes/events breakdown "
+            "to stderr (REPRO_TRACE overrides); output is unchanged"
+        ),
+    )
     run_parser.add_argument(
         "--explain-buffers",
         action="store_true",
@@ -640,41 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
             "peak bytes and which plan decision blocked streaming) to stderr"
         ),
     )
-    run_parser.set_defaults(handler=_cmd_run)
-
-    multirun_parser = subparsers.add_parser(
-        "multirun", help="execute several queries over one shared document pass"
-    )
-    multirun_parser.add_argument(
-        "--query",
-        action="append",
-        required=True,
-        help="query to register (repeatable): a file path or a built-in XMark query name",
-    )
-    _add_schema_arguments(multirun_parser)
-    multirun_parser.add_argument("--document", required=True, help="path to the XML document")
-    multirun_parser.add_argument(
-        "--output",
-        action="append",
-        help="output file for the corresponding --query (repeatable, one per query)",
-    )
-    multirun_parser.add_argument(
-        "--discard-output", action="store_true", help="do not materialise any result"
-    )
-    multirun_parser.add_argument(
-        "--no-projection",
-        action="store_true",
-        help="disable every query's projection filter in the merged pass",
-    )
-    _add_memory_budget_argument(multirun_parser)
-    _add_trace_argument(multirun_parser)
-    _add_metrics_port_argument(multirun_parser)
-    multirun_parser.add_argument(
-        "--explain-buffers",
-        action="store_true",
-        help="print each query's per-owner buffer attribution table to stderr",
-    )
-    multirun_parser.add_argument(
+    run_parser.add_argument(
         "--stats",
         action="store_true",
         help=(
@@ -682,74 +602,27 @@ def build_parser() -> argparse.ArgumentParser:
             "spill bytes, evictions) after the run"
         ),
     )
-    multirun_parser.set_defaults(handler=_cmd_multirun)
 
-    compare_parser = subparsers.add_parser("compare", help="run FluX and both baselines over a document")
+    compare_parser = command("compare", _cmd_compare, "run FluX and both baselines over a document")
     _add_query_argument(compare_parser)
     _add_schema_arguments(compare_parser)
     compare_parser.add_argument("--document", required=True, help="path to the XML document")
-    compare_parser.set_defaults(handler=_cmd_compare)
 
-    validate_parser = subparsers.add_parser("validate", help="validate a document against a DTD")
+    validate_parser = command("validate", _cmd_validate, "validate a document against a DTD")
     _add_schema_arguments(validate_parser)
     validate_parser.add_argument("--document", required=True, help="path to the XML document")
     validate_parser.add_argument("--max-errors", type=int, default=20)
-    validate_parser.set_defaults(handler=_cmd_validate)
 
-    generate_parser = subparsers.add_parser("generate", help="generate an XMark-like document")
-    generate_parser.add_argument("--scale", type=float, default=0.1, help="document scale (~MB)")
-    generate_parser.add_argument("--seed", type=int, default=42)
+    generate_parser = command("generate", _cmd_generate, "generate an XMark-like document")
+    _add_generator_arguments(generate_parser)
     generate_parser.add_argument("--output", help="output file (stdout if omitted)")
-    generate_parser.set_defaults(handler=_cmd_generate)
 
-    xmark_parser = subparsers.add_parser("xmark", help="run a built-in benchmark query on generated data")
-    xmark_parser.add_argument("--query", choices=sorted(BENCHMARK_QUERIES), default="Q13")
-    xmark_parser.add_argument("--scale", type=float, default=0.1)
-    xmark_parser.add_argument("--seed", type=int, default=42)
-    xmark_parser.add_argument("--show-output", action="store_true")
-    xmark_parser.add_argument("--discard-output", action="store_true")
-    xmark_parser.add_argument(
-        "--no-projection",
-        action="store_true",
-        help="disable the pre-executor projection filter (for comparisons)",
-    )
-    _add_memory_budget_argument(xmark_parser)
-    _add_trace_argument(xmark_parser)
-    xmark_parser.set_defaults(handler=_cmd_xmark)
-
-    feed_parser = subparsers.add_parser(
-        "feed",
-        help="run one query as a continuous feed over a stream of concatenated documents",
+    feed_parser = command(
+        "feed", _cmd_feed, "run one query as a continuous feed over a stream of concatenated documents"
     )
     _add_query_argument(feed_parser)
     _add_schema_arguments(feed_parser)
-    feed_parser.add_argument(
-        "--input",
-        help=(
-            "file of concatenated documents to stream (omit to generate the "
-            "synthetic XMark auction ticker instead)"
-        ),
-    )
-    feed_parser.add_argument(
-        "--documents",
-        type=int,
-        default=100,
-        help="ticker mode: number of tick documents to stream",
-    )
-    feed_parser.add_argument(
-        "--scale",
-        type=float,
-        default=DEFAULT_TICK_SCALE,
-        help="ticker mode: per-tick document scale",
-    )
-    feed_parser.add_argument("--seed", type=int, default=42, help="ticker mode: generator seed")
-    feed_parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=8192,
-        metavar="BYTES",
-        help="cut the stream into chunks of this many bytes (boundaries land anywhere)",
-    )
+    _add_stream_source_arguments(feed_parser)
     feed_parser.add_argument(
         "--resume-from",
         type=int,
@@ -767,41 +640,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--heartbeat", action="store_true", help="print heartbeat punctuation lines to stderr"
     )
     feed_parser.add_argument("--verbose", action="store_true", help="per-document progress on stderr")
-    _add_memory_budget_argument(feed_parser)
-    _add_metrics_port_argument(feed_parser)
-    feed_parser.set_defaults(handler=_cmd_feed)
+    _add_run_settings(feed_parser)
 
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="run the streaming subscription server (repro.serve) over a live feed",
+    serve_parser = command(
+        "serve", _cmd_serve, "run the streaming subscription server (repro.serve) over a live feed"
     )
     _add_schema_arguments(serve_parser)
     serve_parser.add_argument("--host", default="127.0.0.1", help="listen address")
     serve_parser.add_argument(
         "--port", type=int, default=0, help="listen port (0 picks an ephemeral port)"
     )
-    serve_parser.add_argument(
-        "--input",
-        help="file of concatenated documents to stream (omit for the XMark ticker)",
-    )
+    _add_stream_source_arguments(serve_parser)
     serve_parser.add_argument(
         "--client-fed",
         action="store_true",
         help="no server-side source: clients push the stream via 'feed'/'finish' ops",
-    )
-    serve_parser.add_argument(
-        "--documents", type=int, default=100, help="ticker mode: number of tick documents"
-    )
-    serve_parser.add_argument(
-        "--scale", type=float, default=DEFAULT_TICK_SCALE, help="ticker mode: per-tick scale"
-    )
-    serve_parser.add_argument("--seed", type=int, default=42, help="ticker mode: generator seed")
-    serve_parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=8192,
-        metavar="BYTES",
-        help="cut the stream into chunks of this many bytes",
     )
     serve_parser.add_argument(
         "--linger",
@@ -810,23 +663,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="after the feed ends, wait up to this long for subscribers to drain",
     )
-    _add_memory_budget_argument(serve_parser)
-    _add_metrics_port_argument(serve_parser)
-    serve_parser.set_defaults(handler=_cmd_serve)
+    _add_run_settings(serve_parser)
 
-    subscribe_parser = subparsers.add_parser(
-        "subscribe",
-        help="subscribe queries to a running subscription server and stream results",
+    subscribe_parser = command(
+        "subscribe", _cmd_subscribe, "subscribe queries to a running subscription server and stream results"
     )
-    subscribe_parser.add_argument(
-        "--query",
-        action="append",
-        required=True,
-        help=(
-            "a built-in XMark query name (Q1, Q8, ...) or a path to an XQuery- "
-            "file; repeatable for several subscriptions on one connection"
-        ),
-    )
+    _add_query_argument(subscribe_parser, "; repeat it for several subscriptions on one connection")
     subscribe_parser.add_argument("--host", default="127.0.0.1", help="server address")
     subscribe_parser.add_argument("--port", type=int, required=True, help="server port")
     subscribe_parser.add_argument(
@@ -847,20 +689,16 @@ def build_parser() -> argparse.ArgumentParser:
     subscribe_parser.add_argument(
         "--quiet", action="store_true", help="count results instead of printing them"
     )
-    subscribe_parser.set_defaults(handler=_cmd_subscribe)
 
-    inspect_parser = subparsers.add_parser(
-        "inspect",
-        help="pretty-print a *.crash.json flight-recorder dump (see REPRO_CRASH_DIR)",
+    inspect_parser = command(
+        "inspect", _cmd_inspect, "pretty-print a *.crash.json flight-recorder dump (see REPRO_CRASH_DIR)"
     )
     inspect_parser.add_argument(
         "dump", nargs="+", metavar="CRASH_JSON", help="crash dump file(s) to render"
     )
-    inspect_parser.set_defaults(handler=_cmd_inspect)
 
-    fuzz_parser = subparsers.add_parser(
-        "fuzz",
-        help="randomized conformance sweep: every engine and sink mode must agree byte-for-byte",
+    fuzz_parser = command(
+        "fuzz", _cmd_fuzz, "randomized conformance sweep: every engine and sink mode must agree byte-for-byte"
     )
     fuzz_parser.add_argument("--seed", type=int, default=1, help="generator seed (the sweep is deterministic per seed)")
     fuzz_parser.add_argument("--cases", type=int, default=100, help="number of generated cases to check")
@@ -884,7 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="replay saved .case files through the oracle instead of generating (repeatable)",
     )
-    fuzz_parser.set_defaults(handler=_cmd_fuzz)
 
     return parser
 
@@ -894,6 +731,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flag_values(args)
         _start_metrics_server(getattr(args, "metrics_port", None))
         return args.handler(args)
     except _UsageError as error:

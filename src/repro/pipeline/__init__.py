@@ -11,7 +11,7 @@ The execution path of the engine is a pipeline of stages::
   the plan's buffer trees, value tries and handler tables
   (:mod:`repro.pipeline.projection`), run through the one union automaton
   :class:`repro.pipeline.fanout.DynamicFanout`, which is also the scanner's
-  flat transition table (solo = one slot, ``multirun`` = N slots,
+  flat transition table (solo = one slot, a query set = N slots,
   ``serve`` = slots that come and go),
 * **materialize** (:mod:`repro.fastpath.batch`) turns the surviving rows
   into bounded batches of SAX events, one list per fanout slot,

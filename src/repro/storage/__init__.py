@@ -20,8 +20,7 @@ Entry points:
   ``SubscriptionHub(options=...)`` -- one governor for the session / the
   stream, lent to every run (a run of a budgeted session always runs under
   a budget: its own, or the session's),
-* CLI: ``--memory-budget 32m`` on ``run``, ``multirun``, ``xmark``,
-  ``feed`` and ``serve``.
+* CLI: ``--memory-budget 32m`` on ``run``, ``feed`` and ``serve``.
 """
 
 from repro.storage.codec import decode_events, encode_events

@@ -184,16 +184,16 @@ def test_run_command_prints_to_stdout(workspace, capsys):
 
 @pytest.fixture()
 def xmark_workspace(tmp_path, capsys):
-    """A small generated XMark document on disk (for multirun tests)."""
+    """A small generated XMark document on disk (for XMark query runs)."""
     document = tmp_path / "site.xml"
     main(["generate", "--scale", "0.03", "--output", str(document)])
     capsys.readouterr()
     return {"document": str(document), "dir": tmp_path}
 
 
-def test_multirun_prints_every_query_output(xmark_workspace, capsys):
+def test_run_several_queries_prints_every_query_output(xmark_workspace, capsys):
     code = main(
-        ["multirun", "--query", "Q1", "--query", "Q13",
+        ["run", "--query", "Q1", "--query", "Q13",
          "--document", xmark_workspace["document"]]
     )
     captured = capsys.readouterr()
@@ -206,11 +206,11 @@ def test_multirun_prints_every_query_output(xmark_workspace, capsys):
     assert "Q1: in=" in captured.err
 
 
-def test_multirun_writes_per_query_output_files(xmark_workspace, capsys):
+def test_run_several_queries_writes_per_query_output_files(xmark_workspace, capsys):
     out1 = xmark_workspace["dir"] / "q1.xml"
     out13 = xmark_workspace["dir"] / "q13.xml"
     code = main(
-        ["multirun", "--query", "Q1", "--query", "Q13",
+        ["run", "--query", "Q1", "--query", "Q13",
          "--document", xmark_workspace["document"],
          "--output", str(out1), "--output", str(out13)]
     )
@@ -235,27 +235,27 @@ def test_run_rejects_output_with_discard(workspace, capsys, tmp_path):
     assert not target.exists()
 
 
-def test_multirun_rejects_output_with_discard(xmark_workspace, capsys):
+def test_run_several_queries_rejects_output_with_discard(xmark_workspace, capsys):
     code = main(
-        ["multirun", "--query", "Q1", "--document", xmark_workspace["document"],
-         "--discard-output", "--output", "never.xml"]
+        ["run", "--query", "Q1", "--query", "Q13", "--document", xmark_workspace["document"],
+         "--discard-output", "--output", "never1.xml", "--output", "never13.xml"]
     )
     assert code == 2
     assert "mutually exclusive" in capsys.readouterr().err
 
 
-def test_multirun_rejects_mismatched_output_count(xmark_workspace, capsys):
+def test_run_rejects_mismatched_output_count(xmark_workspace, capsys):
     code = main(
-        ["multirun", "--query", "Q1", "--query", "Q13",
+        ["run", "--query", "Q1", "--query", "Q13",
          "--document", xmark_workspace["document"], "--output", "only-one.xml"]
     )
     assert code == 2
     assert "exactly one per query" in capsys.readouterr().err
 
 
-def test_multirun_uniquifies_repeated_query_names(xmark_workspace, capsys):
+def test_run_uniquifies_repeated_query_names(xmark_workspace, capsys):
     code = main(
-        ["multirun", "--query", "Q13", "--query", "Q13", "--discard-output",
+        ["run", "--query", "Q13", "--query", "Q13", "--discard-output",
          "--document", xmark_workspace["document"]]
     )
     assert code == 0
@@ -264,9 +264,9 @@ def test_multirun_uniquifies_repeated_query_names(xmark_workspace, capsys):
     assert "Q13#2:" in err
 
 
-def test_multirun_stats_flag_prints_summary_table(xmark_workspace, capsys):
+def test_run_stats_flag_prints_summary_table(xmark_workspace, capsys):
     code = main(
-        ["multirun", "--query", "Q1", "--query", "Q8", "--discard-output", "--stats",
+        ["run", "--query", "Q1", "--query", "Q8", "--discard-output", "--stats",
          "--document", xmark_workspace["document"]]
     )
     assert code == 0
@@ -277,15 +277,27 @@ def test_multirun_stats_flag_prints_summary_table(xmark_workspace, capsys):
     assert "Q8" in err
 
 
-def test_multirun_stats_reports_shared_memory_budget(xmark_workspace, capsys):
+def test_run_stats_reports_shared_memory_budget(xmark_workspace, capsys):
     code = main(
-        ["multirun", "--query", "Q1", "--query", "Q8", "--discard-output", "--stats",
+        ["run", "--query", "Q1", "--query", "Q8", "--discard-output", "--stats",
          "--memory-budget", "2k", "--document", xmark_workspace["document"]]
     )
     assert code == 0
     err = capsys.readouterr().err
     assert "memory budget: 2048B" in err
     assert "peak-resident=" in err
+
+
+def test_run_stats_table_names_a_single_query(xmark_workspace, capsys):
+    code = main(
+        ["run", "--query", "Q8", "--discard-output", "--stats",
+         "--memory-budget", "2k", "--document", xmark_workspace["document"]]
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "shared pass" not in err
+    assert re.search(r"^Q8 +\d+", err, re.MULTILINE), err
+    assert "memory budget: 2048B" in err
 
 
 def test_run_with_memory_budget_output_identical(xmark_workspace, capsys):
@@ -303,24 +315,26 @@ def test_run_with_memory_budget_output_identical(xmark_workspace, capsys):
     assert "spills=" in err
 
 
-def test_multirun_with_memory_budget_files_identical(xmark_workspace, capsys):
+def test_run_query_set_with_memory_budget_files_identical(xmark_workspace, capsys):
     bounded = xmark_workspace["dir"] / "multi-bounded.xml"
     unbounded = xmark_workspace["dir"] / "multi-unbounded.xml"
-    base = ["multirun", "--query", "Q8", "--document", xmark_workspace["document"]]
-    assert main(base + ["--output", str(unbounded)]) == 0
-    assert main(base + ["--output", str(bounded), "--memory-budget", "2048"]) == 0
+    base = ["run", "--query", "Q8", "--query", "Q13", "--document", xmark_workspace["document"]]
+    other = xmark_workspace["dir"] / "multi-q13.xml"
+    assert main(base + ["--output", str(unbounded), "--output", str(other)]) == 0
+    bounded_argv = ["--output", str(bounded), "--output", str(other), "--memory-budget", "2048"]
+    assert main(base + bounded_argv) == 0
     assert bounded.read_text(encoding="utf-8") == unbounded.read_text(encoding="utf-8")
 
 
-def test_xmark_command_accepts_memory_budget(capsys):
+def test_run_over_a_generated_document_accepts_memory_budget(capsys):
     code = main(
-        ["xmark", "--query", "Q8", "--scale", "0.03", "--discard-output",
+        ["run", "--query", "Q8", "--scale", "0.03", "--discard-output",
          "--memory-budget", "2k"]
     )
     assert code == 0
-    out = capsys.readouterr().out
-    assert "peak-resident=" in out
-    assert "spills=" in out
+    err = capsys.readouterr().err
+    assert "peak-resident=" in err
+    assert "spills=" in err
 
 
 def test_run_serve_metrics_prints_its_address_and_serves(xmark_workspace, capsys):
@@ -337,14 +351,18 @@ def test_run_serve_metrics_prints_its_address_and_serves(xmark_workspace, capsys
         shutdown_servers()
 
 
-@pytest.mark.parametrize("command", ["run", "multirun", "feed", "serve"])
-def test_negative_serve_metrics_port_is_a_usage_error(command, capsys):
-    argv = [command, "--serve-metrics", "-1"]
-    if command in ("run", "multirun"):
-        argv += ["--query", "Q1", "--document", "never-read.xml"]
-    elif command == "feed":
-        argv += ["--query", "Q1"]
-    assert main(argv) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--query", "Q1", "--document", "never-read.xml"],
+        ["run", "--query", "Q1", "--query", "Q13", "--document", "never-read.xml"],
+        ["feed", "--query", "Q1"],
+        ["serve"],
+    ],
+    ids=["run", "run-several", "feed", "serve"],
+)
+def test_negative_serve_metrics_port_is_a_usage_error(argv, capsys):
+    assert main(argv + ["--serve-metrics", "-1"]) == 2
     err = capsys.readouterr().err
     assert "--serve-metrics" in err and "TCP port" in err
 
@@ -354,6 +372,53 @@ def test_stream_commands_reject_a_non_positive_chunk_size(command, capsys):
     argv = [command, "--chunk-size", "0"] + (["--query", "Q1"] if command == "feed" else [])
     assert main(argv) == 2
     assert "--chunk-size must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["feed", "--query", "Q1", "--resume-from", "-1"], "--resume-from"),
+        (["fuzz", "--max-queries", "0"], "--max-queries"),
+        (["feed", "--query", "Q1", "--documents", "-3"], "--documents"),
+        (["serve", "--documents", "-1"], "--documents"),
+        (["generate", "--scale", "-1"], "--scale"),
+        (["generate", "--scale", "0"], "--scale"),
+        (["run", "--query", "Q1", "--scale", "0"], "--scale"),
+    ],
+    ids=[
+        "feed-resume-from",
+        "fuzz-max-queries",
+        "feed-documents",
+        "serve-documents",
+        "generate-negative-scale",
+        "generate-zero-scale",
+        "run-scale",
+    ],
+)
+def test_out_of_range_flag_values_are_usage_errors(argv, flag, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and flag in errors[0], err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, needs",
+    [
+        (["run", "--query", "{query}"], "--document"),
+        (["feed", "--query", "{query}", "--documents", "2"], "--input"),
+        (["serve", "--documents", "2"], "--input"),
+    ],
+    ids=["run", "feed", "serve"],
+)
+def test_a_custom_dtd_needs_an_input_document(workspace, argv, needs, capsys):
+    """Without an input file these commands read generated XMark documents,
+    which a custom schema does not describe."""
+    argv = [arg.format(**workspace) for arg in argv]
+    assert main(argv + ["--dtd", workspace["dtd"], "--root", "bib"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --dtd needs " + needs), err
 
 
 def test_feed_reads_the_ticker_or_an_input_file(tmp_path, capsys):
@@ -413,12 +478,17 @@ def test_generate_command_writes_document(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_xmark_command_uses_builtin_query_and_dtd(capsys):
-    code = main(["xmark", "--query", "Q13", "--scale", "0.02", "--discard-output"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Q13 on" in out
-    assert "peak-buffer=0B" in out
+def test_run_without_a_document_reads_a_generated_xmark_document(tmp_path, capsys):
+    document = tmp_path / "site.xml"
+    main(["generate", "--scale", "0.02", "--seed", "7", "--output", str(document)])
+    capsys.readouterr()
+    assert main(["run", "--query", "Q13", "--document", str(document)]) == 0
+    from_file = capsys.readouterr()
+    assert main(["run", "--query", "Q13", "--scale", "0.02", "--seed", "7"]) == 0
+    generated = capsys.readouterr()
+    assert generated.out == from_file.out
+    assert "<query13>" in generated.out
+    assert "peak-buffer=0 events/0B" in generated.err
 
 
 def test_builtin_query_names_resolve_without_files(tmp_path, capsys):

@@ -417,7 +417,7 @@ def test_cli_trace_stage_sum_within_five_percent_of_wall(capsys):
 
     for _ in range(3):  # noisy-host guard: any clean attempt passes
         code = main(
-            ["xmark", "--query", "Q1", "--scale", "0.05", "--discard-output", "--trace"]
+            ["run", "--query", "Q1", "--scale", "0.05", "--discard-output", "--trace"]
         )
         assert code == 0
         err = capsys.readouterr().err

@@ -287,6 +287,33 @@ def test_hub_finish_mid_code_point_is_a_located_truncation_error():
         assert [r.output for r in titles.results()] == _solo(TITLES, 1)
 
 
+@pytest.mark.parametrize("selector, spills", [("hub", (0, 1)), ("lru", (1, 0))])
+def test_hub_governor_spills_the_heaviest_subscriber_first(selector, spills):
+    """Two runs on one hub governor (1000 B budget, 100 B pages): the light
+    one seals one page, then the heavy one's tenth page slice goes over
+    budget.  The hub's selector spills a page of the heavy run; plain LRU
+    would spill the light run's colder page."""
+    from repro.engine.buffers import BufferManager
+    from repro.engine.stats import RunStatistics
+    from repro.storage.governor import MemoryGovernor
+    from repro.xmlstream.events import Characters
+
+    with MemoryGovernor(1000, page_bytes=100) as governor, SubscriptionHub(
+        _schema(), governor=governor
+    ):
+        if selector == "lru":
+            governor.victim_selector = None
+        light, heavy = RunStatistics(), RunStatistics()
+        light_manager = BufferManager(light, factory=governor.make_buffer)
+        heavy_manager = BufferManager(heavy, factory=governor.make_buffer)
+        light_manager.create_buffer("$light").append(Characters("x" * 100))
+        light_manager.flush()
+        heavy_manager.create_buffer("$heavy").extend(Characters("y" * 100) for _ in range(10))
+        heavy_manager.flush()
+        assert (light.spill_count, heavy.spill_count) == spills
+        assert governor.spill_count == 1
+
+
 def test_duplicate_query_text_delivers_independently():
     """Satellite: one compiled engine, two seats, two result streams."""
     count = 3
