@@ -11,7 +11,7 @@ not stream it.  This example runs XMark Q8 (the join query) twice:
 
 Run with::
 
-    python examples/explain_buffers.py          # default scale (~0.1 MB)
+    python examples/explain_buffers.py          # default scale 0.1 (~62 KB)
     python examples/explain_buffers.py 0.05     # custom scale
 """
 

@@ -10,7 +10,7 @@ of :mod:`repro.obs`:
 
 Run with::
 
-    python examples/trace_run.py          # default scale (~0.1 MB)
+    python examples/trace_run.py          # default scale 0.1 (~62 KB)
     python examples/trace_run.py 0.05     # custom scale
 """
 

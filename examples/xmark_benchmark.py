@@ -8,7 +8,7 @@ query, document size and engine.
 Run with (takes a minute or two)::
 
     python examples/xmark_benchmark.py             # default scales
-    python examples/xmark_benchmark.py 0.1 0.5     # custom scales (in ~MB)
+    python examples/xmark_benchmark.py 0.1 0.5     # custom scales (1 is ~0.62 MB)
 """
 
 import sys

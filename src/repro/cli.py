@@ -36,6 +36,15 @@ class _UsageError(Exception):
     """A bad flag value or combination: :func:`main` prints it, exit code 2."""
 
 
+class _Given(argparse.Action):
+    """Store a flag's value and note the flag in ``args.given``, so that a
+    flag given can be told from one left at its default (:data:`_MOOT_FLAGS`)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (self.option_strings[0],)
+
+
 #: Errors in what a command reads -- files, sockets and spill I/O, documents,
 #: schemas, queries -- that :func:`main` prints as one line, exit code 1.  A
 #: failing run has written its crash dump before the error reaches ``main``.
@@ -105,11 +114,13 @@ def _add_run_settings(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_generator_arguments(parser, mode="", scale=0.1, what="document scale (~MB)") -> None:
+def _add_generator_arguments(
+    parser, mode="", scale=0.1, what="document scale (1 is about 0.62 MB)"
+) -> None:
     """``--scale`` and ``--seed`` of a generated XMark input; ``mode``
     prefixes the help with when they apply."""
-    parser.add_argument("--scale", type=float, default=scale, help=f"{mode}{what}")
-    parser.add_argument("--seed", type=int, default=42, help=f"{mode}generator seed")
+    parser.add_argument("--scale", type=float, default=scale, action=_Given, help=f"{mode}{what}")
+    parser.add_argument("--seed", type=int, default=42, action=_Given, help=f"{mode}generator seed")
 
 
 def _add_stream_source_arguments(parser: argparse.ArgumentParser) -> None:
@@ -117,6 +128,7 @@ def _add_stream_source_arguments(parser: argparse.ArgumentParser) -> None:
     ticker, cut into ``--chunk-size`` chunks (see :func:`_stream_source`)."""
     parser.add_argument(
         "--input",
+        action=_Given,
         help=(
             "file of concatenated documents to stream (omit to generate the "
             "synthetic XMark auction ticker instead)"
@@ -126,6 +138,7 @@ def _add_stream_source_arguments(parser: argparse.ArgumentParser) -> None:
         "--documents",
         type=int,
         default=100,
+        action=_Given,
         help="ticker mode: number of tick documents to stream",
     )
     _add_generator_arguments(parser, "ticker mode: ", DEFAULT_TICK_SCALE, "per-tick document scale")
@@ -133,6 +146,7 @@ def _add_stream_source_arguments(parser: argparse.ArgumentParser) -> None:
         "--chunk-size",
         type=int,
         default=8192,
+        action=_Given,
         metavar="BYTES",
         help="cut the stream into chunks of this many bytes (boundaries land anywhere)",
     )
@@ -142,9 +156,16 @@ def _add_stream_source_arguments(parser: argparse.ArgumentParser) -> None:
 #: on nothing; checked before any command runs.
 _POSITIVE_FLAGS = ("--scale", "--documents", "--chunk-size", "--max-queries")
 _NON_NEGATIVE_FLAGS = ("--resume-from",)
+#: The flags each flag makes moot: given with it, they are a usage error,
+#: not silently ignored.
+_MOOT_FLAGS = {
+    "--document": ("--scale", "--seed"),
+    "--input": ("--documents", "--scale", "--seed"),
+    "--client-fed": ("--input", "--documents", "--scale", "--seed", "--chunk-size"),
+}
 
 
-def _check_flag_values(args) -> None:
+def _check_flags(args) -> None:
     for flag in _POSITIVE_FLAGS + _NON_NEGATIVE_FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is None:
@@ -153,6 +174,11 @@ def _check_flag_values(args) -> None:
             raise _UsageError(f"{flag} must not be negative")
         if flag in _POSITIVE_FLAGS and value <= 0:
             raise _UsageError(f"{flag} must be positive")
+    given = getattr(args, "given", ())
+    for by, flags in _MOOT_FLAGS.items():
+        for flag in flags:
+            if flag in given and getattr(args, by[2:].replace("-", "_"), None):
+                raise _UsageError(f"{flag} has no effect with {by}")
 
 
 def _start_metrics_server(port: Optional[int]) -> None:
@@ -731,7 +757,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_flag_values(args)
+        _check_flags(args)
         _start_metrics_server(getattr(args, "metrics_port", None))
         return args.handler(args)
     except _UsageError as error:

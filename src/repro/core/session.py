@@ -422,7 +422,7 @@ class PreparedQuery:
         lent = self.session._lend(options, overrides, feed=True)
         governor = lent.pop("governor")
         return FeedHandle(
-            partial(self._open, "push", seats, lent, stop_at_root_close=True),
+            partial(self._open, "push", seats, lent),
             options=lent["options"],
             governor=governor,
             on_document=on_document,

@@ -14,10 +14,11 @@ The engine can equally be constructed from an already-built FluX query
 no run verbs: a session's prepared query runs it.
 
 Evaluation is a :class:`RunHandle`, *N seats wide*, over one
-:class:`~repro.fastpath.pipeline.DocumentPass`.  It is the only site that
-builds executors, settles who owns the memory governor, aborts, writes the
-crash dump, seals the result and folds statistics into the global
-telemetry, so every execution shape behaves the same by construction.
+:class:`~repro.fastpath.scanner.ByteScanner`.  It is the only site that
+scans, materializes and executes a batch, builds executors, settles who
+owns the memory governor, aborts, writes the crash dump, seals the
+result and folds statistics into the global telemetry, so every
+execution shape behaves the same by construction.
 Two callers open handles:
 
 * a :class:`~repro.core.session.PreparedQuery` -- one seat per member
@@ -47,7 +48,7 @@ from repro.dtd.schema import DTD, ROOT_ELEMENT
 from repro.engine.executor import StreamExecutor
 from repro.engine.plan import QueryPlan, compile_plan
 from repro.engine.stats import RunStatistics
-from repro.fastpath import DocumentPass
+from repro.fastpath import ByteScanner
 from repro.flux.ast import FluxExpr
 from repro.flux.rewrite import RewriteResult, rewrite_to_flux
 from repro.obs import recorder as _flight
@@ -213,6 +214,9 @@ class RunHandle:
     query of the set, a hub document one per subscription.  An injected
     ``governor`` is *borrowed* and survives the run; without one the run
     creates its own from ``options`` and closes it when it ends.
+    Located errors count from ``base_offset``; ``stop_at_root_close`` ends
+    the document at its root's close tag and parks the rest
+    (:meth:`take_remainder`) -- the substrate of continuous feeds.
 
     A prepared query's ``open_run`` hands the handle to the caller (**push
     mode** -- typically a network loop handing over payload chunks as they
@@ -230,7 +234,9 @@ class RunHandle:
     scanner is resumable across chunk boundaries) and returns the
     output drained from the first seat's sink so far when that sink
     supports draining (a :class:`~repro.pipeline.sinks.FragmentSink`),
-    ``None`` otherwise.  ``finish`` flushes the final events, validates
+    ``None`` otherwise.  Each batch of ``feed``, of the pull loop and of
+    ``finish`` goes through one :meth:`_step`.  ``finish``, the only place
+    a document is closed, flushes the final events, validates
     well-formedness and seals one :class:`FluxRunResult` per seat into
     :attr:`results`; :attr:`result` is the single unnamed seat's result,
     or a :class:`MultiQueryRun` over named seats.  The context manager
@@ -299,14 +305,14 @@ class RunHandle:
         self.stats: RunStatistics = (
             self._live[0].executor.stats if self._live else RunStatistics()
         )
-        # The pass counts the document's input for every seat.
-        self._pass = DocumentPass(
+        self._seat_stats = [seat.executor.stats for seat in self._live]
+        # The run counts the document's input for every seat (:meth:`_step`).
+        self._counted = self._seat_stats or [self.stats]
+        self._scanner = ByteScanner(
             fanout,
-            self._seat_stats() or [self.stats],
-            expand_attrs=options.expand_attrs,
             stop_at_root_close=stop_at_root_close,
+            expand_attrs=options.expand_attrs,
             base_offset=base_offset,
-            tracer=self._tracer,
         )
         #: Per-seat results (``None`` for an empty seat), the sealed result,
         #: the pass-level trace and the governor's telemetry; all set by
@@ -341,9 +347,6 @@ class RunHandle:
             raise
         _flight.RECORDER.note("run-begin", mode)
 
-    def _seat_stats(self) -> List[RunStatistics]:
-        return [seat.executor.stats for seat in self._live]
-
     # ------------------------------------------------------------- progress
 
     def progress(self) -> dict:
@@ -352,7 +355,7 @@ class RunHandle:
         Input columns are the shared document's; output and buffer columns
         sum over seats.
         """
-        seats = self._seat_stats() or [self.stats]
+        seats = self._counted
         entry = {
             "mode": self._mode,
             "state": self._state,
@@ -391,11 +394,11 @@ class RunHandle:
     @property
     def root_closed(self) -> bool:
         """True once the root element closed (``stop_at_root_close`` runs)."""
-        return self._pass.root_closed
+        return self._scanner.root_closed
 
     def take_remainder(self) -> bytes:
         """Bytes fed past the closed root element (the next document's)."""
-        return self._pass.take_remainder()
+        return self._scanner.take_remainder()
 
     # ----------------------------------------------------------------- feed
 
@@ -424,20 +427,44 @@ class RunHandle:
             )
         self.close()
 
-    def _process(self, subs) -> None:
-        """The execute stage for the events one scan step completed."""
-        if not any(subs):
-            return
-        events = 0
-        with self._tracer.span("execute") as span:
-            for seat in self._live:
-                sub = subs[seat.index]
-                if sub:
-                    self._failing = seat
-                    events += len(sub)
-                    seat.executor.process_batch(sub)
-        self._failing = None
-        span.add("events", events)
+    def _step(self, scan, *args) -> bool:
+        """One batch through the run: scan, count, materialize, execute.
+        False, and nothing done, when ``scan(*args)`` returns no batch."""
+        with self._tracer.span("scan") as span:
+            batch = scan(*args)
+        if batch is None:
+            return False
+        # ``scan``'s event count is pre-drop (``batch.seen``),
+        # ``materialize``'s is the survivors: the per-stage table reads as
+        # a selectivity funnel.
+        span.add("events", batch.seen)
+        if batch.bulk:
+            span.add("bulk_bytes", batch.bulk)
+        # Every event costs bytes, but bytes may come without an event: text
+        # continuing the previous batch's text node.
+        if batch.cost:
+            for stats in self._counted:
+                stats.record_input(batch.seen, batch.cost)
+        with self._tracer.span("materialize") as span:
+            if self._width == 1:
+                # The only seat is the only possible recipient, so the
+                # mask-free materializer is exact (solo runs live on it).
+                subs = [batch.materialize()]
+            else:
+                subs = batch.materialize_split(self._scanner.fanout)
+        span.add("events", sum(map(len, subs)))
+        if any(subs):
+            events = 0
+            with self._tracer.span("execute") as span:
+                for seat in self._live:
+                    sub = subs[seat.index]
+                    if sub:
+                        self._failing = seat
+                        events += len(sub)
+                        seat.executor.process_batch(sub)
+            self._failing = None
+            span.add("events", events)
+        return True
 
     def feed(self, chunk) -> Optional[str]:
         """Execute one more chunk of the document (text or UTF-8 bytes).
@@ -453,7 +480,7 @@ class RunHandle:
             raise RuntimeError(f"cannot feed a {self._state} run")
         size = len(chunk)
         if isinstance(chunk, str):
-            if self._pass.pending_bytes:
+            if self._scanner.pending_bytes:
                 raise ValueError(
                     "cannot feed text while a partial UTF-8 sequence from a "
                     "previous byte chunk is pending; feed the remaining bytes first"
@@ -464,7 +491,7 @@ class RunHandle:
         self._chunk_offsets.append(self._fed_bytes + size)
         _flight.RECORDER.note("chunk", size, self._fed_bytes + size)
         try:
-            self._process(self._pass.feed(data))
+            self._step(self._scanner.feed_batch, data)
         except Exception as exc:
             self._abort(exc)
             raise
@@ -486,8 +513,8 @@ class RunHandle:
         open; abandoning the generator aborts the run like any failure.
         """
         try:
-            for subs in self._pass.scan(document, self._options.chunk_size):
-                self._process(subs)
+            batches = self._scanner.scan_source(document, self._options.chunk_size)
+            while self._step(next, batches, None):
                 yield
         except BaseException as exc:
             self._abort(exc)
@@ -511,7 +538,7 @@ class RunHandle:
             raise RuntimeError("cannot finish a closed run")
         results: List[Optional[FluxRunResult]] = [None] * self._width
         try:
-            self._process(self._pass.finish())
+            self._step(self._scanner.close_batch)
             with self._tracer.span("execute"):
                 for self._failing in self._live:
                     executor = self._failing.executor
@@ -522,7 +549,7 @@ class RunHandle:
             raise
         # The run's one clock reading: every seat and the pass share it.
         elapsed = time.perf_counter() - self._opened_at
-        for stats in self._seat_stats():
+        for stats in self._seat_stats:
             stats.elapsed_seconds = elapsed
         self._state = "finished"
         _flight.RECORDER.note("run-finish", self._mode, self.stats.output_bytes)
@@ -543,7 +570,7 @@ class RunHandle:
                 trace=self.trace,
             )
         if self._on_finish is not None:
-            for stats in self._seat_stats():
+            for stats in self._seat_stats:
                 self._on_finish(stats)
         return self.result
 
@@ -555,7 +582,7 @@ class RunHandle:
         never reach it.
         """
         tracer = self._tracer
-        seats = self._seat_stats()
+        seats = self._seat_stats
         for stats in seats:
             record_run(stats, traced=tracer.enabled, push=self._chunks_fed > 0)
         if not tracer.enabled:

@@ -11,10 +11,11 @@ Everything between input bytes and the executor lives here:
   boundary, materialized into event objects lazily,
 * :mod:`repro.fastpath.tags` -- the tag-name interning whose ids index the
   flat transition table of the one union projection automaton,
-  :class:`repro.pipeline.fanout.DynamicFanout`,
-* :mod:`repro.fastpath.pipeline` -- :class:`DocumentPass`, the one per-document
-  scan -> materialize site behind solo (pull and push), multi-query, feed
-  and serve runs.
+  :class:`repro.pipeline.fanout.DynamicFanout`.
+
+The run handle (:class:`repro.engine.engine.RunHandle`) drives them: one
+scanner per document, whose batches it materializes per fanout slot and
+executes -- solo (pull and push), multi-query, feed and serve runs alike.
 
 The reference these are tested against is the stdlib expat event stream
 of :mod:`repro.xmlstream.parser` (``iter_events`` / ``parse_tree``), which
@@ -27,13 +28,11 @@ it is not an engine path and shares no tokenizing code with the scanner
 from __future__ import annotations
 
 from repro.fastpath.batch import SoABatch
-from repro.fastpath.pipeline import DocumentPass
 from repro.fastpath.scanner import ByteScanner
 from repro.fastpath.tags import TagTable
 
 __all__ = [
     "ByteScanner",
-    "DocumentPass",
     "SoABatch",
     "TagTable",
 ]

@@ -123,6 +123,9 @@ incomplete sequence simply stays in the pending tail like any incomplete
 token, because markup bytes are ASCII and can never be mistaken for
 continuation bytes.  :attr:`pending_bytes` reports whether the tail ends
 mid-sequence so the run handle's text-after-partial-bytes guard holds.
+:meth:`close_batch` raises every end-of-input error: a tail that ends
+mid-sequence is a truncated document, located at the sequence's first
+byte, in every run shape alike.
 """
 
 from __future__ import annotations
@@ -246,8 +249,8 @@ class ByteScanner:
     def incomplete_tail_at(self):
         """Absolute offset of a trailing incomplete UTF-8 sequence, or None.
 
-        Used at EOF to turn a partial multi-byte code point into a located
-        truncated-document error.
+        :meth:`close_batch` turns it into a located truncated-document
+        error.
         """
         pending = self._pending
         tail = pending[-4:]
@@ -286,11 +289,19 @@ class ByteScanner:
         return batch
 
     def close_batch(self) -> SoABatch:
-        """End of input: final rows, then the well-formedness checks."""
+        """End of input: final rows, then the well-formedness checks -- a
+        truncated UTF-8 tail (never decoded to U+FFFD nor dropped), an
+        unclosed element, no element."""
         buf = self._pending
         batch = SoABatch(buf, self.tags, self._offset)
         if self._finished:
             return batch
+        truncated_at = self.incomplete_tail_at()
+        if truncated_at is not None:
+            raise XMLWellFormednessError(
+                "truncated document: incomplete UTF-8 sequence at end of input",
+                truncated_at,
+            )
         pos = self._drain(buf, 0, len(buf), True, batch, len(buf) + 1)
         self._offset += pos
         self._pending = b""

@@ -125,8 +125,9 @@ class FeedHandle:
         resume_from: Optional[int] = None,
         progress=None,
     ):
-        #: ``open_document(governor=, base_offset=, annotations=)`` opens the
-        #: next document's run (``stop_at_root_close`` set).
+        #: ``open_document(governor=, stop_at_root_close=, base_offset=,
+        #: annotations=)`` opens the next document's run; the feed itself
+        #: passes ``stop_at_root_close=True``.
         self._open_document = open_document
         options = options if options is not None else DEFAULT_OPTIONS
         if resume_from is None:
@@ -302,6 +303,7 @@ class FeedHandle:
         self._doc_start = self._cursor
         self._run = self._open_document(
             governor=self.governor,
+            stop_at_root_close=True,
             base_offset=self._doc_start,
             annotations={
                 "document_index": self._documents_completed,

@@ -3,10 +3,9 @@
 Every batch loop of a run opens spans on the tracer it was handed -- a
 :class:`~repro.obs.tracer.Tracer` for a traced run,
 :data:`~repro.obs.tracer.NULL_TRACER` otherwise: ``scan`` and
-``materialize`` per document step
-(:class:`~repro.fastpath.pipeline.DocumentPass`), ``execute`` per batch
-and around the executors' ``begin``/``finish``
-(:class:`~repro.engine.engine.RunHandle`).  A span that processed a batch
+``materialize`` and ``execute`` per batch, and ``execute`` around the
+executors' ``begin``/``finish`` -- all in
+:class:`~repro.engine.engine.RunHandle`.  A span that processed a batch
 carries its event count as the ``events`` counter.  The spans are the only
 record of stage time: :func:`stage_table` sums them into one
 :class:`StageStats` row per stage, and :class:`TraceReport`, the CLI table,

@@ -20,10 +20,9 @@ The execution path of the engine is a pipeline of stages::
 * **sink** (:mod:`repro.pipeline.sinks`) collects, discards, streams or
   writes the serialized output.
 
-:class:`repro.fastpath.DocumentPass` is the one scan -> materialize site,
-for every run shape; :class:`repro.engine.engine.RunHandle` glues pass,
-executors and sinks, and a prepared query's ``execute`` / ``stream`` /
-``open_run`` / ``open_feed`` open it.
+:class:`repro.engine.engine.RunHandle` is the one scan -> materialize ->
+execute site, for every run shape; a prepared query's ``execute`` /
+``stream`` / ``open_run`` / ``open_feed`` and the subscription hub open it.
 """
 
 from repro.pipeline.fanout import DynamicFanout

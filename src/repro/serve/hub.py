@@ -501,7 +501,6 @@ class SubscriptionHub:
                 ],
                 self.options,
                 mode="serve",
-                stop_at_root_close=True,
                 **framing,
             )
             return self._run

@@ -404,6 +404,29 @@ def test_out_of_range_flag_values_are_usage_errors(argv, flag, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--query", "Q1", "--document", "{document}", "--scale", "5", "--seed", "3"],
+         "--scale"),
+        (["run", "--query", "Q1", "--document", "{document}", "--seed", "3"], "--seed"),
+        (["feed", "--query", "Q1", "--input", "{document}", "--documents", "3", "--scale", "9"],
+         "--documents"),
+        (["feed", "--query", "Q1", "--input", "{document}", "--seed", "3"], "--seed"),
+        (["serve", "--client-fed", "--input", "{document}"], "--input"),
+        (["serve", "--client-fed", "--chunk-size", "512"], "--chunk-size"),
+    ],
+    ids=["run-scale", "run-seed", "feed-documents", "feed-seed", "serve-input", "serve-chunk-size"],
+)
+def test_a_flag_another_flag_makes_moot_is_a_usage_error(workspace, argv, flag, capsys):
+    """Generator flags with an input file, and source flags of a client-fed
+    server, would be silently ignored."""
+    assert main([arg.format(**workspace) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and flag in errors[0], err
+
+
+@pytest.mark.parametrize(
     "argv, needs",
     [
         (["run", "--query", "{query}"], "--document"),

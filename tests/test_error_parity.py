@@ -1,11 +1,13 @@
-"""Malformed input fails the same way whoever drives the document pass.
+"""Malformed input fails the same way whoever drives the run.
 
 Every run shape -- ``execute``, ``stream``, ``open_run`` at any chunking,
 ``prepare_many().execute``, ``open_feed`` and the subscription hub -- goes
-through one :class:`~repro.fastpath.pipeline.DocumentPass`, so a broken
-document must raise the same exception class, message and byte offset from
-all of them, and in a stream of several documents that offset is
-stream-absolute: the failing document's start plus the solo-run offset.
+through one :class:`~repro.engine.engine.RunHandle` over one
+:class:`~repro.fastpath.scanner.ByteScanner`, which raises every
+end-of-input error itself, so a broken document must raise the same
+exception class, message and byte offset from all of them, and in a stream
+of several documents that offset is stream-absolute: the failing
+document's start plus the solo-run offset.
 """
 
 import pytest

@@ -14,7 +14,8 @@ without ``expand_attrs``:
 * push-mode byte feeds split at every small stride (including
   mid-multibyte-UTF-8 and inside attribute values) versus pull mode,
 * the ``mmap`` file ingest,
-* invalid UTF-8 as a typed, located error in pull, push and hub runs,
+* invalid UTF-8 as a typed, located error in pull, push and hub runs, and
+  a truncated UTF-8 tail raised by ``close_batch`` itself,
 * bounded behaviour on adversarial unbounded tag vocabularies: the
   TagTable overflow path, through one- and two-slot fanouts,
 * well-formed XML the scanner once got wrong: ``>`` inside a quoted
@@ -289,6 +290,25 @@ def test_pending_bytes_flags_partial_utf8_tail():
     scanner.feed_batch(data[cut:])
     assert not scanner.pending_bytes
     scanner.close_batch()
+
+
+@pytest.mark.parametrize(
+    "data, offset",
+    [(b"<a><b>x</b><b>\xc3", 14), (b"<a><b>x</b><b\xc3", 13)],
+    ids=["in-text", "in-tag"],
+)
+def test_close_batch_raises_truncated_tail_at_the_cut_sequence(data, offset):
+    """The scanner alone raises the truncated-document error every run
+    shape reports (``test_error_parity.py``), at the cut sequence's first
+    byte."""
+    scanner = solo_scanner()
+    scanner.feed_batch(data)
+    with pytest.raises(XMLWellFormednessError) as excinfo:
+        scanner.close_batch()
+    assert str(excinfo.value).startswith(
+        "truncated document: incomplete UTF-8 sequence at end of input"
+    )
+    assert excinfo.value.offset == offset
 
 
 # ---------------------------------------------------------------------------

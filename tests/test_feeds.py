@@ -9,7 +9,7 @@ Covers the feed tentpole and its satellites:
   are the same :class:`~repro.feeds.FeedHandle` loop,
 * satellite 1 -- a stream ending inside a multi-byte UTF-8 sequence must
   raise a truncated-document error at the offset where the cut sequence
-  starts from ``DocumentPass.finish()``,
+  starts from the run's ``finish()``,
 * satellite 2 -- bytes after the root close: single-document push mode
   rejects them with an error pointing into the trailer, while feed mode
   hands them to the next document,
@@ -32,7 +32,6 @@ import pytest
 
 import repro.feeds
 from repro import DocumentResult, FeedResult, FluxSession
-from repro.fastpath import DocumentPass
 from repro.serve import SubscriptionHub
 from repro.xmlstream.errors import XMLWellFormednessError
 
@@ -309,11 +308,11 @@ def test_feed_rejects_use_after_finish_and_close(session):
 def test_truncated_utf8_at_eof_is_a_located_error(session, stride):
     # "é" is two bytes; dropping the final byte truncates mid-sequence.
     payload = "<bib><book><title>Café".encode("utf-8")[:-1]
-    doc_pass = DocumentPass(session.prepare(TITLES).engine.fanout)
+    run = session.prepare(TITLES).open_run()
     for chunk in _chunks(payload, stride):
-        doc_pass.feed(chunk)
+        run.feed(chunk)
     with pytest.raises(XMLWellFormednessError) as excinfo:
-        doc_pass.finish()
+        run.finish()
     message, offset = str(excinfo.value), excinfo.value.offset
     assert "truncated document" in message
     assert "incomplete UTF-8 sequence" in message

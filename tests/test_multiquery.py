@@ -25,7 +25,7 @@ from _reference import expanded, reference_events
 
 from repro import FluxEngine, FluxSession, MultiQueryRun, NullSink
 from repro.conformance.oracle import _split_at_markup
-from repro.fastpath import DocumentPass
+from repro.fastpath import ByteScanner
 from repro.obs.observer import use_tracing
 from repro.pipeline.fanout import DynamicFanout
 from repro.xmark.dtd import XMARK_DTD_SOURCE, xmark_dtd
@@ -70,13 +70,19 @@ def _fanout(specs):
     return fanout
 
 
-def _slot_streams(fanout, document, stats_list=()):
+def _batches(scanner, document):
+    yield from scanner.scan_source(document, 4096)
+    yield scanner.close_batch()
+
+
+def _slot_streams(fanout, document):
     """Per-slot sub-streams of one shared pass: ``materialize_split`` for an
     N-slot fanout, ``materialize`` for a one-slot one.  Raw content is
     expanded: the pass takes an element's content raw only where every slot
     keeping it is opaque there, but the events it stands for are the same."""
     streams = [[] for _ in range(fanout.width)]
-    for subs in DocumentPass(fanout, stats_list).scan(document, 4096):
+    for batch in _batches(ByteScanner(fanout), document):
+        subs = [batch.materialize()] if fanout.width == 1 else batch.materialize_split(fanout)
         for stream, sub in zip(streams, subs):
             stream.extend(expanded(sub))
     return streams
@@ -120,11 +126,9 @@ def test_merged_state_membership_masks(document):
     assert fanout.keep_masks[0] == 0b11  # both queries watch the root
 
 
-def test_shared_scan_records_stats_per_query(document):
-    from repro.engine.stats import RunStatistics
-
-    stats = [RunStatistics(), RunStatistics()]
-    _slot_streams(_fanout(_specs("Q1", "Q13")), document, stats)
+def test_shared_scan_records_stats_per_query(session, document):
+    run = session.prepare_many({"Q1": BENCHMARK_QUERIES["Q1"], "Q13": BENCHMARK_QUERIES["Q13"]})
+    stats = [result.stats for _, result in run.execute(document).items()]
     # Both queries are charged the *pre-projection* totals of the shared pass.
     assert stats[0].input_events == stats[1].input_events == len(reference_events(document))
     assert stats[0].input_bytes == stats[1].input_bytes > 0
