@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import sys
 import time
+from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.api import compare_engines, load_dtd
@@ -29,6 +30,7 @@ from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmark.ticker import DEFAULT_TICK_SCALE, iter_ticker_chunks
 from repro.xmlstream.errors import XMLSyntaxError
 from repro.xmlstream.parser import iter_events
+from repro.xmlstream.source import iter_byte_chunks
 from repro.xquery.errors import XQueryError
 
 
@@ -342,8 +344,8 @@ def _print_stats(members, memory: Optional[dict]) -> None:
 
 
 def _cmd_compare(args) -> int:
-    # The path goes to every engine as-is: each resolves document sources
-    # itself (the FluX pipeline scans the file in place via mmap).
+    # The path goes to every engine as-is: each reads the file itself, in
+    # chunks.
     rows = compare_engines(_resolve_query(args.query), args.document, _load_schema(args))
     agree = len({row["output"] for row in rows.values()}) == 1
     print(f"{'engine':>16} {'time [s]':>10} {'peak memory [B]':>16}")
@@ -375,16 +377,11 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _iter_file_chunks(path: str, chunk_size: int):
-    with open(path, "rb") as handle:
-        yield from iter(lambda: handle.read(chunk_size), b"")
-
-
 def _stream_source(args):
     """The stream ``feed`` and ``serve`` read, as ``(chunks, label)``: the
     ``--input`` file or the XMark ticker, cut into ``--chunk-size`` chunks."""
     if args.input is not None:
-        return _iter_file_chunks(args.input, args.chunk_size), args.input
+        return iter_byte_chunks(Path(args.input), args.chunk_size), args.input
     if args.dtd is not None:
         raise _UsageError("--dtd needs --input: the ticker streams XMark documents")
     chunks = iter_ticker_chunks(

@@ -84,7 +84,7 @@ def _split_at(document, points) -> list:
 
 def _strided(stride: int, encode: bool = False) -> Callable[[object], list]:
     """A splitter into chunks of a fixed stride, of the UTF-8 bytes when
-    ``encode`` (the zero-copy entry)."""
+    ``encode`` (fed as bytes, not text)."""
 
     def split(document):
         if encode:
@@ -95,7 +95,7 @@ def _strided(stride: int, encode: bool = False) -> Callable[[object], list]:
 
 
 def _bytes_at_markup(document: str) -> List[bytes]:
-    """:func:`_split_at_markup` in UTF-8 byte chunks (the zero-copy entry)."""
+    """:func:`_split_at_markup` in UTF-8 byte chunks (fed as bytes, not text)."""
     return [chunk.encode("utf-8") for chunk in _split_at_markup(document)]
 
 

@@ -42,7 +42,8 @@ class ExecutionOptions:
         Page granularity for spillable buffers; only meaningful with a
         budget.
     chunk_size:
-        Read size for pull-mode document sources.
+        Largest byte chunk a pull run reads from its document source and
+        feeds the scanner.
     trace:
         Request per-run stage tracing (:mod:`repro.obs`): the result gains a
         ``trace`` report with the per-stage time/bytes/events breakdown and
@@ -61,6 +62,8 @@ class ExecutionOptions:
     def __post_init__(self) -> None:
         if self.memory_budget is not None and self.memory_budget <= 0:
             raise ValueError(f"memory_budget must be positive, got {self.memory_budget}")
+        if self.memory_page_bytes is not None and self.memory_page_bytes <= 0:
+            raise ValueError(f"memory_page_bytes must be positive, got {self.memory_page_bytes}")
         if self.chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {self.chunk_size}")
 

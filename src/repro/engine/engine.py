@@ -62,7 +62,7 @@ from repro.pipeline.projection import ProjectionSpec
 from repro.pipeline.sinks import resolve_sink
 from repro.storage.governor import MemoryGovernor
 from repro.storage.spill import SpillError
-from repro.xmlstream.source import DocumentSource
+from repro.xmlstream.source import DocumentSource, iter_byte_chunks
 from repro.xquery.analysis import free_variables
 from repro.xquery.ast import ROOT_VARIABLE, XQExpr
 from repro.xquery.errors import XQueryError
@@ -427,13 +427,10 @@ class RunHandle:
             )
         self.close()
 
-    def _step(self, scan, *args) -> bool:
-        """One batch through the run: scan, count, materialize, execute.
-        False, and nothing done, when ``scan(*args)`` returns no batch."""
+    def _step(self, scan, *args) -> None:
+        """One batch through the run: scan, count, materialize, execute."""
         with self._tracer.span("scan") as span:
             batch = scan(*args)
-        if batch is None:
-            return False
         # ``scan``'s event count is pre-drop (``batch.seen``),
         # ``materialize``'s is the survivors: the per-stage table reads as
         # a selectivity funnel.
@@ -464,7 +461,6 @@ class RunHandle:
                         seat.executor.process_batch(sub)
             self._failing = None
             span.add("events", events)
-        return True
 
     def feed(self, chunk) -> Optional[str]:
         """Execute one more chunk of the document (text or UTF-8 bytes).
@@ -507,15 +503,19 @@ class RunHandle:
     def _drive(self, document: DocumentSource) -> Iterator[None]:
         """Pull one whole document through the run, then finish it.
 
-        The one pull loop: it pauses (yields) after every batch and once
-        more after ``finish``, which is when a stream drains its sink.
+        The one pull loop: it feeds the source's byte chunks to the scanner
+        like :meth:`feed` does, pausing (yielding) after every chunk and
+        once more after ``finish``, which is when a stream drains its sink.
         Spans never enclose a ``yield``, so an abandoned stream leaves none
-        open; abandoning the generator aborts the run like any failure.
+        open; abandoning the generator aborts the run like any failure, and
+        a file source is closed however the loop ends.
         """
         try:
-            batches = self._scanner.scan_source(document, self._options.chunk_size)
-            while self._step(next, batches, None):
-                yield
+            chunks = iter_byte_chunks(document, self._options.chunk_size)
+            with contextlib.closing(chunks):
+                for chunk in chunks:
+                    self._step(self._scanner.feed_batch, chunk)
+                    yield
         except BaseException as exc:
             self._abort(exc)
             raise

@@ -2,10 +2,9 @@
 
 Everything between input bytes and the executor lives here:
 
-* :mod:`repro.fastpath.scanner` -- a zero-copy tokenizer that walks
-  ``bytes``/``memoryview``/``mmap`` input directly, coalesces and projects
-  in the same loop, and defers all UTF-8 decoding until character data is
-  actually emitted,
+* :mod:`repro.fastpath.scanner` -- a tokenizer fed byte chunks that
+  walks each chunk by index, coalesces and projects in the same loop, and
+  defers all UTF-8 decoding until character data is actually emitted,
 * :mod:`repro.fastpath.batch` -- struct-of-arrays event batches (packed
   integer words + byte spans) between the scanner and the executor
   boundary, materialized into event objects lazily,

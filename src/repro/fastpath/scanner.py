@@ -1,8 +1,8 @@
 """Bytes-native tokenizer fused with the flat-table projection filter.
 
 :class:`ByteScanner` is the engine's only document scanner: one index-based
-pass over a ``bytes`` / ``mmap`` buffer that tokenizes, coalesces and
-projects in a single loop and emits struct-of-arrays rows
+pass over each byte chunk it is fed that tokenizes, coalesces and projects
+in a single loop and emits struct-of-arrays rows
 (:class:`~repro.fastpath.batch.SoABatch`) for *surviving* events only.
 
 What makes it fast:
@@ -16,9 +16,9 @@ What makes it fast:
   the flat transition table of :class:`~repro.pipeline.fanout.DynamicFanout`,
 * subtrees the projection filter drops emit *nothing*, and what the
   query never reads is mostly not tokenized at all.  The **bulk rule**
-  takes a span in one piece when it lies inside the current window, is
+  takes a span in one piece when it lies inside the current chunk, is
   at most :data:`_BULK_MAX` bytes (the default chunk size; it bounds the
-  copy and expat's buffers whatever chunks a caller pushes) and is
+  copy and expat's buffers whatever chunks a caller feeds) and is
   *plain* (below).  It has three shapes:
 
   - a **dropped subtree**: from a dropped element's start tag to the
@@ -117,12 +117,16 @@ here too: an attribute-bearing start tag emits its element row and then one
 start/text/end row triple per attribute, each subelement name resolved
 through the projection table like any other tag.
 
-Push mode (:meth:`feed_batch` / :meth:`close_batch`) accepts chunks cut at
+The scanner has one entry, whatever the source: :meth:`feed_batch` per
+chunk, then :meth:`close_batch` at the end of input.  Chunks may be cut at
 arbitrary byte positions -- **including mid-multibyte UTF-8**: an
 incomplete sequence simply stays in the pending tail like any incomplete
 token, because markup bytes are ASCII and can never be mistaken for
-continuation bytes.  :attr:`pending_bytes` reports whether the tail ends
-mid-sequence so the run handle's text-after-partial-bytes guard holds.
+continuation bytes.  A chunk that cannot end the pending token (no ``<``
+after pending text, no ``>`` after pending markup) is held unscanned, so a
+token across many chunks is searched and copied once, not once per chunk.
+:attr:`pending_bytes` reports whether the tail ends mid-sequence so the
+run handle's text-after-partial-bytes guard holds.
 :meth:`close_batch` raises every end-of-input error: a tail that ends
 mid-sequence is a truncated document, located at the sequence's first
 byte, in every run shape alike.
@@ -131,7 +135,7 @@ byte, in every run shape alike.
 from __future__ import annotations
 
 import re
-from typing import Iterator, List
+from typing import List
 from xml.parsers.expat import ExpatError, ParserCreate
 
 from repro.fastpath.batch import (
@@ -151,7 +155,7 @@ from repro.fastpath.tags import DROP, UNINTERNED, UNKNOWN
 from repro.xmlstream.attributes import expanded_attribute_name
 from repro.xmlstream.errors import XMLSyntaxError, XMLWellFormednessError
 from repro.xmlstream.events import Characters, EndElement, RawContent, StartElement
-from repro.xmlstream.source import DEFAULT_CHUNK_SIZE, DocumentSource, resolve_bytes_source
+from repro.xmlstream.source import DEFAULT_CHUNK_SIZE
 
 #: A start-tag body that is just an (ASCII) name, possibly padded.
 _SIMPLE_TAG_RE = re.compile(rb"[ \t\r\n]*([A-Za-z_:][A-Za-z0-9_:.\-]*)[ \t\r\n]*\Z")
@@ -169,14 +173,14 @@ _BULK_MIN = 256
 #: written one by one, so taking it raw pays off sooner.
 _RAW_MIN = 128
 #: Largest span taken in one piece (dropped subtree, run or raw content):
-#: bounds the copy and expat's buffers whatever the window size; a larger
+#: bounds the copy and expat's buffers whatever the chunk size; a larger
 #: subtree is taken child by child.
 _BULK_MAX = DEFAULT_CHUNK_SIZE
-#: Bulk searches per window that may end without finding the end tag (the
-#: element is larger than ``_BULK_MAX`` or still open at the window's end).
+#: Bulk searches per chunk that may end without finding the end tag (the
+#: element is larger than ``_BULK_MAX`` or still open at the chunk's end).
 #: It only bounds adversarial deep nesting, where every level would search
 #: up to ``_BULK_MAX`` bytes again; XMark queries never reach it (at most 5
-#: misses per window, pull or push, 8 KiB to 1 MiB windows).
+#: misses per chunk, 8 KiB to 1 MiB chunks).
 _BULK_MISSES = 8
 #: The bytes of an ASCII XML name, deleted to leave a plain span's tag
 #: skeleton (``<>`` and ``</>``).
@@ -207,6 +211,7 @@ class ByteScanner:
         "_finished",
         "_seen_root",
         "_pending",
+        "_held",
         "_offset",
         "_stop_root",
         "_root_closed",
@@ -230,12 +235,11 @@ class ByteScanner:
         self._finished = False
         self._seen_root = False
         self._pending = b""
+        self._held: List[bytes] = []  # chunks appended to the tail unscanned
         self._offset = base_offset  # absolute byte offset of the pending tail
         self._stop_root = stop_at_root_close
         self._root_closed = False
         self._expand = expand_attrs
-
-    # -------------------------------------------------------------- push mode
 
     @property
     def pending_bytes(self) -> bool:
@@ -252,7 +256,7 @@ class ByteScanner:
         :meth:`close_batch` turns it into a located truncated-document
         error.
         """
-        pending = self._pending
+        pending = self._settle()
         tail = pending[-4:]
         for index in range(len(tail) - 1, -1, -1):
             byte = tail[index]
@@ -272,27 +276,44 @@ class ByteScanner:
 
     def take_remainder(self) -> bytes:
         """Return (and discard) unscanned bytes past the closed root element."""
-        rest = self._pending
+        rest = self._settle()
         self._offset += len(rest)
         self._pending = b""
         return rest
 
     def feed_batch(self, data: bytes) -> SoABatch:
-        """Scan one pushed chunk; returns the rows that became complete."""
+        """Scan one chunk; returns the rows that became complete."""
         if self._finished:
             raise XMLWellFormednessError("data after end of document", self._offset)
-        buf = self._pending + data if self._pending else data
+        pending = self._pending
+        if pending:
+            # Text ends at a ``<``, and every markup terminator with a ``>``
+            # (once the tail is long enough to tell the kind): a chunk
+            # without that byte cannot end the pending token, so hold it.
+            awaited = b"<" if pending[0] != 60 else b">" if len(pending) >= 9 else b""
+            if awaited not in data:
+                self._held.append(data)
+                return SoABatch(b"", self.tags, self._offset)
+        buf = b"".join((pending, *self._held, data)) if pending else data
+        self._held.clear()
         batch = SoABatch(buf, self.tags, self._offset)
-        pos = self._drain(buf, 0, len(buf), False, batch, len(buf) + 1)
+        pos = self._drain(buf, False, batch)
         self._offset += pos
-        self._pending = bytes(buf[pos:])
+        self._pending = buf[pos:]
         return batch
+
+    def _settle(self) -> bytes:
+        """The pending tail, with the chunks held unscanned appended."""
+        if self._held:
+            self._pending = b"".join((self._pending, *self._held))
+            self._held.clear()
+        return self._pending
 
     def close_batch(self) -> SoABatch:
         """End of input: final rows, then the well-formedness checks -- a
         truncated UTF-8 tail (never decoded to U+FFFD nor dropped), an
         unclosed element, no element."""
-        buf = self._pending
+        buf = self._settle()
         batch = SoABatch(buf, self.tags, self._offset)
         if self._finished:
             return batch
@@ -302,7 +323,7 @@ class ByteScanner:
                 "truncated document: incomplete UTF-8 sequence at end of input",
                 truncated_at,
             )
-        pos = self._drain(buf, 0, len(buf), True, batch, len(buf) + 1)
+        pos = self._drain(buf, True, batch)
         self._offset += pos
         self._pending = b""
         if self._stack:
@@ -315,52 +336,9 @@ class ByteScanner:
         self._finished = True
         return batch
 
-    # -------------------------------------------------------------- pull mode
-
-    def scan_document(self, buf, chunk_size: int) -> Iterator[SoABatch]:
-        """Scan a fully-resolved buffer (bytes or mmap) in place, zero-copy.
-
-        Yields one batch per ~``chunk_size`` bytes of input so downstream
-        work (materialization, execution, statistics) stays bounded, without
-        ever copying or re-compacting the buffer.  Like :meth:`feed_batch`
-        this does not end the document: the incomplete last token (if any)
-        becomes the pending tail and :meth:`close_batch` validates it, so
-        in-place and chunk-fed scans share one end-of-input path.
-        """
-        if self._finished:
-            raise XMLWellFormednessError("data after end of document", self._offset)
-        length = len(buf)
-        pos = 0
-        while pos < length:
-            batch = SoABatch(buf, self.tags, self._offset)
-            reached = self._drain(buf, pos, length, False, batch, pos + chunk_size)
-            if reached == pos:  # an incomplete token: the tail
-                break
-            pos = reached
-            yield batch
-        self._offset += pos
-        self._pending = bytes(buf[pos:])
-
-    def scan_source(self, document: DocumentSource, chunk_size: int) -> Iterator[SoABatch]:
-        """Scan one document source of any supported kind into batches.
-
-        In-memory and file-backed sources are scanned in place (files via
-        ``mmap``); streaming sources feed the scanner chunk-wise.  The
-        caller ends the document with :meth:`close_batch`.
-        """
-        kind, source, closer = resolve_bytes_source(document, chunk_size)
-        try:
-            if kind == "buffer":
-                yield from self.scan_document(source, chunk_size)
-            else:
-                for chunk in source:
-                    yield self.feed_batch(chunk)
-        finally:
-            closer()
-
     # -------------------------------------------------------------- the scan
 
-    def _drain(self, buf, pos: int, length: int, final: bool, batch: SoABatch, stop: int) -> int:
+    def _drain(self, buf: bytes, final: bool, batch: SoABatch) -> int:
         tags = self.tags
         ids = tags.ids
         start_costs = tags.start_costs
@@ -392,19 +370,18 @@ class ByteScanner:
         cost = 0
         # Coalescing: adjacent counted text segments (text/CDATA split by
         # skipped markup) form one logical node; they count once and
-        # materialize merged -- also across chunk and window boundaries.
+        # materialize merged -- also across chunk boundaries.
         text_run = self._text_run
         stop_root = self._stop_root
         expand = self._expand
-        # Tokens only *start* before ``stop``; one starting earlier runs to
-        # completion, exactly like the old per-iteration ``pos >= stop`` break.
-        limit = stop if stop < length else length
+        pos = 0
+        length = len(buf)
         fence = 0
         run_fence = 0
         misses = 0
         bulk = 0
 
-        while pos < limit:
+        while pos < length:
             if stop_root and not stack and self._seen_root:
                 # Feed mode: the root element just closed -- bytes from here
                 # on belong to the next document (``take_remainder``).
@@ -499,7 +476,7 @@ class ByteScanner:
                         skip += 1
                     # A dropped element (``skip``) or one that some slot keeps
                     # opaque: take its subtree in bulk, or its content raw,
-                    # when it closes inside this window, is large but not too
+                    # when it closes inside this chunk, is large but not too
                     # large, and is plain.  Bytes already examined (``fence``,
                     # or ``run_fence`` for a split) are not searched again by
                     # the same shape, and misses are capped, so the extra
@@ -508,8 +485,6 @@ class ByteScanner:
                         continue
                     pat = end_pats[tid]
                     reach = at + _BULK_MAX
-                    if reach > limit:
-                        reach = limit
                     close = find(pat, pos, reach)
                     if close == -1:
                         misses += 1
@@ -593,9 +568,8 @@ class ByteScanner:
                     expected = stack[-1]
                     # Fast path: the only end tag that can be well-formed
                     # here is ``</top-of-stack>``; match it in place with a
-                    # range-bounded find (a zero-copy prefix test that, unlike
-                    # ``startswith``, ``mmap`` also supports) -- no scan, no
-                    # slice, no dict hit.
+                    # range-bounded find (a prefix test without a slice) --
+                    # no scan, no dict hit.
                     if expected.__class__ is int and find(
                         pat := end_pats[expected], pos, pos + (plen := len(pat))
                     ) == pos:

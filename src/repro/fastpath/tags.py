@@ -71,7 +71,7 @@ class TagTable:
         self.start_costs: List[int] = []  # StartElement.cost_in_bytes()
         self.end_costs: List[int] = []  # EndElement.cost_in_bytes()
         self.end_pats: List[bytes] = []  # b"</name>" -- the scanner's expected
-        # end tag for the open element, matched with a zero-copy startswith
+        # end tag for the open element, matched with a range-bounded find
         self.limit = limit
         self._lock = threading.Lock()
 

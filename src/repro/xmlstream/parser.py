@@ -3,12 +3,12 @@
 :func:`iter_events` streams SAX-style events from any
 :data:`~repro.xmlstream.source.DocumentSource`; :func:`parse_events` and
 :func:`parse_tree` materialize them as a list or a tree.  Documents are read
-as bytes through :func:`~repro.xmlstream.source.resolve_bytes_source` (the
-scanner's own source rule), decoded as UTF-8 whatever an XML declaration
-says, and parsed by :mod:`xml.parsers.expat`.  The engine's byte scanner is
-differentially tested against this stream, and the DOM baselines and the
-conformance oracle's expected output are built on it; it is not an engine
-path and shares no tokenizing code with the scanner.
+as byte chunks through :func:`~repro.xmlstream.source.iter_byte_chunks` (the
+chunks a run feeds its scanner), decoded as UTF-8 whatever an XML
+declaration says, and parsed by :mod:`xml.parsers.expat`.  The engine's
+byte scanner is differentially tested against this stream, and the DOM
+baselines and the conformance oracle's expected output are built on it; it
+is not an engine path and shares no tokenizing code with the scanner.
 
 The stream follows the paper's data model:
 
@@ -33,6 +33,7 @@ expat's byte offset and with expat's message.
 from __future__ import annotations
 
 import codecs
+from contextlib import closing
 from itertools import chain
 from typing import Iterator, List
 from xml.parsers.expat import ExpatError, ParserCreate, errors
@@ -47,7 +48,7 @@ from repro.xmlstream.events import (
     StartDocument,
     StartElement,
 )
-from repro.xmlstream.source import DEFAULT_CHUNK_SIZE, DocumentSource, resolve_bytes_source
+from repro.xmlstream.source import DEFAULT_CHUNK_SIZE, DocumentSource, iter_byte_chunks
 from repro.xmlstream.tree import XMLNode, events_to_tree
 
 #: Expat errors about nesting and the document's extent.
@@ -150,22 +151,16 @@ def iter_events(
     :class:`StartDocument`/:class:`EndDocument` markers.  ``chunk_size``
     bytes are parsed at a time; the events do not depend on it.
     """
-    kind, data, closer = resolve_bytes_source(source, chunk_size)
-    if kind == "buffer":
-        buffer = data
-        data = (buffer[at : at + chunk_size] for at in range(0, len(buffer), chunk_size))
     reader = _Reader(strip_whitespace)
-    try:
+    with closing(iter_byte_chunks(source, chunk_size)) as chunks:
         if document_events:
             yield StartDocument()
         # Sources never yield an empty chunk: the closing ``b""`` is final.
-        for chunk in chain(data, [b""]):
+        for chunk in chain(chunks, [b""]):
             batch = reader.feed(chunk, final=not chunk)
             yield from expand_attributes(batch) if expand_attrs else batch
         if document_events:
             yield EndDocument()
-    finally:
-        closer()
 
 
 def parse_events(

@@ -1,14 +1,18 @@
 """Malformed input fails the same way whoever drives the run.
 
-Every run shape -- ``execute``, ``stream``, ``open_run`` at any chunking,
-``prepare_many().execute``, ``open_feed`` and the subscription hub -- goes
-through one :class:`~repro.engine.engine.RunHandle` over one
+Every run shape -- ``execute`` (of bytes at any chunk size, or of a file),
+``stream``, ``open_run`` at any chunking, ``prepare_many().execute``,
+``open_feed`` and the subscription hub -- goes through one
+:class:`~repro.engine.engine.RunHandle` over one
 :class:`~repro.fastpath.scanner.ByteScanner`, which raises every
 end-of-input error itself, so a broken document must raise the same
 exception class, message and byte offset from all of them, and in a stream
 of several documents that offset is stream-absolute: the failing
 document's start plus the solo-run offset.
 """
+
+import pathlib
+import tempfile
 
 import pytest
 
@@ -25,8 +29,15 @@ DTD = """
 QUERY = "<r>{ for $b in $ROOT/a/b return {$b} }</r>"
 
 
-def _execute(session, data):
-    session.prepare(QUERY).execute(data)
+def _execute(session, data, **overrides):
+    session.prepare(QUERY).execute(data, **overrides)
+
+
+def _execute_path(session, data):
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory, "doc.xml")
+        path.write_bytes(data)
+        _execute(session, path)
 
 
 def _stream(session, data):
@@ -59,6 +70,8 @@ def _hub(session, data):
 
 SHAPES = {
     "execute": _execute,
+    "execute/3": lambda session, data: _execute(session, data, chunk_size=3),
+    "execute/path": _execute_path,
     "stream": _stream,
     "open_run/1": _open_run(1),
     "open_run/3": _open_run(3),

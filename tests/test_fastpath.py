@@ -11,9 +11,9 @@ without ``expand_attrs``:
 * the flat integer transition table versus the projection automaton it
   caches, on randomized tag streams, and its layout never torn by a
   concurrent widening,
-* push-mode byte feeds split at every small stride (including
-  mid-multibyte-UTF-8 and inside attribute values) versus pull mode,
-* the ``mmap`` file ingest,
+* byte feeds split at every small stride (including mid-multibyte-UTF-8
+  and inside attribute values) versus one whole-document chunk,
+* file ingest, including a file truncated while a run reads it,
 * invalid UTF-8 as a typed, located error in pull, push and hub runs, and
   a truncated UTF-8 tail raised by ``close_batch`` itself,
 * bounded behaviour on adversarial unbounded tag vocabularies: the
@@ -23,11 +23,16 @@ without ``expand_attrs``:
   non-ASCII element names.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from _reference import coalesce_text, project_events, reference_events
 
+import repro
 from repro.core import FluxSession
 from repro.fastpath import ByteScanner, TagTable
 from repro.fastpath.batch import KIND_MASK, STATE_SHIFT, TAG_MASK, TAG_SHIFT
@@ -37,6 +42,7 @@ from repro.serve import SubscriptionHub
 from repro.xmlstream.attributes import expand_attributes
 from repro.xmlstream.errors import XMLWellFormednessError
 from repro.xmlstream.events import Characters, EndElement, StartElement
+from repro.xmlstream.source import iter_byte_chunks
 
 BIB_DTD = """
 <!ELEMENT bib (book)*>
@@ -97,7 +103,8 @@ def scan(document, chunk_size=64 * 1024, fanout=None, expand=False):
     data = document.encode("utf-8") if isinstance(document, str) else document
     flat = []
     seen = cost = 0
-    for batch in [*scanner.scan_document(data, chunk_size), scanner.close_batch()]:
+    batches = map(scanner.feed_batch, iter_byte_chunks(data, chunk_size))
+    for batch in [*batches, scanner.close_batch()]:
         flat.extend(batch.materialize())
         seen += batch.seen
         cost += batch.cost
@@ -264,21 +271,13 @@ def test_push_mode_byte_feeds_match_pull(stride, document, expand):
     # Stride 1 cuts everywhere: inside attribute values, between a closing
     # quote and ``>``, inside entity references, mid-multibyte-UTF-8, and
     # between the segments of one text node.
-    scanner = solo_scanner(expand_attrs=expand)
-    data = document.encode("utf-8")
-    fed = []
-    seen = cost = 0
-    batches = [scanner.feed_batch(data[at : at + stride]) for at in range(0, len(data), stride)]
-    for batch in [*batches, scanner.close_batch()]:
-        fed.extend(batch.materialize())
-        seen += batch.seen
-        cost += batch.cost
+    fed, counts = scan(document, chunk_size=stride, expand=expand)
     if document in (SPLIT_TEXT_DOC, LINE_END_DOC):
         # A text node whose segments land in different batches materializes
         # in pieces, one per batch, but is still counted as one node.
         fed = coalesce_text(fed)
     assert fed == reference_events(document, expand)
-    assert (seen, cost) == scan(document, expand=expand)[1]
+    assert counts == scan(document, expand=expand)[1]
 
 
 def test_pending_bytes_flags_partial_utf8_tail():
@@ -290,6 +289,32 @@ def test_pending_bytes_flags_partial_utf8_tail():
     scanner.feed_batch(data[cut:])
     assert not scanner.pending_bytes
     scanner.close_batch()
+
+
+@pytest.mark.parametrize(
+    "token",
+    [b"x" * 50, b"<!--" + b"-" * 50 + b"-->", b"<b k='" + b"v" * 50 + b"'/>"],
+    ids=["text", "comment", "tag"],
+)
+def test_a_token_across_many_chunks_is_scanned_once(monkeypatch, token):
+    """A chunk that cannot end the pending token (no ``<`` after text, no
+    ``>`` after markup) is held unscanned: the token is searched and copied
+    once, not once per chunk, and the events are those of one whole feed."""
+    drains = []
+    drain = ByteScanner._drain
+    monkeypatch.setattr(
+        ByteScanner, "_drain", lambda self, *args: drains.append(1) or drain(self, *args)
+    )
+    data = b"<a>" + token + "é</a>".encode("utf-8")
+    scanner = solo_scanner()
+    # Long enough to tell the token's kind, then one byte at a time.
+    events = scanner.feed_batch(data[:12]).materialize()
+    for at in range(12, len(data) - 5):
+        events += scanner.feed_batch(data[at : at + 1]).materialize()
+    assert scanner.pending_bytes  # the tail ends inside ``é``
+    events += scanner.feed_batch(data[-5:]).materialize() + scanner.close_batch().materialize()
+    assert len(drains) <= 5  # one per chunk would be 60
+    assert coalesce_text(events) == scan(data)[0]
 
 
 @pytest.mark.parametrize(
@@ -442,15 +467,58 @@ def test_every_member_of_a_pass_reports_the_same_input(expand):
 
 
 # ---------------------------------------------------------------------------
-# mmap file ingest
+# File ingest
 
 
-def test_mmap_file_ingest(tmp_path):
+def test_file_ingest(tmp_path):
     path = tmp_path / "doc.xml"
     path.write_text(DOC, encoding="utf-8")
+    chunk_size = 7
+    assert path.stat().st_size % chunk_size  # the last chunk is a short one
     with FluxSession(BIB_DTD, root_element="bib") as session:
         prepared = session.prepare(TITLES)
-        assert prepared.execute(str(path)).output == prepared.execute(DOC).output
+        expected = prepared.execute(DOC).output
+        assert prepared.execute(str(path)).output == expected
+        assert prepared.execute(path, chunk_size=chunk_size).output == expected
+
+
+#: Streams Q1 over a ~1.2 MB XMark file and cuts the file to 100,000 bytes
+#: after the second fragment, when the run has read past that point.
+_TRUNCATE_WHILE_READING = """
+import os, sys
+from repro import FluxSession
+from repro.xmark.dtd import xmark_dtd
+from repro.xmark.generator import config_for_scale, write_document
+from repro.xmark.queries import BENCHMARK_QUERIES
+from repro.xmlstream.errors import XMLWellFormednessError
+
+path = sys.argv[1]
+write_document(path, config_for_scale(2.0))
+fragments = FluxSession(xmark_dtd()).prepare(BENCHMARK_QUERIES["Q1"]).stream(path)
+try:
+    for count, _ in enumerate(fragments, 1):
+        if count == 2:
+            os.truncate(path, 100_000)
+except XMLWellFormednessError as exc:
+    print(exc.offset, exc)
+"""
+
+
+def test_a_file_truncated_while_a_run_reads_it_is_a_located_error(tmp_path):
+    # In a child process: a file mapped into memory instead of read would
+    # kill it with SIGBUS here, and pytest with it.
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    child = subprocess.run(
+        [sys.executable, "-c", _TRUNCATE_WHILE_READING, str(tmp_path / "site.xml")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert child.returncode == 0, (child.returncode, child.stderr[-2000:])
+    offset, message = child.stdout.split(" ", 1)
+    assert int(offset) > 100_000
+    assert message.startswith("document ended with unclosed element <")
 
 
 def test_empty_file_fails_cleanly(tmp_path):
@@ -502,7 +570,8 @@ def slot_streams(fanout, document, chunk_size=64 * 1024):
     scanner = ByteScanner(fanout)
     streams = [[] for _ in range(fanout.width)]
     data = document.encode("utf-8")
-    for batch in [*scanner.scan_document(data, chunk_size), scanner.close_batch()]:
+    batches = map(scanner.feed_batch, iter_byte_chunks(data, chunk_size))
+    for batch in [*batches, scanner.close_batch()]:
         for stream, sub in zip(streams, batch.materialize_split(fanout)):
             stream.extend(sub)
     return streams

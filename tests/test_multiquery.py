@@ -32,6 +32,7 @@ from repro.xmark.dtd import XMARK_DTD_SOURCE, xmark_dtd
 from repro.xmark.generator import config_for_scale, generate_document
 from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmark.usecases import BIB_DTD_USECASES, XMP_INTRO
+from repro.xmlstream.source import iter_byte_chunks
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +72,7 @@ def _fanout(specs):
 
 
 def _batches(scanner, document):
-    yield from scanner.scan_source(document, 4096)
+    yield from map(scanner.feed_batch, iter_byte_chunks(document, 4096))
     yield scanner.close_batch()
 
 

@@ -153,7 +153,7 @@ def test_attach_is_delta_merge_never_reenters_existing_queries():
         streams = [[] for _ in range(fanout.width)]
         scanner = ByteScanner(fanout)
         data = _doc(0).encode("utf-8")
-        for batch in [*scanner.scan_document(data, 1 << 16), scanner.close_batch()]:
+        for batch in [scanner.feed_batch(data), scanner.close_batch()]:
             subs = batch.materialize_split(fanout)
             assert len(subs) == fanout.width
             for stream, sub in zip(streams, subs):
