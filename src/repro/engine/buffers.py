@@ -2,8 +2,8 @@
 
 Buffers are plain lists of events (Section 5: "Buffers are implemented as
 lists of SAX events"), and that is also the only form they are read in: a
-handler takes a buffer's ``events`` once per execution and walks them
-(:mod:`repro.engine.xquery_exec`); no tree is built.
+compiled handler body takes a buffer's ``events`` once per execution and
+walks them (:mod:`repro.engine.xquery_exec`); no tree is built.
 
 The manager's buffer *class* is pluggable: a ``factory`` callable
 ``(manager, name) -> buffer`` swaps the plain in-heap :class:`EventBuffer`

@@ -274,12 +274,13 @@ class RunHandle:
         # merged into /progress snapshots and crash dumps verbatim.
         self._annotations = annotations
         self._state = "open"
-        # Push-mode watermarks: raw units fed (bytes or characters, as
-        # fed) and the most recent chunk boundaries, for /progress and for
-        # the flight recorder's crash dumps.
+        # Watermarks: raw units fed (bytes or characters, as fed) and the
+        # most recent chunk boundaries, for /progress and for the flight
+        # recorder's crash dumps; ``_pushed`` once :meth:`feed` is called.
         self._fed_bytes = 0
         self._chunks_fed = 0
         self._chunk_offsets = deque(maxlen=256)
+        self._pushed = False
         self._governor, self._release_governor = governor_for(self, options, governor)
         factory = self._governor.make_buffer if self._governor is not None else None
         self._tracer = Tracer() if use_tracing(options.trace) else NULL_TRACER
@@ -484,16 +485,21 @@ class RunHandle:
             data = chunk.encode("utf-8")
         else:
             data = bytes(chunk)
-        self._chunk_offsets.append(self._fed_bytes + size)
-        _flight.RECORDER.note("chunk", size, self._fed_bytes + size)
+        self._pushed = True
         try:
-            self._step(self._scanner.feed_batch, data)
+            self._feed_chunk(data, size)
         except Exception as exc:
             self._abort(exc)
             raise
+        return self._drain() if self._drain is not None else None
+
+    def _feed_chunk(self, data: bytes, size: int) -> None:
+        """One chunk through the run, for :meth:`feed` and the pull loop alike."""
+        self._chunk_offsets.append(self._fed_bytes + size)
+        _flight.RECORDER.note("chunk", size, self._fed_bytes + size)
+        self._step(self._scanner.feed_batch, data)
         self._fed_bytes += size
         self._chunks_fed += 1
-        return self._drain() if self._drain is not None else None
 
     def drain(self) -> str:
         """Pending output of a drainable sink (e.g. the tail produced by
@@ -514,7 +520,7 @@ class RunHandle:
             chunks = iter_byte_chunks(document, self._options.chunk_size)
             with contextlib.closing(chunks):
                 for chunk in chunks:
-                    self._step(self._scanner.feed_batch, chunk)
+                    self._feed_chunk(chunk, len(chunk))
                     yield
         except BaseException as exc:
             self._abort(exc)
@@ -584,7 +590,7 @@ class RunHandle:
         tracer = self._tracer
         seats = self._seat_stats
         for stats in seats:
-            record_run(stats, traced=tracer.enabled, push=self._chunks_fed > 0)
+            record_run(stats, traced=tracer.enabled, push=self._pushed)
         if not tracer.enabled:
             return None
         spans = list(tracer.records)

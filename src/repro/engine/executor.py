@@ -57,12 +57,6 @@ from repro.engine.plan import (
 )
 from repro.engine.stats import RunStatistics
 from repro.obs import recorder as _recorder
-from repro.engine.xquery_exec import (
-    RuntimeEnvironment,
-    ScopeBinding,
-    evaluate_condition_runtime,
-    execute_expression,
-)
 from repro.pipeline.sinks import CollectSink, OutputSink
 from repro.xmlstream.events import (
     Characters,
@@ -73,7 +67,6 @@ from repro.xmlstream.events import (
     StartDocument,
     StartElement,
 )
-from repro.xquery.ast import Condition
 
 Path = Tuple[str, ...]
 
@@ -107,7 +100,9 @@ class _ValueAccumulator:
 
 
 class ScopeActivation:
-    """One live instance of a ``process-stream`` scope."""
+    """One live instance of a ``process-stream`` scope: what compiled
+    bodies read for its variable, and ``memo``, the results of repeated
+    conditions that it owns (:mod:`repro.engine.xquery_exec`)."""
 
     __slots__ = (
         "spec",
@@ -116,7 +111,7 @@ class ScopeActivation:
         "fired",
         "buffer",
         "value_store",
-        "binding",
+        "memo",
         "condition_bytes",
     )
 
@@ -127,14 +122,8 @@ class ScopeActivation:
         self.fired: set = set()
         self.buffer = buffer
         self.value_store: Dict[Path, List[str]] = {}
+        self.memo: Optional[dict] = None
         self.condition_bytes = 0
-        self.binding = ScopeBinding(
-            spec.var,
-            element_name,
-            buffer=buffer,
-            buffer_tree=spec.buffer_tree,
-            value_store=self.value_store,
-        )
 
 
 class _Frame:
@@ -293,22 +282,20 @@ class StreamExecutor:
 
     # ------------------------------------------------------------ internals
 
-    def _runtime_environment(self, joins=None) -> RuntimeEnvironment:
-        # Every buffer read goes through an environment: charge first.
+    def _holds(self, test) -> bool:
+        # Every buffer read charges first.
         self.buffers.flush()
-        bindings = {
-            var: activations[-1].binding
-            for var, activations in self._active_scopes.items()
-            if activations
-        }
-        return RuntimeEnvironment(bindings, joins)
+        return test(self._active_scopes)
 
-    def _evaluate_condition(self, condition: Condition) -> bool:
-        return evaluate_condition_runtime(condition, self._runtime_environment())
+    def _write_gated(self, parts) -> None:
+        for text, test in parts:
+            if test is None or self._holds(test):
+                self.sink.write_text(text)
 
     def _execute_handler(self, handler: CompiledOnFirst) -> None:
         self.stats.handler_executions += 1
-        execute_expression(handler.body, self._runtime_environment(handler.joins), self.sink)
+        self.buffers.flush()
+        handler.run(self._active_scopes, self.sink)
 
     # ------------------------------------------------------- scope lifecycle
 
@@ -501,12 +488,9 @@ class StreamExecutor:
             else:
                 frame.deferred_copies.append((action, buffer))
             return
-        for part in action.prefix:
-            if part.condition is None or self._evaluate_condition(part.condition):
-                self.sink.write_text(part.text)
+        self._write_gated(action.prefix)
         if action.copy_var is not None:
-            allowed = action.copy_condition is None or self._evaluate_condition(action.copy_condition)
-            if allowed:
+            if action.copy_test is None or self._holds(action.copy_test):
                 frame.copy_active = True
         if action.suffix:
             if frame.copy_suffix is _EMPTY:
@@ -560,27 +544,19 @@ class StreamExecutor:
         # 3. Stream-copy output: closing tag, then conditional suffix strings.
         if frame.copy_active:
             self.sink.write_event(event)
-        for part in frame.copy_suffix:
-            if part.condition is None or self._evaluate_condition(part.condition):
-                self.sink.write_text(part.text)
+        if frame.copy_suffix:
+            self._write_gated(frame.copy_suffix)
 
         # 4. Deferred actions: the child is now fully read, so their gating
         #    conditions are decidable -- emit the whole action in order.
         for action, buffer in frame.deferred_copies:
-            for part in action.prefix:
-                if part.condition is None or self._evaluate_condition(part.condition):
-                    self.sink.write_text(part.text)
+            self._write_gated(action.prefix)
             if buffer is not None:
-                allowed = action.copy_condition is None or self._evaluate_condition(
-                    action.copy_condition
-                )
-                if allowed:
+                if action.copy_test is None or self._holds(action.copy_test):
                     self.buffers.flush()
                     self.sink.write_events(buffer.events)
                 buffer.release()
-            for part in action.suffix:
-                if part.condition is None or self._evaluate_condition(part.condition):
-                    self.sink.write_text(part.text)
+            self._write_gated(action.suffix)
 
         # 5. Parent-scope ``on-first`` handlers that fired on this child run
         #    now that the child is complete.

@@ -17,13 +17,15 @@ needs:
   so the executor steps it only on the children it observes -- or the
   element's own automaton where the erased one could decide differently,
 * per ``on-first`` handler, the :class:`JoinGuard` of every ``for`` loop in
-  its body that the executor can run as an indexed join.
+  its body that the executor can run as an indexed join, and the body
+  compiled to a closure over them; per stream-copy action, its conditions
+  compiled likewise (:mod:`repro.engine.xquery_exec`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.dtd.constraints import OrderConstraints
 from repro.dtd.glushkov import GlushkovAutomaton, INITIAL_STATE
@@ -44,8 +46,9 @@ from repro.flux.ast import (
 )
 from repro.flux.errors import UnsafeQueryError, UnschedulableQueryError
 from repro.flux.safety import check_safety
-from repro.flux.simple import SimplePart, decompose_simple
-from repro.xquery.analysis import free_variables
+from repro.flux.simple import decompose_simple
+from repro.engine.xquery_exec import ConditionMemo, compile_handler, compile_test
+from repro.xquery.analysis import free_variables, iter_subexpressions
 from repro.xquery.ast import (
     AndCondition,
     ComparisonCondition,
@@ -79,7 +82,7 @@ class JoinGuard:
     ``inner`` reads only the loop variable and ``outer`` only variables bound
     outside the loop, so the executor probes a sorted index over ``inner``
     once per outer binding and runs the unchanged loop over the candidates
-    (:meth:`repro.engine.xquery_exec.RuntimeEnvironment.loop_nodes`).
+    (the compiled loop of :func:`repro.engine.xquery_exec.compile_handler`).
     """
 
     loop: ForExpr
@@ -229,13 +232,20 @@ def build_value_trie(paths: FrozenSet[Path]) -> Optional[ValueTrieNode]:
 # Compiled handlers and scopes
 
 
+#: A compiled condition: ``holds(active) -> bool`` over the executor's
+#: active scopes (:func:`~repro.engine.xquery_exec.compile_test`).
+Test = Callable[[Dict[str, list]], bool]
+#: A fixed string and the test that gates it (``None``: unconditional).
+GatedText = Tuple[str, Optional[Test]]
+
+
 @dataclass(frozen=True)
 class StreamCopyAction:
     """Runtime form of a simple ``on``-handler body.
 
     ``prefix`` strings are emitted when the triggering child starts,
     the child's subtree is copied through if ``copy_var`` is set (guarded by
-    ``copy_condition``), and ``suffix`` strings are emitted when the child
+    ``copy_test``), and ``suffix`` strings are emitted when the child
     ends.
 
     ``defer`` marks actions whose prefix or copy condition is only
@@ -247,10 +257,10 @@ class StreamCopyAction:
     the whole action at its end event instead of streaming it.
     """
 
-    prefix: Tuple[SimplePart, ...]
+    prefix: Tuple[GatedText, ...]
     copy_var: Optional[str]
-    copy_condition: Optional[Condition]
-    suffix: Tuple[SimplePart, ...]
+    copy_test: Optional[Test]
+    suffix: Tuple[GatedText, ...]
     defer: bool = False
 
 
@@ -263,10 +273,9 @@ class CompiledOnFirst:
     body: XQExpr
     past_table: Optional[Dict[int, bool]]
     #: :func:`join_guards` of ``body``, derived once at plan-compile time.
-    joins: Dict[int, JoinGuard] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "joins", join_guards(self.body))
+    joins: Dict[int, JoinGuard] = field(repr=False, compare=False)
+    #: ``body`` compiled over ``joins``: ``run(active scopes, sink)``.
+    run: Callable = field(repr=False, compare=False)
 
     def fires_initially(self) -> bool:
         """Whether the handler is already satisfied before any child (i = 0)."""
@@ -415,7 +424,13 @@ def compile_plan(
         if paths:
             value_paths[var] = paths
 
-    compiler = _ScopeCompiler(dtd, buffer_trees, value_paths)
+    memo = ConditionMemo(
+        sub.condition if isinstance(sub, IfExpr) else sub.where
+        for expr in all_exprs
+        for sub in iter_subexpressions(expr)
+        if isinstance(sub, IfExpr) or (isinstance(sub, ForExpr) and sub.where is not None)
+    )
+    compiler = _ScopeCompiler(dtd, buffer_trees, value_paths, memo)
 
     if isinstance(flux, SimpleFlux):
         # Degenerate case: the whole query is a simple expression (fixed
@@ -423,7 +438,7 @@ def compile_plan(
         root_spec = ScopeSpec(
             var=root_var,
             element_type=ROOT_ELEMENT if ROOT_ELEMENT in dtd else None,
-            handlers=(CompiledOnFirst(0, frozenset(), flux.expr, _past_table(dtd, ROOT_ELEMENT, frozenset())),),
+            handlers=(compiler.on_first(0, frozenset(), flux.expr, ROOT_ELEMENT, (root_var,)),),
             automaton=_automaton(dtd, ROOT_ELEMENT),
             buffer_tree=buffer_trees.get(root_var),
             value_trie=build_value_trie(value_paths.get(root_var, frozenset())),
@@ -436,7 +451,7 @@ def compile_plan(
         raise UnschedulableQueryError(
             f"the outermost process-stream must range over {root_var}, got {flux.var}"
         )
-    root_spec = compiler.compile_scope(flux, ROOT_ELEMENT)
+    root_spec = compiler.compile_scope(flux, ROOT_ELEMENT, ())
     return QueryPlan(
         root_scope=root_spec,
         pre=flux.pre,
@@ -457,26 +472,36 @@ class _ScopeCompiler:
         dtd: DTD,
         buffer_trees: Dict[str, BufferTreeNode],
         value_paths: Dict[str, FrozenSet[Path]],
+        memo: ConditionMemo,
     ):
         self._dtd = dtd
         self._buffer_trees = buffer_trees
         self._value_paths = value_paths
+        self._memo = memo
 
     def compile_scope(
-        self, block: ProcessStream, element_type: Optional[str], alone: bool = True
+        self,
+        block: ProcessStream,
+        element_type: Optional[str],
+        chain: Tuple[str, ...],
+        alone: bool = True,
     ) -> ScopeSpec:
-        """``alone``: no other handler of an enclosing scope acts on this
+        """``chain``: the enclosing scopes' variables, outermost first.
+        ``alone``: no other handler of an enclosing scope acts on this
         element or an ancestor up to the root scope, so nothing but this
         scope writes while one of its unobserved children streams by."""
+        chain = (*chain, block.var)
         labels = [handler.label for handler in block.handlers if isinstance(handler, OnHandler)]
         handlers: List[CompiledHandler] = []
         for index, handler in enumerate(block.handlers):
             if isinstance(handler, OnFirstHandler):
-                handlers.append(self._compile_on_first(index, handler, element_type))
+                handlers.append(
+                    self.on_first(index, handler.symbols, handler.body, element_type, chain)
+                )
             elif isinstance(handler, OnHandler):
                 nested_alone = alone and labels.count(handler.label) == 1
                 handlers.append(
-                    self._compile_on(index, handler, element_type, block.var, nested_alone)
+                    self._compile_on(index, handler, element_type, chain, nested_alone)
                 )
             else:  # pragma: no cover - exhaustive over the AST
                 raise TypeError(f"not a FluX handler: {handler!r}")
@@ -498,34 +523,40 @@ class _ScopeCompiler:
             observed=observed,
         )
 
-    def _compile_on_first(
-        self, index: int, handler: OnFirstHandler, element_type: Optional[str]
+    def on_first(
+        self,
+        index: int,
+        symbols: Optional[FrozenSet[str]],
+        body: XQExpr,
+        element_type: Optional[str],
+        chain: Tuple[str, ...],
     ) -> CompiledOnFirst:
-        table = None
-        if handler.symbols is not None:
-            table = _past_table(self._dtd, element_type, handler.symbols)
-        return CompiledOnFirst(
-            index=index,
-            symbols=handler.symbols,
-            body=handler.body,
-            past_table=table,
-        )
+        table = None if symbols is None else _past_table(self._dtd, element_type, symbols)
+        joins = join_guards(body)
+        run = compile_handler(body, self._buffer_trees, joins, self._memo, chain)
+        return CompiledOnFirst(index, symbols, body, table, joins, run)
+
+    def _test(self, condition: Optional[Condition], chain: Tuple[str, ...]):
+        if condition is None:
+            return None
+        return compile_test(condition, self._buffer_trees, self._memo, chain)
 
     def _compile_on(
         self,
         index: int,
         handler: OnHandler,
         element_type: Optional[str],
-        scope_var: str,
+        chain: Tuple[str, ...],
         alone: bool,
     ) -> CompiledOn:
         body = handler.body
+        scope_var = chain[-1]
         if isinstance(body, ProcessStream):
             if body.var != handler.var:
                 raise UnschedulableQueryError(
                     f"nested process-stream ranges over {body.var}, expected {handler.var}"
                 )
-            nested = self.compile_scope(body, handler.label, alone)
+            nested = self.compile_scope(body, handler.label, chain, alone)
             return CompiledOn(index, handler.label, handler.var, nested, None)
         if isinstance(body, SimpleFlux):
             decomposition = decompose_simple(body.expr)
@@ -546,10 +577,10 @@ class _ScopeCompiler:
                 for condition in gating
             )
             action = StreamCopyAction(
-                prefix=decomposition.prefix,
+                prefix=tuple((part.text, self._test(part.condition, chain)) for part in decomposition.prefix),
                 copy_var=decomposition.copy_var,
-                copy_condition=decomposition.copy_condition,
-                suffix=decomposition.suffix,
+                copy_test=self._test(decomposition.copy_condition, chain),
+                suffix=tuple((part.text, self._test(part.condition, chain)) for part in decomposition.suffix),
                 defer=defer,
             )
             return CompiledOn(index, handler.label, handler.var, None, action)

@@ -1,56 +1,49 @@
-"""Execution of XQuery⁻ subexpressions over runtime buffers.
+"""XQuery⁻ subexpressions compiled to closures over runtime buffers.
 
 When an ``on-first`` handler fires (or a conditional string has to be
-emitted), the engine evaluates an XQuery⁻ expression whose free variables are
-*scope variables* -- variables bound by the surrounding ``process-stream``
-blocks.  The data available for a scope variable is
+emitted), the engine evaluates an XQuery⁻ expression whose free variables
+are *scope variables*, bound by the surrounding ``process-stream`` blocks.
+A scope variable's data is its activation's event buffer, projected by the
+buffer tree (Section 5), and its value store (paths compared against
+constants, captured on the fly).
 
-* its event buffer, projected according to the buffer tree (Section 5), and
-* its on-the-fly condition value store (for paths that are compared against
-  constants and are therefore never buffered).
+Each handler body and stream-copy condition is compiled once, when the plan
+is built (:func:`compile_handler`, :func:`compile_test`): where each path is
+read from, each comparison's operator and each literal's atomised value are
+decided then.  A closure runs over a list *environment*: one slot per scope
+variable it reads (the innermost activation), then one per ``for`` loop,
+which binds a :class:`_Span` -- one buffered element.  A path step over a
+buffer of at least ``_SKIP_MIN`` events jumps over each child subtree it
+does not name, by end pointers computed in one pass over the buffer.
+Output writes a span as the reference's attribute-free trees serialise it
+(still-open elements closed) through the sink's ``write_events``, as one
+:class:`RawContent` rendered once.  A path into a buffered raw content item
+cuts out only the children it names.
 
-This module provides the environment abstraction
-(:class:`ScopeBinding` / :class:`RuntimeEnvironment`) and an evaluator that
-mirrors :mod:`repro.xquery.semantics` but resolves paths through that hybrid
-environment.
-
-Buffered data has one form, the events.  A buffered element is a
-:class:`_Span` -- its slice ``events[start:stop]`` of a scope buffer's
-events -- and one walk (:func:`_path_spans`) finds the elements a path
-reaches, from a scope buffer or from inside a span.  ``for`` loops bind
-their variable to a span, so nested loops and conditions on loop variables
-walk the same events; ``exists`` / ``empty`` count spans, a value is a
-span's character data, and ``{$x}`` / ``{$x/path}`` output writes each
-span's events -- start tags without attributes, still-open elements closed,
-as the reference evaluator's attribute-free tree serialises them --
-through the sink's ``write_events``.  An opaque element's content may sit
-in a buffer as one raw content item: output writes its text as it is, and a
-path that steps inside it takes out only the children it names.
-
-Joins are indexed.  A ``for`` loop the plan gave a
-:class:`~repro.engine.plan.JoinGuard` does not iterate all its nodes:
-:meth:`RuntimeEnvironment.loop_nodes` keys them once per source binding in a
-:class:`_JoinIndex` (values from the evaluator's own ``_operand_values``,
-classified by the same xs:double rule ``compare_existential`` applies), and
-each outer binding probes it by ``bisect`` for the nodes that can satisfy the
-guard.  The unchanged loop -- ``where`` and body included -- then runs over
-those candidates in document order; since they are a superset of the nodes
-that could emit anything, output is identical to the nested loop's.  The
-indexes, the scope buffers' events (read once, so a paged buffer faults each
-page once per handler execution), the spans over them and memoised
-``resolve_values`` results live in one :class:`_HandlerCache` per handler
-execution.
+Comparisons are existential over atoms, ``(stripped text, xs:double or
+None)``: numeric when both sides are numbers.  A condition that occurs more
+than once in a plan is evaluated once per binding of the variables it reads;
+the innermost activation it reads owns the result when it reads only scope
+variables, the handler execution otherwise.  A ``for`` loop with a
+:class:`~repro.engine.plan.JoinGuard` keys its nodes once per source binding
+in a :class:`_JoinIndex` and runs the unchanged loop over the candidates a
+``bisect`` probe admits: a superset of the nodes that emit anything, in
+document order.  What one handler execution computes once lives in its
+:class:`_HandlerCache` and its spans, uncharged, until the handler returns.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Tuple, Union
+from collections import Counter
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.engine.buffers import EventBuffer
-from repro.engine.plan import JoinGuard
 from repro.engine.projection import BufferTreeNode
 from repro.xmlstream.events import Characters, EndElement, Event, RawContent, StartElement
+from repro.xmlstream.serializer import serialize_event
+from repro.xquery.analysis import free_variables
 from repro.xquery.ast import (
     AndCondition,
     ComparisonCondition,
@@ -72,62 +65,45 @@ from repro.xquery.ast import (
     TrueCondition,
     VarOutputExpr,
     XQExpr,
+    condition_path_refs,
 )
 from repro.xquery.errors import XQueryEvaluationError
-from repro.xquery.semantics import compare_existential, _format_number, _as_number
+from repro.xquery.semantics import _as_number, _format_number
 
 Path = Tuple[str, ...]
+#: An atomised value: its whitespace-stripped text and its xs:double value.
+Atom = Tuple[str, Optional[float]]
 
+#: Buffers shorter than this are walked event by event (:func:`_end_of`):
+#: their end pointers cost more than the walks they save.  On XMark, Q20's
+#: scope buffers hold under 64 events and a pass over each adds about 2% to
+#: its run; Q8's and Q11's hold over 2,000, where the pointers save about a
+#: fifth of the handler bytecodes.
+_SKIP_MIN = 256
 
-class ScopeBinding:
-    """Runtime data bound to one scope variable."""
-
-    def __init__(
-        self,
-        var: str,
-        element_name: str,
-        *,
-        buffer: Optional[EventBuffer] = None,
-        buffer_tree: Optional[BufferTreeNode] = None,
-        value_store: Optional[Dict[Path, List[str]]] = None,
-    ):
-        self.var = var
-        self.element_name = element_name
-        self.buffer = buffer
-        self.buffer_tree = buffer_tree
-        self.value_store = value_store if value_store is not None else {}
-
-    # --------------------------------------------------------------- data
-
-    @property
-    def root_marked(self) -> bool:
-        """Whether the buffer captures the scope element itself (``{$x}`` output)."""
-        return self.buffer_tree is not None and self.buffer_tree.marked
-
-    def covers_path(self, path: Path) -> bool:
-        """Whether the buffer tree captures the content reachable via ``path``."""
-        return self.buffer_tree is not None and self.buffer_tree.covers(path)
-
-    def stored_values(self, path: Path) -> Optional[List[str]]:
-        """On-the-fly captured values for ``path``, if it is tracked."""
-        return self.value_store.get(path)
+_OPERATORS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 class _Span:
-    """One buffered element: its events are ``events[start:stop]``.
+    """One buffered element, ``events[start:stop]`` (no end tag if it is
+    still open), with the end pointers of ``events`` (``None`` for a short
+    list) and its output once written."""
 
-    ``closed`` is false for an element still open at the end of the buffer
-    (a mid-stream read); its output closes it virtually.  Spans are what
-    ``for`` loops bind their variable to.
-    """
+    __slots__ = ("events", "ends", "start", "stop", "rendered")
 
-    __slots__ = ("events", "start", "stop", "closed")
-
-    def __init__(self, events: List[Event], start: int, stop: int, closed: bool):
+    def __init__(self, events: List[Event], ends: Optional[List[int]], start: int, stop: int):
         self.events = events
+        self.ends = ends
         self.start = start
         self.stop = stop
-        self.closed = closed
+        self.rendered: Optional[Tuple[RawContent]] = None
 
     def text(self) -> str:
         """The element's character data (its atomised value)."""
@@ -141,197 +117,443 @@ class _Span:
         return "".join(parts)
 
 
-Binding = Union[ScopeBinding, _Span]
-
-#: No indexed loops (conditions evaluated outside an ``on-first`` body).
-_NO_JOINS: Dict[int, JoinGuard] = {}
-
-
 class _HandlerCache:
     """What one handler execution computes once for all its loop iterations.
 
-    ``events`` holds each scope binding's buffered events and ``matches``
-    the :func:`_path_spans` of a ``(binding, path)`` over them, keyed by
-    binding identity: a loop returns the same span objects every time, so
-    ``values`` (memoised :meth:`RuntimeEnvironment.resolve_values`) and
-    ``indexes`` (one :class:`_JoinIndex` per guard and source binding), both
-    keyed by identity too and allocated on first use, always see the same
-    nodes.  Everything goes when the handler returns, so none of it is
-    charged to a memory governor.
+    Keys hold their bindings (activations and spans), never their ``id()``,
+    so a key cannot outlive the object it names.
     """
 
-    __slots__ = ("events", "matches", "values", "indexes")
+    __slots__ = ("events", "matches", "values", "indexes", "memo")
 
     def __init__(self):
-        self.events: Dict[int, List[Event]] = {}
+        self.events: Dict[object, tuple] = {}
         self.matches: Dict[tuple, List[_Span]] = {}
-        self.values: Optional[Dict[tuple, List[str]]] = None
-        self.indexes: Optional[Dict[tuple, "_JoinIndex"]] = None
+        self.values: Dict[tuple, List[Atom]] = {}
+        self.indexes: Dict[tuple, "_JoinIndex"] = {}
+        self.memo: Optional[Dict[tuple, bool]] = None
 
 
-class RuntimeEnvironment:
-    """Variable environment mixing scope bindings and loop-bound spans.
+class ConditionMemo:
+    """Numbers the conditions of one plan that occur more than once: only
+    those are memoised, as a memo costs more than one evaluation."""
 
-    ``joins`` is the handler's :attr:`~repro.engine.plan.CompiledOnFirst.joins`:
-    the ``for`` loops of its body that run as indexed joins.
-    """
+    def __init__(self, conditions: Iterable[Condition]):
+        self._repeated = {condition for condition, count in Counter(conditions).items() if count > 1}
+        self._numbers: Dict[tuple, int] = {}
 
-    def __init__(
-        self,
-        bindings: Optional[Dict[str, Binding]] = None,
-        joins: Optional[Dict[int, JoinGuard]] = None,
-    ):
-        self._bindings: Dict[str, Binding] = dict(bindings or {})
-        self._joins = joins or _NO_JOINS
-        self._cache = _HandlerCache()
+    def number(self, condition: Condition, loop_vars: frozenset) -> Optional[int]:
+        if condition not in self._repeated:
+            return None
+        return self._numbers.setdefault((condition, loop_vars), len(self._numbers))
 
-    def with_node(self, var: str, node: Binding) -> "RuntimeEnvironment":
-        """Child environment with ``var`` bound to ``node`` (a loop variable)."""
-        child = object.__new__(RuntimeEnvironment)
-        child._bindings = {**self._bindings, var: node}
-        child._joins = self._joins
-        child._cache = self._cache
-        return child
 
-    def binding(self, var: str) -> Binding:
-        try:
-            return self._bindings[var]
-        except KeyError:
-            raise XQueryEvaluationError(f"unbound variable {var} at handler execution time") from None
+# ---------------------------------------------------------------------------
+# Entry points
 
-    def _matches(self, binding: Binding, path: Path) -> List[_Span]:
-        """The buffered elements ``path`` reaches from ``binding``, in document order."""
-        cache = self._cache
-        key = (id(binding), path)
-        spans = cache.matches.get(key)
-        if spans is not None:
-            return spans
-        if binding.__class__ is _Span:
-            events = binding.events
-            spans = _path_spans(
-                events, (events[binding.start].name, *path), binding.start, binding.stop
-            )
+
+def compile_handler(
+    body: XQExpr,
+    trees: Mapping[str, BufferTreeNode],
+    joins: Optional[Mapping[int, object]] = None,
+    memo: Optional[ConditionMemo] = None,
+    chain: Sequence[str] = (),
+) -> Callable:
+    """``body`` as ``run(active, sink)``; ``active`` maps each scope variable
+    to its activations, innermost last.  ``trees`` are the scope variables'
+    buffer trees, ``joins`` the body's join guards by ``id(loop)`` and
+    ``chain`` the enclosing scope variables, outermost first."""
+    scopes = sorted(free_variables(body))
+    compiler = _Compiler(scopes, trees, joins, memo, chain)
+    run = compiler.expr(body)
+    if not scopes:
+        return lambda active, sink: run(None, None, sink)
+    pad = [None] * (compiler.size - len(scopes))
+
+    def handler(active, sink):
+        run(_environment(active, scopes) + pad, _HandlerCache(), sink)
+
+    return handler
+
+
+def compile_test(
+    condition: Condition,
+    trees: Mapping[str, BufferTreeNode],
+    memo: Optional[ConditionMemo] = None,
+    chain: Sequence[str] = (),
+) -> Callable:
+    """``condition`` as ``holds(active) -> bool`` (see :func:`compile_handler`)."""
+    scopes = sorted({ref.var for ref in condition_path_refs(condition)})
+    test = _Compiler(scopes, trees, None, memo, chain).condition(condition)
+    return lambda active: test(_environment(active, scopes), _HandlerCache())
+
+
+def _environment(active, scopes: List[str]) -> list:
+    try:
+        return [active[var][-1] for var in scopes]
+    except (KeyError, IndexError):
+        missing = next(var for var in scopes if not active.get(var))
+        raise XQueryEvaluationError(f"unbound variable {missing} at handler execution time") from None
+
+
+# ---------------------------------------------------------------------------
+# The compiler
+
+
+class _Compiler:
+    """Compiles one handler body or condition.  ``slots`` maps each variable
+    in lexical scope to its environment index; the scope variables come
+    first, the loops' slots after them."""
+
+    def __init__(self, scopes, trees, joins, memo, chain):
+        self.trees = trees
+        self.joins = joins or {}
+        self.memo = memo
+        self.chain = tuple(chain)
+        self.slots: Dict[str, int] = {var: slot for slot, var in enumerate(scopes)}
+        self.scopes = len(scopes)
+        self.size = len(scopes)
+
+    # ----------------------------------------------------------- expressions
+
+    def expr(self, expr: XQExpr) -> Callable:
+        cls = expr.__class__
+        if cls is TextExpr:
+            text = expr.text
+            return lambda env, cache, sink: sink.write_text(text)
+        if cls is EmptyExpr:
+            return lambda env, cache, sink: None
+        if cls is SequenceExpr:
+            items = tuple(map(self.expr, expr.items))
+
+            def sequence(env, cache, sink):
+                for item in items:
+                    item(env, cache, sink)
+
+            return sequence
+        if cls is IfExpr:
+            test, body = self.condition(expr.condition), self.expr(expr.body)
+
+            def conditional(env, cache, sink):
+                if test(env, cache):
+                    body(env, cache, sink)
+
+            return conditional
+        if cls is ForExpr:
+            return self._loop(expr)
+        if cls is PathOutputExpr or cls is VarOutputExpr:
+            nodes = self.nodes(expr.var, expr.path if cls is PathOutputExpr else ())
+
+            def output(env, cache, sink):
+                for span in nodes(env, cache):
+                    rendered = span.rendered
+                    if rendered is None:
+                        rendered = span.rendered = (_render(span),)
+                    sink.write_events(rendered)
+
+            return output
+        raise TypeError(f"not an XQuery- expression: {expr!r}")
+
+    def _loop(self, loop: ForExpr) -> Callable:
+        nodes = self.nodes(loop.source, loop.path)
+        guard = self.joins.get(id(loop))
+        outer = None if guard is None else self.operand(guard.outer)
+        source = self.slots[loop.source]
+        shadowed = self.slots.get(loop.var)
+        slot = self.slots[loop.var] = self.size
+        self.size += 1
+        where = None if loop.where is None else self.condition(loop.where)
+        body = self.expr(loop.body)
+        if guard is not None:
+            nodes = self._candidates(nodes, guard.op, outer, self.operand(guard.inner), source, slot)
+        if shadowed is None:
+            del self.slots[loop.var]
         else:
-            events = cache.events.get(id(binding))
-            if events is None:
-                # A paged buffer decodes its spilled pages here, once.
-                buffer = binding.buffer
-                events = cache.events[id(binding)] = [] if buffer is None else buffer.events
-            # Without the scope element itself the buffer holds its children.
-            steps = (binding.element_name, *path) if binding.root_marked else path
-            spans = _path_spans(events, steps, 0, len(events)) if steps else []
-        cache.matches[key] = spans
-        return spans
+            self.slots[loop.var] = shadowed
 
-    # ----------------------------------------------------------- resolution
+        def loop_(env, cache, sink):
+            for node in nodes(env, cache):
+                env[slot] = node
+                if where is None or where(env, cache):
+                    body(env, cache, sink)
 
-    def resolve_nodes(self, var: str, path: Path) -> List[_Span]:
-        """Nodes reachable from ``var`` via ``path`` (what a ``for`` loop iterates)."""
-        return self._matches(self.binding(var), path)
+        return loop_
 
-    def loop_nodes(self, loop: ForExpr) -> List[_Span]:
-        """The nodes ``loop`` iterates, in document order.
+    @staticmethod
+    def _candidates(nodes, op, outer, inner, source, slot) -> Callable:
+        """The loop's nodes that its guard's index admits for the current
+        outer binding: a superset, in document order, of the nodes whose
+        ``where`` and body emit anything."""
 
-        For an indexed join these are only the candidates the guard's index
-        admits for the current outer binding: a superset of the nodes whose
-        ``where`` and body emit anything, so the loop's output is unchanged.
-        """
-        guard = self._joins.get(id(loop))
-        if guard is None:
-            return self.resolve_nodes(loop.source, loop.path)
-        source = self.binding(loop.source)
-        cache = self._cache
-        if cache.indexes is None:
-            cache.indexes = {}
-        key = (id(guard), id(source))
-        index = cache.indexes.get(key)
-        if index is None:
-            nodes = self.resolve_nodes(loop.source, loop.path)
-            keys = [_operand_values(guard.inner, self.with_node(loop.var, node)) for node in nodes]
-            index = cache.indexes[key] = _JoinIndex(nodes, keys)
-        if not index.nodes:  # like the nested loop, never evaluate the outer side
-            return index.nodes
-        return index.probe(guard.op, _operand_values(guard.outer, self))
+        def candidates(env, cache):
+            indexes = cache.indexes
+            key = (slot, env[source])
+            index = indexes.get(key)
+            if index is None:
+                spans = nodes(env, cache)
+                keys = []
+                for span in spans:
+                    env[slot] = span
+                    keys.append(inner(env, cache))
+                index = indexes[key] = _JoinIndex(spans, keys)
+            if not index.nodes:  # like the nested loop, never evaluate the outer side
+                return index.nodes
+            return index.probe(op, outer(env, cache))
 
-    def resolve_values(self, var: str, path: Path) -> List[str]:
-        """Atomised string values reachable from ``var`` via ``path`` (for conditions).
+        return candidates
 
-        Memoised per handler execution: callers must not mutate the list.
-        """
-        binding = self.binding(var)
-        cache = self._cache
-        if cache.values is None:
-            cache.values = {}
-        key = (id(binding), path)
-        values = cache.values.get(key)
-        if values is None:
-            values = cache.values[key] = self._resolve_values(binding, path)
+    # ------------------------------------------------------------ conditions
+
+    def condition(self, condition: Condition) -> Callable:
+        """``condition`` as ``test(env, cache)``, memoised when it repeats."""
+        test = self._condition(condition)
+        if self.memo is None:
+            return test
+        variables = sorted({ref.var for ref in condition_path_refs(condition)})
+        loops = [var for var in variables if self.slots[var] >= self.scopes]
+        number = self.memo.number(condition, frozenset(loops))
+        # The handler execution holds the memo of a condition on loop
+        # variables, keyed by their bindings; else the innermost scope does.
+        owner = slots = None
+        if loops:
+            slots = itemgetter(*(self.slots[var] for var in loops))
+        elif variables and all(var in self.chain for var in variables):
+            owner = self.slots[max(variables, key=self.chain.index)]
+        if number is None or (owner is None and slots is None):
+            return test
+
+        def memoised(env, cache):
+            holder = cache if owner is None else env[owner]
+            key = number if slots is None else (number, slots(env))
+            memo = holder.memo
+            if memo is None:
+                memo = holder.memo = {}
+            result = memo.get(key)
+            if result is None:
+                result = memo[key] = test(env, cache)
+            return result
+
+        return memoised
+
+    def _condition(self, condition: Condition) -> Callable:
+        cls = condition.__class__
+        if cls is TrueCondition:
+            return lambda env, cache: True
+        if cls is AndCondition or cls is OrCondition:
+            tests, combine = tuple(map(self.condition, condition.items)), all if cls is AndCondition else any
+            return lambda env, cache: combine(test(env, cache) for test in tests)
+        if cls is NotCondition:
+            inner = self.condition(condition.inner)
+            return lambda env, cache: not inner(env, cache)
+        if cls is ExistsCondition or cls is EmptyCondition:
+            count, exists = self.count(condition.ref.var, condition.ref.path), cls is ExistsCondition
+            return lambda env, cache: (count(env, cache) > 0) is exists
+        if cls is ComparisonCondition:
+            compare = _OPERATORS.get(condition.op)
+            if compare is None:
+                raise ValueError(f"invalid comparison operator {condition.op!r}")
+            left, right = self.operand(condition.left), self.operand(condition.right)
+            # ``_existential`` is looked up per call, so a test can count it.
+            return lambda env, cache: _existential(compare, left(env, cache), right(env, cache))
+        raise TypeError(f"not a condition: {condition!r}")
+
+    def operand(self, operand) -> Callable:
+        """``operand`` as ``values(env, cache) -> atoms``."""
+        cls = operand.__class__
+        if cls is PathRef:
+            return self.values(operand.var, operand.path)
+        if cls is StringLiteral or cls is NumberLiteral:
+            text = operand.value if cls is StringLiteral else _format_number(operand.value)
+            atoms = [_atom(text)]
+            return lambda env, cache: atoms
+        if cls is ScaledPath:
+            return self.values(operand.ref.var, operand.ref.path, operand.coefficient)
+        raise TypeError(f"not an operand: {operand!r}")
+
+    # ----------------------------------------------------------------- paths
+
+    def _walked(self, var: str, path: Path) -> bool:
+        """Whether ``$var/path`` is read from buffered events (else from the value store)."""
+        tree = self.trees.get(var)
+        return self.slots[var] >= self.scopes or (tree is not None and tree.covers(path))
+
+    def nodes(self, var: str, path: Path) -> Callable:
+        """``$var/path`` as ``spans(env, cache)``, in document order."""
+        slot = self.slots[var]
+        if slot >= self.scopes:  # a loop variable: a span
+            if not path:
+                return lambda env, cache: [env[slot]]
+
+            def spans_in_span(env, cache):
+                span = env[slot]
+                key = (span, path)
+                spans = cache.matches.get(key)
+                if spans is None:
+                    spans = cache.matches[key] = _path_spans(span.events, span.ends, path, span.start + 1)
+                return spans
+
+            return spans_in_span
+        # A buffer holds the scope element itself, or only its children.
+        tree = self.trees.get(var)
+        marked = tree is not None and tree.marked
+        if not marked and not path:
+            return lambda env, cache: []
+
+        def spans_in_scope(env, cache):
+            scope = env[slot]
+            key = (scope, path)
+            spans = cache.matches.get(key)
+            if spans is None:
+                events, ends = _scope_events(scope, cache)
+                steps = (scope.element_name, *path) if marked else path
+                spans = cache.matches[key] = _path_spans(events, ends, steps)
+            return spans
+
+        return spans_in_scope
+
+    def values(self, var: str, path: Path, coefficient: Optional[float] = None) -> Callable:
+        """The atomised (and scaled) values of ``$var/path`` as ``values(env, cache)``."""
+        slot = self.slots[var]
+        nodes = self.nodes(var, path) if self._walked(var, path) else None
+        key_path = path if coefficient is None else (path, coefficient)
+
+        def values(env, cache):
+            binding = env[slot]
+            key = (binding, key_path)
+            atoms = cache.values.get(key)
+            if atoms is None:
+                if nodes is not None:
+                    texts = [span.text() for span in nodes(env, cache)]
+                else:
+                    texts = binding.value_store.get(path, ())
+                if coefficient is None:
+                    atoms = [_atom(text) for text in texts]
+                else:
+                    atoms = [_scaled(coefficient, number) for number in map(_as_number, texts) if number is not None]
+                cache.values[key] = atoms
+            return atoms
+
         return values
 
-    def _resolve_values(self, binding: Binding, path: Path) -> List[str]:
-        if binding.__class__ is _Span or binding.covers_path(path):
-            return [span.text() for span in self._matches(binding, path)]
-        stored = binding.stored_values(path)
-        if stored is not None:
-            return list(stored)
-        # The path is neither buffered nor tracked: for a safe query this
-        # means it simply cannot have any matches in the current scope.
-        return []
+    def count(self, var: str, path: Path) -> Callable:
+        """How many nodes ``$var/path`` reaches, as ``count(env, cache)``."""
+        if self._walked(var, path):
+            nodes = self.nodes(var, path)
+            return lambda env, cache: len(nodes(env, cache))
+        slot = self.slots[var]
+        return lambda env, cache: len(env[slot].value_store.get(path, ()))
 
-    def resolve_count(self, var: str, path: Path) -> int:
-        """Number of nodes reachable via ``path`` (for ``exists`` / ``empty``)."""
-        binding = self.binding(var)
-        if binding.__class__ is _Span or binding.covers_path(path):
-            return len(self._matches(binding, path))
-        stored = binding.stored_values(path)
-        if stored is not None:
-            return len(stored)
-        return 0
 
-    def write_output(self, var: str, path: Path, sink) -> None:
-        """Write the nodes ``{$var}`` (empty ``path``) or ``{$var/path}`` outputs."""
-        for span in self._matches(self.binding(var), path):
-            sink.write_events(_copied_element(span))
+# ---------------------------------------------------------------------------
+# Values and comparisons
+
+
+def _atom(text: str) -> Atom:
+    return text.strip(), _as_number(text)
+
+
+def _scaled(coefficient: float, number: float) -> Atom:
+    text = _format_number(coefficient * number)
+    return text, _as_number(text)
+
+
+def _existential(compare, left: List[Atom], right: List[Atom]) -> bool:
+    """Some pair of values satisfies ``compare``: numerically when both are
+    xs:double, otherwise as stripped strings."""
+    for text, number in left:
+        for other_text, other_number in right:
+            if number is not None and other_number is not None:
+                if compare(number, other_number):
+                    return True
+            elif compare(text, other_text):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
 # Reading buffered events
 
 
-def _path_spans(events: List[Event], steps: Path, lo: int, hi: int) -> List[_Span]:
-    """The elements a non-empty child path reaches from the forest ``events[lo:hi]``.
+def _scope_events(scope, cache: _HandlerCache) -> tuple:
+    """A scope buffer's events and end pointers, read once per handler execution."""
+    entry = cache.events.get(scope)
+    if entry is None:
+        # A paged buffer decodes its spilled pages here, once.
+        buffer = scope.buffer
+        events = [] if buffer is None else buffer.events
+        entry = cache.events[scope] = (events, _end_pointers(events) if len(events) >= _SKIP_MIN else None)
+    return entry
 
-    One span per element, in document order; an element still open at
-    ``hi`` (a mid-stream read) gets an open span ending there.  ``matched``
-    is how many leading ``steps`` the chain of open elements spells; a start
-    tag extends it only while the whole chain matches.  Raw content is
-    balanced, so it is stepped over -- unless the path continues inside it:
-    then the walk goes on in each of its children the next step names.
-    """
-    last = len(steps)
-    spans = []
-    depth = matched = start = 0
-    for index, event in enumerate(events[lo:hi], lo):
+
+def _end_pointers(events: List[Event]) -> List[int]:
+    """For each start tag's index, the index after its end tag, or
+    ``len(events)`` for an element still open at the end."""
+    ends = [len(events)] * len(events)
+    open_at = []
+    for index, event in enumerate(events):
         cls = event.__class__
         if cls is StartElement:
-            if matched == depth and depth < last and event.name == steps[depth]:
-                matched += 1
-                if matched == last:
-                    start = index
+            open_at.append(index)
+        elif cls is EndElement:
+            ends[open_at.pop()] = index + 1
+    return ends
+
+
+def _path_spans(events: List[Event], ends: Optional[List[int]], steps: Path, start: int = 0) -> List[_Span]:
+    """The elements a non-empty child path reaches from the forest that
+    starts at ``events[start]``, one span each, in document order.
+
+    The forest ends at the end tag of its parent or at the end of
+    ``events``, where an element may still be open (a mid-stream read).
+    Each child the first step does not name is jumped over --
+    by ``ends`` (:func:`_end_pointers`), or by a scan for its end tag when
+    that is ``None`` -- and the walk goes on inside each one it names.  Raw
+    content is balanced: the walk goes on in each of its children the step
+    names.
+    """
+    spans: List[_Span] = []
+    _descend(events, ends, steps, start, spans)
+    return spans
+
+
+def _descend(events, ends, steps: Path, index: int, out: List[_Span]) -> int:
+    """:func:`_path_spans` into ``out``; returns the index of the forest's end."""
+    name, rest = steps[0], steps[1:]
+    length = len(events)
+    while index < length:
+        event = events[index]
+        cls = event.__class__
+        if cls is StartElement:
+            if rest and event.name == name:
+                index = _descend(events, ends, rest, index + 1, out) + 1
+                continue
+            end = _end_of(events, index) if ends is None else ends[index]
+            if event.name == name:
+                out.append(_Span(events, ends, index, end))
+            index = end
+        elif cls is EndElement:
+            return index
+        else:
+            if cls is RawContent:
+                for child in _raw_children(event.text, name):
+                    _descend(child, None, steps, 0, out)
+            index += 1
+    return length
+
+
+def _end_of(events: List[Event], start: int) -> int:
+    """The index after the end tag of the element starting at ``start``, or
+    ``len(events)`` when it is still open."""
+    depth = 0
+    for index in range(start, len(events)):
+        cls = events[index].__class__
+        if cls is StartElement:
             depth += 1
         elif cls is EndElement:
             depth -= 1
-            if matched > depth:
-                if matched == last:
-                    spans.append(_Span(events, start, index + 1, True))
-                matched = depth
-        elif cls is RawContent and matched == depth < last:
-            rest = steps[depth:]
-            for child in _raw_children(event.text, rest[0]):
-                spans += _path_spans(child, rest, 0, len(child))
-    if matched == last:
-        spans.append(_Span(events, start, hi, False))
-    return spans
+            if not depth:
+                return index + 1
+    return len(events)
 
 
 def _raw_children(text: str, name: str) -> List[List[Event]]:
@@ -380,26 +602,25 @@ def _raw_event_count(text: str) -> int:
     return tags + runs
 
 
-def _copied_element(span: _Span) -> List[Event]:
-    """The events ``{$x}`` writes for a buffered element.
-
-    As in the reference evaluator's trees, start tags lose their
-    attributes; an element still open at the end of the buffer gets the
-    end tags that close it.
-    """
-    copied = [
-        StartElement(event.name) if event.__class__ is StartElement and event.attributes else event
-        for event in span.events[span.start : span.stop]
-    ]
-    if not span.closed:
-        open_names = []
-        for event in copied:
-            if event.__class__ is StartElement:
-                open_names.append(event.name)
-            elif event.__class__ is EndElement:
-                open_names.pop()
-        copied.extend(EndElement(name) for name in reversed(open_names))
-    return copied
+def _render(span: _Span) -> RawContent:
+    """What ``{$x}`` writes for a buffered element, as one raw content item
+    of the events it stands for: as in the reference evaluator's trees,
+    start tags lose their attributes, and an element still open at the end
+    of the buffer gets the end tags that close it."""
+    parts, count, open_names = [], span.stop - span.start, []
+    for event in span.events[span.start : span.stop]:
+        cls = event.__class__
+        if cls is StartElement:
+            open_names.append(event.name)
+            if event.attributes:
+                event = StartElement(event.name)
+        elif cls is EndElement:
+            open_names.pop()
+        elif cls is RawContent:
+            count += event.count - 1
+        parts.append(serialize_event(event))
+    parts.extend(serialize_event(EndElement(name)) for name in reversed(open_names))
+    return RawContent("".join(parts), count + len(open_names))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +656,7 @@ class _SortedKeys:
 class _JoinIndex:
     """The guarded side of a join: one loop's nodes keyed by their atomised values.
 
-    A probe value meets a key exactly as ``_compare_atomic`` pairs them:
+    A probe value meets a key exactly as :func:`_existential` pairs them:
     numerically when both are xs:double, otherwise as stripped strings.  So
     numeric keys sit in ``numbers`` (NaN dropped -- it satisfies no indexed
     operator) and again, as strings, in ``numeric_text``; all other keys sit
@@ -444,109 +665,29 @@ class _JoinIndex:
 
     __slots__ = ("nodes", "numbers", "numeric_text", "text")
 
-    def __init__(self, nodes: List[_Span], keys: List[List[str]]):
+    def __init__(self, nodes: List[_Span], keys: List[List[Atom]]):
         self.nodes = nodes
         numbers, numeric_text, text = [], [], []
-        for position, values in enumerate(keys):
-            for value in values:
-                number = _as_number(value)
+        for position, atoms in enumerate(keys):
+            for value, number in atoms:
                 if number is None:
-                    text.append((value.strip(), position))
+                    text.append((value, position))
                 else:
-                    numeric_text.append((value.strip(), position))
+                    numeric_text.append((value, position))
                     if number == number:
                         numbers.append((number, position))
         self.numbers = _SortedKeys(numbers)
         self.numeric_text = _SortedKeys(numeric_text)
         self.text = _SortedKeys(text)
 
-    def probe(self, op: str, values: List[str]) -> List[_Span]:
+    def probe(self, op: str, atoms: List[Atom]) -> List[_Span]:
         """The nodes, in document order, with a key ``k`` such that ``v op k`` for a ``v``."""
         hits = set()
-        for value in values:
-            number = _as_number(value)
-            stripped = value.strip()
-            hits.update(self.text.matching(op, stripped))
+        for value, number in atoms:
+            hits.update(self.text.matching(op, value))
             if number is None:
-                hits.update(self.numeric_text.matching(op, stripped))
+                hits.update(self.numeric_text.matching(op, value))
             elif number == number:
                 hits.update(self.numbers.matching(op, number))
         nodes = self.nodes
         return [nodes[position] for position in sorted(hits)]
-
-
-# ---------------------------------------------------------------------------
-# Expression evaluation
-
-
-def execute_expression(expr: XQExpr, env: RuntimeEnvironment, sink) -> None:
-    """Evaluate ``expr`` over the runtime environment, writing to ``sink``."""
-    if isinstance(expr, EmptyExpr):
-        return
-    if isinstance(expr, TextExpr):
-        sink.write_text(expr.text)
-        return
-    if isinstance(expr, SequenceExpr):
-        for item in expr.items:
-            execute_expression(item, env, sink)
-        return
-    if isinstance(expr, ForExpr):
-        for node in env.loop_nodes(expr):
-            inner = env.with_node(expr.var, node)
-            if expr.where is not None and not evaluate_condition_runtime(expr.where, inner):
-                continue
-            execute_expression(expr.body, inner, sink)
-        return
-    if isinstance(expr, IfExpr):
-        if evaluate_condition_runtime(expr.condition, env):
-            execute_expression(expr.body, env, sink)
-        return
-    if isinstance(expr, PathOutputExpr):
-        env.write_output(expr.var, expr.path, sink)
-        return
-    if isinstance(expr, VarOutputExpr):
-        env.write_output(expr.var, (), sink)
-        return
-    raise TypeError(f"not an XQuery- expression: {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# Condition evaluation
-
-
-def evaluate_condition_runtime(condition: Condition, env: RuntimeEnvironment) -> bool:
-    """Evaluate a condition over the runtime environment."""
-    if isinstance(condition, TrueCondition):
-        return True
-    if isinstance(condition, AndCondition):
-        return all(evaluate_condition_runtime(item, env) for item in condition.items)
-    if isinstance(condition, OrCondition):
-        return any(evaluate_condition_runtime(item, env) for item in condition.items)
-    if isinstance(condition, NotCondition):
-        return not evaluate_condition_runtime(condition.inner, env)
-    if isinstance(condition, ExistsCondition):
-        return env.resolve_count(condition.ref.var, condition.ref.path) > 0
-    if isinstance(condition, EmptyCondition):
-        return env.resolve_count(condition.ref.var, condition.ref.path) == 0
-    if isinstance(condition, ComparisonCondition):
-        left = _operand_values(condition.left, env)
-        right = _operand_values(condition.right, env)
-        return compare_existential(left, condition.op, right)
-    raise TypeError(f"not a condition: {condition!r}")
-
-
-def _operand_values(operand, env: RuntimeEnvironment) -> List[str]:
-    if isinstance(operand, PathRef):
-        return env.resolve_values(operand.var, operand.path)
-    if isinstance(operand, StringLiteral):
-        return [operand.value]
-    if isinstance(operand, NumberLiteral):
-        return [_format_number(operand.value)]
-    if isinstance(operand, ScaledPath):
-        values = []
-        for raw in env.resolve_values(operand.ref.var, operand.ref.path):
-            number = _as_number(raw)
-            if number is not None:
-                values.append(_format_number(operand.coefficient * number))
-        return values
-    raise TypeError(f"not an operand: {operand!r}")

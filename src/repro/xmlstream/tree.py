@@ -1,8 +1,8 @@
 """A small in-memory XML node tree.
 
-The FluX engine builds no trees at all -- it reads its buffers as events
-(:mod:`repro.engine.xquery_exec`) -- but the reference side it is compared
-against needs them in two places:
+The FluX engine builds no trees at all -- its compiled handler bodies
+read buffers as events (:mod:`repro.engine.xquery_exec`) -- but the
+reference side it is compared against needs them in two places:
 
 * the *naive* baseline engine (Galax-like) materializes the full document
   (:func:`~repro.xmlstream.parser.parse_tree`), and the reference evaluator

@@ -9,9 +9,10 @@ document.  It serves two purposes:
 * it is the evaluation core of the two baseline engines
   (:mod:`repro.baselines`).
 
-The streaming engine evaluates XQuery⁻ subexpressions over buffered data
-with its own evaluator (:mod:`repro.engine.xquery_exec`), which shares only
-the comparison helpers below.
+The streaming engine compiles XQuery⁻ subexpressions over buffered data
+into its own closures (:mod:`repro.engine.xquery_exec`), which share only
+``_as_number`` and ``_format_number`` below: comparisons are written
+twice, so the differential oracle can see a defect in either.
 
 Output is produced as a flat string: fixed strings are emitted verbatim
 (they are literal markup in the paper's reading of queries) and subtrees are

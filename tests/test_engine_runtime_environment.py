@@ -1,19 +1,20 @@
-"""Unit tests for the runtime environment used by on-first handler execution."""
+"""Unit tests for compiled handler bodies and conditions over scope buffers.
+
+``_Scope`` stands for an executor's scope activation: what a compiled body
+reads of it (``buffer``, ``value_store``, ``element_name``, ``memo``), plus
+the variable and buffer tree it is compiled against.
+"""
 
 import pytest
 
+import repro.engine.xquery_exec as xquery_exec
 from repro.core.api import load_dtd
 from repro.core.options import ExecutionOptions
 from repro.engine.buffers import BufferManager
 from repro.core.session import FluxSession
 from repro.engine.projection import build_buffer_tree
 from repro.engine.stats import RunStatistics
-from repro.engine.xquery_exec import (
-    RuntimeEnvironment,
-    ScopeBinding,
-    evaluate_condition_runtime,
-    execute_expression,
-)
+from repro.engine.xquery_exec import _Compiler, _HandlerCache, compile_handler, compile_test
 from repro.pipeline.sinks import CollectSink
 from repro.storage.governor import MemoryGovernor
 from repro.xmlstream.events import Characters, EndElement, StartElement
@@ -21,6 +22,48 @@ from repro.xmlstream.tree import XMLNode, events_to_tree
 from repro.xquery.errors import XQueryEvaluationError
 from repro.xquery.parser import parse_condition, parse_query
 from repro.xquery.semantics import evaluate_query
+
+
+class _Scope:
+    def __init__(self, var, element_name, *, buffer=None, buffer_tree=None, value_store=None):
+        self.var = var
+        self.element_name = element_name
+        self.buffer = buffer
+        self.tree = buffer_tree
+        self.value_store = value_store if value_store is not None else {}
+        self.memo = None
+
+
+def _trees(*scopes):
+    return {scope.var: scope.tree for scope in scopes if scope.tree is not None}
+
+
+def _run(query, *scopes, sink=None):
+    """The compiled handler body's output over the scopes."""
+    sink = sink if sink is not None else CollectSink()
+    run = compile_handler(parse_query(query), _trees(*scopes))
+    run({scope.var: [scope] for scope in scopes}, sink)
+    return sink
+
+
+def _holds(condition, *scopes):
+    test = compile_test(parse_condition(condition), _trees(*scopes))
+    return test({scope.var: [scope] for scope in scopes})
+
+
+def _reader(scope):
+    """A compiler over one scope variable, its environment and a handler cache."""
+    return _Compiler([scope.var], _trees(scope), None, None, ()), [scope], _HandlerCache()
+
+
+def _values(scope, path):
+    compiler, env, cache = _reader(scope)
+    return [text for text, _ in compiler.values(scope.var, path)(env, cache)]
+
+
+def _count(scope, path):
+    compiler, env, cache = _reader(scope)
+    return compiler.count(scope.var, path)(env, cache)
 
 
 def _book_scope_binding():
@@ -38,7 +81,7 @@ def _book_scope_binding():
         ]
     )
     tree = build_buffer_tree({("author",): True})
-    return ScopeBinding(
+    return _Scope(
         "$b",
         "book",
         buffer=buffer,
@@ -48,60 +91,56 @@ def _book_scope_binding():
 
 
 def test_resolve_nodes_from_buffered_paths():
-    env = RuntimeEnvironment({"$b": _book_scope_binding()})
-    nodes = env.resolve_nodes("$b", ("author",))
-    assert [node.text() for node in nodes] == ["Koch", "Scherzinger"]
+    compiler, env, cache = _reader(_book_scope_binding())
+    nodes = compiler.nodes("$b", ("author",))
+    spans = nodes(env, cache)
+    assert [span.text() for span in spans] == ["Koch", "Scherzinger"]
     # Cached per handler execution: every read sees the same span objects.
-    assert env.resolve_nodes("$b", ("author",)) is nodes
+    assert nodes(env, cache) is spans
 
 
 def test_resolve_values_prefers_buffer_then_value_store():
-    env = RuntimeEnvironment({"$b": _book_scope_binding()})
-    assert env.resolve_values("$b", ("author",)) == ["Koch", "Scherzinger"]
-    assert env.resolve_values("$b", ("title",)) == ["Streams"]
-    assert env.resolve_values("$b", ("unknown",)) == []
+    scope = _book_scope_binding()
+    assert _values(scope, ("author",)) == ["Koch", "Scherzinger"]
+    assert _values(scope, ("title",)) == ["Streams"]
+    assert _values(scope, ("unknown",)) == []
 
 
 def test_resolve_count_for_exists_and_empty():
-    env = RuntimeEnvironment({"$b": _book_scope_binding()})
-    assert env.resolve_count("$b", ("author",)) == 2
-    assert env.resolve_count("$b", ("title",)) == 1
-    assert env.resolve_count("$b", ("unknown",)) == 0
+    scope = _book_scope_binding()
+    assert _count(scope, ("author",)) == 2
+    assert _count(scope, ("title",)) == 1
+    assert _count(scope, ("unknown",)) == 0
 
 
-def test_with_node_binds_loop_variables_without_mutating_parent():
-    env = RuntimeEnvironment({"$b": _book_scope_binding()})
-    author = env.resolve_nodes("$b", ("author",))[0]
-    child = env.with_node("$a", author)
-    assert child.resolve_values("$a", ()) == ["Koch"]
-    assert child.resolve_count("$a", ()) == 1
+def test_loop_variables_bind_spans_inside_the_loop_only():
+    scope = _book_scope_binding()
+    query = '{ for $a in $b/author where ($a = "Koch" and exists $a) return <k>{$a}</k> }'
+    assert _run(query, scope).text() == "<k><author>Koch</author></k>"
+    # Outside the loop, $a is a scope variable nothing binds.
     with pytest.raises(XQueryEvaluationError):
-        env.binding("$a")
+        _holds("exists $a", scope)
 
 
 def test_unbound_variable_raises():
-    env = RuntimeEnvironment({})
     with pytest.raises(XQueryEvaluationError):
-        env.resolve_nodes("$missing", ("a",))
+        _run("{ for $x in $missing/a return {$x} }")
 
 
 def test_execute_expression_over_buffers():
-    env = RuntimeEnvironment({"$b": _book_scope_binding()})
-    sink = CollectSink()
-    expr = parse_query("<rs>{ for $a in $b/author return <r>{$a}</r> }</rs>")
-    execute_expression(expr, env, sink)
+    sink = _run("<rs>{ for $a in $b/author return <r>{$a}</r> }</rs>", _book_scope_binding())
     assert sink.text() == (
         "<rs><r><author>Koch</author></r><r><author>Scherzinger</author></r></rs>"
     )
 
 
 def test_conditions_over_mixed_buffer_and_value_store():
-    env = RuntimeEnvironment({"$b": _book_scope_binding()})
-    assert evaluate_condition_runtime(parse_condition('$b/title = "Streams"'), env)
-    assert evaluate_condition_runtime(parse_condition("$b/year > 1991"), env)
-    assert not evaluate_condition_runtime(parse_condition("$b/year > 2000"), env)
-    assert evaluate_condition_runtime(parse_condition("exists $b/author"), env)
-    assert evaluate_condition_runtime(parse_condition("empty($b/editor)"), env)
+    scope = _book_scope_binding()
+    assert _holds('$b/title = "Streams"', scope)
+    assert _holds("$b/year > 1991", scope)
+    assert not _holds("$b/year > 2000", scope)
+    assert _holds("exists $b/author", scope)
+    assert _holds("empty($b/editor)", scope)
 
 
 def test_root_marked_scope_materialises_the_element_itself():
@@ -116,15 +155,11 @@ def test_root_marked_scope_materialises_the_element_itself():
             EndElement("person"),
         ]
     )
-    binding = ScopeBinding(
-        "$p", "person", buffer=buffer, buffer_tree=build_buffer_tree({(): True})
-    )
-    env = RuntimeEnvironment({"$p": binding})
-    sink = CollectSink()
-    execute_expression(parse_query("{$p}"), env, sink)
+    binding = _Scope("$p", "person", buffer=buffer, buffer_tree=build_buffer_tree({(): True}))
+    sink = _run("{$p}", binding)
     assert sink.text() == "<person><name>Ada</name></person>"
     assert sink.stats.output_events == 5
-    assert env.resolve_values("$p", ("name",)) == ["Ada"]
+    assert _values(binding, ("name",)) == ["Ada"]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +177,7 @@ def _reference_tree(binding):
             open_names.pop()
     events.extend(EndElement(name) for name in reversed(open_names))
     root = events_to_tree(events)
-    if binding.root_marked:
+    if binding.tree.marked:
         return root
     # A buffer without the scope element holds its children.
     if root is None:
@@ -160,10 +195,14 @@ def _tree_output(binding, path):
 
 
 def _buffered_output(binding, path):
-    sink = CollectSink()
-    env = RuntimeEnvironment({binding.var: binding})
-    execute_expression(parse_query("{%s}" % "/".join((binding.var, *path))), env, sink)
+    sink = _run("{%s}" % "/".join((binding.var, *path)), binding)
     return sink.text(), sink.stats.output_events
+
+
+@pytest.fixture(params=[0, 1 << 62], ids=["end-pointers", "scans"])
+def walks(request, monkeypatch):
+    """Paths over these small buffers are walked by end pointers, or not."""
+    monkeypatch.setattr(xquery_exec, "_SKIP_MIN", request.param)
 
 
 def _open_person_binding():
@@ -184,16 +223,16 @@ def _open_person_binding():
             Characters("N1"),
         ]
     )
-    return ScopeBinding("$p", "person", buffer=buffer, buffer_tree=build_buffer_tree({(): True}))
+    return _Scope("$p", "person", buffer=buffer, buffer_tree=build_buffer_tree({(): True}))
 
 
 @pytest.mark.parametrize("path", [(), ("name",), ("address",), ("address", "zip"), ("city",)])
-def test_buffered_path_output_with_open_ancestors_matches_the_tree(path):
+def test_buffered_path_output_with_open_ancestors_matches_the_tree(path, walks):
     binding = _open_person_binding()
     assert _buffered_output(binding, path) == _tree_output(binding, path)
 
 
-def test_buffered_output_closes_open_elements_and_drops_attributes():
+def test_buffered_output_closes_open_elements_and_drops_attributes(walks):
     binding = _open_person_binding()
     assert _buffered_output(binding, ("address",)) == (
         "<address><city>Lon&amp;don</city><zip>N1</zip></address>",
@@ -209,24 +248,22 @@ def test_buffered_forest_output_and_conditions_match_the_tree():
     binding.buffer.append(EndElement("author"))
     assert _buffered_output(binding, ("author",)) == _tree_output(binding, ("author",))
     assert _buffered_output(binding, ("author",))[0].endswith("<author></author>")
-    env = RuntimeEnvironment({"$b": binding})
     tree = _reference_tree(binding)
     for path in [("author",), ("editor",)]:
-        assert env.resolve_count("$b", path) == len(tree.select_path(path))
-    assert env.resolve_values("$b", ("author",)) == ["Koch", "Scherzinger", ""]
-    assert evaluate_condition_runtime(parse_condition("exists $b/author"), env)
-    assert not evaluate_condition_runtime(parse_condition("empty($b/author)"), env)
+        assert _count(binding, path) == len(tree.select_path(path))
+    assert _values(binding, ("author",)) == ["Koch", "Scherzinger", ""]
+    assert _holds("exists $b/author", binding)
+    assert not _holds("empty($b/author)", binding)
 
 
-def test_exists_and_empty_over_an_open_root_marked_buffer():
+def test_exists_and_empty_over_an_open_root_marked_buffer(walks):
     binding = _open_person_binding()
-    env = RuntimeEnvironment({"$p": binding})
     tree = _reference_tree(binding)
     for path in [(), ("name",), ("address", "zip"), ("address", "street"), ("zip",)]:
-        assert env.resolve_count("$p", path) == len(tree.select_path(path)), path
-    assert evaluate_condition_runtime(parse_condition("exists $p/address/zip"), env)
-    assert evaluate_condition_runtime(parse_condition("empty($p/address/street)"), env)
-    assert env.resolve_values("$p", ("address",)) == ["Lon&donN1"]
+        assert _count(binding, path) == len(tree.select_path(path)), path
+    assert _holds("exists $p/address/zip", binding)
+    assert _holds("empty($p/address/street)", binding)
+    assert _values(binding, ("address",)) == ["Lon&donN1"]
 
 
 @pytest.mark.parametrize(
@@ -242,10 +279,9 @@ def test_exists_and_empty_over_an_open_root_marked_buffer():
         "{ for $n in $p/name where $n = \"Ada L.\" return <n/> }",
     ],
 )
-def test_loops_over_buffered_spans_match_the_reference_evaluator(query):
+def test_loops_over_buffered_spans_match_the_reference_evaluator(query, walks):
     binding = _open_person_binding()
-    sink = CollectSink()
-    execute_expression(parse_query(query), RuntimeEnvironment({"$p": binding}), sink)
+    sink = _run(query, binding)
     expected = evaluate_query(parse_query(query), _reference_tree(binding), root_var="$p")
     assert sink.text() == expected
     assert expected.count("<") > 0
@@ -262,12 +298,10 @@ def test_a_loop_reads_a_paged_buffer_once():
     buffer.extend([StartElement("c"), Characters("07" * 10), EndElement("c")])
     manager.flush()
     assert stats.spill_count > 0
-    binding = ScopeBinding(
+    binding = _Scope(
         "$b", "p", buffer=buffer, buffer_tree=build_buffer_tree({("a",): True, ("c",): True})
     )
-    sink = CollectSink()
-    query = "{ for $a in $b/a where $a = $b/c return {$a} }{$b/c}"
-    execute_expression(parse_query(query), RuntimeEnvironment({"$b": binding}), sink)
+    sink = _run("{ for $a in $b/a where $a = $b/c return {$a} }{$b/c}", binding)
     assert sink.text() == "<a>%s</a><c>%s</c>" % ("07" * 10, "07" * 10)
     assert stats.page_faults == stats.spill_count
     buffer.release()
@@ -300,19 +334,15 @@ def test_buffered_copy_drops_attributes_a_streamed_copy_keeps():
 
 
 def test_scope_binding_without_buffer_behaves_as_empty():
-    binding = ScopeBinding("$x", "thing")
-    env = RuntimeEnvironment({"$x": binding})
-    assert env.resolve_nodes("$x", ("a",)) == []
-    assert env.resolve_count("$x", ("a",)) == 0
-    sink = CollectSink()
-    execute_expression(parse_query("{ for $a in $x/a return {$a} }"), env, sink)
-    assert sink.text() == ""
+    binding = _Scope("$x", "thing")
+    compiler, env, cache = _reader(binding)
+    assert compiler.nodes("$x", ("a",))(env, cache) == []
+    assert _count(binding, ("a",)) == 0
+    assert _run("{ for $a in $x/a return {$a} }", binding).text() == ""
     # An empty root-marked buffer (the scope element not buffered yet) too.
-    empty = ScopeBinding(
+    empty = _Scope(
         "$x", "thing", buffer=BufferManager().create_buffer("$x"), buffer_tree=build_buffer_tree({(): True})
     )
-    env = RuntimeEnvironment({"$x": empty})
-    assert env.resolve_count("$x", ()) == 0
-    assert env.resolve_values("$x", ("a",)) == []
-    execute_expression(parse_query("{$x}{ for $a in $x/a return {$a} }"), env, sink)
-    assert sink.text() == ""
+    assert _count(empty, ()) == 0
+    assert _values(empty, ("a",)) == []
+    assert _run("{$x}{ for $a in $x/a return {$a} }", empty).text() == ""

@@ -167,6 +167,49 @@ def test_engine_error_dumps_inspectable_crash(tmp_path, monkeypatch, xmark_doc):
     assert "chunk boundaries" in rendered
 
 
+def test_pull_run_crash_dump_records_chunk_boundaries(tmp_path, monkeypatch, xmark_doc):
+    """A pull run reads its document as chunks too, so its dump shows their
+    boundaries like a push run's."""
+    monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
+    RECORDER.clear()
+    broken = xmark_doc.encode("utf-8")[:4000]
+    with pytest.raises(Exception):
+        _prepare("Q1").execute(broken, options=ExecutionOptions(chunk_size=512))
+    (dump,) = tmp_path.glob("*.crash.json")
+    payload = json.loads(dump.read_text(encoding="utf-8"))
+    assert payload["mode"] == "pull"
+    assert payload["chunk_offsets"] == list(range(512, 4000, 512)) + [4000]
+    chunks = [entry for entry in payload["ring"] if entry["kind"] == "chunk"]
+    assert len(chunks) == 8
+    assert "chunk boundaries (8 recorded): 512, 1024" in inspect_crash(str(dump))
+
+
+def test_pull_run_progress_counts_the_chunks_it_reads(xmark_doc):
+    """``/progress`` of a pull run counts what it has read; only ``feed``
+    makes a run count as pushed."""
+    data = xmark_doc.encode("utf-8")
+    seen = []
+
+    def chunks():
+        for start in range(0, len(data), 4096):
+            yield data[start : start + 4096]
+            # Resumed once the chunk went through the run.
+            ours = max(progress_snapshot()["runs"], key=lambda entry: entry["run"])
+            seen.append((ours["bytes_fed"], ours["chunks_fed"]))
+
+    pushed = global_registry().counter("repro.runs.push").value
+    _prepare("Q1").execute(chunks())
+    assert seen == [
+        (min(start + 4096, len(data)), number)
+        for number, start in enumerate(range(0, len(data), 4096), 1)
+    ]
+    assert global_registry().counter("repro.runs.push").value == pushed
+    run = _prepare("Q1").open_run()
+    run.feed(data)
+    run.finish()
+    assert global_registry().counter("repro.runs.push").value == pushed + 1
+
+
 def test_crash_dump_schema_matches_golden(tmp_path, monkeypatch, xmark_doc):
     """The crash-dump wire format is pinned: extending it means updating
     ``tests/fixtures/crash_schema_golden.json`` deliberately."""

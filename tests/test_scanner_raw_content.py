@@ -35,7 +35,7 @@ import repro.fastpath.scanner as scanner_module
 from repro import ExecutionOptions, FluxSession
 from repro.baselines import NaiveDomEngine
 from repro.core.api import load_dtd
-from repro.engine.xquery_exec import _copied_element, _path_spans, _raw_event_count
+from repro.engine.xquery_exec import _end_pointers, _path_spans, _raw_event_count, _render
 from repro.fastpath.batch import SoABatch
 from repro.serve import SubscriptionHub
 from repro.xmark.dtd import xmark_dtd
@@ -44,7 +44,6 @@ from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmark.ticker import ticker_document
 from repro.xmlstream.events import EndElement, RawContent, StartElement
 from repro.xmlstream.parser import parse_tree
-from repro.xmlstream.serializer import serialize_events
 
 DTD = """
 <!ELEMENT lib (book*, shelf?)>
@@ -559,9 +558,7 @@ def _canonical(rng, depth=0):
 
 
 def _read(spans):
-    return [
-        (serialize_events(_copied_element(span)), span.text(), span.closed) for span in spans
-    ]
+    return [(_render(span).text, span.text()) for span in spans]
 
 
 def test_paths_read_inside_raw_content_as_in_its_events():
@@ -578,7 +575,10 @@ def test_paths_read_inside_raw_content_as_in_its_events():
         events = expanded(wrapped)
         for path in paths:
             steps = ("r", *path)
-            spans = _path_spans(wrapped, steps, 0, len(wrapped))
-            assert _read(spans) == _read(_path_spans(events, steps, 0, len(events))), text
+            spans = _path_spans(wrapped, None, steps)
+            assert _read(spans) == _read(_path_spans(events, None, steps)), text
+            # Jumping by end pointers reads the same, over raw content and events.
+            for forest in (wrapped, events):
+                assert _read(_path_spans(forest, _end_pointers(forest), steps)) == _read(spans), text
             checked += len(spans)
     assert checked > 100
