@@ -61,8 +61,9 @@ class BufferManager:
         self.attribution = self.stats.attribution
         self._factory = factory
         self._live_buffers = 0
-        # Buffers appended to since the last flush, in first-append order.
-        self._dirty: List["EventBuffer"] = []
+        #: Buffers appended to since the last flush, in first-append order
+        #: (callers may skip a :meth:`flush` while it is empty).
+        self.dirty: List["EventBuffer"] = []
 
     def create_buffer(self, name: str = "", *, source=None, scope: str = "") -> "EventBuffer":
         """Create a new, empty buffer registered with this manager.
@@ -97,9 +98,9 @@ class BufferManager:
         rest of the batch: the run aborts, and its releases free exactly
         what was charged, with nothing left to admit.
         """
-        dirty = self._dirty
+        dirty = self.dirty
         if dirty:
-            self._dirty = []
+            self.dirty = []
             for buffer in dirty:
                 buffer._charge()
 
@@ -192,7 +193,7 @@ class EventBuffer:
         self._events.append(event)
         if not self._dirty:
             self._dirty = True
-            self._manager._dirty.append(self)
+            self._manager.dirty.append(self)
 
     def _charge(self) -> None:
         """Charge the events appended since the last flush (manager only)."""

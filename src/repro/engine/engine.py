@@ -55,7 +55,7 @@ from repro.obs import recorder as _flight
 from repro.obs import serve as _serve
 from repro.obs.export import append_jsonl
 from repro.obs.observer import TraceReport, stage_table, use_tracing
-from repro.obs.runtime import record_run
+from repro.obs.runtime import record_runs
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pipeline.fanout import DynamicFanout
 from repro.pipeline.projection import ProjectionSpec
@@ -440,9 +440,10 @@ class RunHandle:
             span.add("bulk_bytes", batch.bulk)
         # Every event costs bytes, but bytes may come without an event: text
         # continuing the previous batch's text node.
-        if batch.cost:
+        seen, cost = batch.seen, batch.cost
+        if cost:
             for stats in self._counted:
-                stats.record_input(batch.seen, batch.cost)
+                stats.record_input(seen, cost)
         with self._tracer.span("materialize") as span:
             if self._width == 1:
                 # The only seat is the only possible recipient, so the
@@ -452,7 +453,7 @@ class RunHandle:
                 subs = batch.materialize_split(self._scanner.fanout)
         span.add("events", sum(map(len, subs)))
         if any(subs):
-            events = 0
+            events = executed = 0
             with self._tracer.span("execute") as span:
                 for seat in self._live:
                     sub = subs[seat.index]
@@ -460,8 +461,16 @@ class RunHandle:
                         self._failing = seat
                         events += len(sub)
                         seat.executor.process_batch(sub)
+                        executed += seat.executor.batch_events
             self._failing = None
             span.add("events", events)
+            if executed:
+                # One ring entry per batch for all seats: the events they
+                # executed, the first seat's buffered bytes and position.
+                depth, scope = self._live[0].executor.position()
+                _flight.RECORDER.note_batch(
+                    executed, self.stats.input_bytes, self.stats.buffered_bytes_current, depth, scope
+                )
 
     def feed(self, chunk) -> Optional[str]:
         """Execute one more chunk of the document (text or UTF-8 bytes).
@@ -561,11 +570,15 @@ class RunHandle:
         _flight.RECORDER.note("run-finish", self._mode, self.stats.output_bytes)
         if self._governor is not None:
             self.memory = self._governor.telemetry()
-        self.close()  # no live buffers remain: leaves /progress, closes an owned governor
+        # No live buffers remain: nothing to abort.  Leave /progress and
+        # close an owned governor.
+        self._abort_finalizer.detach()
+        self.close()
         self.trace = self._seal_observation(elapsed)
         self.results = results
-        for seat in self._live:
-            results[seat.index].trace = self.trace
+        if self.trace is not None:
+            for seat in self._live:
+                results[seat.index].trace = self.trace
         if len(self._live) == 1 and self._live[0].name is None:
             self.result = results[self._live[0].index]
         elif self._live:
@@ -589,8 +602,7 @@ class RunHandle:
         """
         tracer = self._tracer
         seats = self._seat_stats
-        for stats in seats:
-            record_run(stats, traced=tracer.enabled, push=self._pushed)
+        record_runs(seats, traced=tracer.enabled, push=self._pushed)
         if not tracer.enabled:
             return None
         spans = list(tracer.records)

@@ -1,81 +1,233 @@
 """The streaming executor.
 
 The executor drives a :class:`~repro.engine.plan.QueryPlan` with the events
-of the input document.  It maintains one frame per open element; a frame
-records
-
-* the evaluator scopes opened *at* that element (by ``on a as $x`` handlers
-  of the parent scope),
-* whether the element lies inside a region that is being copied to the
-  output,
-* which buffers capture the element's events (full subtrees below marked
-  buffer-tree nodes, tags only along unmarked buffer-tree paths),
-* which condition values are being accumulated,
-* ``on-first`` handlers of the parent scope that fired on this child and must
-  execute when the child is complete.
-
-Per child of an active scope that the scope observes, exactly one
-transition of its (erased) Glushkov automaton and one PastTable lookup per
-watched symbol set are performed -- the cheap punctuation mechanism of
-Appendix B; any other child of the scope element is skipped outright.
+of the input document.  A frame per open element that the plan needs holds
+the scopes opened *at* it (by ``on a as $x`` handlers of the parent
+scope), whether it lies in a region copied to the output, the buffers
+capturing its events (whole subtrees below marked buffer-tree nodes, tags
+only along unmarked paths), the condition values accumulating, and the
+parent scope's ``on-first`` handlers that fired on it and run at its end.
+Per child a scope observes, at most one transition of its (erased)
+Glushkov automaton is taken, and the handlers whose past tables it
+satisfies come with it -- the cheap punctuation mechanism of Appendix B;
+any other child of the scope element is skipped outright.
 
 Hot-path structure (the pipeline's *execute* stage):
 
-* events arrive in *batches*; scope buffers are charged once per batch
-  (:meth:`~repro.engine.buffers.BufferManager.flush` at the end of a
-  batch, before any buffer is read or released).  Input is not counted
-  here: the document pass records it for every seat,
-* the run loop dispatches on the event class directly, and per-scope child
-  dispatch uses the plan's precompiled ``on_by_tag`` / ``on_first`` tables
-  -- no ``isinstance`` chains per event,
-* frames are ``__slots__`` objects whose list fields start as a shared empty
-  tuple and are copied only on first write, so untouched elements cost one
-  object allocation,
-* the run is decomposed into :meth:`StreamExecutor.begin` /
-  :meth:`StreamExecutor.process_batch` / :meth:`StreamExecutor.finish`, which
-  is what lets the engine drain the output sink between batches, expose a
-  streaming-fragment API, and -- since the session redesign -- execute in
-  **push mode**: a :class:`~repro.engine.engine.RunHandle` calls
-  ``process_batch`` with whatever events one fed chunk completed, at any
-  chunk boundary, and ``finish`` validates and flushes exactly as in pull
-  mode.  All executor state (frames, scopes, buffers) is held between
-  batches, so no stage ever needs the whole document.  ``finish`` returns
-  the sink's text; the run handle owns the clock and the result.
+* what a start tag does that depends only on the plan is compiled once into
+  **frame templates**, interned in :attr:`QueryPlan.frames
+  <repro.engine.plan.QueryPlan.frames>` and shared by every run of the plan
+  (so by every hub seat of one query text).  A template is a tuple of plan
+  *positions* -- the scopes opened at the element, and the buffer-tree and
+  value-trie nodes it sits on -- and maps each child tag, when first seen,
+  to a :class:`_Step`: which positions capture the child or accumulate its
+  value, which scopes observe it (their automaton moves, memoized per
+  state, list the ``on-first`` handlers each move fires), which ``on``
+  handlers open nested scopes or copy it, and its own template.  A frame
+  pairs its template with ``acts``, the activations of its positions, and
+  the parts that change at run time: capture sinks, accumulators, the copy
+  flag and the work waiting for the end tag,
+* a child that nothing needs gets no frame: it and its subtree only go to
+  the parent frame's captures, accumulators and copy, and the executor
+  keeps just their names (:meth:`StreamExecutor.position`),
+* events arrive in *batches*; scope buffers are charged once per batch and
+  before any buffer is read or released.  The run handle counts the input
+  and notes each batch in the flight recorder once for every seat
+  (:attr:`StreamExecutor.batch_events`),
+* :meth:`StreamExecutor.begin` / :meth:`StreamExecutor.process_batch` /
+  :meth:`StreamExecutor.finish` let a :class:`~repro.engine.engine.RunHandle`
+  drain the output sink between batches and execute in **push mode**, with
+  whatever events one fed chunk completed: all executor state is held
+  between batches.  ``finish`` returns the sink's text.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections import defaultdict
+from types import MappingProxyType
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dtd.glushkov import INITIAL_STATE
 from repro.engine.buffers import BufferManager, EventBuffer
-from repro.engine.plan import (
-    CompiledOnFirst,
-    QueryPlan,
-    ScopeSpec,
-    StreamCopyAction,
-)
+from repro.engine.plan import CompiledOnFirst, QueryPlan, ScopeSpec, StreamCopyAction
 from repro.engine.stats import RunStatistics
-from repro.obs import recorder as _recorder
+from repro.flux.ast import maximal_xquery_subexpressions
 from repro.pipeline.sinks import CollectSink, OutputSink
-from repro.xmlstream.events import (
-    Characters,
-    EndDocument,
-    EndElement,
-    Event,
-    RawContent,
-    StartDocument,
-    StartElement,
-)
+from repro.xmlstream.events import (Characters, EndDocument, EndElement, Event, RawContent,
+                                    StartDocument, StartElement)
+from repro.xquery.analysis import free_variables
 
 Path = Tuple[str, ...]
 
-#: Shared placeholder for never-written frame list fields (copy-on-write).
+#: Shared placeholder for frame sequences never written.
 _EMPTY: tuple = ()
+#: The value store of a scope before its first value is stored.
+_NO_VALUES = MappingProxyType({})
+#: What a root-marked root scope captures as its start tag.
+_ROOT_START = StartElement("#ROOT")
+#: Steps a template caches; later tags get uncached steps, so a run over an
+#: unbounded vocabulary cannot grow a shared plan without bound.
+_STEP_CAP = 4096
+#: Position kinds of a template.
+_SCOPE, _BUFFER, _VALUE = 0, 1, 2
 
 
-# ---------------------------------------------------------------------------
-# Runtime state
+class _Scope:
+    """What opening one scope does, whatever the run.  A scope is *inert*
+    when nothing fires in it and nothing reads its variable: it gets no
+    activation, only its position."""
+
+    __slots__ = ("spec", "var", "buffered", "root_marked", "valued", "positions", "extra",
+                 "initial", "fired", "finals", "every", "stepped", "listed", "inert")
+
+    def __init__(self, spec: ScopeSpec, read: frozenset):
+        self.spec = spec
+        self.var = spec.var
+        self.buffered = spec.needs_buffer
+        self.root_marked = spec.root_marked
+        self.valued = spec.value_trie is not None
+        self.positions = ((_SCOPE, self),)
+        if self.buffered and not self.root_marked:
+            self.positions += ((_BUFFER, spec.buffer_tree),)
+        if self.valued:
+            self.positions += ((_VALUE, spec.value_trie),)
+        #: Positions past the first that the scope's activation also fills.
+        self.extra = len(self.positions) - 1
+        #: The handlers whose past set holds before any child (i = 0), and
+        #: ``(handler, bit)`` of every handler (i = n+1 at close).
+        self.initial = tuple(h for h in spec.on_first if h.fires_initially())
+        self.fired = sum(1 << h.index for h in self.initial)
+        self.finals = tuple((h, 1 << h.index) for h in spec.on_first)
+        self.every = sum(bit for _handler, bit in self.finals)
+        #: The automaton state matters only to past tables.
+        self.stepped = spec.automaton is not None and any(
+            h.past_table is not None for h in spec.on_first)
+        self.listed = self.var in read
+        self.inert = not (spec.on_first or self.buffered or self.valued or self.listed)
+
+
+class _Step:
+    """What a start tag does under one template.
+
+    ``carry``: parent positions that the child's first positions continue;
+    ``captures``: ``(position, marked)``; ``values``: ``(position, path)``;
+    ``scopes``: ``(position, moves, ons)`` per scope that observes the tag,
+    where ``moves`` (``None`` when the state matters to nothing) maps a
+    state to its move and ``ons`` lists the ``on`` handlers as
+    ``(nested scope, stream copy)``, inert nested scopes left out.
+    """
+
+    __slots__ = ("child", "carry", "captures", "values", "collects", "scopes", "name")
+
+    def __init__(self, child, carry, captures, values, scopes, name):
+        self.child, self.carry, self.scopes, self.name = child, carry, scopes, name
+        self.captures, self.values = captures, values
+        self.collects = bool(captures or values)
+
+    def move(self, moves: dict, activation: "ScopeActivation") -> tuple:
+        """The move of ``activation``'s automaton on this tag, memoized:
+        ``(next state, handlers to run now, handlers to run at the child's
+        end, their bits)``.  A handler is listed when the move makes its
+        past table true; past tables are monotone along the automaton, so
+        no handler is listed twice in one run, nor one fired at i = 0."""
+        state = activation.dfa_state
+        spec = activation.scope.spec
+        after = spec.automaton.step(state, self.name)
+        fired = [] if after is None else [
+            h for h in spec.on_first
+            if h.past_table is not None and h.past_table.get(after, False)
+            and not h.past_table.get(state, False)
+        ]
+        # A child in the past set (``past(S)`` holds once its subtree is
+        # read) runs the handler at its end; otherwise Definition 3.6 holds
+        # already and listing order puts the body before a copy of it.
+        now = tuple(h for h in fired if self.name not in h.symbols)
+        later = tuple(h for h in fired if self.name in h.symbols)
+        moves[state] = move = (after, now, later, sum(1 << h.index for h in fired))
+        return move
+
+
+#: The step of a child nothing needs: it and its subtree get no frame.
+_PASSIVE = _Step(None, _EMPTY, _EMPTY, _EMPTY, _EMPTY, None)
+
+
+class _Template:
+    """A frame's positions and, per child tag, its step."""
+
+    __slots__ = ("frames", "positions", "scopes", "steps")
+
+    def __init__(self, frames: dict, positions: tuple):
+        self.frames = frames
+        self.positions = positions
+        #: Positions of the (non-inert) scopes opened here, closed at the end.
+        self.scopes = tuple(i for i, (kind, node) in enumerate(positions)
+                            if kind == _SCOPE and not node.inert)
+        self.steps: Dict[str, _Step] = {}
+
+    def step(self, name: str) -> _Step:
+        """Build (and cache, below the cap) the step of child tag ``name``.
+        The child's positions are the deeper buffer and value positions,
+        then those of the scopes it opens, inert ones last (past ``acts``)."""
+        carry, positions, captures, values, scopes, opened, inert = [], [], [], [], [], [], []
+        for index, (kind, node) in enumerate(self.positions):
+            if kind == _SCOPE:
+                spec = node.spec
+                if spec.observed is not None and name not in spec.observed:
+                    continue  # a silent move of the scope's automaton
+                ons = []
+                for handler in spec.on_by_tag.get(name, _EMPTY):
+                    nested = handler.nested and _scope(self.frames, handler.nested)
+                    if nested is not None and nested.inert:
+                        inert += nested.positions
+                        continue
+                    ons.append((nested, handler.copy))
+                    opened += nested.positions if nested is not None else _EMPTY
+                moves = {None: (None, _EMPTY, _EMPTY, 0)} if node.stepped else None
+                if moves is not None or ons:
+                    scopes.append((index, moves, tuple(ons)))
+                continue
+            child = node.children.get(name)
+            if child is None:
+                continue
+            if kind == _BUFFER:
+                captures.append((index, child.marked))
+                deeper = not child.marked and child.children
+            else:
+                if child.terminal_path is not None:
+                    values.append((index, child.terminal_path))
+                deeper = child.children
+            if deeper:
+                carry.append(index)
+                positions.append((kind, child))
+        positions += opened + inert
+        step = _PASSIVE
+        if captures or values or scopes or positions:
+            child = _template(self.frames, tuple(positions))
+            step = _Step(child, tuple(carry), tuple(captures), tuple(values), tuple(scopes), name)
+        if len(self.steps) < _STEP_CAP:
+            self.steps[name] = step
+        return step
+
+
+def _scope(frames: dict, spec: ScopeSpec) -> _Scope:
+    scope = frames.get(id(spec))
+    return scope or frames.setdefault(id(spec), _Scope(spec, frames["read"]))
+
+
+def _template(frames: dict, positions: tuple) -> _Template:
+    key = tuple((kind, id(node)) for kind, node in positions)
+    template = frames.get(key)
+    return template or frames.setdefault(key, _Template(frames, positions))
+
+
+def _root(plan: QueryPlan) -> Tuple[_Scope, _Template]:
+    """The root scope and the root frame's template of ``plan`` (interned
+    under ``None``, next to the variables the plan's bodies read)."""
+    frames = plan.frames
+    read = frozenset().union(*map(free_variables, maximal_xquery_subexpressions(plan.flux)))
+    frames.setdefault("read", read)
+    scope = _scope(frames, plan.root_scope)
+    return frames.setdefault(None, (scope, _template(frames, scope.positions)))
 
 
 class _ValueAccumulator:
@@ -88,203 +240,234 @@ class _ValueAccumulator:
         self.path = path
         self.parts: List[str] = []
 
-    def add(self, text: str) -> None:
-        self.parts.append(text)
-
     def finish(self, stats: RunStatistics) -> None:
         value = "".join(self.parts)
-        store = self.activation.value_store.setdefault(self.path, [])
-        store.append(value)
-        self.activation.condition_bytes += len(value)
+        activation = self.activation
+        if activation.value_store is _NO_VALUES:
+            activation.value_store = {}
+        activation.value_store.setdefault(self.path, []).append(value)
+        activation.condition_bytes += len(value)
         stats.record_condition_bytes(len(value))
 
 
 class ScopeActivation:
     """One live instance of a ``process-stream`` scope: what compiled
     bodies read for its variable, and ``memo``, the results of repeated
-    conditions that it owns (:mod:`repro.engine.xquery_exec`)."""
+    conditions that it owns (:mod:`repro.engine.xquery_exec`).  ``fired``
+    is a bitset over handler indexes."""
 
-    __slots__ = (
-        "spec",
-        "element_name",
-        "dfa_state",
-        "fired",
-        "buffer",
-        "value_store",
-        "memo",
-        "condition_bytes",
-    )
+    __slots__ = ("scope", "element_name", "dfa_state", "fired", "buffer", "value_store",
+                 "memo", "condition_bytes")
 
-    def __init__(self, spec: ScopeSpec, element_name: str, buffer: Optional[EventBuffer]):
-        self.spec = spec
+    def __init__(self, scope: _Scope, element_name: str, buffer: Optional[EventBuffer]):
+        self.scope = scope
         self.element_name = element_name
-        self.dfa_state: Optional[int] = INITIAL_STATE if spec.automaton is not None else None
-        self.fired: set = set()
+        self.dfa_state: Optional[int] = INITIAL_STATE
+        self.fired = scope.fired
         self.buffer = buffer
-        self.value_store: Dict[Path, List[str]] = {}
+        self.value_store: Dict[Path, List[str]] = _NO_VALUES
         self.memo: Optional[dict] = None
         self.condition_bytes = 0
 
 
 class _Frame:
-    """Per-open-element execution state.
+    """Per-open-element execution state.  ``sinks`` and ``accs`` start as
+    the parent's sequences and are copied on every append; ``pending``
+    holds parent-scope handlers to run at the end, and ``work`` -- tags-only
+    captures and accumulators to close, copy suffixes and deferred copies
+    -- is made on first need."""
 
-    All sequence fields start as the shared empty tuple; ``subtree_sinks``
-    and ``value_accumulators`` may additionally *alias the parent frame's
-    sequence* and must be copied before the first append (``owns_sinks``
-    tracks ownership for the one field two methods append to).
-    """
+    __slots__ = ("template", "acts", "name", "sinks", "copy", "accs", "pending", "work")
 
-    __slots__ = (
-        "name",
-        "scopes",
-        "copy_active",
-        "copy_suffix",
-        "pending_on_first",
-        "deferred_copies",
-        "subtree_sinks",
-        "owns_sinks",
-        "tags_only",
-        "buffer_positions",
-        "value_positions",
-        "value_accumulators",
-        "value_closers",
-    )
-
-    def __init__(self, name, copy_active=False, subtree_sinks=_EMPTY, value_accumulators=_EMPTY):
+    def __init__(self, template, acts, name, sinks, copy, accs):
+        self.template = template
+        self.acts = acts
         self.name = name
-        self.scopes = _EMPTY
-        self.copy_active = copy_active
-        self.copy_suffix = _EMPTY
-        self.pending_on_first = _EMPTY
-        self.deferred_copies = _EMPTY
-        self.subtree_sinks = subtree_sinks
-        self.owns_sinks = False
-        self.tags_only = _EMPTY
-        self.buffer_positions = _EMPTY
-        self.value_positions = _EMPTY
-        self.value_accumulators = value_accumulators
-        self.value_closers = _EMPTY
+        self.sinks = sinks
+        self.copy = copy
+        self.accs = accs
+        self.pending: tuple = _EMPTY
+        self.work: Optional[tuple] = None
 
-
-# ---------------------------------------------------------------------------
-# The executor
+    def ends(self) -> tuple:
+        self.work = self.work or ([], [], [], [])
+        return self.work
 
 
 class StreamExecutor:
     """Executes a compiled plan over an event stream.
 
     ``sink`` may be any :class:`~repro.pipeline.sinks.OutputSink`; omitted,
-    the output is collected.  Input is not counted here: the document pass
-    records it for every seat.  ``buffer_factory`` swaps the scope buffers' implementation
-    (a memory governor's ``make_buffer`` makes them spillable under a byte
-    budget); omitted, buffers are plain in-heap event lists.
+    the output is collected.  ``buffer_factory`` swaps the scope buffers'
+    class (a memory governor's ``make_buffer`` makes them spillable);
+    omitted, buffers are plain in-heap event lists.
     """
 
-    def __init__(
-        self,
-        plan: QueryPlan,
-        *,
-        stats: Optional[RunStatistics] = None,
-        sink: Optional[OutputSink] = None,
-        buffer_factory=None,
-    ):
+    def __init__(self, plan: QueryPlan, *, stats: Optional[RunStatistics] = None,
+                 sink: Optional[OutputSink] = None, buffer_factory=None):
         self.plan = plan
         self.stats = stats or RunStatistics()
         self.sink = sink if sink is not None else CollectSink(self.stats)
         self.buffers = BufferManager(self.stats, factory=buffer_factory)
-        # Bound at construction so a run started after the flight recorder
-        # is swapped (tests) picks up the new one.
-        self._recorder = _recorder.RECORDER
         self._stack: List[_Frame] = []
-        self._active_scopes: Dict[str, List[ScopeActivation]] = {}
+        #: Names of the open elements below the top frame that got none.
+        self._passive: List[str] = []
+        self._active_scopes: Dict[str, List[ScopeActivation]] = defaultdict(list)
+        #: Events of the last batch (raw content counts as its events).
+        self.batch_events = 0
 
     # ------------------------------------------------------------------ API
 
     def begin(self) -> None:
         """Start a run: emit the plan prelude and open the root scope."""
-        self.sink.write_text(self.plan.pre)
-        root_frame = _Frame("#ROOT")
-        self._stack.append(root_frame)
-        self._open_scope(self.plan.root_scope, "#ROOT", root_frame)
+        if self.plan.pre:
+            self.sink.write_text(self.plan.pre)
+        scope, template = self.plan.frames.get(None) or _root(self.plan)
+        self._stack.append(_Frame(template, [], "#ROOT", _EMPTY, False, _EMPTY))
+        self._open_scope(scope, _ROOT_START, self._stack[-1])
 
-    def process_batch(self, batch: Iterable[Event]) -> None:
+    def process_batch(self, batch: Sequence[Event]) -> None:
         """Feed one batch of events through the compiled plan."""
-        start = self._start_element
-        end = self._end_element
-        chars = self._characters
-        count = 0
+        stack = self._stack
+        passive = self._passive
+        sink = self.sink
+        top = stack[-1]
+        extra = 0
         for event in batch:
             cls = event.__class__
             if cls is StartElement:
-                count += 1
-                start(event)
-            elif cls is Characters:
-                count += 1
-                chars(event)
+                # Events inside fully-captured (marked) regions.
+                for capture in top.sinks:
+                    capture.append(event)
+                if not passive:
+                    step = top.template.steps.get(event.name) or top.template.step(event.name)
+                    if step is not _PASSIVE:
+                        acts = top.acts
+                        carried = list(map(acts.__getitem__, step.carry)) if step.carry else []
+                        frame = _Frame(step.child, carried, event.name, top.sinks, top.copy, top.accs)
+                        if step.collects:
+                            self._collect(event, step, top, frame)
+                        for index, moves, ons in step.scopes:
+                            if moves is not None:
+                                activation = acts[index]
+                                move = moves.get(activation.dfa_state) or step.move(moves, activation)
+                                activation.dfa_state = move[0]
+                                if move[3]:
+                                    activation.fired |= move[3]
+                                    for handler in move[1]:
+                                        self._execute_handler(handler)
+                                    if move[2]:
+                                        frame.pending += move[2]
+                            for nested, copy in ons:
+                                if nested is None:
+                                    self._apply_stream_copy(copy, event, frame)
+                                else:
+                                    self._open_scope(nested, event, frame)
+                        if frame.copy:
+                            sink.write_event(event)
+                        stack.append(frame)
+                        top = frame
+                        continue
+                passive.append(event.name)
+                if top.copy:
+                    sink.write_event(event)
             elif cls is EndElement:
-                count += 1
-                end(event)
+                # The end tag belongs to every full-subtree capture.
+                for capture in top.sinks:
+                    capture.append(event)
+                if passive:
+                    passive.pop()
+                    if top.copy:
+                        sink.write_event(event)
+                    continue
+                stack.pop()
+                work = top.work
+                if work is not None:
+                    # Tags-only captures and accumulators opened here close.
+                    for buffer in work[0]:
+                        buffer.append(event)
+                    for accumulator in work[1]:
+                        accumulator.finish(self.stats)
+                # Scopes opened here reach their end-of-children point.
+                for index in top.template.scopes:
+                    self._finish_scope(top.acts[index])
+                if top.copy:
+                    sink.write_event(event)
+                if work is not None:
+                    self._close_copies(work)
+                # Parent-scope handlers that fired on this child run now
+                # that it is complete.
+                for handler in top.pending:
+                    self._execute_handler(handler)
+                top = stack[-1]
+            elif cls is Characters:
+                for capture in top.sinks:
+                    capture.append(event)
+                for accumulator in top.accs:
+                    accumulator.parts.append(event.text)
+                if top.copy:
+                    sink.write_event(event)
             elif cls is RawContent:
-                count += event.count
-                self._raw_content(event)
+                # An opaque element's content: the projection guarantees
+                # that no scope, capture position or handler sits inside
+                # it, so it goes where its events would have gone.
+                extra += event.count - 1
+                for capture in top.sinks:
+                    capture.append(event)
+                for accumulator in top.accs:
+                    accumulator.parts.append(event.characters())
+                if top.copy:
+                    sink.write_event(event)
             elif cls is StartDocument or cls is EndDocument:
-                continue
+                extra -= 1
             else:
                 raise TypeError(f"not an XML event: {event!r}")
-        self.buffers.flush()
-        if count:
-            stack = self._stack
-            self._recorder.note_batch(
-                count,
-                self.stats.input_bytes,
-                self.stats.buffered_bytes_current,
-                len(stack),
-                stack[-1].name if stack else None,
-            )
+        if self.buffers.dirty:
+            self.buffers.flush()
+        self.batch_events = len(batch) + extra
+
+    def position(self) -> Tuple[int, Optional[str]]:
+        """The open-element depth (the virtual root counts) and the
+        innermost open element's name, for the flight recorder."""
+        if self._passive:
+            return len(self._stack) + len(self._passive), self._passive[-1]
+        return len(self._stack), self._stack[-1].name if self._stack else None
 
     def abort(self) -> None:
-        """Best-effort teardown of an abandoned run.
-
-        Releases every live scope buffer and deferred-copy buffer so a
-        *shared* (session-owned) memory governor gets its pages and
-        spill-store space back -- an aborted push-mode feed or abandoned
-        stream must not let dead pages count against the session budget
-        forever.  Safe to call at any point and idempotent; the executor
-        is unusable afterwards.
-        """
+        """Best-effort teardown of an abandoned run: release every live
+        scope and deferred-copy buffer, so a shared memory governor gets its
+        pages back.  Idempotent; the executor is unusable afterwards."""
         for frame in self._stack:
-            for activation in frame.scopes:
-                if activation.buffer is not None:
-                    activation.buffer.release()
-            for _action, buffer in frame.deferred_copies:
+            buffers = [frame.acts[index].buffer for index in frame.template.scopes]
+            if frame.work is not None:
+                buffers += [buffer for _action, buffer in frame.work[3]]
+            for buffer in buffers:
                 if buffer is not None:
                     buffer.release()
         self._stack = []
-        self._active_scopes = {}
+        self._active_scopes = defaultdict(list)
 
     def finish(self) -> Optional[str]:
-        """End of stream: close the root scope and emit the plan postlude.
-
-        Returns the sink's collected text (``None`` for a sink that does
-        not collect).
-        """
-        self.buffers.flush()
+        """End of stream: close the root scope and emit the plan postlude;
+        returns the sink's collected text (``None`` if it collects none)."""
+        if self.buffers.dirty:
+            self.buffers.flush()
         # Fires e.g. the final "on-first past(<document element>)" handlers.
         root_frame = self._stack.pop()
-        for activation in root_frame.scopes:
-            self._finish_scope(activation)
-        if self._stack:
+        for index in root_frame.template.scopes:
+            self._finish_scope(root_frame.acts[index])
+        if self._stack or self._passive:
             raise ValueError("unbalanced input stream: elements left open")
-
-        self.sink.write_text(self.plan.post)
+        if self.plan.post:
+            self.sink.write_text(self.plan.post)
         return self.sink.text()
 
     # ------------------------------------------------------------ internals
 
     def _holds(self, test) -> bool:
         # Every buffer read charges first.
-        self.buffers.flush()
+        if self.buffers.dirty:
+            self.buffers.flush()
         return test(self._active_scopes)
 
     def _write_gated(self, parts) -> None:
@@ -294,178 +477,58 @@ class StreamExecutor:
 
     def _execute_handler(self, handler: CompiledOnFirst) -> None:
         self.stats.handler_executions += 1
-        self.buffers.flush()
+        if self.buffers.dirty:
+            self.buffers.flush()
         handler.run(self._active_scopes, self.sink)
 
-    # ------------------------------------------------------- scope lifecycle
-
-    def _open_scope(self, spec: ScopeSpec, element_name: str, frame: _Frame) -> ScopeActivation:
-        buffer = (
-            self.buffers.create_buffer(spec.var, source=spec, scope=element_name)
-            if spec.needs_buffer
-            else None
-        )
-        activation = ScopeActivation(spec, element_name, buffer)
-        if frame.scopes is _EMPTY:
-            frame.scopes = [activation]
-        else:
-            frame.scopes.append(activation)
-        self._active_scopes.setdefault(spec.var, []).append(activation)
-
-        if buffer is not None:
-            if spec.root_marked:
-                # The scope element itself is buffered (``{$x}`` is output):
-                # capture its start tag now and its whole subtree via the
-                # frame's subtree sinks.
-                buffer.append(StartElement(element_name))
-                if frame.owns_sinks:
-                    frame.subtree_sinks.append(buffer)
-                else:
-                    frame.subtree_sinks = [*frame.subtree_sinks, buffer]
-                    frame.owns_sinks = True
-            elif spec.buffer_tree is not None:
-                if frame.buffer_positions is _EMPTY:
-                    frame.buffer_positions = [(activation, spec.buffer_tree)]
-                else:
-                    frame.buffer_positions.append((activation, spec.buffer_tree))
-        if spec.value_trie is not None:
-            if frame.value_positions is _EMPTY:
-                frame.value_positions = [(activation, spec.value_trie)]
-            else:
-                frame.value_positions.append((activation, spec.value_trie))
-
+    def _open_scope(self, scope: _Scope, event: StartElement, frame: _Frame) -> None:
+        buffer = None
+        if scope.buffered:
+            buffer = self.buffers.create_buffer(scope.var, source=scope.spec, scope=event.name)
+        activation = ScopeActivation(scope, event.name, buffer)
+        frame.acts.append(activation)
+        if scope.extra:
+            frame.acts += [activation] * scope.extra
+        if scope.listed:
+            self._active_scopes[scope.var].append(activation)
+        if scope.root_marked:
+            # The scope element itself is buffered (``{$x}`` is output):
+            # capture its start tag now and its subtree via the frame.
+            buffer.append(StartElement(event.name) if event.attributes else event)
+            frame.sinks = [*frame.sinks, buffer]
         # i = 0 scan: handlers whose past set is already satisfied fire now.
-        for handler in spec.on_first:
-            if handler.fires_initially():
-                activation.fired.add(handler.index)
-                self._execute_handler(handler)
-        return activation
+        for handler in scope.initial:
+            self._execute_handler(handler)
 
     def _finish_scope(self, activation: ScopeActivation) -> None:
+        scope = activation.scope
         # i = n+1 scan: handlers that have not fired yet fire at end-of-children.
-        for handler in activation.spec.on_first:
-            if handler.index not in activation.fired:
-                activation.fired.add(handler.index)
-                self._execute_handler(handler)
-        stack = self._active_scopes.get(activation.spec.var)
-        if stack and stack[-1] is activation:
-            stack.pop()
-        if activation.buffer is not None:
+        if activation.fired != scope.every:
+            for handler, bit in scope.finals:
+                if not activation.fired & bit:
+                    activation.fired |= bit
+                    self._execute_handler(handler)
+        if scope.listed:
+            self._active_scopes[scope.var].pop()
+        if scope.buffered:
             activation.buffer.release()
         if activation.condition_bytes:
             self.stats.record_condition_bytes(-activation.condition_bytes)
             activation.condition_bytes = 0
 
-    # --------------------------------------------------------- event handling
-
-    def _start_element(self, event: StartElement) -> None:
-        name = event.name
-        parent = self._stack[-1]
-        inherited_sinks = parent.subtree_sinks
-
-        # Events inside fully-captured (marked) regions.
-        for sink in inherited_sinks:
-            sink.append(event)
-
-        frame = _Frame(name, parent.copy_active, inherited_sinks, parent.value_accumulators)
-
-        # Buffer-tree matching against the parent's capture positions.
-        if parent.buffer_positions:
-            for activation, node in parent.buffer_positions:
-                child = node.children.get(name)
-                if child is None:
-                    continue
-                activation.buffer.append(StartElement(name))
-                if child.marked:
-                    if frame.owns_sinks:
-                        frame.subtree_sinks.append(activation.buffer)
-                    else:
-                        frame.subtree_sinks = [*frame.subtree_sinks, activation.buffer]
-                        frame.owns_sinks = True
-                else:
-                    if frame.tags_only is _EMPTY:
-                        frame.tags_only = [activation.buffer]
-                    else:
-                        frame.tags_only.append(activation.buffer)
-                    if child.children:
-                        if frame.buffer_positions is _EMPTY:
-                            frame.buffer_positions = [(activation, child)]
-                        else:
-                            frame.buffer_positions.append((activation, child))
-
-        # Condition-value matching.
-        if parent.value_positions:
-            owns_accumulators = False
-            for activation, node in parent.value_positions:
-                child = node.children.get(name)
-                if child is None:
-                    continue
-                if child.terminal_path is not None:
-                    accumulator = _ValueAccumulator(activation, child.terminal_path)
-                    if owns_accumulators:
-                        frame.value_accumulators.append(accumulator)
-                    else:
-                        frame.value_accumulators = [*frame.value_accumulators, accumulator]
-                        owns_accumulators = True
-                    if frame.value_closers is _EMPTY:
-                        frame.value_closers = [accumulator]
-                    else:
-                        frame.value_closers.append(accumulator)
-                if child.children:
-                    if frame.value_positions is _EMPTY:
-                        frame.value_positions = [(activation, child)]
-                    else:
-                        frame.value_positions.append((activation, child))
-
-        # Handler dispatch for every scope whose children we are processing.
-        if parent.scopes:
-            for activation in parent.scopes:
-                self._dispatch_child(activation, event, frame)
-
-        if frame.copy_active:
-            self.sink.write_event(event)
-
-        self._stack.append(frame)
-
-    def _dispatch_child(self, activation: ScopeActivation, event: StartElement, frame: _Frame) -> None:
-        name = event.name
-        spec = activation.spec
-        if spec.observed is not None and name not in spec.observed:
-            return  # a silent move of the scope's automaton: nothing to do
-        previous_state = activation.dfa_state
-        if spec.automaton is not None and previous_state is not None:
-            new_state = spec.automaton.step(previous_state, name)
-            activation.dfa_state = new_state
-            if spec.on_first and new_state is not None:
-                fired = activation.fired
-                for handler in spec.on_first:
-                    table = handler.past_table
-                    if table is None or handler.index in fired:
-                        continue
-                    if table.get(new_state, False) and not table.get(previous_state, False):
-                        fired.add(handler.index)
-                        if name in handler.symbols:
-                            # The arriving child belongs to the past set:
-                            # ``past(S)`` only holds once its subtree has
-                            # been read, so run at the child's end event.
-                            if frame.pending_on_first is _EMPTY:
-                                frame.pending_on_first = [(activation, handler)]
-                            else:
-                                frame.pending_on_first.append((activation, handler))
-                        else:
-                            # The past set closed *before* this child:
-                            # Definition 3.6 already holds, and listing
-                            # order puts the body before any stream-copy
-                            # of this same child.
-                            self._execute_handler(handler)
-
-        handlers = spec.on_by_tag.get(name)
-        if handlers is not None:
-            for handler in handlers:
-                if handler.nested is not None:
-                    self._open_scope(handler.nested, name, frame)
-                else:
-                    self._apply_stream_copy(handler.copy, event, frame)
+    def _collect(self, event: StartElement, step: _Step, parent: _Frame, frame: _Frame) -> None:
+        """The child's buffer captures and value accumulators."""
+        for index, marked in step.captures:
+            buffer = parent.acts[index].buffer
+            buffer.append(StartElement(event.name) if event.attributes else event)
+            if marked:
+                frame.sinks = [*frame.sinks, buffer]
+            else:
+                frame.ends()[0].append(buffer)
+        for index, path in step.values:
+            accumulator = _ValueAccumulator(parent.acts[index], path)
+            frame.accs = [*frame.accs, accumulator]
+            frame.ends()[1].append(accumulator)
 
     def _apply_stream_copy(self, action: StreamCopyAction, event: StartElement, frame: _Frame) -> None:
         if action.defer:
@@ -474,82 +537,23 @@ class StreamExecutor:
             # whole action at the end event (see StreamCopyAction.defer).
             buffer = None
             if action.copy_var is not None:
-                buffer = self.buffers.create_buffer(
-                    action.copy_var, source=action, scope=frame.name
-                )
+                buffer = self.buffers.create_buffer(action.copy_var, source=action, scope=frame.name)
                 buffer.append(event)
-                if frame.owns_sinks:
-                    frame.subtree_sinks.append(buffer)
-                else:
-                    frame.subtree_sinks = [*frame.subtree_sinks, buffer]
-                    frame.owns_sinks = True
-            if frame.deferred_copies is _EMPTY:
-                frame.deferred_copies = [(action, buffer)]
-            else:
-                frame.deferred_copies.append((action, buffer))
+                frame.sinks = [*frame.sinks, buffer]
+            frame.ends()[3].append((action, buffer))
             return
         self._write_gated(action.prefix)
         if action.copy_var is not None:
             if action.copy_test is None or self._holds(action.copy_test):
-                frame.copy_active = True
+                frame.copy = True
         if action.suffix:
-            if frame.copy_suffix is _EMPTY:
-                frame.copy_suffix = list(action.suffix)
-            else:
-                frame.copy_suffix.extend(action.suffix)
+            frame.ends()[2].extend(action.suffix)
 
-    def _characters(self, event: Characters) -> None:
-        frame = self._stack[-1]
-        for sink in frame.subtree_sinks:
-            sink.append(event)
-        if frame.value_accumulators:
-            text = event.text
-            for accumulator in frame.value_accumulators:
-                accumulator.add(text)
-        if frame.copy_active:
-            self.sink.write_event(event)
-
-    def _raw_content(self, event: RawContent) -> None:
-        # An opaque element's content: the projection guarantees that no
-        # scope, capture position or handler sits inside it, so it only
-        # goes where its events would have gone one by one.
-        frame = self._stack[-1]
-        for sink in frame.subtree_sinks:
-            sink.append(event)
-        if frame.value_accumulators:
-            text = event.characters()
-            for accumulator in frame.value_accumulators:
-                accumulator.add(text)
-        if frame.copy_active:
-            self.sink.write_event(event)
-
-    def _end_element(self, event: EndElement) -> None:
-        frame = self._stack.pop()
-
-        # 1. Close captures: the end tag belongs to every full-subtree sink and
-        #    to every tags-only capture opened for this element.
-        for sink in frame.subtree_sinks:
-            sink.append(event)
-        if frame.tags_only:
-            tag = EndElement(frame.name)
-            for buffer in frame.tags_only:
-                buffer.append(tag)
-        for accumulator in frame.value_closers:
-            accumulator.finish(self.stats)
-
-        # 2. Scopes opened at this element reach their end-of-children point.
-        for activation in frame.scopes:
-            self._finish_scope(activation)
-
-        # 3. Stream-copy output: closing tag, then conditional suffix strings.
-        if frame.copy_active:
-            self.sink.write_event(event)
-        if frame.copy_suffix:
-            self._write_gated(frame.copy_suffix)
-
-        # 4. Deferred actions: the child is now fully read, so their gating
-        #    conditions are decidable -- emit the whole action in order.
-        for action, buffer in frame.deferred_copies:
+    def _close_copies(self, work: tuple) -> None:
+        """Stream-copy suffixes, then deferred copies: the child is now
+        fully read, so their gating conditions are decidable."""
+        self._write_gated(work[2])
+        for action, buffer in work[3]:
             self._write_gated(action.prefix)
             if buffer is not None:
                 if action.copy_test is None or self._holds(action.copy_test):
@@ -557,8 +561,3 @@ class StreamExecutor:
                     self.sink.write_events(buffer.events)
                 buffer.release()
             self._write_gated(action.suffix)
-
-        # 5. Parent-scope ``on-first`` handlers that fired on this child run
-        #    now that the child is complete.
-        for activation, handler in frame.pending_on_first:
-            self._execute_handler(handler)

@@ -359,6 +359,9 @@ class QueryPlan:
     root_var: str
     buffer_trees: Dict[str, BufferTreeNode]
     value_paths: Dict[str, FrozenSet[Path]]
+    #: The executor's frame templates, interned on first use so that every
+    #: run of this plan shares them (:mod:`repro.engine.executor`).
+    frames: dict = field(default_factory=dict, repr=False, compare=False)
 
     def describe_buffers(self) -> str:
         """Human-readable rendering of all buffer trees (cf. Figure 3)."""

@@ -163,12 +163,16 @@ def compile_handler(
     to its activations, innermost last.  ``trees`` are the scope variables'
     buffer trees, ``joins`` the body's join guards by ``id(loop)`` and
     ``chain`` the enclosing scope variables, outermost first."""
+    if body.__class__ is TextExpr:  # one call per execution, not three
+        return lambda active, sink, text=body.text: sink.write_text(text)
     scopes = sorted(free_variables(body))
     compiler = _Compiler(scopes, trees, joins, memo, chain)
     run = compiler.expr(body)
     if not scopes:
         return lambda active, sink: run(None, None, sink)
     pad = [None] * (compiler.size - len(scopes))
+    if not pad:
+        return lambda active, sink: run(_environment(active, scopes), _HandlerCache(), sink)
 
     def handler(active, sink):
         run(_environment(active, scopes) + pad, _HandlerCache(), sink)
@@ -190,6 +194,8 @@ def compile_test(
 
 def _environment(active, scopes: List[str]) -> list:
     try:
+        if len(scopes) == 1:
+            return [active[scopes[0]][-1]]
         return [active[var][-1] for var in scopes]
     except (KeyError, IndexError):
         missing = next(var for var in scopes if not active.get(var))

@@ -170,7 +170,8 @@ class SoABatch:
         (``opaque_masks``) -- the others read the same content as rows of
         the element's taken row.  Adjacent text rows share one state
         (nothing kept may sit between them), so coalescing before
-        distribution is safe.
+        distribution is safe.  Slots with one spec share one sub-batch
+        (:attr:`~repro.pipeline.fanout.DynamicFanout.aliases`).
         """
         subs: List[List[Event]] = [[] for _ in range(fanout.width)]
         words = self.words
@@ -180,6 +181,7 @@ class SoABatch:
         chars_masks = fanout.chars_masks
         opaque_masks = fanout.opaque_masks
         indices_for = fanout.indices_for
+        leads = fanout.leads
         appends = [sub.append for sub in subs]
         spans = self.spans
         buffer = self.buffer
@@ -194,7 +196,7 @@ class SoABatch:
         def flush_text() -> None:
             nonlocal parts
             event = Characters(parts[0] if len(parts) == 1 else "".join(parts))
-            for index in indices_for(parts_mask):
+            for index in indices_for(parts_mask & leads):
                 appends[index](event)
             parts = None
 
@@ -226,13 +228,13 @@ class SoABatch:
                     if event.__class__ is Characters:
                         # An expanded attribute value: the only text between
                         # its subelement's tags, so nothing is pending.
-                        for index in indices_for(chars_masks[state]):
+                        for index in indices_for(chars_masks[state] & leads):
                             appends[index](event)
                         continue
                     if event.__class__ is RawContent:
                         # Right after its element's start row, so nothing
                         # is pending: it goes to the slots opaque there.
-                        for index in indices_for(opaque_masks[state]):
+                        for index in indices_for(opaque_masks[state] & leads):
                             appends[index](event)
                         continue
                 else:
@@ -248,12 +250,14 @@ class SoABatch:
                         event = EndElement(buffer[start:end].decode("utf-8"))
                 if parts is not None:
                     flush_text()
-                for index in indices_for(keep_masks[state]):
+                for index in indices_for(keep_masks[state] & leads):
                     appends[index](event)
         except UnicodeDecodeError as exc:
             raise _invalid_utf8(exc, self.base + start) from exc
         if parts is not None:
             flush_text()
+        for position, leader in fanout.aliases:
+            subs[position] = subs[leader]
         return subs
 
 

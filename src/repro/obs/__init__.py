@@ -43,7 +43,7 @@ from .recorder import (
     dump_crash,
     inspect_crash,
 )
-from .runtime import record_run
+from .runtime import record_runs
 from .serve import MetricsServer, ensure_server, progress_snapshot, shutdown_servers
 from .tracer import NULL_TRACER, NullTracer, SpanRecord, Tracer, validate_span_tree
 
@@ -75,7 +75,7 @@ __all__ = [
     "inspect_crash",
     "progress_snapshot",
     "prometheus_text",
-    "record_run",
+    "record_runs",
     "shutdown_servers",
     "stage_table",
     "trace_to_jsonl",

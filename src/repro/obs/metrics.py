@@ -97,12 +97,13 @@ class Histogram:
         self.count = 0
         self.sum = 0.0
 
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.sum += value
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times."""
+        self.count += count
+        self.sum += value * count
         for index, bound in enumerate(self.buckets):
             if value <= bound:
-                self.bucket_counts[index] += 1
+                self.bucket_counts[index] += count
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, ``+Inf`` excluded.

@@ -15,6 +15,8 @@ and comes out through :func:`repro.obs.export.prometheus_text`.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .metrics import global_registry
 
 _registry = global_registry()
@@ -32,19 +34,22 @@ PAGE_FAULTS = _registry.counter("repro.run.page_faults.total", "Spilled pages re
 RUN_SECONDS = _registry.histogram("repro.run.seconds", "Wall time per run (seconds)")
 
 
-def record_run(stats, *, traced: bool = False, push: bool = False) -> None:
-    """Fold one finished run's statistics into the global totals."""
-    RUNS_TOTAL.inc()
+def record_runs(seats: Sequence, *, traced: bool = False, push: bool = False) -> None:
+    """Fold one finished run's seats into the global totals: each seat
+    counts as a run, and each counter takes one add of the seats' sum
+    (the seats of one run share its wall time)."""
+    runs = len(seats)
+    RUNS_TOTAL.inc(runs)
     if traced:
-        RUNS_TRACED.inc()
+        RUNS_TRACED.inc(runs)
     if push:
-        RUNS_PUSH.inc()
-    INPUT_EVENTS.inc(stats.input_events)
-    INPUT_BYTES.inc(stats.input_bytes)
-    OUTPUT_EVENTS.inc(stats.output_events)
-    OUTPUT_BYTES.inc(stats.output_bytes)
-    SPILL_COUNT.inc(stats.spill_count)
-    SPILL_BYTES.inc(stats.spilled_bytes_written)
-    PAGE_FAULTS.inc(stats.page_faults)
-    RUN_SECONDS.observe(stats.elapsed_seconds)
-
+        RUNS_PUSH.inc(runs)
+    INPUT_EVENTS.inc(sum(stats.input_events for stats in seats))
+    INPUT_BYTES.inc(sum(stats.input_bytes for stats in seats))
+    OUTPUT_EVENTS.inc(sum(stats.output_events for stats in seats))
+    OUTPUT_BYTES.inc(sum(stats.output_bytes for stats in seats))
+    SPILL_COUNT.inc(sum(stats.spill_count for stats in seats))
+    SPILL_BYTES.inc(sum(stats.spilled_bytes_written for stats in seats))
+    PAGE_FAULTS.inc(sum(stats.page_faults for stats in seats))
+    if runs:
+        RUN_SECONDS.observe(seats[0].elapsed_seconds, runs)

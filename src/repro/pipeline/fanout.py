@@ -193,6 +193,7 @@ class DynamicFanout:
             self.opaque_masks[:] = [mask & self._active_mask for mask in self.opaque_masks]
             self.hollow[:] = [self._hollow(components) for components in self._components]
         self._indices.clear()
+        self._share()
 
     def compact(self) -> int:
         """Drop tombstoned slots and rebuild the product over the survivors.
@@ -228,6 +229,7 @@ class DynamicFanout:
         self._taken: List[int] = []
         self.layout = (array("i"), 64)
         self._indices.clear()
+        self._share()
         self._intern(
             tuple(KEEP_ALL if slot.spec is None else slot.spec.initial for slot in self._slots)
         )
@@ -355,6 +357,21 @@ class DynamicFanout:
             indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
             self._indices[mask] = indices
         return indices
+
+    def _share(self) -> None:
+        """Active slots with one spec receive the same events: the first
+        of them leads (``leads`` masks the leaders), and ``aliases`` maps
+        each other one's position to its leader's, so a split builds one
+        sub-batch per spec."""
+        leaders: Dict[object, int] = {}
+        aliases = []
+        for position, slot in enumerate(self._slots):
+            if slot.active:
+                leader = leaders.setdefault(slot.spec, position)
+                if leader != position:
+                    aliases.append((position, leader))
+        self.leads = sum(1 << leader for leader in leaders.values())
+        self.aliases: Tuple[Tuple[int, int], ...] = tuple(aliases)
 
 
 __all__ = ["DynamicFanout"]

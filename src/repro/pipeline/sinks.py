@@ -124,7 +124,7 @@ class CollectSink(OutputSink):
     __slots__ = ("_parts",)
 
     def __init__(self, stats: Optional[RunStatistics] = None):
-        super().__init__(stats)
+        self.stats = stats if stats is not None else RunStatistics()
         self._parts: List[str] = []
 
     def _emit(self, rendered: str) -> None:
@@ -172,7 +172,7 @@ class FragmentSink(OutputSink):
     __slots__ = ("_parts",)
 
     def __init__(self, stats: Optional[RunStatistics] = None):
-        super().__init__(stats)
+        self.stats = stats if stats is not None else RunStatistics()
         self._parts: List[str] = []
 
     def _emit(self, rendered: str) -> None:

@@ -47,7 +47,6 @@ from repro.feeds import DocumentResult, FeedHandle
 from repro.obs import recorder as _flight
 from repro.obs.metrics import global_registry
 from repro.pipeline.fanout import DynamicFanout
-from repro.pipeline.sinks import CollectSink
 from repro.storage.governor import MemoryGovernor
 from repro.xmark.dtd import xmark_dtd
 
@@ -124,8 +123,9 @@ class Subscription:
 
     def get(self, timeout: Optional[float] = None) -> Optional[SubscriptionResult]:
         """Next result; ``None`` on end-of-subscription (or timeout)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
+            if not self._queue:
+                deadline = None if timeout is None else time.monotonic() + timeout
             while not self._queue:
                 if self.state in ("finished", "disconnected", "closed"):
                     return None
@@ -161,7 +161,6 @@ class Subscription:
 
     def _deliver(self, result: SubscriptionResult) -> bool:
         """Engine-thread side: enqueue under the subscription's policy."""
-        notify = False
         with self._cond:
             if self.state != "active":
                 return False
@@ -197,9 +196,7 @@ class Subscription:
             if len(self._queue) > self.peak_queue_depth:
                 self.peak_queue_depth = len(self._queue)
             self._cond.notify_all()
-            notify = True
-        _DELIVERED.inc()
-        if notify and self.on_ready is not None:
+        if self.on_ready is not None:
             self.on_ready(self)
         return True
 
@@ -496,7 +493,7 @@ class SubscriptionHub:
             self._run = RunHandle(
                 self.fanout,
                 [
-                    None if sub is None else (sub._engine.plan, CollectSink(), sub.name)
+                    None if sub is None else (sub._engine.plan, None, sub.name)
                     for sub in self._seated
                 ],
                 self.options,
@@ -514,6 +511,7 @@ class SubscriptionHub:
         with self._lock:
             run, self._run = self._run, None
         sealed_at = time.perf_counter()
+        delivered = 0
         for sub, result in zip(self._seated, run.results):
             if sub is None:
                 continue
@@ -521,7 +519,7 @@ class SubscriptionHub:
             if stats.peak_resident_bytes > sub.resident_hwm:
                 sub.resident_hwm = stats.peak_resident_bytes
             sub.seq += 1
-            sub._deliver(
+            delivered += sub._deliver(
                 SubscriptionResult(
                     name=sub.name,
                     document=document.index,
@@ -531,6 +529,7 @@ class SubscriptionHub:
                     stats=stats,
                 )
             )
+        _DELIVERED.inc(delivered)
         _DOCUMENTS.inc()
 
 

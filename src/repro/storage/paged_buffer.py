@@ -122,7 +122,7 @@ class PagedEventBuffer:
         self._pending.append(event)
         if not self._dirty:
             self._dirty = True
-            self._manager._dirty.append(self)
+            self._manager.dirty.append(self)
 
     def extend(self, events: Iterable[Event]) -> None:
         """Append several events."""

@@ -40,9 +40,11 @@ from repro.obs.attrib import format_attribution
 from repro.obs.export import append_jsonl
 from repro.obs.recorder import CRASH_SCHEMA, RECORDER, dump_crash, inspect_crash
 from repro.obs.serve import ensure_server, progress_snapshot, shutdown_servers
+from repro.serve import SubscriptionHub
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.generator import config_for_scale, generate_document
 from repro.xmark.queries import BENCHMARK_QUERIES
+from repro.xmark.ticker import ticker_document
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -135,6 +137,31 @@ def test_recorder_ring_sees_batches(xmark_doc):
     assert "batch" in kinds
     batch = next(e for e in RECORDER.snapshot() if e["kind"] == "batch")
     assert set(batch) >= {"seq", "kind", "events", "offset", "buffered_bytes", "depth"}
+
+
+def test_a_hub_batch_is_one_ring_entry_for_every_seat(tmp_path, monkeypatch):
+    """200 seats used to note one ``batch`` entry each per batch, which
+    pushed every document boundary out of the 512-entry ring."""
+    trace = tmp_path / "trace.jsonl"
+    monkeypatch.setenv("REPRO_OBS_JSON", str(trace))
+    names = ("Q1", "Q13", "Q20")
+    RECORDER.clear()
+    with SubscriptionHub(xmark_dtd(), options=ExecutionOptions(trace=True)) as hub:
+        for index in range(200):
+            hub.subscribe(BENCHMARK_QUERIES[names[index % len(names)]], max_queue=4)
+        for index in range(3):
+            hub.feed(ticker_document(index) + "\n")
+        hub.finish()
+    ring = RECORDER.snapshot()
+    assert [entry["index"] for entry in ring if entry["kind"] == "doc-boundary"] == [0, 1, 2]
+    executed = sum(
+        1
+        for record in map(json.loads, trace.read_text(encoding="utf-8").splitlines())
+        if record["record"] == "span"
+        and record["name"] == "execute"
+        and record.get("counters", {}).get("events")
+    )
+    assert 0 < sum(entry["kind"] == "batch" for entry in ring) <= executed
 
 
 def test_no_crash_dump_without_directory(xmark_doc):

@@ -19,7 +19,9 @@ from repro.engine.executor import StreamExecutor
 from repro.obs.metrics import global_registry
 from repro.serve import SubscriptionHub
 from repro.storage import MemoryGovernor, SpillError
+from repro.storage.paged_buffer import PagedEventBuffer
 from repro.xmlstream.errors import XMLWellFormednessError
+from repro.xmlstream.events import EndElement
 
 BIB_DTD = """
 <!ELEMENT bib (book)*>
@@ -306,18 +308,18 @@ def test_a_spill_failure_while_aborting_does_not_mask_the_runs_error(spill_fault
     """An executor error mid-batch leaves appends uncharged; charging them
     for the crash dump must evict, and the disk is full by then.  The run
     still fails with its own error and balances the ledger."""
-    end_element = StreamExecutor._end_element
+    append = PagedEventBuffer.append
     titles = []
 
     def failing(self, event):
-        end_element(self, event)
-        if event.name == "title":
+        append(self, event)
+        if event == EndElement("title"):
             titles.append(event)
             if len(titles) == 3:
                 spill_faults(write=1)
                 raise RuntimeError("injected executor failure")
 
-    monkeypatch.setattr(StreamExecutor, "_end_element", failing)
+    monkeypatch.setattr(PagedEventBuffer, "append", failing)
     # One batch, titles longer than the budget: admitting what the failing
     # batch appended must evict.
     document = "<bib>%s</bib>" % "".join(
