@@ -102,6 +102,8 @@ class Subscription:
         #: pending -> active -> finished | disconnected | closed
         self.state = "pending"
         self._cond = threading.Condition()
+        #: Threads blocked on ``_cond`` (the only ones a notify can wake).
+        self._waiting = 0
         self._queue: deque = deque()
         self._cancelled = False
         self.delivered = 0
@@ -132,9 +134,12 @@ class Subscription:
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     return None
+                self._waiting += 1
                 self._cond.wait(remaining if remaining is not None else 0.5)
+                self._waiting -= 1
             item = self._queue.popleft()
-            self._cond.notify_all()
+            if self._waiting:
+                self._cond.notify_all()
             return item
 
     def get_nowait(self) -> Optional[SubscriptionResult]:
@@ -142,7 +147,8 @@ class Subscription:
             if not self._queue:
                 return None
             item = self._queue.popleft()
-            self._cond.notify_all()
+            if self._waiting:
+                self._cond.notify_all()
             return item
 
     def results(self):
@@ -174,7 +180,9 @@ class Subscription:
                         and self.state == "active"
                         and not self._cancelled
                     ):
+                        self._waiting += 1
                         self._cond.wait(0.1)
+                        self._waiting -= 1
                     if self.state != "active" or self._cancelled:
                         return False
                 elif self.policy == "drop":
@@ -195,7 +203,8 @@ class Subscription:
             self.documents += 1
             if len(self._queue) > self.peak_queue_depth:
                 self.peak_queue_depth = len(self._queue)
-            self._cond.notify_all()
+            if self._waiting:
+                self._cond.notify_all()
         if self.on_ready is not None:
             self.on_ready(self)
         return True
