@@ -23,8 +23,6 @@ import json
 import os
 from pathlib import Path
 
-import pytest
-
 from repro import ExecutionOptions, FluxSession
 from repro.serve import SubscriptionHub
 from repro.xmark.dtd import xmark_dtd
@@ -112,8 +110,3 @@ def test_solo_work_counts_match_the_golden():
 
 def test_hub_work_counts_match_the_golden(tmp_path, monkeypatch):
     _check("hub.json", _hub_counts(tmp_path, monkeypatch))
-
-
-@pytest.mark.parametrize("name", ["solo.json", "hub.json"])
-def test_work_golden_fixtures_exist(name):
-    assert (WORK / name).is_file()
