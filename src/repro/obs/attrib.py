@@ -200,30 +200,29 @@ def _gauge_slug(variable: str) -> str:
     return variable.lstrip("$") or "root"
 
 
+#: The newest ledger per gauge slug: what that slug's registry gauges read.
+_NEWEST: Dict[str, OwnerLedger] = {}
+
+
 def _register_owner_gauges(owner: OwnerLedger) -> None:
     """Expose one owner's live/peak/spilled bytes as registry gauges.
 
-    Gauge names are stable per variable; a newer run's ledger rebinds the
-    callback (idempotent registration), so ``/metrics`` always reflects
-    the most recent run that buffered under that variable.
+    Gauge names are stable per variable and registered once; a newer run's
+    ledger takes the slug over, so ``/metrics`` always reflects the most
+    recent run that buffered under that variable.
     """
-    registry = global_registry()
     slug = _gauge_slug(owner.variable)
-    registry.gauge(
-        f"repro.buffer.owner.{slug}.live_bytes",
-        f"Live buffered bytes owned by {owner.variable}",
-        fn=lambda o=owner: o.live_bytes,
-    )
-    registry.gauge(
-        f"repro.buffer.owner.{slug}.peak_bytes",
-        f"Peak buffered bytes owned by {owner.variable}",
-        fn=lambda o=owner: o.peak_bytes,
-    )
-    registry.gauge(
-        f"repro.buffer.owner.{slug}.spilled_bytes",
-        f"Spilled (encoded) bytes owned by {owner.variable}",
-        fn=lambda o=owner: o.spilled_bytes,
-    )
+    if _NEWEST.setdefault(slug, owner) is not owner:
+        _NEWEST[slug] = owner
+        return
+    registry = global_registry()
+    for field, what in (("live_bytes", "Live buffered bytes"), ("peak_bytes", "Peak buffered bytes"),
+                        ("spilled_bytes", "Spilled (encoded) bytes")):
+        registry.gauge(
+            f"repro.buffer.owner.{slug}.{field}",
+            f"{what} owned by {owner.variable}",
+            fn=lambda field=field: getattr(_NEWEST[slug], field),
+        )
 
 
 def format_attribution(stats) -> str:
