@@ -124,8 +124,7 @@ class CollectSink(OutputSink):
     __slots__ = ("_parts",)
 
     def __init__(self, stats: Optional[RunStatistics] = None):
-        # Inlined, not ``super().__init__``: a hub builds one per seat per document.
-        self.stats = stats if stats is not None else RunStatistics()
+        super().__init__(stats)
         self._parts: List[str] = []
 
     def _emit(self, rendered: str) -> None:
