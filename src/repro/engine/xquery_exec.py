@@ -117,21 +117,18 @@ class _Span:
         return "".join(parts)
 
 
-class _HandlerCache:
+class _HandlerCache(dict):
     """What one handler execution computes once for all its loop iterations.
 
-    Keys hold their bindings (activations and spans), never their ``id()``,
-    so a key cannot outlive the object it names.
+    A scope's events and end pointers are keyed by its activation; spans,
+    atoms and join indexes by a tuple whose first item names which.  Keys
+    hold their bindings (activations and spans), never their ``id()``, so a
+    key cannot outlive the object it names.  A plain dict underneath, so
+    making one per execution runs no Python code; ``memo`` is set on first
+    use.
     """
 
-    __slots__ = ("events", "matches", "values", "indexes", "memo")
-
-    def __init__(self):
-        self.events: Dict[object, tuple] = {}
-        self.matches: Dict[tuple, List[_Span]] = {}
-        self.values: Dict[tuple, List[Atom]] = {}
-        self.indexes: Dict[tuple, "_JoinIndex"] = {}
-        self.memo: Optional[Dict[tuple, bool]] = None
+    memo: Optional[Dict[tuple, bool]] = None
 
 
 class ConditionMemo:
@@ -163,16 +160,12 @@ def compile_handler(
     to its activations, innermost last.  ``trees`` are the scope variables'
     buffer trees, ``joins`` the body's join guards by ``id(loop)`` and
     ``chain`` the enclosing scope variables, outermost first."""
-    if body.__class__ is TextExpr:  # one call per execution, not three
-        return lambda active, sink, text=body.text: sink.write_text(text)
     scopes = sorted(free_variables(body))
     compiler = _Compiler(scopes, trees, joins, memo, chain)
     run = compiler.expr(body)
     if not scopes:
         return lambda active, sink: run(None, None, sink)
     pad = [None] * (compiler.size - len(scopes))
-    if not pad:
-        return lambda active, sink: run(_environment(active, scopes), _HandlerCache(), sink)
 
     def handler(active, sink):
         run(_environment(active, scopes) + pad, _HandlerCache(), sink)
@@ -194,8 +187,6 @@ def compile_test(
 
 def _environment(active, scopes: List[str]) -> list:
     try:
-        if len(scopes) == 1:
-            return [active[scopes[0]][-1]]
         return [active[var][-1] for var in scopes]
     except (KeyError, IndexError):
         missing = next(var for var in scopes if not active.get(var))
@@ -292,16 +283,15 @@ class _Compiler:
         ``where`` and body emit anything."""
 
         def candidates(env, cache):
-            indexes = cache.indexes
-            key = (slot, env[source])
-            index = indexes.get(key)
+            key = ("index", slot, env[source])
+            index = cache.get(key)
             if index is None:
                 spans = nodes(env, cache)
                 keys = []
                 for span in spans:
                     env[slot] = span
                     keys.append(inner(env, cache))
-                index = indexes[key] = _JoinIndex(spans, keys)
+                index = cache[key] = _JoinIndex(spans, keys)
             if not index.nodes:  # like the nested loop, never evaluate the outer side
                 return index.nodes
             return index.probe(op, outer(env, cache))
@@ -392,10 +382,10 @@ class _Compiler:
 
             def spans_in_span(env, cache):
                 span = env[slot]
-                key = (span, path)
-                spans = cache.matches.get(key)
+                key = ("spans", span, path)
+                spans = cache.get(key)
                 if spans is None:
-                    spans = cache.matches[key] = _path_spans(span.events, span.ends, path, span.start + 1)
+                    spans = cache[key] = _path_spans(span.events, span.ends, path, span.start + 1)
                 return spans
 
             return spans_in_span
@@ -407,12 +397,12 @@ class _Compiler:
 
         def spans_in_scope(env, cache):
             scope = env[slot]
-            key = (scope, path)
-            spans = cache.matches.get(key)
+            key = ("spans", scope, path)
+            spans = cache.get(key)
             if spans is None:
                 events, ends = _scope_events(scope, cache)
                 steps = (scope.element_name, *path) if marked else path
-                spans = cache.matches[key] = _path_spans(events, ends, steps)
+                spans = cache[key] = _path_spans(events, ends, steps)
             return spans
 
         return spans_in_scope
@@ -425,8 +415,8 @@ class _Compiler:
 
         def values(env, cache):
             binding = env[slot]
-            key = (binding, key_path)
-            atoms = cache.values.get(key)
+            key = ("atoms", binding, key_path)
+            atoms = cache.get(key)
             if atoms is None:
                 if nodes is not None:
                     texts = [span.text() for span in nodes(env, cache)]
@@ -436,7 +426,7 @@ class _Compiler:
                     atoms = [_atom(text) for text in texts]
                 else:
                     atoms = [_scaled(coefficient, number) for number in map(_as_number, texts) if number is not None]
-                cache.values[key] = atoms
+                cache[key] = atoms
             return atoms
 
         return values
@@ -482,12 +472,12 @@ def _existential(compare, left: List[Atom], right: List[Atom]) -> bool:
 
 def _scope_events(scope, cache: _HandlerCache) -> tuple:
     """A scope buffer's events and end pointers, read once per handler execution."""
-    entry = cache.events.get(scope)
+    entry = cache.get(scope)
     if entry is None:
         # A paged buffer decodes its spilled pages here, once.
         buffer = scope.buffer
         events = [] if buffer is None else buffer.events
-        entry = cache.events[scope] = (events, _end_pointers(events) if len(events) >= _SKIP_MIN else None)
+        entry = cache[scope] = (events, _end_pointers(events) if len(events) >= _SKIP_MIN else None)
     return entry
 
 
