@@ -49,12 +49,24 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dtd.glushkov import INITIAL_STATE
 from repro.engine.buffers import BufferManager, EventBuffer
-from repro.engine.plan import CompiledOnFirst, QueryPlan, ScopeSpec, StreamCopyAction
+from repro.engine.plan import (
+    CompiledOnFirst,
+    QueryPlan,
+    ScopeSpec,
+    StreamCopyAction,
+)
 from repro.engine.stats import RunStatistics
 from repro.flux.ast import maximal_xquery_subexpressions
 from repro.pipeline.sinks import CollectSink, OutputSink
-from repro.xmlstream.events import (Characters, EndDocument, EndElement, Event, RawContent,
-                                    StartDocument, StartElement)
+from repro.xmlstream.events import (
+    Characters,
+    EndDocument,
+    EndElement,
+    Event,
+    RawContent,
+    StartDocument,
+    StartElement,
+)
 from repro.xquery.analysis import free_variables
 
 Path = Tuple[str, ...]
@@ -72,13 +84,31 @@ _STEP_CAP = 4096
 _SCOPE, _BUFFER, _VALUE = 0, 1, 2
 
 
+# ---------------------------------------------------------------------------
+# Frame templates: what a start tag does, per plan
+
+
 class _Scope:
     """What opening one scope does, whatever the run.  A scope is *inert*
     when nothing fires in it and nothing reads its variable: it gets no
     activation, only its position."""
 
-    __slots__ = ("spec", "var", "buffered", "root_marked", "valued", "positions", "extra",
-                 "initial", "fired", "finals", "every", "stepped", "listed", "inert")
+    __slots__ = (
+        "spec",
+        "var",
+        "buffered",
+        "root_marked",
+        "valued",
+        "positions",
+        "extra",
+        "initial",
+        "fired",
+        "finals",
+        "every",
+        "stepped",
+        "listed",
+        "inert",
+    )
 
     def __init__(self, spec: ScopeSpec, read: frozenset):
         self.spec = spec
@@ -101,7 +131,8 @@ class _Scope:
         self.every = sum(bit for _handler, bit in self.finals)
         #: The automaton state matters only to past tables.
         self.stepped = spec.automaton is not None and any(
-            h.past_table is not None for h in spec.on_first)
+            h.past_table is not None for h in spec.on_first
+        )
         self.listed = self.var in read
         self.inert = not (spec.on_first or self.buffered or self.valued or self.listed)
 
@@ -117,11 +148,23 @@ class _Step:
     ``(nested scope, stream copy)``, inert nested scopes left out.
     """
 
-    __slots__ = ("child", "carry", "captures", "values", "collects", "scopes", "name")
+    __slots__ = (
+        "child",
+        "carry",
+        "captures",
+        "values",
+        "collects",
+        "scopes",
+        "name",
+    )
 
     def __init__(self, child, carry, captures, values, scopes, name):
-        self.child, self.carry, self.scopes, self.name = child, carry, scopes, name
-        self.captures, self.values = captures, values
+        self.child = child
+        self.carry = carry
+        self.captures = captures
+        self.values = values
+        self.scopes = scopes
+        self.name = name
         self.collects = bool(captures or values)
 
     def move(self, moves: dict, activation: "ScopeActivation") -> tuple:
@@ -160,15 +203,22 @@ class _Template:
         self.frames = frames
         self.positions = positions
         #: Positions of the (non-inert) scopes opened here, closed at the end.
-        self.scopes = tuple(i for i, (kind, node) in enumerate(positions)
-                            if kind == _SCOPE and not node.inert)
+        self.scopes = tuple(
+            i for i, (kind, node) in enumerate(positions) if kind == _SCOPE and not node.inert
+        )
         self.steps: Dict[str, _Step] = {}
 
     def step(self, name: str) -> _Step:
         """Build (and cache, below the cap) the step of child tag ``name``.
         The child's positions are the deeper buffer and value positions,
         then those of the scopes it opens, inert ones last (past ``acts``)."""
-        carry, positions, captures, values, scopes, opened, inert = [], [], [], [], [], [], []
+        carry = []
+        positions = []
+        captures = []
+        values = []
+        scopes = []
+        opened = []
+        inert = []
         for index, (kind, node) in enumerate(self.positions):
             if kind == _SCOPE:
                 spec = node.spec
@@ -230,6 +280,10 @@ def _root(plan: QueryPlan) -> Tuple[_Scope, _Template]:
     return frames.setdefault(None, (scope, _template(frames, scope.positions)))
 
 
+# ---------------------------------------------------------------------------
+# Runtime state
+
+
 class _ValueAccumulator:
     """Collects the text content of one matched condition-path element."""
 
@@ -256,8 +310,16 @@ class ScopeActivation:
     conditions that it owns (:mod:`repro.engine.xquery_exec`).  ``fired``
     is a bitset over handler indexes."""
 
-    __slots__ = ("scope", "element_name", "dfa_state", "fired", "buffer", "value_store",
-                 "memo", "condition_bytes")
+    __slots__ = (
+        "scope",
+        "element_name",
+        "dfa_state",
+        "fired",
+        "buffer",
+        "value_store",
+        "memo",
+        "condition_bytes",
+    )
 
     def __init__(self, scope: _Scope, element_name: str, buffer: Optional[EventBuffer]):
         self.scope = scope
@@ -277,7 +339,16 @@ class _Frame:
     captures and accumulators to close, copy suffixes and deferred copies
     -- is made on first need."""
 
-    __slots__ = ("template", "acts", "name", "sinks", "copy", "accs", "pending", "work")
+    __slots__ = (
+        "template",
+        "acts",
+        "name",
+        "sinks",
+        "copy",
+        "accs",
+        "pending",
+        "work",
+    )
 
     def __init__(self, template, acts, name, sinks, copy, accs):
         self.template = template
@@ -294,6 +365,10 @@ class _Frame:
         return self.work
 
 
+# ---------------------------------------------------------------------------
+# The executor
+
+
 class StreamExecutor:
     """Executes a compiled plan over an event stream.
 
@@ -303,8 +378,14 @@ class StreamExecutor:
     omitted, buffers are plain in-heap event lists.
     """
 
-    def __init__(self, plan: QueryPlan, *, stats: Optional[RunStatistics] = None,
-                 sink: Optional[OutputSink] = None, buffer_factory=None):
+    def __init__(
+        self,
+        plan: QueryPlan,
+        *,
+        stats: Optional[RunStatistics] = None,
+        sink: Optional[OutputSink] = None,
+        buffer_factory=None,
+    ):
         self.plan = plan
         self.stats = stats or RunStatistics()
         self.sink = sink if sink is not None else CollectSink(self.stats)
@@ -320,8 +401,7 @@ class StreamExecutor:
 
     def begin(self) -> None:
         """Start a run: emit the plan prelude and open the root scope."""
-        if self.plan.pre:
-            self.sink.write_text(self.plan.pre)
+        self.sink.write_text(self.plan.pre)
         scope, template = self.plan.frames.get(None) or _root(self.plan)
         self._stack.append(_Frame(template, [], "#ROOT", _EMPTY, False, _EMPTY))
         self._open_scope(scope, _ROOT_START, self._stack[-1])
@@ -434,9 +514,15 @@ class StreamExecutor:
         return len(self._stack), self._stack[-1].name if self._stack else None
 
     def abort(self) -> None:
-        """Best-effort teardown of an abandoned run: release every live
-        scope and deferred-copy buffer, so a shared memory governor gets its
-        pages back.  Idempotent; the executor is unusable afterwards."""
+        """Best-effort teardown of an abandoned run.
+
+        Releases every live scope buffer and deferred-copy buffer so a
+        *shared* (session-owned) memory governor gets its pages and
+        spill-store space back -- an aborted push-mode feed or abandoned
+        stream must not let dead pages count against the session budget
+        forever.  Safe to call at any point and idempotent; the executor
+        is unusable afterwards.
+        """
         for frame in self._stack:
             buffers = [frame.acts[index].buffer for index in frame.template.scopes]
             if frame.work is not None:
@@ -448,8 +534,11 @@ class StreamExecutor:
         self._active_scopes = defaultdict(list)
 
     def finish(self) -> Optional[str]:
-        """End of stream: close the root scope and emit the plan postlude;
-        returns the sink's collected text (``None`` if it collects none)."""
+        """End of stream: close the root scope and emit the plan postlude.
+
+        Returns the sink's collected text (``None`` for a sink that does
+        not collect).
+        """
         if self.buffers.dirty:
             self.buffers.flush()
         # Fires e.g. the final "on-first past(<document element>)" handlers.
@@ -458,8 +547,7 @@ class StreamExecutor:
             self._finish_scope(root_frame.acts[index])
         if self._stack or self._passive:
             raise ValueError("unbalanced input stream: elements left open")
-        if self.plan.post:
-            self.sink.write_text(self.plan.post)
+        self.sink.write_text(self.plan.post)
         return self.sink.text()
 
     # ------------------------------------------------------------ internals
@@ -537,7 +625,9 @@ class StreamExecutor:
             # whole action at the end event (see StreamCopyAction.defer).
             buffer = None
             if action.copy_var is not None:
-                buffer = self.buffers.create_buffer(action.copy_var, source=action, scope=frame.name)
+                buffer = self.buffers.create_buffer(
+                    action.copy_var, source=action, scope=frame.name
+                )
                 buffer.append(event)
                 frame.sinks = [*frame.sinks, buffer]
             frame.ends()[3].append((action, buffer))
