@@ -4,9 +4,9 @@ Wall-clock numbers cannot tell a 20% gain from a lucky run on a shared
 box, and the differential oracle cannot see a run that does more work for
 the same output.  These counts can: they are deterministic for a given
 document, so a change that moves one says so in its diff.  After a change
-that moves a count on purpose, regenerate the fixture with
-``REPRO_REGEN_WORK=1 python -m pytest tests/test_work_golden.py`` and say
-which count moved and why.
+that moves a count on purpose, edit the fixture by hand to the counts the
+failing assertion shows (the files are ``json.dumps(counts, indent=2,
+sort_keys=True)``), and say which count moved and why.
 
 * ``solo.json`` -- Q1, Q8, Q11, Q13 and Q20 on the seed-97 scale-1 XMark
   document, pulled and pushed in 4 KiB chunks: the traced stage events
@@ -20,7 +20,6 @@ which count moved and why.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro import ExecutionOptions, FluxSession
@@ -98,10 +97,7 @@ def _hub_counts(tmp_path, monkeypatch) -> list:
 
 
 def _check(name: str, counts) -> None:
-    path = WORK / name
-    if os.environ.get("REPRO_REGEN_WORK") == "1":
-        path.write_text(json.dumps(counts, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    assert counts == json.loads(path.read_text(encoding="utf-8"))
+    assert counts == json.loads((WORK / name).read_text(encoding="utf-8"))
 
 
 def test_solo_work_counts_match_the_golden():
