@@ -17,7 +17,7 @@ buffering.  This package reimplements the complete system:
   protocol,
 * :mod:`repro.engine` -- the streaming engine with projected buffers,
 * :mod:`repro.storage` -- bounded-memory execution: a memory governor with
-  a hard byte budget, spillable paged buffers and a temp-file spill store,
+  a hard byte budget over spillable buffer pages and a temp-file spill store,
 * :mod:`repro.obs` -- observability: per-run span tracing with stage
   breakdowns, a process-wide metrics registry, and JSONL / Prometheus-text
   exporters (``ExecutionOptions(trace=True)`` or ``repro run --trace``),

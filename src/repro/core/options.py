@@ -1,10 +1,10 @@
 """Execution options: one object for every per-run knob.
 
 :class:`ExecutionOptions` carries how a run behaves: attribute expansion,
-the memory budget and its page size, the pull-mode read size and
-tracing.  Where the output goes is a sink (:mod:`repro.pipeline.sinks`),
-how a feed is framed is an argument of ``open_feed``, and compile-time
-choices (projection, simplifications, safety) stay parameters of
+the memory budget, the pull-mode read size and tracing.  Where the
+output goes is a sink (:mod:`repro.pipeline.sinks`), how a feed is framed
+is an argument of ``open_feed``, and compile-time choices (projection,
+simplifications, safety) stay parameters of
 :meth:`~repro.core.session.FluxSession.prepare` because they select *which
 plan* is built, not how a run executes it.
 
@@ -38,9 +38,6 @@ class ExecutionOptions:
     memory_budget:
         Hard cap, in bytes, on resident buffered memory (see
         :mod:`repro.storage`); ``None`` keeps all buffers on the heap.
-    memory_page_bytes:
-        Page granularity for spillable buffers; only meaningful with a
-        budget.
     chunk_size:
         Largest byte chunk a pull run reads from its document source and
         feeds the scanner.
@@ -55,15 +52,12 @@ class ExecutionOptions:
 
     expand_attrs: bool = False
     memory_budget: Optional[int] = None
-    memory_page_bytes: Optional[int] = None
     chunk_size: int = DEFAULT_CHUNK_SIZE
     trace: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.memory_budget is not None and self.memory_budget <= 0:
             raise ValueError(f"memory_budget must be positive, got {self.memory_budget}")
-        if self.memory_page_bytes is not None and self.memory_page_bytes <= 0:
-            raise ValueError(f"memory_page_bytes must be positive, got {self.memory_page_bytes}")
         if self.chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {self.chunk_size}")
 

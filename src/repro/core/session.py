@@ -592,10 +592,7 @@ class FluxSession:
         else:
             base = options
             if base.memory_budget is None and self.options.memory_budget is not None:
-                base = base.replace(
-                    memory_budget=self.options.memory_budget,
-                    memory_page_bytes=self.options.memory_page_bytes,
-                )
+                base = base.replace(memory_budget=self.options.memory_budget)
         return ExecutionOptions.from_kwargs(base, **overrides)
 
     def _lend(self, options: Optional[ExecutionOptions], overrides: dict, *, feed: bool = False):
@@ -615,11 +612,8 @@ class FluxSession:
         when the run's budget matches the session's, ``None`` otherwise --
         no budget, or a per-run override, for which the run creates and
         closes a private one."""
-        budget = (options.memory_budget, options.memory_page_bytes)
-        if budget[0] is None or budget != (
-            self.options.memory_budget,
-            self.options.memory_page_bytes,
-        ):
+        budget = options.memory_budget
+        if budget is None or budget != self.options.memory_budget:
             return None
         if self._governor is None:
             # Owned under the runs' own rule: a session that is dropped

@@ -170,7 +170,7 @@ def governor_for(owner, options: ExecutionOptions, governor: Optional[MemoryGove
     """
     if governor is not None or options.memory_budget is None:
         return governor, _release_nothing
-    owned = MemoryGovernor(options.memory_budget, page_bytes=options.memory_page_bytes)
+    owned = MemoryGovernor(options.memory_budget)
     return owned, weakref.finalize(owner, owned.close)
 
 
@@ -282,7 +282,6 @@ class RunHandle:
         self._chunk_offsets = deque(maxlen=256)
         self._pushed = False
         self._governor, self._release_governor = governor_for(self, options, governor)
-        factory = self._governor.make_buffer if self._governor is not None else None
         self._tracer = Tracer() if use_tracing(options.trace) else NULL_TRACER
         self._width = len(seats)
         if self._width != fanout.width:
@@ -298,7 +297,7 @@ class RunHandle:
                 plan,
                 stats=stats,
                 sink=resolve_sink(sink, stats),
-                buffer_factory=factory,
+                governor=self._governor,
             )
             self._live.append(_LiveSeat(index, name, executor))
         #: The first seat's live statistics.  A run without any seat (an

@@ -373,9 +373,9 @@ class StreamExecutor:
     """Executes a compiled plan over an event stream.
 
     ``sink`` may be any :class:`~repro.pipeline.sinks.OutputSink`; omitted,
-    the output is collected.  ``buffer_factory`` swaps the scope buffers'
-    class (a memory governor's ``make_buffer`` makes them spillable);
-    omitted, buffers are plain in-heap event lists.
+    the output is collected.  ``governor`` is the memory governor the
+    scope buffers page under (:mod:`repro.engine.buffers`); omitted, they
+    stay on the heap.
     """
 
     def __init__(
@@ -384,12 +384,12 @@ class StreamExecutor:
         *,
         stats: Optional[RunStatistics] = None,
         sink: Optional[OutputSink] = None,
-        buffer_factory=None,
+        governor=None,
     ):
         self.plan = plan
         self.stats = stats or RunStatistics()
         self.sink = sink if sink is not None else CollectSink(self.stats)
-        self.buffers = BufferManager(self.stats, factory=buffer_factory)
+        self.buffers = BufferManager(self.stats, governor=governor)
         self._stack: List[_Frame] = []
         #: Names of the open elements below the top frame that got none.
         self._passive: List[str] = []

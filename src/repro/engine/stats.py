@@ -79,7 +79,7 @@ class RunStatistics:
         """Account for events added to some buffer.
 
         ``settle_resident=False`` defers the resident high-water sample:
-        the paged-buffer append admits the bytes first, lets the governor
+        a governed flush admits the bytes first, lets the governor
         evict, and only then samples ``peak_resident_bytes`` itself, so
         the recorded peak is the post-eviction residency the budget
         actually bounds.
@@ -105,9 +105,9 @@ class RunStatistics:
         """Account for a buffer being cleared or released.
 
         ``resident`` is the part of ``cost`` that was still held in memory
-        at release time -- a paged buffer whose pages were spilled frees its
-        full logical cost but only its resident remainder; plain buffers
-        omit it (everything was resident).
+        at release time -- a buffer whose pages were spilled frees its full
+        logical cost but only its resident remainder; omitted, all of
+        ``cost`` was resident.
 
         Guards against going negative: every free must match a prior
         :meth:`record_buffered`.  A silent negative here would corrupt the

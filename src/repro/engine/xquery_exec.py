@@ -474,7 +474,7 @@ def _scope_events(scope, cache: _HandlerCache) -> tuple:
     """A scope buffer's events and end pointers, read once per handler execution."""
     entry = cache.get(scope)
     if entry is None:
-        # A paged buffer decodes its spilled pages here, once.
+        # A governed buffer decodes its spilled pages here, once.
         buffer = scope.buffer
         events = [] if buffer is None else buffer.events
         entry = cache[scope] = (events, _end_pointers(events) if len(events) >= _SKIP_MIN else None)

@@ -23,8 +23,8 @@ engine mode):
   attribution rides on the governor's pages, which carry their owner.
 
 Hot-path discipline: buffers update their owner ledger with plain integer
-attribute bumps per charge/release -- once per batch for a plain buffer,
-per append for a paged one (only on runs that buffer at all --
+attribute bumps per charge/release -- once per flush of a buffer, and per
+page slice under a governor (only on runs that buffer at all --
 streaming-only queries never touch this), and the
 peak snapshot is O(number of owners), where the owner count is the number
 of buffered variables in the plan (single digits).

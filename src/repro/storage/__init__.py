@@ -2,13 +2,14 @@
 
 The paper minimizes *what* is buffered; this package bounds *where* it
 lives.  A :class:`MemoryGovernor` owns a global byte budget and the
-admission accounting for every buffered event; buffers created through its
-factory are :class:`PagedEventBuffer` instances whose sealed pages the
-governor may evict -- encoded by the :mod:`~repro.storage.codec` -- into a
-temp-file :class:`SpillStore` and decode back on read.  Output stays
-byte-identical to in-memory runs in every sink mode; only residency,
-spill counters and (past the budget) throughput change.  A spill I/O
-failure aborts the run with a :class:`SpillError` and no partial output.
+admission accounting for every buffered event.  A run's
+:class:`~repro.engine.buffers.EventBuffer` objects page under it, and the
+governor may evict their sealed pages -- encoded by the
+:mod:`~repro.storage.codec` -- into a temp-file :class:`SpillStore` and
+decode them back on read.  Output stays byte-identical to in-memory runs
+in every sink mode; only residency, spill counters and (past the budget)
+throughput change.  A spill I/O failure aborts the run with a
+:class:`SpillError` and no partial output.
 
 Entry points:
 
@@ -30,15 +31,12 @@ from repro.storage.governor import (
     MemoryGovernor,
     parse_memory_budget,
 )
-from repro.storage.paged_buffer import Page, PagedEventBuffer
 from repro.storage.spill import PageHandle, SpillError, SpillStore
 
 __all__ = [
     "DEFAULT_PAGE_BYTES",
     "MIN_PAGE_BYTES",
     "MemoryGovernor",
-    "Page",
-    "PagedEventBuffer",
     "PageHandle",
     "SpillError",
     "SpillStore",

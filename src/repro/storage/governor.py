@@ -3,11 +3,11 @@
 A :class:`MemoryGovernor` owns
 
 * the **budget** -- a global cap on resident (in-memory) buffered bytes,
-* the **admission accounting** -- every byte charged to any
-  :class:`~repro.storage.paged_buffer.PagedEventBuffer` is admitted here,
-  through ``MemoryGovernor._admit``, once per page slice of a
-  :meth:`~repro.engine.buffers.BufferManager.flush` (the charging rule
-  itself is stated in :mod:`repro.engine.buffers`),
+* the **admission accounting** -- every byte charged to an
+  :class:`~repro.engine.buffers.EventBuffer` of a governed run is admitted
+  here, through ``MemoryGovernor._admit``, once per page slice of a
+  :meth:`~repro.engine.buffers.BufferManager.flush` (the charging rule and
+  the page cut are stated in :mod:`repro.engine.buffers`),
 * the **replacement policy** -- an LRU over all *sealed* pages of all live
   buffers; when admission pushes the resident total over the budget, the
   coldest sealed pages are encoded
@@ -33,7 +33,7 @@ disk-speed rather than aborting.
 What the cap covers: *buffered event bytes*, the quantity the paper's
 figures report.  The events a batch appended and the next flush has not
 admitted yet are that batch's own event objects, and the event list a
-handler decodes from a paged buffer for one execution (like the engine's
+handler decodes from a governed buffer for one execution (like the engine's
 own fixed structures) is transient; both are extra memory outside this
 ledger, exactly as in the unbounded engine.
 
@@ -143,14 +143,6 @@ class MemoryGovernor:
         self.spill_count = 0
         self.fault_count = 0
 
-    # ------------------------------------------------------------- factory
-
-    def make_buffer(self, manager, name: str = ""):
-        """Buffer factory hook for :class:`~repro.engine.buffers.BufferManager`."""
-        from repro.storage.paged_buffer import PagedEventBuffer
-
-        return PagedEventBuffer(manager, self, name=name)
-
     # ------------------------------------------------------- page protocol
 
     def open_page(self, page) -> None:
@@ -166,8 +158,8 @@ class MemoryGovernor:
         """Admit ``cost`` bytes just charged to ``page`` (one page slice).
 
         The one admission entry point, called by
-        :class:`~repro.storage.paged_buffer.PagedEventBuffer` once per page
-        slice of a flush.  Evicts while the resident total is over budget,
+        :class:`~repro.engine.buffers.EventBuffer` once per page slice of a
+        flush.  Evicts while the resident total is over budget,
         then samples the post-eviction resident peaks -- the residency the
         budget actually bounds -- and seals ``page`` once it holds
         ``page_bytes``.

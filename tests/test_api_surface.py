@@ -101,7 +101,7 @@ EXPECTED_SURFACE = r"""
         "members": {}
     },
     "ExecutionOptions": {
-        "init": "(self, expand_attrs: 'bool' = False, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, chunk_size: 'int' = 65536, trace: 'Optional[bool]' = None) -> None",
+        "init": "(self, expand_attrs: 'bool' = False, memory_budget: 'Optional[int]' = None, chunk_size: 'int' = 65536, trace: 'Optional[bool]' = None) -> None",
         "kind": "class",
         "members": {
             "replace": "(self, **changes) -> \"'ExecutionOptions'\""
@@ -164,7 +164,6 @@ EXPECTED_SURFACE = r"""
         "members": {
             "close": "(self) -> 'None'",
             "discard": "(self, page) -> 'None'",
-            "make_buffer": "(self, manager, name: 'str' = '')",
             "open_page": "(self, page) -> 'None'",
             "read_page": "(self, page) -> \"List['object']\"",
             "seal": "(self, page) -> 'None'",

@@ -18,11 +18,11 @@ def test_buffer_append_updates_stats():
     buffer.append(StartElement("author"))
     buffer.append(Characters("Koch"))
     buffer.append(EndElement("author"))
-    assert len(buffer) == 3
     # Appends only append: nothing is charged before the flush.
     assert stats.buffered_events_current == 0
     assert buffer.cost_bytes == 0
     manager.flush()
+    assert len(buffer.events) == 3
     assert stats.buffered_events_current == 3
     assert stats.peak_buffered_events == 3
     assert stats.buffered_bytes_current == buffer.cost_bytes > 0
@@ -134,7 +134,7 @@ def test_release_after_partial_flush_frees_recorded_totals():
 
     # Simulate a consumer draining part of the exposed list.
     del buffer.events[:2]
-    assert len(buffer) == 1
+    assert len(buffer.events) == 1
 
     buffer.release()
     assert recorded_events == 3 and recorded_bytes > 0

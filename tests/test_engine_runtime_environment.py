@@ -291,7 +291,7 @@ def test_a_loop_reads_a_paged_buffer_once():
     """Loops and direct reads share one decoded event list per handler execution."""
     governor = MemoryGovernor(64, page_bytes=256)
     stats = RunStatistics()
-    manager = BufferManager(stats, factory=governor.make_buffer)
+    manager = BufferManager(stats, governor=governor)
     buffer = manager.create_buffer("$b")
     for index in range(40):
         buffer.extend([StartElement("a"), Characters(f"{index:02d}" * 10), EndElement("a")])

@@ -2,8 +2,10 @@
 
 Two loops over one path in one scope, two conditions on one path, a loop
 filtered by a sibling path, two loops in a nested scope, a value path
-compared across two scopes and one path copied twice: each puts two
-captures, accumulators, scopes or copies on one frame.  Each query runs
+compared across two scopes, one path copied twice, and one path captured
+or compared by two scopes (the outer ``$a``'s ``d/b`` and the inner
+``$d``'s ``b``): each puts two captures, accumulators, scopes or copies on
+one frame.  Each query runs
 pulled and pushed at strides 1 and 7 and must be byte-identical to
 :class:`~repro.baselines.NaiveDomEngine`.
 """
@@ -43,6 +45,16 @@ QUERIES = {
         " { if $d/b = $a/c then <m>{$d/b}</m> } } }</o>"
     ),
     "copied-twice": "<o>{ for $a in $ROOT/r/a return <x>{$a/b}{$a/b}</x> }</o>",
+    "two-captures": (
+        "<o>{ for $a in $ROOT/r/a return <x>{ for $d in $a/d return"
+        " <d>{ for $b in $d/b where $b = $d/b return $b }</d> }"
+        "{ if $a/d/b = $a/c then <h/> }</x> }</o>"
+    ),
+    "two-accumulators": (
+        "<o>{ for $a in $ROOT/r/a return <x>{ for $d in $a/d return"
+        " <d>{ if $d/b = \"x1\" then <m/> }</d> }"
+        "{ if $a/d/b = \"y1\" then <h/> }</x> }</o>"
+    ),
 }
 
 

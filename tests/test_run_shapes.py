@@ -15,11 +15,11 @@ import pytest
 
 from repro import ExecutionOptions, FluxSession
 from repro.core.api import load_dtd
+from repro.engine.buffers import EventBuffer
 from repro.engine.executor import StreamExecutor
 from repro.obs.metrics import global_registry
 from repro.serve import SubscriptionHub
 from repro.storage import MemoryGovernor, SpillError
-from repro.storage.paged_buffer import PagedEventBuffer
 from repro.xmlstream.errors import XMLWellFormednessError
 from repro.xmlstream.events import EndElement
 
@@ -169,7 +169,7 @@ def test_failing_multi_query_seat_is_named_in_the_crash_dump(tmp_path, monkeypat
 # The ledger: a borrowed governor survives a failure, an owned one is closed
 
 #: Small enough that REORDERED's buffered titles spill on the long document.
-BOUNDED = ExecutionOptions(memory_budget=512, memory_page_bytes=128)
+BOUNDED = ExecutionOptions(memory_budget=512)
 LONG = _doc(40)
 BROKEN = LONG[: -len("</book></bib>")] + "</nope>"
 
@@ -237,9 +237,7 @@ def _lender(drive):
         with FluxSession(_schema(), options=BOUNDED) as session:
             yield session, session.memory_telemetry
     else:
-        with MemoryGovernor(
-            BOUNDED.memory_budget, page_bytes=BOUNDED.memory_page_bytes
-        ) as governor:
+        with MemoryGovernor(BOUNDED.memory_budget) as governor:
             yield governor, governor.telemetry
 
 
@@ -308,7 +306,7 @@ def test_a_spill_failure_while_aborting_does_not_mask_the_runs_error(spill_fault
     """An executor error mid-batch leaves appends uncharged; charging them
     for the crash dump must evict, and the disk is full by then.  The run
     still fails with its own error and balances the ledger."""
-    append = PagedEventBuffer.append
+    append = EventBuffer.append
     titles = []
 
     def failing(self, event):
@@ -319,7 +317,7 @@ def test_a_spill_failure_while_aborting_does_not_mask_the_runs_error(spill_fault
                 spill_faults(write=1)
                 raise RuntimeError("injected executor failure")
 
-    monkeypatch.setattr(PagedEventBuffer, "append", failing)
+    monkeypatch.setattr(EventBuffer, "append", failing)
     # One batch, titles longer than the budget: admitting what the failing
     # batch appended must evict.
     document = "<bib>%s</bib>" % "".join(

@@ -304,8 +304,8 @@ def test_hub_governor_spills_the_heaviest_subscriber_first(selector, spills):
         if selector == "lru":
             governor.victim_selector = None
         light, heavy = RunStatistics(), RunStatistics()
-        light_manager = BufferManager(light, factory=governor.make_buffer)
-        heavy_manager = BufferManager(heavy, factory=governor.make_buffer)
+        light_manager = BufferManager(light, governor=governor)
+        heavy_manager = BufferManager(heavy, governor=governor)
         light_manager.create_buffer("$light").append(Characters("x" * 100))
         light_manager.flush()
         heavy_manager.create_buffer("$heavy").extend(Characters("y" * 100) for _ in range(10))

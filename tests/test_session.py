@@ -735,13 +735,6 @@ def test_execution_options_validation():
         ExecutionOptions(memory_budget=0)
     with pytest.raises(ValueError):
         ExecutionOptions(chunk_size=0)
-    # Checked when the options are built, with or without a budget -- not
-    # first when a budgeted run opens its governor.
-    for page_bytes in (0, -5):
-        with pytest.raises(ValueError, match="memory_page_bytes"):
-            ExecutionOptions(memory_page_bytes=page_bytes)
-        with pytest.raises(ValueError, match="memory_page_bytes"):
-            ExecutionOptions(memory_budget=1024, memory_page_bytes=page_bytes)
     base = ExecutionOptions(memory_budget=1024)
     derived = base.replace(expand_attrs=True)
     assert derived.memory_budget == 1024 and derived.expand_attrs

@@ -1,10 +1,10 @@
 """Tests for the bounded-memory storage subsystem.
 
 Covers the codec, the spill store, the governor's budget/LRU mechanics,
-the paged buffer's :class:`EventBuffer` equivalence, and the end-to-end
-guarantee: with a budget below the unbounded peak, XMark runs spill,
-resident memory stays capped, and output is byte-identical to in-memory
-execution in every sink mode.
+the equivalence of governed and ungoverned :class:`EventBuffer` objects,
+and the end-to-end guarantee: with a budget below the unbounded peak,
+XMark runs spill, resident memory stays capped, and output is
+byte-identical to in-memory execution in every sink mode.
 """
 
 import errno
@@ -15,11 +15,10 @@ import struct
 import pytest
 
 from repro import ExecutionOptions, FluxSession, load_dtd
-from repro.engine.buffers import BufferManager, EventBuffer
+from repro.engine.buffers import BufferManager
 from repro.engine.stats import RunStatistics
 from repro.storage import (
     MemoryGovernor,
-    PagedEventBuffer,
     SpillError,
     SpillStore,
     decode_events,
@@ -233,7 +232,7 @@ def test_parse_memory_budget_rejects_garbage(text):
 
 
 # ---------------------------------------------------------------------------
-# Paged buffer vs plain buffer equivalence
+# Governed buffer vs plain buffer equivalence
 
 
 def _sample_events(count=40):
@@ -248,15 +247,27 @@ def _sample_events(count=40):
 def _paged_manager(budget=None, page_bytes=64):
     governor = MemoryGovernor(budget, page_bytes=page_bytes)
     stats = RunStatistics()
-    manager = BufferManager(stats, factory=governor.make_buffer)
+    manager = BufferManager(stats, governor=governor)
     return governor, stats, manager
 
 
-def test_factory_swaps_buffer_class():
-    governor, _, manager = _paged_manager()
-    buffer = manager.create_buffer("$x")
-    assert isinstance(buffer, PagedEventBuffer)
-    assert isinstance(BufferManager().create_buffer("$x"), EventBuffer)
+def test_a_plain_buffer_is_one_page_and_a_governed_one_reads_its_pages_into_a_fresh_list():
+    events = _sample_events(10)
+    plain = BufferManager().create_buffer("$x")
+    plain.extend(events)
+    assert plain.events is plain.events  # the one page's own list, no copy
+    assert [page.events for page in plain._pages] == [plain.events]
+    assert plain.events == events
+
+    governor, _, manager = _paged_manager(page_bytes=64)
+    paged = manager.create_buffer("$x")
+    paged.extend(events)
+    first = paged.events
+    assert len(paged._pages) >= 2
+    assert first == events
+    assert first is not paged.events  # a fresh list per read
+    first.clear()
+    assert paged.events == events  # and the pages do not share it
     governor.close()
 
 
@@ -272,7 +283,7 @@ def test_paged_buffer_matches_plain_buffer_unbounded():
     paged = manager.create_buffer("$x")
     paged.extend(events)
 
-    assert len(paged) == len(plain)
+    assert len(paged.events) == len(plain.events)
     assert list(paged) == list(plain)
     assert paged.events == plain.events
     assert paged.cost_bytes == plain.cost_bytes
@@ -401,8 +412,8 @@ def test_force_seal_handles_budget_smaller_than_a_page():
 def test_one_governor_shared_by_two_managers():
     governor = MemoryGovernor(256, page_bytes=64)
     stats_a, stats_b = RunStatistics(), RunStatistics()
-    manager_a = BufferManager(stats_a, factory=governor.make_buffer)
-    manager_b = BufferManager(stats_b, factory=governor.make_buffer)
+    manager_a = BufferManager(stats_a, governor=governor)
+    manager_b = BufferManager(stats_b, governor=governor)
     buffer_a, buffer_b = manager_a.create_buffer("$a"), manager_b.create_buffer("$b")
     buffer_a.extend(_sample_events(20))
     manager_a.flush()
@@ -496,7 +507,7 @@ def test_per_batch_admission_matches_the_plain_buffer(seed):
     plain_manager.flush()  # a paged read flushes its manager; a plain read does not
     for plain, paged in live.values():
         assert paged.events == plain.events
-        assert len(paged) == len(plain)
+        assert len(paged.events) == len(plain.events)
     check()
     for plain, paged in live.values():
         plain.release()
@@ -553,7 +564,7 @@ def test_bounded_output_identical_across_all_sink_modes(xmark_setup, query):
     budget = max(peak // 2, 1024)
 
     prepared = FluxSession(dtd).prepare(BENCHMARK_QUERIES[query])
-    options = ExecutionOptions(memory_budget=budget, memory_page_bytes=128)
+    options = ExecutionOptions(memory_budget=budget)
 
     collected = prepared.execute(document, options=options)
     assert collected.output == unbounded.output
@@ -618,7 +629,7 @@ def test_a_handler_that_loops_over_a_paged_buffer_and_reads_it_faults_each_page_
         for p in range(3)
     )
     unbounded = prepared.execute(document)
-    bounded = prepared.execute(document, options=ExecutionOptions(memory_budget=300, memory_page_bytes=64))
+    bounded = prepared.execute(document, options=ExecutionOptions(memory_budget=300))
     stats = bounded.stats
     assert bounded.output == unbounded.output
     assert bounded.output.count("<y/>") == 3 * 40
@@ -660,7 +671,7 @@ def test_multiquery_shared_budget_outputs_identical(xmark_setup):
     peak = FluxSession(dtd).prepare(BENCHMARK_QUERIES["Q8"]).execute(document).peak_buffered_bytes
     budget = max(peak // 2, 1024)
     run = queries.execute(
-        document, options=ExecutionOptions(memory_budget=budget, memory_page_bytes=128)
+        document, options=ExecutionOptions(memory_budget=budget)
     )
 
     for name, output in solo.items():
@@ -680,7 +691,7 @@ def test_multiquery_shared_budget_to_sinks_identical(xmark_setup):
 
     sinks = {name: io.StringIO() for name in solo}
     run = queries.execute(
-        document, sinks=sinks, options=ExecutionOptions(memory_budget=2048, memory_page_bytes=128)
+        document, sinks=sinks, options=ExecutionOptions(memory_budget=2048)
     )
     for name, output in solo.items():
         assert sinks[name].getvalue() == output, name
@@ -691,7 +702,7 @@ def test_streaming_run_closes_governor_when_abandoned(xmark_setup):
     dtd, document = xmark_setup
     prepared = FluxSession(dtd).prepare(BENCHMARK_QUERIES["Q8"])
     streaming = prepared.stream(
-        document, options=ExecutionOptions(memory_budget=2048, memory_page_bytes=128)
+        document, options=ExecutionOptions(memory_budget=2048)
     )
     iterator = iter(streaming)
     next(iterator)  # start the run, then abandon it
